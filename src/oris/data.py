@@ -117,7 +117,11 @@ class Dataset:
 
 
 class ReplayBuffer:
-    """Fixed-capacity FIFO ring, array-backed."""
+    """Fixed-capacity FIFO ring, array-backed.
+
+    Each row carries a critic weight next to the transition, 1 unless the
+    caller gives one when appending.
+    """
 
     def __init__(self, capacity: int, obs_dim: int, action_dim: int,
                  provenance: str = PROVENANCE_SIM):
@@ -130,31 +134,45 @@ class ReplayBuffer:
         self._r = np.zeros(capacity)
         self._s2 = np.zeros((capacity, obs_dim))
         self._d = np.zeros(capacity)
+        self._w = np.zeros(capacity)  # every row's weight is written by add
         self._n = 0
         self._cursor = 0
 
     def __len__(self) -> int:
         return self._n
 
-    def add(self, t: Transition) -> None:
+    def add(self, t: Transition, weight: float = 1.0) -> None:
         i = self._cursor
         self._s[i] = t.s
         self._a[i] = t.a
         self._r[i] = t.r
         self._s2[i] = t.s_next
         self._d[i] = float(t.done)
+        self._w[i] = weight
         self._cursor = (i + 1) % self.capacity
         self._n = min(self._n + 1, self.capacity)
 
-    def extend(self, ts) -> None:
-        for t in ts:
-            self.add(t)
+    def extend(self, ts, weights=None) -> None:
+        """Append transitions in order; weights[k], if given, is row k's weight."""
+        if weights is None:
+            for t in ts:
+                self.add(t)
+            return
+        if len(weights) != len(ts):
+            raise ContractError(f"{len(weights)} weights for {len(ts)} transitions")
+        for t, w in zip(ts, weights):
+            self.add(t, w)
 
-    def sample_arrays(self, n: int, rng) -> tuple:
+    def sample_weighted(self, n: int, rng) -> tuple:
+        """((S, A, R, S2, DONE), W) for n rows drawn uniformly with replacement."""
         if self._n == 0:
             raise ContractError("sampling from an empty buffer")
         idx = rng.integers(0, self._n, size=n)
-        return (self._s[idx], self._a[idx], self._r[idx], self._s2[idx], self._d[idx])
+        arrays = (self._s[idx], self._a[idx], self._r[idx], self._s2[idx], self._d[idx])
+        return arrays, self._w[idx]
+
+    def sample_arrays(self, n: int, rng) -> tuple:
+        return self.sample_weighted(n, rng)[0]
 
     def get(self, i: int) -> Transition:
         if not 0 <= i < self._n:

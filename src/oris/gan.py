@@ -116,15 +116,6 @@ def _softplus(x):
     return np.logaddexp(0.0, x)
 
 
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def generate_states(gan: GanPair, Z: np.ndarray) -> np.ndarray:
     """Denormalized generator output for latent batch Z, without restart noise."""
     Z = np.asarray(Z, dtype=np.float64)
@@ -209,13 +200,13 @@ def pretrain(states, hparams: GanHparams, rng: np.random.Generator):
         fake = nets.forward_batch(gen, Zd) * out_scale
 
         # discriminator step: ascend E[log D(real)] + E[log(1 - D(fake))]
-        nets.forward_batch(disc, real)
+        d_real = nets.forward_batch(disc, real)[:, 0]
         l_real = nets.output_preactivation(disc)[:, 0]
-        g_real = nets.backward_batch(disc, ((_sigmoid(l_real) - 1.0) / bs)[:, None],
+        g_real = nets.backward_batch(disc, ((d_real - 1.0) / bs)[:, None],
                                      wrt_preactivation=True)
-        nets.forward_batch(disc, fake)
+        d_fake = nets.forward_batch(disc, fake)[:, 0]
         l_fake = nets.output_preactivation(disc)[:, 0]
-        g_fake = nets.backward_batch(disc, (_sigmoid(l_fake) / bs)[:, None],
+        g_fake = nets.backward_batch(disc, (d_fake / bs)[:, None],
                                      wrt_preactivation=True)
         d_objective = float(np.mean(-_softplus(-l_real)) + np.mean(-_softplus(l_fake)))
         if not np.isfinite(d_objective):
@@ -225,20 +216,20 @@ def pretrain(states, hparams: GanHparams, rng: np.random.Generator):
         # generator step: descend E[log(1 - D(G(z)))]
         Zg = rng.standard_normal((bs, hparams.z_dim))
         fake_g = nets.forward_batch(gen, Zg) * out_scale
-        nets.forward_batch(disc, fake_g)
+        d_g = nets.forward_batch(disc, fake_g)[:, 0]
         l_g = nets.output_preactivation(disc)[:, 0]
         g_loss = float(np.mean(-_softplus(l_g)))
         if not np.isfinite(g_loss):
             raise fail(i, "generator loss")
-        d_in = nets.backward_batch(disc, (-_sigmoid(l_g) / bs)[:, None],
-                                   wrt_preactivation=True).input
+        d_in = nets.backward_input(disc, (-d_g / bs)[:, None],
+                                   wrt_preactivation=True)
         g_grads = nets.backward_batch(gen, d_in * out_scale)
         nets.adam_step(gen, g_grads, opt_g)
 
         curves[0, i] = d_objective
         curves[1, i] = g_loss
-        curves[2, i] = float(np.mean(_sigmoid(l_real)))
-        curves[3, i] = float(np.mean(_sigmoid(l_fake)))
+        curves[2, i] = float(np.mean(d_real))
+        curves[3, i] = float(np.mean(d_fake))
 
     pair = GanPair(gen, disc, hparams.z_dim, norm, out_scale,
                    hparams.restart_noise_sigma, hparams.w_min, hparams.w_max)

@@ -147,8 +147,12 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()[:12]
 
     def with_overrides(self, **over) -> "ExperimentConfig":
+        """This config with top-level keys replaced. A new variant is carried
+        into the oris section unless that section is overridden too."""
         d = self.to_json()
         d.update(over)
+        if "variant" in over and "oris" not in over:
+            d["oris"] = {**d["oris"], "variant": over["variant"]}
         return ExperimentConfig.from_json(d)
 
 

@@ -3,8 +3,10 @@
 Each epoch performs C rollouts of horizon H in the (possibly perturbed)
 simulator, then a block of actor-critic updates on mixed minibatches: offline
 rows at implicit weight 1 next to simulator rows weighted by the frozen
-discriminator. Where the rollouts restart from, and whether the weights are
-live, depends on the variant; see OrisConfig.
+discriminator. The discriminator is frozen, so each rollout's rows are scored
+once, when they enter the replay buffer, and the updates read the stored
+weights. Where the rollouts restart from, and whether the weights are live,
+depends on the variant; see OrisConfig.
 """
 
 from __future__ import annotations
@@ -148,12 +150,33 @@ def _draw_restart(env: envs.Env, g: gan_mod.GanPair, cfg: OrisConfig,
                     f"set_state and fallback disabled")
 
 
+def _rollout_weights(g: gan_mod.GanPair, states: np.ndarray, rows: int) -> np.ndarray:
+    """w(s) for a rollout's states, scored in zero-padded batches of exactly
+    `rows` rows: the shape of the sim batches the updates draw.
+
+    BLAS picks its kernel by batch shape, so a row's D can differ in the last
+    bits between batches of different sizes. Within batches of one size that
+    is a multiple of 4, OpenBLAS 0.3.31 gave a row the same bits at every
+    position, so each stored weight is bitwise the one an update drawing the
+    row would compute.
+    """
+    n = states.shape[0]
+    padded = np.concatenate([states, np.zeros((-n % rows, states.shape[1]))])
+    return np.concatenate([gan_mod.weight_of_batch(g, padded[i:i + rows])
+                           for i in range(0, padded.shape[0], rows)])[:n]
+
+
 def collect_epoch(env: envs.Env, agent: sac.SacAgent, cfg: OrisConfig,
                   buffer: ReplayBuffer, rng,
                   g: gan_mod.GanPair | None = None) -> CollectStats:
-    """C rollouts of horizon H in the simulator, appended to the buffer."""
+    """C rollouts of horizon H in the simulator, appended to the buffer.
+
+    With a gan and the "gan" weight mode, each rollout's rows are stored with
+    their weight w(s); otherwise they keep the buffer's default weight 1.
+    """
     if cfg.gan_restarts() and g is None:
         raise ConfigError(f"variant {cfg.variant!r} needs a pretrained gan")
+    score = g is not None and cfg.resolved_weight_mode() == "gan"
     stats = CollectStats()
     for _ in range(cfg.rollout_count):
         policy, used_random = hybrid_policy(agent, env, cfg.random_policy_prob, rng)
@@ -161,22 +184,18 @@ def collect_epoch(env: envs.Env, agent: sac.SacAgent, cfg: OrisConfig,
         stats.random_rollouts += int(used_random)
         start = _draw_restart(env, g, cfg, stats, rng) if cfg.gan_restarts() else None
         transitions = envs.rollout(env, policy, start, cfg.rollout_horizon, rng)
-        buffer.extend(transitions)
+        weights = (_rollout_weights(g, np.stack([t.s for t in transitions]),
+                                    agent.hparams.batch_sim) if score else None)
+        buffer.extend(transitions, weights)
         stats.transitions += len(transitions)
     return stats
 
 
-def _sim_weights(mode: str, g, states: np.ndarray):
-    if mode == "gan":
-        return gan_mod.weight_of_batch(g, states)
-    if mode == "ones":
-        return np.ones(states.shape[0])
-    return None
+def _update_block(agent, offline, buffer, cfg, hp, rng):
+    """One epoch's worth of critic/actor updates on mixed minibatches.
 
-
-def _update_block(agent, offline, buffer, cfg, hp, g, rng):
-    """One epoch's worth of critic/actor updates on mixed minibatches."""
-    mode = cfg.resolved_weight_mode()
+    Simulator rows carry the weights collect_epoch stored with them.
+    """
     sim_only = cfg.variant == "sim_only_sac"
     critic_losses, actor_losses, sim_weights = [], [], []
     for _ in range(cfg.updates_per_epoch):
@@ -186,9 +205,9 @@ def _update_block(agent, offline, buffer, cfg, hp, g, rng):
                 sim=buffer.sample_arrays(n, rng), sim_provenance=buffer.provenance)
         else:
             off = offline.sample_arrays(hp.batch_off, rng)
-            sim = buffer.sample_arrays(hp.batch_sim, rng)
+            sim, w = buffer.sample_weighted(hp.batch_sim, rng)
             batch = sac.WeightedBatch.from_arrays(
-                off=off, sim=sim, sim_weights=_sim_weights(mode, g, sim[0]),
+                off=off, sim=sim, sim_weights=w,
                 off_provenance=offline.provenance,
                 sim_provenance=buffer.provenance)
         creport = sac.critic_update(agent, batch, rng)
@@ -248,7 +267,7 @@ def train(real_spec: envs.EnvSpec, sim_spec: envs.EnvSpec, offline: Dataset,
             stats = collect_epoch(sim_env, agent, cfg, buffer, rng_collect, g)
             env_steps += stats.transitions
             critic_loss, actor_loss, mean_w = _update_block(
-                agent, offline, buffer, cfg, hp, g, rng_update)
+                agent, offline, buffer, cfg, hp, rng_update)
 
         det = lambda o, _r: sac.act(agent, o, "deterministic")
         ret, std, _ = envs.evaluate_policy(real_spec, det, cfg.eval_episodes,

@@ -4,13 +4,19 @@ Everything is float64 numpy. A net records its activations during forward and
 replays them in backward; a net is owned by one caller at a time (no sharing a
 net object across interleaved forward/backward pairs).
 
-Parameter layout conventions used by checkpoints and the flat-vector helpers:
-layer by layer, weight matrix (row-major) then bias vector.
+Each net keeps all of its parameters in one flat vector, `params`, laid out
+layer by layer, weight matrix (row-major) then bias vector; checkpoints use
+the same layout. `weights[l]` and `biases[l]` are views into `params`, so a
+write through either name is seen by the other, and whole-net operations
+(Adam, soft updates, checkpoints) act on the one vector. Gradients use the
+same layout: `Gradients.flat` with `weights`/`biases` views into it. Copies
+(`clone_net`, `copy.deepcopy`, pickling) get a fresh vector with fresh views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import functools
 import json
 
 import numpy as np
@@ -24,9 +30,37 @@ CHECKPOINT_FORMAT = "oris-mlp"
 CHECKPOINT_VERSION = 1
 
 
+@functools.lru_cache(maxsize=None)
+def _layout(layer_sizes: tuple) -> tuple:
+    """(start, split, end, W shape) of each layer: W is [start:split], b is [split:end]."""
+    spans, i = [], 0
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        split = i + fan_out * fan_in
+        spans.append((i, split, split + fan_out, (fan_out, fan_in)))
+        i = split + fan_out
+    return tuple(spans)
+
+
+def _views(flat: np.ndarray, layer_sizes) -> tuple[list, list]:
+    """Per-layer weight and bias views into a flat parameter-layout vector."""
+    weights, biases = [], []
+    for start, split, end, shape in _layout(tuple(layer_sizes)):
+        weights.append(flat[start:split].reshape(shape))
+        biases.append(flat[split:end])
+    return weights, biases
+
+
+def _flatten(weights, biases) -> np.ndarray:
+    return np.concatenate([np.ravel(a) for wb in zip(weights, biases) for a in wb]
+                          ).astype(np.float64, copy=False)
+
+
 @dataclass
 class MlpNet:
-    """A fully connected net. weights[l] has shape (layer_sizes[l+1], layer_sizes[l])."""
+    """A fully connected net. weights[l] has shape (layer_sizes[l+1], layer_sizes[l]).
+
+    The constructor copies the given weights and biases into `params`.
+    """
 
     layer_sizes: list[int]
     weights: list[np.ndarray]
@@ -34,6 +68,7 @@ class MlpNet:
     hidden_activation: str = "relu"
     output_activation: str = "identity"
     init_seed: int = 0
+    params: np.ndarray = field(init=False, repr=False)
     _acts: list = field(default_factory=list, repr=False)
     _pre: list = field(default_factory=list, repr=False)
     _has_cache: bool = field(default=False, repr=False)
@@ -53,6 +88,21 @@ class MlpNet:
                 raise ContractError(f"weights[{l}] has shape {self.weights[l].shape}, want {want}")
             if self.biases[l].shape != (self.layer_sizes[l + 1],):
                 raise ContractError(f"biases[{l}] has shape {self.biases[l].shape}")
+        self._bind(_flatten(self.weights, self.biases))
+
+    def _bind(self, params: np.ndarray) -> None:
+        self.params = params
+        self.weights, self.biases = _views(params, self.layer_sizes)
+
+    # copy.deepcopy and pickle carry params only and rebuild the views on it
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        del state["weights"], state["biases"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._bind(self.params)
 
     @property
     def num_layers(self) -> int:
@@ -84,21 +134,25 @@ class MlpNet:
 
 @dataclass
 class Gradients:
-    """Parameter gradients matching a net's layout, plus the gradient at the input."""
+    """Parameter gradients in a net's flat layout, plus the gradient at the input.
+
+    Built from per-layer lists, the lists are copied into `flat` and replaced
+    by views into it.
+    """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     input: np.ndarray
+    flat: np.ndarray | None = field(default=None, repr=False)
 
-    def scaled(self, c: float) -> "Gradients":
-        return Gradients([c * w for w in self.weights], [c * b for b in self.biases],
-                         c * self.input)
+    def __post_init__(self):
+        if self.flat is None:
+            sizes = [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
+            self.flat = _flatten(self.weights, self.biases)
+            self.weights, self.biases = _views(self.flat, sizes)
 
     def add_(self, other: "Gradients") -> "Gradients":
-        for a, b in zip(self.weights, other.weights):
-            a += b
-        for a, b in zip(self.biases, other.biases):
-            a += b
+        self.flat += other.flat
         return self
 
 
@@ -106,12 +160,6 @@ def _hidden_act(name: str, z: np.ndarray) -> np.ndarray:
     if name == "relu":
         return np.maximum(z, 0.0)
     return np.tanh(z)
-
-
-def _hidden_act_grad(name: str, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return (z > 0.0).astype(np.float64)
-    return 1.0 - y * y
 
 
 def _output_act(name: str, z: np.ndarray) -> np.ndarray:
@@ -129,8 +177,6 @@ def _output_act(name: str, z: np.ndarray) -> np.ndarray:
 
 
 def _output_act_grad(name: str, y: np.ndarray) -> np.ndarray:
-    if name == "identity":
-        return np.ones_like(y)
     if name == "tanh":
         return 1.0 - y * y
     return y * (1.0 - y)
@@ -146,7 +192,8 @@ def forward_batch(net: MlpNet, x: np.ndarray) -> np.ndarray:
     h = x
     last = net.num_layers - 1
     for l in range(net.num_layers):
-        z = h @ net.weights[l].T + net.biases[l]
+        z = h @ net.weights[l].T
+        z += net.biases[l]
         pre.append(z)
         h = _output_act(net.output_activation, z) if l == last else _hidden_act(net.hidden_activation, z)
         acts.append(h)
@@ -169,6 +216,32 @@ def output_preactivation(net: MlpNet) -> np.ndarray:
     return net._pre[-1]
 
 
+def _output_delta(net: MlpNet, grad_out, wrt_preactivation: bool) -> np.ndarray:
+    """d(loss)/d(output pre-activation) from the caller's upstream gradient."""
+    if not net._has_cache:
+        raise UsageError("backward called before forward")
+    grad_out = np.asarray(grad_out, dtype=np.float64)
+    out_shape = (net._acts[0].shape[0], net.out_dim)
+    if grad_out.shape != out_shape:
+        raise ContractError(f"grad_out has shape {grad_out.shape}, want {out_shape}")
+    if wrt_preactivation or net.output_activation == "identity":
+        return grad_out
+    return grad_out * _output_act_grad(net.output_activation, net._acts[-1])
+
+
+def _delta_below(net: MlpNet, delta: np.ndarray, l: int) -> np.ndarray:
+    """Carry d(loss)/d(pre-activation of layer l) to the layer's input side:
+    the pre-activation of layer l - 1, or the net input when l == 0."""
+    delta = delta @ net.weights[l]
+    if l > 0:
+        if net.hidden_activation == "relu":
+            delta *= net._pre[l - 1] > 0.0
+        else:
+            y = net._acts[l]
+            delta *= 1.0 - y * y
+    return delta
+
+
 def backward_batch(net: MlpNet, grad_out: np.ndarray, wrt_preactivation: bool = False) -> Gradients:
     """Reverse-mode pass from d(loss)/d(output) through the recorded forward.
 
@@ -176,25 +249,24 @@ def backward_batch(net: MlpNet, grad_out: np.ndarray, wrt_preactivation: bool = 
     this sidesteps the output nonlinearity (used for stable sigmoid/BCE math).
     Returns parameter gradients and, in .input, d(loss)/d(input batch).
     """
-    if not net._has_cache:
-        raise UsageError("backward called before forward")
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    out_shape = (net._acts[0].shape[0], net.out_dim)
-    if grad_out.shape != out_shape:
-        raise ContractError(f"grad_out has shape {grad_out.shape}, want {out_shape}")
-    if wrt_preactivation:
-        delta = grad_out
-    else:
-        delta = grad_out * _output_act_grad(net.output_activation, net._acts[-1])
-    g_w = [None] * net.num_layers
-    g_b = [None] * net.num_layers
+    delta = _output_delta(net, grad_out, wrt_preactivation)
+    flat = np.empty(net.params.size)
+    g_w, g_b = _views(flat, net.layer_sizes)
     for l in range(net.num_layers - 1, -1, -1):
-        g_w[l] = delta.T @ net._acts[l]
-        g_b[l] = delta.sum(axis=0)
-        delta = delta @ net.weights[l]
-        if l > 0:
-            delta = delta * _hidden_act_grad(net.hidden_activation, net._pre[l - 1], net._acts[l])
-    return Gradients(g_w, g_b, delta)
+        np.matmul(delta.T, net._acts[l], out=g_w[l])
+        np.sum(delta, axis=0, out=g_b[l])
+        delta = _delta_below(net, delta, l)
+    return Gradients(g_w, g_b, delta, flat)
+
+
+def backward_input(net: MlpNet, grad_out: np.ndarray,
+                   wrt_preactivation: bool = False) -> np.ndarray:
+    """d(loss)/d(input batch) alone: backward_batch(...).input without the
+    parameter gradients."""
+    delta = _output_delta(net, grad_out, wrt_preactivation)
+    for l in range(net.num_layers - 1, -1, -1):
+        delta = _delta_below(net, delta, l)
+    return delta
 
 
 def backward(net: MlpNet, grad_out: np.ndarray, wrt_preactivation: bool = False) -> Gradients:
@@ -209,56 +281,57 @@ def backward(net: MlpNet, grad_out: np.ndarray, wrt_preactivation: bool = False)
 
 @dataclass
 class AdamState:
-    """Adam moments for one net, with bias correction."""
+    """Adam moments for one net, in its flat parameter layout, with bias correction."""
 
     learning_rate: float
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     step_count: int = 0
-    m_w: list[np.ndarray] = field(default_factory=list)
-    v_w: list[np.ndarray] = field(default_factory=list)
-    m_b: list[np.ndarray] = field(default_factory=list)
-    v_b: list[np.ndarray] = field(default_factory=list)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @classmethod
     def for_net(cls, net: MlpNet, learning_rate: float, beta1: float = 0.9,
                 beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
         st = cls(learning_rate, beta1, beta2, epsilon)
-        st.m_w = [np.zeros_like(w) for w in net.weights]
-        st.v_w = [np.zeros_like(w) for w in net.weights]
-        st.m_b = [np.zeros_like(b) for b in net.biases]
-        st.v_b = [np.zeros_like(b) for b in net.biases]
+        st.m = np.zeros_like(net.params)
+        st.v = np.zeros_like(net.params)
         return st
 
 
-def _adam_update(p, g, m, v, lr, b1, b2, eps, t):
-    m *= b1
-    m += (1.0 - b1) * g
-    v *= b2
-    v += (1.0 - b2) * g * g
-    mhat = m / (1.0 - b1 ** t)
-    vhat = v / (1.0 - b2 ** t)
-    p -= lr * mhat / (np.sqrt(vhat) + eps)
-
-
 def adam_step(net: MlpNet, grads: Gradients, opt: AdamState) -> None:
-    """One Adam step, in place on net parameters and opt moments."""
-    if len(grads.weights) != net.num_layers:
+    """One Adam step, in place on net parameters and opt moments.
+
+    A non-finite gradient raises NumericsError before anything changes;
+    parameters that come out non-finite raise after the step.
+    """
+    p, g, m, v = net.params, grads.flat, opt.m, opt.v
+    if g.shape != p.shape or m.shape != p.shape:
         raise ContractError("gradient structure does not match net")
-    for g in grads.weights + grads.biases:
-        if not np.all(np.isfinite(g)):
-            raise NumericsError("non-finite gradient passed to adam_step")
+    if not np.isfinite(g).all():
+        raise NumericsError("non-finite gradient passed to adam_step")
     opt.step_count += 1
     t = opt.step_count
-    for l in range(net.num_layers):
-        _adam_update(net.weights[l], grads.weights[l], opt.m_w[l], opt.v_w[l],
-                     opt.learning_rate, opt.beta1, opt.beta2, opt.epsilon, t)
-        _adam_update(net.biases[l], grads.biases[l], opt.m_b[l], opt.v_b[l],
-                     opt.learning_rate, opt.beta1, opt.beta2, opt.epsilon, t)
-    for p in net.weights + net.biases:
-        if not np.all(np.isfinite(p)):
-            raise NumericsError("parameters became non-finite after adam_step")
+    b1, b2 = opt.beta1, opt.beta2
+    # p -= lr * mhat / (sqrt(vhat) + eps) with its float operations in the
+    # textbook order, through two scratch vectors instead of one per operation
+    m *= b1
+    tmp = (1.0 - b1) * g
+    m += tmp
+    v *= b2
+    np.multiply(1.0 - b2, g, out=tmp)
+    tmp *= g
+    v += tmp
+    step = m / (1.0 - b1 ** t)           # mhat
+    np.divide(v, 1.0 - b2 ** t, out=tmp)  # vhat
+    np.sqrt(tmp, out=tmp)
+    tmp += opt.epsilon
+    step *= opt.learning_rate
+    step /= tmp
+    p -= step
+    if not np.isfinite(p).all():
+        raise NumericsError("parameters became non-finite after adam_step")
 
 
 @dataclass
@@ -290,51 +363,31 @@ def soft_update(target: MlpNet, source: MlpNet, tau: float) -> None:
         raise ContractError(f"tau must be in [0, 1], got {tau}")
     if target.layer_sizes != source.layer_sizes:
         raise ContractError("architecture mismatch in soft_update")
-    for tw, sw in zip(target.weights, source.weights):
-        tw *= 1.0 - tau
-        tw += tau * sw
-    for tb, sb in zip(target.biases, source.biases):
-        tb *= 1.0 - tau
-        tb += tau * sb
+    target.params *= 1.0 - tau
+    target.params += tau * source.params
 
 
 def num_params(net: MlpNet) -> int:
-    return sum(w.size for w in net.weights) + sum(b.size for b in net.biases)
+    return net.params.size
 
 
 def get_flat_params(net: MlpNet) -> np.ndarray:
-    parts = []
-    for l in range(net.num_layers):
-        parts.append(net.weights[l].ravel())
-        parts.append(net.biases[l].ravel())
-    return np.concatenate(parts)
+    return net.params.copy()
 
 
 def set_flat_params(net: MlpNet, flat: np.ndarray) -> None:
     flat = np.asarray(flat, dtype=np.float64)
-    if flat.shape != (num_params(net),):
+    if flat.shape != net.params.shape:
         raise ContractError(f"flat vector has shape {flat.shape}, want ({num_params(net)},)")
-    i = 0
-    for l in range(net.num_layers):
-        n = net.weights[l].size
-        net.weights[l][...] = flat[i:i + n].reshape(net.weights[l].shape)
-        i += n
-        n = net.biases[l].size
-        net.biases[l][...] = flat[i:i + n].reshape(net.biases[l].shape)
-        i += n
+    net.params[...] = flat
 
 
 def flatten_grads(g: Gradients) -> np.ndarray:
-    parts = []
-    for w, b in zip(g.weights, g.biases):
-        parts.append(w.ravel())
-        parts.append(b.ravel())
-    return np.concatenate(parts)
+    return g.flat.copy()
 
 
 def clone_net(net: MlpNet) -> MlpNet:
-    return MlpNet(list(net.layer_sizes), [w.copy() for w in net.weights],
-                  [b.copy() for b in net.biases], net.hidden_activation,
+    return MlpNet(list(net.layer_sizes), net.weights, net.biases, net.hidden_activation,
                   net.output_activation, net.init_seed)
 
 
@@ -352,7 +405,7 @@ def save_checkpoint(net: MlpNet, path) -> None:
     with open(path, "wb") as f:
         f.write(json.dumps(header).encode("utf-8"))
         f.write(b"\n")
-        f.write(get_flat_params(net).astype("<f8").tobytes())
+        f.write(net.params.astype("<f8").tobytes())
 
 
 def load_checkpoint(path) -> MlpNet:

@@ -344,8 +344,8 @@ def actor_loss_and_grads(agent: SacAgent, S: np.ndarray, noise: np.ndarray,
         q2 = nets.forward_batch(agent.critic2, x)[:, 0]
         m1 = (q1 <= q2).astype(np.float64)
         qmin = np.minimum(q1, q2)
-        gin1 = nets.backward_batch(agent.critic1, (-m1 / n)[:, None]).input
-        gin2 = nets.backward_batch(agent.critic2, (-(1.0 - m1) / n)[:, None]).input
+        gin1 = nets.backward_input(agent.critic1, (-m1 / n)[:, None])
+        gin2 = nets.backward_input(agent.critic2, (-(1.0 - m1) / n)[:, None])
         dL_da = (gin1 + gin2)[:, agent.obs_dim:]
     else:
         qmin, dq_da = q_and_grad(S, sample.action)

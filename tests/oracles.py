@@ -137,6 +137,29 @@ class ReferenceAdam:
         return p
 
 
+class PerTensorAdam:
+    """Adam over separate weight and bias arrays, one tensor at a time, with the
+    same float operations in the same order as a flat step (for bitwise checks)."""
+
+    def __init__(self, tensors, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.m = [np.zeros_like(p) for p in tensors]
+        self.v = [np.zeros_like(p) for p in tensors]
+        self.t = 0
+        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
+
+    def step(self, tensors, grads):
+        """In place on `tensors`."""
+        self.t += 1
+        for p, g, m, v in zip(tensors, grads, self.m, self.v):
+            m *= self.b1
+            m += (1.0 - self.b1) * g
+            v *= self.b2
+            v += (1.0 - self.b2) * g * g
+            mhat = m / (1.0 - self.b1 ** self.t)
+            vhat = v / (1.0 - self.b2 ** self.t)
+            p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
 def gauss_legendre_integral(f, lo, hi, n=200):
     """Fixed-order Gauss-Legendre quadrature of f over [lo, hi]."""
     x, w = np.polynomial.legendre.leggauss(n)

@@ -216,6 +216,17 @@ def test_sweep_points(dataset_path):
         harness.sweep_points(cfg, "entropy")
 
 
+def test_sweep_ablation_expands_every_cell(dataset_path):
+    cfg = tiny_config(dataset_path, variant="oris")
+    for label, over in harness.sweep_points(cfg, "ablation"):
+        point = cfg.with_overrides(**over)
+        assert point.variant == point.oris.variant == label
+        assert point.oris == loop.OrisConfig(**{**cfg.oris.to_json(), "variant": label})
+    # an explicit oris section still has to agree with the variant
+    with pytest.raises(ConfigError, match="contradicts"):
+        cfg.with_overrides(variant="naive_mix", oris=cfg.oris.to_json())
+
+
 def test_sweep_fraction_axis_end_to_end(dataset_path, tmp_path):
     cfg = tiny_config(dataset_path, seeds=[0],
                       oris={"rollout_horizon": 2, "rollout_count": 1,

@@ -166,6 +166,34 @@ def test_collect_epoch_requires_gan():
                            np.random.default_rng(0))
 
 
+def test_buffer_weights_equal_update_time_weights(pend_random):
+    """Stored weights are bitwise what weight_of_batch gives for the sampled
+    rows, including rows written after the ring wrapped."""
+    gan_hp = gan.GanHparams(z_dim=4, hidden=(32, 32), iterations=60, batch_size=64,
+                            w_min=0.0)
+    g, _ = gan.pretrain(state_marginal(pend_random), gan_hp, np.random.default_rng(3))
+    g.discriminator.biases[-1][:] -= 2.0  # most D below 1/2: weights off the clip
+    agent = make_agent()
+    env = envs.make_env(envs.EnvSpec.sim("pendulum", envs.DynamicsPerturbation(2.0)))
+    buf = ReplayBuffer(50, 3, 1)
+    cfg = OrisConfig(variant="oris", rollout_count=4, rollout_horizon=23, epochs=1)
+    loop.collect_epoch(env, agent, cfg, buf, np.random.default_rng(4), g)
+    assert len(buf) == 50  # 92 rows through a 50-row ring
+    rng = np.random.default_rng(5)
+    seen = []
+    for _ in range(30):
+        (S, *_), w = buf.sample_weighted(HP.batch_sim, rng)
+        assert np.array_equal(w, gan.weight_of_batch(g, S))
+        seen.append(w)
+    assert np.unique(np.concatenate(seen)).size > 40  # live weights, not one clip value
+
+    plain = ReplayBuffer(50, 3, 1)
+    loop.collect_epoch(env, agent, OrisConfig(variant="naive_mix", rollout_count=2,
+                                              rollout_horizon=23, epochs=1),
+                       plain, np.random.default_rng(4), g)
+    assert np.all(plain.sample_weighted(64, rng)[1] == 1.0)
+
+
 def test_epoch_report_validation():
     kw = dict(epoch=1, env_steps=10, transitions_collected=10,
               invalid_restart_count=0, eval_return_mean=-100.0,

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -57,6 +59,8 @@ def test_backward_before_forward_raises():
         nets.backward_batch(net, np.zeros((1, 1)))
     with pytest.raises(UsageError):
         nets.output_preactivation(net)
+    with pytest.raises(UsageError):
+        nets.backward_input(net, np.zeros((1, 1)))
 
 
 def test_adam_matches_reference_implementation():
@@ -105,6 +109,94 @@ def test_adam_rejects_nonfinite_gradient():
     g = nets.Gradients([np.full((2, 2), np.nan)], [np.zeros(2)], np.zeros(2))
     with pytest.raises(NumericsError):
         nets.adam_step(net, g, opt)
+
+
+def _stepped_net(rng, steps=3):
+    """A [3, 8, 8, 2] net and its optimizer after a few ordinary steps."""
+    net = nets.MlpNet.he_uniform([3, 8, 8, 2], seed=8)
+    opt = nets.AdamState.for_net(net, learning_rate=1e-2)
+    for _ in range(steps):
+        nets.forward_batch(net, rng.normal(size=(5, 3)))
+        nets.adam_step(net, nets.backward_batch(net, rng.normal(size=(5, 2))), opt)
+    return net, opt
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", ["weights", "biases"])
+@pytest.mark.parametrize("layer", [0, -1])
+def test_adam_step_rejects_one_nonfinite_gradient_element(layer, part, bad):
+    rng = np.random.default_rng(13)
+    net, opt = _stepped_net(rng)
+    nets.forward_batch(net, rng.normal(size=(5, 3)))
+    g = nets.backward_batch(net, rng.normal(size=(5, 2)))
+    getattr(g, part)[layer].flat[-1] = bad
+    before = (net.params.copy(), opt.m.copy(), opt.v.copy(), opt.step_count)
+    with pytest.raises(NumericsError, match="gradient"):
+        nets.adam_step(net, g, opt)
+    # raised before anything moved
+    np.testing.assert_array_equal(net.params, before[0])
+    np.testing.assert_array_equal(opt.m, before[1])
+    np.testing.assert_array_equal(opt.v, before[2])
+    assert opt.step_count == before[3]
+
+
+def test_adam_step_raises_when_params_turn_nonfinite():
+    net = nets.MlpNet.he_uniform([2, 3, 1], seed=0)
+    net.biases[-1][0] = 1.7e308
+    opt = nets.AdamState.for_net(net, learning_rate=1e308)
+    g = nets.Gradients([-np.ones_like(w) for w in net.weights],
+                       [-np.ones_like(b) for b in net.biases], np.zeros(2))
+    with pytest.raises(NumericsError, match="parameters"), np.errstate(over="ignore"):
+        nets.adam_step(net, g, opt)
+
+
+def test_flat_adam_matches_per_tensor_reference_bitwise():
+    rng = np.random.default_rng(12)
+    net = nets.MlpNet.he_uniform([3, 16, 16, 2], seed=4)
+    opt = nets.AdamState.for_net(net, learning_rate=3e-3)
+    ref_tensors = [a.copy() for a in net.weights + net.biases]
+    ref = oracles.PerTensorAdam(ref_tensors, lr=3e-3)
+    for _ in range(6):
+        nets.forward_batch(net, rng.normal(size=(8, 3)))
+        g = nets.backward_batch(net, rng.normal(size=(8, 2)))
+        ref.step(ref_tensors, [a.copy() for a in g.weights + g.biases])
+        nets.adam_step(net, g, opt)
+        for got, want in zip(net.weights + net.biases, ref_tensors):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("wrt_pre", [False, True])
+@pytest.mark.parametrize("output", nets.OUTPUT_ACTIVATIONS)
+@pytest.mark.parametrize("hidden", nets.HIDDEN_ACTIVATIONS)
+def test_backward_input_equals_backward_batch_input(hidden, output, wrt_pre):
+    rng = np.random.default_rng(14)
+    net = nets.MlpNet.he_uniform([4, 16, 16, 3], hidden, output, seed=6)
+    nets.forward_batch(net, rng.normal(size=(9, 4)))
+    upstream = rng.normal(size=(9, 3))
+    full = nets.backward_batch(net, upstream, wrt_pre).input
+    alone = nets.backward_input(net, upstream, wrt_pre)
+    assert np.array_equal(full, alone)
+
+
+def _aliased(net):
+    return all(np.shares_memory(net.params, a) for a in net.weights + net.biases)
+
+
+def test_param_views_stay_aliased_through_copies(tmp_path):
+    net = nets.MlpNet.he_uniform([3, 5, 2], seed=1)
+    assert _aliased(net)
+    nets.save_checkpoint(net, tmp_path / "n.mlp")
+    copies = [nets.clone_net(net), copy.deepcopy(net),
+              nets.load_checkpoint(tmp_path / "n.mlp")]
+    for c in copies:
+        assert _aliased(c) and not np.shares_memory(c.params, net.params)
+        np.testing.assert_array_equal(c.params, net.params)
+        c.weights[1][0, 0] = 7.0  # W1 starts after W0 (15) and b0 (5)
+        assert c.params[20] == 7.0 and net.params[20] != 7.0
+    nets.set_flat_params(net, np.arange(32.0))
+    assert _aliased(net) and net.biases[-1].tolist() == [30.0, 31.0]
+    flat = nets.get_flat_params(net)
+    assert not np.shares_memory(flat, net.params)
 
 
 @given(tau=st.floats(min_value=0.0, max_value=1.0))

@@ -427,3 +427,17 @@ def test_updates_are_deterministic_given_seed():
                                [agent.log_temperature]])
 
     np.testing.assert_array_equal(run(), run())
+
+
+def test_deepcopied_agent_keeps_flat_param_views():
+    agent = tiny_agent(seed=30)
+    clone = copy.deepcopy(agent)
+    for name in ("actor", "critic1", "critic2", "target1", "target2"):
+        a, c = getattr(agent, name), getattr(clone, name)
+        assert all(np.shares_memory(c.params, x) for x in c.weights + c.biases)
+        assert not np.shares_memory(a.params, c.params)
+    before = nets.get_flat_params(agent.actor)
+    sac.actor_update(clone, np.random.default_rng(31).normal(size=(8, 3)),
+                     np.random.default_rng(32))
+    assert not np.array_equal(nets.get_flat_params(clone.actor), before)
+    np.testing.assert_array_equal(nets.get_flat_params(agent.actor), before)
