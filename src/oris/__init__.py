@@ -6,7 +6,7 @@ the rollout restart distribution and a per-state weight that discounts
 simulated transitions where the dataset already has coverage.
 
 Modules: nets (dense nets + autodiff), envs (pendulum / pointgoal), data
-(transitions, buffers, datasets), datasets (reference runs and tiers), gan,
-sac, loop (the training loop and its variants), harness (experiments,
-scoring, sweeps), cli.
+(transition columns, buffers, datasets), datasets (reference runs and
+tiers), gan, sac, loop (the training loop and its variants), harness
+(experiments, scoring, sweeps), cli.
 """

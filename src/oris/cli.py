@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import datasets, envs, gan, harness, sac
-from .data import TIERS, save_dataset, state_marginal, load_dataset
+from .data import TIERS, save_dataset, load_dataset
 from .errors import ConfigError, ContractError, NumericsError
 
 
@@ -73,7 +73,7 @@ def cmd_pretrain_gan(args) -> int:
     hp = gan.GanHparams.from_json(_load_json(args.config)) if args.config \
         else gan.GanHparams()
     rng = np.random.default_rng(args.seed)
-    pair, report = gan.pretrain(state_marginal(ds), hp, rng)
+    pair, report = gan.pretrain(ds.arrays()[0], hp, rng)
     out = Path(args.out)
     gan.save_gan(pair, out)
     print(json.dumps({"out": str(out), **report.summary()}, indent=2,

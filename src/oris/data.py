@@ -1,13 +1,14 @@
-"""Transitions, offline datasets, replay buffers, and the JSONL dataset format.
+"""Offline datasets, replay buffers and the JSONL dataset format, all on transition columns.
 
-A dataset file is one JSON metadata line followed by one JSON object per
-transition; floats round-trip exactly through repr, so save/load/save is
-byte-stable.
+A set of transitions is always the column tuple (S, A, R, S2, D). A dataset
+file is one JSON metadata line followed by one JSON object per transition;
+floats round-trip exactly through repr, so save/load/save is byte-stable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 import json
 import math
 
@@ -23,48 +24,57 @@ PROVENANCE_OFFLINE = "offline"
 PROVENANCE_SIM = "sim"
 
 
-@dataclass
-class Transition:
-    s: np.ndarray
-    a: np.ndarray
-    r: float
-    s_next: np.ndarray
-    done: bool
+COLUMN_NAMES = ("S", "A", "R", "S2", "D")
 
-    def __post_init__(self):
-        self.s = np.asarray(self.s, dtype=np.float64)
-        self.a = np.asarray(self.a, dtype=np.float64)
-        self.s_next = np.asarray(self.s_next, dtype=np.float64)
-        self.r = float(self.r)
-        self.done = bool(self.done)
-        if self.s.shape != self.s_next.shape:
-            raise ContractError("s and s_next have different shapes")
-        for v in (self.s, self.a, self.s_next):
-            if not np.all(np.isfinite(v)):
-                raise ContractError(f"non-finite transition field {v}")
-        if not math.isfinite(self.r):
-            raise ContractError(f"non-finite reward {self.r}")
+
+def as_columns(S, A, R, S2, D) -> tuple:
+    """Transitions as float64 columns (S, A, R, S2, D), checked.
+
+    S and S2 are (n, obs_dim), A is (n, action_dim), R and D are (n,), and
+    every value is finite. Arrays that already are float64 are not copied.
+    """
+    cols = tuple(np.asarray(c, dtype=np.float64) for c in (S, A, R, S2, D))
+    S, A, R, S2, D = cols
+    if S.ndim != 2 or A.ndim != 2 or R.ndim != 1 or D.ndim != 1:
+        raise ContractError(
+            f"column shapes {[c.shape for c in cols]}, want S, A, S2 2-d and R, D 1-d")
+    if S.shape != S2.shape:
+        raise ContractError(f"S and S2 have different shapes {S.shape}, {S2.shape}")
+    if len({c.shape[0] for c in cols}) != 1:
+        raise ContractError(f"columns have different row counts {[len(c) for c in cols]}")
+    for name, c in zip(COLUMN_NAMES, cols):
+        if not np.all(np.isfinite(c)):
+            raise ContractError(f"non-finite value in column {name}")
+    return cols
+
+
+def columns_from_rows(rows) -> tuple:
+    """Checked columns from a non-empty sequence of (s, a, r, s2, done) rows."""
+    if not rows:
+        raise ContractError("no rows")
+    return as_columns(*zip(*rows))
 
 
 @dataclass
 class Dataset:
-    """Immutable-by-convention sequence of transitions plus trajectory structure.
+    """Immutable-by-convention transition columns plus trajectory structure.
 
-    trajectory_boundaries[i] is one past the last index of trajectory i;
-    the final entry equals len(transitions).
+    columns is (S, A, R, S2, D) as as_columns returns it.
+    trajectory_boundaries[i] is one past the last row of trajectory i; the
+    final entry equals len(dataset).
     """
 
     meta: dict
-    transitions: list[Transition]
+    columns: tuple
     trajectory_boundaries: list[int]
-    _arrays: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.transitions:
+        self.columns = as_columns(*self.columns)
+        if len(self) == 0:
             raise ContractError("dataset has no transitions")
         b = self.trajectory_boundaries
-        if not b or b[-1] != len(self.transitions):
-            raise ContractError("trajectory_boundaries must end at len(transitions)")
+        if not b or b[-1] != len(self):
+            raise ContractError("trajectory_boundaries must end at len(dataset)")
         if any(y <= x for x, y in zip(b, b[1:])) or b[0] <= 0:
             raise ContractError("trajectory_boundaries must be strictly increasing")
         for key in ("env_id", "tier"):
@@ -72,52 +82,47 @@ class Dataset:
                 raise ContractError(f"dataset meta missing {key!r}")
 
     def __len__(self) -> int:
-        return len(self.transitions)
+        return self.columns[2].shape[0]
 
     @property
     def num_trajectories(self) -> int:
         return len(self.trajectory_boundaries)
 
     def trajectories(self):
+        """Each trajectory's columns, as views."""
         start = 0
         for end in self.trajectory_boundaries:
-            yield self.transitions[start:end]
+            yield tuple(c[start:end] for c in self.columns)
             start = end
 
     def episode_returns(self) -> list[float]:
-        return [sum(t.r for t in traj) for traj in self.trajectories()]
+        # Python's left-to-right sum, not np.sum's pairwise one
+        return [sum(R.tolist()) for _, _, R, _, _ in self.trajectories()]
 
     @classmethod
-    def from_episodes(cls, meta: dict, episodes: list[list[Transition]]) -> "Dataset":
-        transitions, bounds = [], []
-        for ep in episodes:
-            if not ep:
-                raise ContractError("empty episode")
-            transitions.extend(ep)
-            bounds.append(len(transitions))
-        return cls(meta, transitions, bounds)
+    def from_episodes(cls, meta: dict, episodes: list[tuple]) -> "Dataset":
+        """One dataset from episodes given as column tuples, in order."""
+        if not episodes:
+            raise ContractError("dataset has no transitions")
+        lengths = [len(ep[2]) for ep in episodes]
+        if 0 in lengths:
+            raise ContractError("empty episode")
+        return cls(meta, tuple(np.concatenate(c) for c in zip(*episodes)),
+                   np.cumsum(lengths).tolist())
 
-    def arrays(self):
-        """Stacked (S, A, R, S2, DONE) views, cached after first call."""
-        if self._arrays is None:
-            S = np.stack([t.s for t in self.transitions])
-            A = np.stack([t.a for t in self.transitions])
-            R = np.array([t.r for t in self.transitions])
-            S2 = np.stack([t.s_next for t in self.transitions])
-            D = np.array([t.done for t in self.transitions], dtype=np.float64)
-            self._arrays = (S, A, R, S2, D)
-        return self._arrays
+    def arrays(self) -> tuple:
+        """The (S, A, R, S2, D) columns."""
+        return self.columns
 
     def sample_arrays(self, n: int, rng) -> tuple:
-        S, A, R, S2, D = self.arrays()
-        idx = rng.integers(0, len(self.transitions), size=n)
-        return S[idx], A[idx], R[idx], S2[idx], D[idx]
+        idx = rng.integers(0, len(self), size=n)
+        return tuple(c[idx] for c in self.columns)
 
     provenance = PROVENANCE_OFFLINE
 
 
 class ReplayBuffer:
-    """Fixed-capacity FIFO ring, array-backed.
+    """Fixed-capacity FIFO ring of transition columns.
 
     Each row carries a critic weight next to the transition, 1 unless the
     caller gives one when appending.
@@ -129,69 +134,59 @@ class ReplayBuffer:
             raise ContractError("capacity must be positive")
         self.capacity = capacity
         self.provenance = provenance
-        self._s = np.zeros((capacity, obs_dim))
-        self._a = np.zeros((capacity, action_dim))
-        self._r = np.zeros(capacity)
-        self._s2 = np.zeros((capacity, obs_dim))
-        self._d = np.zeros(capacity)
-        self._w = np.zeros(capacity)  # every row's weight is written by add
+        # S, A, R, S2, D, then the weights; every row's weight is written by extend
+        self._cols = (np.zeros((capacity, obs_dim)), np.zeros((capacity, action_dim)),
+                      np.zeros(capacity), np.zeros((capacity, obs_dim)),
+                      np.zeros(capacity), np.zeros(capacity))
         self._n = 0
         self._cursor = 0
 
     def __len__(self) -> int:
         return self._n
 
-    def add(self, t: Transition, weight: float = 1.0) -> None:
+    def add(self, s, a, r, s2, done) -> None:
+        """Append one row at weight 1: the per-step path of online training."""
+        if not (math.isfinite(r) and np.isfinite(s).all() and np.isfinite(a).all()
+                and np.isfinite(s2).all()):
+            raise ContractError(f"non-finite transition row {(s, a, r, s2)}")
         i = self._cursor
-        self._s[i] = t.s
-        self._a[i] = t.a
-        self._r[i] = t.r
-        self._s2[i] = t.s_next
-        self._d[i] = float(t.done)
-        self._w[i] = weight
+        for dst, x in zip(self._cols, (s, a, r, s2, bool(done), 1.0)):
+            dst[i] = x
         self._cursor = (i + 1) % self.capacity
         self._n = min(self._n + 1, self.capacity)
 
-    def extend(self, ts, weights=None) -> None:
-        """Append transitions in order; weights[k], if given, is row k's weight."""
-        if weights is None:
-            for t in ts:
-                self.add(t)
-            return
-        if len(weights) != len(ts):
-            raise ContractError(f"{len(weights)} weights for {len(ts)} transitions")
-        for t, w in zip(ts, weights):
-            self.add(t, w)
+    def extend(self, columns, weights=None) -> None:
+        """Append the rows of columns (S, A, R, S2, D) in order; weights[k], if
+        given, is row k's weight. Nothing is written if any row is rejected."""
+        cols = as_columns(*columns)
+        n = len(cols[2])
+        if cols[0].shape[1] != self._cols[0].shape[1] or cols[1].shape[1] != self._cols[1].shape[1]:
+            raise ContractError(f"rows of S {cols[0].shape} and A {cols[1].shape} do not "
+                                f"fit this buffer's obs and action dims")
+        w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
+        if w.shape != (n,):
+            raise ContractError(f"{len(w)} weights for {n} transitions")
+        # rows that a later row of the same call would overwrite are skipped
+        skip = max(0, n - self.capacity)
+        start = (self._cursor + skip) % self.capacity
+        rows = n - skip
+        head = min(rows, self.capacity - start)
+        for dst, src in zip(self._cols, (*cols, w)):
+            dst[start:start + head] = src[skip:skip + head]
+            dst[:rows - head] = src[skip + head:]
+        self._cursor = (start + rows) % self.capacity
+        self._n = min(self._n + n, self.capacity)
 
     def sample_weighted(self, n: int, rng) -> tuple:
-        """((S, A, R, S2, DONE), W) for n rows drawn uniformly with replacement."""
+        """((S, A, R, S2, D), W) for n rows drawn uniformly with replacement."""
         if self._n == 0:
             raise ContractError("sampling from an empty buffer")
         idx = rng.integers(0, self._n, size=n)
-        arrays = (self._s[idx], self._a[idx], self._r[idx], self._s2[idx], self._d[idx])
-        return arrays, self._w[idx]
+        *arrays, w = (c[idx] for c in self._cols)
+        return tuple(arrays), w
 
     def sample_arrays(self, n: int, rng) -> tuple:
         return self.sample_weighted(n, rng)[0]
-
-    def get(self, i: int) -> Transition:
-        if not 0 <= i < self._n:
-            raise ContractError(f"index {i} out of range")
-        return Transition(self._s[i].copy(), self._a[i].copy(), self._r[i],
-                          self._s2[i].copy(), bool(self._d[i]))
-
-
-def sample_minibatch(source, n: int, rng) -> list[Transition]:
-    """Uniform with-replacement sample of n transitions from a Dataset or ReplayBuffer."""
-    if n < 1:
-        raise ContractError("minibatch size must be positive")
-    size = len(source)
-    if size == 0:
-        raise ContractError("sampling from an empty source")
-    idx = rng.integers(0, size, size=n)
-    if isinstance(source, Dataset):
-        return [source.transitions[i] for i in idx]
-    return [source.get(int(i)) for i in idx]
 
 
 def subsample_trajectories(d: Dataset, fraction: float, seed: int) -> Dataset:
@@ -210,12 +205,6 @@ def subsample_trajectories(d: Dataset, fraction: float, seed: int) -> Dataset:
     meta["subsample_fraction"] = fraction
     meta["subsample_seed"] = seed
     return Dataset.from_episodes(meta, [episodes[i] for i in chosen])
-
-
-def state_marginal(d: Dataset) -> list[np.ndarray]:
-    """The s column of the dataset, as a list of state vectors."""
-    S = d.arrays()[0]
-    return [S[i] for i in range(S.shape[0])]
 
 
 def _meta_to_disk(meta: dict) -> dict:
@@ -239,9 +228,9 @@ def save_dataset(d: Dataset, path) -> None:
     eot = set(b - 1 for b in d.trajectory_boundaries)
     with open(path, "w", encoding="utf-8") as f:
         f.write(json.dumps(_meta_to_disk(d.meta)) + "\n")
-        for i, t in enumerate(d.transitions):
-            row = {"s": list(t.s), "a": list(t.a), "r": t.r,
-                   "s2": list(t.s_next), "done": t.done, "eot": i in eot}
+        rows = zip(*(c.tolist() for c in d.columns))
+        for i, (s, a, r, s2, done) in enumerate(rows):
+            row = {"s": s, "a": a, "r": r, "s2": s2, "done": bool(done), "eot": i in eot}
             f.write(json.dumps(row) + "\n")
 
 
@@ -258,21 +247,35 @@ def load_dataset(path) -> Dataset:
             raise ContractError(f"unsupported dataset version {header.get('version')}")
         meta = {k: v for k, v in header.items() if k not in ("format", "version", "seed")}
         meta["behavior_policy_seed"] = header.get("seed")
-        transitions, bounds = [], []
+        # Columns are gathered as raw doubles so that no Python object per value
+        # outlives its row; keeping them all fragments the heap for the whole run.
+        flat = [array("d") for _ in COLUMN_NAMES]
+        widths, linenos, bounds = None, [], []
         for lineno, line in enumerate(f, start=2):
             if not line.strip():
                 continue
             try:
                 row = json.loads(line)
-                t = Transition(np.array(row["s"]), np.array(row["a"]), row["r"],
-                               np.array(row["s2"]), row["done"])
-            except (json.JSONDecodeError, KeyError, ContractError, TypeError) as e:
+                fields = (row["s"], row["a"], [row["r"]], row["s2"], [row["done"]])
+                w = [len(x) for x in fields]
+                if widths is not None and w != widths:
+                    raise ContractError(f"field lengths {w}, first row {widths}")
+                widths = w
+                for column, x in zip(flat, fields):
+                    column.extend(x)
+            except (json.JSONDecodeError, KeyError, TypeError, ContractError) as e:
                 raise ContractError(f"{path}:{lineno}: bad transition row: {e}") from e
-            transitions.append(t)
+            linenos.append(lineno)
             if row.get("eot", False):
-                bounds.append(len(transitions))
-    if not transitions:
+                bounds.append(len(linenos))
+    if not linenos:
         raise ContractError(f"{path}: dataset has no transitions")
-    if not bounds or bounds[-1] != len(transitions):
+    n = len(linenos)
+    S, A, R, S2, D = (np.array(c).reshape(n, -1) for c in flat)
+    finite = np.isfinite(np.concatenate([S, A, R, S2, D], axis=1)).all(axis=1)
+    if not finite.all():
+        raise ContractError(f"{path}:{linenos[int(np.argmin(finite))]}: "
+                            f"bad transition row: non-finite value")
+    if not bounds or bounds[-1] != n:
         raise ContractError(f"{path}: final trajectory is unterminated (missing eot)")
-    return Dataset(meta, transitions, bounds)
+    return Dataset(meta, (S, A, R[:, 0], S2, D[:, 0]), bounds)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import envs, nets, sac
-from .data import Dataset, ReplayBuffer, Transition, TIERS
+from .data import Dataset, ReplayBuffer, TIERS, columns_from_rows
 from .errors import ConfigError, ContractError
 
 
@@ -63,7 +63,7 @@ class ReferenceRun:
     seed: int
     hparams: ReferenceHparams
     checkpoints: list[Checkpoint]
-    episodes: list[list[Transition]]  # full collection history, in order
+    episodes: list[tuple]  # full collection history, in order, as columns
     random_return: float
     agent: sac.SacAgent  # final agent
 
@@ -133,8 +133,8 @@ def train_reference(env_id: str, hp: ReferenceHparams, seed: int,
 
     random_return, _, _ = envs.evaluate_policy(spec, random_policy, hp.eval_episodes, rng_eval)
 
-    episodes: list[list[Transition]] = []
-    current: list[Transition] = []
+    episodes: list[tuple] = []
+    current: list[tuple] = []  # (s, a, r, s2, done) rows of the open episode
     checkpoints: list[Checkpoint] = []
     obs = env.reset(rng_collect)
     for step in range(1, hp.total_steps + 1):
@@ -143,11 +143,10 @@ def train_reference(env_id: str, hp: ReferenceHparams, seed: int,
         else:
             a = sac.act(agent, obs, "stochastic", rng_collect)
         obs2, r, done = env.step(a, rng_collect)
-        t = Transition(obs, a, r, obs2, done)
-        buffer.add(t)
-        current.append(t)
+        buffer.add(obs, a, r, obs2, done)
+        current.append((obs, a, r, obs2, done))
         if done:
-            episodes.append(current)
+            episodes.append(columns_from_rows(current))
             current = []
             obs = env.reset(rng_collect)
         else:
@@ -166,7 +165,7 @@ def train_reference(env_id: str, hp: ReferenceHparams, seed: int,
             if progress is not None:
                 progress(step, ret)
     if current:
-        episodes.append(current)
+        episodes.append(columns_from_rows(current))
     return ReferenceRun(env_id, seed, hp, checkpoints, episodes, random_return, agent)
 
 

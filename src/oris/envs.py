@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Transition
+from .data import columns_from_rows
 from .errors import ContractError, InvalidStateError, UsageError
 
 ENV_IDS = ("pendulum", "pointgoal")
@@ -307,12 +307,13 @@ def evaluate_policy(spec: EnvSpec, policy, episodes: int, rng) -> tuple[float, f
     return mean, std, returns
 
 
-def rollout(env: Env, policy, start, horizon: int, rng) -> list[Transition]:
-    """Run `policy(obs, rng)` for up to `horizon` steps from `start`.
+def rollout(env: Env, policy, start, horizon: int, rng) -> tuple:
+    """Run `policy(obs, rng)` for up to `horizon` steps from `start`; returns
+    the steps as columns (S, A, R, S2, D).
 
     start=None resets from the env's initial distribution; otherwise the state
     is loaded with set_state (which may raise InvalidStateError). Stops early
-    on done.
+    on done. A non-finite step raises ContractError once the rollout ends.
     """
     if horizon < 1:
         raise ContractError(f"horizon must be positive, got {horizon}")
@@ -320,12 +321,12 @@ def rollout(env: Env, policy, start, horizon: int, rng) -> list[Transition]:
         obs = env.reset(rng)
     else:
         obs = env.set_state(start)
-    out = []
+    rows = []
     for _ in range(horizon):
         a = np.asarray(policy(obs, rng), dtype=np.float64)
         obs2, r, done = env.step(a, rng)
-        out.append(Transition(obs, a, r, obs2, done))
+        rows.append((obs, a, r, obs2, done))
         obs = obs2
         if done:
             break
-    return out
+    return columns_from_rows(rows)

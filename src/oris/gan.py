@@ -141,29 +141,22 @@ def discriminator_prob_batch(gan: GanPair, S: np.ndarray) -> np.ndarray:
     return nets.forward_batch(gan.discriminator, gan.normalizer.normalize(S))[:, 0]
 
 
-def discriminator_prob(gan: GanPair, state: np.ndarray) -> float:
-    return float(discriminator_prob_batch(gan, np.asarray(state)[None, :])[0])
-
-
 def weight_of_batch(gan: GanPair, S: np.ndarray) -> np.ndarray:
     """Critic weight w(s) = clip(1 - 2 D(s), w_min, w_max) for a state batch."""
     d = discriminator_prob_batch(gan, S)
     return np.clip(1.0 - 2.0 * d, gan.w_min, gan.w_max)
 
 
-def weight_of(gan: GanPair, state: np.ndarray) -> float:
-    return float(weight_of_batch(gan, np.asarray(state)[None, :])[0])
-
-
 def pretrain(states, hparams: GanHparams, rng: np.random.Generator):
-    """Fit the GAN to a state marginal. Returns (GanPair, GanTrainReport).
+    """Fit the GAN to a state marginal, an (n, d) array of states.
+    Returns (GanPair, GanTrainReport).
 
     Raises NumericsError (with .report carrying the partial curves) if a loss
     goes non-finite.
     """
     S = np.asarray(states, dtype=np.float64)
     if S.ndim != 2:
-        S = np.stack([np.asarray(s, dtype=np.float64) for s in states])
+        raise ContractError(f"states have shape {S.shape}, want (n, d)")
     if S.shape[0] < 100:
         raise ContractError(f"need at least 100 states to fit, got {S.shape[0]}")
     if not np.all(np.isfinite(S)):

@@ -16,16 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import envs, gan as gan_mod, sac
-from .data import Dataset, ReplayBuffer, PROVENANCE_SIM, state_marginal
+from .data import Dataset, ReplayBuffer, PROVENANCE_SIM
 from .errors import ConfigError, ContractError, InvalidStateError
 
 VARIANTS = ("oris", "no_restart", "uniform_weight", "naive_mix",
             "sim_only_sac", "bc")
 
-WEIGHT_MODES = ("auto", "gan", "ones", "none")
-
 # which variants restart rollouts from the generator instead of rho_0
 GAN_RESTART_VARIANTS = ("oris", "uniform_weight")
+
+# which variants weight simulator rows by the discriminator; the rest keep weight 1
+GAN_WEIGHT_VARIANTS = ("oris", "no_restart")
 
 
 @dataclass(frozen=True)
@@ -40,13 +41,10 @@ class OrisConfig:
     eval_episodes: int = 10
     restart_max_retries: int = 20
     restart_fallback: bool = True
-    weight_mode: str = "auto"
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}, know {VARIANTS}")
-        if self.weight_mode not in WEIGHT_MODES:
-            raise ConfigError(f"unknown weight_mode {self.weight_mode!r}")
         for k in ("rollout_horizon", "rollout_count", "epochs",
                   "updates_per_epoch", "eval_episodes"):
             if getattr(self, k) < 1:
@@ -59,22 +57,11 @@ class OrisConfig:
     def gan_restarts(self) -> bool:
         return self.variant in GAN_RESTART_VARIANTS
 
-    def resolved_weight_mode(self) -> str:
-        """Simulator-row weighting: discriminator, all-ones, or none at all.
-
-        "ones" exercises the weighting machinery with w = 1; "none" skips it
-        entirely. The two must produce bit-identical updates.
-        """
-        if self.weight_mode != "auto":
-            return self.weight_mode
-        if self.variant in ("oris", "no_restart"):
-            return "gan"
-        if self.variant == "uniform_weight":
-            return "ones"
-        return "none"
+    def gan_weights(self) -> bool:
+        return self.variant in GAN_WEIGHT_VARIANTS
 
     def needs_gan(self) -> bool:
-        return self.gan_restarts() or self.resolved_weight_mode() == "gan"
+        return self.gan_restarts() or self.gan_weights()
 
     def to_json(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -171,23 +158,22 @@ def collect_epoch(env: envs.Env, agent: sac.SacAgent, cfg: OrisConfig,
                   g: gan_mod.GanPair | None = None) -> CollectStats:
     """C rollouts of horizon H in the simulator, appended to the buffer.
 
-    With a gan and the "gan" weight mode, each rollout's rows are stored with
-    their weight w(s); otherwise they keep the buffer's default weight 1.
+    Variants with discriminator weights store each rollout's rows with their
+    weight w(s); the others keep the buffer's default weight 1.
     """
-    if cfg.gan_restarts() and g is None:
+    if cfg.needs_gan() and g is None:
         raise ConfigError(f"variant {cfg.variant!r} needs a pretrained gan")
-    score = g is not None and cfg.resolved_weight_mode() == "gan"
     stats = CollectStats()
     for _ in range(cfg.rollout_count):
         policy, used_random = hybrid_policy(agent, env, cfg.random_policy_prob, rng)
         stats.rollouts += 1
         stats.random_rollouts += int(used_random)
         start = _draw_restart(env, g, cfg, stats, rng) if cfg.gan_restarts() else None
-        transitions = envs.rollout(env, policy, start, cfg.rollout_horizon, rng)
-        weights = (_rollout_weights(g, np.stack([t.s for t in transitions]),
-                                    agent.hparams.batch_sim) if score else None)
-        buffer.extend(transitions, weights)
-        stats.transitions += len(transitions)
+        columns = envs.rollout(env, policy, start, cfg.rollout_horizon, rng)
+        weights = (_rollout_weights(g, columns[0], agent.hparams.batch_sim)
+                   if cfg.gan_weights() else None)
+        buffer.extend(columns, weights)
+        stats.transitions += len(columns[2])
     return stats
 
 
@@ -244,7 +230,7 @@ def train(real_spec: envs.EnvSpec, sim_spec: envs.EnvSpec, offline: Dataset,
     agent = sac.SacAgent.create(obs_dim, act_dim, envs.ACTION_SCALES[env_id],
                                 hp, seed=int(rng_init.integers(2 ** 31)))
     if g is None and cfg.needs_gan():
-        g, _ = gan_mod.pretrain(state_marginal(offline),
+        g, _ = gan_mod.pretrain(offline.arrays()[0],
                                 gan_hp or gan_mod.GanHparams(), rng_gan)
 
     sim_env = envs.make_env(sim_spec)

@@ -269,16 +269,6 @@ def backward_input(net: MlpNet, grad_out: np.ndarray,
     return delta
 
 
-def backward(net: MlpNet, grad_out: np.ndarray, wrt_preactivation: bool = False) -> Gradients:
-    """Vector version of backward_batch."""
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    if grad_out.ndim != 1:
-        raise ContractError(f"expected a vector, got shape {grad_out.shape}")
-    g = backward_batch(net, grad_out[None, :], wrt_preactivation)
-    g.input = g.input[0]
-    return g
-
-
 @dataclass
 class AdamState:
     """Adam moments for one net, in its flat parameter layout, with bias correction."""
@@ -380,10 +370,6 @@ def set_flat_params(net: MlpNet, flat: np.ndarray) -> None:
     if flat.shape != net.params.shape:
         raise ContractError(f"flat vector has shape {flat.shape}, want ({num_params(net)},)")
     net.params[...] = flat
-
-
-def flatten_grads(g: Gradients) -> np.ndarray:
-    return g.flat.copy()
 
 
 def clone_net(net: MlpNet) -> MlpNet:

@@ -19,7 +19,7 @@ import os
 import numpy as np
 
 from . import nets
-from .data import (PROVENANCE_OFFLINE, PROVENANCE_SIM, Transition)
+from .data import PROVENANCE_OFFLINE, PROVENANCE_SIM
 from .errors import ContractError, NumericsError, UsageError
 
 AGENT_FORMAT = "oris-sac"
@@ -232,18 +232,6 @@ class WeightedBatch:
                    np.asarray(sim_weights, dtype=np.float64),
                    off_provenance, sim_provenance)
 
-    @classmethod
-    def from_transitions(cls, off: list[Transition], sim: list[Transition],
-                         sim_weights=None, **kw) -> "WeightedBatch":
-        def stack(ts):
-            if not ts:
-                return None
-            return (np.stack([t.s for t in ts]), np.stack([t.a for t in ts]),
-                    np.array([t.r for t in ts]), np.stack([t.s_next for t in ts]),
-                    np.array([float(t.done) for t in ts]))
-
-        return cls.from_arrays(stack(off), stack(sim), sim_weights, **kw)
-
     def states(self) -> np.ndarray:
         return np.concatenate([self.off_s, self.sim_s], axis=0)
 
@@ -260,11 +248,6 @@ def bellman_targets(agent: SacAgent, S2, R, DONE, rng) -> np.ndarray:
     soft_q = np.minimum(q1, q2) - agent.temperature * sample.log_prob
     return np.asarray(R, dtype=np.float64) + (1.0 - np.asarray(DONE, dtype=np.float64)) \
         * agent.hparams.gamma * soft_q
-
-
-def bellman_target(agent: SacAgent, t: Transition, rng) -> float:
-    return float(bellman_targets(agent, t.s_next[None, :], np.array([t.r]),
-                                 np.array([float(t.done)]), rng)[0])
 
 
 def critic_loss_and_grads(agent: SacAgent, batch: WeightedBatch, targets: np.ndarray):

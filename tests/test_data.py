@@ -4,21 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oris import data
+from oris import data, gan
 from oris.errors import ContractError
 
 import oracles
 
 
 def make_episode(rng, length, obs_dim=3, act_dim=1):
-    out = []
+    rows = []
     s = rng.normal(size=obs_dim)
     for i in range(length):
         s2 = rng.normal(size=obs_dim)
-        out.append(data.Transition(s, rng.uniform(-1, 1, size=act_dim),
-                                   float(rng.normal()), s2, i == length - 1))
+        rows.append((s, rng.uniform(-1, 1, size=act_dim), float(rng.normal()), s2,
+                     i == length - 1))
         s = s2
-    return out
+    return data.columns_from_rows(rows)
 
 
 def make_dataset(rng, episode_lengths, tier="random"):
@@ -31,12 +31,20 @@ def make_dataset(rng, episode_lengths, tier="random"):
 
 
 def test_transition_validation():
+    d = make_dataset(np.random.default_rng(0), [2, 3])
+    for k in range(5):
+        for bad in (np.nan, np.inf, -np.inf):
+            cols = [c.copy() for c in d.columns]
+            cols[k].flat[-1] = bad
+            with pytest.raises(ContractError, match=f"column {data.COLUMN_NAMES[k]}$"):
+                data.Dataset(d.meta, cols, d.trajectory_boundaries)
+    S, A, R, S2, D = d.columns
     with pytest.raises(ContractError):
-        data.Transition([np.nan, 0.0], [0.0], 1.0, [0.0, 0.0], False)
+        data.Dataset(d.meta, (S, A, R, S2[:, :2], D), d.trajectory_boundaries)
     with pytest.raises(ContractError):
-        data.Transition([0.0, 0.0], [0.0], np.inf, [0.0, 0.0], False)
+        data.Dataset(d.meta, (S, A, R[:-1], S2, D), d.trajectory_boundaries)
     with pytest.raises(ContractError):
-        data.Transition([0.0, 0.0], [0.0], 1.0, [0.0], False)
+        data.Dataset(d.meta, (S, A[:, 0], R, S2, D), d.trajectory_boundaries)
 
 
 def test_dataset_structure():
@@ -45,15 +53,18 @@ def test_dataset_structure():
     assert len(d) == 11
     assert d.num_trajectories == 3
     assert d.trajectory_boundaries == [4, 6, 11]
-    lengths = [len(tr) for tr in d.trajectories()]
+    lengths = [len(tr[2]) for tr in d.trajectories()]
     assert lengths == [4, 2, 5]
-    assert len(d.episode_returns()) == 3
+    R = d.arrays()[2]
+    assert d.episode_returns() == [sum(R[:4].tolist()), sum(R[4:6].tolist()),
+                                   sum(R[6:].tolist())]
+    assert all(tr[4][-1] == 1.0 for tr in d.trajectories())
     with pytest.raises(ContractError):
-        data.Dataset(d.meta, d.transitions, [4, 4, 11])
+        data.Dataset(d.meta, d.columns, [4, 4, 11])
     with pytest.raises(ContractError):
-        data.Dataset(d.meta, d.transitions, [4, 6])
+        data.Dataset(d.meta, d.columns, [4, 6])
     with pytest.raises(ContractError):
-        data.Dataset({"env_id": "pendulum"}, d.transitions, [11])
+        data.Dataset({"env_id": "pendulum"}, d.columns, [11])
 
 
 def test_save_load_roundtrip_exact_and_byte_stable(tmp_path):
@@ -67,11 +78,9 @@ def test_save_load_roundtrip_exact_and_byte_stable(tmp_path):
     assert loaded.meta["env_id"] == "pendulum"
     assert loaded.meta["tier"] == "random"
     assert loaded.meta["behavior_policy_seed"] == 7
-    for a, b in zip(loaded.transitions, d.transitions):
-        np.testing.assert_array_equal(a.s, b.s)
-        np.testing.assert_array_equal(a.a, b.a)
-        np.testing.assert_array_equal(a.s_next, b.s_next)
-        assert a.r == b.r and a.done == b.done
+    for a, b in zip(loaded.arrays(), d.arrays()):
+        np.testing.assert_array_equal(a, b)
+        assert a.dtype == np.float64
     data.save_dataset(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
@@ -102,6 +111,15 @@ def test_load_rejects_malformed(tmp_path):
     p.write_text(json.dumps(header) + "\n")
     with pytest.raises(ContractError):
         data.load_dataset(p)  # no transitions
+    # a bad value or shape is named by its file line (the header is line 1)
+    good = {"s": [0.0, 1.0], "a": [0.0], "r": 1.0, "s2": [1.0, 0.0], "done": False,
+            "eot": False}
+    for key, value in (("r", float("nan")), ("s", [0.0]), ("s2", [0.0, np.inf]),
+                       ("a", "x"), ("done", None)):
+        rows = [good, good, {**good, key: value}, {**good, "eot": True}]
+        p.write_text("\n".join(json.dumps(x) for x in [header, *rows]) + "\n")
+        with pytest.raises(ContractError, match=r"x\.jsonl:4: "):
+            data.load_dataset(p)
 
 
 def test_subsample_whole_trajectories():
@@ -109,16 +127,16 @@ def test_subsample_whole_trajectories():
     d = make_dataset(rng, [3, 4, 5, 6, 7, 8, 9, 10])
     sub = data.subsample_trajectories(d, 0.25, seed=11)
     assert sub.num_trajectories == 2
-    original = {tuple(np.concatenate([t.s for t in tr]).tolist()) for tr in d.trajectories()}
+    original = {tuple(tr[0].ravel().tolist()) for tr in d.trajectories()}
     for tr in sub.trajectories():
-        key = tuple(np.concatenate([t.s for t in tr]).tolist())
-        assert key in original  # whole trajectory, order intact
+        assert tuple(tr[0].ravel().tolist()) in original  # whole trajectory, order intact
     assert sub.meta["subsample_fraction"] == 0.25
 
     full = data.subsample_trajectories(d, 1.0, seed=3)
     assert len(full) == len(d)
-    for a, b in zip(full.transitions, d.transitions):
-        np.testing.assert_array_equal(a.s, b.s)
+    for a, b in zip(full.arrays(), d.arrays()):
+        np.testing.assert_array_equal(a, b)
+    assert full.trajectory_boundaries == d.trajectory_boundaries
 
     tiny = data.subsample_trajectories(d, 0.05, seed=3)
     assert tiny.num_trajectories == 1  # ceil(0.4)
@@ -135,34 +153,40 @@ def test_subsample_deterministic_per_seed():
     a = data.subsample_trajectories(d, 0.25, seed=5)
     b = data.subsample_trajectories(d, 0.25, seed=5)
     c = data.subsample_trajectories(d, 0.25, seed=6)
-    assert [t.r for t in a.transitions] == [t.r for t in b.transitions]
-    assert [t.r for t in a.transitions] != [t.r for t in c.transitions]
+    assert a.arrays()[2].tolist() == b.arrays()[2].tolist()
+    assert a.arrays()[2].tolist() != c.arrays()[2].tolist()
 
 
 def test_state_marginal_matches_two_pass_oracle():
+    """The GAN fits the dataset's S column; its normalizer matches the oracle."""
     rng = np.random.default_rng(5)
     d = make_dataset(rng, [10, 10])
-    states = data.state_marginal(d)
-    assert len(states) == 20
-    mu = oracles.two_pass_mean(states)
-    np.testing.assert_allclose(np.mean(np.stack(states), axis=0), mu, rtol=1e-12)
-    np.testing.assert_array_equal(states[3], d.transitions[3].s)
+    states = d.arrays()[0]
+    assert states.shape == (20, 3)
+    norm = gan.StateNormalizer.fit(states)
+    rows = list(states)
+    np.testing.assert_allclose(norm.mean, oracles.two_pass_mean(rows), rtol=1e-12)
+    np.testing.assert_allclose(norm.std, oracles.two_pass_std(rows), rtol=1e-12)
+    np.testing.assert_array_equal(states[10], list(d.trajectories())[1][0][0])
 
 
-def test_sample_minibatch_uniform_with_replacement():
+def test_sample_arrays_uniform_with_replacement():
     rng = np.random.default_rng(0)
     d = make_dataset(rng, [10])
-    rewards = [t.r for t in d.transitions]
-    draws = data.sample_minibatch(d, 20_000, np.random.default_rng(123))
+    rewards = d.arrays()[2].tolist()
+    S, A, R, S2, D = d.sample_arrays(20_000, np.random.default_rng(123))
     counts = {r: 0 for r in rewards}
-    for t in draws:
-        counts[t.r] += 1
+    for r in R.tolist():
+        counts[r] += 1
     expect = 2000.0
     sigma = np.sqrt(20_000 * 0.1 * 0.9)
     for r in rewards:
         assert abs(counts[r] - expect) < 4.0 * sigma
-    with pytest.raises(ContractError):
-        data.sample_minibatch(d, 0, rng)
+    # each draw is one whole row
+    row_of = {r: k for k, r in enumerate(rewards)}
+    rows = [row_of[r] for r in R.tolist()]
+    for got, col in zip((S, A, S2, D), (d.arrays()[k] for k in (0, 1, 3, 4))):
+        np.testing.assert_array_equal(got, col[rows])
 
 
 def test_replay_buffer_fifo_and_sampling():
@@ -171,17 +195,66 @@ def test_replay_buffer_fifo_and_sampling():
     with pytest.raises(ContractError):
         buf.sample_arrays(4, np.random.default_rng(0))
     for i in range(5):
-        buf.add(data.Transition([float(i), 0.0], [0.0], float(i), [0.0, 0.0], False))
+        buf.add([float(i), 0.0], [0.0], float(i), [0.0, 0.0], False)
     assert len(buf) == 3
-    kept = {buf.get(i).r for i in range(3)}
-    assert kept == {2.0, 3.0, 4.0}
+    # row k of the stream sits in slot k % capacity
+    assert buf._cols[2].tolist() == [3.0, 4.0, 2.0]
     S, A, R, S2, D = buf.sample_arrays(100, np.random.default_rng(1))
     assert S.shape == (100, 2) and A.shape == (100, 1)
-    assert set(R.tolist()) <= kept
+    assert set(R.tolist()) == {2.0, 3.0, 4.0}
+    np.testing.assert_array_equal(S[:, 0], R)
+
+
+@given(capacity=st.integers(1, 7),
+       chunks=st.lists(st.integers(0, 12), min_size=1, max_size=6),
+       weighted=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_replay_buffer_extend_keeps_fifo_order_across_the_wrap(capacity, chunks, weighted):
+    buf = data.ReplayBuffer(capacity, obs_dim=2, action_dim=1)
+    slots_r = np.zeros(capacity)
+    slots_w = np.zeros(capacity)
+    k = 0
+    for n in chunks:
+        r = np.arange(k, k + n, dtype=np.float64)
+        cols = (np.stack([r, -r], axis=1), r[:, None], r, np.stack([r, r], axis=1),
+                np.zeros(n))
+        w = r / 100.0 if weighted else None
+        buf.extend(cols, w)
+        for j in range(k, k + n):
+            slots_r[j % capacity] = j
+            slots_w[j % capacity] = j / 100.0 if weighted else 1.0
+        k += n
+        assert len(buf) == min(k, capacity)
+        S, A, R, S2, D, W = buf._cols
+        np.testing.assert_array_equal(R, slots_r)
+        np.testing.assert_array_equal(W, slots_w)
+        np.testing.assert_array_equal(S, np.stack([slots_r, -slots_r], axis=1))
+        np.testing.assert_array_equal(A[:, 0], slots_r)
+
+
+def test_replay_buffer_rejects_nonfinite_rows():
+    buf = data.ReplayBuffer(4, obs_dim=2, action_dim=1)
+    buf.add([0.0, 0.0], [0.0], 1.0, [0.0, 0.0], False)
+    before = [c.copy() for c in buf._cols]
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ContractError):
+            buf.add([bad, 0.0], [0.0], 1.0, [0.0, 0.0], False)
+        with pytest.raises(ContractError):
+            buf.add([0.0, 0.0], [0.0], bad, [0.0, 0.0], False)
+        cols = [np.zeros((3, 2)), np.zeros((3, 1)), np.zeros(3), np.zeros((3, 2)),
+                np.zeros(3)]
+        cols[3][2, 1] = bad  # last row of S2
+        with pytest.raises(ContractError):
+            buf.extend(cols)
     with pytest.raises(ContractError):
-        buf.get(3)
-    ts = data.sample_minibatch(buf, 5, np.random.default_rng(2))
-    assert len(ts) == 5 and all(isinstance(t, data.Transition) for t in ts)
+        buf.extend([np.zeros((3, 3)), np.zeros((3, 1)), np.zeros(3), np.zeros((3, 3)),
+                    np.zeros(3)])  # rows shaped for another env
+    with pytest.raises(ContractError):
+        buf.extend([np.zeros((3, 2)), np.zeros((3, 1)), np.zeros(3), np.zeros((3, 2)),
+                    np.zeros(3)], np.ones(2))
+    assert len(buf) == 1
+    for a, b in zip(buf._cols, before):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_provenance_tags():

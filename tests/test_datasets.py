@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oris import datasets, envs, nets, sac
-from oris.data import Transition
+from oris.data import columns_from_rows
 from oris.datasets import Checkpoint, ReferenceHparams, ReferenceRun
 from oris.errors import ConfigError, ContractError
 
@@ -20,12 +20,9 @@ def tiny_ref():
 
 
 def _fake_episode(rng, length, obs_dim=3, act_dim=1):
-    ts = []
-    for i in range(length):
-        ts.append(Transition(rng.normal(size=obs_dim), rng.uniform(-1, 1, act_dim),
-                             float(rng.normal()), rng.normal(size=obs_dim),
-                             i == length - 1))
-    return ts
+    return columns_from_rows([(rng.normal(size=obs_dim), rng.uniform(-1, 1, act_dim),
+                               float(rng.normal()), rng.normal(size=obs_dim),
+                               i == length - 1) for i in range(length)])
 
 
 def _synthetic_run(evals, episodes_at, agent, episodes, random_return=-100.0):
@@ -42,7 +39,8 @@ def test_reference_run_structure(tiny_ref):
     assert counts == sorted(counts)
     # pendulum episodes are fixed-length 200, so 600 steps = 3 episodes
     assert len(tiny_ref.episodes) == 3
-    assert all(len(ep) == 200 for ep in tiny_ref.episodes)
+    assert all(len(c) == 200 for ep in tiny_ref.episodes for c in ep)
+    assert all(ep[4][-1] == 1.0 and not ep[4][:-1].any() for ep in tiny_ref.episodes)
     assert tiny_ref.random_return < -800  # random pendulum is far from upright
     n = nets.num_params(tiny_ref.agent.actor)
     assert all(ck.actor_params.shape == (n,) for ck in tiny_ref.checkpoints)
@@ -53,8 +51,8 @@ def test_reference_run_partial_final_episode():
         total_steps=250, warmup_steps=250, eval_interval=250, eval_episodes=1,
         batch_size=64, sac=sac.SacHparams(hidden=(16, 16)))
     run = datasets.train_reference("pendulum", hp, seed=1)
-    assert [len(ep) for ep in run.episodes] == [200, 50]
-    assert not run.episodes[1][-1].done
+    assert [len(ep[2]) for ep in run.episodes] == [200, 50]
+    assert not run.episodes[1][4].any()
 
 
 def test_medium_checkpoint_rule():
@@ -147,14 +145,15 @@ def test_medium_replay_is_history_prefix():
                                    seed=0, reference=run)
     assert len(ds.trajectory_boundaries) == 4  # capped at the checkpoint
     first = next(iter(ds.trajectories()))
-    assert [t.r for t in first] == [t.r for t in run.episodes[0]]
+    for got, want in zip(first, run.episodes[0]):
+        np.testing.assert_array_equal(got, want)
 
     capped = datasets.generate_dataset("pendulum", "medium_replay", episodes=3,
                                        seed=0, reference=run)
     assert len(capped.trajectory_boundaries) == 3
     # most recent episodes kept: 2, 3, 4 of the prefix
     np.testing.assert_array_equal(
-        capped.arrays()[2], np.array([t.r for ep in eps[1:4] for t in ep]))
+        capped.arrays()[2], np.concatenate([ep[2] for ep in eps[1:4]]))
     assert capped.meta["medium_eval_return"] == -40.0
 
 

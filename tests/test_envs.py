@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oris import envs
-from oris.data import Transition
 from oris.errors import ContractError, InvalidStateError, UsageError
 
 
@@ -229,13 +228,13 @@ def test_rollout_chains_and_stops_on_done():
     def controller(obs, _rng):
         return np.clip(4.0 * (env.GOAL - obs[:2]) - 2.0 * obs[2:], -1.0, 1.0)
 
-    ts = envs.rollout(env, controller, np.array([-0.5, -0.5, 0.0, 0.0]), 100, rng)
-    assert ts[-1].done
-    assert len(ts) < 100
-    for t0, t1 in zip(ts, ts[1:]):
-        np.testing.assert_array_equal(t0.s_next, t1.s)
+    S, A, R, S2, D = envs.rollout(env, controller, np.array([-0.5, -0.5, 0.0, 0.0]),
+                                  100, rng)
+    assert D[-1] == 1.0 and not D[:-1].any()
+    assert len(R) < 100
+    np.testing.assert_array_equal(S2[:-1], S[1:])
     short = envs.rollout(env, controller, None, 5, rng)
-    assert len(short) == 5
+    assert all(len(c) == 5 for c in short)
     with pytest.raises(ContractError):
         envs.rollout(env, controller, None, 0, rng)
 
@@ -245,11 +244,8 @@ def test_rollout_is_deterministic_given_seed():
     pol = lambda obs, rng: rng.uniform(-2, 2, size=1)
     a = envs.rollout(envs.make_env(spec), pol, None, 50, np.random.default_rng(42))
     b = envs.rollout(envs.make_env(spec), pol, None, 50, np.random.default_rng(42))
-    assert len(a) == len(b)
-    for ta, tb in zip(a, b):
-        np.testing.assert_array_equal(ta.s, tb.s)
-        np.testing.assert_array_equal(ta.a, tb.a)
-        assert ta.r == tb.r
+    for ca, cb in zip(a, b):
+        np.testing.assert_array_equal(ca, cb)
 
 
 @given(seed=st.integers(0, 10_000))
@@ -286,6 +282,6 @@ def test_spec_validation_and_json_roundtrip():
 def test_transition_type_from_rollout():
     env = pendulum()
     rng = np.random.default_rng(0)
-    ts = envs.rollout(env, lambda o, r: np.zeros(1), None, 3, rng)
-    assert all(isinstance(t, Transition) for t in ts)
-    assert ts[0].s.dtype == np.float64
+    S, A, R, S2, D = envs.rollout(env, lambda o, r: np.zeros(1), None, 3, rng)
+    assert [c.shape for c in (S, A, R, S2, D)] == [(3, 3), (3, 1), (3,), (3, 3), (3,)]
+    assert all(c.dtype == np.float64 for c in (S, A, R, S2, D))

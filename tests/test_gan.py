@@ -26,26 +26,26 @@ def mixture_states(n, rng):
 def test_weight_matches_clipped_linear_rule_exactly():
     for d_target in np.linspace(0.001, 0.999, 41):
         pair = rigged_pair(np.log(d_target / (1.0 - d_target)), w_min=0.1, w_max=1.0)
-        s = np.array([0.3, -0.7])
-        d = gan.discriminator_prob(pair, s)
+        s = np.array([[0.3, -0.7]])
+        d = gan.discriminator_prob_batch(pair, s)[0]
         assert d == pytest.approx(d_target, abs=1e-12)
-        assert gan.weight_of(pair, s) == float(np.clip(1.0 - 2.0 * d, 0.1, 1.0))
-    # batch path agrees with the scalar path
+        assert gan.weight_of_batch(pair, s)[0] == float(np.clip(1.0 - 2.0 * d, 0.1, 1.0))
+    # a batch agrees with its rows scored one at a time
     pair = rigged_pair(0.37, w_min=0.05, w_max=0.9)
     S = np.random.default_rng(0).normal(size=(16, 2))
     ws = gan.weight_of_batch(pair, S)
     for i in range(16):
-        assert ws[i] == gan.weight_of(pair, S[i])
+        assert ws[i] == gan.weight_of_batch(pair, S[i:i + 1])[0]
 
 
 def test_weight_endpoints():
     # D -> 0 (far from data) gives w_max, D -> 1/2+ gives w_min
     pair = rigged_pair(-50.0, w_min=0.1, w_max=1.0)
-    assert gan.weight_of(pair, np.zeros(2)) == 1.0
+    assert gan.weight_of_batch(pair, np.zeros((1, 2)))[0] == 1.0
     pair = rigged_pair(0.0, w_min=0.1, w_max=1.0)
-    assert gan.weight_of(pair, np.zeros(2)) == 0.1
+    assert gan.weight_of_batch(pair, np.zeros((1, 2)))[0] == 0.1
     pair = rigged_pair(50.0, w_min=0.1, w_max=1.0)
-    assert gan.weight_of(pair, np.zeros(2)) == 0.1
+    assert gan.weight_of_batch(pair, np.zeros((1, 2)))[0] == 0.1
 
 
 def test_uninformative_discriminator_objective_value():
@@ -81,7 +81,7 @@ def test_discriminator_step_gradients_match_finite_differences():
     l_f = nets.output_preactivation(disc)[:, 0]
     g2 = nets.backward_batch(disc, ((1.0 / (1.0 + np.exp(-l_f))) / 6)[:, None],
                              wrt_preactivation=True)
-    analytic = nets.flatten_grads(g1.add_(g2))
+    analytic = g1.add_(g2).flat
     fd = oracles.fd_grad(d_loss, p0)
     assert oracles.max_rel_err(analytic, fd) < 1e-6
 
@@ -106,7 +106,7 @@ def test_generator_step_gradients_match_finite_differences():
     l = nets.output_preactivation(disc)[:, 0]
     sig = 1.0 / (1.0 + np.exp(-l))
     d_in = nets.backward_batch(disc, (-sig / 5)[:, None], wrt_preactivation=True).input
-    analytic = nets.flatten_grads(nets.backward_batch(gen, d_in * out_scale))
+    analytic = nets.backward_batch(gen, d_in * out_scale).flat
     fd = oracles.fd_grad(g_loss, p0)
     assert oracles.max_rel_err(analytic, fd) < 1e-6
 

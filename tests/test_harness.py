@@ -74,6 +74,8 @@ def test_config_rejects_unknown_keys(dataset_path):
         tiny_config(dataset_path, warmup=3)
     with pytest.raises(ConfigError, match="oris"):
         tiny_config(dataset_path, oris={"epochs": 1, "horizon": 5})
+    with pytest.raises(ConfigError, match="weight_mode"):
+        tiny_config(dataset_path, oris={"epochs": 1, "weight_mode": "ones"})
     with pytest.raises(ConfigError, match="missing"):
         ExperimentConfig.from_json({"env_id": "pendulum"})
 

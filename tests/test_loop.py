@@ -6,7 +6,7 @@ import pytest
 from oracles import binomial_3sigma
 
 from oris import datasets, envs, gan, loop, nets, sac
-from oris.data import ReplayBuffer, state_marginal
+from oris.data import ReplayBuffer
 from oris.errors import ConfigError, ContractError
 from oris.gan import GanPair, StateNormalizer
 from oris.loop import EpochReport, OrisConfig
@@ -17,13 +17,6 @@ HP = sac.SacHparams(hidden=(16, 16), batch_off=16, batch_sim=16)
 @pytest.fixture(scope="module")
 def pend_random():
     return datasets.generate_dataset("pendulum", "random", episodes=2, seed=0)
-
-
-@pytest.fixture(scope="module")
-def tiny_gan(pend_random):
-    hp = gan.GanHparams(z_dim=4, hidden=(16, 16), iterations=150, batch_size=64)
-    pair, _ = gan.pretrain(state_marginal(pend_random), hp, np.random.default_rng(0))
-    return pair
 
 
 def rigged_gan(target, sigma=0.0, z_dim=2):
@@ -56,25 +49,17 @@ def test_config_validation_and_json():
         OrisConfig(random_policy_prob=1.5)
     with pytest.raises(ConfigError):
         OrisConfig(rollout_count=0)
-    with pytest.raises(ConfigError):
-        OrisConfig(weight_mode="squash")
     cfg = OrisConfig(variant="naive_mix", epochs=7, rollout_horizon=42)
     assert OrisConfig.from_json(cfg.to_json()) == cfg
 
 
 def test_weight_mode_resolution():
-    resolved = {v: OrisConfig(variant=v).resolved_weight_mode()
-                for v in loop.VARIANTS}
-    assert resolved == {"oris": "gan", "no_restart": "gan",
-                        "uniform_weight": "ones", "naive_mix": "none",
-                        "sim_only_sac": "none", "bc": "none"}
+    weighted = {v: OrisConfig(variant=v).gan_weights() for v in loop.VARIANTS}
+    assert weighted == {"oris": True, "no_restart": True, "uniform_weight": False,
+                        "naive_mix": False, "sim_only_sac": False, "bc": False}
     needs = {v: OrisConfig(variant=v).needs_gan() for v in loop.VARIANTS}
     assert needs == {"oris": True, "no_restart": True, "uniform_weight": True,
                      "naive_mix": False, "sim_only_sac": False, "bc": False}
-    # explicit override beats the variant default
-    assert OrisConfig(variant="oris", weight_mode="none").resolved_weight_mode() \
-        == "none"
-    assert not OrisConfig(variant="naive_mix", weight_mode="none").needs_gan()
 
 
 def test_hybrid_policy_endpoints():
@@ -121,9 +106,10 @@ def test_collect_epoch_rho0_starts():
     buf = ReplayBuffer(10_000, 4, 2)
     cfg = OrisConfig(variant="no_restart", rollout_count=4, rollout_horizon=7,
                      epochs=1, random_policy_prob=1.0)
-    stats = loop.collect_epoch(env, agent, cfg, buf, np.random.default_rng(1))
+    stats = loop.collect_epoch(env, agent, cfg, buf, np.random.default_rng(1),
+                               g=rigged_gan([0.5, 0.5, 0.0, 0.0]))
     assert stats.transitions == 28
-    starts = np.stack([buf.get(i).s for i in range(0, 28, 7)])
+    starts = buf._cols[0][0:28:7]
     np.testing.assert_array_equal(starts[:, 2:], np.zeros((4, 2)))  # velocity 0
     assert np.all(starts[:, :2] >= -1.0) and np.all(starts[:, :2] <= -0.6)
 
@@ -136,7 +122,7 @@ def test_collect_epoch_gan_restarts():
     cfg = OrisConfig(variant="oris", rollout_count=3, rollout_horizon=5, epochs=1)
     loop.collect_epoch(env, agent, cfg, buf, np.random.default_rng(2),
                        g=rigged_gan(target))
-    starts = np.stack([buf.get(i).s for i in range(0, 15, 5)])
+    starts = buf._cols[0][0:15:5]
     np.testing.assert_allclose(starts, np.tile(target, (3, 1)), atol=1e-12)
 
 
@@ -160,10 +146,24 @@ def test_collect_epoch_invalid_restart_fallback():
 def test_collect_epoch_requires_gan():
     agent = make_agent()
     env = envs.make_env(envs.EnvSpec.real("pendulum"))
-    cfg = OrisConfig(variant="uniform_weight", epochs=1)
-    with pytest.raises(ConfigError):
-        loop.collect_epoch(env, agent, cfg, ReplayBuffer(10, 3, 1),
-                           np.random.default_rng(0))
+    for variant in ("uniform_weight", "no_restart", "oris"):
+        buf = ReplayBuffer(10, 3, 1)
+        with pytest.raises(ConfigError):
+            loop.collect_epoch(env, agent, OrisConfig(variant=variant, epochs=1), buf,
+                               np.random.default_rng(0))
+        assert len(buf) == 0
+
+
+def test_collect_epoch_rejects_nonfinite_actions(monkeypatch):
+    agent = make_agent()
+    env = envs.make_env(envs.EnvSpec.real("pendulum"))
+    buf = ReplayBuffer(100, 3, 1)
+    monkeypatch.setattr(loop, "hybrid_policy",
+                        lambda *_: (lambda obs, rng: np.array([np.nan]), False))
+    cfg = OrisConfig(variant="naive_mix", rollout_count=2, rollout_horizon=5, epochs=1)
+    with pytest.raises(ContractError, match="non-finite"):
+        loop.collect_epoch(env, agent, cfg, buf, np.random.default_rng(0))
+    assert len(buf) == 0
 
 
 def test_buffer_weights_equal_update_time_weights(pend_random):
@@ -171,7 +171,7 @@ def test_buffer_weights_equal_update_time_weights(pend_random):
     rows, including rows written after the ring wrapped."""
     gan_hp = gan.GanHparams(z_dim=4, hidden=(32, 32), iterations=60, batch_size=64,
                             w_min=0.0)
-    g, _ = gan.pretrain(state_marginal(pend_random), gan_hp, np.random.default_rng(3))
+    g, _ = gan.pretrain(pend_random.arrays()[0], gan_hp, np.random.default_rng(3))
     g.discriminator.biases[-1][:] -= 2.0  # most D below 1/2: weights off the clip
     agent = make_agent()
     env = envs.make_env(envs.EnvSpec.sim("pendulum", envs.DynamicsPerturbation(2.0)))
@@ -237,22 +237,6 @@ def test_train_determinism(pend_random):
                                   nets.get_flat_params(a2.actor))
     np.testing.assert_array_equal(nets.get_flat_params(a1.critic1),
                                   nets.get_flat_params(a2.critic1))
-
-
-def test_train_uniform_weight_ones_equals_none(pend_random, tiny_gan):
-    """Explicit all-ones weights and the weight-free path match bit-for-bit."""
-    real, sim = spec_pair()
-    base = dict(variant="uniform_weight", rollout_horizon=10, rollout_count=2,
-                epochs=3, updates_per_epoch=4, eval_episodes=1)
-    ones_cfg = OrisConfig(weight_mode="ones", **base)
-    none_cfg = OrisConfig(weight_mode="none", **base)
-    a1, r1 = loop.train(real, sim, pend_random, ones_cfg, HP, seed=5, g=tiny_gan)
-    a2, r2 = loop.train(real, sim, pend_random, none_cfg, HP, seed=5, g=tiny_gan)
-    assert r1 == r2
-    for net in ("actor", "critic1", "critic2", "target1", "target2"):
-        np.testing.assert_array_equal(nets.get_flat_params(getattr(a1, net)),
-                                      nets.get_flat_params(getattr(a2, net)))
-    assert a1.log_temperature == a2.log_temperature
 
 
 def test_train_env_mismatch(pend_random):
