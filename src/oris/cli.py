@@ -73,9 +73,11 @@ def cmd_pretrain_gan(args) -> int:
     hp = gan.GanHparams.from_json(_load_json(args.config)) if args.config \
         else gan.GanHparams()
     rng = np.random.default_rng(args.seed)
-    pair, report = gan.pretrain(ds.arrays()[0], hp, rng)
+    states = ds.arrays()[0]
+    inputs = gan.fit_inputs(states, hp, rng)
+    pair, report = gan.pretrain(states, hp, rng)
     out = Path(args.out)
-    gan.save_gan(pair, out)
+    gan.save_fit(pair, report, inputs, out)
     print(json.dumps({"out": str(out), **report.summary()}, indent=2,
                      sort_keys=True))
     return 0

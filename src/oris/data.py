@@ -55,7 +55,7 @@ def columns_from_rows(rows) -> tuple:
     return as_columns(*zip(*rows))
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
     """Immutable-by-convention transition columns plus trajectory structure.
 

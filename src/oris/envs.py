@@ -132,7 +132,9 @@ class Env:
         if a.shape != (self.action_dim,):
             raise ContractError(f"action has shape {a.shape}, want ({self.action_dim},)")
         s = self.action_scale
-        if np.any(np.abs(a) > s + 1e-9):
+        if not (np.abs(a) <= s + 1e-9).all():  # NaN fails the comparison too
+            if not np.isfinite(a).all():
+                raise ContractError(f"non-finite action {a}")
             raise ContractError(f"action {a} outside [-{s}, {s}]")
         a = np.clip(a, -s, s)
         noise = self.spec.perturbation.action_noise_std

@@ -13,8 +13,12 @@ E[log(1 - D(G(z)))] per iteration, both through logits for stability.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import hashlib
 import json
 import os
+from pathlib import Path
+import shutil
+import tempfile
 
 import numpy as np
 
@@ -23,6 +27,7 @@ from .errors import ContractError, NumericsError
 
 GAN_FORMAT = "oris-gan"
 GAN_VERSION = 1
+REPORT_FILE = "report.json"
 
 
 @dataclass(frozen=True)
@@ -263,3 +268,61 @@ def load_gan(dirpath) -> GanPair:
                    np.array(meta["out_scale"], dtype=np.float64),
                    float(meta["restart_noise_sigma"]),
                    float(meta["w_min"]), float(meta["w_max"]))
+
+
+def fit_inputs(states, hparams: GanHparams, rng: np.random.Generator) -> dict:
+    """What decides the fit pretrain(states, hparams, rng) returns, as JSON:
+    the states (by digest), the hparams, the RNG state before the fit, and the
+    code that fits (this module and nets, by digest, and the numpy version).
+    """
+    S = np.ascontiguousarray(states, dtype=np.float64)
+    code = hashlib.sha256()
+    for path in (__file__, nets.__file__):
+        code.update(Path(path).read_bytes())
+    return {"states_sha256": hashlib.sha256(S.tobytes()).hexdigest(),
+            "states_shape": list(S.shape),
+            "hparams": hparams.to_json(),
+            "rng_state": repr(rng.bit_generator.state),
+            "code_sha256": code.hexdigest(),
+            "numpy": np.__version__}
+
+
+def fit_key(inputs: dict) -> str:
+    return hashlib.sha256(json.dumps(inputs, sort_keys=True).encode()).hexdigest()
+
+
+def save_fit(gan: GanPair, report: GanTrainReport, inputs: dict, dirpath) -> None:
+    """save_gan's files plus report.json: the fit's key, inputs and curve summary."""
+    save_gan(gan, dirpath)
+    record = {"key": fit_key(inputs), "inputs": inputs, "train": report.summary()}
+    with open(os.path.join(dirpath, REPORT_FILE), "w", encoding="utf-8") as f:
+        json.dump(record, f, indent=1, sort_keys=True)
+        f.write("\n")
+
+
+def pretrain_or_load(states, hparams: GanHparams, rng: np.random.Generator,
+                     store) -> GanPair:
+    """The GanPair pretrain(states, hparams, rng) fits, loaded from the
+    content-addressed store directory when an earlier fit of the same inputs
+    left it there as <store>/<fit_key>/.
+
+    A miss fits and writes the entry to a temporary sibling, then renames it
+    into place, so a cut fit leaves no half entry; if another writer published
+    the key meanwhile, its entry stays and the copy is dropped. A hit leaves
+    rng where it was.
+    """
+    inputs = fit_inputs(states, hparams, rng)
+    entry = Path(store) / fit_key(inputs)
+    if entry.is_dir():
+        return load_gan(entry)
+    pair, report = pretrain(states, hparams, rng)
+    entry.parent.mkdir(parents=True, exist_ok=True)
+    tmp = tempfile.mkdtemp(prefix=entry.name + ".", suffix=".tmp", dir=entry.parent)
+    save_fit(pair, report, inputs, tmp)
+    try:
+        os.replace(tmp, entry)
+    except OSError:
+        if not entry.is_dir():
+            raise
+        shutil.rmtree(tmp)
+    return pair

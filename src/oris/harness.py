@@ -258,13 +258,14 @@ def _load_offline(cfg: ExperimentConfig):
     return ds
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir=None, progress=None,
-                   g: gan_mod.GanPair | None = None):
+def run_experiment(cfg: ExperimentConfig, out_dir=None, progress=None):
     """Train every seed, write one CSV each plus a score table.
 
     Returns (ScoreTable, failures); a seed that raises is recorded in
-    `failures` and the table aggregates the rest. A pretrained GanPair may be
-    injected; by default each seed fits its own from the offline data.
+    `failures` and the table aggregates the rest. GANs are shared through the
+    store `<parent of out_dir>/gans/`: sibling cells of a study (sweep points,
+    variants) load a GAN one of them fitted from the same offline states, GAN
+    hparams and seed instead of fitting it again.
     """
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -279,8 +280,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, progress=None,
     for seed in cfg.seeds:
         try:
             _, reports = loop.train(real, sim, offline, cfg.oris, cfg.sac,
-                                    int(seed), g=g, gan_hp=cfg.gan,
-                                    progress=progress)
+                                    int(seed), gan_hp=cfg.gan,
+                                    progress=progress,
+                                    gan_store=out.parent / "gans")
         except Exception as e:  # recorded, not fatal to the other seeds
             failures.append({"variant": cfg.variant, "seed": int(seed),
                              "error": f"{type(e).__name__}: {e}"})

@@ -209,12 +209,14 @@ def train(real_spec: envs.EnvSpec, sim_spec: envs.EnvSpec, offline: Dataset,
           cfg: OrisConfig, hp: sac.SacHparams, seed: int,
           g: gan_mod.GanPair | None = None,
           gan_hp: gan_mod.GanHparams | None = None,
-          progress=None) -> tuple[sac.SacAgent, list[EpochReport]]:
+          progress=None, gan_store=None) -> tuple[sac.SacAgent, list[EpochReport]]:
     """Run one variant to completion; returns the agent and per-epoch reports.
 
     A pretrained GanPair may be passed in; otherwise one is fit to the offline
-    state marginal when the variant calls for it. The real spec is touched
-    only by evaluation.
+    state marginal when the variant calls for it, or loaded from the
+    gan_store directory (see gan.pretrain_or_load) when one is given. The GAN
+    draws from its own RNG stream, so loading it moves no other draw. The
+    real spec is touched only by evaluation.
     """
     env_id = offline.meta.get("env_id")
     if real_spec.env_id != env_id or sim_spec.env_id != env_id:
@@ -230,11 +232,15 @@ def train(real_spec: envs.EnvSpec, sim_spec: envs.EnvSpec, offline: Dataset,
     agent = sac.SacAgent.create(obs_dim, act_dim, envs.ACTION_SCALES[env_id],
                                 hp, seed=int(rng_init.integers(2 ** 31)))
     if g is None and cfg.needs_gan():
-        g, _ = gan_mod.pretrain(offline.arrays()[0],
-                                gan_hp or gan_mod.GanHparams(), rng_gan)
+        states, gan_hp = offline.arrays()[0], gan_hp or gan_mod.GanHparams()
+        g = (gan_mod.pretrain(states, gan_hp, rng_gan)[0] if gan_store is None
+             else gan_mod.pretrain_or_load(states, gan_hp, rng_gan, gan_store))
 
     sim_env = envs.make_env(sim_spec)
-    buffer = ReplayBuffer(cfg.replay_capacity, obs_dim, act_dim,
+    # a run writes at most this many rows: a ring this size never wraps, so it
+    # samples what a replay_capacity ring would, without allocating the rest
+    max_rows = cfg.epochs * cfg.rollout_count * cfg.rollout_horizon
+    buffer = ReplayBuffer(min(cfg.replay_capacity, max_rows), obs_dim, act_dim,
                           provenance=PROVENANCE_SIM)
     bc = cfg.variant == "bc"
     env_steps = 0

@@ -108,6 +108,9 @@ def test_pretrain_gan_and_artifacts(tmp_path, data_dir, capsys):
     from oris.gan import load_gan
     pair = load_gan(tmp_path / "gan")
     assert pair.state_dim == 3
+    report = json.loads((tmp_path / "gan" / "report.json").read_text())
+    assert report["train"]["iterations"] == 120
+    assert report["inputs"]["hparams"]["hidden"] == [16, 16]
 
 
 def test_evaluate_saved_agent(tmp_path, capsys):

@@ -67,6 +67,13 @@ def test_dataset_structure():
         data.Dataset({"env_id": "pendulum"}, d.columns, [11])
 
 
+def test_datasets_compare_by_identity():
+    from oris.datasets import generate_dataset
+    a = generate_dataset("pendulum", "random", 1, 0)
+    b = generate_dataset("pendulum", "random", 1, 0)
+    assert a == a and a != b
+
+
 def test_save_load_roundtrip_exact_and_byte_stable(tmp_path):
     rng = np.random.default_rng(1)
     d = make_dataset(rng, [3, 7, 1])

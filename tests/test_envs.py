@@ -62,6 +62,14 @@ def test_pendulum_speed_clip_and_action_bounds():
         env.step([1.0, 1.0], rng)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_evaluate_policy_rejects_nonfinite_actions(bad):
+    with pytest.raises(ContractError, match="non-finite action"):
+        envs.evaluate_policy(envs.EnvSpec.real("pendulum"),
+                             lambda obs, rng: np.array([bad]), 1,
+                             np.random.default_rng(0))
+
+
 def test_pendulum_gravity_scale_changes_accel_linearly():
     # with theta_dot = 0 and u = 0 the whole update is the gravity term
     rng = np.random.default_rng(0)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -227,3 +229,33 @@ def test_pretrain_deterministic_given_rng():
     np.testing.assert_array_equal(nets.get_flat_params(p1.generator),
                                   nets.get_flat_params(p2.generator))
     np.testing.assert_array_equal(r1.d_objective, r2.d_objective)
+
+
+def test_pretrain_or_load_reuses_the_entry_bitwise(tmp_path):
+    rng = np.random.default_rng(22)
+    S = mixture_states(300, rng)
+    hp = gan.GanHparams(z_dim=3, hidden=(16,), iterations=20, batch_size=64,
+                        w_min=0.0)
+    fitted = gan.pretrain_or_load(S, hp, np.random.default_rng(23), tmp_path)
+    (entry,) = tmp_path.iterdir()
+    report = json.loads((entry / gan.REPORT_FILE).read_text())
+    assert report["key"] == entry.name
+    assert report["train"]["iterations"] == 20
+    assert report["inputs"]["hparams"] == hp.to_json()
+
+    rng_hit = np.random.default_rng(23)
+    loaded = gan.pretrain_or_load(S, hp, rng_hit, tmp_path)
+    assert rng_hit.bit_generator.state == np.random.default_rng(23).bit_generator.state
+    for net in ("generator", "discriminator"):
+        np.testing.assert_array_equal(nets.get_flat_params(getattr(loaded, net)),
+                                      nets.get_flat_params(getattr(fitted, net)))
+    np.testing.assert_array_equal(loaded.normalizer.std, fitted.normalizer.std)
+    np.testing.assert_array_equal(loaded.out_scale, fitted.out_scale)
+    probe = rng.normal(size=(32, 2))
+    np.testing.assert_array_equal(gan.weight_of_batch(loaded, probe),
+                                  gan.weight_of_batch(fitted, probe))
+    np.testing.assert_array_equal(gan.sample_restart(loaded, np.random.default_rng(1)),
+                                  gan.sample_restart(fitted, np.random.default_rng(1)))
+    # another RNG state is another fit
+    gan.pretrain_or_load(S, hp, np.random.default_rng(24), tmp_path)
+    assert len(list(tmp_path.iterdir())) == 2

@@ -5,13 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from oris import datasets, harness, loop
+from oris import datasets, gan, harness, loop
 from oris.data import save_dataset
 from oris.errors import ConfigError, ContractError
 from oris.harness import ExperimentConfig, normalized_score
 from oris.loop import EpochReport
 
 REFS = {"random_ref": -1500.0, "expert_ref": -100.0}
+# w_min 0 keeps the discriminator weights off the clip, so they reach the CSVs
+TINY_GAN = {"z_dim": 4, "hidden": [16, 16], "iterations": 20, "batch_size": 32,
+            "w_min": 0.0}
 
 
 @pytest.fixture(scope="module")
@@ -244,3 +247,83 @@ def test_sweep_fraction_axis_end_to_end(dataset_path, tmp_path):
     on_disk = json.loads((tmp_path / "sweep_table.json").read_text())
     assert on_disk["axis"] == "fraction"
     assert on_disk["points"] == result["points"]
+
+
+def counted_fits(monkeypatch) -> list:
+    fits = []
+    real_pretrain = gan.pretrain
+
+    def pretrain(states, hparams, rng):
+        fits.append(hparams)
+        return real_pretrain(states, hparams, rng)
+
+    monkeypatch.setattr(gan, "pretrain", pretrain)
+    return fits
+
+
+def gan_config(dataset_path, variant="oris", **over):
+    return tiny_config(dataset_path, variant=variant, seeds=[0], gan=TINY_GAN, **over)
+
+
+def run_cell(cfg, out):
+    _, failures = harness.run_experiment(cfg, out)
+    assert failures == []
+
+
+def test_sibling_cells_fit_one_gan(dataset_path, tmp_path, monkeypatch):
+    fits = counted_fits(monkeypatch)
+    variants = ("oris", "no_restart", "uniform_weight")
+    for v in variants:
+        run_cell(gan_config(dataset_path, v), tmp_path / "study" / v)
+    assert len(fits) == 1
+    (entry,) = (tmp_path / "study" / "gans").iterdir()
+    assert sorted(p.name for p in entry.iterdir()) == [
+        "discriminator.mlp", "gan.json", "generator.mlp", "report.json"]
+
+    for v in variants:  # each cell alone fits its own GAN
+        run_cell(gan_config(dataset_path, v), tmp_path / f"alone_{v}" / v)
+    assert len(fits) == 4
+    for v in variants:
+        shared = (tmp_path / "study" / v / f"{v}_seed0.csv").read_bytes()
+        alone = (tmp_path / f"alone_{v}" / v / f"{v}_seed0.csv").read_bytes()
+        assert shared == alone
+    _, rows = harness.read_metrics_csv(tmp_path / "study" / "no_restart" /
+                                       "no_restart_seed0.csv")
+    assert any(0.0 < r["mean_sim_weight"] < 1.0 for r in rows)
+
+
+def test_gan_store_keys_on_fit_inputs(dataset_path, tmp_path, monkeypatch):
+    fits = counted_fits(monkeypatch)
+    base = gan_config(dataset_path)
+    cells = [base, base.with_overrides(gan={**TINY_GAN, "iterations": 21}),
+             base.with_overrides(seeds=[1]),
+             base.with_overrides(dataset_fraction=0.5)]
+    for i, cfg in enumerate(cells):
+        run_cell(cfg, tmp_path / f"cell{i}")
+    assert len(fits) == 4
+    assert len(list((tmp_path / "gans").iterdir())) == 4
+    run_cell(base.with_overrides(variant="no_restart"), tmp_path / "again")
+    assert len(fits) == 4
+
+
+def test_gan_free_variant_writes_no_entry(dataset_path, tmp_path, monkeypatch):
+    fits = counted_fits(monkeypatch)
+    run_cell(gan_config(dataset_path, "naive_mix"), tmp_path / "naive_mix")
+    assert fits == []
+    assert not (tmp_path / "gans").exists()
+
+
+def test_gan_store_ignores_leftover_tmp(dataset_path, tmp_path, monkeypatch):
+    fits = counted_fits(monkeypatch)
+    cfg = gan_config(dataset_path)
+    run_cell(cfg, tmp_path / "a" / "oris")
+    (entry,) = (tmp_path / "a" / "gans").iterdir()
+    # a cut fit's leftover: the entry half written under its temporary name
+    left = tmp_path / "b" / "gans" / f"{entry.name}.cut.tmp"
+    left.mkdir(parents=True)
+    (left / "gan.json").write_text("{}")
+    run_cell(cfg, tmp_path / "b" / "oris")
+    assert len(fits) == 2
+    assert (tmp_path / "b" / "gans" / entry.name / "report.json").exists()
+    assert (tmp_path / "a" / "oris" / "oris_seed0.csv").read_bytes() \
+        == (tmp_path / "b" / "oris" / "oris_seed0.csv").read_bytes()
