@@ -20,10 +20,6 @@ DATASET_FORMAT = "oris-dataset"
 DATASET_VERSION = 1
 TIERS = ("random", "medium", "medium_replay", "expert")
 
-PROVENANCE_OFFLINE = "offline"
-PROVENANCE_SIM = "sim"
-
-
 COLUMN_NAMES = ("S", "A", "R", "S2", "D")
 
 
@@ -118,8 +114,6 @@ class Dataset:
         idx = rng.integers(0, len(self), size=n)
         return tuple(c[idx] for c in self.columns)
 
-    provenance = PROVENANCE_OFFLINE
-
 
 class ReplayBuffer:
     """Fixed-capacity FIFO ring of transition columns.
@@ -128,12 +122,10 @@ class ReplayBuffer:
     caller gives one when appending.
     """
 
-    def __init__(self, capacity: int, obs_dim: int, action_dim: int,
-                 provenance: str = PROVENANCE_SIM):
+    def __init__(self, capacity: int, obs_dim: int, action_dim: int):
         if capacity < 1:
             raise ContractError("capacity must be positive")
         self.capacity = capacity
-        self.provenance = provenance
         # S, A, R, S2, D, then the weights; every row's weight is written by extend
         self._cols = (np.zeros((capacity, obs_dim)), np.zeros((capacity, action_dim)),
                       np.zeros(capacity), np.zeros((capacity, obs_dim)),

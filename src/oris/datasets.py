@@ -128,7 +128,7 @@ def train_reference(env_id: str, hp: ReferenceHparams, seed: int,
         [np.random.default_rng(s) for s in ss.spawn(4)]
     agent = sac.SacAgent.create(obs_dim, act_dim, env.action_scale, hp.sac,
                                 seed=int(rng_init.integers(2 ** 31)))
-    buffer = ReplayBuffer(hp.replay_capacity, obs_dim, act_dim, provenance="online_real")
+    buffer = ReplayBuffer(hp.replay_capacity, obs_dim, act_dim)
     random_policy = envs.uniform_random_policy(env)
 
     random_return, _, _ = envs.evaluate_policy(spec, random_policy, hp.eval_episodes, rng_eval)
@@ -153,10 +153,9 @@ def train_reference(env_id: str, hp: ReferenceHparams, seed: int,
             obs = obs2
         if step > hp.warmup_steps and step % hp.update_every == 0 \
                 and len(buffer) >= hp.batch_size:
-            arrays = buffer.sample_arrays(hp.batch_size, rng_update)
-            batch = sac.WeightedBatch.from_arrays(off=arrays, off_provenance="online_real")
-            sac.critic_update(agent, batch, rng_update)
-            sac.actor_update(agent, batch.off_s, rng_update)
+            batch = buffer.sample_arrays(hp.batch_size, rng_update)
+            sac.critic_update(agent, batch, np.ones(hp.batch_size), rng_update)
+            sac.actor_update(agent, batch[0], rng_update)
         if step % hp.eval_interval == 0:
             det = lambda o, _r: sac.act(agent, o, "deterministic")
             ret, _, _ = envs.evaluate_policy(spec, det, hp.eval_episodes, rng_eval)

@@ -143,7 +143,11 @@ class ExperimentConfig:
             raise ConfigError(f"bad config: {e}") from None
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.to_json(), sort_keys=True).encode()
+        """Hash of every key that decides a result: all of to_json() but
+        out_dir, so a cell keeps its hash wherever its output goes."""
+        d = self.to_json()
+        del d["out_dir"]
+        blob = json.dumps(d, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
     def with_overrides(self, **over) -> "ExperimentConfig":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import envs, gan as gan_mod, sac
-from .data import Dataset, ReplayBuffer, PROVENANCE_SIM
+from .data import Dataset, ReplayBuffer
 from .errors import ConfigError, ContractError, InvalidStateError
 
 VARIANTS = ("oris", "no_restart", "uniform_weight", "naive_mix",
@@ -27,6 +27,9 @@ GAN_RESTART_VARIANTS = ("oris", "uniform_weight")
 
 # which variants weight simulator rows by the discriminator; the rest keep weight 1
 GAN_WEIGHT_VARIANTS = ("oris", "no_restart")
+
+# rejected generator states in a row before a rollout falls back to rho_0
+RESTART_MAX_RETRIES = 20
 
 
 @dataclass(frozen=True)
@@ -39,8 +42,6 @@ class OrisConfig:
     updates_per_epoch: int = 250
     replay_capacity: int = 200_000
     eval_episodes: int = 10
-    restart_max_retries: int = 20
-    restart_fallback: bool = True
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -51,8 +52,8 @@ class OrisConfig:
                 raise ConfigError(f"{k} must be >= 1")
         if not 0.0 <= self.random_policy_prob <= 1.0:
             raise ConfigError("random_policy_prob must be in [0, 1]")
-        if self.restart_max_retries < 0 or self.replay_capacity < 1:
-            raise ConfigError("bad restart_max_retries/replay_capacity")
+        if self.replay_capacity < 1:
+            raise ConfigError("replay_capacity must be >= 1")
 
     def gan_restarts(self) -> bool:
         return self.variant in GAN_RESTART_VARIANTS
@@ -117,24 +118,18 @@ class CollectStats:
     invalid_restarts: int = 0
 
 
-def _draw_restart(env: envs.Env, g: gan_mod.GanPair, cfg: OrisConfig,
-                  stats: CollectStats, rng) -> np.ndarray | None:
-    """A generator state that the env accepts, or None for a rho_0 fallback."""
-    consecutive = 0
-    while True:
+def _draw_restart(env: envs.Env, g: gan_mod.GanPair, stats: CollectStats,
+                  rng) -> np.ndarray | None:
+    """A generator state that the env accepts, or None for a rho_0 fallback
+    after RESTART_MAX_RETRIES + 1 rejections in a row."""
+    for _ in range(RESTART_MAX_RETRIES + 1):
         s = gan_mod.sample_restart(g, rng)
         try:
             env.set_state(s)
             return s
         except InvalidStateError:
             stats.invalid_restarts += 1
-            consecutive += 1
-            if consecutive > cfg.restart_max_retries:
-                if cfg.restart_fallback:
-                    return None
-                raise ConfigError(
-                    f"{consecutive} consecutive restart states rejected by "
-                    f"set_state and fallback disabled")
+    return None
 
 
 def _rollout_weights(g: gan_mod.GanPair, states: np.ndarray, rows: int) -> np.ndarray:
@@ -168,7 +163,7 @@ def collect_epoch(env: envs.Env, agent: sac.SacAgent, cfg: OrisConfig,
         policy, used_random = hybrid_policy(agent, env, cfg.random_policy_prob, rng)
         stats.rollouts += 1
         stats.random_rollouts += int(used_random)
-        start = _draw_restart(env, g, cfg, stats, rng) if cfg.gan_restarts() else None
+        start = _draw_restart(env, g, stats, rng) if cfg.gan_restarts() else None
         columns = envs.rollout(env, policy, start, cfg.rollout_horizon, rng)
         weights = (_rollout_weights(g, columns[0], agent.hparams.batch_sim)
                    if cfg.gan_weights() else None)
@@ -180,27 +175,24 @@ def collect_epoch(env: envs.Env, agent: sac.SacAgent, cfg: OrisConfig,
 def _update_block(agent, offline, buffer, cfg, hp, rng):
     """One epoch's worth of critic/actor updates on mixed minibatches.
 
-    Simulator rows carry the weights collect_epoch stored with them.
+    Offline rows weigh 1; simulator rows carry the weights collect_epoch
+    stored with them.
     """
     sim_only = cfg.variant == "sim_only_sac"
     critic_losses, actor_losses, sim_weights = [], [], []
     for _ in range(cfg.updates_per_epoch):
         if sim_only:
             n = hp.batch_off + hp.batch_sim
-            batch = sac.WeightedBatch.from_arrays(
-                sim=buffer.sample_arrays(n, rng), sim_provenance=buffer.provenance)
+            batch, weights = buffer.sample_arrays(n, rng), np.ones(n)
+            sim_weights.append(1.0)
         else:
             off = offline.sample_arrays(hp.batch_off, rng)
-            sim, w = buffer.sample_weighted(hp.batch_sim, rng)
-            batch = sac.WeightedBatch.from_arrays(
-                off=off, sim=sim, sim_weights=w,
-                off_provenance=offline.provenance,
-                sim_provenance=buffer.provenance)
-        creport = sac.critic_update(agent, batch, rng)
-        areport = sac.actor_update(agent, batch.states(), rng)
-        critic_losses.append(creport.loss)
-        actor_losses.append(areport.loss)
-        sim_weights.append(creport.mean_sim_weight)
+            sim, w_sim = buffer.sample_weighted(hp.batch_sim, rng)
+            batch = tuple(np.concatenate(p) for p in zip(off, sim))
+            weights = np.concatenate([np.ones(hp.batch_off), w_sim])
+            sim_weights.append(float(np.mean(w_sim)))
+        critic_losses.append(sac.critic_update(agent, batch, weights, rng))
+        actor_losses.append(sac.actor_update(agent, batch[0], rng))
     return (float(np.mean(critic_losses)), float(np.mean(actor_losses)),
             float(np.mean(sim_weights)))
 
@@ -240,8 +232,7 @@ def train(real_spec: envs.EnvSpec, sim_spec: envs.EnvSpec, offline: Dataset,
     # a run writes at most this many rows: a ring this size never wraps, so it
     # samples what a replay_capacity ring would, without allocating the rest
     max_rows = cfg.epochs * cfg.rollout_count * cfg.rollout_horizon
-    buffer = ReplayBuffer(min(cfg.replay_capacity, max_rows), obs_dim, act_dim,
-                          provenance=PROVENANCE_SIM)
+    buffer = ReplayBuffer(min(cfg.replay_capacity, max_rows), obs_dim, act_dim)
     bc = cfg.variant == "bc"
     env_steps = 0
     reports: list[EpochReport] = []

@@ -1,9 +1,9 @@
-"""Soft actor-critic on the dense-net engine, with a two-source weighted critic loss.
+"""Soft actor-critic on the dense-net engine, with a per-row weighted critic loss.
 
-The critic regresses both an offline batch (unit weight) and a simulator batch
-(per-sample weights) onto shared soft Bellman targets; the actor ascends the
-min of the twin critics with entropy regularization; the temperature follows
-the usual dual update toward a target entropy.
+The critic regresses a batch of transition columns onto soft Bellman targets,
+each row at its own weight (1 for offline rows, w(s) for simulator rows); the
+actor ascends the min of the twin critics with entropy regularization; the
+temperature follows the usual dual update toward a target entropy.
 
 All update functions consume a Generator and draw in a fixed order, so a run
 is reproducible from its seed.
@@ -11,7 +11,7 @@ is reproducible from its seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import json
 import math
 import os
@@ -19,8 +19,7 @@ import os
 import numpy as np
 
 from . import nets
-from .data import PROVENANCE_OFFLINE, PROVENANCE_SIM
-from .errors import ContractError, NumericsError, UsageError
+from .errors import ContractError, NumericsError
 
 AGENT_FORMAT = "oris-sac"
 AGENT_VERSION = 1
@@ -170,75 +169,6 @@ def act(agent: SacAgent, state: np.ndarray, mode: str, rng=None) -> np.ndarray:
     return sample_actions(agent, state[None, :], rng).action[0]
 
 
-@dataclass
-class WeightedBatch:
-    """Offline rows (implicit weight 1) and simulator rows with explicit weights."""
-
-    off_s: np.ndarray
-    off_a: np.ndarray
-    off_r: np.ndarray
-    off_s2: np.ndarray
-    off_done: np.ndarray
-    sim_s: np.ndarray
-    sim_a: np.ndarray
-    sim_r: np.ndarray
-    sim_s2: np.ndarray
-    sim_done: np.ndarray
-    sim_w: np.ndarray
-    off_provenance: str = PROVENANCE_OFFLINE
-    sim_provenance: str = PROVENANCE_SIM
-
-    def __post_init__(self):
-        if self.n_off + self.n_sim < 1:
-            raise ContractError("empty weighted batch")
-        if self.sim_w.shape != (self.n_sim,):
-            raise ContractError("sim_w length does not match sim batch")
-        if self.n_sim and (not np.all(np.isfinite(self.sim_w)) or np.any(self.sim_w < 0)):
-            raise ContractError("sim weights must be finite and non-negative")
-
-    @property
-    def n_off(self) -> int:
-        return self.off_s.shape[0]
-
-    @property
-    def n_sim(self) -> int:
-        return self.sim_s.shape[0]
-
-    @property
-    def n_total(self) -> int:
-        return self.n_off + self.n_sim
-
-    @staticmethod
-    def _empty(obs_dim: int, act_dim: int):
-        return (np.zeros((0, obs_dim)), np.zeros((0, act_dim)), np.zeros(0),
-                np.zeros((0, obs_dim)), np.zeros(0))
-
-    @classmethod
-    def from_arrays(cls, off=None, sim=None, sim_weights=None,
-                    off_provenance=PROVENANCE_OFFLINE,
-                    sim_provenance=PROVENANCE_SIM) -> "WeightedBatch":
-        if off is None and sim is None:
-            raise ContractError("need at least one of off/sim")
-        ref = off if off is not None else sim
-        obs_dim, act_dim = ref[0].shape[1], ref[1].shape[1]
-        if off is None:
-            off = cls._empty(obs_dim, act_dim)
-        if sim is None:
-            sim = cls._empty(obs_dim, act_dim)
-        if sim_weights is None:
-            sim_weights = np.ones(sim[0].shape[0])
-        return cls(*[np.asarray(x, dtype=np.float64) for x in off],
-                   *[np.asarray(x, dtype=np.float64) for x in sim],
-                   np.asarray(sim_weights, dtype=np.float64),
-                   off_provenance, sim_provenance)
-
-    def states(self) -> np.ndarray:
-        return np.concatenate([self.off_s, self.sim_s], axis=0)
-
-    def coefficients(self) -> np.ndarray:
-        return np.concatenate([np.ones(self.n_off), self.sim_w])
-
-
 def bellman_targets(agent: SacAgent, S2, R, DONE, rng) -> np.ndarray:
     """Soft targets y = r + (1 - done) gamma (min_k Q_target_k(s', a') - temp log pi(a'|s'))."""
     sample = sample_actions(agent, S2, rng)
@@ -250,17 +180,15 @@ def bellman_targets(agent: SacAgent, S2, R, DONE, rng) -> np.ndarray:
         * agent.hparams.gamma * soft_q
 
 
-def critic_loss_and_grads(agent: SacAgent, batch: WeightedBatch, targets: np.ndarray):
-    """Weighted squared Bellman error, normalized by total row count.
+def critic_loss_and_grads(agent: SacAgent, S: np.ndarray, A: np.ndarray,
+                          weights: np.ndarray, targets: np.ndarray):
+    """Weighted squared Bellman error, normalized by the row count.
 
-    loss_k = (sum_off e_k^2 + sum_sim w e_k^2) / (n_off + n_sim). Returns
-    (mean loss over the twin critics, grads1, grads2, pooled TD errors).
+    loss_k = sum_i w_i e_k,i^2 / n. Returns (mean loss over the twin critics,
+    grads1, grads2, TD errors).
     """
-    S = batch.states()
-    A = np.concatenate([batch.off_a, batch.sim_a], axis=0)
     x = np.concatenate([S, A], axis=1)
-    c = batch.coefficients()
-    n = batch.n_total
+    n = x.shape[0]
     losses, grads, errs = [], [], []
     for critic in (agent.critic1, agent.critic2):
         q = nets.forward_batch(critic, x)[:, 0]
@@ -268,45 +196,37 @@ def critic_loss_and_grads(agent: SacAgent, batch: WeightedBatch, targets: np.nda
         bad = np.flatnonzero(~np.isfinite(e) | (np.abs(e) > 1e150))
         if bad.size:
             raise NumericsError(f"non-finite critic error at batch row {int(bad[0])}")
-        losses.append(float(np.sum(c * e * e) / n))
-        grads.append(nets.backward_batch(critic, (2.0 * c * e / n)[:, None]))
+        losses.append(float(np.sum(weights * e * e) / n))
+        grads.append(nets.backward_batch(critic, (2.0 * weights * e / n)[:, None]))
         errs.append(e)
     return 0.5 * (losses[0] + losses[1]), grads[0], grads[1], errs
 
 
-@dataclass
-class CriticReport:
-    loss: float
-    target_mean: float
-    mean_sim_weight: float
+def critic_update(agent: SacAgent, batch: tuple, weights: np.ndarray, rng) -> float:
+    """One weighted twin-critic step plus target soft updates; returns the loss.
 
-
-def critic_update(agent: SacAgent, batch: WeightedBatch, rng) -> CriticReport:
-    """One weighted twin-critic step plus target soft updates.
-
-    Draw order from rng: one standard_normal((n_total, A)) for the target
-    policy actions. Mixed batches must carry offline/sim provenance tags.
+    batch is the transition columns (S, A, R, S2, D) and weights[k] is row k's
+    coefficient in the loss: 1 for offline rows, w(s) for simulator rows.
+    Draw order from rng: one standard_normal((n, A)) for the target policy
+    actions.
     """
-    if batch.n_off and batch.n_sim:
-        if batch.off_provenance != PROVENANCE_OFFLINE or batch.sim_provenance != PROVENANCE_SIM:
-            raise UsageError(
-                f"mixed batch with provenance ({batch.off_provenance!r}, "
-                f"{batch.sim_provenance!r}); expected ({PROVENANCE_OFFLINE!r}, {PROVENANCE_SIM!r})")
-    S2 = np.concatenate([batch.off_s2, batch.sim_s2], axis=0)
-    R = np.concatenate([batch.off_r, batch.sim_r])
-    DONE = np.concatenate([batch.off_done, batch.sim_done])
-    y = bellman_targets(agent, S2, R, DONE, rng)
+    S, A, R, S2, D = batch
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (len(R),) or len(R) < 1:
+        raise ContractError(f"{weights.shape} weights for a batch of {len(R)} rows")
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
+        raise ContractError("weights must be finite and non-negative")
+    y = bellman_targets(agent, S2, R, D, rng)
     bad = np.flatnonzero(~np.isfinite(y))
     if bad.size:
         raise NumericsError(f"non-finite Bellman target at batch row {int(bad[0])}")
-    loss, g1, g2, errs = critic_loss_and_grads(agent, batch, y)
+    loss, g1, g2, _ = critic_loss_and_grads(agent, S, A, weights, y)
     nets.adam_step(agent.critic1, g1, agent.opt_critic1)
     nets.adam_step(agent.critic2, g2, agent.opt_critic2)
     nets.soft_update(agent.target1, agent.critic1, agent.hparams.tau)
     nets.soft_update(agent.target2, agent.critic2, agent.hparams.tau)
     agent.update_count += 1
-    mean_w = float(np.mean(batch.sim_w)) if batch.n_sim else 1.0
-    return CriticReport(loss=loss, target_mean=float(np.mean(y)), mean_sim_weight=mean_w)
+    return loss
 
 
 def actor_loss_and_grads(agent: SacAgent, S: np.ndarray, noise: np.ndarray,
@@ -348,15 +268,8 @@ def actor_loss_and_grads(agent: SacAgent, S: np.ndarray, noise: np.ndarray,
     return loss, grads, sample
 
 
-@dataclass
-class ActorReport:
-    loss: float
-    entropy_estimate: float
-    temperature: float
-
-
-def actor_update(agent: SacAgent, S: np.ndarray, rng, q_and_grad=None) -> ActorReport:
-    """One policy step followed by the temperature dual step.
+def actor_update(agent: SacAgent, S: np.ndarray, rng, q_and_grad=None) -> float:
+    """One policy step followed by the temperature dual step; returns the loss.
 
     Draw order from rng: one standard_normal((n, A)) for the policy sample.
     """
@@ -372,8 +285,7 @@ def actor_update(agent: SacAgent, S: np.ndarray, rng, q_and_grad=None) -> ActorR
     mean_lp = float(np.mean(sample.log_prob))
     grad_loglam = -agent.temperature * (mean_lp + agent.target_entropy)
     agent.log_temperature = agent.opt_temperature.step(agent.log_temperature, grad_loglam)
-    return ActorReport(loss=loss, entropy_estimate=-mean_lp,
-                       temperature=agent.temperature)
+    return loss
 
 
 def bc_update(agent: SacAgent, S: np.ndarray, A_target: np.ndarray) -> float:

@@ -264,14 +264,6 @@ def test_replay_buffer_rejects_nonfinite_rows():
         np.testing.assert_array_equal(a, b)
 
 
-def test_provenance_tags():
-    rng = np.random.default_rng(0)
-    d = make_dataset(rng, [2])
-    assert d.provenance == data.PROVENANCE_OFFLINE
-    buf = data.ReplayBuffer(4, 3, 1)
-    assert buf.provenance == data.PROVENANCE_SIM
-
-
 @given(lengths=st.lists(st.integers(1, 6), min_size=1, max_size=6),
        fraction=st.floats(0.01, 1.0))
 @settings(max_examples=40, deadline=None)

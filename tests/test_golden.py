@@ -1,13 +1,16 @@
-"""Golden fixed-seed run: a tiny oris training run must reproduce a recorded digest.
+"""Golden fixed-seed runs: tiny training runs must reproduce recorded digests.
 
-The digest covers every per-epoch report and the final parameters of all five
-agent nets, so it changes with any change to the RNG draw order or to the
-order of float operations anywhere in data, gan, sac, nets or loop. A change
-that alters them on purpose says so and records the new digest here once.
+One digest per variant in `loop.VARIANTS` covers every per-epoch report and
+the final parameters of all five agent nets, so it changes with any change to
+the RNG draw order or to the order of float operations anywhere in data, gan,
+sac, nets or loop. One more digest covers a tiny online reference run
+(`datasets.train_reference`): its final agent and every episode it collected.
+A change that alters them on purpose says so and records the new digests here
+once.
 
-Float results depend on the numpy and BLAS build, so the digest is only
-compared on the build it was recorded with; elsewhere the test skips and says
-why. The compare itself is never loosened.
+Float results depend on the numpy and BLAS build, so the digests are only
+compared on the build they were recorded with; elsewhere the tests skip and
+say why. The compare itself is never loosened.
 """
 
 import hashlib
@@ -20,6 +23,14 @@ from oris.loop import OrisConfig
 
 RECORDED_ON = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0"}
 GOLDEN_SHA256 = "410fc301a79009aa109568830aa9a238c8190d4e05b3efd14c67a6d61b6102ec"
+VARIANT_SHA256 = {
+    "no_restart": "882299cf00862f76f324e991c6894939f9effd179d7bdc44c6b44fcb57360f50",
+    "uniform_weight": "f8f8bf4405d933d074306cf9f4f2c8ee0c2b1b30c8f8eb97b4b6c6f98d9f79a5",
+    "naive_mix": "afe13cb468a7394ba60cf1f1ca04e7a8409c73f1782141c81632c3f35f65adf4",
+    "sim_only_sac": "f43ecc8bd50003a5b96110dde3d018aeade198ae4a3041bfef11ca83bdb63f48",
+    "bc": "720cc30ed71d6b2442cc67d2ec91ab531418ea60e9aa51d7939a0114b716095f",
+}
+REFERENCE_SHA256 = "ab50591800e8524eeb1b8d9bdbf9642ce8a8e5b5aa3c76dedab14118555a70a5"
 
 AGENT_NETS = ("actor", "critic1", "critic2", "target1", "target2")
 
@@ -29,11 +40,23 @@ def _build() -> dict:
     return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}"}
 
 
-def golden_digest() -> str:
+def _require_recorded_build():
+    build = _build()
+    if build != RECORDED_ON:
+        pytest.skip(f"digests recorded on {RECORDED_ON}, this is {build}")
+
+
+def _hash_agent(h, agent):
+    for name in AGENT_NETS:
+        h.update(nets.get_flat_params(getattr(agent, name)).astype("<f8").tobytes())
+    h.update(repr(float(agent.log_temperature)).encode())
+
+
+def golden_digest(variant: str = "oris") -> str:
     offline = datasets.generate_dataset("pendulum", "random", episodes=3, seed=0)
     real = envs.EnvSpec.real("pendulum")
     sim = envs.EnvSpec.sim("pendulum", envs.DynamicsPerturbation(gravity_scale=2.0))
-    cfg = OrisConfig(variant="oris", epochs=3, updates_per_epoch=20, rollout_count=3,
+    cfg = OrisConfig(variant=variant, epochs=3, updates_per_epoch=20, rollout_count=3,
                      rollout_horizon=37, eval_episodes=2, random_policy_prob=0.2)
     hp = sac.SacHparams(hidden=(32, 32), critic_lr=1e-3, tau=0.01,
                         batch_off=32, batch_sim=32)
@@ -44,14 +67,35 @@ def golden_digest() -> str:
     h = hashlib.sha256()
     for r in reports:
         h.update(",".join(repr(float(getattr(r, k))) for k in r.__dataclass_fields__).encode())
-    for name in AGENT_NETS:
-        h.update(nets.get_flat_params(getattr(agent, name)).astype("<f8").tobytes())
-    h.update(repr(float(agent.log_temperature)).encode())
+    _hash_agent(h, agent)
+    return h.hexdigest()
+
+
+def reference_digest() -> str:
+    hp = datasets.ReferenceHparams(
+        total_steps=600, warmup_steps=200, eval_interval=300, eval_episodes=2,
+        batch_size=32, replay_capacity=1_000,
+        sac=sac.SacHparams(hidden=(32, 32), critic_lr=1e-3, tau=0.01))
+    run = datasets.train_reference("pendulum", hp, seed=5)
+    h = hashlib.sha256()
+    _hash_agent(h, run.agent)
+    for episode in run.episodes:
+        for column in episode:
+            h.update(np.ascontiguousarray(column, dtype="<f8").tobytes())
     return h.hexdigest()
 
 
 def test_golden_training_digest():
-    build = _build()
-    if build != RECORDED_ON:
-        pytest.skip(f"digest recorded on {RECORDED_ON}, this is {build}")
+    _require_recorded_build()
     assert golden_digest() == GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("variant", [v for v in loop.VARIANTS if v != "oris"])
+def test_variant_training_digest(variant):
+    _require_recorded_build()
+    assert golden_digest(variant) == VARIANT_SHA256[variant]
+
+
+def test_reference_run_digest():
+    _require_recorded_build()
+    assert reference_digest() == REFERENCE_SHA256

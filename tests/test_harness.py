@@ -79,6 +79,10 @@ def test_config_rejects_unknown_keys(dataset_path):
         tiny_config(dataset_path, oris={"epochs": 1, "horizon": 5})
     with pytest.raises(ConfigError, match="weight_mode"):
         tiny_config(dataset_path, oris={"epochs": 1, "weight_mode": "ones"})
+    with pytest.raises(ConfigError, match="restart_fallback"):
+        tiny_config(dataset_path, oris={"epochs": 1, "restart_fallback": False})
+    with pytest.raises(ConfigError, match="restart_max_retries"):
+        tiny_config(dataset_path, oris={"epochs": 1, "restart_max_retries": 3})
     with pytest.raises(ConfigError, match="missing"):
         ExperimentConfig.from_json({"env_id": "pendulum"})
 
@@ -147,6 +151,24 @@ def test_score_table_from_csvs(tmp_path):
     assert s["score_mean"] == pytest.approx(75.0)
     assert s["score_std"] == pytest.approx(25.0)
     assert s["return_mean"] == pytest.approx((-800.0 - 100.0) / 2)
+
+
+def test_config_hash_leaves_out_out_dir(dataset_path, tmp_path):
+    a = tiny_config(dataset_path, out_dir=str(tmp_path / "a"))
+    b = a.with_overrides(out_dir=str(tmp_path / "elsewhere" / "b"))
+    assert a.to_json()["out_dir"] != b.to_json()["out_dir"]
+    assert a.config_hash() == b.config_hash()
+    # the paths of the inputs still count
+    assert a.with_overrides(dataset=str(tmp_path / "x.jsonl")).config_hash() \
+        != a.config_hash()
+    for cfg in (a, b):
+        _, failures = harness.run_experiment(cfg)
+        assert failures == []
+    csvs = [*(tmp_path / "a").glob("*.csv"), *(tmp_path / "elsewhere" / "b").glob("*.csv")]
+    assert len(csvs) == 4
+    table = harness.score_table_from_csvs(csvs)
+    assert table.config_hash == a.config_hash()
+    assert sorted(r["seed"] for r in table.rows) == [0, 0, 1, 1]
 
 
 def test_score_table_refuses_mixed_hashes(tmp_path):

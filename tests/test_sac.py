@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oris import nets, sac
-from oris.errors import ContractError, NumericsError, UsageError
+from oris.errors import ContractError, NumericsError
 
 import oracles
 
@@ -16,14 +16,16 @@ def tiny_agent(seed=0, obs_dim=3, action_dim=1, scale=2.0, **hp_kw):
 
 
 def random_batch(rng, n_off, n_sim, obs_dim=3, act_dim=1, weights=None):
+    """Columns (S, A, R, S2, D) of n_off offline rows then n_sim simulator rows,
+    and their weights: 1 for offline rows, `weights` (default 1) for sim rows."""
     def part(n):
-        if n == 0:
-            return None
         return (rng.normal(size=(n, obs_dim)), rng.uniform(-1, 1, size=(n, act_dim)),
                 rng.normal(size=n), rng.normal(size=(n, obs_dim)),
                 (rng.uniform(size=n) < 0.2).astype(np.float64))
 
-    return sac.WeightedBatch.from_arrays(part(n_off), part(n_sim), weights)
+    columns = tuple(np.concatenate(p) for p in zip(part(n_off), part(n_sim)))
+    sim_w = np.ones(n_sim) if weights is None else np.asarray(weights, dtype=np.float64)
+    return columns, np.concatenate([np.ones(n_off), sim_w])
 
 
 def naive_log_prob(agent, S, noise):
@@ -222,19 +224,17 @@ def test_bellman_targets_hand_cases():
 def test_critic_gradients_match_finite_differences():
     rng = np.random.default_rng(20)
     agent = tiny_agent(seed=21)
-    batch = random_batch(rng, 5, 4, weights=rng.uniform(0.1, 1.0, size=4))
+    (S, A, *_), w = random_batch(rng, 5, 4, weights=rng.uniform(0.1, 1.0, size=4))
     targets = rng.normal(size=9)
-    loss0, g1, _, _ = sac.critic_loss_and_grads(agent, batch, targets)
+    loss0, g1, _, _ = sac.critic_loss_and_grads(agent, S, A, w, targets)
     p0 = nets.get_flat_params(agent.critic1)
-    x = np.concatenate([batch.states(),
-                        np.concatenate([batch.off_a, batch.sim_a])], axis=1)
+    x = np.concatenate([S, A], axis=1)
 
     def loss_of(flat):
         nets.set_flat_params(agent.critic1, flat)
         q = nets.forward_batch(agent.critic1, x)[:, 0]
         e = q - targets
-        c = batch.coefficients()
-        return float(np.sum(c * e * e) / batch.n_total)
+        return float(np.sum(w * e * e) / len(w))
 
     fd = oracles.fd_grad(loss_of, p0)
     nets.set_flat_params(agent.critic1, p0)
@@ -244,9 +244,9 @@ def test_critic_gradients_match_finite_differences():
 def test_weighted_loss_value_hand_case():
     agent = tiny_agent(seed=22)
     rng = np.random.default_rng(23)
-    batch = random_batch(rng, 2, 2, weights=np.array([0.5, 2.0]))
+    (S, A, *_), w = random_batch(rng, 2, 2, weights=np.array([0.5, 2.0]))
     targets = np.zeros(4)
-    loss, _, _, errs = sac.critic_loss_and_grads(agent, batch, targets)
+    loss, _, _, errs = sac.critic_loss_and_grads(agent, S, A, w, targets)
     e1, e2 = errs
     expect = 0.5 * ((e1[0] ** 2 + e1[1] ** 2 + 0.5 * e1[2] ** 2 + 2.0 * e1[3] ** 2) / 4
                     + (e2[0] ** 2 + e2[1] ** 2 + 0.5 * e2[2] ** 2 + 2.0 * e2[3] ** 2) / 4)
@@ -258,14 +258,11 @@ def test_zero_weight_rows_change_nothing_but_count():
     # leaves the loss unchanged
     agent = tiny_agent(seed=24)
     rng = np.random.default_rng(25)
-    base = random_batch(rng, 0, 1)
-    row = (base.sim_s, base.sim_a, base.sim_r, base.sim_s2, base.sim_done)
-    twice = tuple(np.concatenate([v, v]) for v in row)
+    row, _ = random_batch(rng, 0, 1)
+    S, A = (np.concatenate([v, v]) for v in row[:2])
     targets2 = np.zeros(2)
-    half_plus_zero = sac.WeightedBatch.from_arrays(None, twice, np.array([0.5, 0.0]))
-    quarters = sac.WeightedBatch.from_arrays(None, twice, np.array([0.25, 0.25]))
-    l1, _, _, _ = sac.critic_loss_and_grads(agent, half_plus_zero, targets2)
-    l2, _, _, _ = sac.critic_loss_and_grads(agent, quarters, targets2)
+    l1, _, _, _ = sac.critic_loss_and_grads(agent, S, A, np.array([0.5, 0.0]), targets2)
+    l2, _, _, _ = sac.critic_loss_and_grads(agent, S, A, np.array([0.25, 0.25]), targets2)
     assert l1 == pytest.approx(l2, rel=1e-14)
 
 
@@ -274,21 +271,18 @@ def test_unit_weight_update_equals_pooled_unweighted_update():
     agent = tiny_agent(seed=26)
     clone = copy.deepcopy(agent)
     rng = np.random.default_rng(27)
-    batch = random_batch(rng, 6, 6)  # weights default to ones
-    sac.critic_update(agent, batch, np.random.default_rng(28))
+    batch, w = random_batch(rng, 6, 6)  # weights default to ones
+    sac.critic_update(agent, batch, w, np.random.default_rng(28))
 
-    # reference: concatenate everything, single mean-squared loss
-    S2 = np.concatenate([batch.off_s2, batch.sim_s2])
-    R = np.concatenate([batch.off_r, batch.sim_r])
-    D = np.concatenate([batch.off_done, batch.sim_done])
+    # reference: every row, single mean-squared loss
+    S, A, R, S2, D = batch
     ref_rng = np.random.default_rng(28)
     sample = sac.sample_actions(clone, S2, ref_rng)
     x2 = np.concatenate([S2, sample.action], axis=1)
     qt = np.minimum(nets.forward_batch(clone.target1, x2)[:, 0],
                     nets.forward_batch(clone.target2, x2)[:, 0])
     y = R + (1.0 - D) * clone.hparams.gamma * (qt - clone.temperature * sample.log_prob)
-    x = np.concatenate([np.concatenate([batch.off_s, batch.sim_s]),
-                        np.concatenate([batch.off_a, batch.sim_a])], axis=1)
+    x = np.concatenate([S, A], axis=1)
     n = x.shape[0]
     for critic, opt in ((clone.critic1, clone.opt_critic1), (clone.critic2, clone.opt_critic2)):
         q = nets.forward_batch(critic, x)[:, 0]
@@ -304,49 +298,41 @@ def test_unit_weight_update_equals_pooled_unweighted_update():
         assert np.max(np.abs(a - b)) < 1e-12
 
 
-def test_critic_update_provenance_enforced():
-    agent = tiny_agent(seed=29)
-    rng = np.random.default_rng(30)
-    batch = random_batch(rng, 3, 3)
-    batch.sim_provenance = "offline"
-    with pytest.raises(UsageError):
-        sac.critic_update(agent, batch, rng)
-    # single-source batches carry their tag without the cross-check
-    solo = random_batch(rng, 0, 4)
-    solo.off_provenance = "online_real"
-    sac.critic_update(agent, solo, rng)
-
-
 def test_critic_update_reports_nonfinite_target_row():
     agent = tiny_agent(seed=31)
     agent.target1.biases[-1][...] = 1e308
     agent.target2.biases[-1][...] = 1e308
     rng = np.random.default_rng(32)
-    batch = random_batch(rng, 2, 2)
+    batch, w = random_batch(rng, 2, 2)
     with pytest.raises(NumericsError) as exc:
-        sac.critic_update(agent, batch, rng)
+        sac.critic_update(agent, batch, w, rng)
     assert "row" in str(exc.value)
 
 
 def test_weighted_batch_validation():
-    rng = np.random.default_rng(33)
-    with pytest.raises(ContractError):
-        sac.WeightedBatch.from_arrays(None, None)
-    sim = (rng.normal(size=(3, 2)), rng.normal(size=(3, 1)), rng.normal(size=3),
-           rng.normal(size=(3, 2)), np.zeros(3))
-    with pytest.raises(ContractError):
-        sac.WeightedBatch.from_arrays(None, sim, np.array([1.0, 1.0]))
-    with pytest.raises(ContractError):
-        sac.WeightedBatch.from_arrays(None, sim, np.array([1.0, -0.1, 1.0]))
-    with pytest.raises(ContractError):
-        sac.WeightedBatch.from_arrays(None, sim, np.array([1.0, np.nan, 1.0]))
-    b = sac.WeightedBatch.from_arrays(None, sim)
-    np.testing.assert_array_equal(b.coefficients(), np.ones(3))
-    assert b.n_off == 0 and b.n_sim == 3 and b.n_total == 3
-    row = (np.zeros((1, 2)), np.zeros((1, 1)), np.ones(1), np.zeros((1, 2)), np.zeros(1))
-    mixed = sac.WeightedBatch.from_arrays(row, row, np.array([0.7]))
-    assert mixed.n_off == 1 and mixed.n_sim == 1
-    np.testing.assert_array_equal(mixed.coefficients(), [1.0, 0.7])
+    # critic_update takes one finite, non-negative weight per row and changes
+    # nothing when it rejects them
+    agent = tiny_agent(seed=33)
+    rng = np.random.default_rng(34)
+    batch, _ = random_batch(rng, 0, 3, obs_dim=3)
+    before = {name: nets.get_flat_params(getattr(agent, name))
+              for name in ("critic1", "critic2", "target1", "target2")}
+    state = rng.bit_generator.state
+    empty = tuple(c[:0] for c in batch)
+    for cols, w in ((batch, np.array([1.0, 1.0])),
+                    (batch, np.ones((3, 1))),
+                    (batch, np.array([1.0, -0.1, 1.0])),
+                    (batch, np.array([1.0, np.nan, 1.0])),
+                    (batch, np.array([1.0, np.inf, 1.0])),
+                    (empty, np.zeros(0))):
+        with pytest.raises(ContractError):
+            sac.critic_update(agent, cols, w, rng)
+    assert rng.bit_generator.state == state
+    assert agent.update_count == 0
+    for name, p in before.items():
+        np.testing.assert_array_equal(nets.get_flat_params(getattr(agent, name)), p)
+    sac.critic_update(agent, batch, np.array([1.0, 0.7, 0.0]), rng)
+    assert agent.update_count == 1
 
 
 def test_bc_update_gradients_and_progress():
@@ -380,9 +366,9 @@ def test_bc_update_gradients_and_progress():
 def test_agent_save_load_roundtrip(tmp_path):
     agent = tiny_agent(seed=36)
     rng = np.random.default_rng(37)
-    batch = random_batch(rng, 4, 4)
-    sac.critic_update(agent, batch, rng)
-    sac.actor_update(agent, batch.states(), rng)
+    batch, w = random_batch(rng, 4, 4)
+    sac.critic_update(agent, batch, w, rng)
+    sac.actor_update(agent, batch[0], rng)
     sac.save_agent(agent, tmp_path / "agent")
     loaded = sac.load_agent(tmp_path / "agent")
     for name in ("actor", "critic1", "critic2", "target1", "target2"):
@@ -418,9 +404,9 @@ def test_updates_are_deterministic_given_seed():
         agent = tiny_agent(seed=39)
         rng = np.random.default_rng(40)
         for _ in range(5):
-            batch = random_batch(rng, 4, 4, weights=np.full(4, 0.6))
-            sac.critic_update(agent, batch, rng)
-            sac.actor_update(agent, batch.states(), rng)
+            batch, w = random_batch(rng, 4, 4, weights=np.full(4, 0.6))
+            sac.critic_update(agent, batch, w, rng)
+            sac.actor_update(agent, batch[0], rng)
         return np.concatenate([nets.get_flat_params(agent.actor),
                                nets.get_flat_params(agent.critic1),
                                [agent.log_temperature]])
