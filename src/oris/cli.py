@@ -1,5 +1,6 @@
-"""Command-line entry points: dataset generation, GAN pretraining, training,
-evaluation, and sweeps. One JSON config document drives train/sweep."""
+"""Command-line entry points: dataset generation, training, sweeps, the
+paper's studies and evaluation. One JSON config document drives train/sweep;
+a study builds its configs from the table in `oris.presets`."""
 
 from __future__ import annotations
 
@@ -10,8 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import datasets, envs, gan, harness, sac
-from .data import TIERS, save_dataset, load_dataset
+from . import datasets, envs, harness, presets, sac
+from .data import TIERS, save_dataset
 from .errors import ConfigError, ContractError, NumericsError
 
 
@@ -68,21 +69,6 @@ def cmd_gen_dataset(args) -> int:
     return 0
 
 
-def cmd_pretrain_gan(args) -> int:
-    ds = load_dataset(args.dataset)
-    hp = gan.GanHparams.from_json(_load_json(args.config)) if args.config \
-        else gan.GanHparams()
-    rng = np.random.default_rng(args.seed)
-    states = ds.arrays()[0]
-    inputs = gan.fit_inputs(states, hp, rng)
-    pair, report = gan.pretrain(states, hp, rng)
-    out = Path(args.out)
-    gan.save_fit(pair, report, inputs, out)
-    print(json.dumps({"out": str(out), **report.summary()}, indent=2,
-                     sort_keys=True))
-    return 0
-
-
 def _load_config(args) -> harness.ExperimentConfig:
     cfg = harness.ExperimentConfig.from_json(_load_json(args.config))
     if args.seed is not None:
@@ -97,24 +83,40 @@ def _progress(args):
                              f"critic {r.critic_loss:.3f}")
 
 
-def cmd_train(args) -> int:
-    cfg = _load_config(args)
-    table, failures = harness.run_experiment(cfg, args.out,
-                                             progress=_progress(args))
-    print(json.dumps(table.to_json()["summary"], indent=2, sort_keys=True))
-    for f in failures:
-        _eprint(f"seed {f['seed']} failed: {f['error']}")
+def _run_cell(cfg, axis, out_dir=None, progress=None) -> tuple[dict, list]:
+    """Run one config, or sweep it over `axis` if that is given.
+
+    -> (its summary as `train` or `sweep` prints it, failure lines)."""
+    if axis is None:
+        table, failures = harness.run_experiment(cfg, out_dir, progress=progress)
+        return table.summary(), [f"seed {f['seed']} failed: {f['error']}"
+                                 for f in failures]
+    result = harness.sweep(cfg, axis, out_dir, progress=progress)
+    return ({p["label"]: p["summary"] for p in result["points"]},
+            [f"{f['point']} seed {f['seed']} failed: {f['error']}"
+             for f in result["failures"]])
+
+
+def _report(summary: dict, failures: list) -> int:
+    print(json.dumps(summary, indent=2, sort_keys=True))
+    for line in failures:
+        _eprint(line)
     return 1 if failures else 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load_config(args)
-    result = harness.sweep(cfg, args.axis, args.out, progress=_progress(args))
-    print(json.dumps({p["label"]: p["summary"] for p in result["points"]},
-                     indent=2, sort_keys=True))
-    for f in result["failures"]:
-        _eprint(f"{f['point']} seed {f['seed']} failed: {f['error']}")
-    return 1 if result["failures"] else 0
+def cmd_train_or_sweep(args) -> int:
+    return _report(*_run_cell(_load_config(args), args.axis, args.out,
+                              _progress(args)))
+
+
+def cmd_study(args) -> int:
+    axis = presets.STUDIES[args.name].axis
+    out = args.out if args.out is not None else f"runs/{args.name}"
+    summary, failures = {}, []
+    for cfg in presets.study_cells(args.name, args.data, out, args.seeds):
+        summary[cfg.variant], failed = _run_cell(cfg, axis)
+        failures += [f"{cfg.variant} {line}" for line in failed]
+    return _report(summary, failures)
 
 
 def cmd_evaluate(args) -> int:
@@ -134,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="oris",
         description="offline RL with an inaccurate simulator: data generation, "
-                    "GAN pretraining, training, evaluation, sweeps")
+                    "training, sweeps, studies, evaluation")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-dataset", help="generate offline dataset tiers")
@@ -149,19 +151,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON file of reference-run hyperparameters")
     g.set_defaults(func=cmd_gen_dataset)
 
-    pg = sub.add_parser("pretrain-gan", help="fit the restart GAN to a dataset")
-    pg.add_argument("--dataset", required=True)
-    pg.add_argument("--config", default=None, help="JSON file of GAN hyperparameters")
-    pg.add_argument("--seed", type=int, default=0)
-    pg.add_argument("--out", required=True, help="output directory")
-    pg.set_defaults(func=cmd_pretrain_gan)
-
     t = sub.add_parser("train", help="run one experiment config over its seeds")
     t.add_argument("--config", required=True)
     t.add_argument("--seed", type=int, default=None, help="override config seeds")
     t.add_argument("--out", default=None, help="override output directory")
     t.add_argument("--verbose", action="store_true")
-    t.set_defaults(func=cmd_train)
+    t.set_defaults(func=cmd_train_or_sweep, axis=None)
 
     s = sub.add_parser("sweep", help="expand one axis of an experiment config")
     s.add_argument("--config", required=True)
@@ -169,7 +164,17 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=None, help="override config seeds")
     s.add_argument("--out", default=None, help="override output directory")
     s.add_argument("--verbose", action="store_true")
-    s.set_defaults(func=cmd_sweep)
+    s.set_defaults(func=cmd_train_or_sweep)
+
+    st = sub.add_parser("study", help="run one of the paper's studies with "
+                        "the desk presets")
+    st.add_argument("name", choices=sorted(presets.STUDIES))
+    st.add_argument("--data", default="data",
+                    help="directory of make_datasets.py output")
+    st.add_argument("--out", default=None, help="output directory "
+                    "(default runs/NAME)")
+    st.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3, 4])
+    st.set_defaults(func=cmd_study)
 
     e = sub.add_parser("evaluate", help="evaluate a saved agent on the real env")
     e.add_argument("--agent", required=True, help="agent checkpoint directory")

@@ -7,7 +7,7 @@ Both tasks are small enough that one transition is a handful of flops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,10 +35,6 @@ class DynamicsPerturbation:
         if self.action_noise_std < 0.0:
             raise ContractError(f"action_noise_std must be non-negative, got {self.action_noise_std}")
 
-    def is_identity(self) -> bool:
-        return (self.gravity_scale == 1.0 and self.friction_scale == 1.0
-                and self.action_noise_std == 0.0)
-
     def to_json(self) -> dict:
         return {"gravity_scale": self.gravity_scale,
                 "friction_scale": self.friction_scale,
@@ -58,38 +54,22 @@ UNPERTURBED = DynamicsPerturbation()
 class EnvSpec:
     env_id: str
     perturbation: DynamicsPerturbation = UNPERTURBED
-    gamma: float = 0.99
-    max_episode_steps: int | None = None
 
     def __post_init__(self):
         if self.env_id not in ENV_IDS:
             raise ContractError(f"unknown env_id {self.env_id!r}, know {ENV_IDS}")
-        if not 0.0 < self.gamma < 1.0:
-            raise ContractError(f"gamma must be in (0, 1), got {self.gamma}")
-        if self.max_episode_steps is None:
-            object.__setattr__(self, "max_episode_steps", EPISODE_LIMITS[self.env_id])
-        elif self.max_episode_steps < 1:
-            raise ContractError("max_episode_steps must be positive")
+
+    @property
+    def max_episode_steps(self) -> int:
+        return EPISODE_LIMITS[self.env_id]
 
     @classmethod
-    def real(cls, env_id: str, **kw) -> "EnvSpec":
-        return cls(env_id, UNPERTURBED, **kw)
+    def real(cls, env_id: str) -> "EnvSpec":
+        return cls(env_id, UNPERTURBED)
 
     @classmethod
-    def sim(cls, env_id: str, perturbation: DynamicsPerturbation, **kw) -> "EnvSpec":
-        return cls(env_id, perturbation, **kw)
-
-    def as_real(self) -> "EnvSpec":
-        return replace(self, perturbation=UNPERTURBED)
-
-    def to_json(self) -> dict:
-        return {"env_id": self.env_id, "perturbation": self.perturbation.to_json(),
-                "gamma": self.gamma, "max_episode_steps": self.max_episode_steps}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "EnvSpec":
-        return cls(d["env_id"], DynamicsPerturbation.from_json(d.get("perturbation", {})),
-                   float(d.get("gamma", 0.99)), d.get("max_episode_steps"))
+    def sim(cls, env_id: str, perturbation: DynamicsPerturbation) -> "EnvSpec":
+        return cls(env_id, perturbation)
 
 
 def wrap_angle(x: float) -> float:

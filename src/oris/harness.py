@@ -18,7 +18,7 @@ import numpy as np
 
 from . import envs, gan as gan_mod, loop, sac
 from .data import load_dataset, subsample_trajectories
-from .errors import ConfigError
+from .errors import ConfigError, ContractError, NumericsError
 from .loop import EpochReport, OrisConfig
 
 CSV_COLUMNS = ("epoch", "env_steps", "eval_return_mean", "eval_return_std",
@@ -265,8 +265,10 @@ def _load_offline(cfg: ExperimentConfig):
 def run_experiment(cfg: ExperimentConfig, out_dir=None, progress=None):
     """Train every seed, write one CSV each plus a score table.
 
-    Returns (ScoreTable, failures); a seed that raises is recorded in
-    `failures` and the table aggregates the rest. GANs are shared through the
+    Returns (ScoreTable, failures); a seed that diverges (NumericsError, or
+    ContractError from a non-finite action or report) is recorded in
+    `failures` and the table aggregates the rest. Any other exception is a
+    fault in the program and propagates. GANs are shared through the
     store `<parent of out_dir>/gans/`: sibling cells of a study (sweep points,
     variants) load a GAN one of them fitted from the same offline states, GAN
     hparams and seed instead of fitting it again.
@@ -287,7 +289,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, progress=None):
                                     int(seed), gan_hp=cfg.gan,
                                     progress=progress,
                                     gan_store=out.parent / "gans")
-        except Exception as e:  # recorded, not fatal to the other seeds
+        except (NumericsError, ContractError) as e:
             failures.append({"variant": cfg.variant, "seed": int(seed),
                              "error": f"{type(e).__name__}: {e}"})
             continue

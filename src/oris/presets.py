@@ -1,11 +1,16 @@
-"""Tuned desk-scale presets: one CPU core, minutes per run.
+"""Tuned desk-scale presets: one CPU core, minutes per run, and the paper's
+studies built from them.
 
 The library defaults on SacHparams / GanHparams / OrisConfig are the
 conventional values; they need far more compute than a laptop budget.
-Experiment scripts and the acceptance suite build their configs from
-these presets instead so results stay comparable across studies.
+Every study builds its configs from these presets instead so results stay
+comparable across studies.
 """
+from typing import NamedTuple
+
 from . import gan, sac
+from .envs import UNPERTURBED, DynamicsPerturbation
+from .harness import ExperimentConfig
 from .loop import OrisConfig
 
 # Baselines collect with plain pi rollouts (random_policy_prob 0); the
@@ -33,3 +38,48 @@ def desk_loop(variant: str, **over) -> OrisConfig:
     kw = dict(LOOP_DEFAULTS)
     kw.update(over)
     return OrisConfig(variant=variant, **kw)
+
+
+class Study(NamedTuple):
+    env_id: str
+    tier: str  # offline dataset tier
+    perturbation: DynamicsPerturbation  # the simulator gap of the base config
+    variants: tuple
+    axis: str | None  # sweep axis, None for one plain run per variant
+
+
+GRAVITY_X2 = DynamicsPerturbation(gravity_scale=2.0)
+PENDULUM_MAIN = ("oris", "naive_mix", "sim_only_sac")
+
+STUDIES = {
+    "main_comparison": Study("pendulum", "medium_replay", GRAVITY_X2,
+                             PENDULUM_MAIN, None),
+    "gap_grid": Study("pendulum", "medium_replay", UNPERTURBED,
+                      PENDULUM_MAIN, "gap_type"),
+    "gc_sweep": Study("pendulum", "medium_replay", UNPERTURBED,
+                      ("oris", "sim_only_sac"), "gravity"),
+    "small_data": Study("pendulum", "medium_replay", GRAVITY_X2,
+                        ("oris", "bc"), "fraction"),
+    "ablations": Study("pointgoal", "medium", GRAVITY_X2, ("oris",),
+                       "ablation"),
+}
+
+
+def study_cells(name: str, data: str, out: str, seeds) -> list[ExperimentConfig]:
+    """One desk-preset config per variant of study `name`, reading
+    `<data>/<env>_<tier>.jsonl` and `<data>/<env>_refs.json`. A study of
+    several variants writes each to `<out>/<variant>`, one of a single
+    variant to `<out>` itself."""
+    study = STUDIES[name]
+    return [ExperimentConfig(
+        env_id=study.env_id,
+        dataset=f"{data}/{study.env_id}_{study.tier}.jsonl",
+        variant=variant,
+        seeds=tuple(seeds),
+        perturbation=study.perturbation,
+        refs_path=f"{data}/{study.env_id}_refs.json",
+        out_dir=f"{out}/{variant}" if len(study.variants) > 1 else out,
+        oris=desk_loop(variant),
+        sac=desk_sac(),
+        gan=desk_gan(),
+    ) for variant in study.variants]

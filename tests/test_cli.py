@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from oris import cli, datasets, envs, sac
+from oris import cli, datasets, harness, sac
 from oris.data import load_dataset, save_dataset
 
 
@@ -94,25 +94,6 @@ def test_train_seed_override(tmp_path, data_dir):
         == ["naive_mix_seed5.csv"]
 
 
-def test_pretrain_gan_and_artifacts(tmp_path, data_dir, capsys):
-    gan_cfg = tmp_path / "g.json"
-    gan_cfg.write_text(json.dumps(
-        {"z_dim": 4, "hidden": [16, 16], "iterations": 120, "batch_size": 64}))
-    rc = cli.main(["pretrain-gan",
-                   "--dataset", str(data_dir / "pendulum_random.jsonl"),
-                   "--config", str(gan_cfg), "--seed", "1",
-                   "--out", str(tmp_path / "gan")])
-    assert rc == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["iterations"] == 120
-    from oris.gan import load_gan
-    pair = load_gan(tmp_path / "gan")
-    assert pair.state_dim == 3
-    report = json.loads((tmp_path / "gan" / "report.json").read_text())
-    assert report["train"]["iterations"] == 120
-    assert report["inputs"]["hparams"]["hidden"] == [16, 16]
-
-
 def test_evaluate_saved_agent(tmp_path, capsys):
     agent = sac.SacAgent.create(3, 1, 2.0, sac.SacHparams(hidden=(16, 16)), 0)
     sac.save_agent(agent, tmp_path / "agent")
@@ -137,8 +118,41 @@ def test_sweep_cli(tmp_path, data_dir, capsys):
     assert set(printed) == {"fraction_1", "fraction_0.25", "fraction_0.05"}
 
 
+def test_study_flags_summary_and_failures(tmp_path, monkeypatch, capsys):
+    cells = []
+
+    def run_experiment(cfg, out_dir=None, progress=None):
+        cells.append(cfg)
+        rows = [{"variant": cfg.variant, "seed": s, "final_score": 50.0,
+                 "final_return": -500.0, "returns": [-500.0]} for s in cfg.seeds]
+        failures = [{"variant": cfg.variant, "seed": 8,
+                     "error": "NumericsError: synthetic"}] \
+            if cfg.variant == "naive_mix" else []
+        return harness.ScoreTable(cfg.config_hash(), rows), failures
+
+    monkeypatch.setattr(harness, "run_experiment", run_experiment)
+    out = str(tmp_path / "study")
+    rc = cli.main(["study", "main_comparison", "--data", "mydata",
+                   "--out", out, "--seeds", "7", "8"])
+    assert rc == 1
+    variants = ["oris", "naive_mix", "sim_only_sac"]
+    assert [c.variant for c in cells] == variants
+    assert [c.out_dir for c in cells] == [f"{out}/{v}" for v in variants]
+    for c in cells:
+        assert c.seeds == (7, 8)
+        assert c.dataset == "mydata/pendulum_medium_replay.jsonl"
+        assert c.refs_path == "mydata/pendulum_refs.json"
+    printed, err = capsys.readouterr()
+    summary = json.loads(printed)
+    assert set(summary) == set(variants)
+    assert summary["oris"]["oris"]["n"] == 2
+    assert err.strip() == "naive_mix seed 8 failed: NumericsError: synthetic"
+
+
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         cli.main([])
     with pytest.raises(SystemExit):
         cli.main(["sweep", "--config", "x", "--axis", "bogus"])
+    with pytest.raises(SystemExit):
+        cli.main(["study", "no_such_study"])

@@ -7,7 +7,7 @@ import pytest
 
 from oris import datasets, gan, harness, loop
 from oris.data import save_dataset
-from oris.errors import ConfigError, ContractError
+from oris.errors import ConfigError, ContractError, NumericsError
 from oris.harness import ExperimentConfig, normalized_score
 from oris.loop import EpochReport
 
@@ -206,16 +206,27 @@ def test_run_experiment_records_per_seed_failures(dataset_path, tmp_path,
 
     def flaky(real, sim, offline, cfg, hp, seed, **kw):
         if seed == 1:
-            raise RuntimeError("synthetic failure")
+            raise NumericsError("synthetic failure")
         return real_train(real, sim, offline, cfg, hp, seed, **kw)
 
     monkeypatch.setattr(harness.loop, "train", flaky)
     table, failures = harness.run_experiment(tiny_config(dataset_path), tmp_path)
     assert [r["seed"] for r in table.rows] == [0]
     assert failures == [{"variant": "naive_mix", "seed": 1,
-                         "error": "RuntimeError: synthetic failure"}]
+                         "error": "NumericsError: synthetic failure"}]
     manifest = json.loads((tmp_path / "failures.json").read_text())
     assert manifest == failures
+
+
+def test_run_experiment_lets_program_faults_propagate(dataset_path, tmp_path,
+                                                      monkeypatch):
+    def broken(*args, **kw):
+        raise TypeError("synthetic fault")
+
+    monkeypatch.setattr(harness.loop, "train", broken)
+    with pytest.raises(TypeError, match="synthetic fault"):
+        harness.run_experiment(tiny_config(dataset_path), tmp_path)
+    assert not (tmp_path / "failures.json").exists()
 
 
 def test_run_experiment_rejects_wrong_dataset(dataset_path, tmp_path):
