@@ -7,7 +7,8 @@ frozen after pretraining.
 
 Training is the saturating objective: one discriminator ascent step on
 E[log D(s)] + E[log(1 - D(G(z)))] and one generator descent step on
-E[log(1 - D(G(z)))] per iteration, both through logits for stability.
+E[log(1 - D(G(z)))] per iteration, both through logits for stability. Both
+nets compute in float32; states outside them (data, restarts) stay float64.
 """
 
 from __future__ import annotations
@@ -152,6 +153,23 @@ def weight_of_batch(gan: GanPair, S: np.ndarray) -> np.ndarray:
     return np.clip(1.0 - 2.0 * d, gan.w_min, gan.w_max)
 
 
+def discriminator_step_grads(disc: nets.MlpNet, real: np.ndarray, fake: np.ndarray):
+    """Gradient of the discriminator's loss -(E[log D(real)] + E[log(1 - D(fake))])
+    for equal-size batches, scored in one pass over the rows of both.
+
+    Returns (Gradients, D(real), D(fake), the objective E[log D(real)] +
+    E[log(1 - D(fake))]).
+    """
+    bs = real.shape[0]
+    d = nets.forward_batch(disc, np.concatenate([real, fake]))[:, 0]
+    logits = nets.output_preactivation(disc)[:, 0]
+    # d(loss)/d(logit) is (D - label) / bs, label 1 for real rows and 0 for fake
+    upstream = np.concatenate([d[:bs] - 1.0, d[bs:]]) / bs
+    grads = nets.backward_batch(disc, upstream[:, None], wrt_preactivation=True)
+    objective = float(np.mean(-_softplus(-logits[:bs])) + np.mean(-_softplus(logits[bs:])))
+    return grads, d[:bs], d[bs:], objective
+
+
 def pretrain(states, hparams: GanHparams, rng: np.random.Generator):
     """Fit the GAN to a state marginal, an (n, d) array of states.
     Returns (GanPair, GanTrainReport).
@@ -180,6 +198,8 @@ def pretrain(states, hparams: GanHparams, rng: np.random.Generator):
                                   output_activation="sigmoid", seed=d_seed)
     opt_g = nets.AdamState.for_net(gen, hparams.learning_rate, hparams.beta1, hparams.beta2)
     opt_d = nets.AdamState.for_net(disc, hparams.learning_rate, hparams.beta1, hparams.beta2)
+    # the training batches in the nets' dtype, cast once
+    SN_net, scale = SN.astype(disc.dtype), out_scale.astype(gen.dtype)
 
     n = S.shape[0]
     bs = hparams.batch_size
@@ -193,27 +213,19 @@ def pretrain(states, hparams: GanHparams, rng: np.random.Generator):
 
     for i in range(hparams.iterations):
         idx = rng.integers(0, n, size=bs)
-        real = SN[idx]
+        real = SN_net[idx]
         Zd = rng.standard_normal((bs, hparams.z_dim))
-        fake = nets.forward_batch(gen, Zd) * out_scale
+        fake = nets.forward_batch(gen, Zd) * scale
 
         # discriminator step: ascend E[log D(real)] + E[log(1 - D(fake))]
-        d_real = nets.forward_batch(disc, real)[:, 0]
-        l_real = nets.output_preactivation(disc)[:, 0]
-        g_real = nets.backward_batch(disc, ((d_real - 1.0) / bs)[:, None],
-                                     wrt_preactivation=True)
-        d_fake = nets.forward_batch(disc, fake)[:, 0]
-        l_fake = nets.output_preactivation(disc)[:, 0]
-        g_fake = nets.backward_batch(disc, (d_fake / bs)[:, None],
-                                     wrt_preactivation=True)
-        d_objective = float(np.mean(-_softplus(-l_real)) + np.mean(-_softplus(l_fake)))
+        d_grads, d_real, d_fake, d_objective = discriminator_step_grads(disc, real, fake)
         if not np.isfinite(d_objective):
             raise fail(i, "discriminator objective")
-        nets.adam_step(disc, g_real.add_(g_fake), opt_d)
+        nets.adam_step(disc, d_grads, opt_d)
 
         # generator step: descend E[log(1 - D(G(z)))]
         Zg = rng.standard_normal((bs, hparams.z_dim))
-        fake_g = nets.forward_batch(gen, Zg) * out_scale
+        fake_g = nets.forward_batch(gen, Zg) * scale
         d_g = nets.forward_batch(disc, fake_g)[:, 0]
         l_g = nets.output_preactivation(disc)[:, 0]
         g_loss = float(np.mean(-_softplus(l_g)))
@@ -221,7 +233,7 @@ def pretrain(states, hparams: GanHparams, rng: np.random.Generator):
             raise fail(i, "generator loss")
         d_in = nets.backward_input(disc, (-d_g / bs)[:, None],
                                    wrt_preactivation=True)
-        g_grads = nets.backward_batch(gen, d_in * out_scale)
+        g_grads = nets.backward_batch(gen, d_in * scale)
         nets.adam_step(gen, g_grads, opt_g)
 
         curves[0, i] = d_objective

@@ -132,22 +132,6 @@ def _draw_restart(env: envs.Env, g: gan_mod.GanPair, stats: CollectStats,
     return None
 
 
-def _rollout_weights(g: gan_mod.GanPair, states: np.ndarray, rows: int) -> np.ndarray:
-    """w(s) for a rollout's states, scored in zero-padded batches of exactly
-    `rows` rows: the shape of the sim batches the updates draw.
-
-    BLAS picks its kernel by batch shape, so a row's D can differ in the last
-    bits between batches of different sizes. Within batches of one size that
-    is a multiple of 4, OpenBLAS 0.3.31 gave a row the same bits at every
-    position, so each stored weight is bitwise the one an update drawing the
-    row would compute.
-    """
-    n = states.shape[0]
-    padded = np.concatenate([states, np.zeros((-n % rows, states.shape[1]))])
-    return np.concatenate([gan_mod.weight_of_batch(g, padded[i:i + rows])
-                           for i in range(0, padded.shape[0], rows)])[:n]
-
-
 def collect_epoch(env: envs.Env, agent: sac.SacAgent, cfg: OrisConfig,
                   buffer: ReplayBuffer, rng,
                   g: gan_mod.GanPair | None = None) -> CollectStats:
@@ -165,8 +149,7 @@ def collect_epoch(env: envs.Env, agent: sac.SacAgent, cfg: OrisConfig,
         stats.random_rollouts += int(used_random)
         start = _draw_restart(env, g, stats, rng) if cfg.gan_restarts() else None
         columns = envs.rollout(env, policy, start, cfg.rollout_horizon, rng)
-        weights = (_rollout_weights(g, columns[0], agent.hparams.batch_sim)
-                   if cfg.gan_weights() else None)
+        weights = gan_mod.weight_of_batch(g, columns[0]) if cfg.gan_weights() else None
         buffer.extend(columns, weights)
         stats.transitions += len(columns[2])
     return stats

@@ -1,8 +1,15 @@
 """Dense-network engine: batched forward, reverse-mode gradients, Adam, soft updates.
 
-Everything is float64 numpy. A net records its activations during forward and
-replays them in backward; a net is owned by one caller at a time (no sharing a
-net object across interleaved forward/backward pairs).
+A net computes in its own dtype, float32 unless built with dtype=np.float64
+(the gradient oracles' reference precision): its parameters, gradients, Adam
+moments and the activations and deltas it records all have that dtype.
+Inputs and upstream gradients are cast to it on entry, once per call, so
+callers keep their states and rewards in float64. Initial weights are drawn
+in float64 and rounded, so both precisions consume the same random draws.
+
+A net records its activations during forward and replays them in backward; a
+net is owned by one caller at a time (no sharing a net object across
+interleaved forward/backward pairs).
 
 Each net keeps all of its parameters in one flat vector, `params`, laid out
 layer by layer, weight matrix (row-major) then bias vector; checkpoints use
@@ -28,6 +35,7 @@ OUTPUT_ACTIVATIONS = ("identity", "tanh", "sigmoid")
 
 CHECKPOINT_FORMAT = "oris-mlp"
 CHECKPOINT_VERSION = 1
+DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 @functools.lru_cache(maxsize=None)
@@ -50,16 +58,17 @@ def _views(flat: np.ndarray, layer_sizes) -> tuple[list, list]:
     return weights, biases
 
 
-def _flatten(weights, biases) -> np.ndarray:
+def _flatten(weights, biases, dtype) -> np.ndarray:
     return np.concatenate([np.ravel(a) for wb in zip(weights, biases) for a in wb]
-                          ).astype(np.float64, copy=False)
+                          ).astype(dtype, copy=False)
 
 
 @dataclass
 class MlpNet:
     """A fully connected net. weights[l] has shape (layer_sizes[l+1], layer_sizes[l]).
 
-    The constructor copies the given weights and biases into `params`.
+    The constructor copies the given weights and biases into `params`,
+    rounded to `dtype`.
     """
 
     layer_sizes: list[int]
@@ -68,6 +77,7 @@ class MlpNet:
     hidden_activation: str = "relu"
     output_activation: str = "identity"
     init_seed: int = 0
+    dtype: np.dtype = np.float32
     params: np.ndarray = field(init=False, repr=False)
     _acts: list = field(default_factory=list, repr=False)
     _pre: list = field(default_factory=list, repr=False)
@@ -80,6 +90,9 @@ class MlpNet:
             raise ContractError(f"hidden_activation must be one of {HIDDEN_ACTIVATIONS}")
         if self.output_activation not in OUTPUT_ACTIVATIONS:
             raise ContractError(f"output_activation must be one of {OUTPUT_ACTIVATIONS}")
+        self.dtype = np.dtype(self.dtype)
+        if self.dtype not in DTYPES:
+            raise ContractError(f"dtype must be float32 or float64, got {self.dtype}")
         if len(self.weights) != self.num_layers or len(self.biases) != self.num_layers:
             raise ContractError("weights/biases must have one entry per layer")
         for l in range(self.num_layers):
@@ -88,7 +101,7 @@ class MlpNet:
                 raise ContractError(f"weights[{l}] has shape {self.weights[l].shape}, want {want}")
             if self.biases[l].shape != (self.layer_sizes[l + 1],):
                 raise ContractError(f"biases[{l}] has shape {self.biases[l].shape}")
-        self._bind(_flatten(self.weights, self.biases))
+        self._bind(_flatten(self.weights, self.biases, self.dtype))
 
     def _bind(self, params: np.ndarray) -> None:
         self.params = params
@@ -118,8 +131,9 @@ class MlpNet:
 
     @classmethod
     def he_uniform(cls, layer_sizes, hidden_activation="relu",
-                   output_activation="identity", seed=0) -> "MlpNet":
-        """He-uniform weights, zero biases, from a PRNG seeded with `seed`."""
+                   output_activation="identity", seed=0, dtype=np.float32) -> "MlpNet":
+        """He-uniform weights, zero biases, from a PRNG seeded with `seed`;
+        drawn in float64, then rounded to `dtype`."""
         if len(layer_sizes) < 2 or any(int(s) < 1 for s in layer_sizes):
             raise ContractError(f"layer_sizes must be >= 2 positive entries, got {layer_sizes}")
         rng = np.random.default_rng(seed)
@@ -129,15 +143,15 @@ class MlpNet:
             weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
             biases.append(np.zeros(fan_out))
         return cls(list(layer_sizes), weights, biases, hidden_activation,
-                   output_activation, init_seed=int(seed))
+                   output_activation, init_seed=int(seed), dtype=dtype)
 
 
 @dataclass
 class Gradients:
     """Parameter gradients in a net's flat layout, plus the gradient at the input.
 
-    Built from per-layer lists, the lists are copied into `flat` and replaced
-    by views into it.
+    Built from per-layer lists, the lists are copied into `flat` (in the
+    weights' dtype) and replaced by views into it.
     """
 
     weights: list[np.ndarray]
@@ -148,12 +162,8 @@ class Gradients:
     def __post_init__(self):
         if self.flat is None:
             sizes = [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
-            self.flat = _flatten(self.weights, self.biases)
+            self.flat = _flatten(self.weights, self.biases, self.weights[0].dtype)
             self.weights, self.biases = _views(self.flat, sizes)
-
-    def add_(self, other: "Gradients") -> "Gradients":
-        self.flat += other.flat
-        return self
 
 
 def _hidden_act(name: str, z: np.ndarray) -> np.ndarray:
@@ -183,8 +193,10 @@ def _output_act_grad(name: str, y: np.ndarray) -> np.ndarray:
 
 
 def forward_batch(net: MlpNet, x: np.ndarray) -> np.ndarray:
-    """Run a (n, in_dim) batch through the net, recording activations for backward."""
-    x = np.asarray(x, dtype=np.float64)
+    """Run a (n, in_dim) batch through the net, recording activations for backward.
+
+    The batch is cast to the net's dtype, and so is the output."""
+    x = np.asarray(x, dtype=net.dtype)
     if x.ndim != 2 or x.shape[1] != net.in_dim:
         raise ContractError(f"input has shape {x.shape}, want (n, {net.in_dim})")
     acts = [x]
@@ -203,7 +215,7 @@ def forward_batch(net: MlpNet, x: np.ndarray) -> np.ndarray:
 
 def forward(net: MlpNet, x: np.ndarray) -> np.ndarray:
     """Single-vector forward; same recording semantics as forward_batch."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=net.dtype)
     if x.ndim != 1:
         raise ContractError(f"expected a vector, got shape {x.shape}")
     return forward_batch(net, x[None, :])[0]
@@ -220,7 +232,7 @@ def _output_delta(net: MlpNet, grad_out, wrt_preactivation: bool) -> np.ndarray:
     """d(loss)/d(output pre-activation) from the caller's upstream gradient."""
     if not net._has_cache:
         raise UsageError("backward called before forward")
-    grad_out = np.asarray(grad_out, dtype=np.float64)
+    grad_out = np.asarray(grad_out, dtype=net.dtype)
     out_shape = (net._acts[0].shape[0], net.out_dim)
     if grad_out.shape != out_shape:
         raise ContractError(f"grad_out has shape {grad_out.shape}, want {out_shape}")
@@ -250,7 +262,7 @@ def backward_batch(net: MlpNet, grad_out: np.ndarray, wrt_preactivation: bool = 
     Returns parameter gradients and, in .input, d(loss)/d(input batch).
     """
     delta = _output_delta(net, grad_out, wrt_preactivation)
-    flat = np.empty(net.params.size)
+    flat = np.empty(net.params.size, dtype=net.dtype)
     g_w, g_b = _views(flat, net.layer_sizes)
     for l in range(net.num_layers - 1, -1, -1):
         np.matmul(delta.T, net._acts[l], out=g_w[l])
@@ -297,7 +309,7 @@ def adam_step(net: MlpNet, grads: Gradients, opt: AdamState) -> None:
     parameters that come out non-finite raise after the step.
     """
     p, g, m, v = net.params, grads.flat, opt.m, opt.v
-    if g.shape != p.shape or m.shape != p.shape:
+    if g.shape != p.shape or m.shape != p.shape or g.dtype != p.dtype or m.dtype != p.dtype:
         raise ContractError("gradient structure does not match net")
     if not np.isfinite(g).all():
         raise NumericsError("non-finite gradient passed to adam_step")
@@ -366,7 +378,7 @@ def get_flat_params(net: MlpNet) -> np.ndarray:
 
 
 def set_flat_params(net: MlpNet, flat: np.ndarray) -> None:
-    flat = np.asarray(flat, dtype=np.float64)
+    flat = np.asarray(flat, dtype=net.dtype)
     if flat.shape != net.params.shape:
         raise ContractError(f"flat vector has shape {flat.shape}, want ({num_params(net)},)")
     net.params[...] = flat
@@ -374,11 +386,13 @@ def set_flat_params(net: MlpNet, flat: np.ndarray) -> None:
 
 def clone_net(net: MlpNet) -> MlpNet:
     return MlpNet(list(net.layer_sizes), net.weights, net.biases, net.hidden_activation,
-                  net.output_activation, net.init_seed)
+                  net.output_activation, net.init_seed, net.dtype)
 
 
 def save_checkpoint(net: MlpNet, path) -> None:
-    """One JSON header line, then the flat float64 little-endian parameter vector."""
+    """One JSON header line, then the flat little-endian parameter vector in
+    the net's dtype, which the header records ("<f4" or "<f8")."""
+    dtype = net.dtype.newbyteorder("<").str
     header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -387,14 +401,17 @@ def save_checkpoint(net: MlpNet, path) -> None:
         "output_activation": net.output_activation,
         "init_seed": net.init_seed,
         "param_count": num_params(net),
+        "dtype": dtype,
     }
     with open(path, "wb") as f:
         f.write(json.dumps(header).encode("utf-8"))
         f.write(b"\n")
-        f.write(net.params.astype("<f8").tobytes())
+        f.write(net.params.astype(dtype).tobytes())
 
 
 def load_checkpoint(path) -> MlpNet:
+    """The net a checkpoint holds, in the dtype it records; a header without
+    one (written before checkpoints recorded it) holds float64."""
     with open(path, "rb") as f:
         header_line = f.readline()
         blob = f.read()
@@ -406,11 +423,15 @@ def load_checkpoint(path) -> MlpNet:
         raise ContractError(f"not a {CHECKPOINT_FORMAT} checkpoint: {path}")
     if header.get("version") != CHECKPOINT_VERSION:
         raise ContractError(f"unsupported checkpoint version {header.get('version')}")
+    dtype = header.get("dtype", "<f8")
+    if dtype not in ("<f4", "<f8"):
+        raise ContractError(f"unsupported checkpoint dtype {dtype!r} in {path}")
     sizes = [int(s) for s in header["layer_sizes"]]
     net = MlpNet.he_uniform(sizes, header["hidden_activation"],
-                            header["output_activation"], seed=header.get("init_seed", 0))
-    flat = np.frombuffer(blob, dtype="<f8")
+                            header["output_activation"], seed=header.get("init_seed", 0),
+                            dtype=dtype)
+    flat = np.frombuffer(blob, dtype=dtype)
     if flat.size != header["param_count"] or flat.size != num_params(net):
         raise ContractError(f"checkpoint parameter count mismatch in {path}")
-    set_flat_params(net, flat.astype(np.float64))
+    set_flat_params(net, flat)
     return net

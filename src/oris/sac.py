@@ -6,7 +6,9 @@ actor ascends the min of the twin critics with entropy regularization; the
 temperature follows the usual dual update toward a target entropy.
 
 All update functions consume a Generator and draw in a fixed order, so a run
-is reproducible from its seed.
+is reproducible from its seed. The nets compute in float32 by default (see
+oris.nets); the random draws are float64 either way, cast where they meet
+the nets, so a float32 and a float64 agent consume the same draws.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ AGENT_VERSION = 1
 
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
+
+# a critic error beyond this, squared and summed over a batch, is near overflow
+ERROR_LIMIT = {np.dtype(np.float32): 1e15, np.dtype(np.float64): 1e150}
 
 
 @dataclass(frozen=True)
@@ -93,16 +98,16 @@ class SacAgent:
 
     @classmethod
     def create(cls, obs_dim: int, action_dim: int, action_scale: float,
-               hparams: SacHparams, seed: int) -> "SacAgent":
+               hparams: SacHparams, seed: int, dtype=np.float32) -> "SacAgent":
         if obs_dim < 1 or action_dim < 1 or action_scale <= 0.0:
             raise ContractError("bad agent dimensions")
         seeds = np.random.default_rng(seed).integers(2 ** 31, size=3)
         actor = nets.MlpNet.he_uniform([obs_dim, *hparams.hidden, 2 * action_dim],
-                                       seed=int(seeds[0]))
+                                       seed=int(seeds[0]), dtype=dtype)
         critic1 = nets.MlpNet.he_uniform([obs_dim + action_dim, *hparams.hidden, 1],
-                                         seed=int(seeds[1]))
+                                         seed=int(seeds[1]), dtype=dtype)
         critic2 = nets.MlpNet.he_uniform([obs_dim + action_dim, *hparams.hidden, 1],
-                                         seed=int(seeds[2]))
+                                         seed=int(seeds[2]), dtype=dtype)
         target1 = nets.clone_net(critic1)
         target2 = nets.clone_net(critic2)
         te = hparams.target_entropy if hparams.target_entropy is not None else -float(action_dim)
@@ -131,23 +136,26 @@ class ActorSample:
 
 
 def sample_actions(agent: SacAgent, S: np.ndarray, rng=None, noise=None) -> ActorSample:
-    """Draw actions for a state batch. Consumes one standard_normal((n, A)) from rng."""
-    S = np.asarray(S, dtype=np.float64)
+    """Draw actions for a state batch. Consumes one standard_normal((n, A)) from rng.
+
+    Everything in the sample is in the actor's dtype, the noise included."""
     out = nets.forward_batch(agent.actor, S)
     A = agent.action_dim
     mu, kappa = out[:, :A], out[:, A:]
     log_std = np.clip(kappa, LOG_STD_MIN, LOG_STD_MAX)
-    clip_mask = ((kappa > LOG_STD_MIN) & (kappa < LOG_STD_MAX)).astype(np.float64)
+    clip_mask = ((kappa > LOG_STD_MIN) & (kappa < LOG_STD_MAX)).astype(out.dtype)
     std = np.exp(log_std)
     if noise is None:
-        noise = rng.standard_normal((S.shape[0], A))
+        noise = rng.standard_normal((out.shape[0], A))
+    noise = np.asarray(noise, dtype=out.dtype)
     u = mu + std * noise
     tanh_u = np.tanh(u)
     action = agent.action_scale * tanh_u
     # log N(u; mu, std) minus the tanh-and-scale change of variables,
-    # with log(1 - tanh(u)^2) = 2 (log 2 - u - softplus(-2u))
+    # with log(1 - tanh(u)^2) = 2 (log 2 - u - softplus(-2u)); the constants
+    # are Python floats, which leave a float32 array float32
     log_prob = np.sum(
-        -0.5 * noise ** 2 - log_std - 0.5 * np.log(2.0 * np.pi)
+        -0.5 * noise ** 2 - log_std - 0.5 * math.log(2.0 * math.pi)
         - math.log(agent.action_scale)
         - 2.0 * (math.log(2.0) - u - np.logaddexp(0.0, -2.0 * u)),
         axis=1)
@@ -155,45 +163,58 @@ def sample_actions(agent: SacAgent, S: np.ndarray, rng=None, noise=None) -> Acto
 
 
 def act(agent: SacAgent, state: np.ndarray, mode: str, rng=None) -> np.ndarray:
-    """Single-state policy query. mode is "stochastic" or "deterministic"."""
-    state = np.asarray(state, dtype=np.float64)
+    """Single-state policy query. mode is "stochastic" or "deterministic".
+
+    Acting is dispatch-bound, so this casts the state to the actor's dtype
+    once and computes the action alone: the same draw, one standard_normal(A),
+    and the same bits as sample_actions' action, without its log-density.
+    The action comes back in the actor's dtype.
+    """
+    if mode not in ("deterministic", "stochastic"):
+        raise ContractError(f"unknown mode {mode!r}")
+    if mode == "stochastic" and rng is None:
+        raise ContractError("stochastic act needs an rng")
+    state = np.asarray(state, dtype=agent.actor.dtype)
     if state.shape != (agent.obs_dim,):
         raise ContractError(f"state has shape {state.shape}, want ({agent.obs_dim},)")
-    if mode == "deterministic":
-        out = nets.forward(agent.actor, state)
-        return agent.action_scale * np.tanh(out[:agent.action_dim])
-    if mode != "stochastic":
-        raise ContractError(f"unknown mode {mode!r}")
-    if rng is None:
-        raise ContractError("stochastic act needs an rng")
-    return sample_actions(agent, state[None, :], rng).action[0]
+    out = nets.forward(agent.actor, state)
+    A = agent.action_dim
+    u = out[:A]
+    if mode == "stochastic":
+        std = np.exp(np.clip(out[A:], LOG_STD_MIN, LOG_STD_MAX))
+        u = u + std * rng.standard_normal(A).astype(out.dtype)
+    return agent.action_scale * np.tanh(u)
 
 
 def bellman_targets(agent: SacAgent, S2, R, DONE, rng) -> np.ndarray:
-    """Soft targets y = r + (1 - done) gamma (min_k Q_target_k(s', a') - temp log pi(a'|s'))."""
+    """Soft targets y = r + (1 - done) gamma (min_k Q_target_k(s', a') - temp log pi(a'|s')),
+    in the nets' dtype."""
+    S2 = np.asarray(S2, dtype=agent.actor.dtype)
     sample = sample_actions(agent, S2, rng)
-    x2 = np.concatenate([np.asarray(S2, dtype=np.float64), sample.action], axis=1)
+    x2 = np.concatenate([S2, sample.action], axis=1)
     q1 = nets.forward_batch(agent.target1, x2)[:, 0]
     q2 = nets.forward_batch(agent.target2, x2)[:, 0]
     soft_q = np.minimum(q1, q2) - agent.temperature * sample.log_prob
-    return np.asarray(R, dtype=np.float64) + (1.0 - np.asarray(DONE, dtype=np.float64)) \
-        * agent.hparams.gamma * soft_q
+    R, DONE = (np.asarray(c, dtype=soft_q.dtype) for c in (R, DONE))
+    return R + (1.0 - DONE) * agent.hparams.gamma * soft_q
 
 
 def critic_loss_and_grads(agent: SacAgent, S: np.ndarray, A: np.ndarray,
                           weights: np.ndarray, targets: np.ndarray):
     """Weighted squared Bellman error, normalized by the row count.
 
-    loss_k = sum_i w_i e_k,i^2 / n. Returns (mean loss over the twin critics,
-    grads1, grads2, TD errors).
+    loss_k = sum_i w_i e_k,i^2 / n, in the critics' dtype. Returns (mean loss
+    over the twin critics, grads1, grads2, TD errors).
     """
-    x = np.concatenate([S, A], axis=1)
+    dtype = agent.critic1.dtype
+    weights, targets = (np.asarray(c, dtype=dtype) for c in (weights, targets))
+    x = np.concatenate([S, A], axis=1, dtype=dtype)
     n = x.shape[0]
     losses, grads, errs = [], [], []
     for critic in (agent.critic1, agent.critic2):
         q = nets.forward_batch(critic, x)[:, 0]
         e = q - targets
-        bad = np.flatnonzero(~np.isfinite(e) | (np.abs(e) > 1e150))
+        bad = np.flatnonzero(~(np.abs(e) <= ERROR_LIMIT[dtype]))
         if bad.size:
             raise NumericsError(f"non-finite critic error at batch row {int(bad[0])}")
         losses.append(float(np.sum(weights * e * e) / n))
@@ -237,7 +258,7 @@ def actor_loss_and_grads(agent: SacAgent, S: np.ndarray, noise: np.ndarray,
     q_and_grad(S, A) -> (q, dq_dA) overrides the twin critics (testing seam).
     Returns (loss, Gradients for the actor, ActorSample).
     """
-    S = np.asarray(S, dtype=np.float64)
+    S = np.asarray(S, dtype=agent.actor.dtype)
     sample = sample_actions(agent, S, noise=noise)
     n = S.shape[0]
     lam = agent.temperature
@@ -245,14 +266,14 @@ def actor_loss_and_grads(agent: SacAgent, S: np.ndarray, noise: np.ndarray,
         x = np.concatenate([S, sample.action], axis=1)
         q1 = nets.forward_batch(agent.critic1, x)[:, 0]
         q2 = nets.forward_batch(agent.critic2, x)[:, 0]
-        m1 = (q1 <= q2).astype(np.float64)
+        m1 = (q1 <= q2).astype(q1.dtype)
         qmin = np.minimum(q1, q2)
         gin1 = nets.backward_input(agent.critic1, (-m1 / n)[:, None])
         gin2 = nets.backward_input(agent.critic2, (-(1.0 - m1) / n)[:, None])
         dL_da = (gin1 + gin2)[:, agent.obs_dim:]
     else:
         qmin, dq_da = q_and_grad(S, sample.action)
-        dL_da = -np.asarray(dq_da, dtype=np.float64) / n
+        dL_da = -np.asarray(dq_da, dtype=sample.u.dtype) / n
     loss = float(np.mean(-qmin + lam * sample.log_prob))
 
     tanh_u = np.tanh(sample.u)
@@ -273,7 +294,7 @@ def actor_update(agent: SacAgent, S: np.ndarray, rng, q_and_grad=None) -> float:
 
     Draw order from rng: one standard_normal((n, A)) for the policy sample.
     """
-    S = np.asarray(S, dtype=np.float64)
+    S = np.asarray(S)
     if S.ndim != 2 or S.shape[0] < 1:
         raise ContractError(f"states have shape {S.shape}")
     noise = rng.standard_normal((S.shape[0], agent.action_dim))
@@ -290,8 +311,7 @@ def actor_update(agent: SacAgent, S: np.ndarray, rng, q_and_grad=None) -> float:
 
 def bc_update(agent: SacAgent, S: np.ndarray, A_target: np.ndarray) -> float:
     """Mean squared error regression of the deterministic head onto dataset actions."""
-    S = np.asarray(S, dtype=np.float64)
-    A_target = np.asarray(A_target, dtype=np.float64)
+    S, A_target = (np.asarray(c, dtype=agent.actor.dtype) for c in (S, A_target))
     n = S.shape[0]
     out = nets.forward_batch(agent.actor, S)
     mu = out[:, :agent.action_dim]

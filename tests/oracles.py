@@ -40,9 +40,10 @@ ROLE_ARCHS = {
 
 
 def make_role_net(role, width=16, seed=0):
+    """A float64 net: the precision the finite-difference oracles check at."""
     in_dim, out_dim, hidden, output = ROLE_ARCHS[role]
-    net = nets.MlpNet.he_uniform([in_dim, width, width, out_dim], hidden, output, seed=seed)
-    return net
+    return nets.MlpNet.he_uniform([in_dim, width, width, out_dim], hidden, output,
+                                  seed=seed, dtype=np.float64)
 
 
 def far_from_relu_kinks(net, margin=1e-4):

@@ -10,11 +10,13 @@ import oracles
 
 
 def rigged_pair(bias, state_dim=2, w_min=0.1, w_max=1.0):
-    """GanPair whose discriminator outputs sigmoid(bias) for every state."""
+    """GanPair of float64 nets whose discriminator outputs sigmoid(bias) for
+    every state."""
     disc = nets.MlpNet([state_dim, 1],
                        [np.zeros((1, state_dim))], [np.array([float(bias)])],
-                       output_activation="sigmoid")
-    gen = nets.MlpNet.he_uniform([3, 8, state_dim], output_activation="tanh", seed=0)
+                       output_activation="sigmoid", dtype=np.float64)
+    gen = nets.MlpNet.he_uniform([3, 8, state_dim], output_activation="tanh", seed=0,
+                                 dtype=np.float64)
     norm = gan.StateNormalizer(np.zeros(state_dim), np.ones(state_dim))
     return gan.GanPair(gen, disc, 3, norm, np.ones(state_dim), 0.05, w_min, w_max)
 
@@ -59,9 +61,10 @@ def test_uninformative_discriminator_objective_value():
 
 
 def test_discriminator_step_gradients_match_finite_differences():
-    # the logit-space upstreams used by pretrain, checked against FD of the objective
+    # pretrain's one pass over real and fake rows, checked against FD of the objective
     rng = np.random.default_rng(2)
-    disc = nets.MlpNet.he_uniform([2, 8, 1], output_activation="sigmoid", seed=3)
+    disc = nets.MlpNet.he_uniform([2, 8, 1], output_activation="sigmoid", seed=3,
+                                  dtype=np.float64)
     real = rng.normal(size=(6, 2))
     fake = rng.normal(size=(6, 2))
 
@@ -75,23 +78,21 @@ def test_discriminator_step_gradients_match_finite_differences():
         return float(np.mean(np.logaddexp(0.0, -l_r)) + np.mean(np.logaddexp(0.0, l_f)))
 
     p0 = nets.get_flat_params(disc)
-    nets.forward_batch(disc, real)
-    l_r = nets.output_preactivation(disc)[:, 0]
-    g1 = nets.backward_batch(disc, ((1.0 / (1.0 + np.exp(-l_r)) - 1.0) / 6)[:, None],
-                             wrt_preactivation=True)
-    nets.forward_batch(disc, fake)
-    l_f = nets.output_preactivation(disc)[:, 0]
-    g2 = nets.backward_batch(disc, ((1.0 / (1.0 + np.exp(-l_f))) / 6)[:, None],
-                             wrt_preactivation=True)
-    analytic = g1.add_(g2).flat
+    grads, d_real, d_fake, objective = gan.discriminator_step_grads(disc, real, fake)
     fd = oracles.fd_grad(d_loss, p0)
-    assert oracles.max_rel_err(analytic, fd) < 1e-6
+    assert oracles.max_rel_err(grads.flat, fd) < 1e-6
+    nets.set_flat_params(disc, p0)
+    assert objective == pytest.approx(-d_loss(p0), abs=1e-12)
+    np.testing.assert_allclose(d_real, nets.forward_batch(disc, real)[:, 0], rtol=1e-12)
+    np.testing.assert_allclose(d_fake, nets.forward_batch(disc, fake)[:, 0], rtol=1e-12)
 
 
 def test_generator_step_gradients_match_finite_differences():
     rng = np.random.default_rng(4)
-    gen = nets.MlpNet.he_uniform([3, 8, 2], output_activation="tanh", seed=5)
-    disc = nets.MlpNet.he_uniform([2, 8, 1], output_activation="sigmoid", seed=6)
+    gen = nets.MlpNet.he_uniform([3, 8, 2], output_activation="tanh", seed=5,
+                                 dtype=np.float64)
+    disc = nets.MlpNet.he_uniform([2, 8, 1], output_activation="sigmoid", seed=6,
+                                  dtype=np.float64)
     out_scale = np.array([1.5, 0.8])
     Z = rng.normal(size=(5, 3))
 

@@ -1,7 +1,8 @@
 """Golden fixed-seed runs: tiny training runs must reproduce recorded digests.
 
 One digest per variant in `loop.VARIANTS` covers every per-epoch report and
-the final parameters of all five agent nets, so it changes with any change to
+the final parameters of all five agent nets (float32 since the nets compute
+in float32, hashed as float64), so it changes with any change to
 the RNG draw order or to the order of float operations anywhere in data, gan,
 sac, nets or loop. One more digest covers a tiny online reference run
 (`datasets.train_reference`): its final agent and every episode it collected.
@@ -22,15 +23,15 @@ from oris import datasets, envs, gan, loop, nets, sac
 from oris.loop import OrisConfig
 
 RECORDED_ON = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0"}
-GOLDEN_SHA256 = "410fc301a79009aa109568830aa9a238c8190d4e05b3efd14c67a6d61b6102ec"
+GOLDEN_SHA256 = "9d2580be01842760524b98a9e1486560d2cfdd7c1574b95e0fac9ee4ed0b537c"
 VARIANT_SHA256 = {
-    "no_restart": "882299cf00862f76f324e991c6894939f9effd179d7bdc44c6b44fcb57360f50",
-    "uniform_weight": "f8f8bf4405d933d074306cf9f4f2c8ee0c2b1b30c8f8eb97b4b6c6f98d9f79a5",
-    "naive_mix": "afe13cb468a7394ba60cf1f1ca04e7a8409c73f1782141c81632c3f35f65adf4",
-    "sim_only_sac": "f43ecc8bd50003a5b96110dde3d018aeade198ae4a3041bfef11ca83bdb63f48",
-    "bc": "720cc30ed71d6b2442cc67d2ec91ab531418ea60e9aa51d7939a0114b716095f",
+    "no_restart": "69fe26812f12fe38b62c64b9eef3083f85cd29c9dfcffa204ac913280d7f11f1",
+    "uniform_weight": "7dc024fdb455db8c56d21a255865539f4248729a1e26dd7cceb128205e2cd056",
+    "naive_mix": "9fd194c189009ab5e70aecddc9999ff1798cb73ddde68439f2d27c3a08a3c0a0",
+    "sim_only_sac": "a27a9be345b58f2e9d44ddc7365d36c84b84c112b9fcc611d94a9d8514df75ca",
+    "bc": "2272d0786a2f9cb0759dbc032e7aa208620e8e87e2dae2bfa01ad875b7a7b587",
 }
-REFERENCE_SHA256 = "ab50591800e8524eeb1b8d9bdbf9642ce8a8e5b5aa3c76dedab14118555a70a5"
+REFERENCE_SHA256 = "cd373c0df3eea68bdddeb1a2bed5756976bea94cac01c9bdc0559ddd124fc2b6"
 
 AGENT_NETS = ("actor", "critic1", "critic2", "target1", "target2")
 

@@ -20,11 +20,12 @@ def pend_random():
 
 
 def rigged_gan(target, sigma=0.0, z_dim=2):
-    """GanPair whose generator always emits `target` (before restart noise)."""
+    """GanPair of float64 nets whose generator always emits `target` (before
+    restart noise)."""
     target = np.asarray(target, dtype=np.float64)
     d = len(target)
-    gen = nets.MlpNet.he_uniform([z_dim, 4, d], "relu", "tanh", seed=0)
-    disc = nets.MlpNet.he_uniform([d, 4, 1], "relu", "sigmoid", seed=1)
+    gen = nets.MlpNet.he_uniform([z_dim, 4, d], "relu", "tanh", seed=0, dtype=np.float64)
+    disc = nets.MlpNet.he_uniform([d, 4, 1], "relu", "sigmoid", seed=1, dtype=np.float64)
     for net in (gen, disc):
         for W in net.weights:
             W[:] = 0.0
@@ -161,32 +162,29 @@ def test_collect_epoch_rejects_nonfinite_actions(monkeypatch):
     assert len(buf) == 0
 
 
-def test_buffer_weights_equal_update_time_weights(pend_random):
-    """Stored weights are bitwise what weight_of_batch gives for the sampled
-    rows, including rows written after the ring wrapped."""
+def test_buffer_weights_are_each_rollouts_weights(pend_random):
+    """Stored weights are bitwise weight_of_batch of each rollout's states,
+    scored in one call per rollout."""
     gan_hp = gan.GanHparams(z_dim=4, hidden=(32, 32), iterations=60, batch_size=64,
                             w_min=0.0)
     g, _ = gan.pretrain(pend_random.arrays()[0], gan_hp, np.random.default_rng(3))
     g.discriminator.biases[-1][:] -= 2.0  # most D below 1/2: weights off the clip
     agent = make_agent()
     env = envs.make_env(envs.EnvSpec.sim("pendulum", envs.DynamicsPerturbation(2.0)))
-    buf = ReplayBuffer(50, 3, 1)
+    buf = ReplayBuffer(100, 3, 1)
     cfg = OrisConfig(variant="oris", rollout_count=4, rollout_horizon=23, epochs=1)
     loop.collect_epoch(env, agent, cfg, buf, np.random.default_rng(4), g)
-    assert len(buf) == 50  # 92 rows through a 50-row ring
-    rng = np.random.default_rng(5)
-    seen = []
-    for _ in range(30):
-        (S, *_), w = buf.sample_weighted(HP.batch_sim, rng)
-        assert np.array_equal(w, gan.weight_of_batch(g, S))
-        seen.append(w)
-    assert np.unique(np.concatenate(seen)).size > 40  # live weights, not one clip value
+    assert len(buf) == 92  # pendulum rollouts run the whole horizon
+    S, w = buf._cols[0][:92], buf._cols[5][:92]
+    for k in range(0, 92, 23):
+        assert np.array_equal(w[k:k + 23], gan.weight_of_batch(g, S[k:k + 23]))
+    assert np.unique(w).size > 40  # live weights, not one clip value
 
     plain = ReplayBuffer(50, 3, 1)
     loop.collect_epoch(env, agent, OrisConfig(variant="naive_mix", rollout_count=2,
                                               rollout_horizon=23, epochs=1),
                        plain, np.random.default_rng(4), g)
-    assert np.all(plain.sample_weighted(64, rng)[1] == 1.0)
+    assert np.all(plain.sample_weighted(64, np.random.default_rng(5))[1] == 1.0)
 
 
 def test_epoch_report_validation():

@@ -1,4 +1,5 @@
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -64,7 +65,7 @@ def test_backward_before_forward_raises():
 
 def test_adam_matches_reference_implementation():
     rng = np.random.default_rng(11)
-    net = nets.MlpNet.he_uniform([3, 4, 2], seed=2)
+    net = nets.MlpNet.he_uniform([3, 4, 2], seed=2, dtype=np.float64)
     opt = nets.AdamState.for_net(net, learning_rate=1e-2)
     ref = oracles.ReferenceAdam(nets.num_params(net), lr=1e-2)
     p_ref = nets.get_flat_params(net)
@@ -92,7 +93,8 @@ def test_adam_matches_reference_implementation():
 def test_adam_first_step_constant_gradient():
     # with constant gradient g, step 1 moves each param by ~lr * sign(g)
     net = nets.MlpNet(
-        [1, 1], [np.array([[2.0]])], [np.array([0.5])], "relu", "identity")
+        [1, 1], [np.array([[2.0]])], [np.array([0.5])], "relu", "identity",
+        dtype=np.float64)
     opt = nets.AdamState.for_net(net, learning_rate=0.1)
     g = nets.Gradients([np.array([[3.0]])], [np.array([-3.0])], np.zeros(1))
     nets.adam_step(net, g, opt)
@@ -103,7 +105,7 @@ def test_adam_first_step_constant_gradient():
 
 
 def test_adam_rejects_nonfinite_gradient():
-    net = nets.MlpNet.he_uniform([2, 2], seed=0)
+    net = nets.MlpNet.he_uniform([2, 2], seed=0, dtype=np.float64)
     opt = nets.AdamState.for_net(net, 1e-3)
     g = nets.Gradients([np.full((2, 2), np.nan)], [np.zeros(2)], np.zeros(2))
     with pytest.raises(NumericsError):
@@ -140,7 +142,7 @@ def test_adam_step_rejects_one_nonfinite_gradient_element(layer, part, bad):
 
 
 def test_adam_step_raises_when_params_turn_nonfinite():
-    net = nets.MlpNet.he_uniform([2, 3, 1], seed=0)
+    net = nets.MlpNet.he_uniform([2, 3, 1], seed=0, dtype=np.float64)
     net.biases[-1][0] = 1.7e308
     opt = nets.AdamState.for_net(net, learning_rate=1e308)
     g = nets.Gradients([-np.ones_like(w) for w in net.weights],
@@ -289,3 +291,58 @@ def test_invalid_construction_rejected():
         nets.MlpNet.he_uniform([3, 4, 1], hidden_activation="gelu", seed=0)
     with pytest.raises(ContractError):
         nets.MlpNet([2, 2], [np.zeros((3, 2))], [np.zeros(3)], "relu", "identity")
+    with pytest.raises(ContractError):
+        nets.MlpNet.he_uniform([3, 4, 1], seed=0, dtype=np.float16)
+
+
+def test_float32_is_the_default_and_rounds_the_float64_draws():
+    n32 = nets.MlpNet.he_uniform([3, 16, 2], seed=10)
+    n64 = nets.MlpNet.he_uniform([3, 16, 2], seed=10, dtype=np.float64)
+    assert n32.dtype == np.float32 and n32.params.dtype == np.float32
+    assert all(a.dtype == np.float32 for a in n32.weights + n32.biases)
+    assert np.array_equal(n32.params, n64.params.astype(np.float32))
+    assert nets.clone_net(n32).dtype == np.float32
+    assert nets.AdamState.for_net(n32, 1e-3).m.dtype == np.float32
+    x = np.random.default_rng(0).normal(size=(4, 3))  # float64 in, float32 out
+    assert nets.forward_batch(n32, x).dtype == np.float32
+    g = nets.backward_batch(n32, np.ones((4, 2)))
+    assert g.flat.dtype == g.input.dtype == np.float32
+
+
+def test_adam_step_rejects_gradients_of_another_dtype():
+    net = nets.MlpNet.he_uniform([2, 3, 1], seed=0)
+    opt = nets.AdamState.for_net(net, 1e-3)
+    g = nets.Gradients([np.ones((3, 2)), np.ones((1, 3))], [np.ones(3), np.ones(1)],
+                       np.zeros(2))
+    assert g.flat.dtype == np.float64
+    with pytest.raises(ContractError):
+        nets.adam_step(net, g, opt)
+
+
+@pytest.mark.parametrize("dtype, tag", [(np.float32, "<f4"), (np.float64, "<f8")])
+def test_checkpoint_records_its_dtype(tmp_path, dtype, tag):
+    net = nets.MlpNet.he_uniform([3, 8, 2], "tanh", "sigmoid", seed=12, dtype=dtype)
+    nets.soft_update(net, nets.MlpNet.he_uniform([3, 8, 2], seed=13, dtype=dtype), 0.3)
+    nets.save_checkpoint(net, tmp_path / "n.mlp")
+    header, blob = (tmp_path / "n.mlp").read_bytes().split(b"\n", 1)
+    assert json.loads(header)["dtype"] == tag
+    assert len(blob) == net.params.nbytes
+    loaded = nets.load_checkpoint(tmp_path / "n.mlp")
+    assert loaded.dtype == dtype and np.array_equal(loaded.params, net.params)
+    x = np.random.default_rng(1).normal(size=(5, 3))
+    assert np.array_equal(nets.forward_batch(loaded, x), nets.forward_batch(net, x))
+
+
+def test_checkpoint_without_dtype_reads_as_float64(tmp_path):
+    net = nets.MlpNet.he_uniform([2, 4, 1], seed=14, dtype=np.float64)
+    nets.save_checkpoint(net, tmp_path / "n.mlp")
+    header, blob = (tmp_path / "n.mlp").read_bytes().split(b"\n", 1)
+    old = json.loads(header)
+    del old["dtype"]
+    (tmp_path / "old.mlp").write_bytes(json.dumps(old).encode() + b"\n" + blob)
+    loaded = nets.load_checkpoint(tmp_path / "old.mlp")
+    assert loaded.dtype == np.float64 and np.array_equal(loaded.params, net.params)
+    old["dtype"] = "<f2"
+    (tmp_path / "bad.mlp").write_bytes(json.dumps(old).encode() + b"\n" + blob)
+    with pytest.raises(ContractError):
+        nets.load_checkpoint(tmp_path / "bad.mlp")

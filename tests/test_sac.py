@@ -1,18 +1,24 @@
 import copy
+import json
 import math
+from pathlib import Path
+import warnings
 
 import numpy as np
 import pytest
 
-from oris import nets, sac
+from oris import gan, nets, sac
 from oris.errors import ContractError, NumericsError
 
 import oracles
 
+DATA = Path(__file__).parent / "data"
 
-def tiny_agent(seed=0, obs_dim=3, action_dim=1, scale=2.0, **hp_kw):
+
+def tiny_agent(seed=0, obs_dim=3, action_dim=1, scale=2.0, dtype=np.float64, **hp_kw):
+    """A float64 agent unless asked otherwise: the oracles' precision."""
     hp = sac.SacHparams(hidden=(8, 8), **hp_kw)
-    return sac.SacAgent.create(obs_dim, action_dim, scale, hp, seed)
+    return sac.SacAgent.create(obs_dim, action_dim, scale, hp, seed, dtype=dtype)
 
 
 def random_batch(rng, n_off, n_sim, obs_dim=3, act_dim=1, weights=None):
@@ -426,3 +432,153 @@ def test_deepcopied_agent_keeps_flat_param_views():
                      np.random.default_rng(32))
     assert not np.array_equal(nets.get_flat_params(clone.actor), before)
     np.testing.assert_array_equal(nets.get_flat_params(agent.actor), before)
+
+
+def test_float32_agent_save_load_roundtrip_is_bitwise(tmp_path):
+    agent = tiny_agent(seed=41, dtype=np.float32)
+    rng = np.random.default_rng(42)
+    batch, w = random_batch(rng, 4, 4)
+    sac.critic_update(agent, batch, w, rng)
+    sac.actor_update(agent, batch[0], rng)
+    sac.save_agent(agent, tmp_path / "a")
+    loaded = sac.load_agent(tmp_path / "a")
+    for name in ("actor", "critic1", "critic2", "target1", "target2"):
+        net = getattr(loaded, name)
+        assert net.dtype == np.float32 and net.params.dtype == np.float32
+        assert np.array_equal(net.params, getattr(agent, name).params)
+        header = (tmp_path / "a" / f"{name}.mlp").read_bytes().split(b"\n", 1)[0]
+        assert json.loads(header)["dtype"] == "<f4"
+    for opt in (loaded.opt_actor, loaded.opt_critic1, loaded.opt_critic2):
+        assert opt.m.dtype == opt.v.dtype == np.float32
+    s = rng.normal(size=3)
+    assert np.array_equal(sac.act(agent, s, "deterministic"),
+                          sac.act(loaded, s, "deterministic"))
+    assert np.array_equal(sac.act(agent, s, "stochastic", np.random.default_rng(1)),
+                          sac.act(loaded, s, "stochastic", np.random.default_rng(1)))
+    sac.save_agent(loaded, tmp_path / "b")
+    for name in ("actor", "critic1", "critic2", "target1", "target2"):
+        assert ((tmp_path / "a" / f"{name}.mlp").read_bytes()
+                == (tmp_path / "b" / f"{name}.mlp").read_bytes())
+
+
+def test_float64_agent_written_before_dtype_headers_loads_unchanged(tmp_path):
+    """tests/data/agent_f8 was written by save_agent before checkpoints
+    recorded a dtype, with the actions that agent took next to it."""
+    src = DATA / "agent_f8"
+    want = json.loads((DATA / "agent_f8_actions.json").read_text())
+    agent = sac.load_agent(src)
+    for name in ("actor", "critic1", "critic2", "target1", "target2"):
+        header, blob = (src / f"{name}.mlp").read_bytes().split(b"\n", 1)
+        assert "dtype" not in json.loads(header)
+        net = getattr(agent, name)
+        assert net.dtype == np.float64
+        assert net.params.tobytes() == np.frombuffer(blob, dtype="<f8").tobytes()
+    for s, det, sto in zip(want["states"], want["deterministic"], want["stochastic_seed7"]):
+        assert sac.act(agent, np.array(s), "deterministic").tolist() == det
+        assert sac.act(agent, np.array(s), "stochastic",
+                       np.random.default_rng(7)).tolist() == sto
+    # saved again, it records <f8 and keeps the parameter bytes
+    sac.save_agent(agent, tmp_path / "again")
+    header, blob = (tmp_path / "again" / "actor.mlp").read_bytes().split(b"\n", 1)
+    assert json.loads(header)["dtype"] == "<f8"
+    assert blob == (src / "actor.mlp").read_bytes().split(b"\n", 1)[1]
+
+
+def test_float32_critic_error_guard_raises_without_warnings():
+    agent = tiny_agent(seed=43, dtype=np.float32)
+    agent.target1.biases[-1][...] = 1e30  # finite in float32, far past the guard
+    agent.target2.biases[-1][...] = 1e30
+    rng = np.random.default_rng(44)
+    batch, w = random_batch(rng, 2, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match="critic error at batch row"):
+            sac.critic_update(agent, batch, w, rng)
+
+
+def _record_dtypes(monkeypatch):
+    """Wrap the nets entry points to record the dtype of every output,
+    recorded activation, upstream gradient, gradient, Adam moment and
+    Bellman target that passes through them."""
+    seen = set()
+    forward_batch, backward_batch = nets.forward_batch, nets.backward_batch
+    backward_input, adam_step = nets.backward_input, nets.adam_step
+    bellman_targets = sac.bellman_targets
+
+    def fwd(net, x):
+        out = forward_batch(net, x)
+        seen.update(a.dtype for a in (out, *net._acts, *net._pre))
+        return out
+
+    def bwd(net, grad_out, wrt_preactivation=False):
+        g = backward_batch(net, grad_out, wrt_preactivation)
+        seen.update((grad_out.dtype, g.flat.dtype, g.input.dtype))
+        return g
+
+    def bwd_input(net, grad_out, wrt_preactivation=False):
+        d = backward_input(net, grad_out, wrt_preactivation)
+        seen.update((grad_out.dtype, d.dtype))
+        return d
+
+    def adam(net, grads, opt):
+        adam_step(net, grads, opt)
+        seen.update(a.dtype for a in (net.params, grads.flat, opt.m, opt.v))
+
+    def targets(*args):
+        y = bellman_targets(*args)
+        seen.add(y.dtype)
+        return y
+
+    for owner, name, fn in ((nets, "forward_batch", fwd), (nets, "backward_batch", bwd),
+                            (nets, "backward_input", bwd_input), (nets, "adam_step", adam),
+                            (sac, "bellman_targets", targets)):
+        monkeypatch.setattr(owner, name, fn)
+    return seen
+
+
+def test_float32_nets_stay_float32_through_updates_and_pretrain(monkeypatch):
+    seen = _record_dtypes(monkeypatch)
+    agent = tiny_agent(seed=45, dtype=np.float32)
+    rng = np.random.default_rng(46)
+    batch, w = random_batch(rng, 8, 8, weights=np.full(8, 0.4))
+    sac.critic_update(agent, batch, w, rng)
+    sac.actor_update(agent, batch[0], rng)
+    sac.bc_update(agent, batch[0], batch[1])
+    sac.act(agent, batch[0][0], "stochastic", rng)
+    states = rng.normal(size=(200, 2))
+    pair, _ = gan.pretrain(states, gan.GanHparams(z_dim=2, hidden=(8,), iterations=3,
+                                                  batch_size=16), rng)
+    gan.weight_of_batch(pair, states[:5])
+    assert seen == {np.dtype(np.float32)}
+    nets_ = [getattr(agent, n) for n in ("actor", "critic1", "critic2", "target1", "target2")]
+    for net in nets_ + [pair.generator, pair.discriminator]:
+        assert net.params.dtype == np.float32
+    for opt in (agent.opt_actor, agent.opt_critic1, agent.opt_critic2):
+        assert opt.m.dtype == opt.v.dtype == np.float32
+
+
+def test_float32_and_float64_agents_draw_the_same_random_numbers():
+    states = []
+    for dtype in (np.float32, np.float64):
+        agent = tiny_agent(seed=47, dtype=dtype)
+        data_rng = np.random.default_rng(48)
+        batch, w = random_batch(data_rng, 8, 8)
+        rng = np.random.default_rng(49)
+        sac.critic_update(agent, batch, w, rng)
+        sac.actor_update(agent, batch[0], rng)
+        states.append(rng.bit_generator.state)
+    assert states[0] == states[1]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_act_is_sample_actions_action_bitwise(dtype):
+    agent = tiny_agent(seed=50, obs_dim=3, action_dim=2, dtype=dtype)
+    for s in np.random.default_rng(51).normal(size=(20, 3)):
+        r1, r2 = np.random.default_rng(52), np.random.default_rng(52)
+        a = sac.act(agent, s, "stochastic", r1)
+        b = sac.sample_actions(agent, s[None, :], r2).action[0]
+        assert a.dtype == dtype and np.array_equal(a, b)
+        assert r1.bit_generator.state == r2.bit_generator.state
+        det = sac.act(agent, s, "deterministic")
+        out = nets.forward_batch(agent.actor, s[None, :])[0]
+        assert np.array_equal(det, agent.action_scale * np.tanh(out[:2]))
