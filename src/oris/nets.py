@@ -36,6 +36,9 @@ OUTPUT_ACTIVATIONS = ("identity", "tanh", "sigmoid")
 CHECKPOINT_FORMAT = "oris-mlp"
 CHECKPOINT_VERSION = 1
 DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+# zero in each dtype, for relu: a Python 0.0 against a float32 array costs a
+# scalar promotion per call, which single-row acting is short enough to feel
+_ZERO = {dt: dt.type(0.0) for dt in DTYPES}
 
 
 @functools.lru_cache(maxsize=None)
@@ -168,7 +171,7 @@ class Gradients:
 
 def _hidden_act(name: str, z: np.ndarray) -> np.ndarray:
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, _ZERO[z.dtype])
     return np.tanh(z)
 
 
@@ -247,7 +250,7 @@ def _delta_below(net: MlpNet, delta: np.ndarray, l: int) -> np.ndarray:
     delta = delta @ net.weights[l]
     if l > 0:
         if net.hidden_activation == "relu":
-            delta *= net._pre[l - 1] > 0.0
+            delta *= net._pre[l - 1] > _ZERO[delta.dtype]
         else:
             y = net._acts[l]
             delta *= 1.0 - y * y
