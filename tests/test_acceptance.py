@@ -6,7 +6,7 @@ offline data) at seeds 0-4 through `oris study`, and asserts that the mean
 final normalized scores order oris > naive_mix > sim_only_sac. It prints
 every seed's score.
 
-It takes about eight minutes on one core, so it runs only when
+It takes about seven minutes on one core, so it runs only when
 ORIS_ACCEPTANCE=1:
 
     ORIS_ACCEPTANCE=1 PYTHONPATH=src python -m pytest -s tests/test_acceptance.py
