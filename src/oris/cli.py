@@ -14,6 +14,7 @@ import numpy as np
 from . import datasets, envs, harness, presets, sac
 from .data import TIERS, save_dataset
 from .errors import ConfigError, ContractError, NumericsError
+from .files import atomic_write
 
 
 def _load_json(path) -> dict:
@@ -51,8 +52,8 @@ def cmd_gen_dataset(args) -> int:
             args.env, hp, args.seed,
             progress=lambda step, ret: _eprint(f"  step {step}: eval {ret:.1f}"))
         refs = {"env_id": args.env, **reference.refs()}
-        (out / f"{args.env}_refs.json").write_text(
-            json.dumps(refs, indent=2, sort_keys=True) + "\n")
+        with atomic_write(out / f"{args.env}_refs.json") as f:
+            f.write(json.dumps(refs, indent=2, sort_keys=True) + "\n")
         _eprint(f"refs: random {refs['random_ref']:.1f}, "
                 f"expert {refs['expert_ref']:.1f}")
 

@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from .errors import ContractError
+from .files import atomic_write
 
 DATASET_FORMAT = "oris-dataset"
 DATASET_VERSION = 1
@@ -218,7 +219,7 @@ def _meta_to_disk(meta: dict) -> dict:
 
 def save_dataset(d: Dataset, path) -> None:
     eot = set(b - 1 for b in d.trajectory_boundaries)
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         f.write(json.dumps(_meta_to_disk(d.meta)) + "\n")
         rows = zip(*(c.tolist() for c in d.columns))
         for i, (s, a, r, s2, done) in enumerate(rows):

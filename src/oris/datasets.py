@@ -136,19 +136,21 @@ def train_reference(env_id: str, hp: ReferenceHparams, seed: int,
     episodes: list[tuple] = []
     current: list[tuple] = []  # (s, a, r, s2, done) rows of the open episode
     checkpoints: list[Checkpoint] = []
-    obs = env.reset(rng_collect)
+    # one row, because the agent updates after every step
+    obs = env.reset(rng_collect, 1)
     for step in range(1, hp.total_steps + 1):
         if step <= hp.warmup_steps:
             a = random_policy(obs, rng_collect)
         else:
             a = sac.act(agent, obs, "stochastic", rng_collect)
         obs2, r, done = env.step(a, rng_collect)
-        buffer.add(obs, a, r, obs2, done)
-        current.append((obs, a, r, obs2, done))
-        if done:
+        row = (obs[0], a[0], r[0], obs2[0], done[0])
+        buffer.add(*row)
+        current.append(row)
+        if done[0]:
             episodes.append(columns_from_rows(current))
             current = []
-            obs = env.reset(rng_collect)
+            obs = env.reset(rng_collect, 1)
         else:
             obs = obs2
         if step > hp.warmup_steps and step % hp.update_every == 0 \
@@ -170,7 +172,8 @@ def train_reference(env_id: str, hp: ReferenceHparams, seed: int,
 
 def generate_dataset(env_id: str, tier: str, episodes: int, seed: int,
                      reference: ReferenceRun | None = None) -> Dataset:
-    """Roll out one tier's behavior policy on the real environment.
+    """Roll out one tier's behavior policy on the real environment, all the
+    tier's episodes in lockstep.
 
     Non-random tiers need a ReferenceRun for the same env. For medium_replay,
     `episodes` caps the history (most recent kept); pass a large value to keep
@@ -212,7 +215,5 @@ def generate_dataset(env_id: str, tier: str, episodes: int, seed: int,
         policy = reference.policy_at(reference.checkpoints[-1])
         meta["reference_seed"] = reference.seed
         meta["behavior_eval_return"] = reference.expert_return
-    eps = []
-    for _ in range(episodes):
-        eps.append(envs.rollout(env, policy, None, spec.max_episode_steps, rng))
+    eps = envs.rollout(env, policy, [None] * episodes, spec.max_episode_steps, rng)
     return Dataset.from_episodes(meta, eps)

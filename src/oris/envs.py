@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import columns_from_rows
+from .data import as_columns
 from .errors import ContractError, InvalidStateError, UsageError
 
 ENV_IDS = ("pendulum", "pointgoal")
@@ -72,59 +72,91 @@ class EnvSpec:
         return cls(env_id, perturbation)
 
 
-def wrap_angle(x: float) -> float:
-    """Wrap to (-pi, pi]."""
+def wrap_angle(x):
+    """Wrap to (-pi, pi], elementwise."""
     w = x - 2.0 * np.pi * np.floor((x + np.pi) / (2.0 * np.pi))
-    if w <= -np.pi:
-        w = np.pi
-    return w
+    return np.where(w <= -np.pi, np.pi, w)
 
 
 class Env:
-    """Stateful instance of one EnvSpec. Use make_env()."""
+    """The running episodes of one EnvSpec, one row each. Use make_env().
+
+    reset(rng, n) or set_state(S) loads n rows, each starting its episode;
+    step(A, rng) advances every row by one step and returns (n, obs_dim)
+    observations, (n,) rewards and (n,) done flags. A row that reports done
+    leaves the env, so the next step takes one action row per row still
+    running. All rows are loaded together, so they share one step count.
+    """
 
     obs_dim: int
     action_dim: int
 
     def __init__(self, spec: EnvSpec):
         self.spec = spec
+        self._rows: tuple = ()  # per-row state arrays, subclass-defined
         self._steps = 0
-        self._ready = False
 
     @property
     def action_scale(self) -> float:
         return ACTION_SCALES[self.spec.env_id]
 
-    def reset(self, rng: np.random.Generator) -> np.ndarray:
+    @property
+    def num_rows(self) -> int:
+        return len(self._rows[0]) if self._rows else 0
+
+    def reset(self, rng: np.random.Generator, n: int) -> np.ndarray:
         raise NotImplementedError
 
-    def set_state(self, obs: np.ndarray) -> np.ndarray:
+    def set_state(self, S: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def observe(self) -> np.ndarray:
+    def _obs(self, rows: tuple) -> np.ndarray:
+        """(n, obs_dim) observations of per-row state arrays."""
         raise NotImplementedError
 
-    def step(self, action, rng: np.random.Generator):
+    def step(self, actions, rng: np.random.Generator):
         raise NotImplementedError
 
-    def _effective_action(self, action, rng) -> np.ndarray:
-        a = np.asarray(action, dtype=np.float64).reshape(-1)
-        if a.shape != (self.action_dim,):
-            raise ContractError(f"action has shape {a.shape}, want ({self.action_dim},)")
+    def _load(self, *rows) -> np.ndarray:
+        self._rows = rows
+        self._steps = 0
+        return self._obs(rows)
+
+    def _checked_states(self, S) -> np.ndarray:
+        S = np.asarray(S, dtype=np.float64)
+        if S.ndim != 2 or S.shape[1] != self.obs_dim:
+            raise ContractError(f"states have shape {S.shape}, want (n, {self.obs_dim})")
+        bad = np.flatnonzero(~np.isfinite(S).all(axis=1))
+        if bad.size:
+            raise InvalidStateError(f"non-finite observation {S[bad[0]]} in row {bad[0]}")
+        return S
+
+    def _effective_actions(self, actions, rng) -> np.ndarray:
+        if not self.num_rows:
+            raise UsageError("step called with no running rows: reset or set_state first")
+        A = np.asarray(actions, dtype=np.float64)
+        if A.shape != (self.num_rows, self.action_dim):
+            raise ContractError(f"actions have shape {A.shape}, "
+                                f"want ({self.num_rows}, {self.action_dim})")
         s = self.action_scale
-        if not (np.abs(a) <= s + 1e-9).all():  # NaN fails the comparison too
-            if not np.isfinite(a).all():
-                raise ContractError(f"non-finite action {a}")
-            raise ContractError(f"action {a} outside [-{s}, {s}]")
-        a = np.clip(a, -s, s)
+        ok = np.abs(A) <= s + 1e-9  # NaN fails the comparison too
+        if not ok.all():
+            i = int(np.flatnonzero(~ok.all(axis=1))[0])
+            if not np.isfinite(A[i]).all():
+                raise ContractError(f"non-finite action {A[i]} in row {i}")
+            raise ContractError(f"action {A[i]} in row {i} outside [-{s}, {s}]")
+        A = np.clip(A, -s, s)
         noise = self.spec.perturbation.action_noise_std
         if noise > 0.0:
-            a = np.clip(a + rng.normal(0.0, noise, size=a.shape), -s, s)
-        return a
+            A = np.clip(A + rng.normal(0.0, noise, size=A.shape), -s, s)
+        return A
 
-    def _require_ready(self):
-        if not self._ready:
-            raise UsageError("step called before reset or set_state")
+    def _advance(self, rows: tuple, done: np.ndarray):
+        """Store the stepped rows, minus those that are done; returns the
+        observations of all of them."""
+        self._steps += 1
+        self._rows = tuple(x[~done] for x in rows) if done.any() else rows
+        return self._obs(rows)
 
 
 class PendulumEnv(Env):
@@ -133,6 +165,7 @@ class PendulumEnv(Env):
     theta_dot' = clip(theta_dot + (1.5 g sin(theta) + 3 u - c theta_dot) dt, -8, 8)
     with dt = 0.05, g = 10 * gravity_scale, c = 0.1 * friction_scale. Reward is
     -(wrap(theta)^2 + 0.1 theta_dot'^2 + 0.001 u^2) with the pre-step angle.
+    Every episode ends at the step limit, so all rows end together.
     """
 
     obs_dim = 3
@@ -140,51 +173,38 @@ class PendulumEnv(Env):
     DT = 0.05
     MAX_SPEED = 8.0
 
-    def __init__(self, spec: EnvSpec):
-        super().__init__(spec)
-        self._theta = 0.0
-        self._theta_dot = 0.0
+    def reset(self, rng, n) -> np.ndarray:
+        # row by row, theta then theta_dot: the order of n one-row resets
+        x = rng.uniform([-np.pi, -1.0], [np.pi, 1.0], size=(n, 2))
+        return self._load(x[:, 0], x[:, 1])
 
-    def reset(self, rng) -> np.ndarray:
-        self._theta = rng.uniform(-np.pi, np.pi)
-        self._theta_dot = rng.uniform(-1.0, 1.0)
-        self._steps = 0
-        self._ready = True
-        return self.observe()
+    def set_state(self, S) -> np.ndarray:
+        S = self._checked_states(S)
+        norm = np.hypot(S[:, 0], S[:, 1])
+        bad = np.flatnonzero(norm < 0.1)
+        if bad.size:
+            i = bad[0]
+            raise InvalidStateError(f"degenerate angle encoding in row {i}, "
+                                    f"|({S[i, 0]}, {S[i, 1]})| = {norm[i]:.4f}")
+        return self._load(np.arctan2(S[:, 1] / norm, S[:, 0] / norm),
+                          np.clip(S[:, 2], -self.MAX_SPEED, self.MAX_SPEED))
 
-    def set_state(self, obs) -> np.ndarray:
-        obs = np.asarray(obs, dtype=np.float64).reshape(-1)
-        if obs.shape != (self.obs_dim,):
-            raise ContractError(f"obs has shape {obs.shape}, want ({self.obs_dim},)")
-        if not np.all(np.isfinite(obs)):
-            raise InvalidStateError(f"non-finite observation {obs}")
-        norm = float(np.hypot(obs[0], obs[1]))
-        if norm < 0.1:
-            raise InvalidStateError(f"degenerate angle encoding, |({obs[0]}, {obs[1]})| = {norm:.4f}")
-        self._theta = float(np.arctan2(obs[1] / norm, obs[0] / norm))
-        self._theta_dot = float(np.clip(obs[2], -self.MAX_SPEED, self.MAX_SPEED))
-        self._steps = 0
-        self._ready = True
-        return self.observe()
+    def _obs(self, rows) -> np.ndarray:
+        th, thdot = rows
+        return np.stack([np.cos(th), np.sin(th), thdot], axis=1)
 
-    def observe(self) -> np.ndarray:
-        return np.array([np.cos(self._theta), np.sin(self._theta), self._theta_dot])
-
-    def step(self, action, rng):
-        self._require_ready()
-        u = float(self._effective_action(action, rng)[0])
+    def step(self, actions, rng):
+        u = self._effective_actions(actions, rng)[:, 0]
         p = self.spec.perturbation
         g = 10.0 * p.gravity_scale
         c = 0.1 * p.friction_scale
-        th, thdot = self._theta, self._theta_dot
+        th, thdot = self._rows
         new_thdot = np.clip(thdot + (1.5 * g * np.sin(th) + 3.0 * u - c * thdot) * self.DT,
                             -self.MAX_SPEED, self.MAX_SPEED)
         new_th = wrap_angle(th + new_thdot * self.DT)
         reward = -(wrap_angle(th) ** 2 + 0.1 * new_thdot ** 2 + 0.001 * u ** 2)
-        self._theta, self._theta_dot = float(new_th), float(new_thdot)
-        self._steps += 1
-        done = self._steps >= self.spec.max_episode_steps
-        return self.observe(), float(reward), bool(done)
+        done = np.full(len(u), self._steps + 1 >= self.spec.max_episode_steps)
+        return self._advance((new_th, new_thdot), done), reward, done
 
 
 class PointGoalEnv(Env):
@@ -193,6 +213,7 @@ class PointGoalEnv(Env):
     v' = clip(v + (f u - d v) dt, -1, 1), p' = clip(p + v' dt, -1, 1) with
     dt = 0.1, f = 1.0 * gravity_scale, d = 0.5 * friction_scale. Reward is
     -0.1 + 0.1 [dist < 0.25] + 20 [dist < 0.05], dist from p' to (0.7, 0.7).
+    A row ends at the goal or at the step limit.
     """
 
     obs_dim = 4
@@ -202,51 +223,29 @@ class PointGoalEnv(Env):
     NEAR_RADIUS = 0.25
     GOAL_RADIUS = 0.05
 
-    def __init__(self, spec: EnvSpec):
-        super().__init__(spec)
-        self._pos = np.zeros(2)
-        self._vel = np.zeros(2)
+    def reset(self, rng, n) -> np.ndarray:
+        return self._load(rng.uniform(-1.0, -0.6, size=(n, 2)), np.zeros((n, 2)))
 
-    def reset(self, rng) -> np.ndarray:
-        self._pos = rng.uniform(-1.0, -0.6, size=2)
-        self._vel = np.zeros(2)
-        self._steps = 0
-        self._ready = True
-        return self.observe()
+    def set_state(self, S) -> np.ndarray:
+        S = self._checked_states(S)
+        return self._load(np.clip(S[:, :2], -1.0, 1.0), np.clip(S[:, 2:], -1.0, 1.0))
 
-    def set_state(self, obs) -> np.ndarray:
-        obs = np.asarray(obs, dtype=np.float64).reshape(-1)
-        if obs.shape != (self.obs_dim,):
-            raise ContractError(f"obs has shape {obs.shape}, want ({self.obs_dim},)")
-        if not np.all(np.isfinite(obs)):
-            raise InvalidStateError(f"non-finite observation {obs}")
-        self._pos = np.clip(obs[:2], -1.0, 1.0)
-        self._vel = np.clip(obs[2:], -1.0, 1.0)
-        self._steps = 0
-        self._ready = True
-        return self.observe()
+    def _obs(self, rows) -> np.ndarray:
+        return np.concatenate(rows, axis=1)
 
-    def observe(self) -> np.ndarray:
-        return np.concatenate([self._pos, self._vel])
-
-    def step(self, action, rng):
-        self._require_ready()
-        u = self._effective_action(action, rng)
+    def step(self, actions, rng):
+        u = self._effective_actions(actions, rng)
         p = self.spec.perturbation
         f = 1.0 * p.gravity_scale
         d = 0.5 * p.friction_scale
-        new_vel = np.clip(self._vel + (f * u - d * self._vel) * self.DT, -1.0, 1.0)
-        new_pos = np.clip(self._pos + new_vel * self.DT, -1.0, 1.0)
-        dist = float(np.linalg.norm(new_pos - self.GOAL))
-        reward = -0.1
-        if dist < self.NEAR_RADIUS:
-            reward += 0.1
-        if dist < self.GOAL_RADIUS:
-            reward += 20.0
-        self._pos, self._vel = new_pos, new_vel
-        self._steps += 1
-        done = dist < self.GOAL_RADIUS or self._steps >= self.spec.max_episode_steps
-        return self.observe(), float(reward), bool(done)
+        pos, vel = self._rows
+        new_vel = np.clip(vel + (f * u - d * vel) * self.DT, -1.0, 1.0)
+        new_pos = np.clip(pos + new_vel * self.DT, -1.0, 1.0)
+        dist = np.linalg.norm(new_pos - self.GOAL, axis=1)
+        at_goal = dist < self.GOAL_RADIUS
+        reward = -0.1 + 0.1 * (dist < self.NEAR_RADIUS) + 20.0 * at_goal
+        done = at_goal | (self._steps + 1 >= self.spec.max_episode_steps)
+        return self._advance((new_pos, new_vel), done), reward, done
 
 
 _ENV_CLASSES = {"pendulum": PendulumEnv, "pointgoal": PointGoalEnv}
@@ -262,53 +261,113 @@ def env_dims(env_id: str) -> tuple[int, int]:
 
 
 def uniform_random_policy(env: Env):
+    """Policy drawing each row's action uniformly in the action box: one
+    uniform((n, action_dim)) per call."""
     s = env.action_scale
     dim = env.action_dim
 
     def policy(obs, rng):
-        return rng.uniform(-s, s, size=dim)
+        return rng.uniform(-s, s, size=(len(obs), dim))
 
     return policy
 
 
+def _lockstep(env: Env, obs: np.ndarray, act, horizon: int, rng):
+    """Step every row loaded in env under act(obs, rows) until it is done or
+    `horizon` steps have run. rows holds the indices, in load order, of the
+    rows stepped; a row that is done is neither stepped nor queried again.
+    Yields (rows, obs, actions, rewards, next obs, done) per step."""
+    rows = np.arange(len(obs))
+    for _ in range(horizon):
+        a = act(obs, rows)
+        obs2, r, done = env.step(a, rng)
+        yield rows, obs, a, r, obs2, done
+        if done.any():
+            rows, obs2 = rows[~done], obs2[~done]
+            if not rows.size:
+                return
+        obs = obs2
+
+
 def evaluate_policy(spec: EnvSpec, policy, episodes: int, rng) -> tuple[float, float, list[float]]:
-    """Mean and std of undiscounted episode returns from the initial distribution."""
+    """Mean and std of undiscounted episode returns from the initial distribution.
+
+    The episodes run in lockstep: all their resets are drawn first, then
+    policy(obs, rng) maps the (n, obs_dim) observations of the n episodes
+    still running to (n, action_dim) actions, once per time step.
+    """
     if episodes < 1:
         raise ContractError("episodes must be positive")
     env = make_env(spec)
-    returns = []
-    for _ in range(episodes):
-        obs = env.reset(rng)
-        total, done = 0.0, False
-        while not done:
-            obs, r, done = env.step(policy(obs, rng), rng)
-            total += r
-        returns.append(total)
+    obs = env.reset(rng, episodes)
+    returns = np.zeros(episodes)
+    for rows, _, _, r, _, _ in _lockstep(env, obs, lambda o, _rows: policy(o, rng),
+                                          spec.max_episode_steps, rng):
+        returns[rows] += r
     mean = float(np.mean(returns))
     std = float(np.std(returns))
-    return mean, std, returns
+    return mean, std, returns.tolist()
 
 
-def rollout(env: Env, policy, start, horizon: int, rng) -> tuple:
-    """Run `policy(obs, rng)` for up to `horizon` steps from `start`; returns
-    the steps as columns (S, A, R, S2, D).
+def _row_policy(policy, n: int, action_dim: int, rng):
+    """act(obs, rows) for _lockstep from one policy, or from one per episode;
+    each distinct policy is called once per step, on its episodes' rows, in
+    the order of its first episode."""
+    if callable(policy):
+        return lambda obs, _rows: np.asarray(policy(obs, rng), dtype=np.float64)
+    if len(policy) != n:
+        raise ContractError(f"{len(policy)} policies for {n} episodes")
+    distinct = list(dict.fromkeys(policy))
+    which = np.array([distinct.index(p) for p in policy])
 
-    start=None resets from the env's initial distribution; otherwise the state
-    is loaded with set_state (which may raise InvalidStateError). Stops early
-    on done. A non-finite step raises ContractError once the rollout ends.
+    def act(obs, rows):
+        a = np.empty((len(rows), action_dim))
+        of_row = which[rows]
+        for k, p in enumerate(distinct):
+            m = of_row == k
+            if m.any():
+                a[m] = p(obs[m], rng)
+        return a
+
+    return act
+
+
+def _load(env: Env, starts, rng) -> np.ndarray:
+    """Load one row per start: a state, or None for the initial distribution.
+    With both kinds, the None rows are drawn in one reset, in order, and
+    loaded through set_state with the given states."""
+    fresh = [i for i, s in enumerate(starts) if s is None]
+    if len(fresh) == len(starts):
+        return env.reset(rng, len(starts))
+    S = np.empty((len(starts), env.obs_dim))
+    for i, s in enumerate(starts):
+        if s is not None:
+            S[i] = s
+    if fresh:
+        S[fresh] = env.reset(rng, len(fresh))
+    return env.set_state(S)
+
+
+def rollout(env: Env, policy, starts, horizon: int, rng) -> list[tuple]:
+    """Run one episode per entry of `starts` for up to `horizon` steps, all in
+    lockstep; returns each episode's steps as columns (S, A, R, S2, D), in
+    the order of starts.
+
+    A start is a state, loaded with set_state (which may raise
+    InvalidStateError), or None for the env's initial distribution. policy
+    is one policy for all episodes or a list with one per episode; a policy
+    maps (obs, rng) for its running rows to their actions. An episode stops
+    at done. A non-finite step raises ContractError once the rollout ends.
     """
     if horizon < 1:
         raise ContractError(f"horizon must be positive, got {horizon}")
-    if start is None:
-        obs = env.reset(rng)
-    else:
-        obs = env.set_state(start)
-    rows = []
-    for _ in range(horizon):
-        a = np.asarray(policy(obs, rng), dtype=np.float64)
-        obs2, r, done = env.step(a, rng)
-        rows.append((obs, a, r, obs2, done))
-        obs = obs2
-        if done:
-            break
-    return columns_from_rows(rows)
+    n = len(starts)
+    if n < 1:
+        raise ContractError("rollout needs at least one start")
+    act = _row_policy(policy, n, env.action_dim, rng)
+    steps = list(_lockstep(env, _load(env, starts, rng), act, horizon, rng))
+    rows, *cols = (np.concatenate(c) for c in zip(*steps))
+    order = np.argsort(rows, kind="stable")
+    cols = as_columns(*(c[order] for c in cols))
+    ends = np.cumsum(np.bincount(rows, minlength=n))[:-1]
+    return list(zip(*(np.split(c, ends) for c in cols)))

@@ -19,6 +19,7 @@ import numpy as np
 from . import envs, gan as gan_mod, loop, sac
 from .data import load_dataset, subsample_trajectories
 from .errors import ConfigError, ContractError, NumericsError
+from .files import atomic_write
 from .loop import EpochReport, OrisConfig
 
 CSV_COLUMNS = ("epoch", "env_steps", "eval_return_mean", "eval_return_std",
@@ -183,7 +184,8 @@ def write_metrics_csv(path, reports: list[EpochReport], refs: tuple[float, float
             score, r.critic_loss, r.actor_loss, r.temperature,
             r.mean_sim_weight, r.random_rollout_fraction,
             r.invalid_restart_count)])
-    Path(path).write_text(buf.getvalue())
+    with atomic_write(path) as f:
+        f.write(buf.getvalue())
 
 
 def read_metrics_csv(path) -> tuple[dict, list[dict]]:
@@ -262,8 +264,14 @@ def _load_offline(cfg: ExperimentConfig):
     return ds
 
 
+def _write_json(path: Path, obj) -> None:
+    with atomic_write(path) as f:
+        f.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir=None, progress=None):
-    """Train every seed, write one CSV each plus a score table.
+    """Train every seed, write one CSV and one agent directory each (see
+    sac.save_agent) plus a score table.
 
     Returns (ScoreTable, failures); a seed that diverges (NumericsError, or
     ContractError from a non-finite action or report) is recorded in
@@ -285,7 +293,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, progress=None):
     csv_paths = []
     for seed in cfg.seeds:
         try:
-            _, reports = loop.train(real, sim, offline, cfg.oris, cfg.sac,
+            agent, reports = loop.train(real, sim, offline, cfg.oris, cfg.sac,
                                     int(seed), gan_hp=cfg.gan,
                                     progress=progress,
                                     gan_store=out.parent / "gans")
@@ -296,14 +304,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, progress=None):
         path = out / f"{cfg.variant}_seed{seed}.csv"
         write_metrics_csv(path, reports, refs, chash, cfg.variant, int(seed),
                           cfg.eval_every)
+        sac.save_agent(agent, out / f"{cfg.variant}_seed{seed}_agent")
         csv_paths.append(path)
 
     table = score_table_from_csvs(csv_paths) if csv_paths else ScoreTable(chash, [])
-    (out / "score_table.json").write_text(
-        json.dumps(table.to_json(), indent=2, sort_keys=True) + "\n")
+    _write_json(out / "score_table.json", table.to_json())
     if failures:
-        (out / "failures.json").write_text(
-            json.dumps(failures, indent=2, sort_keys=True) + "\n")
+        _write_json(out / "failures.json", failures)
     return table, failures
 
 
@@ -343,6 +350,5 @@ def sweep(cfg: ExperimentConfig, axis: str, out_dir=None, progress=None) -> dict
             failures.append({"point": label, **f})
     result = {"axis": axis, "base_config_hash": cfg.config_hash(),
               "points": points, "failures": failures}
-    (out / "sweep_table.json").write_text(
-        json.dumps(result, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "sweep_table.json", result)
     return result

@@ -5,8 +5,8 @@ simulator, then a block of actor-critic updates on mixed minibatches: offline
 rows at implicit weight 1 next to simulator rows weighted by the frozen
 discriminator. The discriminator is frozen, so each rollout's rows are scored
 once, when they enter the replay buffer, and the updates read the stored
-weights. Where the rollouts restart from, and whether the weights are live,
-depends on the variant; see OrisConfig.
+weights. Where the rollouts restart from, and whether the weights are
+live, depends on the variant; see OrisConfig.
 """
 
 from __future__ import annotations
@@ -94,19 +94,13 @@ class EpochReport:
                 raise ContractError(f"non-finite {k} in epoch report")
 
 
-def hybrid_policy(agent: sac.SacAgent, env: envs.Env, p: float, rng):
-    """Draw one rollout's action source: random with probability p, else pi.
-
-    Returns (policy, used_random) so the caller can record the choice.
-    """
+def hybrid_policy(policy, random_policy, p: float, rng):
+    """Draw one rollout's action source: random_policy with probability p,
+    else policy. Returns (the chosen policy, used_random)."""
     if not 0.0 <= p <= 1.0:
         raise ContractError("p must be in [0, 1]")
     if rng.random() < p:
-        return envs.uniform_random_policy(env), True
-
-    def policy(obs, rng_):
-        return sac.act(agent, obs, "stochastic", rng_)
-
+        return random_policy, True
     return policy, False
 
 
@@ -125,7 +119,7 @@ def _draw_restart(env: envs.Env, g: gan_mod.GanPair, stats: CollectStats,
     for _ in range(RESTART_MAX_RETRIES + 1):
         s = gan_mod.sample_restart(g, rng)
         try:
-            env.set_state(s)
+            env.set_state(s[None])
             return s
         except InvalidStateError:
             stats.invalid_restarts += 1
@@ -135,23 +129,37 @@ def _draw_restart(env: envs.Env, g: gan_mod.GanPair, stats: CollectStats,
 def collect_epoch(env: envs.Env, agent: sac.SacAgent, cfg: OrisConfig,
                   buffer: ReplayBuffer, rng,
                   g: gan_mod.GanPair | None = None) -> CollectStats:
-    """C rollouts of horizon H in the simulator, appended to the buffer.
+    """C rollouts of horizon H in the simulator, appended to the buffer in
+    rollout order.
 
-    Variants with discriminator weights store each rollout's rows with their
-    weight w(s); the others keep the buffer's default weight 1.
+    Each rollout first draws its action source (see hybrid_policy) and, in
+    the restart variants, its generator start. Then the C rollouts step in
+    lockstep (envs.rollout): per step, one actor forward over the pi rows and
+    one uniform draw over the random rows. Variants with discriminator
+    weights store each row with its weight w(s), scored one rollout per
+    call: one call over all C * H rows would record the discriminator's
+    activations for every row at once and raise the peak memory of a run by
+    several MB. The others keep the buffer's default weight 1.
     """
     if cfg.needs_gan() and g is None:
         raise ConfigError(f"variant {cfg.variant!r} needs a pretrained gan")
     stats = CollectStats()
+    pi = lambda obs, rng_: sac.act(agent, obs, "stochastic", rng_)
+    random_policy = envs.uniform_random_policy(env)
+    policies, starts = [], []
     for _ in range(cfg.rollout_count):
-        policy, used_random = hybrid_policy(agent, env, cfg.random_policy_prob, rng)
+        policy, used_random = hybrid_policy(pi, random_policy,
+                                            cfg.random_policy_prob, rng)
+        policies.append(policy)
         stats.rollouts += 1
         stats.random_rollouts += int(used_random)
-        start = _draw_restart(env, g, stats, rng) if cfg.gan_restarts() else None
-        columns = envs.rollout(env, policy, start, cfg.rollout_horizon, rng)
-        weights = gan_mod.weight_of_batch(g, columns[0]) if cfg.gan_weights() else None
-        buffer.extend(columns, weights)
-        stats.transitions += len(columns[2])
+        starts.append(_draw_restart(env, g, stats, rng) if cfg.gan_restarts() else None)
+    episodes = envs.rollout(env, policies, starts, cfg.rollout_horizon, rng)
+    columns = tuple(np.concatenate(c) for c in zip(*episodes))
+    weights = (np.concatenate([gan_mod.weight_of_batch(g, ep[0]) for ep in episodes])
+               if cfg.gan_weights() else None)
+    buffer.extend(columns, weights)
+    stats.transitions = len(columns[2])
     return stats
 
 

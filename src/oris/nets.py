@@ -29,6 +29,7 @@ import json
 import numpy as np
 
 from .errors import ContractError, NumericsError, UsageError
+from .files import atomic_write
 
 HIDDEN_ACTIVATIONS = ("relu", "tanh")
 OUTPUT_ACTIVATIONS = ("identity", "tanh", "sigmoid")
@@ -37,7 +38,7 @@ CHECKPOINT_FORMAT = "oris-mlp"
 CHECKPOINT_VERSION = 1
 DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 # zero in each dtype, for relu: a Python 0.0 against a float32 array costs a
-# scalar promotion per call, which single-row acting is short enough to feel
+# scalar promotion per call, which acting on a few rows is short enough to feel
 _ZERO = {dt: dt.type(0.0) for dt in DTYPES}
 
 
@@ -214,14 +215,6 @@ def forward_batch(net: MlpNet, x: np.ndarray) -> np.ndarray:
         acts.append(h)
     net._acts, net._pre, net._has_cache = acts, pre, True
     return h
-
-
-def forward(net: MlpNet, x: np.ndarray) -> np.ndarray:
-    """Single-vector forward; same recording semantics as forward_batch."""
-    x = np.asarray(x, dtype=net.dtype)
-    if x.ndim != 1:
-        raise ContractError(f"expected a vector, got shape {x.shape}")
-    return forward_batch(net, x[None, :])[0]
 
 
 def output_preactivation(net: MlpNet) -> np.ndarray:
@@ -406,7 +399,7 @@ def save_checkpoint(net: MlpNet, path) -> None:
         "param_count": num_params(net),
         "dtype": dtype,
     }
-    with open(path, "wb") as f:
+    with atomic_write(path, binary=True) as f:
         f.write(json.dumps(header).encode("utf-8"))
         f.write(b"\n")
         f.write(net.params.astype(dtype).tobytes())

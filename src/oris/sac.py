@@ -22,6 +22,7 @@ import numpy as np
 
 from . import nets
 from .errors import ContractError, NumericsError
+from .files import atomic_write
 
 AGENT_FORMAT = "oris-sac"
 AGENT_VERSION = 1
@@ -162,27 +163,24 @@ def sample_actions(agent: SacAgent, S: np.ndarray, rng=None, noise=None) -> Acto
     return ActorSample(action, u, log_prob, mu, log_std, noise, clip_mask)
 
 
-def act(agent: SacAgent, state: np.ndarray, mode: str, rng=None) -> np.ndarray:
-    """Single-state policy query. mode is "stochastic" or "deterministic".
+def act(agent: SacAgent, S: np.ndarray, mode: str, rng=None) -> np.ndarray:
+    """Policy query for a (n, obs_dim) state batch; returns (n, A) actions in
+    the actor's dtype. mode is "stochastic" or "deterministic".
 
-    Acting is dispatch-bound, so this casts the state to the actor's dtype
-    once and computes the action alone: the same draw, one standard_normal(A),
-    and the same bits as sample_actions' action, without its log-density.
-    The action comes back in the actor's dtype.
+    One forward_batch, and in stochastic mode one standard_normal((n, A)):
+    the same draw and the same bits as sample_actions' action, without its
+    log-density.
     """
     if mode not in ("deterministic", "stochastic"):
         raise ContractError(f"unknown mode {mode!r}")
     if mode == "stochastic" and rng is None:
         raise ContractError("stochastic act needs an rng")
-    state = np.asarray(state, dtype=agent.actor.dtype)
-    if state.shape != (agent.obs_dim,):
-        raise ContractError(f"state has shape {state.shape}, want ({agent.obs_dim},)")
-    out = nets.forward(agent.actor, state)
+    out = nets.forward_batch(agent.actor, S)
     A = agent.action_dim
-    u = out[:A]
+    u = out[:, :A]
     if mode == "stochastic":
-        std = np.exp(np.clip(out[A:], LOG_STD_MIN, LOG_STD_MAX))
-        u = u + std * rng.standard_normal(A).astype(out.dtype)
+        std = np.exp(np.clip(out[:, A:], LOG_STD_MIN, LOG_STD_MAX))
+        u = u + std * rng.standard_normal((out.shape[0], A)).astype(out.dtype)
     return agent.action_scale * np.tanh(u)
 
 
@@ -339,7 +337,7 @@ def save_agent(agent: SacAgent, dirpath) -> None:
         "update_count": agent.update_count,
         "hparams": agent.hparams.to_json(),
     }
-    with open(os.path.join(dirpath, "agent.json"), "w", encoding="utf-8") as f:
+    with atomic_write(os.path.join(dirpath, "agent.json")) as f:
         json.dump(meta, f, indent=1)
         f.write("\n")
 

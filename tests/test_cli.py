@@ -106,6 +106,29 @@ def test_evaluate_saved_agent(tmp_path, capsys):
     assert out["return_mean"] == pytest.approx(np.mean(out["returns"]))
 
 
+def test_gen_dataset_train_evaluate_chain(tmp_path, capsys):
+    """The CLI's own artifacts chain: a random tier, an oris run on it that
+    saves its agent, and an evaluation of that agent."""
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert cli.main(["gen-dataset", "--env", "pendulum", "--tiers", "random",
+                     "--episodes", "2", "--seed", "1", "--out", str(data)]) == 0
+    cfg = write_config(tmp_path / "c.json", data, variant="oris", seeds=[0, 1],
+                       gan={"z_dim": 2, "hidden": [8], "iterations": 10,
+                            "batch_size": 16})
+    assert cli.main(["train", "--config", str(cfg), "--out", str(run)]) == 0
+    capsys.readouterr()
+    for seed in (0, 1):
+        agent_dir = run / f"oris_seed{seed}_agent"
+        assert sac.load_agent(agent_dir).update_count == 1
+        assert cli.main(["evaluate", "--agent", str(agent_dir), "--env", "pendulum",
+                         "--episodes", "2", "--seed", "0"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert len(out["returns"]) == 2 and np.isfinite(out["return_mean"])
+    assert sorted(p.name for p in run.iterdir()) == [
+        "oris_seed0.csv", "oris_seed0_agent", "oris_seed1.csv", "oris_seed1_agent",
+        "score_table.json"]
+
+
 def test_sweep_cli(tmp_path, data_dir, capsys):
     cfg = write_config(tmp_path / "c.json", data_dir)
     rc = cli.main(["sweep", "--config", str(cfg), "--axis", "fraction",

@@ -82,12 +82,12 @@ def test_policy_at_uses_stored_params_without_mutating_agent(tiny_ref):
     before = nets.get_flat_params(tiny_ref.agent.actor).copy()
     ck = tiny_ref.checkpoints[0]
     policy = tiny_ref.policy_at(ck, mode="deterministic")
-    obs = np.array([1.0, 0.0, 0.0])
+    obs = np.array([[1.0, 0.0, 0.0]])
     a = policy(obs, None)
 
     shadow = nets.clone_net(tiny_ref.agent.actor)
     nets.set_flat_params(shadow, ck.actor_params)
-    mu = nets.forward(shadow, obs)[: 1]
+    mu = nets.forward_batch(shadow, obs)[:, :1]
     np.testing.assert_allclose(a, 2.0 * np.tanh(mu), rtol=1e-12)
     np.testing.assert_array_equal(nets.get_flat_params(tiny_ref.agent.actor), before)
 

@@ -30,8 +30,8 @@ def test_pendulum_step_matches_hand_computation():
     env = pendulum()
     rng = np.random.default_rng(0)
     theta, theta_dot, u = 1.0, 0.5, 1.5
-    env.set_state([np.cos(theta), np.sin(theta), theta_dot])
-    obs2, r, done = env.step([u], rng)
+    env.set_state([[np.cos(theta), np.sin(theta), theta_dot]])
+    (obs2,), (r,), (done,) = env.step([[u]], rng)
     # independent arithmetic
     new_td = theta_dot + (1.5 * 10.0 * np.sin(theta) + 3.0 * u - 0.1 * theta_dot) * 0.05
     new_th = theta + new_td * 0.05
@@ -44,29 +44,31 @@ def test_pendulum_step_matches_hand_computation():
 def test_pendulum_upright_is_a_fixed_point_with_zero_reward():
     env = pendulum()
     rng = np.random.default_rng(0)
-    env.set_state([1.0, 0.0, 0.0])
-    obs, r, done = env.step([0.0], rng)
-    assert r == 0.0
-    np.testing.assert_allclose(obs, [1.0, 0.0, 0.0], atol=1e-15)
+    env.set_state([[1.0, 0.0, 0.0]])
+    obs, r, done = env.step([[0.0]], rng)
+    assert r[0] == 0.0
+    np.testing.assert_allclose(obs, [[1.0, 0.0, 0.0]], atol=1e-15)
 
 
 def test_pendulum_speed_clip_and_action_bounds():
     env = pendulum()
     rng = np.random.default_rng(0)
-    env.set_state([np.cos(np.pi / 2), np.sin(np.pi / 2), 7.9])
-    obs, _, _ = env.step([2.0], rng)
-    assert obs[2] <= 8.0
+    env.set_state([[np.cos(np.pi / 2), np.sin(np.pi / 2), 7.9]])
+    obs, _, _ = env.step([[2.0]], rng)
+    assert obs[0, 2] <= 8.0
     with pytest.raises(ContractError):
-        env.step([2.01], rng)
+        env.step([[2.01]], rng)
     with pytest.raises(ContractError):
-        env.step([1.0, 1.0], rng)
+        env.step([[1.0, 1.0]], rng)
+    with pytest.raises(ContractError):
+        env.step([1.0], rng)  # one row of actions is (1, action_dim)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_evaluate_policy_rejects_nonfinite_actions(bad):
     with pytest.raises(ContractError, match="non-finite action"):
         envs.evaluate_policy(envs.EnvSpec.real("pendulum"),
-                             lambda obs, rng: np.array([bad]), 1,
+                             lambda obs, rng: np.full((len(obs), 1), bad), 1,
                              np.random.default_rng(0))
 
 
@@ -78,9 +80,9 @@ def test_pendulum_gravity_scale_changes_accel_linearly():
     deltas = {}
     for gs in (1.0, 2.0):
         env = pendulum(envs.DynamicsPerturbation(gravity_scale=gs))
-        env.set_state(obs0)
-        obs, _, _ = env.step([0.0], rng)
-        deltas[gs] = obs[2]
+        env.set_state([obs0])
+        obs, _, _ = env.step([[0.0]], rng)
+        deltas[gs] = obs[0, 2]
     assert deltas[1.0] == pytest.approx(1.5 * 10.0 * np.sin(theta) * 0.05, abs=1e-12)
     assert deltas[2.0] == pytest.approx(2.0 * deltas[1.0], abs=1e-12)
 
@@ -90,91 +92,91 @@ def test_pendulum_friction_scale_damps_spin():
     final_speed = {}
     for fs in (1.0, 10.0):
         env = pendulum(envs.DynamicsPerturbation(friction_scale=fs))
-        env.set_state([1.0, 0.0, 6.0])
+        env.set_state([[1.0, 0.0, 6.0]])
         for _ in range(50):
-            obs, _, _ = env.step([0.0], rng)
-        final_speed[fs] = abs(obs[2])
+            obs, _, _ = env.step([[0.0]], rng)
+        final_speed[fs] = abs(obs[0, 2])
     assert final_speed[10.0] < final_speed[1.0]
 
 
 def test_action_noise_perturbs_but_respects_bounds():
     rng = np.random.default_rng(5)
     noisy = pendulum(envs.DynamicsPerturbation(action_noise_std=100.0))
-    noisy.set_state([0.6, 0.8, 0.0])
-    obs, _, _ = noisy.step([0.0], rng)
+    noisy.set_state([[0.6, 0.8, 0.0]])
+    obs, _, _ = noisy.step([[0.0]], rng)
     theta = np.arctan2(0.8, 0.6)
-    drift = (obs[2] - 1.5 * 10.0 * np.sin(theta) * 0.05)
+    drift = (obs[0, 2] - 1.5 * 10.0 * np.sin(theta) * 0.05)
     # effective torque stays within [-2, 2] even under huge noise
     assert abs(drift) <= 3.0 * 2.0 * 0.05 + 1e-9
     clean = pendulum()
-    clean.set_state([0.6, 0.8, 0.0])
-    obs_clean, _, _ = clean.step([0.0], np.random.default_rng(5))
-    assert obs[2] != obs_clean[2]
+    clean.set_state([[0.6, 0.8, 0.0]])
+    obs_clean, _, _ = clean.step([[0.0]], np.random.default_rng(5))
+    assert obs[0, 2] != obs_clean[0, 2]
 
 
 def test_pendulum_episode_ends_at_step_limit_only():
     env = pendulum()
     rng = np.random.default_rng(1)
-    env.reset(rng)
+    env.reset(rng, 3)
     for i in range(200):
-        _, _, done = env.step([0.0], rng)
-        assert done == (i == 199)
+        _, _, done = env.step(np.zeros((3, 1)), rng)
+        assert done.tolist() == [i == 199] * 3
+    assert env.num_rows == 0
+    with pytest.raises(UsageError):
+        env.step(np.zeros((3, 1)), rng)
 
 
 def test_set_state_renormalizes_and_rejects():
     env = pendulum()
-    obs = env.set_state([2.0 * np.cos(0.3), 2.0 * np.sin(0.3), 0.7])
-    np.testing.assert_allclose(obs, [np.cos(0.3), np.sin(0.3), 0.7], atol=1e-12)
-    env.set_state([1.0, 0.0, 100.0])
-    assert env.observe()[2] == 8.0
-    with pytest.raises(InvalidStateError):
-        env.set_state([0.05, 0.05, 0.0])
-    with pytest.raises(InvalidStateError):
-        env.set_state([np.nan, 1.0, 0.0])
+    obs = env.set_state([[2.0 * np.cos(0.3), 2.0 * np.sin(0.3), 0.7]])
+    np.testing.assert_allclose(obs, [[np.cos(0.3), np.sin(0.3), 0.7]], atol=1e-12)
+    assert env.set_state([[1.0, 0.0, 100.0]])[0, 2] == 8.0
+    with pytest.raises(InvalidStateError, match="row 1"):
+        env.set_state([[1.0, 0.0, 0.0], [0.05, 0.05, 0.0]])
+    with pytest.raises(InvalidStateError, match="row 0"):
+        env.set_state([[np.nan, 1.0, 0.0]])
     with pytest.raises(ContractError):
-        env.set_state([1.0, 0.0])
+        env.set_state([[1.0, 0.0]])
+    with pytest.raises(ContractError):
+        env.set_state([1.0, 0.0, 0.0])  # one row of states is (1, obs_dim)
 
 
 def test_step_before_reset_raises():
     env = pendulum()
     with pytest.raises(UsageError):
-        env.step([0.0], np.random.default_rng(0))
+        env.step([[0.0]], np.random.default_rng(0))
 
 
 def test_reset_distributions():
     rng = np.random.default_rng(0)
     env = pendulum()
-    thetas, speeds = [], []
-    for _ in range(500):
-        obs = env.reset(rng)
-        thetas.append(np.arctan2(obs[1], obs[0]))
-        speeds.append(obs[2])
+    obs = env.reset(rng, 500)
+    thetas, speeds = np.arctan2(obs[:, 1], obs[:, 0]), obs[:, 2]
     assert -np.pi <= min(thetas) and max(thetas) <= np.pi
     assert min(speeds) >= -1.0 and max(speeds) <= 1.0
     assert abs(np.mean(thetas)) < 0.25 and abs(np.mean(speeds)) < 0.15
-    pg = pointgoal()
-    for _ in range(100):
-        obs = pg.reset(rng)
-        assert np.all(obs[:2] >= -1.0) and np.all(obs[:2] <= -0.6)
-        assert np.all(obs[2:] == 0.0)
+    obs = pointgoal().reset(rng, 100)
+    assert obs.shape == (100, 4)
+    assert np.all(obs[:, :2] >= -1.0) and np.all(obs[:, :2] <= -0.6)
+    assert np.all(obs[:, 2:] == 0.0)
 
 
 def test_pointgoal_reward_bands_and_termination():
     rng = np.random.default_rng(0)
     env = pointgoal()
     # lands inside the goal radius: both bonuses
-    env.set_state([0.7, 0.69, 0.0, 0.0])
-    obs, r, done = env.step([0.0, 0.0], rng)
+    env.set_state([[0.7, 0.69, 0.0, 0.0]])
+    obs, (r,), (done,) = env.step([[0.0, 0.0]], rng)
     assert r == pytest.approx(20.0)
     assert done
     # inside the near band only
-    env.set_state([0.5, 0.7, 0.0, 0.0])
-    _, r, done = env.step([0.0, 0.0], rng)
+    env.set_state([[0.5, 0.7, 0.0, 0.0]])
+    _, (r,), (done,) = env.step([[0.0, 0.0]], rng)
     assert r == pytest.approx(0.0)
     assert not done
     # far away
-    env.set_state([-0.8, -0.8, 0.0, 0.0])
-    _, r, done = env.step([0.0, 0.0], rng)
+    env.set_state([[-0.8, -0.8, 0.0, 0.0]])
+    _, (r,), (done,) = env.step([[0.0, 0.0]], rng)
     assert r == pytest.approx(-0.1)
     assert not done
 
@@ -182,8 +184,8 @@ def test_pointgoal_reward_bands_and_termination():
 def test_pointgoal_step_matches_hand_computation():
     rng = np.random.default_rng(0)
     env = pointgoal()
-    env.set_state([0.2, -0.3, 0.4, -0.1])
-    obs, _, _ = env.step([1.0, 0.5], rng)
+    env.set_state([[0.2, -0.3, 0.4, -0.1]])
+    (obs,), _, _ = env.step([[1.0, 0.5]], rng)
     v = np.array([0.4, -0.1]) + (1.0 * np.array([1.0, 0.5]) - 0.5 * np.array([0.4, -0.1])) * 0.1
     p = np.array([0.2, -0.3]) + v * 0.1
     np.testing.assert_allclose(obs, np.concatenate([p, v]), atol=1e-12)
@@ -192,21 +194,21 @@ def test_pointgoal_step_matches_hand_computation():
 def test_pointgoal_position_and_velocity_clipped():
     rng = np.random.default_rng(0)
     env = pointgoal()
-    env.set_state([0.99, 0.99, 1.0, 1.0])
+    env.set_state([[0.99, 0.99, 1.0, 1.0]])
     for _ in range(30):
-        obs, _, done = env.step([1.0, 1.0], rng)
+        obs, _, done = env.step([[1.0, 1.0]], rng)
         assert np.all(obs <= 1.0) and np.all(obs >= -1.0)
-        if done:
+        if done[0]:
             break
 
 
 def test_pointgoal_time_limit():
     rng = np.random.default_rng(0)
     env = pointgoal()
-    env.set_state([-1.0, -1.0, 0.0, 0.0])
+    env.set_state([[-1.0, -1.0, 0.0, 0.0]])
     for i in range(100):
-        _, _, done = env.step([-1.0, -1.0], rng)
-    assert done
+        _, _, done = env.step([[-1.0, -1.0]], rng)
+    assert done[0]
 
 
 def test_pointgoal_reachable_by_proportional_controller():
@@ -214,14 +216,14 @@ def test_pointgoal_reachable_by_proportional_controller():
     env = pointgoal()
 
     def controller(obs, _rng):
-        p, v = obs[:2], obs[2:]
+        p, v = obs[:, :2], obs[:, 2:]
         return np.clip(4.0 * (env.GOAL - p) - 2.0 * v, -1.0, 1.0)
 
     total, steps = 0.0, 0
-    obs = env.set_state([-0.8, -0.8, 0.0, 0.0])
+    obs = env.set_state([[-0.8, -0.8, 0.0, 0.0]])
     done = False
     while not done:
-        obs, r, done = env.step(controller(obs, rng), rng)
+        obs, (r,), (done,) = env.step(controller(obs, rng), rng)
         total += r
         steps += 1
     assert steps < 60
@@ -234,26 +236,27 @@ def test_rollout_chains_and_stops_on_done():
     rng = np.random.default_rng(3)
 
     def controller(obs, _rng):
-        return np.clip(4.0 * (env.GOAL - obs[:2]) - 2.0 * obs[2:], -1.0, 1.0)
+        return np.clip(4.0 * (env.GOAL - obs[:, :2]) - 2.0 * obs[:, 2:], -1.0, 1.0)
 
-    S, A, R, S2, D = envs.rollout(env, controller, np.array([-0.5, -0.5, 0.0, 0.0]),
-                                  100, rng)
+    [(S, A, R, S2, D)] = envs.rollout(env, controller, [np.array([-0.5, -0.5, 0.0, 0.0])],
+                                      100, rng)
     assert D[-1] == 1.0 and not D[:-1].any()
     assert len(R) < 100
     np.testing.assert_array_equal(S2[:-1], S[1:])
-    short = envs.rollout(env, controller, None, 5, rng)
-    assert all(len(c) == 5 for c in short)
+    short = envs.rollout(env, controller, [None, None], 5, rng)
+    assert all(len(c) == 5 for ep in short for c in ep)
     with pytest.raises(ContractError):
-        envs.rollout(env, controller, None, 0, rng)
+        envs.rollout(env, controller, [None], 0, rng)
 
 
 def test_rollout_is_deterministic_given_seed():
     spec = envs.EnvSpec("pendulum", envs.DynamicsPerturbation(action_noise_std=0.3))
-    pol = lambda obs, rng: rng.uniform(-2, 2, size=1)
-    a = envs.rollout(envs.make_env(spec), pol, None, 50, np.random.default_rng(42))
-    b = envs.rollout(envs.make_env(spec), pol, None, 50, np.random.default_rng(42))
-    for ca, cb in zip(a, b):
-        np.testing.assert_array_equal(ca, cb)
+    pol = lambda obs, rng: rng.uniform(-2, 2, size=(len(obs), 1))
+    a = envs.rollout(envs.make_env(spec), pol, [None] * 3, 50, np.random.default_rng(42))
+    b = envs.rollout(envs.make_env(spec), pol, [None] * 3, 50, np.random.default_rng(42))
+    for ea, eb in zip(a, b):
+        for ca, cb in zip(ea, eb):
+            np.testing.assert_array_equal(ca, cb)
 
 
 @given(seed=st.integers(0, 10_000))
@@ -263,12 +266,12 @@ def test_pendulum_observation_invariants(seed):
     env = pendulum(envs.DynamicsPerturbation(gravity_scale=rng.uniform(0.5, 5.0),
                                              friction_scale=rng.uniform(0.0, 3.0),
                                              action_noise_std=rng.uniform(0.0, 2.0)))
-    obs = env.reset(rng)
+    env.reset(rng, 4)
     for _ in range(30):
-        obs, r, _ = env.step(rng.uniform(-2, 2, size=1), rng)
-        assert np.hypot(obs[0], obs[1]) == pytest.approx(1.0, abs=1e-12)
-        assert abs(obs[2]) <= 8.0
-        assert r <= 0.0
+        obs, r, _ = env.step(rng.uniform(-2, 2, size=(4, 1)), rng)
+        np.testing.assert_allclose(np.hypot(obs[:, 0], obs[:, 1]), 1.0, atol=1e-12)
+        assert np.all(np.abs(obs[:, 2]) <= 8.0)
+        assert np.all(r <= 0.0)
         assert np.all(np.isfinite(obs))
 
 
@@ -285,6 +288,120 @@ def test_spec_validation_and_step_limits():
 def test_transition_type_from_rollout():
     env = pendulum()
     rng = np.random.default_rng(0)
-    S, A, R, S2, D = envs.rollout(env, lambda o, r: np.zeros(1), None, 3, rng)
+    [(S, A, R, S2, D)] = envs.rollout(env, lambda o, r: np.zeros((len(o), 1)), [None], 3,
+                                      rng)
     assert [c.shape for c in (S, A, R, S2, D)] == [(3, 3), (3, 1), (3,), (3, 3), (3,)]
     assert all(c.dtype == np.float64 for c in (S, A, R, S2, D))
+
+
+def _perturbation(rng):
+    return envs.DynamicsPerturbation(gravity_scale=rng.uniform(0.5, 3.0),
+                                     friction_scale=rng.uniform(0.0, 3.0),
+                                     action_noise_std=rng.choice([0.0, rng.uniform(0.0, 1.0)]))
+
+
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 6),
+       env_id=st.sampled_from(envs.ENV_IDS))
+@settings(max_examples=30, deadline=None)
+def test_lockstep_step_matches_one_row_envs(seed, n, env_id):
+    """An n-row env steps each row as a one-row env would, bit for bit: the
+    rows' noise draws come from one (n, A) draw, in row order."""
+    rng = np.random.default_rng(seed)
+    spec = envs.EnvSpec(env_id, _perturbation(rng))
+    many = envs.make_env(spec)
+    singles = [envs.make_env(spec) for _ in range(n)]
+    S = many.reset(rng, n)
+    if env_id == "pointgoal":  # start some rows next to the goal
+        S[::2, :2] = rng.uniform(0.6, 0.8, size=S[::2, :2].shape)
+    many.set_state(S)
+    for env, s in zip(singles, S):
+        env.set_state(s[None])
+    scale = many.action_scale
+    r_many, r_single = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    live = list(range(n))
+    for _ in range(spec.max_episode_steps):
+        A = rng.uniform(-scale, scale, size=(len(live), many.action_dim))
+        obs, r, done = many.step(A, r_many)
+        for k, i in enumerate(live):
+            (o1,), (r1,), (d1,) = singles[i].step(A[k:k + 1], r_single)
+            assert np.array_equal(o1, obs[k]) and r1 == r[k] and d1 == done[k]
+        live = [i for i, d in zip(live, done) if not d]
+        assert many.num_rows == len(live)
+        if not live:
+            break
+    assert r_many.bit_generator.state == r_single.bit_generator.state
+
+
+def test_pointgoal_row_at_goal_is_neither_stepped_nor_queried():
+    spec = envs.EnvSpec("pointgoal")
+    starts = [np.array([-0.8, -0.8, 0.0, 0.0]), np.array([0.62, 0.62, 0.3, 0.3]),
+              np.array([0.2, -0.5, 0.0, 0.0])]
+    goal, queried = envs.PointGoalEnv.GOAL, []
+
+    def controller(obs, _rng):
+        queried.append(len(obs))
+        return np.clip(4.0 * (goal - obs[:, :2]) - 2.0 * obs[:, 2:], -1.0, 1.0)
+
+    episodes = envs.rollout(envs.make_env(spec), controller, starts, 100,
+                            np.random.default_rng(0))
+    lengths = [len(ep[2]) for ep in episodes]
+    assert len(set(lengths)) == 3 and max(lengths) < 100
+    # one query per step, over exactly the rows still running
+    assert queried == [sum(L > t for L in lengths) for t in range(max(lengths))]
+    for start, (S, A, R, S2, D) in zip(starts, episodes):
+        env = envs.make_env(spec)
+        obs, total, steps, done = env.set_state(start[None]), 0.0, 0, False
+        while not done:
+            obs, (r,), (done,) = env.step(controller(obs, None), None)
+            total += r
+            steps += 1
+        assert steps == len(R) and total == sum(R.tolist()) and D[-1] == 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 2.5])
+def test_bad_action_names_its_row(bad):
+    env = pendulum()
+    env.reset(np.random.default_rng(0), 4)
+    A = np.zeros((4, 1))
+    A[2, 0] = bad
+    what = "outside" if np.isfinite(bad) else "non-finite action"
+    with pytest.raises(ContractError, match=f"{what}.*row 2|row 2.*{what}"):
+        env.step(A, np.random.default_rng(0))
+
+
+def test_evaluate_policy_steps_episodes_together():
+    """Resets are drawn up front, then the policy sees all episodes at once."""
+    spec = envs.EnvSpec.real("pendulum")
+    shapes = []
+
+    def policy(obs, _rng):
+        shapes.append(obs.shape)
+        return np.zeros((len(obs), 1))
+
+    rng, resets = np.random.default_rng(3), np.random.default_rng(3)
+    mean, std, returns = envs.evaluate_policy(spec, policy, 4, rng)
+    assert shapes == [(4, 3)] * 200 and len(returns) == 4
+    assert mean == np.mean(returns) and std == np.std(returns)
+    starts = envs.make_env(spec).reset(resets, 4)
+    assert rng.bit_generator.state == resets.bit_generator.state
+    for obs, ret in zip(starts, returns):
+        env = envs.make_env(spec)
+        env.set_state(obs[None])  # the angle round trip costs the last bits
+        total = 0.0
+        for _ in range(200):
+            _, (r,), _ = env.step([[0.0]], None)
+            total += r
+        assert total == pytest.approx(ret, rel=1e-9)
+
+
+def test_rollout_mixes_given_and_initial_starts():
+    """None starts are drawn from the initial distribution after the given
+    ones are placed, in episode order, and load with them."""
+    env = pointgoal()
+    given = [np.array([0.1, 0.2, 0.0, 0.5]), np.array([-0.3, 0.4, 0.2, 0.0])]
+    starts = [given[0], None, given[1], None]
+    zero = lambda obs, _rng: np.zeros((len(obs), 2))
+    episodes = envs.rollout(env, zero, starts, 3, np.random.default_rng(8))
+    fresh = pointgoal().reset(np.random.default_rng(8), 2)
+    first = np.array([ep[0][0] for ep in episodes])
+    np.testing.assert_array_equal(first, [given[0], fresh[0], given[1], fresh[1]])

@@ -23,15 +23,15 @@ from oris import datasets, envs, gan, loop, nets, sac
 from oris.loop import OrisConfig
 
 RECORDED_ON = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0"}
-GOLDEN_SHA256 = "9d2580be01842760524b98a9e1486560d2cfdd7c1574b95e0fac9ee4ed0b537c"
+GOLDEN_SHA256 = "b44c0a9ff0176ec0753fdf8f59763b8217ee82acc088d1389eb959511596532c"
 VARIANT_SHA256 = {
-    "no_restart": "69fe26812f12fe38b62c64b9eef3083f85cd29c9dfcffa204ac913280d7f11f1",
-    "uniform_weight": "7dc024fdb455db8c56d21a255865539f4248729a1e26dd7cceb128205e2cd056",
-    "naive_mix": "9fd194c189009ab5e70aecddc9999ff1798cb73ddde68439f2d27c3a08a3c0a0",
-    "sim_only_sac": "a27a9be345b58f2e9d44ddc7365d36c84b84c112b9fcc611d94a9d8514df75ca",
-    "bc": "2272d0786a2f9cb0759dbc032e7aa208620e8e87e2dae2bfa01ad875b7a7b587",
+    "no_restart": "78d61ecd465ae6f954945b61f255059fdaa3c95a8d16b5b78e179f99067df4a1",
+    "uniform_weight": "425c46114a116a56a4ce781c2277366e126533c997a26c41838ec5f979fd9e0e",
+    "naive_mix": "882853cc5bb17baedbb420c1a66381fdec10e6e1956318551dbfe24bba03feb3",
+    "sim_only_sac": "19fb42bdb1171fdb8f15f02cdcc884e9a199de0743284561c1299aa8ce1a5617",
+    "bc": "ba42bde62ee4d956a40ee034075bebf330364161acace73f65cbb46820c9c1f6",
 }
-REFERENCE_SHA256 = "cd373c0df3eea68bdddeb1a2bed5756976bea94cac01c9bdc0559ddd124fc2b6"
+REFERENCE_SHA256 = "ac23e283f799bb489cc6dab160d0783791133351c78a41782095e17410a27e7b"
 
 AGENT_NETS = ("actor", "critic1", "critic2", "target1", "target2")
 

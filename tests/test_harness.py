@@ -185,7 +185,8 @@ def test_run_experiment_writes_reproducible_outputs(dataset_path, tmp_path):
     table, failures = harness.run_experiment(cfg, tmp_path / "a")
     assert failures == []
     files = sorted(p.name for p in (tmp_path / "a").iterdir())
-    assert files == ["naive_mix_seed0.csv", "naive_mix_seed1.csv",
+    assert files == ["naive_mix_seed0.csv", "naive_mix_seed0_agent",
+                     "naive_mix_seed1.csv", "naive_mix_seed1_agent",
                      "score_table.json"]
     assert {r["seed"] for r in table.rows} == {0, 1}
     assert all(len(r["returns"]) == 2 for r in table.rows)
@@ -195,7 +196,10 @@ def test_run_experiment_writes_reproducible_outputs(dataset_path, tmp_path):
             normalized_score(r["final_return"], **REFS))
 
     harness.run_experiment(cfg, tmp_path / "b")
-    for name in files:
+    written = sorted(p.relative_to(tmp_path / "a")
+                     for p in (tmp_path / "a").rglob("*") if p.is_file())
+    assert len(written) == 3 + 2 * 6  # an agent is five nets and agent.json
+    for name in written:
         assert (tmp_path / "a" / name).read_bytes() \
             == (tmp_path / "b" / name).read_bytes()
 

