@@ -131,7 +131,13 @@ def train_reference(env_id: str, hp: ReferenceHparams, seed: int,
     buffer = ReplayBuffer(hp.replay_capacity, obs_dim, act_dim)
     random_policy = envs.uniform_random_policy(env)
 
-    random_return, _, _ = envs.evaluate_policy(spec, random_policy, hp.eval_episodes, rng_eval)
+    # One episode per call, so each episode's reset and then its actions come
+    # from rng_eval in turn: random_ref is the zero of every normalized score
+    # and picks the medium checkpoint, and this order keeps it equal to the
+    # refs already recorded.
+    random_return = float(np.mean([
+        envs.evaluate_policy(spec, random_policy, 1, rng_eval)[0]
+        for _ in range(hp.eval_episodes)]))
 
     episodes: list[tuple] = []
     current: list[tuple] = []  # (s, a, r, s2, done) rows of the open episode
@@ -215,5 +221,5 @@ def generate_dataset(env_id: str, tier: str, episodes: int, seed: int,
         policy = reference.policy_at(reference.checkpoints[-1])
         meta["reference_seed"] = reference.seed
         meta["behavior_eval_return"] = reference.expert_return
-    eps = envs.rollout(env, policy, [None] * episodes, spec.max_episode_steps, rng)
+    eps = envs.rollout(env, policy, episodes, spec.max_episode_steps, rng)
     return Dataset.from_episodes(meta, eps)

@@ -332,40 +332,26 @@ def _row_policy(policy, n: int, action_dim: int, rng):
     return act
 
 
-def _load(env: Env, starts, rng) -> np.ndarray:
-    """Load one row per start: a state, or None for the initial distribution.
-    With both kinds, the None rows are drawn in one reset, in order, and
-    loaded through set_state with the given states."""
-    fresh = [i for i, s in enumerate(starts) if s is None]
-    if len(fresh) == len(starts):
-        return env.reset(rng, len(starts))
-    S = np.empty((len(starts), env.obs_dim))
-    for i, s in enumerate(starts):
-        if s is not None:
-            S[i] = s
-    if fresh:
-        S[fresh] = env.reset(rng, len(fresh))
-    return env.set_state(S)
-
-
 def rollout(env: Env, policy, starts, horizon: int, rng) -> list[tuple]:
-    """Run one episode per entry of `starts` for up to `horizon` steps, all in
-    lockstep; returns each episode's steps as columns (S, A, R, S2, D), in
-    the order of starts.
+    """Run one episode per start for up to `horizon` steps, all in lockstep;
+    returns each episode's steps as columns (S, A, R, S2, D), in start order.
 
-    A start is a state, loaded with set_state (which may raise
-    InvalidStateError), or None for the env's initial distribution. policy
-    is one policy for all episodes or a list with one per episode; a policy
-    maps (obs, rng) for its running rows to their actions. An episode stops
-    at done. A non-finite step raises ContractError once the rollout ends.
+    starts is an (n, obs_dim) array of states, loaded with set_state (which
+    may raise InvalidStateError), or a count n of episodes reset from the
+    env's initial distribution. policy is one policy for all episodes or a
+    list with one per episode; a policy maps (obs, rng) for its running rows
+    to their actions. An episode stops at done. A non-finite step raises
+    ContractError once the rollout ends.
     """
     if horizon < 1:
         raise ContractError(f"horizon must be positive, got {horizon}")
-    n = len(starts)
+    counted = isinstance(starts, (int, np.integer))
+    n = int(starts) if counted else len(starts)
     if n < 1:
         raise ContractError("rollout needs at least one start")
     act = _row_policy(policy, n, env.action_dim, rng)
-    steps = list(_lockstep(env, _load(env, starts, rng), act, horizon, rng))
+    obs = env.reset(rng, n) if counted else env.set_state(starts)
+    steps = list(_lockstep(env, obs, act, horizon, rng))
     rows, *cols = (np.concatenate(c) for c in zip(*steps))
     order = np.argsort(rows, kind="stable")
     cols = as_columns(*(c[order] for c in cols))

@@ -5,8 +5,8 @@ simulator, then a block of actor-critic updates on mixed minibatches: offline
 rows at implicit weight 1 next to simulator rows weighted by the frozen
 discriminator. The discriminator is frozen, so each rollout's rows are scored
 once, when they enter the replay buffer, and the updates read the stored
-weights. Where the rollouts restart from, and whether the weights are
-live, depends on the variant; see OrisConfig.
+weights. Where the rollouts restart from, and whether the weights are live,
+depends on the variant; see OrisConfig.
 """
 
 from __future__ import annotations
@@ -113,9 +113,9 @@ class CollectStats:
 
 
 def _draw_restart(env: envs.Env, g: gan_mod.GanPair, stats: CollectStats,
-                  rng) -> np.ndarray | None:
-    """A generator state that the env accepts, or None for a rho_0 fallback
-    after RESTART_MAX_RETRIES + 1 rejections in a row."""
+                  rng) -> np.ndarray:
+    """A generator state that the env accepts or, after RESTART_MAX_RETRIES + 1
+    rejections in a row, a state drawn from rho_0."""
     for _ in range(RESTART_MAX_RETRIES + 1):
         s = gan_mod.sample_restart(g, rng)
         try:
@@ -123,7 +123,7 @@ def _draw_restart(env: envs.Env, g: gan_mod.GanPair, stats: CollectStats,
             return s
         except InvalidStateError:
             stats.invalid_restarts += 1
-    return None
+    return env.reset(rng, 1)[0]
 
 
 def collect_epoch(env: envs.Env, agent: sac.SacAgent, cfg: OrisConfig,
@@ -153,8 +153,10 @@ def collect_epoch(env: envs.Env, agent: sac.SacAgent, cfg: OrisConfig,
         policies.append(policy)
         stats.rollouts += 1
         stats.random_rollouts += int(used_random)
-        starts.append(_draw_restart(env, g, stats, rng) if cfg.gan_restarts() else None)
-    episodes = envs.rollout(env, policies, starts, cfg.rollout_horizon, rng)
+        if cfg.gan_restarts():
+            starts.append(_draw_restart(env, g, stats, rng))
+    episodes = envs.rollout(env, policies, np.array(starts) if starts else cfg.rollout_count,
+                            cfg.rollout_horizon, rng)
     columns = tuple(np.concatenate(c) for c in zip(*episodes))
     weights = (np.concatenate([gan_mod.weight_of_batch(g, ep[0]) for ep in episodes])
                if cfg.gan_weights() else None)

@@ -46,6 +46,23 @@ def test_reference_run_structure(tiny_ref):
     assert all(ck.actor_params.shape == (n,) for ck in tiny_ref.checkpoints)
 
 
+def test_random_baseline_draws_each_episode_in_turn(tiny_ref):
+    """random_ref comes from one episode at a time: each episode's reset and
+    then its uniform actions, from the eval stream, as a serial loop draws
+    them. Lockstep draws would give another value and move every score."""
+    rng = np.random.default_rng(np.random.SeedSequence(5).spawn(4)[2])
+    env = envs.make_env(envs.EnvSpec.real("pendulum"))
+    returns = []
+    for _ in range(TINY.eval_episodes):
+        env.reset(rng, 1)
+        total = 0.0
+        for _ in range(200):
+            _, (r,), _ = env.step(rng.uniform(-2.0, 2.0, size=(1, 1)), rng)
+            total += r
+        returns.append(total)
+    assert tiny_ref.random_return == np.mean(returns)
+
+
 def test_reference_run_partial_final_episode():
     hp = ReferenceHparams(
         total_steps=250, warmup_steps=250, eval_interval=250, eval_episodes=1,

@@ -238,22 +238,24 @@ def test_rollout_chains_and_stops_on_done():
     def controller(obs, _rng):
         return np.clip(4.0 * (env.GOAL - obs[:, :2]) - 2.0 * obs[:, 2:], -1.0, 1.0)
 
-    [(S, A, R, S2, D)] = envs.rollout(env, controller, [np.array([-0.5, -0.5, 0.0, 0.0])],
+    [(S, A, R, S2, D)] = envs.rollout(env, controller, np.array([[-0.5, -0.5, 0.0, 0.0]]),
                                       100, rng)
     assert D[-1] == 1.0 and not D[:-1].any()
     assert len(R) < 100
     np.testing.assert_array_equal(S2[:-1], S[1:])
-    short = envs.rollout(env, controller, [None, None], 5, rng)
+    short = envs.rollout(env, controller, 2, 5, rng)
     assert all(len(c) == 5 for ep in short for c in ep)
     with pytest.raises(ContractError):
-        envs.rollout(env, controller, [None], 0, rng)
+        envs.rollout(env, controller, 1, 0, rng)
+    with pytest.raises(ContractError):
+        envs.rollout(env, controller, 0, 5, rng)
 
 
 def test_rollout_is_deterministic_given_seed():
     spec = envs.EnvSpec("pendulum", envs.DynamicsPerturbation(action_noise_std=0.3))
     pol = lambda obs, rng: rng.uniform(-2, 2, size=(len(obs), 1))
-    a = envs.rollout(envs.make_env(spec), pol, [None] * 3, 50, np.random.default_rng(42))
-    b = envs.rollout(envs.make_env(spec), pol, [None] * 3, 50, np.random.default_rng(42))
+    a = envs.rollout(envs.make_env(spec), pol, 3, 50, np.random.default_rng(42))
+    b = envs.rollout(envs.make_env(spec), pol, 3, 50, np.random.default_rng(42))
     for ea, eb in zip(a, b):
         for ca, cb in zip(ea, eb):
             np.testing.assert_array_equal(ca, cb)
@@ -288,8 +290,7 @@ def test_spec_validation_and_step_limits():
 def test_transition_type_from_rollout():
     env = pendulum()
     rng = np.random.default_rng(0)
-    [(S, A, R, S2, D)] = envs.rollout(env, lambda o, r: np.zeros((len(o), 1)), [None], 3,
-                                      rng)
+    [(S, A, R, S2, D)] = envs.rollout(env, lambda o, r: np.zeros((len(o), 1)), 1, 3, rng)
     assert [c.shape for c in (S, A, R, S2, D)] == [(3, 3), (3, 1), (3,), (3, 3), (3,)]
     assert all(c.dtype == np.float64 for c in (S, A, R, S2, D))
 
@@ -334,8 +335,8 @@ def test_lockstep_step_matches_one_row_envs(seed, n, env_id):
 
 def test_pointgoal_row_at_goal_is_neither_stepped_nor_queried():
     spec = envs.EnvSpec("pointgoal")
-    starts = [np.array([-0.8, -0.8, 0.0, 0.0]), np.array([0.62, 0.62, 0.3, 0.3]),
-              np.array([0.2, -0.5, 0.0, 0.0])]
+    starts = np.array([[-0.8, -0.8, 0.0, 0.0], [0.62, 0.62, 0.3, 0.3],
+                       [0.2, -0.5, 0.0, 0.0]])
     goal, queried = envs.PointGoalEnv.GOAL, []
 
     def controller(obs, _rng):
@@ -392,16 +393,3 @@ def test_evaluate_policy_steps_episodes_together():
             _, (r,), _ = env.step([[0.0]], None)
             total += r
         assert total == pytest.approx(ret, rel=1e-9)
-
-
-def test_rollout_mixes_given_and_initial_starts():
-    """None starts are drawn from the initial distribution after the given
-    ones are placed, in episode order, and load with them."""
-    env = pointgoal()
-    given = [np.array([0.1, 0.2, 0.0, 0.5]), np.array([-0.3, 0.4, 0.2, 0.0])]
-    starts = [given[0], None, given[1], None]
-    zero = lambda obs, _rng: np.zeros((len(obs), 2))
-    episodes = envs.rollout(env, zero, starts, 3, np.random.default_rng(8))
-    fresh = pointgoal().reset(np.random.default_rng(8), 2)
-    first = np.array([ep[0][0] for ep in episodes])
-    np.testing.assert_array_equal(first, [given[0], fresh[0], given[1], fresh[1]])
