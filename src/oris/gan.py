@@ -25,6 +25,7 @@ import numpy as np
 
 from . import nets
 from .errors import ContractError, NumericsError
+from .files import atomic_write
 
 GAN_FORMAT = "oris-gan"
 GAN_VERSION = 1
@@ -166,7 +167,8 @@ def discriminator_step_grads(disc: nets.MlpNet, real: np.ndarray, fake: np.ndarr
     # d(loss)/d(logit) is (D - label) / bs, label 1 for real rows and 0 for fake
     upstream = np.concatenate([d[:bs] - 1.0, d[bs:]]) / bs
     grads = nets.backward_batch(disc, upstream[:, None], wrt_preactivation=True)
-    objective = float(np.mean(-_softplus(-logits[:bs])) + np.mean(-_softplus(logits[bs:])))
+    objective = float(np.add.reduce(-_softplus(-logits[:bs])) / bs
+                      + np.add.reduce(-_softplus(logits[bs:])) / bs)
     return grads, d[:bs], d[bs:], objective
 
 
@@ -228,7 +230,7 @@ def pretrain(states, hparams: GanHparams, rng: np.random.Generator):
         fake_g = nets.forward_batch(gen, Zg) * scale
         d_g = nets.forward_batch(disc, fake_g)[:, 0]
         l_g = nets.output_preactivation(disc)[:, 0]
-        g_loss = float(np.mean(-_softplus(l_g)))
+        g_loss = float(np.add.reduce(-_softplus(l_g)) / bs)
         if not np.isfinite(g_loss):
             raise fail(i, "generator loss")
         d_in = nets.backward_input(disc, (-d_g / bs)[:, None],
@@ -238,8 +240,8 @@ def pretrain(states, hparams: GanHparams, rng: np.random.Generator):
 
         curves[0, i] = d_objective
         curves[1, i] = g_loss
-        curves[2, i] = float(np.mean(d_real))
-        curves[3, i] = float(np.mean(d_fake))
+        curves[2, i] = np.add.reduce(d_real) / bs
+        curves[3, i] = np.add.reduce(d_fake) / bs
 
     pair = GanPair(gen, disc, hparams.z_dim, norm, out_scale,
                    hparams.restart_noise_sigma, hparams.w_min, hparams.w_max)
@@ -262,7 +264,7 @@ def save_gan(gan: GanPair, dirpath) -> None:
         "w_min": gan.w_min,
         "w_max": gan.w_max,
     }
-    with open(os.path.join(dirpath, "gan.json"), "w", encoding="utf-8") as f:
+    with atomic_write(os.path.join(dirpath, "gan.json")) as f:
         json.dump(meta, f, indent=1)
         f.write("\n")
 
@@ -307,7 +309,7 @@ def save_fit(gan: GanPair, report: GanTrainReport, inputs: dict, dirpath) -> Non
     """save_gan's files plus report.json: the fit's key, inputs and curve summary."""
     save_gan(gan, dirpath)
     record = {"key": fit_key(inputs), "inputs": inputs, "train": report.summary()}
-    with open(os.path.join(dirpath, REPORT_FILE), "w", encoding="utf-8") as f:
+    with atomic_write(os.path.join(dirpath, REPORT_FILE)) as f:
         json.dump(record, f, indent=1, sort_keys=True)
         f.write("\n")
 

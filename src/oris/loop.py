@@ -183,7 +183,7 @@ def _update_block(agent, offline, buffer, cfg, hp, rng):
             sim, w_sim = buffer.sample_weighted(hp.batch_sim, rng)
             batch = tuple(np.concatenate(p) for p in zip(off, sim))
             weights = np.concatenate([np.ones(hp.batch_off), w_sim])
-            sim_weights.append(float(np.mean(w_sim)))
+            sim_weights.append(float(np.add.reduce(w_sim) / len(w_sim)))
         critic_losses.append(sac.critic_update(agent, batch, weights, rng))
         actor_losses.append(sac.actor_update(agent, batch[0], rng))
     return (float(np.mean(critic_losses)), float(np.mean(actor_losses)),

@@ -9,7 +9,11 @@ in float64 and rounded, so both precisions consume the same random draws.
 
 A net records its activations during forward and replays them in backward; a
 net is owned by one caller at a time (no sharing a net object across
-interleaved forward/backward pairs).
+interleaved forward/backward pairs). Hidden activations are applied in place
+on each layer's fresh pre-activation, so only the output layer's
+pre-activation is kept (see output_preactivation); the relu mask in backward
+reads the recorded activation, which is positive exactly where its
+pre-activation is.
 
 Each net keeps all of its parameters in one flat vector, `params`, laid out
 layer by layer, weight matrix (row-major) then bias vector; checkpoints use
@@ -36,6 +40,8 @@ OUTPUT_ACTIVATIONS = ("identity", "tanh", "sigmoid")
 
 CHECKPOINT_FORMAT = "oris-mlp"
 CHECKPOINT_VERSION = 1
+ADAM_FORMAT = "oris-adam"
+ADAM_VERSION = 1
 DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 # zero in each dtype, for relu: a Python 0.0 against a float32 array costs a
 # scalar promotion per call, which acting on a few rows is short enough to feel
@@ -84,7 +90,7 @@ class MlpNet:
     dtype: np.dtype = np.float32
     params: np.ndarray = field(init=False, repr=False)
     _acts: list = field(default_factory=list, repr=False)
-    _pre: list = field(default_factory=list, repr=False)
+    _out_pre: np.ndarray | None = field(default=None, repr=False)
     _has_cache: bool = field(default=False, repr=False)
 
     def __post_init__(self):
@@ -152,7 +158,7 @@ class MlpNet:
 
 @dataclass
 class Gradients:
-    """Parameter gradients in a net's flat layout, plus the gradient at the input.
+    """Parameter gradients in a net's flat layout.
 
     Built from per-layer lists, the lists are copied into `flat` (in the
     weights' dtype) and replaced by views into it.
@@ -160,7 +166,6 @@ class Gradients:
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    input: np.ndarray
     flat: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -171,9 +176,10 @@ class Gradients:
 
 
 def _hidden_act(name: str, z: np.ndarray) -> np.ndarray:
+    """The hidden activation, in place on z."""
     if name == "relu":
-        return np.maximum(z, _ZERO[z.dtype])
-    return np.tanh(z)
+        return np.maximum(z, _ZERO[z.dtype], out=z)
+    return np.tanh(z, out=z)
 
 
 def _output_act(name: str, z: np.ndarray) -> np.ndarray:
@@ -204,16 +210,14 @@ def forward_batch(net: MlpNet, x: np.ndarray) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != net.in_dim:
         raise ContractError(f"input has shape {x.shape}, want (n, {net.in_dim})")
     acts = [x]
-    pre = []
     h = x
     last = net.num_layers - 1
     for l in range(net.num_layers):
         z = h @ net.weights[l].T
         z += net.biases[l]
-        pre.append(z)
         h = _output_act(net.output_activation, z) if l == last else _hidden_act(net.hidden_activation, z)
         acts.append(h)
-    net._acts, net._pre, net._has_cache = acts, pre, True
+    net._acts, net._out_pre, net._has_cache = acts, z, True
     return h
 
 
@@ -221,7 +225,7 @@ def output_preactivation(net: MlpNet) -> np.ndarray:
     """Pre-activation of the output layer from the most recent forward."""
     if not net._has_cache:
         raise UsageError("no recorded forward pass")
-    return net._pre[-1]
+    return net._out_pre
 
 
 def _output_delta(net: MlpNet, grad_out, wrt_preactivation: bool) -> np.ndarray:
@@ -239,11 +243,16 @@ def _output_delta(net: MlpNet, grad_out, wrt_preactivation: bool) -> np.ndarray:
 
 def _delta_below(net: MlpNet, delta: np.ndarray, l: int) -> np.ndarray:
     """Carry d(loss)/d(pre-activation of layer l) to the layer's input side:
-    the pre-activation of layer l - 1, or the net input when l == 0."""
-    delta = delta @ net.weights[l]
+    the pre-activation of layer l - 1, or the net input when l == 0.
+
+    A one-output layer takes the broadcast product: numpy runs a matmul with
+    an inner dimension of 1 outside BLAS, several times slower, and each entry
+    is the same single product either way (a zero may differ in sign)."""
+    w = net.weights[l]
+    delta = delta * w if w.shape[0] == 1 else delta @ w
     if l > 0:
         if net.hidden_activation == "relu":
-            delta *= net._pre[l - 1] > _ZERO[delta.dtype]
+            delta *= net._acts[l] > _ZERO[delta.dtype]
         else:
             y = net._acts[l]
             delta *= 1.0 - y * y
@@ -255,22 +264,24 @@ def backward_batch(net: MlpNet, grad_out: np.ndarray, wrt_preactivation: bool = 
 
     With wrt_preactivation=True, grad_out is d(loss)/d(output pre-activation);
     this sidesteps the output nonlinearity (used for stable sigmoid/BCE math).
-    Returns parameter gradients and, in .input, d(loss)/d(input batch).
+    Returns the parameter gradients; it stops at layer 0, so the gradient at
+    the input is backward_input's.
     """
     delta = _output_delta(net, grad_out, wrt_preactivation)
     flat = np.empty(net.params.size, dtype=net.dtype)
     g_w, g_b = _views(flat, net.layer_sizes)
     for l in range(net.num_layers - 1, -1, -1):
         np.matmul(delta.T, net._acts[l], out=g_w[l])
-        np.sum(delta, axis=0, out=g_b[l])
-        delta = _delta_below(net, delta, l)
-    return Gradients(g_w, g_b, delta, flat)
+        np.add.reduce(delta, axis=0, out=g_b[l])
+        if l > 0:
+            delta = _delta_below(net, delta, l)
+    return Gradients(g_w, g_b, flat)
 
 
 def backward_input(net: MlpNet, grad_out: np.ndarray,
                    wrt_preactivation: bool = False) -> np.ndarray:
-    """d(loss)/d(input batch) alone: backward_batch(...).input without the
-    parameter gradients."""
+    """d(loss)/d(input batch) through the recorded forward, without the
+    parameter gradients; wrt_preactivation as in backward_batch."""
     delta = _output_delta(net, grad_out, wrt_preactivation)
     for l in range(net.num_layers - 1, -1, -1):
         delta = _delta_below(net, delta, l)
@@ -385,11 +396,43 @@ def clone_net(net: MlpNet) -> MlpNet:
                   net.output_activation, net.init_seed, net.dtype)
 
 
+def _write_record(path, header: dict, *arrays) -> None:
+    """One JSON header line, then the arrays back to back as flat
+    little-endian vectors in the dtype the header records."""
+    with atomic_write(path, binary=True) as f:
+        f.write(json.dumps(header).encode("utf-8"))
+        f.write(b"\n")
+        for a in arrays:
+            f.write(a.astype(header["dtype"]).tobytes())
+
+
+def _read_record(path, fmt: str, version: int) -> tuple[dict, np.ndarray]:
+    """The header of a _write_record file, checked to be `fmt` at `version`,
+    and its data as one flat vector; a header without a dtype (a checkpoint
+    written before they recorded one) reads as "<f8"."""
+    with open(path, "rb") as f:
+        header_line = f.readline()
+        blob = f.read()
+    try:
+        header = json.loads(header_line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ContractError(f"bad {fmt} header in {path}: {e}") from e
+    if header.get("format") != fmt:
+        raise ContractError(f"not a {fmt} file: {path}")
+    if header.get("version") != version:
+        raise ContractError(f"unsupported {fmt} version {header.get('version')}")
+    header.setdefault("dtype", "<f8")
+    if header["dtype"] not in ("<f4", "<f8"):
+        raise ContractError(f"unsupported {fmt} dtype {header['dtype']!r} in {path}")
+    if len(blob) % np.dtype(header["dtype"]).itemsize:
+        raise ContractError(f"truncated {fmt} data in {path}")
+    return header, np.frombuffer(blob, dtype=header["dtype"])
+
+
 def save_checkpoint(net: MlpNet, path) -> None:
     """One JSON header line, then the flat little-endian parameter vector in
     the net's dtype, which the header records ("<f4" or "<f8")."""
-    dtype = net.dtype.newbyteorder("<").str
-    header = {
+    _write_record(path, {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "layer_sizes": list(net.layer_sizes),
@@ -397,37 +440,49 @@ def save_checkpoint(net: MlpNet, path) -> None:
         "output_activation": net.output_activation,
         "init_seed": net.init_seed,
         "param_count": num_params(net),
-        "dtype": dtype,
-    }
-    with atomic_write(path, binary=True) as f:
-        f.write(json.dumps(header).encode("utf-8"))
-        f.write(b"\n")
-        f.write(net.params.astype(dtype).tobytes())
+        "dtype": net.dtype.newbyteorder("<").str,
+    }, net.params)
 
 
 def load_checkpoint(path) -> MlpNet:
     """The net a checkpoint holds, in the dtype it records; a header without
     one (written before checkpoints recorded it) holds float64."""
-    with open(path, "rb") as f:
-        header_line = f.readline()
-        blob = f.read()
-    try:
-        header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ContractError(f"bad checkpoint header in {path}: {e}") from e
-    if header.get("format") != CHECKPOINT_FORMAT:
-        raise ContractError(f"not a {CHECKPOINT_FORMAT} checkpoint: {path}")
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise ContractError(f"unsupported checkpoint version {header.get('version')}")
-    dtype = header.get("dtype", "<f8")
-    if dtype not in ("<f4", "<f8"):
-        raise ContractError(f"unsupported checkpoint dtype {dtype!r} in {path}")
+    header, flat = _read_record(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
     sizes = [int(s) for s in header["layer_sizes"]]
     net = MlpNet.he_uniform(sizes, header["hidden_activation"],
                             header["output_activation"], seed=header.get("init_seed", 0),
-                            dtype=dtype)
-    flat = np.frombuffer(blob, dtype=dtype)
+                            dtype=header["dtype"])
     if flat.size != header["param_count"] or flat.size != num_params(net):
         raise ContractError(f"checkpoint parameter count mismatch in {path}")
     set_flat_params(net, flat)
     return net
+
+
+def save_adam(opt: AdamState, path) -> None:
+    """The optimizer's settings and step count in the header line, then its
+    moments m and v in their dtype."""
+    _write_record(path, {
+        "format": ADAM_FORMAT,
+        "version": ADAM_VERSION,
+        "learning_rate": opt.learning_rate,
+        "beta1": opt.beta1,
+        "beta2": opt.beta2,
+        "epsilon": opt.epsilon,
+        "step_count": opt.step_count,
+        "param_count": opt.m.size,
+        "dtype": opt.m.dtype.newbyteorder("<").str,
+    }, opt.m, opt.v)
+
+
+def load_adam(path, net: MlpNet) -> AdamState:
+    """The AdamState save_adam wrote, checked to fit `net`."""
+    header, mv = _read_record(path, ADAM_FORMAT, ADAM_VERSION)
+    n = net.params.size
+    if header["param_count"] != n or mv.size != 2 * n or np.dtype(header["dtype"]) != net.dtype:
+        raise ContractError(f"optimizer state in {path} does not fit a {n}-parameter "
+                            f"{net.dtype} net")
+    opt = AdamState(float(header["learning_rate"]), float(header["beta1"]),
+                    float(header["beta2"]), float(header["epsilon"]),
+                    int(header["step_count"]))
+    opt.m, opt.v = mv[:n].astype(net.dtype), mv[n:].astype(net.dtype)
+    return opt

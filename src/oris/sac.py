@@ -13,6 +13,7 @@ the nets, so a float32 and a float64 agent consume the same draws.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 import json
 import math
@@ -143,7 +144,7 @@ def sample_actions(agent: SacAgent, S: np.ndarray, rng=None, noise=None) -> Acto
     out = nets.forward_batch(agent.actor, S)
     A = agent.action_dim
     mu, kappa = out[:, :A], out[:, A:]
-    log_std = np.clip(kappa, LOG_STD_MIN, LOG_STD_MAX)
+    log_std = np.minimum(np.maximum(kappa, LOG_STD_MIN), LOG_STD_MAX)
     clip_mask = ((kappa > LOG_STD_MIN) & (kappa < LOG_STD_MAX)).astype(out.dtype)
     std = np.exp(log_std)
     if noise is None:
@@ -155,7 +156,7 @@ def sample_actions(agent: SacAgent, S: np.ndarray, rng=None, noise=None) -> Acto
     # log N(u; mu, std) minus the tanh-and-scale change of variables,
     # with log(1 - tanh(u)^2) = 2 (log 2 - u - softplus(-2u)); the constants
     # are Python floats, which leave a float32 array float32
-    log_prob = np.sum(
+    log_prob = np.add.reduce(
         -0.5 * noise ** 2 - log_std - 0.5 * math.log(2.0 * math.pi)
         - math.log(agent.action_scale)
         - 2.0 * (math.log(2.0) - u - np.logaddexp(0.0, -2.0 * u)),
@@ -179,7 +180,7 @@ def act(agent: SacAgent, S: np.ndarray, mode: str, rng=None) -> np.ndarray:
     A = agent.action_dim
     u = out[:, :A]
     if mode == "stochastic":
-        std = np.exp(np.clip(out[:, A:], LOG_STD_MIN, LOG_STD_MAX))
+        std = np.exp(np.minimum(np.maximum(out[:, A:], LOG_STD_MIN), LOG_STD_MAX))
         u = u + std * rng.standard_normal((out.shape[0], A)).astype(out.dtype)
     return agent.action_scale * np.tanh(u)
 
@@ -212,10 +213,11 @@ def critic_loss_and_grads(agent: SacAgent, S: np.ndarray, A: np.ndarray,
     for critic in (agent.critic1, agent.critic2):
         q = nets.forward_batch(critic, x)[:, 0]
         e = q - targets
-        bad = np.flatnonzero(~(np.abs(e) <= ERROR_LIMIT[dtype]))
-        if bad.size:
-            raise NumericsError(f"non-finite critic error at batch row {int(bad[0])}")
-        losses.append(float(np.sum(weights * e * e) / n))
+        ok = np.abs(e) <= ERROR_LIMIT[dtype]
+        if not ok.all():
+            bad = int(np.flatnonzero(~ok)[0])
+            raise NumericsError(f"non-finite critic error at batch row {bad}")
+        losses.append(float(np.add.reduce(weights * e * e) / n))
         grads.append(nets.backward_batch(critic, (2.0 * weights * e / n)[:, None]))
         errs.append(e)
     return 0.5 * (losses[0] + losses[1]), grads[0], grads[1], errs
@@ -233,12 +235,13 @@ def critic_update(agent: SacAgent, batch: tuple, weights: np.ndarray, rng) -> fl
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (len(R),) or len(R) < 1:
         raise ContractError(f"{weights.shape} weights for a batch of {len(R)} rows")
-    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
+    if not np.isfinite(weights).all() or (weights < 0).any():
         raise ContractError("weights must be finite and non-negative")
     y = bellman_targets(agent, S2, R, D, rng)
-    bad = np.flatnonzero(~np.isfinite(y))
-    if bad.size:
-        raise NumericsError(f"non-finite Bellman target at batch row {int(bad[0])}")
+    ok = np.isfinite(y)
+    if not ok.all():
+        bad = int(np.flatnonzero(~ok)[0])
+        raise NumericsError(f"non-finite Bellman target at batch row {bad}")
     loss, g1, g2, _ = critic_loss_and_grads(agent, S, A, weights, y)
     nets.adam_step(agent.critic1, g1, agent.opt_critic1)
     nets.adam_step(agent.critic2, g2, agent.opt_critic2)
@@ -272,7 +275,7 @@ def actor_loss_and_grads(agent: SacAgent, S: np.ndarray, noise: np.ndarray,
     else:
         qmin, dq_da = q_and_grad(S, sample.action)
         dL_da = -np.asarray(dq_da, dtype=sample.u.dtype) / n
-    loss = float(np.mean(-qmin + lam * sample.log_prob))
+    loss = float(np.add.reduce(-qmin + lam * sample.log_prob) / n)
 
     tanh_u = np.tanh(sample.u)
     dadu = agent.action_scale * (1.0 - tanh_u ** 2)
@@ -301,7 +304,7 @@ def actor_update(agent: SacAgent, S: np.ndarray, rng, q_and_grad=None) -> float:
         raise NumericsError("non-finite actor loss")
     nets.adam_step(agent.actor, grads, agent.opt_actor)
     # dual step on log temperature: d/dloglam of -lam * mean(logp + target_entropy)
-    mean_lp = float(np.mean(sample.log_prob))
+    mean_lp = float(np.add.reduce(sample.log_prob) / len(sample.log_prob))
     grad_loglam = -agent.temperature * (mean_lp + agent.target_entropy)
     agent.log_temperature = agent.opt_temperature.step(agent.log_temperature, grad_loglam)
     return loss
@@ -315,7 +318,7 @@ def bc_update(agent: SacAgent, S: np.ndarray, A_target: np.ndarray) -> float:
     mu = out[:, :agent.action_dim]
     a = agent.action_scale * np.tanh(mu)
     e = a - A_target
-    loss = float(np.sum(e * e) / n)
+    loss = float(np.add.reduce(e * e, axis=None) / n)
     g_mu = (2.0 / n) * e * agent.action_scale * (1.0 - np.tanh(mu) ** 2)
     upstream = np.concatenate([g_mu, np.zeros_like(g_mu)], axis=1)
     grads = nets.backward_batch(agent.actor, upstream)
@@ -324,10 +327,20 @@ def bc_update(agent: SacAgent, S: np.ndarray, A_target: np.ndarray) -> float:
     return loss
 
 
+AGENT_NETS = ("actor", "critic1", "critic2", "target1", "target2")
+# the nets Adam trains; agent.opt_<net> is saved as opt_<net>.adam
+TRAINED_NETS = ("actor", "critic1", "critic2")
+
+
 def save_agent(agent: SacAgent, dirpath) -> None:
+    """The five nets, the three Adam states and agent.json (which holds the
+    temperature optimizer), so a reloaded agent updates as the saved one would."""
     os.makedirs(dirpath, exist_ok=True)
-    for name in ("actor", "critic1", "critic2", "target1", "target2"):
+    for name in AGENT_NETS:
         nets.save_checkpoint(getattr(agent, name), os.path.join(dirpath, f"{name}.mlp"))
+    for name in TRAINED_NETS:
+        nets.save_adam(getattr(agent, f"opt_{name}"),
+                       os.path.join(dirpath, f"opt_{name}.adam"))
     meta = {
         "format": AGENT_FORMAT,
         "version": AGENT_VERSION,
@@ -336,6 +349,7 @@ def save_agent(agent: SacAgent, dirpath) -> None:
         "action_scale": agent.action_scale,
         "update_count": agent.update_count,
         "hparams": agent.hparams.to_json(),
+        "opt_temperature": dataclasses.asdict(agent.opt_temperature),
     }
     with atomic_write(os.path.join(dirpath, "agent.json")) as f:
         json.dump(meta, f, indent=1)
@@ -343,23 +357,31 @@ def save_agent(agent: SacAgent, dirpath) -> None:
 
 
 def load_agent(dirpath) -> SacAgent:
+    """The agent save_agent wrote. A directory written before agents kept
+    their optimizers (no "opt_temperature" in agent.json) loads with fresh
+    optimizer state."""
     with open(os.path.join(dirpath, "agent.json"), "r", encoding="utf-8") as f:
         meta = json.load(f)
     if meta.get("format") != AGENT_FORMAT or meta.get("version") != AGENT_VERSION:
         raise ContractError(f"not a {AGENT_FORMAT} v{AGENT_VERSION} directory: {dirpath}")
     parts = {name: nets.load_checkpoint(os.path.join(dirpath, f"{name}.mlp"))
-             for name in ("actor", "critic1", "critic2", "target1", "target2")}
+             for name in AGENT_NETS}
     hp = SacHparams.from_json(meta["hparams"])
-    agent = SacAgent(
+    if "opt_temperature" in meta:
+        opts = {f"opt_{name}": nets.load_adam(os.path.join(dirpath, f"opt_{name}.adam"),
+                                              parts[name])
+                for name in TRAINED_NETS}
+        opts["opt_temperature"] = nets.ScalarAdam(**meta["opt_temperature"])
+    else:
+        opts = dict(
+            opt_actor=nets.AdamState.for_net(parts["actor"], hp.actor_lr),
+            opt_critic1=nets.AdamState.for_net(parts["critic1"], hp.critic_lr),
+            opt_critic2=nets.AdamState.for_net(parts["critic2"], hp.critic_lr),
+            opt_temperature=nets.ScalarAdam(hp.temperature_lr))
+    return SacAgent(
         parts["actor"], parts["critic1"], parts["critic2"],
         parts["target1"], parts["target2"],
         log_temperature=float(meta["log_temperature"]),
         target_entropy=float(meta["target_entropy"]),
         action_scale=float(meta["action_scale"]), hparams=hp,
-        opt_actor=nets.AdamState.for_net(parts["actor"], hp.actor_lr),
-        opt_critic1=nets.AdamState.for_net(parts["critic1"], hp.critic_lr),
-        opt_critic2=nets.AdamState.for_net(parts["critic2"], hp.critic_lr),
-        opt_temperature=nets.ScalarAdam(hp.temperature_lr),
-        update_count=int(meta.get("update_count", 0)),
-    )
-    return agent
+        update_count=int(meta.get("update_count", 0)), **opts)

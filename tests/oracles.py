@@ -46,18 +46,24 @@ def make_role_net(role, width=16, seed=0):
                                   seed=seed, dtype=np.float64)
 
 
-def far_from_relu_kinks(net, margin=1e-4):
-    """True when no recorded hidden pre-activation sits within margin of 0."""
+def far_from_relu_kinks(net, x, margin=1e-4):
+    """True when no hidden pre-activation of the batch x sits within margin of
+    0; the pre-activations are computed here, in float64, from the net's
+    weights and biases."""
     if net.hidden_activation != "relu":
         return True
-    for z in net._pre[:-1]:
+    h = np.asarray(x, dtype=np.float64)
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        z = h @ w.astype(np.float64).T + b
         if np.min(np.abs(z)) < margin:
             return False
+        h = np.maximum(z, 0.0)
     return True
 
 
 def gradcheck_once(net, rng, batch=4, eps=1e-6, kink_margin=1e-4, max_redraws=50):
-    """One randomized check of backward_batch against central differences.
+    """One randomized check against central differences of backward_batch
+    (parameter gradients) and backward_input (input gradients).
 
     Returns the max relative error across parameter and input gradients.
     Draws (input batch, upstream) pairs, redrawing while any hidden ReLU
@@ -65,15 +71,15 @@ def gradcheck_once(net, rng, batch=4, eps=1e-6, kink_margin=1e-4, max_redraws=50
     """
     for _ in range(max_redraws):
         x = rng.normal(size=(batch, net.in_dim))
-        nets.forward_batch(net, x)
-        if far_from_relu_kinks(net, kink_margin):
+        if far_from_relu_kinks(net, x, kink_margin):
             break
     else:
         raise RuntimeError("could not find a kink-free draw")
     upstream = rng.normal(size=(batch, net.out_dim))
 
-    out = nets.forward_batch(net, x)
+    nets.forward_batch(net, x)
     analytic = nets.backward_batch(net, upstream)
+    analytic_x = nets.backward_input(net, upstream)
 
     p0 = nets.get_flat_params(net)
 
@@ -94,8 +100,7 @@ def gradcheck_once(net, rng, batch=4, eps=1e-6, kink_margin=1e-4, max_redraws=50
     fd_x = fd_grad(loss_of_input, x0, eps=eps)
 
     err_p = max_rel_err(analytic.flat, fd_p)
-    err_x = max_rel_err(analytic.input.ravel(), fd_x)
-    del out
+    err_x = max_rel_err(analytic_x.ravel(), fd_x)
     return max(err_p, err_x)
 
 

@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from oris import data, datasets
+from oris import data, datasets, gan
 from oris.files import atomic_write
 
 
@@ -55,3 +56,33 @@ def test_save_dataset_cut_part_way_keeps_old_file(tmp_path, monkeypatch):
     assert p.read_bytes() == before and len(calls) == 50
     assert [q.name for q in tmp_path.iterdir()] == ["d.jsonl"]
 
+
+def test_gan_files_cut_part_way_keep_old_files(tmp_path, monkeypatch):
+    """save_fit writes gan.json and report.json through atomic_write."""
+    states = np.random.default_rng(0).normal(size=(100, 2))
+    hp = gan.GanHparams(z_dim=2, hidden=(4,), iterations=2, batch_size=8)
+    pair, report = gan.pretrain(states, hp, np.random.default_rng(1))
+    inputs = gan.fit_inputs(states, hp, np.random.default_rng(1))
+    gan.save_fit(pair, report, inputs, tmp_path)
+    names = sorted(q.name for q in tmp_path.iterdir())
+    before = {n: (tmp_path / n).read_bytes() for n in ("gan.json", gan.REPORT_FILE)}
+    dump = json.dump
+
+    def cut(obj, f, **kw):
+        f.write("{half")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(gan.json, "dump", cut)
+    with pytest.raises(OSError):
+        gan.save_gan(pair, tmp_path)
+    def cut_report(obj, f, **kw):
+        if "format" not in obj:  # gan.json is written whole, report.json is cut
+            cut(obj, f)
+        dump(obj, f, **kw)
+
+    monkeypatch.setattr(gan.json, "dump", cut_report)
+    with pytest.raises(OSError):
+        gan.save_fit(pair, report, inputs, tmp_path)
+    assert sorted(q.name for q in tmp_path.iterdir()) == names
+    for n, content in before.items():
+        assert (tmp_path / n).read_bytes() == content

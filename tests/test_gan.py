@@ -108,7 +108,7 @@ def test_generator_step_gradients_match_finite_differences():
     nets.forward_batch(disc, fake)
     l = nets.output_preactivation(disc)[:, 0]
     sig = 1.0 / (1.0 + np.exp(-l))
-    d_in = nets.backward_batch(disc, (-sig / 5)[:, None], wrt_preactivation=True).input
+    d_in = nets.backward_input(disc, (-sig / 5)[:, None], wrt_preactivation=True)
     analytic = nets.backward_batch(gen, d_in * out_scale).flat
     fd = oracles.fd_grad(g_loss, p0)
     assert oracles.max_rel_err(analytic, fd) < 1e-6

@@ -198,7 +198,8 @@ def test_run_experiment_writes_reproducible_outputs(dataset_path, tmp_path):
     harness.run_experiment(cfg, tmp_path / "b")
     written = sorted(p.relative_to(tmp_path / "a")
                      for p in (tmp_path / "a").rglob("*") if p.is_file())
-    assert len(written) == 3 + 2 * 6  # an agent is five nets and agent.json
+    # an agent is five nets, three Adam states and agent.json
+    assert len(written) == 3 + 2 * 9
     for name in written:
         assert (tmp_path / "a" / name).read_bytes() \
             == (tmp_path / "b" / name).read_bytes()

@@ -32,7 +32,10 @@ def test_backward_wrt_preactivation_matches_chain_rule():
     nets.forward_batch(net, x)
     g_via_pre = nets.backward_batch(net, upstream * y * (1.0 - y), wrt_preactivation=True)
     np.testing.assert_allclose(g_via_output.flat, g_via_pre.flat, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(g_via_output.input, g_via_pre.input, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(nets.backward_input(net, upstream),
+                               nets.backward_input(net, upstream * y * (1.0 - y),
+                                                   wrt_preactivation=True),
+                               rtol=1e-12, atol=0)
 
 
 def test_forward_vector_matches_batch_row():
@@ -74,7 +77,6 @@ def test_adam_matches_reference_implementation():
         g = nets.Gradients(
             [np.zeros_like(w) for w in net.weights],
             [np.zeros_like(b) for b in net.biases],
-            np.zeros(net.in_dim),
         )
         # route the same flat gradient into the structured form
         i = 0
@@ -96,7 +98,7 @@ def test_adam_first_step_constant_gradient():
         [1, 1], [np.array([[2.0]])], [np.array([0.5])], "relu", "identity",
         dtype=np.float64)
     opt = nets.AdamState.for_net(net, learning_rate=0.1)
-    g = nets.Gradients([np.array([[3.0]])], [np.array([-3.0])], np.zeros(1))
+    g = nets.Gradients([np.array([[3.0]])], [np.array([-3.0])])
     nets.adam_step(net, g, opt)
     expected_w = 2.0 - 0.1 * 3.0 / (3.0 + 1e-8)
     expected_b = 0.5 + 0.1 * 3.0 / (3.0 + 1e-8)
@@ -107,7 +109,7 @@ def test_adam_first_step_constant_gradient():
 def test_adam_rejects_nonfinite_gradient():
     net = nets.MlpNet.he_uniform([2, 2], seed=0, dtype=np.float64)
     opt = nets.AdamState.for_net(net, 1e-3)
-    g = nets.Gradients([np.full((2, 2), np.nan)], [np.zeros(2)], np.zeros(2))
+    g = nets.Gradients([np.full((2, 2), np.nan)], [np.zeros(2)])
     with pytest.raises(NumericsError):
         nets.adam_step(net, g, opt)
 
@@ -146,7 +148,7 @@ def test_adam_step_raises_when_params_turn_nonfinite():
     net.biases[-1][0] = 1.7e308
     opt = nets.AdamState.for_net(net, learning_rate=1e308)
     g = nets.Gradients([-np.ones_like(w) for w in net.weights],
-                       [-np.ones_like(b) for b in net.biases], np.zeros(2))
+                       [-np.ones_like(b) for b in net.biases])
     with pytest.raises(NumericsError, match="parameters"), np.errstate(over="ignore"):
         nets.adam_step(net, g, opt)
 
@@ -170,13 +172,94 @@ def test_flat_adam_matches_per_tensor_reference_bitwise():
 @pytest.mark.parametrize("output", nets.OUTPUT_ACTIVATIONS)
 @pytest.mark.parametrize("hidden", nets.HIDDEN_ACTIVATIONS)
 def test_backward_input_equals_backward_batch_input(hidden, output, wrt_pre):
+    """backward_batch stops at layer 0, but for one row its layer-0 bias
+    gradient is d(loss)/d(layer-0 pre-activation), so the input gradient it
+    implies is that row times W0. backward_input gives those bits row by row,
+    and matches central differences over the whole batch."""
     rng = np.random.default_rng(14)
-    net = nets.MlpNet.he_uniform([4, 16, 16, 3], hidden, output, seed=6)
-    nets.forward_batch(net, rng.normal(size=(9, 4)))
+    net = nets.MlpNet.he_uniform([4, 16, 16, 3], hidden, output, seed=6,
+                                 dtype=np.float64)
+    x = rng.normal(size=(9, 4))
+    while not oracles.far_from_relu_kinks(net, x):
+        x = rng.normal(size=(9, 4))
     upstream = rng.normal(size=(9, 3))
-    full = nets.backward_batch(net, upstream, wrt_pre).input
+    for i in range(9):
+        nets.forward_batch(net, x[i:i + 1])
+        g = nets.backward_batch(net, upstream[i:i + 1], wrt_pre)
+        implied = g.biases[0][None] @ net.weights[0]
+        assert np.array_equal(nets.backward_input(net, upstream[i:i + 1], wrt_pre), implied)
+
+    nets.forward_batch(net, x)
     alone = nets.backward_input(net, upstream, wrt_pre)
-    assert np.array_equal(full, alone)
+
+    def loss(xv):
+        y = nets.forward_batch(net, xv.reshape(x.shape))
+        return float(np.sum(upstream * (nets.output_preactivation(net) if wrt_pre else y)))
+
+    assert oracles.max_rel_err(alone.ravel(), oracles.fd_grad(loss, x.ravel())) < 1e-4
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _guard_values(rng, shape, dtype, zero_frac):
+    """Normal draws over many magnitudes, some of them zeros of either sign."""
+    x = rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+    zeros = rng.uniform(size=shape) < zero_frac
+    x[zeros] = np.copysign(0.0, rng.normal(size=shape))[zeros]
+    return x.astype(dtype)
+
+
+FLOATS = st.sampled_from([np.float32, np.float64])
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 300), k=st.integers(1, 70),
+       dtype=FLOATS, zero_frac=st.sampled_from([0.0, 0.3]))
+@settings(max_examples=60, deadline=None)
+def test_one_output_broadcast_product_matches_matmul(seed, n, k, dtype, zero_frac):
+    """The backward through a one-output layer: delta * W for delta @ W gives
+    equal values, with the same bits on every nonzero entry (a zero may differ
+    in sign)."""
+    rng = np.random.default_rng(seed)
+    delta = _guard_values(rng, (n, 1), dtype, zero_frac)
+    w = _guard_values(rng, (1, k), dtype, zero_frac)
+    product, matmul = delta * w, delta @ w
+    assert product.dtype == matmul.dtype == dtype
+    assert np.array_equal(product, matmul)
+    nonzero = matmul != 0
+    assert product[nonzero].tobytes() == matmul[nonzero].tobytes()
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 300),
+       k=st.sampled_from([1, 2, 3, 64]), dtype=FLOATS)
+@settings(max_examples=60, deadline=None)
+def test_add_reduce_matches_sum_and_mean_bitwise(seed, n, k, dtype):
+    """np.add.reduce, alone or divided by the row count, gives np.sum's and
+    np.mean's bits on the update's shapes: losses and means over a batch
+    vector, bias gradients over the rows of a (n, k) delta, log-densities
+    over the action columns, and the behavior-cloning loss over all of it."""
+    rng = np.random.default_rng(seed)
+    vec = _guard_values(rng, (n,), dtype, 0.1)
+    mat = _guard_values(rng, (n, k), dtype, 0.1)
+    assert _bits(np.add.reduce(vec)) == _bits(np.sum(vec))
+    assert _bits(np.add.reduce(vec) / n) == _bits(np.mean(vec))
+    assert _bits(np.add.reduce(mat, axis=0)) == _bits(np.sum(mat, axis=0))
+    assert _bits(np.add.reduce(mat, axis=1)) == _bits(np.sum(mat, axis=1))
+    assert _bits(np.add.reduce(mat, axis=None) / n) == _bits(np.sum(mat) / n)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), dtype=FLOATS)
+@settings(max_examples=30, deadline=None)
+def test_relu_mask_from_activation_matches_preactivation(seed, dtype):
+    """Backward masks a relu layer by its activation, which forward wrote over
+    the pre-activation: max(z, 0) > 0 exactly where z > 0, NaN included."""
+    rng = np.random.default_rng(seed)
+    z = _guard_values(rng, (40, 8), dtype, 0.3)
+    z.flat[rng.integers(0, z.size, size=4)] = [np.nan, np.inf, -np.inf, -np.nan]
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(np.maximum(z, dtype(0.0)) > 0, z > 0)
 
 
 def _aliased(net):
@@ -306,14 +389,13 @@ def test_float32_is_the_default_and_rounds_the_float64_draws():
     x = np.random.default_rng(0).normal(size=(4, 3))  # float64 in, float32 out
     assert nets.forward_batch(n32, x).dtype == np.float32
     g = nets.backward_batch(n32, np.ones((4, 2)))
-    assert g.flat.dtype == g.input.dtype == np.float32
+    assert g.flat.dtype == nets.backward_input(n32, np.ones((4, 2))).dtype == np.float32
 
 
 def test_adam_step_rejects_gradients_of_another_dtype():
     net = nets.MlpNet.he_uniform([2, 3, 1], seed=0)
     opt = nets.AdamState.for_net(net, 1e-3)
-    g = nets.Gradients([np.ones((3, 2)), np.ones((1, 3))], [np.ones(3), np.ones(1)],
-                       np.zeros(2))
+    g = nets.Gradients([np.ones((3, 2)), np.ones((1, 3))], [np.ones(3), np.ones(1)])
     assert g.flat.dtype == np.float64
     with pytest.raises(ContractError):
         nets.adam_step(net, g, opt)

@@ -4,6 +4,7 @@ import math
 from pathlib import Path
 import warnings
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -395,6 +396,79 @@ def test_agent_save_load_roundtrip(tmp_path):
         sac.load_agent(tmp_path / "nope")
 
 
+def _update_pair(agent, seed):
+    rng = np.random.default_rng(seed)
+    batch, w = random_batch(rng, 4, 4, weights=np.full(4, 0.5))
+    sac.critic_update(agent, batch, w, rng)
+    sac.actor_update(agent, batch[0], rng)
+
+
+def _agent_bits(agent):
+    return ([getattr(agent, n).params.tobytes() for n in sac.AGENT_NETS],
+            repr(agent.log_temperature))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_saved_agent_keeps_its_optimizers(tmp_path, dtype):
+    """A reloaded agent's next update pair gives the saved agent's bits: the
+    three Adam states and the temperature optimizer come back with it."""
+    agent = tiny_agent(seed=50, dtype=dtype)
+    for seed in range(3):
+        _update_pair(agent, seed)
+    sac.save_agent(agent, tmp_path / "a")
+    loaded = sac.load_agent(tmp_path / "a")
+    for name in sac.TRAINED_NETS:
+        got, want = getattr(loaded, f"opt_{name}"), getattr(agent, f"opt_{name}")
+        assert got.step_count == want.step_count == 3
+        assert got.m.dtype == want.m.dtype == dtype
+        assert got.m.tobytes() == want.m.tobytes() and got.v.tobytes() == want.v.tobytes()
+        assert (got.learning_rate, got.beta1, got.beta2, got.epsilon) == \
+            (want.learning_rate, want.beta1, want.beta2, want.epsilon)
+    assert loaded.opt_temperature == agent.opt_temperature
+    _update_pair(agent, 9)
+    _update_pair(loaded, 9)
+    assert _agent_bits(loaded) == _agent_bits(agent)
+
+    # without its optimizers the same directory loads fresh ones, and the
+    # next update pair comes out otherwise
+    meta = json.loads((tmp_path / "a" / "agent.json").read_text())
+    del meta["opt_temperature"]
+    (tmp_path / "a" / "agent.json").write_text(json.dumps(meta))
+    fresh = sac.load_agent(tmp_path / "a")
+    assert fresh.opt_actor.step_count == 0 and not fresh.opt_actor.m.any()
+    assert fresh.opt_temperature == nets.ScalarAdam(fresh.hparams.temperature_lr)
+    _update_pair(fresh, 9)
+    assert _agent_bits(fresh) != _agent_bits(agent)
+
+
+def test_optimizer_state_must_fit_its_net(tmp_path):
+    agent = tiny_agent(seed=51)
+    nets.save_adam(agent.opt_actor, tmp_path / "opt.adam")
+    loaded = nets.load_adam(tmp_path / "opt.adam", agent.actor)
+    assert loaded.m.tobytes() == agent.opt_actor.m.tobytes()
+    with pytest.raises(ContractError):
+        nets.load_adam(tmp_path / "opt.adam", agent.critic1)  # other size
+    with pytest.raises(ContractError):
+        nets.load_adam(tmp_path / "opt.adam", nets.MlpNet.he_uniform(
+            agent.actor.layer_sizes, dtype=np.float32))  # other dtype
+    with pytest.raises(ContractError):
+        nets.load_checkpoint(tmp_path / "opt.adam")  # not a net
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), dtype=st.sampled_from([np.float32, np.float64]))
+@settings(max_examples=40, deadline=None)
+def test_min_max_clip_matches_np_clip_bitwise(seed, dtype):
+    """sample_actions and act clip the log-std head with minimum(maximum(...)):
+    np.clip's bits, NaN and infinities included."""
+    rng = np.random.default_rng(seed)
+    x = (rng.normal(size=64) * 10.0 ** rng.uniform(-3, 3, size=64)).astype(dtype)
+    x[rng.integers(0, 64, size=3)] = [np.nan, np.inf, -np.inf]
+    x[rng.integers(0, 64, size=2)] = [sac.LOG_STD_MIN, sac.LOG_STD_MAX]
+    got = np.minimum(np.maximum(x, sac.LOG_STD_MIN), sac.LOG_STD_MAX)
+    want = np.clip(x, sac.LOG_STD_MIN, sac.LOG_STD_MAX)
+    assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
+
+
 def test_agent_create_defaults_and_validation():
     agent = tiny_agent(seed=38, obs_dim=4, action_dim=2)
     assert agent.target_entropy == -2.0
@@ -468,10 +542,16 @@ def test_float32_agent_save_load_roundtrip_is_bitwise(tmp_path):
 
 def test_float64_agent_written_before_dtype_headers_loads_unchanged(tmp_path):
     """tests/data/agent_f8 was written by save_agent before checkpoints
-    recorded a dtype, with the actions that agent took next to it."""
+    recorded a dtype, and before agents kept their optimizers, with the
+    actions that agent took next to it."""
     src = DATA / "agent_f8"
     want = json.loads((DATA / "agent_f8_actions.json").read_text())
     agent = sac.load_agent(src)
+    for name in sac.TRAINED_NETS:  # fresh optimizers
+        opt = getattr(agent, f"opt_{name}")
+        assert opt.step_count == 0 and opt.m.shape == getattr(agent, name).params.shape
+        assert not opt.m.any() and not opt.v.any()
+    assert agent.opt_temperature == nets.ScalarAdam(agent.hparams.temperature_lr)
     for name in ("actor", "critic1", "critic2", "target1", "target2"):
         header, blob = (src / f"{name}.mlp").read_bytes().split(b"\n", 1)
         assert "dtype" not in json.loads(header)
@@ -512,12 +592,12 @@ def _record_dtypes(monkeypatch):
 
     def fwd(net, x):
         out = forward_batch(net, x)
-        seen.update(a.dtype for a in (out, *net._acts, *net._pre))
+        seen.update(a.dtype for a in (out, *net._acts, nets.output_preactivation(net)))
         return out
 
     def bwd(net, grad_out, wrt_preactivation=False):
         g = backward_batch(net, grad_out, wrt_preactivation)
-        seen.update((grad_out.dtype, g.flat.dtype, g.input.dtype))
+        seen.update((grad_out.dtype, g.flat.dtype))
         return g
 
     def bwd_input(net, grad_out, wrt_preactivation=False):
