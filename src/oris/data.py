@@ -1,14 +1,17 @@
 """Offline datasets, replay buffers and the JSONL dataset format, all on transition columns.
 
 A set of transitions is always the column tuple (S, A, R, S2, D). A dataset
-file is one JSON metadata line followed by one JSON object per transition;
-floats round-trip exactly through repr, so save/load/save is byte-stable.
+file is one JSON header line followed by one JSON row per transition. It is
+written and read BLOCK_ROWS rows at a time, so memory beyond the columns stays
+bounded by one block. Floats round-trip exactly through repr, so
+save/load/save is byte-stable, and a bad row is named by its file line.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 import json
 import math
 
@@ -22,6 +25,11 @@ DATASET_VERSION = 1
 TIERS = ("random", "medium", "medium_replay", "expert")
 
 COLUMN_NAMES = ("S", "A", "R", "S2", "D")
+# Rows per step when a dataset file is written or read. A loaded block's parsed
+# rows (about 1 KB each) stay resident as heap after the load, so a block is
+# kept small enough to fit the heap a run already holds; 1024 rows saved about
+# 5% more time but left 1 MB more resident.
+BLOCK_ROWS = 256
 
 
 def as_columns(S, A, R, S2, D) -> tuple:
@@ -217,14 +225,80 @@ def _meta_to_disk(meta: dict) -> dict:
     return out
 
 
+def _rows_text(column) -> list[str]:
+    """Each row of a column as the JSON text that json.dumps gives it: one
+    dumps of the whole column (the C encoder's float repr), split into rows.
+    A 2-d column gives each row's items without the brackets."""
+    text = json.dumps(column.tolist())
+    if column.ndim == 2:
+        return text[2:-2].split("], [")
+    return text[1:-1].split(", ")
+
+
 def save_dataset(d: Dataset, path) -> None:
-    eot = set(b - 1 for b in d.trajectory_boundaries)
+    eot = np.zeros(len(d), dtype=bool)
+    eot[np.asarray(d.trajectory_boundaries) - 1] = True
+    S, A, R, S2, D = d.columns
     with atomic_write(path) as f:
         f.write(json.dumps(_meta_to_disk(d.meta)) + "\n")
-        rows = zip(*(c.tolist() for c in d.columns))
-        for i, (s, a, r, s2, done) in enumerate(rows):
-            row = {"s": s, "a": a, "r": r, "s2": s2, "done": bool(done), "eot": i in eot}
-            f.write(json.dumps(row) + "\n")
+        for i in range(0, len(d), BLOCK_ROWS):
+            block = slice(i, i + BLOCK_ROWS)
+            cols = (S[block], A[block], R[block], S2[block], D[block] != 0, eot[block])
+            f.write("".join(
+                f'{{"s": [{s}], "a": [{a}], "r": {r}, "s2": [{s2}], "done": {done}, '
+                f'"eot": {end}}}\n'
+                for s, a, r, s2, done, end in zip(*map(_rows_text, cols))))
+
+
+_ROW_ERRORS = (json.JSONDecodeError, KeyError, TypeError, OverflowError, ContractError)
+
+
+def _load_row(line, flat, widths):
+    """Append one row's values to the columns; returns (widths, eot flag)."""
+    row = json.loads(line)
+    fields = (row["s"], row["a"], [row["r"]], row["s2"], [row["done"]])
+    w = [len(x) for x in fields]
+    if widths is not None and w != widths:
+        raise ContractError(f"field lengths {w}, first row {widths}")
+    for column, x in zip(flat, fields):
+        column.extend(x)
+    return w, row.get("eot", False)
+
+
+def _load_block(lines, flat, widths):
+    """Append a block of rows to the columns with one json.loads; returns
+    (widths, eot flags). Raises one of _ROW_ERRORS on any bad row, without
+    naming it."""
+    rows = json.loads("[" + ",".join(lines) + "]")
+    if len(rows) != len(lines):
+        raise ContractError(f"{len(rows)} rows on {len(lines)} lines")
+    S, A, S2 = ([row[k] for row in rows] for k in ("s", "a", "s2"))
+    R = [row["r"] for row in rows]
+    D = [row["done"] for row in rows]
+    if widths is None:
+        widths = [len(S[0]), len(A[0]), 1, len(S2[0]), 1]
+    for col, w in zip((S, A, S2), (widths[0], widths[1], widths[3])):
+        if set(map(len, col)) != {w}:
+            raise ContractError("field lengths differ from the first row's")
+    for column, x in zip(flat, (chain.from_iterable(S), chain.from_iterable(A), R,
+                                chain.from_iterable(S2), D)):
+        column.extend(x)
+    return widths, [row.get("eot", False) for row in rows]
+
+
+def _blocks(f):
+    """(file line numbers, lines) of up to BLOCK_ROWS non-blank lines at a
+    time, from a file read past its header line."""
+    linenos, lines = [], []
+    for lineno, line in enumerate(f, start=2):
+        if line.strip():
+            linenos.append(lineno)
+            lines.append(line)
+            if len(lines) == BLOCK_ROWS:
+                yield linenos, lines
+                linenos, lines = [], []
+    if lines:
+        yield linenos, lines
 
 
 def load_dataset(path) -> Dataset:
@@ -240,27 +314,28 @@ def load_dataset(path) -> Dataset:
             raise ContractError(f"unsupported dataset version {header.get('version')}")
         meta = {k: v for k, v in header.items() if k not in ("format", "version", "seed")}
         meta["behavior_policy_seed"] = header.get("seed")
-        # Columns are gathered as raw doubles so that no Python object per value
-        # outlives its row; keeping them all fragments the heap for the whole run.
+        # Columns are gathered as raw doubles: the Python objects of a block's
+        # rows are dropped with the block, and keeping a whole file's would
+        # fragment the heap for the whole run.
         flat = [array("d") for _ in COLUMN_NAMES]
-        widths, linenos, bounds = None, [], []
-        for lineno, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
+        widths, linenos, bounds = None, array("l"), []
+        for block_linenos, lines in _blocks(f):
+            marks = [len(c) for c in flat]
             try:
-                row = json.loads(line)
-                fields = (row["s"], row["a"], [row["r"]], row["s2"], [row["done"]])
-                w = [len(x) for x in fields]
-                if widths is not None and w != widths:
-                    raise ContractError(f"field lengths {w}, first row {widths}")
-                widths = w
-                for column, x in zip(flat, fields):
-                    column.extend(x)
-            except (json.JSONDecodeError, KeyError, TypeError, ContractError) as e:
-                raise ContractError(f"{path}:{lineno}: bad transition row: {e}") from e
-            linenos.append(lineno)
-            if row.get("eot", False):
-                bounds.append(len(linenos))
+                widths, eot = _load_block(lines, flat, widths)
+            except _ROW_ERRORS:
+                # load the block again row by row, to name the first bad line
+                for column, m in zip(flat, marks):
+                    del column[m:]
+                eot = []
+                for lineno, line in zip(block_linenos, lines):
+                    try:
+                        widths, end = _load_row(line, flat, widths)
+                    except _ROW_ERRORS as e:
+                        raise ContractError(f"{path}:{lineno}: bad transition row: {e}") from e
+                    eot.append(end)
+            bounds.extend(len(linenos) + i for i, end in enumerate(eot, start=1) if end)
+            linenos.extend(block_linenos)
     if not linenos:
         raise ContractError(f"{path}: dataset has no transitions")
     n = len(linenos)

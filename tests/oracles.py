@@ -2,12 +2,15 @@
 
 These deliberately avoid the package's own gradient/statistics code paths:
 finite differences, naive two-pass summation, quadrature, and a from-scratch
-Adam reference. Kept as plain functions so tests stay readable.
+Adam reference, and a dataset writer that encodes one row at a time. Kept
+as plain functions so tests stay readable.
 """
+
+import json
 
 import numpy as np
 
-from oris import nets
+from oris import data, nets
 
 
 def fd_grad(f, x0, eps=1e-6):
@@ -175,3 +178,15 @@ def gauss_legendre_integral(f, lo, hi, n=200):
 
 def binomial_3sigma(p, n):
     return 3.0 * np.sqrt(p * (1.0 - p) / n)
+
+
+def dataset_text_per_row(d):
+    """A dataset file's text with one json.dumps per transition row: the
+    reference for the bytes data.save_dataset writes."""
+    eot = set(b - 1 for b in d.trajectory_boundaries)
+    lines = [json.dumps(data._meta_to_disk(d.meta))]
+    rows = zip(*(c.tolist() for c in d.columns))
+    for i, (s, a, r, s2, done) in enumerate(rows):
+        lines.append(json.dumps({"s": s, "a": a, "r": r, "s2": s2, "done": bool(done),
+                                 "eot": i in eot}))
+    return "".join(line + "\n" for line in lines)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,12 +122,78 @@ def test_load_rejects_malformed(tmp_path):
     # a bad value or shape is named by its file line (the header is line 1)
     good = {"s": [0.0, 1.0], "a": [0.0], "r": 1.0, "s2": [1.0, 0.0], "done": False,
             "eot": False}
-    for key, value in (("r", float("nan")), ("s", [0.0]), ("s2", [0.0, np.inf]),
-                       ("a", "x"), ("done", None)):
-        rows = [good, good, {**good, key: value}, {**good, "eot": True}]
-        p.write_text("\n".join(json.dumps(x) for x in [header, *rows]) + "\n")
+    last = json.dumps({**good, "eot": True})
+    bad_lines = [json.dumps({**good, key: value}) for key, value in (
+        ("r", float("nan")), ("s", [0.0]), ("s2", [0.0, np.inf]), ("a", "x"),
+        ("done", None), ("s", ["1.5"]), ("r", "1.5"), ("r", 10 ** 400))]
+    bad_lines.append(json.dumps(good) + ", " + json.dumps(good))  # two rows on one line
+    for bad in bad_lines:
+        lines = [json.dumps(header), json.dumps(good), json.dumps(good), bad, last]
+        p.write_text("\n".join(lines) + "\n")
         with pytest.raises(ContractError, match=r"x\.jsonl:4: "):
             data.load_dataset(p)
+    # past the first block and after blank lines, a bad row keeps its own line
+    lines = [json.dumps(header)] + [json.dumps(good)] * (data.BLOCK_ROWS + 3)
+    lines[5:5] = ["", "  "]
+    lines[data.BLOCK_ROWS + 1:data.BLOCK_ROWS + 1] = [""]
+    lines += [json.dumps({**good, "r": None}), last]
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ContractError, match=rf"x\.jsonl:{len(lines) - 1}: "):
+        data.load_dataset(p)
+
+
+SPECIAL_FLOATS = (-0.0, 5e-324, 1e-07, 1e16, 3.0, 1.7976931348623157e308,
+                  -1.7976931348623157e308)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), obs_dim=st.integers(1, 4),
+       act_dim=st.integers(1, 2),
+       n=st.sampled_from([1, data.BLOCK_ROWS, data.BLOCK_ROWS + 1]),
+       floats=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8),
+       cuts=st.sets(st.sampled_from([1, 2, data.BLOCK_ROWS - 1, data.BLOCK_ROWS])))
+@settings(max_examples=25, deadline=None)
+def test_block_writer_writes_per_row_bytes(tmp_path_factory, seed, obs_dim, act_dim, n,
+                                           floats, cuts):
+    """save_dataset writes what one json.dumps per row writes, and a save of the
+    loaded file writes it again."""
+    rng = np.random.default_rng(seed)
+    pool = np.array(SPECIAL_FLOATS + tuple(floats))
+    S, A, S2 = (rng.choice(pool, size=(n, k)) for k in (obs_dim, act_dim, obs_dim))
+    R = rng.choice(pool, size=n)
+    D = rng.choice([0.0, 1.0, -0.0, 0.5], size=n)
+    # trajectory ends on both sides of the block edge when n allows
+    bounds = sorted({c for c in cuts if c < n} | {n})
+    d = data.Dataset({"env_id": "pendulum", "tier": "random"}, (S, A, R, S2, D), bounds)
+    p = tmp_path_factory.getbasetemp() / "block_writer.jsonl"
+    data.save_dataset(d, p)
+    want = oracles.dataset_text_per_row(d).encode("utf-8")
+    assert p.read_bytes() == want
+    data.save_dataset(data.load_dataset(p), p)
+    assert p.read_bytes() == want
+
+
+def test_save_and_load_peak_memory_is_bounded_by_blocks(tmp_path):
+    """A three-block file saves and loads within a fixed multiple of its
+    columns' bytes. Encoding whole columns at once, or parsing the whole
+    file's rows at once, goes past it."""
+    n = 3 * data.BLOCK_ROWS
+    rng = np.random.default_rng(0)
+    cols = (rng.normal(size=(n, 3)), rng.normal(size=(n, 1)), rng.normal(size=n),
+            rng.normal(size=(n, 3)), np.zeros(n))
+    d = data.Dataset({"env_id": "pendulum", "tier": "random"}, cols, [n // 2, n])
+    column_bytes = sum(c.nbytes for c in cols)
+    p = tmp_path / "d.jsonl"
+    tracemalloc.start()
+    try:
+        data.save_dataset(d, p)
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        data.load_dataset(p)
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert save_peak < 5 * column_bytes
+    assert load_peak < 10 * column_bytes
 
 
 def test_subsample_whole_trajectories():

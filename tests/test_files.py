@@ -1,5 +1,6 @@
 """Atomic output files: a failed write leaves the old file and no temp file."""
 
+import contextlib
 import json
 
 import numpy as np
@@ -41,19 +42,37 @@ def test_save_dataset_cut_part_way_keeps_old_file(tmp_path, monkeypatch):
     old = datasets.generate_dataset("pendulum", "random", episodes=1, seed=0)
     data.save_dataset(old, p)
     before = p.read_bytes()
-    calls = []
+    new = datasets.generate_dataset("pendulum", "random", episodes=6, seed=1)
+    assert len(new) > data.BLOCK_ROWS
 
-    def dumps(obj):
-        calls.append(obj)
-        if len(calls) == 50:
-            raise OSError("disk full")
-        return json.dumps(obj)
+    class FullAfterOneBlock:
+        """Takes the header line and one block of rows, then is full."""
 
-    monkeypatch.setattr(data.json, "dumps", dumps)
-    new = datasets.generate_dataset("pendulum", "random", episodes=1, seed=1)
+        def __init__(self, f):
+            self.f = f
+            self.room = 1 + data.BLOCK_ROWS  # lines
+
+        def write(self, text):
+            lines = text.count("\n")
+            if lines > self.room:
+                self.f.write(text[:len(text) // 2])
+                raise OSError("disk full")
+            self.room -= lines
+            return self.f.write(text)
+
+    files = []
+
+    @contextlib.contextmanager
+    def cut_write(path):
+        with atomic_write(path) as f:
+            files.append(FullAfterOneBlock(f))
+            yield files[-1]
+
+    monkeypatch.setattr(data, "atomic_write", cut_write)
     with pytest.raises(OSError):
         data.save_dataset(new, p)
-    assert p.read_bytes() == before and len(calls) == 50
+    assert files[0].room == 0  # the cut came mid-file, after the first block
+    assert p.read_bytes() == before
     assert [q.name for q in tmp_path.iterdir()] == ["d.jsonl"]
 
 
