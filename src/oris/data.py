@@ -3,8 +3,10 @@
 A set of transitions is always the column tuple (S, A, R, S2, D). A dataset
 file is one JSON header line followed by one JSON row per transition. It is
 written and read BLOCK_ROWS rows at a time, so memory beyond the columns stays
-bounded by one block. Floats round-trip exactly through repr, so
-save/load/save is byte-stable, and a bad row is named by its file line.
+bounded by one block. Each state's text is formatted once: where a row's s2
+has the bits of the next row's s, as inside an episode, it reuses that text.
+Floats round-trip exactly through repr, so save/load/save is byte-stable, and
+a bad row is named by its file line.
 """
 
 from __future__ import annotations
@@ -236,18 +238,30 @@ def _rows_text(column) -> list[str]:
 
 
 def save_dataset(d: Dataset, path) -> None:
-    eot = np.zeros(len(d), dtype=bool)
+    n = len(d)
+    eot = np.zeros(n, dtype=bool)
     eot[np.asarray(d.trajectory_boundaries) - 1] = True
     S, A, R, S2, D = d.columns
+    # Inside an episode a row's s2 is the next row's s, so its text is that
+    # row's. Bits are compared, not values: -0.0 == 0.0 but prints otherwise.
+    reuse = np.zeros(n, dtype=bool)
+    reuse[:-1] = (S2[:-1].view(np.int64) == S[1:].view(np.int64)).all(axis=1)
     with atomic_write(path) as f:
         f.write(json.dumps(_meta_to_disk(d.meta)) + "\n")
-        for i in range(0, len(d), BLOCK_ROWS):
-            block = slice(i, i + BLOCK_ROWS)
-            cols = (S[block], A[block], R[block], S2[block], D[block] != 0, eot[block])
+        for i in range(0, n, BLOCK_ROWS):
+            j = min(i + BLOCK_ROWS, n)
+            # one row past the block, when there is one, gives its last s2;
+            # the file's last s2 is never reused, so its "" is replaced
+            s_text = _rows_text(S[i:j + 1])
+            s2_text = s_text[1:] if j < n else s_text[1:] + [""]
+            formatted = np.flatnonzero(~reuse[i:j])
+            for k, text in zip(formatted.tolist(), _rows_text(S2[i + formatted])):
+                s2_text[k] = text
+            cols = (A[i:j], R[i:j], D[i:j] != 0, eot[i:j])
             f.write("".join(
                 f'{{"s": [{s}], "a": [{a}], "r": {r}, "s2": [{s2}], "done": {done}, '
                 f'"eot": {end}}}\n'
-                for s, a, r, s2, done, end in zip(*map(_rows_text, cols))))
+                for s, s2, a, r, done, end in zip(s_text, s2_text, *map(_rows_text, cols))))
 
 
 _ROW_ERRORS = (json.JSONDecodeError, KeyError, TypeError, OverflowError, ContractError)
@@ -269,6 +283,10 @@ def _load_block(lines, flat, widths):
     """Append a block of rows to the columns with one json.loads; returns
     (widths, eot flags). Raises one of _ROW_ERRORS on any bad row, without
     naming it."""
+    # a row split over two lines and two rows joined on a third would parse
+    # to as many rows as lines
+    if not all(line[0] == "{" and line.rstrip()[-1] == "}" for line in lines):
+        raise ContractError("a line that is not one JSON object")
     rows = json.loads("[" + ",".join(lines) + "]")
     if len(rows) != len(lines):
         raise ContractError(f"{len(rows)} rows on {len(lines)} lines")

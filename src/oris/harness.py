@@ -31,7 +31,7 @@ SWEEP_AXES = ("gravity", "gap_type", "fraction", "ablation")
 
 _CONFIG_KEYS = frozenset({
     "env_id", "perturbation", "dataset", "dataset_fraction", "subsample_seed",
-    "variant", "seeds", "refs", "refs_path", "eval_every", "out_dir",
+    "variant", "seeds", "refs", "refs_path", "out_dir",
     "oris", "sac", "gan"})
 
 
@@ -61,7 +61,6 @@ class ExperimentConfig:
     subsample_seed: int = 0
     refs: dict | None = None
     refs_path: str | None = None
-    eval_every: int = 1
     out_dir: str = "runs"
     oris: OrisConfig = field(default_factory=OrisConfig)
     sac: sac.SacHparams = field(default_factory=sac.SacHparams)
@@ -77,8 +76,6 @@ class ExperimentConfig:
         if not 0.0 < self.dataset_fraction <= 1.0:
             raise ConfigError(
                 f"dataset_fraction must be in (0, 1], got {self.dataset_fraction}")
-        if self.eval_every < 1:
-            raise ConfigError("eval_every must be >= 1")
         if (self.refs is None) == (self.refs_path is None):
             raise ConfigError("provide exactly one of refs / refs_path")
         if self.refs is not None:
@@ -113,7 +110,7 @@ class ExperimentConfig:
             "dataset_fraction": self.dataset_fraction,
             "subsample_seed": self.subsample_seed,
             "refs": self.refs, "refs_path": self.refs_path,
-            "eval_every": self.eval_every, "out_dir": self.out_dir,
+            "out_dir": self.out_dir,
             "oris": self.oris.to_json(), "sac": self.sac.to_json(),
             "gan": self.gan.to_json()}
 
@@ -168,16 +165,13 @@ def _fmt(x) -> str:
 
 
 def write_metrics_csv(path, reports: list[EpochReport], refs: tuple[float, float],
-                      config_hash: str, variant: str, seed: int,
-                      eval_every: int = 1) -> None:
+                      config_hash: str, variant: str, seed: int) -> None:
     random_ref, expert_ref = refs
-    keep = [r for r in reports
-            if r.epoch % eval_every == 0 or r.epoch == reports[-1].epoch]
     buf = io.StringIO()
     buf.write(f"# config_hash={config_hash} variant={variant} seed={seed}\n")
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(CSV_COLUMNS)
-    for r in keep:
+    for r in reports:
         score = normalized_score(r.eval_return_mean, random_ref, expert_ref)
         w.writerow([_fmt(v) for v in (
             r.epoch, r.env_steps, r.eval_return_mean, r.eval_return_std,
@@ -302,8 +296,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, progress=None):
                              "error": f"{type(e).__name__}: {e}"})
             continue
         path = out / f"{cfg.variant}_seed{seed}.csv"
-        write_metrics_csv(path, reports, refs, chash, cfg.variant, int(seed),
-                          cfg.eval_every)
+        write_metrics_csv(path, reports, refs, chash, cfg.variant, int(seed))
         sac.save_agent(agent, out / f"{cfg.variant}_seed{seed}_agent")
         csv_paths.append(path)
 

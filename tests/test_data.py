@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oris import data, gan
 from oris.errors import ContractError
@@ -127,6 +127,10 @@ def test_load_rejects_malformed(tmp_path):
         ("r", float("nan")), ("s", [0.0]), ("s2", [0.0, np.inf]), ("a", "x"),
         ("done", None), ("s", ["1.5"]), ("r", "1.5"), ("r", 10 ** 400))]
     bad_lines.append(json.dumps(good) + ", " + json.dumps(good))  # two rows on one line
+    # one row split over two lines and two rows joined on a third: as many
+    # rows as lines, so only a check of each line's ends catches it
+    bad_lines.append('{"x": [[1\n2]], ' + json.dumps(good)[1:] + "\n"
+                     + json.dumps(good) + ", " + json.dumps(good))
     for bad in bad_lines:
         lines = [json.dumps(header), json.dumps(good), json.dumps(good), bad, last]
         p.write_text("\n".join(lines) + "\n")
@@ -170,6 +174,77 @@ def test_block_writer_writes_per_row_bytes(tmp_path_factory, seed, obs_dim, act_
     assert p.read_bytes() == want
     data.save_dataset(data.load_dataset(p), p)
     assert p.read_bytes() == want
+
+
+def _rollout_dataset(episode_lengths, rng, obs_dim, breaks) -> data.Dataset:
+    """Episodes whose rows chain as a rollout's do, s2[t] = s[t+1]. A new
+    episode starts from a new state, and after each row t in breaks s2[t]
+    holds -0.0 where s[t+1] holds 0.0."""
+    n = sum(episode_lengths)
+    states = rng.choice(np.array(SPECIAL_FLOATS + (0.25,)), size=(n + 1, obs_dim))
+    S, S2 = states[:-1].copy(), states[1:].copy()
+    bounds = np.cumsum(episode_lengths).tolist()
+    for start in bounds[:-1]:
+        S[start] = rng.normal(size=obs_dim)
+    for t in breaks:
+        if t + 1 < n:
+            S[t + 1, 0], S2[t, 0] = 0.0, -0.0
+    A = rng.uniform(-1, 1, size=(n, 1))
+    R = rng.normal(size=n)
+    D = np.zeros(n)
+    D[np.array(bounds) - 1] = 1.0
+    return data.Dataset({"env_id": "pendulum", "tier": "medium"}, (S, A, R, S2, D), bounds)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), obs_dim=st.integers(1, 4),
+       lengths=st.lists(st.sampled_from([1, 2, 3, 100, data.BLOCK_ROWS - 1,
+                                         data.BLOCK_ROWS, data.BLOCK_ROWS + 1]),
+                        min_size=1, max_size=4),
+       breaks=st.sets(st.sampled_from([0, data.BLOCK_ROWS - 2, data.BLOCK_ROWS - 1,
+                                       data.BLOCK_ROWS])),
+       fraction=st.sampled_from([1.0, 0.5]))
+@example(seed=0, obs_dim=3, lengths=[1], breaks=set(), fraction=1.0)
+@example(seed=0, obs_dim=3, lengths=[data.BLOCK_ROWS + 1, 3], breaks={data.BLOCK_ROWS - 1},
+         fraction=1.0)
+@settings(max_examples=25, deadline=None)
+def test_writer_reuses_state_text_of_rollout_rows(tmp_path_factory, seed, obs_dim, lengths,
+                                                  breaks, fraction):
+    """Where s2[t] is s[t+1] the writer takes s2's text from the next row's s:
+    at episode ends, at the block edge (rows 255/256), across a -0.0/0.0 pair,
+    in a 1-row dataset and in a subsample, the bytes are still one json.dumps
+    per row, and a save of the loaded file writes them again."""
+    rng = np.random.default_rng(seed)
+    d = data.subsample_trajectories(_rollout_dataset(lengths, rng, obs_dim, breaks),
+                                    fraction, seed)
+    p = tmp_path_factory.getbasetemp() / "rollout_writer.jsonl"
+    data.save_dataset(d, p)
+    want = oracles.dataset_text_per_row(d).encode("utf-8")
+    assert p.read_bytes() == want
+    data.save_dataset(data.load_dataset(p), p)
+    assert p.read_bytes() == want
+
+
+def test_writer_formats_only_the_s2_rows_that_differ_from_the_next_s(tmp_path, monkeypatch):
+    """A generated tier's s2 rows are formatted only where the next row's s
+    has other bits: once per episode, at its end."""
+    from oris.datasets import generate_dataset
+    d = generate_dataset("pendulum", "random", episodes=3, seed=0)
+    S, _, _, S2, _ = d.columns
+    differ = int((S2[:-1].view(np.int64) != S[1:].view(np.int64)).any(axis=1).sum()) + 1
+    assert differ == d.num_trajectories
+    s2_rows = []
+    rows_text = data._rows_text
+
+    def counting(column):
+        # state rows that are not a slice of S are s2 rows
+        if column.ndim == 2 and column.shape[1] == S.shape[1] \
+                and not np.shares_memory(column, S):
+            s2_rows.append(len(column))
+        return rows_text(column)
+
+    monkeypatch.setattr(data, "_rows_text", counting)
+    data.save_dataset(d, tmp_path / "d.jsonl")
+    assert sum(s2_rows) == differ
 
 
 def test_save_and_load_peak_memory_is_bounded_by_blocks(tmp_path):

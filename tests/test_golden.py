@@ -6,6 +6,7 @@ in float32, hashed as float64), so it changes with any change to
 the RNG draw order or to the order of float operations anywhere in data, gan,
 sac, nets or loop. One more digest covers a tiny online reference run
 (`datasets.train_reference`): its final agent and every episode it collected.
+One more covers the bytes `data.save_dataset` writes for a small generated tier.
 A change that alters them on purpose says so and records the new digests here
 once.
 
@@ -19,7 +20,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from oris import datasets, envs, gan, loop, nets, sac
+from oris import data, datasets, envs, gan, loop, nets, sac
 from oris.loop import OrisConfig
 
 RECORDED_ON = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0"}
@@ -32,6 +33,7 @@ VARIANT_SHA256 = {
     "bc": "ba42bde62ee4d956a40ee034075bebf330364161acace73f65cbb46820c9c1f6",
 }
 REFERENCE_SHA256 = "ac23e283f799bb489cc6dab160d0783791133351c78a41782095e17410a27e7b"
+DATASET_FILE_SHA256 = "a4633e6ce5091ed6b60f32649b91dc63f44689ef725b4b74c1469f8a65d1ac8c"
 
 AGENT_NETS = ("actor", "critic1", "critic2", "target1", "target2")
 
@@ -100,3 +102,11 @@ def test_variant_training_digest(variant):
 def test_reference_run_digest():
     _require_recorded_build()
     assert reference_digest() == REFERENCE_SHA256
+
+
+def test_dataset_file_digest(tmp_path):
+    _require_recorded_build()
+    path = tmp_path / "random.jsonl"
+    data.save_dataset(datasets.generate_dataset("pendulum", "random", episodes=3, seed=0),
+                      path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DATASET_FILE_SHA256

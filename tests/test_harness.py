@@ -129,14 +129,6 @@ def test_metrics_csv_roundtrip(tmp_path):
     assert isinstance(rows[0]["env_steps"], int)
 
 
-def test_metrics_csv_eval_every_keeps_final(tmp_path):
-    path = tmp_path / "m.csv"
-    harness.write_metrics_csv(path, fake_reports(5), (-1500.0, -100.0), "h",
-                              "oris", 0, eval_every=2)
-    _, rows = harness.read_metrics_csv(path)
-    assert [r["epoch"] for r in rows] == [2, 4, 5]
-
-
 def test_score_table_from_csvs(tmp_path):
     for seed, final in ((0, -800.0), (1, -100.0)):
         reports = fake_reports(2)

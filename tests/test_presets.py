@@ -15,41 +15,41 @@ from oris.harness import ExperimentConfig, ScoreTable
 # `oris study` replaced them.
 STUDY_CELLS = {
     "main_comparison": [
-        ("runs/main_comparison/oris", None, "95a4016b4cf8", None),
-        ("runs/main_comparison/naive_mix", None, "cf70a03f5df7", None),
-        ("runs/main_comparison/sim_only_sac", None, "a3de6eb8e9a9", None),
+        ("runs/main_comparison/oris", None, "92c197eb1859", None),
+        ("runs/main_comparison/naive_mix", None, "33f455472e2d", None),
+        ("runs/main_comparison/sim_only_sac", None, "f9e54d7a9c26", None),
     ],
     "gap_grid": [
-        ("runs/gap_grid/oris", "gap_type", "27efd6db67b0",
-         {"gap_gravity": "95a4016b4cf8", "gap_friction": "daba1e49f654",
-          "gap_action_noise": "57f5f02013f3"}),
-        ("runs/gap_grid/naive_mix", "gap_type", "92fcc62f4d18",
-         {"gap_gravity": "cf70a03f5df7", "gap_friction": "a324081fdbfa",
-          "gap_action_noise": "4d64d6830601"}),
-        ("runs/gap_grid/sim_only_sac", "gap_type", "12d09981a2f2",
-         {"gap_gravity": "a3de6eb8e9a9", "gap_friction": "aa8480696d9e",
-          "gap_action_noise": "9ce2cf016bb8"}),
+        ("runs/gap_grid/oris", "gap_type", "f5587c5628de",
+         {"gap_gravity": "92c197eb1859", "gap_friction": "067e355e5aee",
+          "gap_action_noise": "9a621d0dfcab"}),
+        ("runs/gap_grid/naive_mix", "gap_type", "bb5462ef3309",
+         {"gap_gravity": "33f455472e2d", "gap_friction": "3a97f7f9c349",
+          "gap_action_noise": "ffd926445fc9"}),
+        ("runs/gap_grid/sim_only_sac", "gap_type", "b3aed562bf45",
+         {"gap_gravity": "f9e54d7a9c26", "gap_friction": "bc4ef51e832e",
+          "gap_action_noise": "98fff710fec2"}),
     ],
     "gc_sweep": [
-        ("runs/gc_sweep/oris", "gravity", "27efd6db67b0",
-         {"gravity_2": "95a4016b4cf8", "gravity_3": "21751d5fd841",
-          "gravity_4": "79a69ee5da78", "gravity_5": "3db89a698dcc"}),
-        ("runs/gc_sweep/sim_only_sac", "gravity", "12d09981a2f2",
-         {"gravity_2": "a3de6eb8e9a9", "gravity_3": "fe49be9b32ee",
-          "gravity_4": "7289a5bc81c3", "gravity_5": "c1a75d3c7280"}),
+        ("runs/gc_sweep/oris", "gravity", "f5587c5628de",
+         {"gravity_2": "92c197eb1859", "gravity_3": "db83fa230cf3",
+          "gravity_4": "7bc79c6d2bfd", "gravity_5": "373a8d5b266c"}),
+        ("runs/gc_sweep/sim_only_sac", "gravity", "b3aed562bf45",
+         {"gravity_2": "f9e54d7a9c26", "gravity_3": "09ea0c637d90",
+          "gravity_4": "ce8dabd11f87", "gravity_5": "53a3c168a288"}),
     ],
     "small_data": [
-        ("runs/small_data/oris", "fraction", "95a4016b4cf8",
-         {"fraction_1": "95a4016b4cf8", "fraction_0.25": "aa93fe3efdc2",
-          "fraction_0.05": "44cb346b6edc"}),
-        ("runs/small_data/bc", "fraction", "dd662ea64f8d",
-         {"fraction_1": "dd662ea64f8d", "fraction_0.25": "d0267f48d075",
-          "fraction_0.05": "718a1480ea3f"}),
+        ("runs/small_data/oris", "fraction", "92c197eb1859",
+         {"fraction_1": "92c197eb1859", "fraction_0.25": "85508806d4f3",
+          "fraction_0.05": "4fa5fa55ac72"}),
+        ("runs/small_data/bc", "fraction", "153054fce569",
+         {"fraction_1": "153054fce569", "fraction_0.25": "f3a9efa5b069",
+          "fraction_0.05": "cef91c7bd4c5"}),
     ],
     "ablations": [
-        ("runs/ablations", "ablation", "f856e246b843",
-         {"oris": "f856e246b843", "no_restart": "7ff7cb26c9b2",
-          "uniform_weight": "2bebd53f5e45", "naive_mix": "b89bb85aff24"}),
+        ("runs/ablations", "ablation", "3bb5a54ce768",
+         {"oris": "3bb5a54ce768", "no_restart": "06f27cb8f681",
+          "uniform_weight": "ff678967fd09", "naive_mix": "e6673710629f"}),
     ],
 }
 
@@ -94,4 +94,4 @@ def test_readme_config_is_the_main_comparison_oris_cell():
     block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
     cfg = ExperimentConfig.from_json(json.loads(block))
     cell = presets.study_cells("main_comparison", "data", "runs/main", range(5))[0]
-    assert cfg.config_hash() == cell.config_hash() == "95a4016b4cf8"
+    assert cfg.config_hash() == cell.config_hash() == "92c197eb1859"
