@@ -7,6 +7,7 @@ simulated transitions where the dataset already has coverage.
 
 Modules: nets (dense nets + autodiff), envs (pendulum / pointgoal), data
 (transition columns, buffers, datasets), datasets (reference runs and
-tiers), gan, sac, loop (the training loop and its variants), harness
-(experiments, scoring, sweeps), cli.
+tiers), gan, sac, loop (the training loop and its variants), config (the
+JSON codec of the config dataclasses), harness (experiments, scoring,
+sweeps), cli.
 """

@@ -12,19 +12,10 @@ from pathlib import Path
 import numpy as np
 
 from . import datasets, envs, harness, presets, sac
+from .config import load_json
 from .data import TIERS, save_dataset
 from .errors import ConfigError, ContractError, NumericsError
 from .files import atomic_write
-
-
-def _load_json(path) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"{path}: no such file")
-    try:
-        return json.loads(p.read_text())
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: not valid JSON ({e})") from None
 
 
 def _eprint(*a):
@@ -42,7 +33,7 @@ def cmd_gen_dataset(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     hp = datasets.REFERENCE_DEFAULTS[args.env]
     if args.reference_config is not None:
-        hp = datasets.ReferenceHparams.from_json(_load_json(args.reference_config))
+        hp = datasets.ReferenceHparams.from_json(load_json(args.reference_config))
 
     reference = None
     if any(t != "random" for t in tiers):
@@ -71,7 +62,7 @@ def cmd_gen_dataset(args) -> int:
 
 
 def _load_config(args) -> harness.ExperimentConfig:
-    cfg = harness.ExperimentConfig.from_json(_load_json(args.config))
+    cfg = harness.ExperimentConfig.from_json(load_json(args.config))
     if args.seed is not None:
         cfg = cfg.with_overrides(seeds=[args.seed])
     return cfg

@@ -1,0 +1,90 @@
+"""The JSON form of the frozen config dataclasses, derived from their fields.
+
+A Config subclass writes each field under its own name: tuples as lists and
+nested Configs as objects. from_json reads the same form back. A missing key
+takes the field's default, a list becomes a tuple, a JSON integer in a float
+field becomes a float, and a nested object becomes its Config. An unknown key,
+a value of the wrong type, or one the constructor refuses raises an error
+that names the section path, e.g. `config.perturbation`.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import json
+from pathlib import Path
+import types
+import typing
+
+from .errors import ConfigError, ContractError
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    """Field name -> resolved type, once per class: get_type_hints costs
+    several times a whole from_json."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+def _decode(tp, value, path: str):
+    if isinstance(tp, types.UnionType):  # X | None
+        if value is None:
+            return None
+        (tp,) = (t for t in tp.__args__ if t is not type(None))
+    if issubclass(tp, Config):
+        return tp.from_json(value, path)
+    if tp is float and isinstance(value, int):
+        value = float(value)
+    elif tp is tuple and isinstance(value, list):
+        value = tuple(value)
+    if not isinstance(value, tp):
+        raise ConfigError(f"{path}: expected {tp.__name__}, got {value!r}")
+    return value
+
+
+class Config:
+    """Base of the config dataclasses: to_json/from_json by field."""
+
+    def to_json(self) -> dict:
+        out = {}
+        for name in _field_types(type(self)):
+            v = getattr(self, name)
+            if isinstance(v, Config):
+                v = v.to_json()
+            elif isinstance(v, tuple):
+                v = list(v)
+            out[name] = v
+        return out
+
+    @classmethod
+    def from_json(cls, d: dict, path: str | None = None):
+        path = path or cls.__name__
+        if not isinstance(d, dict):
+            raise ConfigError(f"{path}: expected an object, got {d!r}")
+        fields = _field_types(cls)
+        unknown = d.keys() - fields.keys()
+        if unknown:
+            raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
+        kw = {k: _decode(fields[k], v, f"{path}.{k}") for k, v in d.items()}
+        try:
+            return cls(**kw)
+        except (ConfigError, ContractError) as e:
+            raise type(e)(f"{path}: {e}") from None
+        except (TypeError, ValueError) as e:  # a missing key, or a checked value of a bad kind
+            raise ConfigError(f"{path}: {e}") from None
+
+
+def load_json(path) -> dict:
+    """The JSON object in file `path`, or a ConfigError naming the file."""
+    p = Path(path)
+    if not p.exists():
+        raise ConfigError(f"{path}: no such file")
+    try:
+        d = json.loads(p.read_text())
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{path}: not valid JSON ({e})") from None
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path}: not a JSON object")
+    return d

@@ -8,17 +8,19 @@ the collection history accumulated up to that checkpoint.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import envs, nets, sac
+from .config import Config
 from .data import Dataset, ReplayBuffer, TIERS, columns_from_rows
 from .errors import ConfigError, ContractError
 
 
 @dataclass(frozen=True)
-class ReferenceHparams:
+class ReferenceHparams(Config):
     """Budget for the online reference run used by the non-random tiers."""
 
     total_steps: int = 30_000
@@ -35,18 +37,6 @@ class ReferenceHparams:
             raise ContractError("total_steps must cover at least one eval_interval")
         if self.warmup_steps < 0 or self.update_every < 1:
             raise ContractError("bad warmup/update_every")
-
-    def to_json(self) -> dict:
-        d = {k: getattr(self, k) for k in self.__dataclass_fields__ if k != "sac"}
-        d["sac"] = self.sac.to_json()
-        return d
-
-    @classmethod
-    def from_json(cls, d: dict) -> "ReferenceHparams":
-        d = dict(d)
-        if "sac" in d:
-            d["sac"] = sac.SacHparams.from_json(d["sac"])
-        return cls(**d)
 
 
 @dataclass
@@ -85,13 +75,7 @@ class ReferenceRun:
         """Behavior policy replaying the actor stored in a checkpoint."""
         actor = nets.clone_net(self.agent.actor)
         nets.set_flat_params(actor, ck.actor_params)
-        shadow = sac.SacAgent(
-            actor, self.agent.critic1, self.agent.critic2,
-            self.agent.target1, self.agent.target2,
-            self.agent.log_temperature, self.agent.target_entropy,
-            self.agent.action_scale, self.agent.hparams,
-            self.agent.opt_actor, self.agent.opt_critic1,
-            self.agent.opt_critic2, self.agent.opt_temperature)
+        shadow = dataclasses.replace(self.agent, actor=actor)
 
         def policy(obs, rng):
             return sac.act(shadow, obs, mode, rng)
@@ -106,14 +90,14 @@ class ReferenceRun:
 # Budgets tuned so the reference reaches near-optimal behavior on a single
 # CPU core in minutes. Pointgoal's reward is sparse: random warmup has to be
 # long enough to put a few goal hits in the replay before updates start.
+REFERENCE_SAC = sac.SacHparams(hidden=(64, 64), critic_lr=1e-3, tau=0.01)
 REFERENCE_DEFAULTS = {
     "pendulum": ReferenceHparams(
         total_steps=16_000, warmup_steps=1_000, eval_interval=1_000,
-        sac=sac.SacHparams(hidden=(64, 64), critic_lr=1e-3, tau=0.01)),
+        sac=REFERENCE_SAC),
     "pointgoal": ReferenceHparams(
         total_steps=190_000, warmup_steps=150_000, eval_interval=2_500,
-        replay_capacity=400_000,
-        sac=sac.SacHparams(hidden=(64, 64), critic_lr=1e-3, tau=0.01)),
+        replay_capacity=400_000, sac=REFERENCE_SAC),
 }
 
 

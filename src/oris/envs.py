@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import Config
 from .data import as_columns
 from .errors import ContractError, InvalidStateError, UsageError
 
@@ -22,7 +23,7 @@ EPISODE_LIMITS = {"pendulum": 200, "pointgoal": 100}
 
 
 @dataclass(frozen=True)
-class DynamicsPerturbation:
+class DynamicsPerturbation(Config):
     gravity_scale: float = 1.0
     friction_scale: float = 1.0
     action_noise_std: float = 0.0
@@ -34,17 +35,6 @@ class DynamicsPerturbation:
             raise ContractError(f"friction_scale must be non-negative, got {self.friction_scale}")
         if self.action_noise_std < 0.0:
             raise ContractError(f"action_noise_std must be non-negative, got {self.action_noise_std}")
-
-    def to_json(self) -> dict:
-        return {"gravity_scale": self.gravity_scale,
-                "friction_scale": self.friction_scale,
-                "action_noise_std": self.action_noise_std}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "DynamicsPerturbation":
-        return cls(float(d.get("gravity_scale", 1.0)),
-                   float(d.get("friction_scale", 1.0)),
-                   float(d.get("action_noise_std", 0.0)))
 
 
 UNPERTURBED = DynamicsPerturbation()

@@ -24,6 +24,7 @@ import tempfile
 import numpy as np
 
 from . import nets
+from .config import Config
 from .errors import ContractError, NumericsError
 from .files import atomic_write
 
@@ -33,7 +34,7 @@ REPORT_FILE = "report.json"
 
 
 @dataclass(frozen=True)
-class GanHparams:
+class GanHparams(Config):
     z_dim: int = 8
     hidden: tuple = (128, 128)
     iterations: int = 20_000
@@ -52,18 +53,6 @@ class GanHparams:
             raise ContractError(f"need 0 <= w_min <= w_max, got {self.w_min}, {self.w_max}")
         if self.restart_noise_sigma < 0.0:
             raise ContractError("restart_noise_sigma must be >= 0")
-
-    def to_json(self) -> dict:
-        d = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        d["hidden"] = list(self.hidden)
-        return d
-
-    @classmethod
-    def from_json(cls, d: dict) -> "GanHparams":
-        d = dict(d)
-        if "hidden" in d:
-            d["hidden"] = tuple(int(h) for h in d["hidden"])
-        return cls(**d)
 
 
 @dataclass

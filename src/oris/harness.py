@@ -8,6 +8,7 @@ that produced it; aggregation refuses to merge files with different hashes.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import envs, gan as gan_mod, loop, sac
+from .config import Config, load_json
 from .data import load_dataset, subsample_trajectories
 from .errors import ConfigError, ContractError, NumericsError
 from .files import atomic_write
@@ -29,11 +31,6 @@ CSV_COLUMNS = ("epoch", "env_steps", "eval_return_mean", "eval_return_std",
 
 SWEEP_AXES = ("gravity", "gap_type", "fraction", "ablation")
 
-_CONFIG_KEYS = frozenset({
-    "env_id", "perturbation", "dataset", "dataset_fraction", "subsample_seed",
-    "variant", "seeds", "refs", "refs_path", "out_dir",
-    "oris", "sac", "gan"})
-
 
 def normalized_score(raw: float, random_ref: float, expert_ref: float) -> float:
     """Return on the 0-100 scale anchored at the random and expert references."""
@@ -43,15 +40,8 @@ def normalized_score(raw: float, random_ref: float, expert_ref: float) -> float:
     return 100.0 * (raw - random_ref) / (expert_ref - random_ref)
 
 
-def _section(builder, d: dict, name: str):
-    try:
-        return builder(d)
-    except TypeError as e:
-        raise ConfigError(f"bad {name!r} section: {e}") from None
-
-
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Config):
     env_id: str
     dataset: str
     variant: str
@@ -73,6 +63,7 @@ class ExperimentConfig:
             raise ConfigError("seeds must be a non-empty list of integers")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
+        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if not 0.0 < self.dataset_fraction <= 1.0:
             raise ConfigError(
                 f"dataset_fraction must be in (0, 1], got {self.dataset_fraction}")
@@ -82,8 +73,7 @@ class ExperimentConfig:
             self._check_refs(self.refs)
         if self.variant != self.oris.variant:
             object.__setattr__(self, "oris",
-                               OrisConfig(**{**self.oris.to_json(),
-                                             "variant": self.variant}))
+                               dataclasses.replace(self.oris, variant=self.variant))
 
     @staticmethod
     def _check_refs(refs: dict):
@@ -95,50 +85,19 @@ class ExperimentConfig:
     def resolve_refs(self) -> tuple[float, float]:
         refs = self.refs
         if refs is None:
-            p = Path(self.refs_path)
-            if not p.exists():
-                raise ConfigError(f"refs_path {self.refs_path!r} does not exist")
-            refs = json.loads(p.read_text())
+            refs = load_json(self.refs_path)
             self._check_refs(refs)
         return float(refs["random_ref"]), float(refs["expert_ref"])
 
-    def to_json(self) -> dict:
-        return {
-            "env_id": self.env_id, "dataset": self.dataset,
-            "variant": self.variant, "seeds": [int(s) for s in self.seeds],
-            "perturbation": self.perturbation.to_json(),
-            "dataset_fraction": self.dataset_fraction,
-            "subsample_seed": self.subsample_seed,
-            "refs": self.refs, "refs_path": self.refs_path,
-            "out_dir": self.out_dir,
-            "oris": self.oris.to_json(), "sac": self.sac.to_json(),
-            "gan": self.gan.to_json()}
-
     @classmethod
-    def from_json(cls, d: dict) -> "ExperimentConfig":
-        unknown = set(d) - _CONFIG_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        missing = {"env_id", "dataset", "variant", "seeds"} - set(d)
-        if missing:
-            raise ConfigError(f"config missing required keys: {sorted(missing)}")
-        kw = dict(d)
-        kw["seeds"] = tuple(kw["seeds"])
-        if "perturbation" in kw:
-            kw["perturbation"] = envs.DynamicsPerturbation.from_json(
-                kw["perturbation"])
-        oris_d = dict(kw.pop("oris", {}))
-        if "variant" in oris_d and oris_d["variant"] != d["variant"]:
-            raise ConfigError("variant in the oris section contradicts the "
-                              "top-level variant")
-        oris_d["variant"] = d["variant"]
-        kw["oris"] = _section(lambda x: OrisConfig(**x), oris_d, "oris")
-        kw["sac"] = _section(sac.SacHparams.from_json, kw.get("sac", {}), "sac")
-        kw["gan"] = _section(gan_mod.GanHparams.from_json, kw.get("gan", {}), "gan")
-        try:
-            return cls(**kw)
-        except TypeError as e:
-            raise ConfigError(f"bad config: {e}") from None
+    def from_json(cls, d: dict, path: str = "config") -> "ExperimentConfig":
+        """Config.from_json; the oris section may repeat the top-level
+        variant, which __post_init__ carries into it, but not contradict it."""
+        oris, variant = d.get("oris"), d.get("variant")
+        if isinstance(oris, dict) and oris.get("variant", variant) != variant:
+            raise ConfigError(f"{path}: variant in the oris section contradicts "
+                              "the top-level variant")
+        return super().from_json(d, path)
 
     def config_hash(self) -> str:
         """Hash of every key that decides a result: all of to_json() but

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import envs, gan as gan_mod, sac
+from .config import Config
 from .data import Dataset, ReplayBuffer
 from .errors import ConfigError, ContractError, InvalidStateError
 
@@ -33,7 +34,7 @@ RESTART_MAX_RETRIES = 20
 
 
 @dataclass(frozen=True)
-class OrisConfig:
+class OrisConfig(Config):
     variant: str = "oris"
     rollout_horizon: int = 100
     rollout_count: int = 10
@@ -63,13 +64,6 @@ class OrisConfig:
 
     def needs_gan(self) -> bool:
         return self.gan_restarts() or self.gan_weights()
-
-    def to_json(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "OrisConfig":
-        return cls(**d)
 
 
 @dataclass

@@ -22,6 +22,7 @@ import os
 import numpy as np
 
 from . import nets
+from .config import Config
 from .errors import ContractError, NumericsError
 from .files import atomic_write
 
@@ -36,7 +37,7 @@ ERROR_LIMIT = {np.dtype(np.float32): 1e15, np.dtype(np.float64): 1e150}
 
 
 @dataclass(frozen=True)
-class SacHparams:
+class SacHparams(Config):
     hidden: tuple = (256, 256)
     actor_lr: float = 3e-4
     critic_lr: float = 3e-4
@@ -55,18 +56,6 @@ class SacHparams:
             raise ContractError("init_temperature must be positive")
         if self.batch_off < 1 or self.batch_sim < 1:
             raise ContractError("batch sizes must be positive")
-
-    def to_json(self) -> dict:
-        d = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        d["hidden"] = list(self.hidden)
-        return d
-
-    @classmethod
-    def from_json(cls, d: dict) -> "SacHparams":
-        d = dict(d)
-        if "hidden" in d:
-            d["hidden"] = tuple(int(h) for h in d["hidden"])
-        return cls(**d)
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface (no subprocesses)."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -83,6 +84,33 @@ def test_train_missing_config_file(tmp_path, capsys):
     rc = cli.main(["train", "--config", str(tmp_path / "nope.json")])
     assert rc == 2
     assert "no such file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, reason", [
+    (None, "no such file"), ("{not json", "not valid JSON"),
+    ("[-1500.0, -100.0]", "not a JSON object")])
+def test_train_bad_refs_file_exits_2(tmp_path, data_dir, capsys, text, reason):
+    refs = tmp_path / "refs.json"
+    if text is not None:
+        refs.write_text(text)
+    cfg = write_config(tmp_path / "c.json", data_dir, refs=None,
+                       refs_path=str(refs))
+    rc = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and str(refs) in err and reason in err
+
+
+@pytest.mark.parametrize("doc, where", [
+    ({"total_steps": 800, "warmup": 10}, r"ReferenceHparams: unknown keys \['warmup'\]"),
+    ({"sac": {"hiden": [8]}}, r"ReferenceHparams\.sac: unknown keys \['hiden'\]")])
+def test_gen_dataset_reference_config_unknown_key_exits_2(tmp_path, capsys, doc, where):
+    path = tmp_path / "ref.json"
+    path.write_text(json.dumps(doc))
+    rc = cli.main(["gen-dataset", "--env", "pendulum", "--tiers", "random",
+                   "--out", str(tmp_path / "data"), "--reference-config", str(path)])
+    assert rc == 2
+    assert re.search(where, capsys.readouterr().err)
 
 
 def test_train_seed_override(tmp_path, data_dir):

@@ -174,12 +174,8 @@ def test_medium_replay_is_history_prefix():
     assert capped.meta["medium_eval_return"] == -40.0
 
 
-def test_reference_hparams_validation_and_json():
+def test_reference_hparams_validation():
     with pytest.raises(ContractError):
         ReferenceHparams(total_steps=100, eval_interval=200)
     with pytest.raises(ContractError):
         ReferenceHparams(warmup_steps=-1)
-    hp = ReferenceHparams(total_steps=5000, eval_interval=1000,
-                          sac=sac.SacHparams(hidden=(32, 32), critic_lr=1e-3))
-    back = ReferenceHparams.from_json(hp.to_json())
-    assert back == hp

@@ -83,6 +83,9 @@ def test_config_rejects_unknown_keys(dataset_path):
         tiny_config(dataset_path, oris={"epochs": 1, "restart_fallback": False})
     with pytest.raises(ConfigError, match="restart_max_retries"):
         tiny_config(dataset_path, oris={"epochs": 1, "restart_max_retries": 3})
+    # a misspelt gap must not train against the unperturbed simulator
+    with pytest.raises(ConfigError, match=r"config\.perturbation: .*\['gravity'\]"):
+        tiny_config(dataset_path, perturbation={"gravity": 2.0})
     with pytest.raises(ConfigError, match="missing"):
         ExperimentConfig.from_json({"env_id": "pendulum"})
 
