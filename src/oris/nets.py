@@ -22,6 +22,14 @@ write through either name is seen by the other, and whole-net operations
 (Adam, soft updates, checkpoints) act on the one vector. Gradients use the
 same layout: `Gradients.flat` with `weights`/`biases` views into it. Copies
 (`clone_net`, `copy.deepcopy`, pickling) get a fresh vector with fresh views.
+
+A stack of k nets of one architecture (`stack`) is one net whose `params` is
+a (k, P) block: row j is member j's flat vector, and the views are
+weights[l] (k, out, in) and biases[l] (k, out). The same kernels run it, one
+call for all k members: np.matmul broadcasts over the leading member axis,
+and each member's rows come out with the bits that member computes alone.
+A stack's input is (k, n, in), or one (n, in) batch that every member sees;
+its outputs, upstream gradients and input gradients are (k, n, .).
 """
 
 from __future__ import annotations
@@ -43,9 +51,17 @@ CHECKPOINT_VERSION = 1
 ADAM_FORMAT = "oris-adam"
 ADAM_VERSION = 1
 DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
-# zero in each dtype, for relu: a Python 0.0 against a float32 array costs a
-# scalar promotion per call, which acting on a few rows is short enough to feel
+# zero in each dtype, for relu and its mask: a Python 0.0 against a float32
+# array costs a scalar promotion per call, which acting on a few rows is
+# short enough to feel
 _ZERO = {dt: dt.type(0.0) for dt in DTYPES}
+# relu's other operand. From about this many entries on, np.maximum runs
+# faster against a contiguous zeros array than against a broadcast scalar
+# (3.6 against 7.3 us at (256, 64) float32), with the same bits; on fewer,
+# as when acting on a few rows, the scalar is faster. The zeros are views of
+# one read-only buffer per dtype, grown to the largest activation seen.
+_ZEROS_FROM = 8192
+_ZEROS = {dt: np.zeros(0, dt) for dt in DTYPES}
 
 
 @functools.lru_cache(maxsize=None)
@@ -60,17 +76,20 @@ def _layout(layer_sizes: tuple) -> tuple:
 
 
 def _views(flat: np.ndarray, layer_sizes) -> tuple[list, list]:
-    """Per-layer weight and bias views into a flat parameter-layout vector."""
+    """Per-layer weight and bias views into a flat parameter-layout vector,
+    or into each row of a stack's (k, P) block."""
+    lead = flat.shape[:-1]
     weights, biases = [], []
     for start, split, end, shape in _layout(tuple(layer_sizes)):
-        weights.append(flat[start:split].reshape(shape))
-        biases.append(flat[split:end])
+        weights.append(flat[..., start:split].reshape(lead + shape))
+        biases.append(flat[..., split:end])
     return weights, biases
 
 
 def _flatten(weights, biases, dtype) -> np.ndarray:
-    return np.concatenate([np.ravel(a) for wb in zip(weights, biases) for a in wb]
-                          ).astype(dtype, copy=False)
+    lead = np.shape(biases[0])[:-1]
+    return np.concatenate([np.reshape(a, lead + (-1,)) for wb in zip(weights, biases)
+                           for a in wb], axis=-1).astype(dtype, copy=False)
 
 
 @dataclass
@@ -78,7 +97,9 @@ class MlpNet:
     """A fully connected net. weights[l] has shape (layer_sizes[l+1], layer_sizes[l]).
 
     The constructor copies the given weights and biases into `params`,
-    rounded to `dtype`.
+    rounded to `dtype`. Given weights of shape (k, out, in) and biases of
+    shape (k, out), it builds a stack of k nets, and init_seed is then a
+    tuple of the k members' seeds.
     """
 
     layer_sizes: list[int]
@@ -86,7 +107,7 @@ class MlpNet:
     biases: list[np.ndarray]
     hidden_activation: str = "relu"
     output_activation: str = "identity"
-    init_seed: int = 0
+    init_seed: int | tuple = 0
     dtype: np.dtype = np.float32
     params: np.ndarray = field(init=False, repr=False)
     _acts: list = field(default_factory=list, repr=False)
@@ -105,22 +126,31 @@ class MlpNet:
             raise ContractError(f"dtype must be float32 or float64, got {self.dtype}")
         if len(self.weights) != self.num_layers or len(self.biases) != self.num_layers:
             raise ContractError("weights/biases must have one entry per layer")
+        lead = np.shape(self.biases[0])[:-1]
+        if len(lead) > 1 or isinstance(self.init_seed, tuple) != bool(lead) or (
+                lead and len(self.init_seed) != lead[0]):
+            raise ContractError(f"a stack of k nets takes k init seeds and weights "
+                                f"(k, out, in), got {self.init_seed} and biases {lead}")
         for l in range(self.num_layers):
-            want = (self.layer_sizes[l + 1], self.layer_sizes[l])
+            want = lead + (self.layer_sizes[l + 1], self.layer_sizes[l])
             if self.weights[l].shape != want:
                 raise ContractError(f"weights[{l}] has shape {self.weights[l].shape}, want {want}")
-            if self.biases[l].shape != (self.layer_sizes[l + 1],):
+            if self.biases[l].shape != want[:-1]:
                 raise ContractError(f"biases[{l}] has shape {self.biases[l].shape}")
         self._bind(_flatten(self.weights, self.biases, self.dtype))
 
     def _bind(self, params: np.ndarray) -> None:
         self.params = params
         self.weights, self.biases = _views(params, self.layer_sizes)
+        # forward's operands, views made once: each weight transposed, each
+        # bias as a row that broadcasts over the batch
+        self._forward_operands = [(w.swapaxes(-1, -2), b[..., None, :])
+                                  for w, b in zip(self.weights, self.biases)]
 
     # copy.deepcopy and pickle carry params only and rebuild the views on it
     def __getstate__(self):
         state = dict(self.__dict__)
-        del state["weights"], state["biases"]
+        del state["weights"], state["biases"], state["_forward_operands"]
         return state
 
     def __setstate__(self, state):
@@ -138,6 +168,11 @@ class MlpNet:
     @property
     def out_dim(self) -> int:
         return self.layer_sizes[-1]
+
+    @property
+    def stack_size(self) -> int | None:
+        """k for a stack of k nets, None for a single net."""
+        return self.params.shape[0] if self.params.ndim == 2 else None
 
     @classmethod
     def he_uniform(cls, layer_sizes, hidden_activation="relu",
@@ -170,15 +205,28 @@ class Gradients:
 
     def __post_init__(self):
         if self.flat is None:
-            sizes = [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
+            sizes = [self.weights[0].shape[-1]] + [w.shape[-2] for w in self.weights]
             self.flat = _flatten(self.weights, self.biases, self.weights[0].dtype)
             self.weights, self.biases = _views(self.flat, sizes)
+
+
+def _relu_zero(z: np.ndarray) -> np.ndarray:
+    """The zero relu compares z with: a scalar, or from _ZEROS_FROM entries on
+    a read-only zeros array of z's shape, a view of _ZEROS."""
+    if z.size < _ZEROS_FROM:
+        return _ZERO[z.dtype]
+    buf = _ZEROS[z.dtype]
+    if buf.size < z.size:
+        buf = np.zeros(z.size, z.dtype)
+        buf.flags.writeable = False
+        _ZEROS[z.dtype] = buf
+    return buf[:z.size].reshape(z.shape)
 
 
 def _hidden_act(name: str, z: np.ndarray) -> np.ndarray:
     """The hidden activation, in place on z."""
     if name == "relu":
-        return np.maximum(z, _ZERO[z.dtype], out=z)
+        return np.maximum(z, _relu_zero(z), out=z)
     return np.tanh(z, out=z)
 
 
@@ -205,16 +253,20 @@ def _output_act_grad(name: str, y: np.ndarray) -> np.ndarray:
 def forward_batch(net: MlpNet, x: np.ndarray) -> np.ndarray:
     """Run a (n, in_dim) batch through the net, recording activations for backward.
 
-    The batch is cast to the net's dtype, and so is the output."""
+    A stack of k nets takes (k, n, in_dim) or a shared (n, in_dim) and
+    returns (k, n, out_dim). The batch is cast to the net's dtype, and so is
+    the output."""
     x = np.asarray(x, dtype=net.dtype)
-    if x.ndim != 2 or x.shape[1] != net.in_dim:
-        raise ContractError(f"input has shape {x.shape}, want (n, {net.in_dim})")
+    lead = net.params.shape[:-1]
+    if x.ndim < 2 or x.shape[-1] != net.in_dim or x.shape[:-2] not in ((), lead):
+        want = f"(n, {net.in_dim})" + (f" or ({lead[0]}, n, {net.in_dim})" if lead else "")
+        raise ContractError(f"input has shape {x.shape}, want {want}")
     acts = [x]
     h = x
     last = net.num_layers - 1
-    for l in range(net.num_layers):
-        z = h @ net.weights[l].T
-        z += net.biases[l]
+    for l, (w_t, b_row) in enumerate(net._forward_operands):
+        z = h @ w_t
+        z += b_row
         h = _output_act(net.output_activation, z) if l == last else _hidden_act(net.hidden_activation, z)
         acts.append(h)
     net._acts, net._out_pre, net._has_cache = acts, z, True
@@ -233,7 +285,7 @@ def _output_delta(net: MlpNet, grad_out, wrt_preactivation: bool) -> np.ndarray:
     if not net._has_cache:
         raise UsageError("backward called before forward")
     grad_out = np.asarray(grad_out, dtype=net.dtype)
-    out_shape = (net._acts[0].shape[0], net.out_dim)
+    out_shape = net._acts[-1].shape
     if grad_out.shape != out_shape:
         raise ContractError(f"grad_out has shape {grad_out.shape}, want {out_shape}")
     if wrt_preactivation or net.output_activation == "identity":
@@ -249,7 +301,7 @@ def _delta_below(net: MlpNet, delta: np.ndarray, l: int) -> np.ndarray:
     an inner dimension of 1 outside BLAS, several times slower, and each entry
     is the same single product either way (a zero may differ in sign)."""
     w = net.weights[l]
-    delta = delta * w if w.shape[0] == 1 else delta @ w
+    delta = delta * w if w.shape[-2] == 1 else delta @ w
     if l > 0:
         if net.hidden_activation == "relu":
             delta *= net._acts[l] > _ZERO[delta.dtype]
@@ -265,14 +317,15 @@ def backward_batch(net: MlpNet, grad_out: np.ndarray, wrt_preactivation: bool = 
     With wrt_preactivation=True, grad_out is d(loss)/d(output pre-activation);
     this sidesteps the output nonlinearity (used for stable sigmoid/BCE math).
     Returns the parameter gradients; it stops at layer 0, so the gradient at
-    the input is backward_input's.
+    the input is backward_input's. A stack's gradients are (k, P), one row per
+    member, also when its input was shared.
     """
     delta = _output_delta(net, grad_out, wrt_preactivation)
-    flat = np.empty(net.params.size, dtype=net.dtype)
+    flat = np.empty(net.params.shape, dtype=net.dtype)
     g_w, g_b = _views(flat, net.layer_sizes)
     for l in range(net.num_layers - 1, -1, -1):
-        np.matmul(delta.T, net._acts[l], out=g_w[l])
-        np.add.reduce(delta, axis=0, out=g_b[l])
+        np.matmul(delta.swapaxes(-1, -2), net._acts[l], out=g_w[l])
+        np.add.reduce(delta, axis=-2, out=g_b[l])
         if l > 0:
             delta = _delta_below(net, delta, l)
     return Gradients(g_w, g_b, flat)
@@ -281,7 +334,9 @@ def backward_batch(net: MlpNet, grad_out: np.ndarray, wrt_preactivation: bool = 
 def backward_input(net: MlpNet, grad_out: np.ndarray,
                    wrt_preactivation: bool = False) -> np.ndarray:
     """d(loss)/d(input batch) through the recorded forward, without the
-    parameter gradients; wrt_preactivation as in backward_batch."""
+    parameter gradients; wrt_preactivation as in backward_batch. A stack
+    returns (k, n, in_dim), each member's own, also when its input was
+    shared."""
     delta = _output_delta(net, grad_out, wrt_preactivation)
     for l in range(net.num_layers - 1, -1, -1):
         delta = _delta_below(net, delta, l)
@@ -370,7 +425,7 @@ def soft_update(target: MlpNet, source: MlpNet, tau: float) -> None:
     """target <- (1 - tau) * target + tau * source, in place."""
     if not 0.0 <= tau <= 1.0:
         raise ContractError(f"tau must be in [0, 1], got {tau}")
-    if target.layer_sizes != source.layer_sizes:
+    if target.layer_sizes != source.layer_sizes or target.params.shape != source.params.shape:
         raise ContractError("architecture mismatch in soft_update")
     target.params *= 1.0 - tau
     target.params += tau * source.params
@@ -394,6 +449,30 @@ def set_flat_params(net: MlpNet, flat: np.ndarray) -> None:
 def clone_net(net: MlpNet) -> MlpNet:
     return MlpNet(list(net.layer_sizes), net.weights, net.biases, net.hidden_activation,
                   net.output_activation, net.init_seed, net.dtype)
+
+
+def stack(members) -> MlpNet:
+    """A stack of single nets of one architecture and dtype; row j of its
+    params is a copy of members[j].params."""
+    first = members[0]
+    arch = (first.layer_sizes, first.hidden_activation, first.output_activation, first.dtype)
+    if any(m.stack_size is not None or (m.layer_sizes, m.hidden_activation,
+                                        m.output_activation, m.dtype) != arch for m in members):
+        raise ContractError("a stack's members must be single nets of one architecture and dtype")
+    return MlpNet(list(first.layer_sizes),
+                  [np.stack(ws) for ws in zip(*(m.weights for m in members))],
+                  [np.stack(bs) for bs in zip(*(m.biases for m in members))],
+                  first.hidden_activation, first.output_activation,
+                  tuple(m.init_seed for m in members), first.dtype)
+
+
+def unstack(net: MlpNet) -> list[MlpNet]:
+    """Copies of a stack's members, each a single net with its own init_seed."""
+    if net.stack_size is None:
+        raise ContractError("unstack takes a stack of nets")
+    return [MlpNet(list(net.layer_sizes), [w[j] for w in net.weights], [b[j] for b in net.biases],
+                   net.hidden_activation, net.output_activation, seed, net.dtype)
+            for j, seed in enumerate(net.init_seed)]
 
 
 def _write_record(path, header: dict, *arrays) -> None:
@@ -431,7 +510,10 @@ def _read_record(path, fmt: str, version: int) -> tuple[dict, np.ndarray]:
 
 def save_checkpoint(net: MlpNet, path) -> None:
     """One JSON header line, then the flat little-endian parameter vector in
-    the net's dtype, which the header records ("<f4" or "<f8")."""
+    the net's dtype, which the header records ("<f4" or "<f8"). A stack is
+    saved member by member (unstack)."""
+    if net.stack_size is not None:
+        raise ContractError("save_checkpoint takes a single net; save a stack's members")
     _write_record(path, {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,

@@ -3,7 +3,9 @@
 The critic regresses a batch of transition columns onto soft Bellman targets,
 each row at its own weight (1 for offline rows, w(s) for simulator rows); the
 actor ascends the min of the twin critics with entropy regularization; the
-temperature follows the usual dual update toward a target entropy.
+temperature follows the usual dual update toward a target entropy. The twin
+critics always see the same batch, so they are one stack of two nets (see
+oris.nets), and so are their targets: each kernel call serves both.
 
 All update functions consume a Generator and draw in a fixed order, so a run
 is reproducible from its seed. The nets compute in float32 by default (see
@@ -61,17 +63,14 @@ class SacHparams(Config):
 @dataclass
 class SacAgent:
     actor: nets.MlpNet
-    critic1: nets.MlpNet
-    critic2: nets.MlpNet
-    target1: nets.MlpNet
-    target2: nets.MlpNet
+    critics: nets.MlpNet  # the twin critics, a stack of two nets
+    targets: nets.MlpNet  # their target nets, stacked alike
     log_temperature: float
     target_entropy: float
     action_scale: float
     hparams: SacHparams
     opt_actor: nets.AdamState
-    opt_critic1: nets.AdamState
-    opt_critic2: nets.AdamState
+    opt_critics: nets.AdamState
     opt_temperature: nets.ScalarAdam
     update_count: int = 0
 
@@ -95,20 +94,16 @@ class SacAgent:
         seeds = np.random.default_rng(seed).integers(2 ** 31, size=3)
         actor = nets.MlpNet.he_uniform([obs_dim, *hparams.hidden, 2 * action_dim],
                                        seed=int(seeds[0]), dtype=dtype)
-        critic1 = nets.MlpNet.he_uniform([obs_dim + action_dim, *hparams.hidden, 1],
-                                         seed=int(seeds[1]), dtype=dtype)
-        critic2 = nets.MlpNet.he_uniform([obs_dim + action_dim, *hparams.hidden, 1],
-                                         seed=int(seeds[2]), dtype=dtype)
-        target1 = nets.clone_net(critic1)
-        target2 = nets.clone_net(critic2)
+        critics = nets.stack([nets.MlpNet.he_uniform([obs_dim + action_dim, *hparams.hidden, 1],
+                                                     seed=int(s), dtype=dtype)
+                              for s in seeds[1:]])
         te = hparams.target_entropy if hparams.target_entropy is not None else -float(action_dim)
         return cls(
-            actor, critic1, critic2, target1, target2,
+            actor, critics, nets.clone_net(critics),
             log_temperature=math.log(hparams.init_temperature),
             target_entropy=te, action_scale=float(action_scale), hparams=hparams,
             opt_actor=nets.AdamState.for_net(actor, hparams.actor_lr),
-            opt_critic1=nets.AdamState.for_net(critic1, hparams.critic_lr),
-            opt_critic2=nets.AdamState.for_net(critic2, hparams.critic_lr),
+            opt_critics=nets.AdamState.for_net(critics, hparams.critic_lr),
             opt_temperature=nets.ScalarAdam(hparams.temperature_lr),
         )
 
@@ -180,9 +175,8 @@ def bellman_targets(agent: SacAgent, S2, R, DONE, rng) -> np.ndarray:
     S2 = np.asarray(S2, dtype=agent.actor.dtype)
     sample = sample_actions(agent, S2, rng)
     x2 = np.concatenate([S2, sample.action], axis=1)
-    q1 = nets.forward_batch(agent.target1, x2)[:, 0]
-    q2 = nets.forward_batch(agent.target2, x2)[:, 0]
-    soft_q = np.minimum(q1, q2) - agent.temperature * sample.log_prob
+    q = nets.forward_batch(agent.targets, x2)[..., 0]
+    soft_q = np.minimum(q[0], q[1]) - agent.temperature * sample.log_prob
     R, DONE = (np.asarray(c, dtype=soft_q.dtype) for c in (R, DONE))
     return R + (1.0 - DONE) * agent.hparams.gamma * soft_q
 
@@ -192,24 +186,20 @@ def critic_loss_and_grads(agent: SacAgent, S: np.ndarray, A: np.ndarray,
     """Weighted squared Bellman error, normalized by the row count.
 
     loss_k = sum_i w_i e_k,i^2 / n, in the critics' dtype. Returns (mean loss
-    over the twin critics, grads1, grads2, TD errors).
+    over the twin critics, their stacked Gradients, the (2, n) TD errors).
     """
-    dtype = agent.critic1.dtype
+    dtype = agent.critics.dtype
     weights, targets = (np.asarray(c, dtype=dtype) for c in (weights, targets))
     x = np.concatenate([S, A], axis=1, dtype=dtype)
     n = x.shape[0]
-    losses, grads, errs = [], [], []
-    for critic in (agent.critic1, agent.critic2):
-        q = nets.forward_batch(critic, x)[:, 0]
-        e = q - targets
-        ok = np.abs(e) <= ERROR_LIMIT[dtype]
-        if not ok.all():
-            bad = int(np.flatnonzero(~ok)[0])
-            raise NumericsError(f"non-finite critic error at batch row {bad}")
-        losses.append(float(np.add.reduce(weights * e * e) / n))
-        grads.append(nets.backward_batch(critic, (2.0 * weights * e / n)[:, None]))
-        errs.append(e)
-    return 0.5 * (losses[0] + losses[1]), grads[0], grads[1], errs
+    e = nets.forward_batch(agent.critics, x)[..., 0] - targets
+    ok = np.abs(e) <= ERROR_LIMIT[dtype]
+    if not ok.all():
+        bad = int(np.flatnonzero(~ok)[0]) % n  # the first critic's rows first
+        raise NumericsError(f"non-finite critic error at batch row {bad}")
+    losses = np.add.reduce(weights * e * e, axis=-1) / n
+    grads = nets.backward_batch(agent.critics, (2.0 * weights * e / n)[..., None])
+    return 0.5 * (float(losses[0]) + float(losses[1])), grads, e
 
 
 def critic_update(agent: SacAgent, batch: tuple, weights: np.ndarray, rng) -> float:
@@ -231,11 +221,9 @@ def critic_update(agent: SacAgent, batch: tuple, weights: np.ndarray, rng) -> fl
     if not ok.all():
         bad = int(np.flatnonzero(~ok)[0])
         raise NumericsError(f"non-finite Bellman target at batch row {bad}")
-    loss, g1, g2, _ = critic_loss_and_grads(agent, S, A, weights, y)
-    nets.adam_step(agent.critic1, g1, agent.opt_critic1)
-    nets.adam_step(agent.critic2, g2, agent.opt_critic2)
-    nets.soft_update(agent.target1, agent.critic1, agent.hparams.tau)
-    nets.soft_update(agent.target2, agent.critic2, agent.hparams.tau)
+    loss, grads, _ = critic_loss_and_grads(agent, S, A, weights, y)
+    nets.adam_step(agent.critics, grads, agent.opt_critics)
+    nets.soft_update(agent.targets, agent.critics, agent.hparams.tau)
     agent.update_count += 1
     return loss
 
@@ -254,13 +242,12 @@ def actor_loss_and_grads(agent: SacAgent, S: np.ndarray, noise: np.ndarray,
     lam = agent.temperature
     if q_and_grad is None:
         x = np.concatenate([S, sample.action], axis=1)
-        q1 = nets.forward_batch(agent.critic1, x)[:, 0]
-        q2 = nets.forward_batch(agent.critic2, x)[:, 0]
+        q1, q2 = nets.forward_batch(agent.critics, x)[..., 0]
         m1 = (q1 <= q2).astype(q1.dtype)
         qmin = np.minimum(q1, q2)
-        gin1 = nets.backward_input(agent.critic1, (-m1 / n)[:, None])
-        gin2 = nets.backward_input(agent.critic2, (-(1.0 - m1) / n)[:, None])
-        dL_da = (gin1 + gin2)[:, agent.obs_dim:]
+        # each critic's gradient where it is the min (the first on a tie)
+        gin = nets.backward_input(agent.critics, (-np.stack([m1, 1.0 - m1]) / n)[..., None])
+        dL_da = (gin[0] + gin[1])[:, agent.obs_dim:]
     else:
         qmin, dq_da = q_and_grad(S, sample.action)
         dL_da = -np.asarray(dq_da, dtype=sample.u.dtype) / n
@@ -316,20 +303,40 @@ def bc_update(agent: SacAgent, S: np.ndarray, A_target: np.ndarray) -> float:
     return loss
 
 
+# an agent directory holds one <name>.mlp per net, a stack's members under
+# their own names, and one opt_<name>.adam per net that Adam trains
 AGENT_NETS = ("actor", "critic1", "critic2", "target1", "target2")
-# the nets Adam trains; agent.opt_<net> is saved as opt_<net>.adam
 TRAINED_NETS = ("actor", "critic1", "critic2")
+
+
+def _adam_rows(opt: nets.AdamState) -> list:
+    """The Adam state of each member of a stack: its rows of the moments."""
+    return [dataclasses.replace(opt, m=m, v=v) for m, v in zip(opt.m, opt.v)]
+
+
+def _stack_adam(opts: list) -> nets.AdamState:
+    """One Adam state for a stack from its members' states, which must agree
+    on everything but the moments."""
+    settings = {(o.learning_rate, o.beta1, o.beta2, o.epsilon, o.step_count) for o in opts}
+    if len(settings) != 1:
+        raise ContractError(f"a stack's members have optimizer states of different "
+                            f"settings or step counts: {sorted(settings)}")
+    return dataclasses.replace(opts[0], m=np.stack([o.m for o in opts]),
+                               v=np.stack([o.v for o in opts]))
 
 
 def save_agent(agent: SacAgent, dirpath) -> None:
     """The five nets, the three Adam states and agent.json (which holds the
-    temperature optimizer), so a reloaded agent updates as the saved one would."""
+    temperature optimizer), so a reloaded agent updates as the saved one would.
+    The stacked critics and targets are written member by member."""
     os.makedirs(dirpath, exist_ok=True)
-    for name in AGENT_NETS:
-        nets.save_checkpoint(getattr(agent, name), os.path.join(dirpath, f"{name}.mlp"))
-    for name in TRAINED_NETS:
-        nets.save_adam(getattr(agent, f"opt_{name}"),
-                       os.path.join(dirpath, f"opt_{name}.adam"))
+    parts = dict(zip(AGENT_NETS, [agent.actor, *nets.unstack(agent.critics),
+                                  *nets.unstack(agent.targets)]))
+    opts = dict(zip(TRAINED_NETS, [agent.opt_actor, *_adam_rows(agent.opt_critics)]))
+    for name, net in parts.items():
+        nets.save_checkpoint(net, os.path.join(dirpath, f"{name}.mlp"))
+    for name, opt in opts.items():
+        nets.save_adam(opt, os.path.join(dirpath, f"opt_{name}.adam"))
     meta = {
         "format": AGENT_FORMAT,
         "version": AGENT_VERSION,
@@ -356,20 +363,20 @@ def load_agent(dirpath) -> SacAgent:
     parts = {name: nets.load_checkpoint(os.path.join(dirpath, f"{name}.mlp"))
              for name in AGENT_NETS}
     hp = SacHparams.from_json(meta["hparams"])
+    critics = nets.stack([parts["critic1"], parts["critic2"]])
     if "opt_temperature" in meta:
-        opts = {f"opt_{name}": nets.load_adam(os.path.join(dirpath, f"opt_{name}.adam"),
-                                              parts[name])
-                for name in TRAINED_NETS}
-        opts["opt_temperature"] = nets.ScalarAdam(**meta["opt_temperature"])
+        saved = {name: nets.load_adam(os.path.join(dirpath, f"opt_{name}.adam"), parts[name])
+                 for name in TRAINED_NETS}
+        opts = dict(opt_actor=saved["actor"],
+                    opt_critics=_stack_adam([saved["critic1"], saved["critic2"]]),
+                    opt_temperature=nets.ScalarAdam(**meta["opt_temperature"]))
     else:
         opts = dict(
             opt_actor=nets.AdamState.for_net(parts["actor"], hp.actor_lr),
-            opt_critic1=nets.AdamState.for_net(parts["critic1"], hp.critic_lr),
-            opt_critic2=nets.AdamState.for_net(parts["critic2"], hp.critic_lr),
+            opt_critics=nets.AdamState.for_net(critics, hp.critic_lr),
             opt_temperature=nets.ScalarAdam(hp.temperature_lr))
     return SacAgent(
-        parts["actor"], parts["critic1"], parts["critic2"],
-        parts["target1"], parts["target2"],
+        parts["actor"], critics, nets.stack([parts["target1"], parts["target2"]]),
         log_temperature=float(meta["log_temperature"]),
         target_entropy=float(meta["target_entropy"]),
         action_scale=float(meta["action_scale"]), hparams=hp,

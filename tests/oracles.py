@@ -57,52 +57,59 @@ def far_from_relu_kinks(net, x, margin=1e-4):
         return True
     h = np.asarray(x, dtype=np.float64)
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        z = h @ w.astype(np.float64).T + b
+        z = h @ w.astype(np.float64).swapaxes(-1, -2) + b[..., None, :]
         if np.min(np.abs(z)) < margin:
             return False
         h = np.maximum(z, 0.0)
     return True
 
 
-def gradcheck_once(net, rng, batch=4, eps=1e-6, kink_margin=1e-4, max_redraws=50):
+def gradcheck_once(net, rng, batch=4, eps=1e-6, kink_margin=1e-4, max_redraws=50,
+                   shared=True):
     """One randomized check against central differences of backward_batch
     (parameter gradients) and backward_input (input gradients).
 
     Returns the max relative error across parameter and input gradients.
     Draws (input batch, upstream) pairs, redrawing while any hidden ReLU
-    pre-activation is within kink_margin of zero.
+    pre-activation is within kink_margin of zero. A stack of nets sees one
+    shared batch, whose gradient is the sum of its members', or with
+    shared=False a batch per member.
     """
+    lead = net.params.shape[:-1]
+    x_shape = (batch, net.in_dim) if shared else lead + (batch, net.in_dim)
     for _ in range(max_redraws):
-        x = rng.normal(size=(batch, net.in_dim))
+        x = rng.normal(size=x_shape)
         if far_from_relu_kinks(net, x, kink_margin):
             break
     else:
         raise RuntimeError("could not find a kink-free draw")
-    upstream = rng.normal(size=(batch, net.out_dim))
+    upstream = rng.normal(size=lead + (batch, net.out_dim))
 
     nets.forward_batch(net, x)
     analytic = nets.backward_batch(net, upstream)
     analytic_x = nets.backward_input(net, upstream)
+    if analytic_x.shape != x.shape:
+        analytic_x = analytic_x.sum(axis=0)
 
     p0 = nets.get_flat_params(net)
 
     def loss_of_params(p):
-        nets.set_flat_params(net, p)
+        nets.set_flat_params(net, p.reshape(p0.shape))
         y = nets.forward_batch(net, x)
         return float(np.sum(upstream * y))
 
-    fd_p = fd_grad(loss_of_params, p0, eps=eps)
+    fd_p = fd_grad(loss_of_params, p0.ravel(), eps=eps)
     nets.set_flat_params(net, p0)
 
     x0 = x.ravel().copy()
 
     def loss_of_input(xv):
-        y = nets.forward_batch(net, xv.reshape(batch, net.in_dim))
+        y = nets.forward_batch(net, xv.reshape(x_shape))
         return float(np.sum(upstream * y))
 
     fd_x = fd_grad(loss_of_input, x0, eps=eps)
 
-    err_p = max_rel_err(analytic.flat, fd_p)
+    err_p = max_rel_err(analytic.flat.ravel(), fd_p)
     err_x = max_rel_err(analytic_x.ravel(), fd_x)
     return max(err_p, err_x)
 

@@ -232,6 +232,31 @@ def test_pretrain_deterministic_given_rng():
     np.testing.assert_array_equal(r1.d_objective, r2.d_objective)
 
 
+def test_fit_key_follows_the_numerics_not_the_source(monkeypatch):
+    """The key names the code that fits by what a tiny fit computes: another
+    Adam epsilon is another key, and the key comes back with the numbers."""
+    states = np.random.default_rng(25).normal(size=(120, 2))
+    hp = gan.GanHparams(z_dim=2, hidden=(8,), iterations=5, batch_size=16)
+
+    def key():
+        return gan.fit_key(gan.fit_inputs(states, hp, np.random.default_rng(26)))
+
+    before = key()
+    assert "code_sha256" not in gan.fit_inputs(states, hp, np.random.default_rng(26))
+    for_net = nets.AdamState.for_net
+    monkeypatch.setattr(nets.AdamState, "for_net", classmethod(
+        lambda cls, net, lr, beta1=0.9, beta2=0.999, epsilon=1e-8:
+        for_net(net, lr, beta1, beta2, 1e-7)))
+    try:
+        assert key() == before  # computed once per process
+        gan.numerics_sha256.cache_clear()
+        assert key() != before
+    finally:
+        monkeypatch.undo()
+        gan.numerics_sha256.cache_clear()
+    assert key() == before
+
+
 def test_pretrain_or_load_reuses_the_entry_bitwise(tmp_path):
     rng = np.random.default_rng(22)
     S = mixture_states(300, rng)

@@ -7,6 +7,9 @@ the RNG draw order or to the order of float operations anywhere in data, gan,
 sac, nets or loop. One more digest covers a tiny online reference run
 (`datasets.train_reference`): its final agent and every episode it collected.
 One more covers the bytes `data.save_dataset` writes for a small generated tier.
+Per-file digests cover the directory `sac.save_agent` writes for a tiny agent
+after two update pairs, one digest covers tests/data/agent_f8 loaded and
+updated twice, and one the key `gan.fit_key` gives a fixed fit.
 A change that alters them on purpose says so and records the new digests here
 once.
 
@@ -16,6 +19,7 @@ say why. The compare itself is never loosened.
 """
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,8 +38,24 @@ VARIANT_SHA256 = {
 }
 REFERENCE_SHA256 = "ac23e283f799bb489cc6dab160d0783791133351c78a41782095e17410a27e7b"
 DATASET_FILE_SHA256 = "a4633e6ce5091ed6b60f32649b91dc63f44689ef725b4b74c1469f8a65d1ac8c"
+# recorded when the twin critics were four single nets, which wrote the same files
+AGENT_FILE_SHA256 = {
+    "actor.mlp": "f2f4e665cd29231040356e3e3c2f825020b06664f99c9ec7da5d821748966bc9",
+    "agent.json": "dcd636e0b8d284982e0a01068ff748f8a15c5cbf867f5483cef30209691e0c51",
+    "critic1.mlp": "86bb37d3c430d1f16d36f8fb2fe29d81f1f6c369675791e4243e479edbfb0d12",
+    "critic2.mlp": "14ddaa8accff7e9436333e7cc9fba6b711a3d7b9f65aa620c07b7394c36fc488",
+    "opt_actor.adam": "dd2a5a23e691c33eacaf007a18717855e22761a04419a589f33da6dd38aca684",
+    "opt_critic1.adam": "78a8e0b6f79b1c1de473f330dfd7780fd21fec6b8385892030e59d296c451dd2",
+    "opt_critic2.adam": "834bd8180f4970acccd2b54a36ad68612b35258fffa3acc9edc02e3b34842abd",
+    "target1.mlp": "0042f12d749a1a1981673e63b9a6422938f1ea26b93d1646e2fc043cdd009eb0",
+    "target2.mlp": "49b1a68dbcec799e4a4f2cd1aa4e8d2bcd1e959cfb36e8672f61bb369a2d30e7",
+}
+AGENT_F8_UPDATED_SHA256 = "bc584e34c07bf7cc004da3a2cef8f892984c0f9d6fc5ed5c4848275f05ca6fc2"
+FIT_KEY = "ca762d80e926c5ce097c4178f14681092faa5086ac26f3f86599563a9ad1727f"
 
-AGENT_NETS = ("actor", "critic1", "critic2", "target1", "target2")
+# a stack's rows hash back to back, so the twin critics and their targets
+# hash as they did as four single nets: critic1, critic2, target1, target2
+AGENT_NETS = ("actor", "critics", "targets")
 
 
 def _build() -> dict:
@@ -102,6 +122,44 @@ def test_variant_training_digest(variant):
 def test_reference_run_digest():
     _require_recorded_build()
     assert reference_digest() == REFERENCE_SHA256
+
+
+def _update_pairs(agent, seed, pairs=2, n=6):
+    rng = np.random.default_rng(seed)
+    for _ in range(pairs):
+        batch = (rng.normal(size=(n, agent.obs_dim)),
+                 rng.uniform(-1.0, 1.0, size=(n, agent.action_dim)),
+                 rng.normal(size=n), rng.normal(size=(n, agent.obs_dim)),
+                 (rng.uniform(size=n) < 0.2).astype(np.float64))
+        sac.critic_update(agent, batch, rng.uniform(0.1, 1.0, size=n), rng)
+        sac.actor_update(agent, batch[0], rng)
+
+
+def test_agent_directory_file_digests(tmp_path):
+    _require_recorded_build()
+    agent = sac.SacAgent.create(3, 1, 2.0, sac.SacHparams(hidden=(8, 8)), seed=60)
+    _update_pairs(agent, 61)
+    sac.save_agent(agent, tmp_path / "agent")
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in (tmp_path / "agent").iterdir()}
+    assert got == AGENT_FILE_SHA256
+
+
+def test_agent_f8_loads_into_stacks_and_updates():
+    _require_recorded_build()
+    agent = sac.load_agent(Path(__file__).parent / "data" / "agent_f8")
+    assert agent.critics.stack_size == agent.targets.stack_size == 2
+    _update_pairs(agent, 62)
+    h = hashlib.sha256()
+    _hash_agent(h, agent)
+    assert h.hexdigest() == AGENT_F8_UPDATED_SHA256
+
+
+def test_gan_fit_key_digest():
+    _require_recorded_build()
+    states = np.random.default_rng(0).normal(size=(120, 3))
+    hp = gan.GanHparams(z_dim=2, hidden=(8,), iterations=5, batch_size=16)
+    assert gan.fit_key(gan.fit_inputs(states, hp, np.random.default_rng(1))) == FIT_KEY
 
 
 def test_dataset_file_digest(tmp_path):

@@ -258,8 +258,8 @@ def test_train_determinism(pend_random):
     assert r1 == r2
     np.testing.assert_array_equal(nets.get_flat_params(a1.actor),
                                   nets.get_flat_params(a2.actor))
-    np.testing.assert_array_equal(nets.get_flat_params(a1.critic1),
-                                  nets.get_flat_params(a2.critic1))
+    np.testing.assert_array_equal(nets.get_flat_params(a1.critics),
+                                  nets.get_flat_params(a2.critics))
 
 
 def test_train_env_mismatch(pend_random):

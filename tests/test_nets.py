@@ -4,11 +4,19 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oris import nets
 from oris.errors import ContractError, NumericsError, UsageError
 
 import oracles
+
+FLOATS = st.sampled_from([np.float32, np.float64])
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
 
 
 @pytest.mark.parametrize("role", sorted(oracles.ROLE_ARCHS))
@@ -19,6 +27,104 @@ def test_gradcheck_each_role_quick(role):
         net = oracles.make_role_net(role, width=16, seed=100 + draw)
         worst = max(worst, oracles.gradcheck_once(net, rng))
     assert worst < 1e-4
+
+
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("role", sorted(oracles.ROLE_ARCHS))
+def test_gradcheck_each_role_stacked(role, shared):
+    # the loss sums both members' outputs, and the rounding noise of a central
+    # difference grows with it; a 1e-5 step keeps it under the tolerance
+    # (kinks stay 1e-4 away, and between kinks a relu net is linear in each weight)
+    rng = np.random.default_rng(8)
+    worst = 0.0
+    for draw in range(4):
+        net = nets.stack([oracles.make_role_net(role, width=16, seed=200 + 3 * draw + j)
+                          for j in range(2)])
+        worst = max(worst, oracles.gradcheck_once(net, rng, eps=1e-5, shared=shared))
+    assert worst < 1e-4
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.sampled_from([1, 2, 3]), dtype=FLOATS,
+       hidden=st.sampled_from(nets.HIDDEN_ACTIVATIONS),
+       output=st.sampled_from(nets.OUTPUT_ACTIVATIONS),
+       sizes=st.sampled_from([(4, 16, 16, 1), (4, 16, 16, 3), (5, 1, 8, 2)]),
+       n=st.sampled_from([1, 256]), shared=st.booleans(), wrt_pre=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_stack_kernels_match_their_members_bitwise(seed, k, dtype, hidden, output, sizes,
+                                                   n, shared, wrt_pre):
+    """A stack of k nets gives, row for row, the bits of k separate nets:
+    forward (from one shared batch or a batch per member), both backwards,
+    two Adam steps and a soft update."""
+    rng = np.random.default_rng(seed)
+    members = [nets.MlpNet.he_uniform(list(sizes), hidden, output, seed=int(s), dtype=dtype)
+               for s in rng.integers(2 ** 31, size=k)]
+    for m in members:
+        for b in m.biases:
+            b[...] = rng.normal(size=b.shape)
+    stacked = nets.stack(members)
+    assert stacked.stack_size == k and stacked.init_seed == tuple(m.init_seed for m in members)
+    x = rng.normal(size=(n, sizes[0]) if shared else (k, n, sizes[0]))
+    up = rng.normal(size=(k, n, sizes[-1]))
+    opt = nets.AdamState.for_net(stacked, 1e-2)
+    opts = [nets.AdamState.for_net(m, 1e-2) for m in members]
+    for _ in range(2):
+        out = nets.forward_batch(stacked, x)
+        pre = nets.output_preactivation(stacked)
+        g = nets.backward_batch(stacked, up, wrt_pre)
+        g_in = nets.backward_input(stacked, up, wrt_pre)
+        assert out.shape == (k, n, sizes[-1]) and g_in.shape == (k, n, sizes[0])
+        for j, m in enumerate(members):
+            assert _bits(nets.forward_batch(m, x if shared else x[j])) == _bits(out[j])
+            assert _bits(nets.output_preactivation(m)) == _bits(pre[j])
+            g_m = nets.backward_batch(m, up[j], wrt_pre)
+            assert _bits(g_m.flat) == _bits(g.flat[j])
+            assert _bits(nets.backward_input(m, up[j], wrt_pre)) == _bits(g_in[j])
+            nets.adam_step(m, g_m, opts[j])
+        nets.adam_step(stacked, g, opt)
+        for j, m in enumerate(members):
+            assert _bits(m.params) == _bits(stacked.params[j])
+            assert _bits(opts[j].m) == _bits(opt.m[j]) and _bits(opts[j].v) == _bits(opt.v[j])
+    targets = [nets.MlpNet.he_uniform(list(sizes), hidden, output, seed=j, dtype=dtype)
+               for j in range(k)]
+    stacked_targets = nets.stack(targets)
+    nets.soft_update(stacked_targets, stacked, 0.3)
+    for t, m, row in zip(targets, members, stacked_targets.params):
+        nets.soft_update(t, m, 0.3)
+        assert _bits(t.params) == _bits(row)
+    for m, copy_ in zip(members, nets.unstack(stacked)):
+        assert _bits(m.params) == _bits(copy_.params) and m.init_seed == copy_.init_seed
+
+
+def test_stack_contract():
+    a = nets.MlpNet.he_uniform([3, 4, 1], seed=1)
+    b = nets.MlpNet.he_uniform([3, 4, 1], seed=2)
+    pair = nets.stack([a, b])
+    assert pair.params.shape == (2, nets.num_params(a))
+    assert pair.weights[0].shape == (2, 4, 3) and pair.biases[0].shape == (2, 4)
+    for bad in ([a, nets.MlpNet.he_uniform([3, 5, 1], seed=3)],
+                [a, nets.MlpNet.he_uniform([3, 4, 1], output_activation="tanh", seed=3)],
+                [a, nets.MlpNet.he_uniform([3, 4, 1], seed=3, dtype=np.float64)],
+                [a, pair]):
+        with pytest.raises(ContractError):
+            nets.stack(bad)
+    with pytest.raises(ContractError):
+        nets.unstack(a)
+    with pytest.raises(ContractError):
+        nets.MlpNet([3, 1], [np.zeros((2, 1, 3))], [np.zeros((2, 1))], init_seed=0)
+    with pytest.raises(ContractError):
+        nets.MlpNet([3, 1], [np.zeros((2, 1, 3))], [np.zeros((2, 1))], init_seed=(0, 1, 2))
+    for x in (np.zeros((3, 5, 3)), np.zeros((2, 5, 4)), np.zeros(3)):
+        with pytest.raises(ContractError):
+            nets.forward_batch(pair, x)
+    with pytest.raises(ContractError):
+        nets.forward_batch(a, np.zeros((2, 5, 3)))  # a single net takes no stack
+    nets.forward_batch(pair, np.zeros((5, 3)))
+    with pytest.raises(ContractError):
+        nets.backward_batch(pair, np.zeros((5, 1)))  # one upstream row block per member
+    with pytest.raises(ContractError):
+        nets.soft_update(pair, a, 0.5)  # would broadcast a over both rows
+    with pytest.raises(ContractError):
+        nets.save_checkpoint(pair, "unused.mlp")
 
 
 def test_backward_wrt_preactivation_matches_chain_rule():
@@ -199,20 +305,12 @@ def test_backward_input_equals_backward_batch_input(hidden, output, wrt_pre):
     assert oracles.max_rel_err(alone.ravel(), oracles.fd_grad(loss, x.ravel())) < 1e-4
 
 
-def _bits(a):
-    a = np.asarray(a)
-    return a.dtype, a.shape, a.tobytes()
-
-
 def _guard_values(rng, shape, dtype, zero_frac):
     """Normal draws over many magnitudes, some of them zeros of either sign."""
     x = rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
     zeros = rng.uniform(size=shape) < zero_frac
     x[zeros] = np.copysign(0.0, rng.normal(size=shape))[zeros]
     return x.astype(dtype)
-
-
-FLOATS = st.sampled_from([np.float32, np.float64])
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 300), k=st.integers(1, 70),
@@ -262,8 +360,30 @@ def test_relu_mask_from_activation_matches_preactivation(seed, dtype):
         assert np.array_equal(np.maximum(z, dtype(0.0)) > 0, z > 0)
 
 
+@given(z=FLOATS.flatmap(lambda dtype: hnp.arrays(
+    dtype, hnp.array_shapes(min_dims=1, max_dims=3, max_side=70),
+    elements=st.one_of(st.sampled_from([-0.0, 0.0, np.inf, -np.inf, np.nan,
+                                        float(np.finfo(dtype).smallest_subnormal),
+                                        -float(np.finfo(dtype).smallest_subnormal)]),
+                       st.floats(width=np.finfo(dtype).bits)))))
+@settings(max_examples=80, deadline=None)
+def test_relu_against_zeros_matches_the_scalar_zero_bitwise(z):
+    """On a large array relu runs np.maximum against a zeros array from a
+    shared read-only buffer; it gives the bits of np.maximum against a scalar
+    zero, on signed zeros, subnormals, infinities and NaN too, and leaves the
+    buffer zero."""
+    for x in (z, np.resize(z, (2, nets._ZEROS_FROM))):
+        want = np.maximum(x, x.dtype.type(0.0))
+        got = nets._hidden_act("relu", x.copy())
+        assert _bits(got) == _bits(want)
+    buf = nets._ZEROS[z.dtype]
+    assert buf.size >= 2 * nets._ZEROS_FROM and not buf.flags.writeable
+    assert not buf.view(np.uint8).any()
+
+
 def _aliased(net):
-    return all(np.shares_memory(net.params, a) for a in net.weights + net.biases)
+    operands = [a for wb in net._forward_operands for a in wb]
+    return all(np.shares_memory(net.params, a) for a in net.weights + net.biases + operands)
 
 
 def test_param_views_stay_aliased_through_copies(tmp_path):
@@ -281,6 +401,11 @@ def test_param_views_stay_aliased_through_copies(tmp_path):
     assert _aliased(net) and net.biases[-1].tolist() == [30.0, 31.0]
     flat = nets.get_flat_params(net)
     assert not np.shares_memory(flat, net.params)
+    pair = nets.stack([net, nets.clone_net(net)])
+    for c in (pair, nets.clone_net(pair), copy.deepcopy(pair)):
+        assert _aliased(c) and c.init_seed == (1, 1)
+        c.weights[1][1, 0, 0] = 9.0  # member 1's W1, at the same place in row 1
+        assert c.params[1, 20] == 9.0 and c.params[0, 20] != 9.0
 
 
 @given(tau=st.floats(min_value=0.0, max_value=1.0))

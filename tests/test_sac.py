@@ -121,8 +121,7 @@ def test_actor_gradients_match_finite_differences():
     # make sure no sample sits on the twin-critic tie or the log-std clip
     sample = sac.sample_actions(agent, S, noise=noise)
     x = np.concatenate([S, sample.action], axis=1)
-    q1 = nets.forward_batch(agent.critic1, x)[:, 0]
-    q2 = nets.forward_batch(agent.critic2, x)[:, 0]
+    q1, q2 = nets.forward_batch(agent.critics, x)[..., 0]
     assert np.min(np.abs(q1 - q2)) > 1e-4
     assert np.all(sample.clip_mask == 1.0)
 
@@ -137,8 +136,7 @@ def test_actor_gradients_match_finite_differences():
         u = mu + np.exp(log_std) * noise
         a = agent.action_scale * np.tanh(u)
         xx = np.concatenate([S, a], axis=1)
-        qa = nets.forward_batch(agent.critic1, xx)[:, 0]
-        qb = nets.forward_batch(agent.critic2, xx)[:, 0]
+        qa, qb = (nets.forward_batch(c, xx)[:, 0] for c in nets.unstack(agent.critics))
         lp = naive_log_prob(agent, S, noise)
         return float(np.mean(-np.minimum(qa, qb) + agent.temperature * lp))
 
@@ -217,10 +215,9 @@ def test_temperature_first_step_direction():
 def test_bellman_targets_hand_cases():
     agent = tiny_agent(seed=17, obs_dim=2, action_dim=1)
     # rig targets to constants: Q_t1 = 1.5, Q_t2 = -0.5 for every input
-    for tnet, b in ((agent.target1, 1.5), (agent.target2, -0.5)):
-        for w in tnet.weights:
-            w[...] = 0.0
-        tnet.biases[-1][...] = b
+    for w in agent.targets.weights:
+        w[...] = 0.0
+    agent.targets.biases[-1][:, 0] = (1.5, -0.5)
     rng = np.random.default_rng(18)
     S2, R = np.array([[0.4, 0.5]]), np.array([2.0])
     y_done = sac.bellman_targets(agent, S2, R, np.array([1.0]), rng)
@@ -238,19 +235,17 @@ def test_critic_gradients_match_finite_differences():
     agent = tiny_agent(seed=21)
     (S, A, *_), w = random_batch(rng, 5, 4, weights=rng.uniform(0.1, 1.0, size=4))
     targets = rng.normal(size=9)
-    loss0, g1, _, _ = sac.critic_loss_and_grads(agent, S, A, w, targets)
-    p0 = nets.get_flat_params(agent.critic1)
+    loss0, grads, _ = sac.critic_loss_and_grads(agent, S, A, w, targets)
     x = np.concatenate([S, A], axis=1)
+    for critic, g in zip(nets.unstack(agent.critics), grads.flat):
+        def loss_of(flat):
+            nets.set_flat_params(critic, flat)
+            q = nets.forward_batch(critic, x)[:, 0]
+            e = q - targets
+            return float(np.sum(w * e * e) / len(w))
 
-    def loss_of(flat):
-        nets.set_flat_params(agent.critic1, flat)
-        q = nets.forward_batch(agent.critic1, x)[:, 0]
-        e = q - targets
-        return float(np.sum(w * e * e) / len(w))
-
-    fd = oracles.fd_grad(loss_of, p0)
-    nets.set_flat_params(agent.critic1, p0)
-    assert oracles.max_rel_err(g1.flat, fd) < 1e-6
+        fd = oracles.fd_grad(loss_of, nets.get_flat_params(critic))
+        assert oracles.max_rel_err(g, fd) < 1e-6
 
 
 def test_weighted_loss_value_hand_case():
@@ -258,7 +253,7 @@ def test_weighted_loss_value_hand_case():
     rng = np.random.default_rng(23)
     (S, A, *_), w = random_batch(rng, 2, 2, weights=np.array([0.5, 2.0]))
     targets = np.zeros(4)
-    loss, _, _, errs = sac.critic_loss_and_grads(agent, S, A, w, targets)
+    loss, _, errs = sac.critic_loss_and_grads(agent, S, A, w, targets)
     e1, e2 = errs
     expect = 0.5 * ((e1[0] ** 2 + e1[1] ** 2 + 0.5 * e1[2] ** 2 + 2.0 * e1[3] ** 2) / 4
                     + (e2[0] ** 2 + e2[1] ** 2 + 0.5 * e2[2] ** 2 + 2.0 * e2[3] ** 2) / 4)
@@ -273,8 +268,8 @@ def test_zero_weight_rows_change_nothing_but_count():
     row, _ = random_batch(rng, 0, 1)
     S, A = (np.concatenate([v, v]) for v in row[:2])
     targets2 = np.zeros(2)
-    l1, _, _, _ = sac.critic_loss_and_grads(agent, S, A, np.array([0.5, 0.0]), targets2)
-    l2, _, _, _ = sac.critic_loss_and_grads(agent, S, A, np.array([0.25, 0.25]), targets2)
+    l1, _, _ = sac.critic_loss_and_grads(agent, S, A, np.array([0.5, 0.0]), targets2)
+    l2, _, _ = sac.critic_loss_and_grads(agent, S, A, np.array([0.25, 0.25]), targets2)
     assert l1 == pytest.approx(l2, rel=1e-14)
 
 
@@ -286,34 +281,51 @@ def test_unit_weight_update_equals_pooled_unweighted_update():
     batch, w = random_batch(rng, 6, 6)  # weights default to ones
     sac.critic_update(agent, batch, w, np.random.default_rng(28))
 
-    # reference: every row, single mean-squared loss
+    # reference: every row, single mean-squared loss, each critic a net of its own
     S, A, R, S2, D = batch
+    critics, targets = nets.unstack(clone.critics), nets.unstack(clone.targets)
     ref_rng = np.random.default_rng(28)
     sample = sac.sample_actions(clone, S2, ref_rng)
     x2 = np.concatenate([S2, sample.action], axis=1)
-    qt = np.minimum(nets.forward_batch(clone.target1, x2)[:, 0],
-                    nets.forward_batch(clone.target2, x2)[:, 0])
+    qt = np.minimum(nets.forward_batch(targets[0], x2)[:, 0],
+                    nets.forward_batch(targets[1], x2)[:, 0])
     y = R + (1.0 - D) * clone.hparams.gamma * (qt - clone.temperature * sample.log_prob)
     x = np.concatenate([S, A], axis=1)
     n = x.shape[0]
-    for critic, opt in ((clone.critic1, clone.opt_critic1), (clone.critic2, clone.opt_critic2)):
+    for critic, target in zip(critics, targets):
         q = nets.forward_batch(critic, x)[:, 0]
         e = q - y
         g = nets.backward_batch(critic, (2.0 * e / n)[:, None])
-        nets.adam_step(critic, g, opt)
-    nets.soft_update(clone.target1, clone.critic1, clone.hparams.tau)
-    nets.soft_update(clone.target2, clone.critic2, clone.hparams.tau)
+        nets.adam_step(critic, g, nets.AdamState.for_net(critic, clone.hparams.critic_lr))
+        nets.soft_update(target, critic, clone.hparams.tau)
 
-    for name in ("critic1", "critic2", "target1", "target2"):
-        a = nets.get_flat_params(getattr(agent, name))
-        b = nets.get_flat_params(getattr(clone, name))
-        assert np.max(np.abs(a - b)) < 1e-12
+    for stacked, members in ((agent.critics, critics), (agent.targets, targets)):
+        for row, member in zip(stacked.params, members):
+            assert np.max(np.abs(row - member.params)) < 1e-12
+
+
+def test_update_pair_kernel_calls(monkeypatch):
+    """The twin critics and their targets are stacks, so one critic_update and
+    one actor_update make each critic-side kernel call once for both."""
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("forward_batch", "backward_batch", "backward_input", "adam_step",
+                 "soft_update"):
+        monkeypatch.setattr(nets, name, counted(name, getattr(nets, name)))
+    _update_pair(tiny_agent(seed=52, dtype=np.float32), 0)
+    assert calls == {"forward_batch": 5, "backward_batch": 2, "backward_input": 1,
+                     "adam_step": 2, "soft_update": 1}
 
 
 def test_critic_update_reports_nonfinite_target_row():
     agent = tiny_agent(seed=31)
-    agent.target1.biases[-1][...] = 1e308
-    agent.target2.biases[-1][...] = 1e308
+    agent.targets.biases[-1][...] = 1e308
     rng = np.random.default_rng(32)
     batch, w = random_batch(rng, 2, 2)
     with pytest.raises(NumericsError) as exc:
@@ -328,7 +340,7 @@ def test_weighted_batch_validation():
     rng = np.random.default_rng(34)
     batch, _ = random_batch(rng, 0, 3, obs_dim=3)
     before = {name: nets.get_flat_params(getattr(agent, name))
-              for name in ("critic1", "critic2", "target1", "target2")}
+              for name in ("critics", "targets")}
     state = rng.bit_generator.state
     empty = tuple(c[:0] for c in batch)
     for cols, w in ((batch, np.array([1.0, 1.0])),
@@ -383,9 +395,11 @@ def test_agent_save_load_roundtrip(tmp_path):
     sac.actor_update(agent, batch[0], rng)
     sac.save_agent(agent, tmp_path / "agent")
     loaded = sac.load_agent(tmp_path / "agent")
-    for name in ("actor", "critic1", "critic2", "target1", "target2"):
+    for name in ("actor", "critics", "targets"):
         np.testing.assert_array_equal(nets.get_flat_params(getattr(agent, name)),
                                       nets.get_flat_params(getattr(loaded, name)))
+    assert loaded.critics.init_seed == agent.critics.init_seed
+    assert loaded.targets.init_seed == agent.targets.init_seed
     assert loaded.log_temperature == agent.log_temperature
     assert loaded.action_scale == agent.action_scale
     assert loaded.update_count == agent.update_count
@@ -404,7 +418,7 @@ def _update_pair(agent, seed):
 
 
 def _agent_bits(agent):
-    return ([getattr(agent, n).params.tobytes() for n in sac.AGENT_NETS],
+    return ([getattr(agent, n).params.tobytes() for n in ("actor", "critics", "targets")],
             repr(agent.log_temperature))
 
 
@@ -417,7 +431,7 @@ def test_saved_agent_keeps_its_optimizers(tmp_path, dtype):
         _update_pair(agent, seed)
     sac.save_agent(agent, tmp_path / "a")
     loaded = sac.load_agent(tmp_path / "a")
-    for name in sac.TRAINED_NETS:
+    for name in ("actor", "critics"):
         got, want = getattr(loaded, f"opt_{name}"), getattr(agent, f"opt_{name}")
         assert got.step_count == want.step_count == 3
         assert got.m.dtype == want.m.dtype == dtype
@@ -447,12 +461,20 @@ def test_optimizer_state_must_fit_its_net(tmp_path):
     loaded = nets.load_adam(tmp_path / "opt.adam", agent.actor)
     assert loaded.m.tobytes() == agent.opt_actor.m.tobytes()
     with pytest.raises(ContractError):
-        nets.load_adam(tmp_path / "opt.adam", agent.critic1)  # other size
+        nets.load_adam(tmp_path / "opt.adam", nets.unstack(agent.critics)[0])  # other size
     with pytest.raises(ContractError):
         nets.load_adam(tmp_path / "opt.adam", nets.MlpNet.he_uniform(
             agent.actor.layer_sizes, dtype=np.float32))  # other dtype
     with pytest.raises(ContractError):
         nets.load_checkpoint(tmp_path / "opt.adam")  # not a net
+    # the twin critics share one Adam state, so their files must agree
+    _update_pair(agent, 0)
+    sac.save_agent(agent, tmp_path / "a")
+    saved = tmp_path / "a" / "opt_critic2.adam"
+    header, blob = saved.read_bytes().split(b"\n", 1)
+    saved.write_bytes(header.replace(b'"step_count": 1', b'"step_count": 2') + b"\n" + blob)
+    with pytest.raises(ContractError, match="step counts"):
+        sac.load_agent(tmp_path / "a")
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), dtype=st.sampled_from([np.float32, np.float64]))
@@ -472,10 +494,11 @@ def test_min_max_clip_matches_np_clip_bitwise(seed, dtype):
 def test_agent_create_defaults_and_validation():
     agent = tiny_agent(seed=38, obs_dim=4, action_dim=2)
     assert agent.target_entropy == -2.0
-    np.testing.assert_array_equal(nets.get_flat_params(agent.critic1),
-                                  nets.get_flat_params(agent.target1))
+    np.testing.assert_array_equal(nets.get_flat_params(agent.critics),
+                                  nets.get_flat_params(agent.targets))
+    assert agent.critics.stack_size == 2
     assert agent.actor.out_dim == 4
-    assert agent.critic1.in_dim == 6
+    assert agent.critics.in_dim == 6
     with pytest.raises(ContractError):
         sac.SacAgent.create(0, 1, 1.0, sac.SacHparams(), 0)
     with pytest.raises(ContractError):
@@ -493,7 +516,7 @@ def test_updates_are_deterministic_given_seed():
             sac.critic_update(agent, batch, w, rng)
             sac.actor_update(agent, batch[0], rng)
         return np.concatenate([nets.get_flat_params(agent.actor),
-                               nets.get_flat_params(agent.critic1),
+                               nets.get_flat_params(agent.critics)[0],
                                [agent.log_temperature]])
 
     np.testing.assert_array_equal(run(), run())
@@ -502,7 +525,7 @@ def test_updates_are_deterministic_given_seed():
 def test_deepcopied_agent_keeps_flat_param_views():
     agent = tiny_agent(seed=30)
     clone = copy.deepcopy(agent)
-    for name in ("actor", "critic1", "critic2", "target1", "target2"):
+    for name in ("actor", "critics", "targets"):
         a, c = getattr(agent, name), getattr(clone, name)
         assert all(np.shares_memory(c.params, x) for x in c.weights + c.biases)
         assert not np.shares_memory(a.params, c.params)
@@ -521,13 +544,14 @@ def test_float32_agent_save_load_roundtrip_is_bitwise(tmp_path):
     sac.actor_update(agent, batch[0], rng)
     sac.save_agent(agent, tmp_path / "a")
     loaded = sac.load_agent(tmp_path / "a")
-    for name in ("actor", "critic1", "critic2", "target1", "target2"):
+    for name in ("actor", "critics", "targets"):
         net = getattr(loaded, name)
         assert net.dtype == np.float32 and net.params.dtype == np.float32
         assert np.array_equal(net.params, getattr(agent, name).params)
+    for name in sac.AGENT_NETS:
         header = (tmp_path / "a" / f"{name}.mlp").read_bytes().split(b"\n", 1)[0]
         assert json.loads(header)["dtype"] == "<f4"
-    for opt in (loaded.opt_actor, loaded.opt_critic1, loaded.opt_critic2):
+    for opt in (loaded.opt_actor, loaded.opt_critics):
         assert opt.m.dtype == opt.v.dtype == np.float32
     s = rng.normal(size=(1, 3))
     assert np.array_equal(sac.act(agent, s, "deterministic"),
@@ -535,7 +559,7 @@ def test_float32_agent_save_load_roundtrip_is_bitwise(tmp_path):
     assert np.array_equal(sac.act(agent, s, "stochastic", np.random.default_rng(1)),
                           sac.act(loaded, s, "stochastic", np.random.default_rng(1)))
     sac.save_agent(loaded, tmp_path / "b")
-    for name in ("actor", "critic1", "critic2", "target1", "target2"):
+    for name in sac.AGENT_NETS:
         assert ((tmp_path / "a" / f"{name}.mlp").read_bytes()
                 == (tmp_path / "b" / f"{name}.mlp").read_bytes())
 
@@ -547,15 +571,17 @@ def test_float64_agent_written_before_dtype_headers_loads_unchanged(tmp_path):
     src = DATA / "agent_f8"
     want = json.loads((DATA / "agent_f8_actions.json").read_text())
     agent = sac.load_agent(src)
-    for name in sac.TRAINED_NETS:  # fresh optimizers
+    for name in ("actor", "critics"):  # fresh optimizers
         opt = getattr(agent, f"opt_{name}")
         assert opt.step_count == 0 and opt.m.shape == getattr(agent, name).params.shape
         assert not opt.m.any() and not opt.v.any()
     assert agent.opt_temperature == nets.ScalarAdam(agent.hparams.temperature_lr)
-    for name in ("actor", "critic1", "critic2", "target1", "target2"):
+    loaded = dict(zip(sac.AGENT_NETS, [agent.actor, *nets.unstack(agent.critics),
+                                       *nets.unstack(agent.targets)]))
+    for name, net in loaded.items():
         header, blob = (src / f"{name}.mlp").read_bytes().split(b"\n", 1)
         assert "dtype" not in json.loads(header)
-        net = getattr(agent, name)
+        assert net.init_seed == json.loads(header)["init_seed"]
         assert net.dtype == np.float64
         assert net.params.tobytes() == np.frombuffer(blob, dtype="<f8").tobytes()
     for s, det, sto in zip(want["states"], want["deterministic"], want["stochastic_seed7"]):
@@ -571,8 +597,7 @@ def test_float64_agent_written_before_dtype_headers_loads_unchanged(tmp_path):
 
 def test_float32_critic_error_guard_raises_without_warnings():
     agent = tiny_agent(seed=43, dtype=np.float32)
-    agent.target1.biases[-1][...] = 1e30  # finite in float32, far past the guard
-    agent.target2.biases[-1][...] = 1e30
+    agent.targets.biases[-1][...] = 1e30  # finite in float32, far past the guard
     rng = np.random.default_rng(44)
     batch, w = random_batch(rng, 2, 2)
     with warnings.catch_warnings():
@@ -635,10 +660,9 @@ def test_float32_nets_stay_float32_through_updates_and_pretrain(monkeypatch):
                                                   batch_size=16), rng)
     gan.weight_of_batch(pair, states[:5])
     assert seen == {np.dtype(np.float32)}
-    nets_ = [getattr(agent, n) for n in ("actor", "critic1", "critic2", "target1", "target2")]
-    for net in nets_ + [pair.generator, pair.discriminator]:
+    for net in (agent.actor, agent.critics, agent.targets, pair.generator, pair.discriminator):
         assert net.params.dtype == np.float32
-    for opt in (agent.opt_actor, agent.opt_critic1, agent.opt_critic2):
+    for opt in (agent.opt_actor, agent.opt_critics):
         assert opt.m.dtype == opt.v.dtype == np.float32
 
 
