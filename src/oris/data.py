@@ -1,6 +1,7 @@
 """Offline datasets, replay buffers and the JSONL dataset format, all on transition columns.
 
-A set of transitions is always the column tuple (S, A, R, S2, D). A dataset
+A set of transitions is always the column tuple (S, A, R, S2, D); a replay
+buffer stores its rows packed in one block and hands out column views. A dataset
 file is one JSON header line followed by one JSON row per transition. It is
 written and read BLOCK_ROWS rows at a time, so memory beyond the columns stays
 bounded by one block. Each state's text is formatted once: where a row's s2
@@ -127,35 +128,44 @@ class Dataset:
 
 
 class ReplayBuffer:
-    """Fixed-capacity FIFO ring of transition columns.
+    """Fixed-capacity FIFO ring of transition rows.
 
-    Each row carries a critic weight next to the transition, 1 unless the
-    caller gives one when appending.
+    The rows are one float64 block laid out S | A | R | S2 | D | W: the
+    transition, then a critic weight, 1 unless the caller gives one when
+    appending. A draw takes whole rows, one gather for any number of columns,
+    and columns_of() splits a block of rows into column views.
     """
 
     def __init__(self, capacity: int, obs_dim: int, action_dim: int):
         if capacity < 1:
             raise ContractError("capacity must be positive")
         self.capacity = capacity
-        # S, A, R, S2, D, then the weights; every row's weight is written by extend
-        self._cols = (np.zeros((capacity, obs_dim)), np.zeros((capacity, action_dim)),
-                      np.zeros(capacity), np.zeros((capacity, obs_dim)),
-                      np.zeros(capacity), np.zeros(capacity))
+        self.obs_dim, self.action_dim = obs_dim, action_dim
+        self.width = 2 * obs_dim + action_dim + 3
+        # every row's weight is written with its transition
+        self._rows = np.zeros((capacity, self.width))
         self._n = 0
         self._cursor = 0
 
     def __len__(self) -> int:
         return self._n
 
+    def columns_of(self, rows: np.ndarray) -> tuple:
+        """((S, A, R, S2, D), W) of a block of this buffer's rows, as views."""
+        o, r = self.obs_dim, self.obs_dim + self.action_dim
+        return (rows[:, :o], rows[:, o:r], rows[:, r], rows[:, r + 1:r + 1 + o],
+                rows[:, -2]), rows[:, -1]
+
     def add(self, s, a, r, s2, done) -> None:
         """Append one row at weight 1: the per-step path of online training."""
-        if not (math.isfinite(r) and np.isfinite(s).all() and np.isfinite(a).all()
-                and np.isfinite(s2).all()):
+        if not len(s) == len(s2) == self.obs_dim or len(a) != self.action_dim:
+            raise ContractError(f"row of s {np.shape(s)}, a {np.shape(a)} and s2 "
+                                f"{np.shape(s2)} does not fit this buffer's obs and action dims")
+        row = np.concatenate((s, a, (r,), s2, (bool(done), 1.0)), dtype=np.float64)
+        if not np.isfinite(row).all():
             raise ContractError(f"non-finite transition row {(s, a, r, s2)}")
-        i = self._cursor
-        for dst, x in zip(self._cols, (s, a, r, s2, bool(done), 1.0)):
-            dst[i] = x
-        self._cursor = (i + 1) % self.capacity
+        self._rows[self._cursor] = row
+        self._cursor = (self._cursor + 1) % self.capacity
         self._n = min(self._n + 1, self.capacity)
 
     def extend(self, columns, weights=None) -> None:
@@ -163,7 +173,7 @@ class ReplayBuffer:
         given, is row k's weight. Nothing is written if any row is rejected."""
         cols = as_columns(*columns)
         n = len(cols[2])
-        if cols[0].shape[1] != self._cols[0].shape[1] or cols[1].shape[1] != self._cols[1].shape[1]:
+        if cols[0].shape[1] != self.obs_dim or cols[1].shape[1] != self.action_dim:
             raise ContractError(f"rows of S {cols[0].shape} and A {cols[1].shape} do not "
                                 f"fit this buffer's obs and action dims")
         w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
@@ -171,22 +181,27 @@ class ReplayBuffer:
             raise ContractError(f"{len(w)} weights for {n} transitions")
         # rows that a later row of the same call would overwrite are skipped
         skip = max(0, n - self.capacity)
+        rows = np.column_stack([c[skip:] for c in (*cols, w)])
         start = (self._cursor + skip) % self.capacity
-        rows = n - skip
-        head = min(rows, self.capacity - start)
-        for dst, src in zip(self._cols, (*cols, w)):
-            dst[start:start + head] = src[skip:skip + head]
-            dst[:rows - head] = src[skip + head:]
-        self._cursor = (start + rows) % self.capacity
+        head = min(len(rows), self.capacity - start)
+        self._rows[start:start + head] = rows[:head]
+        self._rows[:len(rows) - head] = rows[head:]
+        self._cursor = (start + len(rows)) % self.capacity
         self._n = min(self._n + n, self.capacity)
 
-    def sample_weighted(self, n: int, rng) -> tuple:
-        """((S, A, R, S2, D), W) for n rows drawn uniformly with replacement."""
+    def sample_rows(self, n: int, rng, out=None) -> np.ndarray:
+        """n rows drawn uniformly with replacement, as one (n, width) block,
+        written into out when it is given. Consumes one integers(0, len, n)."""
         if self._n == 0:
             raise ContractError("sampling from an empty buffer")
         idx = rng.integers(0, self._n, size=n)
-        *arrays, w = (c[idx] for c in self._cols)
-        return tuple(arrays), w
+        # every index is below len(self), so "clip" never clips; it spares
+        # the copy that take makes of out in its default "raise" mode
+        return self._rows.take(idx, axis=0, out=out, mode="clip")
+
+    def sample_weighted(self, n: int, rng) -> tuple:
+        """((S, A, R, S2, D), W) for n rows drawn uniformly with replacement."""
+        return self.columns_of(self.sample_rows(n, rng))
 
     def sample_arrays(self, n: int, rng) -> tuple:
         return self.sample_weighted(n, rng)[0]

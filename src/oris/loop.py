@@ -2,7 +2,7 @@
 
 Each epoch performs C rollouts of horizon H in the (possibly perturbed)
 simulator, then a block of actor-critic updates on mixed minibatches: offline
-rows at implicit weight 1 next to simulator rows weighted by the frozen
+rows at weight 1 next to simulator rows weighted by the frozen
 discriminator. The discriminator is frozen, so each rollout's rows are scored
 once, when they enter the replay buffer, and the updates read the stored
 weights. Where the rollouts restart from, and whether the weights are live,
@@ -159,25 +159,26 @@ def collect_epoch(env: envs.Env, agent: sac.SacAgent, cfg: OrisConfig,
     return stats
 
 
-def _update_block(agent, offline, buffer, cfg, hp, rng):
+def _update_block(agent, offline_rows, buffer, cfg, hp, rng):
     """One epoch's worth of critic/actor updates on mixed minibatches.
 
-    Offline rows weigh 1; simulator rows carry the weights collect_epoch
-    stored with them.
+    A minibatch is one block of rows: batch_off drawn from offline_rows, at
+    weight 1, then batch_sim from the buffer, with the weights collect_epoch
+    stored. Each source is one gather, and the updates read the columns as
+    views. Without offline rows (sim_only_sac) all its rows come from the
+    buffer.
     """
-    sim_only = cfg.variant == "sim_only_sac"
+    n_off = 0 if offline_rows is None else hp.batch_off
+    n = hp.batch_off + hp.batch_sim
     critic_losses, actor_losses, sim_weights = [], [], []
     for _ in range(cfg.updates_per_epoch):
-        if sim_only:
-            n = hp.batch_off + hp.batch_sim
-            batch, weights = buffer.sample_arrays(n, rng), np.ones(n)
-            sim_weights.append(1.0)
-        else:
-            off = offline.sample_arrays(hp.batch_off, rng)
-            sim, w_sim = buffer.sample_weighted(hp.batch_sim, rng)
-            batch = tuple(np.concatenate(p) for p in zip(off, sim))
-            weights = np.concatenate([np.ones(hp.batch_off), w_sim])
-            sim_weights.append(float(np.add.reduce(w_sim) / len(w_sim)))
+        rows = np.empty((n, buffer.width))
+        if offline_rows is not None:
+            offline_rows.sample_rows(n_off, rng, out=rows[:n_off])
+        buffer.sample_rows(n - n_off, rng, out=rows[n_off:])
+        batch, weights = buffer.columns_of(rows)
+        w_sim = weights[n_off:]
+        sim_weights.append(float(np.add.reduce(w_sim) / len(w_sim)))
         critic_losses.append(sac.critic_update(agent, batch, weights, rng))
         actor_losses.append(sac.actor_update(agent, batch[0], rng))
     return (float(np.mean(critic_losses)), float(np.mean(actor_losses)),
@@ -220,6 +221,11 @@ def train(real_spec: envs.EnvSpec, sim_spec: envs.EnvSpec, offline: Dataset,
     # samples what a replay_capacity ring would, without allocating the rest
     max_rows = cfg.epochs * cfg.rollout_count * cfg.rollout_horizon
     buffer = ReplayBuffer(min(cfg.replay_capacity, max_rows), obs_dim, act_dim)
+    # the offline rows packed once, at weight 1, for the variants that draw them
+    offline_rows = None
+    if cfg.variant != "sim_only_sac":
+        offline_rows = ReplayBuffer(len(offline), obs_dim, act_dim)
+        offline_rows.extend(offline.columns)
     bc = cfg.variant == "bc"
     env_steps = 0
     reports: list[EpochReport] = []
@@ -229,7 +235,7 @@ def train(real_spec: envs.EnvSpec, sim_spec: envs.EnvSpec, offline: Dataset,
             losses = []
             n = hp.batch_off + hp.batch_sim
             for _ in range(cfg.updates_per_epoch):
-                s, a, *_ = offline.sample_arrays(n, rng_update)
+                s, a, *_ = offline_rows.sample_arrays(n, rng_update)
                 losses.append(sac.bc_update(agent, s, a))
             critic_loss, actor_loss = 0.0, float(np.mean(losses))
             mean_w = 1.0
@@ -237,7 +243,7 @@ def train(real_spec: envs.EnvSpec, sim_spec: envs.EnvSpec, offline: Dataset,
             stats = collect_epoch(sim_env, agent, cfg, buffer, rng_collect, g)
             env_steps += stats.transitions
             critic_loss, actor_loss, mean_w = _update_block(
-                agent, offline, buffer, cfg, hp, rng_update)
+                agent, offline_rows, buffer, cfg, hp, rng_update)
 
         det = lambda o, _r: sac.act(agent, o, "deterministic")
         ret, std, _ = envs.evaluate_policy(real_spec, det, cfg.eval_episodes,

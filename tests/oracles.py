@@ -33,6 +33,19 @@ def max_rel_err(a, b, floor=1e-6):
     return float(np.max(np.abs(a - b) / denom))
 
 
+# A central difference of f with step eps carries rounding noise of about
+# machine epsilon * sum|terms of f| / eps. On float64 role nets and stacks the
+# largest error against a correct gradient was 1.4 times that; the factor
+# leaves headroom.
+FD_NOISE_FACTOR = 8.0
+
+
+def fd_noise(f_scale, eps):
+    """The rounding noise of a float64 central difference of a sum whose
+    terms add up to f_scale in magnitude."""
+    return FD_NOISE_FACTOR * np.finfo(np.float64).eps * f_scale / eps
+
+
 ROLE_ARCHS = {
     # role -> (in_dim, out_dim, hidden_activation, output_activation)
     "actor": (3, 2, "relu", "identity"),
@@ -65,15 +78,19 @@ def far_from_relu_kinks(net, x, margin=1e-4):
 
 
 def gradcheck_once(net, rng, batch=4, eps=1e-6, kink_margin=1e-4, max_redraws=50,
-                   shared=True):
+                   shared=True, rtol=1e-4, corrupt=None):
     """One randomized check against central differences of backward_batch
     (parameter gradients) and backward_input (input gradients).
 
-    Returns the max relative error across parameter and input gradients.
-    Draws (input batch, upstream) pairs, redrawing while any hidden ReLU
-    pre-activation is within kink_margin of zero. A stack of nets sees one
-    shared batch, whose gradient is the sum of its members', or with
-    shared=False a batch per member.
+    Returns the max relative error across parameter and input gradients. An
+    entry is measured against its own size or, when that is smaller, against
+    the finite-difference noise over rtol, so an error within the noise stays
+    below rtol however small the entry. Draws (input batch, upstream) pairs,
+    redrawing while any hidden ReLU pre-activation is within kink_margin of
+    zero. A stack of nets sees one shared batch, whose gradient is the sum of
+    its members', or with shared=False a batch per member. corrupt, if given,
+    edits the analytic parameter gradient (flat, in place) before the
+    comparison.
     """
     lead = net.params.shape[:-1]
     x_shape = (batch, net.in_dim) if shared else lead + (batch, net.in_dim)
@@ -85,11 +102,15 @@ def gradcheck_once(net, rng, batch=4, eps=1e-6, kink_margin=1e-4, max_redraws=50
         raise RuntimeError("could not find a kink-free draw")
     upstream = rng.normal(size=lead + (batch, net.out_dim))
 
-    nets.forward_batch(net, x)
+    y = nets.forward_batch(net, x)
+    floor = fd_noise(float(np.sum(np.abs(upstream * y))), eps) / rtol
     analytic = nets.backward_batch(net, upstream)
     analytic_x = nets.backward_input(net, upstream)
     if analytic_x.shape != x.shape:
         analytic_x = analytic_x.sum(axis=0)
+    analytic_p = analytic.flat.ravel().copy()
+    if corrupt is not None:
+        corrupt(analytic_p)
 
     p0 = nets.get_flat_params(net)
 
@@ -109,9 +130,47 @@ def gradcheck_once(net, rng, batch=4, eps=1e-6, kink_margin=1e-4, max_redraws=50
 
     fd_x = fd_grad(loss_of_input, x0, eps=eps)
 
-    err_p = max_rel_err(analytic.flat.ravel(), fd_p)
-    err_x = max_rel_err(analytic_x.ravel(), fd_x)
+    err_p = max_rel_err(analytic_p, fd_p, floor)
+    err_x = max_rel_err(analytic_x.ravel(), fd_x, floor)
     return max(err_p, err_x)
+
+
+class ColumnReplayBuffer:
+    """A FIFO ring of transitions in six parallel columns (S, A, R, S2, D, W),
+    written one row at a time: the reference for data.ReplayBuffer's packed
+    rows and for its samplers' draws."""
+
+    def __init__(self, capacity, obs_dim, action_dim):
+        self.capacity = capacity
+        self.cols = [np.zeros((capacity, obs_dim)), np.zeros((capacity, action_dim)),
+                     np.zeros(capacity), np.zeros((capacity, obs_dim)), np.zeros(capacity),
+                     np.zeros(capacity)]
+        self.n = 0
+        self.cursor = 0
+
+    def _put(self, row):
+        for col, x in zip(self.cols, row):
+            col[self.cursor] = x
+        self.cursor = (self.cursor + 1) % self.capacity
+        self.n = min(self.n + 1, self.capacity)
+
+    def add(self, s, a, r, s2, done):
+        self._put((s, a, r, s2, float(bool(done)), 1.0))
+
+    def extend(self, columns, weights=None):
+        S, A, R, S2, D = columns
+        for k in range(len(R)):
+            self._put((S[k], A[k], R[k], S2[k], D[k], 1.0 if weights is None else weights[k]))
+
+    def sample_weighted(self, n, rng):
+        idx = rng.integers(0, self.n, size=n)
+        return tuple(c[idx] for c in self.cols[:5]), self.cols[5][idx]
+
+
+def stored_columns(buf):
+    """(S, A, R, S2, D, W) of every slot of a data.ReplayBuffer, as views."""
+    columns, w = buf.columns_of(buf._rows)
+    return (*columns, w)
 
 
 def two_pass_mean(rows):

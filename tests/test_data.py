@@ -347,7 +347,7 @@ def test_replay_buffer_fifo_and_sampling():
         buf.add([float(i), 0.0], [0.0], float(i), [0.0, 0.0], False)
     assert len(buf) == 3
     # row k of the stream sits in slot k % capacity
-    assert buf._cols[2].tolist() == [3.0, 4.0, 2.0]
+    assert oracles.stored_columns(buf)[2].tolist() == [3.0, 4.0, 2.0]
     S, A, R, S2, D = buf.sample_arrays(100, np.random.default_rng(1))
     assert S.shape == (100, 2) and A.shape == (100, 1)
     assert set(R.tolist()) == {2.0, 3.0, 4.0}
@@ -374,7 +374,7 @@ def test_replay_buffer_extend_keeps_fifo_order_across_the_wrap(capacity, chunks,
             slots_w[j % capacity] = j / 100.0 if weighted else 1.0
         k += n
         assert len(buf) == min(k, capacity)
-        S, A, R, S2, D, W = buf._cols
+        S, A, R, S2, D, W = oracles.stored_columns(buf)
         np.testing.assert_array_equal(R, slots_r)
         np.testing.assert_array_equal(W, slots_w)
         np.testing.assert_array_equal(S, np.stack([slots_r, -slots_r], axis=1))
@@ -384,7 +384,7 @@ def test_replay_buffer_extend_keeps_fifo_order_across_the_wrap(capacity, chunks,
 def test_replay_buffer_rejects_nonfinite_rows():
     buf = data.ReplayBuffer(4, obs_dim=2, action_dim=1)
     buf.add([0.0, 0.0], [0.0], 1.0, [0.0, 0.0], False)
-    before = [c.copy() for c in buf._cols]
+    before = [c.copy() for c in oracles.stored_columns(buf)]
     for bad in (np.nan, np.inf):
         with pytest.raises(ContractError):
             buf.add([bad, 0.0], [0.0], 1.0, [0.0, 0.0], False)
@@ -402,8 +402,74 @@ def test_replay_buffer_rejects_nonfinite_rows():
         buf.extend([np.zeros((3, 2)), np.zeros((3, 1)), np.zeros(3), np.zeros((3, 2)),
                     np.zeros(3)], np.ones(2))
     assert len(buf) == 1
-    for a, b in zip(buf._cols, before):
+    for a, b in zip(oracles.stored_columns(buf), before):
         np.testing.assert_array_equal(a, b)
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+@given(obs_dim=st.integers(1, 4), action_dim=st.integers(1, 4), capacity=st.integers(1, 9),
+       ops=st.lists(st.tuples(st.integers(0, 20), st.booleans()), min_size=1, max_size=6),
+       n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+@example(obs_dim=4, action_dim=4, capacity=3, ops=[(0, False), (7, True), (0, False)],
+         n=5, seed=0)
+@settings(max_examples=80, deadline=None)
+def test_packed_buffer_samples_what_the_column_oracle_samples(obs_dim, action_dim, capacity,
+                                                               ops, n, seed):
+    """After each op, one row by add (k = 0) or k rows by extend, weighted or
+    not (k may pass the capacity), both samplers give the bits of a ring of
+    parallel columns written row by row, and take one integers(0, len, n)."""
+    rng = np.random.default_rng(seed)
+    buf = data.ReplayBuffer(capacity, obs_dim, action_dim)
+    ref = oracles.ColumnReplayBuffer(capacity, obs_dim, action_dim)
+    for k, weighted in ops:
+        if k == 0:
+            row = (rng.normal(size=obs_dim), rng.normal(size=action_dim), float(rng.normal()),
+                   rng.normal(size=obs_dim), bool(rng.integers(2)))
+            buf.add(*row)
+            ref.add(*row)
+        else:
+            cols = (rng.normal(size=(k, obs_dim)), rng.normal(size=(k, action_dim)),
+                    rng.normal(size=k), rng.normal(size=(k, obs_dim)),
+                    rng.integers(0, 2, size=k).astype(np.float64))
+            w = rng.uniform(0.0, 2.0, size=k) if weighted else None
+            buf.extend(cols, w)
+            ref.extend(cols, w)
+        assert len(buf) == ref.n
+        want_rng = np.random.default_rng(seed + 1)
+        want_cols, want_w = ref.sample_weighted(n, want_rng)
+        for name in ("sample_weighted", "sample_arrays"):
+            got_rng = np.random.default_rng(seed + 1)
+            got = getattr(buf, name)(n, got_rng)
+            got_cols, got_w = got if name == "sample_weighted" else (got, want_w)
+            assert [_bits(c) for c in got_cols] == [_bits(c) for c in want_cols]
+            assert _bits(got_w) == _bits(want_w)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@given(obs_dim=st.integers(1, 4), action_dim=st.integers(1, 4),
+       lengths=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+       n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_packed_offline_rows_sample_what_the_dataset_samples(obs_dim, action_dim, lengths,
+                                                             n, seed):
+    """A buffer of exactly a dataset's rows draws the dataset's columns bit
+    for bit, at weight 1, from the same single draw."""
+    rng = np.random.default_rng(seed)
+    d = data.Dataset.from_episodes(
+        {"env_id": "pendulum", "tier": "random"},
+        [make_episode(rng, k, obs_dim, action_dim) for k in lengths])
+    buf = data.ReplayBuffer(len(d), obs_dim, action_dim)
+    buf.extend(d.columns)
+    want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = d.sample_arrays(n, want_rng)
+    got, w = buf.sample_weighted(n, got_rng)
+    assert [_bits(c) for c in got] == [_bits(c) for c in want]
+    assert _bits(w) == _bits(np.ones(n))
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 @given(lengths=st.lists(st.integers(1, 6), min_size=1, max_size=6),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import binomial_3sigma
+from oracles import binomial_3sigma, stored_columns
 
 from oris import datasets, envs, gan, loop, nets, sac
 from oris.data import ReplayBuffer
@@ -125,7 +125,7 @@ def test_collect_epoch_rho0_starts():
     stats = loop.collect_epoch(env, agent, cfg, buf, np.random.default_rng(1),
                                g=rigged_gan([0.5, 0.5, 0.0, 0.0]))
     assert stats.transitions == 28
-    starts = buf._cols[0][0:28:7]
+    starts = stored_columns(buf)[0][0:28:7]
     np.testing.assert_array_equal(starts[:, 2:], np.zeros((4, 2)))  # velocity 0
     assert np.all(starts[:, :2] >= -1.0) and np.all(starts[:, :2] <= -0.6)
 
@@ -138,7 +138,7 @@ def test_collect_epoch_gan_restarts():
     cfg = OrisConfig(variant="oris", rollout_count=3, rollout_horizon=5, epochs=1)
     loop.collect_epoch(env, agent, cfg, buf, np.random.default_rng(2),
                        g=rigged_gan(target))
-    starts = buf._cols[0][0:15:5]
+    starts = stored_columns(buf)[0][0:15:5]
     np.testing.assert_allclose(starts, np.tile(target, (3, 1)), atol=1e-12)
 
 
@@ -192,7 +192,7 @@ def test_buffer_weights_are_each_rollouts_weights(pend_random):
     cfg = OrisConfig(variant="oris", rollout_count=4, rollout_horizon=23, epochs=1)
     loop.collect_epoch(env, agent, cfg, buf, np.random.default_rng(4), g)
     assert len(buf) == 92  # pendulum rollouts run the whole horizon
-    S, S2, w = buf._cols[0][:92], buf._cols[3][:92], buf._cols[5][:92]
+    S, _, _, S2, _, w = (c[:92] for c in stored_columns(buf))
     for k in range(0, 92, 23):
         assert np.array_equal(w[k:k + 23], gan.weight_of_batch(g, S[k:k + 23]))
     alone = np.concatenate([gan.weight_of_batch(g, S[i:i + 1]) for i in range(92)])
@@ -276,6 +276,25 @@ def test_train_sim_only(pend_random):
     _, reports = loop.train(real, sim, pend_random, cfg, HP, seed=1)
     assert [r.mean_sim_weight for r in reports] == [1.0, 1.0]
     assert reports[-1].env_steps == 40
+
+
+@pytest.mark.parametrize("variant, packs_offline", [("sim_only_sac", False),
+                                                    ("naive_mix", True), ("bc", True)])
+def test_train_packs_offline_rows_only_for_variants_that_draw_them(
+        monkeypatch, pend_random, variant, packs_offline):
+    capacities = []
+
+    class Recorded(ReplayBuffer):
+        def __init__(self, capacity, obs_dim, action_dim):
+            super().__init__(capacity, obs_dim, action_dim)
+            capacities.append(capacity)
+
+    monkeypatch.setattr(loop, "ReplayBuffer", Recorded)
+    real, sim = spec_pair()
+    cfg = OrisConfig(variant=variant, rollout_horizon=5, rollout_count=1, epochs=1,
+                     updates_per_epoch=1, eval_episodes=1)
+    loop.train(real, sim, pend_random, cfg, HP, seed=0)
+    assert capacities == [5] + [len(pend_random)] * packs_offline
 
 
 def test_train_oris_uses_discriminator_weights(pend_random):

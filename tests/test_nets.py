@@ -19,12 +19,17 @@ def _bits(a):
     return a.dtype, a.shape, a.tobytes()
 
 
-@pytest.mark.parametrize("role", sorted(oracles.ROLE_ARCHS))
-def test_gradcheck_each_role_quick(role):
-    rng = np.random.default_rng(7)
+@pytest.mark.parametrize("role, width, seed, rng_seed, draws", [
+    *(pytest.param(role, 16, 100, 7, 10, id=role) for role in sorted(oracles.ROLE_ARCHS)),
+    # a gradient entry of about 1e-6, whose finite difference is mostly
+    # rounding noise: measured against its own size it read 3.2e-4
+    pytest.param("critic", 8, 204, 79, 1, id="critic-width8-seed204"),
+])
+def test_gradcheck_each_role_quick(role, width, seed, rng_seed, draws):
+    rng = np.random.default_rng(rng_seed)
     worst = 0.0
-    for draw in range(10):
-        net = oracles.make_role_net(role, width=16, seed=100 + draw)
+    for draw in range(draws):
+        net = oracles.make_role_net(role, width=width, seed=seed + draw)
         worst = max(worst, oracles.gradcheck_once(net, rng))
     assert worst < 1e-4
 
@@ -32,16 +37,38 @@ def test_gradcheck_each_role_quick(role):
 @pytest.mark.parametrize("shared", [True, False])
 @pytest.mark.parametrize("role", sorted(oracles.ROLE_ARCHS))
 def test_gradcheck_each_role_stacked(role, shared):
-    # the loss sums both members' outputs, and the rounding noise of a central
-    # difference grows with it; a 1e-5 step keeps it under the tolerance
-    # (kinks stay 1e-4 away, and between kinks a relu net is linear in each weight)
+    # the loss sums both members' outputs, so its finite differences carry
+    # more rounding noise; the second critic stack with a shared batch has an
+    # entry that read 2.4e-4 when measured against its own size
     rng = np.random.default_rng(8)
     worst = 0.0
     for draw in range(4):
         net = nets.stack([oracles.make_role_net(role, width=16, seed=200 + 3 * draw + j)
                           for j in range(2)])
-        worst = max(worst, oracles.gradcheck_once(net, rng, eps=1e-5, shared=shared))
+        worst = max(worst, oracles.gradcheck_once(net, rng, shared=shared))
     assert worst < 1e-4
+
+
+def _ordinary_entry(g):
+    """The index of the nonzero entry of median size."""
+    nonzero = np.flatnonzero(g)
+    return nonzero[np.argsort(np.abs(g[nonzero]))[len(nonzero) // 2]]
+
+
+@pytest.mark.parametrize("edit", ["scaled", "flipped"])
+@pytest.mark.parametrize("case", ["critic-width8", "critic-stack-width16"])
+def test_gradcheck_fails_a_corrupted_gradient(case, edit):
+    def corrupt(g):
+        g[_ordinary_entry(g)] *= 1.001 if edit == "scaled" else -1.0
+
+    if case == "critic-width8":
+        net, rng = oracles.make_role_net("critic", width=8, seed=204), np.random.default_rng(79)
+    else:
+        net = nets.stack([oracles.make_role_net("critic", width=16, seed=203 + j)
+                          for j in range(2)])
+        rng = np.random.default_rng(8)
+    assert oracles.gradcheck_once(net, copy.deepcopy(rng)) < 1e-4
+    assert oracles.gradcheck_once(net, rng, corrupt=corrupt) >= 1e-4
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), k=st.sampled_from([1, 2, 3]), dtype=FLOATS,
