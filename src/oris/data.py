@@ -1,7 +1,6 @@
 """Offline datasets, replay buffers and the JSONL dataset format, all on transition columns.
 
-A set of transitions is always the column tuple (S, A, R, S2, D); a replay
-buffer stores its rows packed in one block and hands out column views. A dataset
+A set of transitions is always the column tuple (S, A, R, S2, D). A dataset
 file is one JSON header line followed by one JSON row per transition. It is
 written and read BLOCK_ROWS rows at a time, so memory beyond the columns stays
 bounded by one block. Each state's text is formatted once: where a row's s2
@@ -128,13 +127,9 @@ class Dataset:
 
 
 class ReplayBuffer:
-    """Fixed-capacity FIFO ring of transition rows.
-
-    The rows are one float64 block laid out S | A | R | S2 | D | W: the
-    transition, then a critic weight, 1 unless the caller gives one when
-    appending. A draw takes whole rows, one gather for any number of columns,
-    and columns_of() splits a block of rows into column views.
-    """
+    """Fixed-capacity FIFO ring of transitions, as rows of one float64 block
+    laid out S | A | R | S2 | D | W: a transition, then its critic weight, 1
+    unless the caller gives one when appending. A draw gathers whole rows."""
 
     def __init__(self, capacity: int, obs_dim: int, action_dim: int):
         if capacity < 1:
@@ -142,7 +137,6 @@ class ReplayBuffer:
         self.capacity = capacity
         self.obs_dim, self.action_dim = obs_dim, action_dim
         self.width = 2 * obs_dim + action_dim + 3
-        # every row's weight is written with its transition
         self._rows = np.zeros((capacity, self.width))
         self._n = 0
         self._cursor = 0
@@ -158,12 +152,11 @@ class ReplayBuffer:
 
     def add(self, s, a, r, s2, done) -> None:
         """Append one row at weight 1: the per-step path of online training."""
-        if not len(s) == len(s2) == self.obs_dim or len(a) != self.action_dim:
-            raise ContractError(f"row of s {np.shape(s)}, a {np.shape(a)} and s2 "
-                                f"{np.shape(s2)} does not fit this buffer's obs and action dims")
         row = np.concatenate((s, a, (r,), s2, (bool(done), 1.0)), dtype=np.float64)
-        if not np.isfinite(row).all():
-            raise ContractError(f"non-finite transition row {(s, a, r, s2)}")
+        if not (len(s) == len(s2) == self.obs_dim and len(row) == self.width
+                and np.isfinite(row).all()):
+            raise ContractError(f"transition row {(s, a, r, s2)} is non-finite or not "
+                                f"of this buffer's obs and action dims")
         self._rows[self._cursor] = row
         self._cursor = (self._cursor + 1) % self.capacity
         self._n = min(self._n + 1, self.capacity)
@@ -181,12 +174,9 @@ class ReplayBuffer:
             raise ContractError(f"{len(w)} weights for {n} transitions")
         # rows that a later row of the same call would overwrite are skipped
         skip = max(0, n - self.capacity)
-        rows = np.column_stack([c[skip:] for c in (*cols, w)])
-        start = (self._cursor + skip) % self.capacity
-        head = min(len(rows), self.capacity - start)
-        self._rows[start:start + head] = rows[:head]
-        self._rows[:len(rows) - head] = rows[head:]
-        self._cursor = (start + len(rows)) % self.capacity
+        slots = (self._cursor + np.arange(skip, n)) % self.capacity
+        self._rows[slots] = np.column_stack([c[skip:] for c in (*cols, w)])
+        self._cursor = (self._cursor + n) % self.capacity
         self._n = min(self._n + n, self.capacity)
 
     def sample_rows(self, n: int, rng, out=None) -> np.ndarray:
@@ -195,16 +185,11 @@ class ReplayBuffer:
         if self._n == 0:
             raise ContractError("sampling from an empty buffer")
         idx = rng.integers(0, self._n, size=n)
-        # every index is below len(self), so "clip" never clips; it spares
-        # the copy that take makes of out in its default "raise" mode
+        # "clip" never clips here; unlike "raise" it makes no copy of out
         return self._rows.take(idx, axis=0, out=out, mode="clip")
 
-    def sample_weighted(self, n: int, rng) -> tuple:
-        """((S, A, R, S2, D), W) for n rows drawn uniformly with replacement."""
-        return self.columns_of(self.sample_rows(n, rng))
-
     def sample_arrays(self, n: int, rng) -> tuple:
-        return self.sample_weighted(n, rng)[0]
+        return self.columns_of(self.sample_rows(n, rng))[0]
 
 
 def subsample_trajectories(d: Dataset, fraction: float, seed: int) -> Dataset:

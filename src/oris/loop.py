@@ -160,16 +160,12 @@ def collect_epoch(env: envs.Env, agent: sac.SacAgent, cfg: OrisConfig,
 
 
 def _update_block(agent, offline_rows, buffer, cfg, hp, rng):
-    """One epoch's worth of critic/actor updates on mixed minibatches.
-
-    A minibatch is one block of rows: batch_off drawn from offline_rows, at
-    weight 1, then batch_sim from the buffer, with the weights collect_epoch
-    stored. Each source is one gather, and the updates read the columns as
-    views. Without offline rows (sim_only_sac) all its rows come from the
-    buffer.
-    """
-    n_off = 0 if offline_rows is None else hp.batch_off
+    """One epoch's worth of critic/actor updates on mixed minibatches, each one
+    block of rows: batch_off offline rows at weight 1, then batch_sim buffer
+    rows at the weights collect_epoch stored (all from the buffer when there
+    are no offline rows, as in sim_only_sac). One gather per source."""
     n = hp.batch_off + hp.batch_sim
+    n_off = 0 if offline_rows is None else hp.batch_off
     critic_losses, actor_losses, sim_weights = [], [], []
     for _ in range(cfg.updates_per_epoch):
         rows = np.empty((n, buffer.width))
@@ -177,8 +173,7 @@ def _update_block(agent, offline_rows, buffer, cfg, hp, rng):
             offline_rows.sample_rows(n_off, rng, out=rows[:n_off])
         buffer.sample_rows(n - n_off, rng, out=rows[n_off:])
         batch, weights = buffer.columns_of(rows)
-        w_sim = weights[n_off:]
-        sim_weights.append(float(np.add.reduce(w_sim) / len(w_sim)))
+        sim_weights.append(float(np.add.reduce(weights[n_off:]) / (n - n_off)))
         critic_losses.append(sac.critic_update(agent, batch, weights, rng))
         actor_losses.append(sac.actor_update(agent, batch[0], rng))
     return (float(np.mean(critic_losses)), float(np.mean(actor_losses)),
@@ -232,11 +227,9 @@ def train(real_spec: envs.EnvSpec, sim_spec: envs.EnvSpec, offline: Dataset,
     for epoch in range(1, cfg.epochs + 1):
         if bc:
             stats = CollectStats()
-            losses = []
             n = hp.batch_off + hp.batch_sim
-            for _ in range(cfg.updates_per_epoch):
-                s, a, *_ = offline_rows.sample_arrays(n, rng_update)
-                losses.append(sac.bc_update(agent, s, a))
+            losses = [sac.bc_update(agent, *offline_rows.sample_arrays(n, rng_update)[:2])
+                      for _ in range(cfg.updates_per_epoch)]
             critic_loss, actor_loss = 0.0, float(np.mean(losses))
             mean_w = 1.0
         else:

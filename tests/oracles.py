@@ -38,6 +38,8 @@ def max_rel_err(a, b, floor=1e-6):
 # largest error against a correct gradient was 1.4 times that; the factor
 # leaves headroom.
 FD_NOISE_FACTOR = 8.0
+# The largest relative error gradcheck_once allows a correct gradient.
+GRADCHECK_RTOL = 1e-4
 
 
 def fd_noise(f_scale, eps):
@@ -78,16 +80,16 @@ def far_from_relu_kinks(net, x, margin=1e-4):
 
 
 def gradcheck_once(net, rng, batch=4, eps=1e-6, kink_margin=1e-4, max_redraws=50,
-                   shared=True, rtol=1e-4, corrupt=None):
+                   shared=True, corrupt=None):
     """One randomized check against central differences of backward_batch
     (parameter gradients) and backward_input (input gradients).
 
     Returns the max relative error across parameter and input gradients. An
     entry is measured against its own size or, when that is smaller, against
-    the finite-difference noise over rtol, so an error within the noise stays
-    below rtol however small the entry. Draws (input batch, upstream) pairs,
-    redrawing while any hidden ReLU pre-activation is within kink_margin of
-    zero. A stack of nets sees one shared batch, whose gradient is the sum of
+    the finite-difference noise over GRADCHECK_RTOL, so an error within the
+    noise stays below GRADCHECK_RTOL however small the entry. Draws (input
+    batch, upstream) pairs, redrawing while any hidden ReLU pre-activation is
+    within kink_margin of zero. A stack of nets sees one shared batch, whose gradient is the sum of
     its members', or with shared=False a batch per member. corrupt, if given,
     edits the analytic parameter gradient (flat, in place) before the
     comparison.
@@ -103,7 +105,7 @@ def gradcheck_once(net, rng, batch=4, eps=1e-6, kink_margin=1e-4, max_redraws=50
     upstream = rng.normal(size=lead + (batch, net.out_dim))
 
     y = nets.forward_batch(net, x)
-    floor = fd_noise(float(np.sum(np.abs(upstream * y))), eps) / rtol
+    floor = fd_noise(float(np.sum(np.abs(upstream * y))), eps) / GRADCHECK_RTOL
     analytic = nets.backward_batch(net, upstream)
     analytic_x = nets.backward_input(net, upstream)
     if analytic_x.shape != x.shape:

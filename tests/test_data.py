@@ -406,6 +406,24 @@ def test_replay_buffer_rejects_nonfinite_rows():
         np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("s, a, s2", [
+    ([0.0], [0.0], [0.0, 0.0]),            # a short s would broadcast over its columns
+    ([0.0, 0.0], [0.0, 0.0], [0.0, 0.0]),
+    ([0.0, 0.0], [0.0], [0.0]),
+    ([0.0], [0.0], [0.0, 0.0, 0.0]),       # as wide a row as a right one, misaligned
+    ([0.0, 0.0, 0.0], [], [0.0, 0.0]),
+])
+def test_replay_buffer_add_rejects_rows_of_the_wrong_length(s, a, s2):
+    buf = data.ReplayBuffer(4, obs_dim=2, action_dim=1)
+    buf.add([1.0, 2.0], [3.0], 4.0, [5.0, 6.0], False)
+    before = [c.copy() for c in oracles.stored_columns(buf)]
+    with pytest.raises(ContractError):
+        buf.add(s, a, 1.0, s2, False)
+    assert len(buf) == 1
+    for got, want in zip(oracles.stored_columns(buf), before):
+        np.testing.assert_array_equal(got, want)
+
+
 def _bits(a):
     a = np.asarray(a)
     return a.dtype, a.shape, a.tobytes()
@@ -441,10 +459,10 @@ def test_packed_buffer_samples_what_the_column_oracle_samples(obs_dim, action_di
         assert len(buf) == ref.n
         want_rng = np.random.default_rng(seed + 1)
         want_cols, want_w = ref.sample_weighted(n, want_rng)
-        for name in ("sample_weighted", "sample_arrays"):
+        for name in ("sample_rows", "sample_arrays"):
             got_rng = np.random.default_rng(seed + 1)
             got = getattr(buf, name)(n, got_rng)
-            got_cols, got_w = got if name == "sample_weighted" else (got, want_w)
+            got_cols, got_w = buf.columns_of(got) if name == "sample_rows" else (got, want_w)
             assert [_bits(c) for c in got_cols] == [_bits(c) for c in want_cols]
             assert _bits(got_w) == _bits(want_w)
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -466,7 +484,7 @@ def test_packed_offline_rows_sample_what_the_dataset_samples(obs_dim, action_dim
     buf.extend(d.columns)
     want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     want = d.sample_arrays(n, want_rng)
-    got, w = buf.sample_weighted(n, got_rng)
+    got, w = buf.columns_of(buf.sample_rows(n, got_rng))
     assert [_bits(c) for c in got] == [_bits(c) for c in want]
     assert _bits(w) == _bits(np.ones(n))
     assert got_rng.bit_generator.state == want_rng.bit_generator.state

@@ -214,7 +214,7 @@ def test_buffer_weights_are_each_rollouts_weights(pend_random):
     loop.collect_epoch(env, agent, OrisConfig(variant="naive_mix", rollout_count=2,
                                               rollout_horizon=23, epochs=1),
                        plain, np.random.default_rng(4), g)
-    assert np.all(plain.sample_weighted(64, np.random.default_rng(5))[1] == 1.0)
+    assert np.all(plain.columns_of(plain.sample_rows(64, np.random.default_rng(5)))[1] == 1.0)
 
 
 def test_epoch_report_validation():

@@ -31,7 +31,7 @@ def test_gradcheck_each_role_quick(role, width, seed, rng_seed, draws):
     for draw in range(draws):
         net = oracles.make_role_net(role, width=width, seed=seed + draw)
         worst = max(worst, oracles.gradcheck_once(net, rng))
-    assert worst < 1e-4
+    assert worst < oracles.GRADCHECK_RTOL
 
 
 @pytest.mark.parametrize("shared", [True, False])
@@ -46,7 +46,7 @@ def test_gradcheck_each_role_stacked(role, shared):
         net = nets.stack([oracles.make_role_net(role, width=16, seed=200 + 3 * draw + j)
                           for j in range(2)])
         worst = max(worst, oracles.gradcheck_once(net, rng, shared=shared))
-    assert worst < 1e-4
+    assert worst < oracles.GRADCHECK_RTOL
 
 
 def _ordinary_entry(g):
@@ -67,8 +67,8 @@ def test_gradcheck_fails_a_corrupted_gradient(case, edit):
         net = nets.stack([oracles.make_role_net("critic", width=16, seed=203 + j)
                           for j in range(2)])
         rng = np.random.default_rng(8)
-    assert oracles.gradcheck_once(net, copy.deepcopy(rng)) < 1e-4
-    assert oracles.gradcheck_once(net, rng, corrupt=corrupt) >= 1e-4
+    assert oracles.gradcheck_once(net, copy.deepcopy(rng)) < oracles.GRADCHECK_RTOL
+    assert oracles.gradcheck_once(net, rng, corrupt=corrupt) >= oracles.GRADCHECK_RTOL
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), k=st.sampled_from([1, 2, 3]), dtype=FLOATS,
