@@ -3,6 +3,16 @@
 The real environment is the unperturbed dynamics; a simulator is the same
 family with scaled gravity, scaled friction, or additive Gaussian action noise.
 Both tasks are small enough that one transition is a handful of flops.
+
+At the 10-24 rows an env steps at once, a time step costs its calls, not its
+flops, so the step path calls ufuncs and C functions, never numpy's
+Python-level wrappers. Each replacement runs the float operations of the
+wrapper it replaces, so every output keeps its bytes. Per call at 24 rows
+(numpy 2.4.6, 2 vCPU): np.clip 4.2 us against 2.2 us for
+np.minimum(np.maximum(x, lo), hi); np.stack of three columns 5.9 us against
+1.9 us for column copies into np.empty; np.linalg.norm(d, axis=1) 5.3 us
+against 3.7 us for the np.sqrt(np.add.reduce(d * d, axis=1)) it runs; np.full
+1.6 us against 0.4 us for np.zeros.
 """
 
 from __future__ import annotations
@@ -63,9 +73,15 @@ class EnvSpec:
 
 
 def wrap_angle(x):
-    """Wrap to (-pi, pi], elementwise."""
-    w = x - 2.0 * np.pi * np.floor((x + np.pi) / (2.0 * np.pi))
-    return np.where(w <= -np.pi, np.pi, w)
+    """Wrap to (-pi, pi], elementwise; a float gives a 0-d array. The float
+    operations of x - 2 pi floor((x + pi) / (2 pi)), in place on one array."""
+    w = np.asarray(np.add(x, np.pi))
+    w /= 2.0 * np.pi
+    np.floor(w, out=w)
+    w *= 2.0 * np.pi
+    np.subtract(x, w, out=w)
+    w[w <= -np.pi] = np.pi
+    return w
 
 
 class Env:
@@ -135,10 +151,10 @@ class Env:
             if not np.isfinite(A[i]).all():
                 raise ContractError(f"non-finite action {A[i]} in row {i}")
             raise ContractError(f"action {A[i]} in row {i} outside [-{s}, {s}]")
-        A = np.clip(A, -s, s)
+        A = np.minimum(np.maximum(A, -s), s)
         noise = self.spec.perturbation.action_noise_std
         if noise > 0.0:
-            A = np.clip(A + rng.normal(0.0, noise, size=A.shape), -s, s)
+            A = np.minimum(np.maximum(A + rng.normal(0.0, noise, size=A.shape), -s), s)
         return A
 
     def _advance(self, rows: tuple, done: np.ndarray):
@@ -181,7 +197,11 @@ class PendulumEnv(Env):
 
     def _obs(self, rows) -> np.ndarray:
         th, thdot = rows
-        return np.stack([np.cos(th), np.sin(th), thdot], axis=1)
+        obs = np.empty((len(th), 3))
+        obs[:, 0] = np.cos(th)
+        obs[:, 1] = np.sin(th)
+        obs[:, 2] = thdot
+        return obs
 
     def step(self, actions, rng):
         u = self._effective_actions(actions, rng)[:, 0]
@@ -189,11 +209,13 @@ class PendulumEnv(Env):
         g = 10.0 * p.gravity_scale
         c = 0.1 * p.friction_scale
         th, thdot = self._rows
-        new_thdot = np.clip(thdot + (1.5 * g * np.sin(th) + 3.0 * u - c * thdot) * self.DT,
-                            -self.MAX_SPEED, self.MAX_SPEED)
+        new_thdot = np.minimum(np.maximum(
+            thdot + (1.5 * g * np.sin(th) + 3.0 * u - c * thdot) * self.DT,
+            -self.MAX_SPEED), self.MAX_SPEED)
         new_th = wrap_angle(th + new_thdot * self.DT)
         reward = -(wrap_angle(th) ** 2 + 0.1 * new_thdot ** 2 + 0.001 * u ** 2)
-        done = np.full(len(u), self._steps + 1 >= self.spec.max_episode_steps)
+        last = self._steps + 1 >= self.spec.max_episode_steps
+        done = np.ones(len(u), bool) if last else np.zeros(len(u), bool)
         return self._advance((new_th, new_thdot), done), reward, done
 
 
@@ -229,9 +251,10 @@ class PointGoalEnv(Env):
         f = 1.0 * p.gravity_scale
         d = 0.5 * p.friction_scale
         pos, vel = self._rows
-        new_vel = np.clip(vel + (f * u - d * vel) * self.DT, -1.0, 1.0)
-        new_pos = np.clip(pos + new_vel * self.DT, -1.0, 1.0)
-        dist = np.linalg.norm(new_pos - self.GOAL, axis=1)
+        new_vel = np.minimum(np.maximum(vel + (f * u - d * vel) * self.DT, -1.0), 1.0)
+        new_pos = np.minimum(np.maximum(pos + new_vel * self.DT, -1.0), 1.0)
+        off = new_pos - self.GOAL
+        dist = np.sqrt(np.add.reduce(off * off, axis=1))  # what np.linalg.norm runs
         at_goal = dist < self.GOAL_RADIUS
         reward = -0.1 + 0.1 * (dist < self.NEAR_RADIUS) + 20.0 * at_goal
         done = at_goal | (self._steps + 1 >= self.spec.max_episode_steps)
@@ -303,11 +326,12 @@ def _row_policy(policy, n: int, action_dim: int, rng):
     """act(obs, rows) for _lockstep from one policy, or from one per episode;
     each distinct policy is called once per step, on its episodes' rows, in
     the order of its first episode."""
-    if callable(policy):
-        return lambda obs, _rows: np.asarray(policy(obs, rng), dtype=np.float64)
-    if len(policy) != n:
+    if not callable(policy) and len(policy) != n:
         raise ContractError(f"{len(policy)} policies for {n} episodes")
-    distinct = list(dict.fromkeys(policy))
+    distinct = [policy] if callable(policy) else list(dict.fromkeys(policy))
+    if len(distinct) == 1:
+        only = distinct[0]
+        return lambda obs, _rows: np.asarray(only(obs, rng), dtype=np.float64)
     which = np.array([distinct.index(p) for p in policy])
 
     def act(obs, rows):

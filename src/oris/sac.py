@@ -234,7 +234,8 @@ def actor_loss_and_grads(agent: SacAgent, S: np.ndarray, noise: np.ndarray,
     under the reparameterized draw a = scale * tanh(mu + sigma * noise).
 
     q_and_grad(S, A) -> (q, dq_dA) overrides the twin critics (testing seam).
-    Returns (loss, Gradients for the actor, ActorSample).
+    Returns (loss, Gradients for the actor, ActorSample). A non-finite loss
+    raises NumericsError naming the first batch row whose term is non-finite.
     """
     S = np.asarray(S, dtype=agent.actor.dtype)
     sample = sample_actions(agent, S, noise=noise)
@@ -243,15 +244,24 @@ def actor_loss_and_grads(agent: SacAgent, S: np.ndarray, noise: np.ndarray,
     if q_and_grad is None:
         x = np.concatenate([S, sample.action], axis=1)
         q1, q2 = nets.forward_batch(agent.critics, x)[..., 0]
-        m1 = (q1 <= q2).astype(q1.dtype)
         qmin = np.minimum(q1, q2)
-        # each critic's gradient where it is the min (the first on a tie)
-        gin = nets.backward_input(agent.critics, (-np.stack([m1, 1.0 - m1]) / n)[..., None])
+        # each critic's gradient where it is the min (the first on a tie):
+        # upstream -[q1 <= q2, 1 - (q1 <= q2)] / n, built in one array
+        up = np.empty((2, n, 1), q1.dtype)
+        np.less_equal(q1, q2, out=up[0, :, 0])
+        np.subtract(1.0, up[0], out=up[1])
+        up /= -n
+        gin = nets.backward_input(agent.critics, up)
         dL_da = (gin[0] + gin[1])[:, agent.obs_dim:]
     else:
         qmin, dq_da = q_and_grad(S, sample.action)
         dL_da = -np.asarray(dq_da, dtype=sample.u.dtype) / n
-    loss = float(np.add.reduce(-qmin + lam * sample.log_prob) / n)
+    terms = -qmin + lam * sample.log_prob
+    loss = float(np.add.reduce(terms) / n)
+    if not math.isfinite(loss):
+        bad = np.flatnonzero(~np.isfinite(terms))
+        raise NumericsError(f"non-finite actor loss at batch row {bad[0]}" if bad.size
+                            else "non-finite actor loss: the finite rows' sum overflows")
 
     tanh_u = np.tanh(sample.u)
     dadu = agent.action_scale * (1.0 - tanh_u ** 2)
@@ -276,8 +286,6 @@ def actor_update(agent: SacAgent, S: np.ndarray, rng, q_and_grad=None) -> float:
         raise ContractError(f"states have shape {S.shape}")
     noise = rng.standard_normal((S.shape[0], agent.action_dim))
     loss, grads, sample = actor_loss_and_grads(agent, S, noise, q_and_grad)
-    if not np.isfinite(loss):
-        raise NumericsError("non-finite actor loss")
     nets.adam_step(agent.actor, grads, agent.opt_actor)
     # dual step on log temperature: d/dloglam of -lam * mean(logp + target_entropy)
     mean_lp = float(np.add.reduce(sample.log_prob) / len(sample.log_prob))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oris import envs
 from oris.errors import ContractError, InvalidStateError, UsageError
@@ -14,7 +14,16 @@ def pointgoal(perturbation=envs.UNPERTURBED):
     return envs.make_env(envs.EnvSpec("pointgoal", perturbation))
 
 
+def _wrap_with_where(x):
+    """wrap_angle as written with np.where, the reference for its bytes."""
+    w = x - 2.0 * np.pi * np.floor((x + np.pi) / (2.0 * np.pi))
+    return np.where(w <= -np.pi, np.pi, w)
+
+
 def test_wrap_angle_range_and_boundaries():
+    for x in (np.pi, -np.pi, 7.0, -0.0, 3.0 * np.pi, -1e-300):  # Python floats
+        w = envs.wrap_angle(x)
+        assert w.shape == () and w.tobytes() == _wrap_with_where(x).tobytes()
     assert envs.wrap_angle(np.pi) == pytest.approx(np.pi)
     assert envs.wrap_angle(-np.pi) == pytest.approx(np.pi)
     assert envs.wrap_angle(np.pi + 0.1) == pytest.approx(-np.pi + 0.1)
@@ -393,3 +402,81 @@ def test_evaluate_policy_steps_episodes_together():
             _, (r,), _ = env.step([[0.0]], None)
             total += r
         assert total == pytest.approx(ret, rel=1e-9)
+
+
+def _reference_step(env, A, rng):
+    """One step from env's rows as written with numpy's Python-level wrappers
+    (np.clip, np.stack, np.linalg.norm, np.full, np.where): the reference for
+    the bytes of Env.step."""
+    p, s = env.spec.perturbation, env.action_scale
+    A = np.clip(np.asarray(A, dtype=np.float64), -s, s)
+    if p.action_noise_std > 0.0:
+        A = np.clip(A + rng.normal(0.0, p.action_noise_std, size=A.shape), -s, s)
+    last = env._steps + 1 >= env.spec.max_episode_steps
+    if env.spec.env_id == "pendulum":
+        th, thdot = env._rows
+        u = A[:, 0]
+        g, c = 10.0 * p.gravity_scale, 0.1 * p.friction_scale
+        new_thdot = np.clip(thdot + (1.5 * g * np.sin(th) + 3.0 * u - c * thdot) * env.DT,
+                            -8.0, 8.0)
+        new_th = _wrap_with_where(th + new_thdot * env.DT)
+        reward = -(_wrap_with_where(th) ** 2 + 0.1 * new_thdot ** 2 + 0.001 * u ** 2)
+        obs = np.stack([np.cos(new_th), np.sin(new_th), new_thdot], axis=1)
+        return obs, reward, np.full(len(u), last)
+    pos, vel = env._rows
+    f, d = 1.0 * p.gravity_scale, 0.5 * p.friction_scale
+    new_vel = np.clip(vel + (f * A - d * vel) * env.DT, -1.0, 1.0)
+    new_pos = np.clip(pos + new_vel * env.DT, -1.0, 1.0)
+    dist = np.linalg.norm(new_pos - env.GOAL, axis=1)
+    at_goal = dist < env.GOAL_RADIUS
+    reward = -0.1 + 0.1 * (dist < env.NEAR_RADIUS) + 20.0 * at_goal
+    return np.concatenate([new_pos, new_vel], axis=1), reward, at_goal | last
+
+
+def _edge_actions(rng, n, dim, s):
+    """Uniform actions with about a third of the entries at +-s, +-(s + 1e-9)
+    (the widest the range check accepts), 0.0 or -0.0."""
+    A = rng.uniform(-s, s, size=(n, dim))
+    edge = rng.random((n, dim)) < 0.3
+    A[edge] = rng.choice([s, -s, s + 1e-9, -s - 1e-9, 0.0, -0.0], size=int(edge.sum()))
+    return A
+
+
+def _assert_steps_match_reference(env, rng_seed):
+    """Step env's loaded rows to the end of their episodes, each step's obs,
+    reward and done byte for byte equal to _reference_step's."""
+    act, r_env, r_ref = (np.random.default_rng(rng_seed + k) for k in (0, 1, 1))
+    while env.num_rows:
+        A = _edge_actions(act, env.num_rows, env.action_dim, env.action_scale)
+        want = _reference_step(env, A, r_ref)
+        got = env.step(A, r_env)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+    assert r_env.bit_generator.state == r_ref.bit_generator.state
+
+
+def _floats(lo, hi, *edges):
+    return st.one_of(st.sampled_from(edges), st.floats(lo, hi))
+
+
+@given(th=st.lists(_floats(-4.0, 4.0, np.pi, -np.pi, 0.0, -0.0), min_size=1, max_size=6),
+       thdot=st.lists(_floats(-8.0, 8.0, 8.0, -8.0, 0.0, -0.0), min_size=6, max_size=6),
+       seed=st.integers(0, 10_000))
+@settings(max_examples=20, deadline=None)
+def test_pendulum_step_bytes_equal_the_wrapper_calls(th, thdot, seed):
+    """Whole episodes, so the last step's done flags are covered too."""
+    env = pendulum(_perturbation(np.random.default_rng(seed)))
+    env.set_state(np.column_stack([np.cos(th), np.sin(th), thdot[:len(th)]]))
+    _assert_steps_match_reference(env, seed)
+
+
+@given(rows=st.lists(st.lists(_floats(-1.0, 1.0, 1.0, -1.0, 0.0, -0.0, 0.7, 0.69),
+                              min_size=4, max_size=4), min_size=1, max_size=6),
+       seed=st.integers(0, 10_000))
+@example(rows=[[0.7, 0.7, 0.0, 0.0], [-1.0, 1.0, -0.0, 1.0], [0.69, 0.7, 0.0, -0.0]], seed=3)
+@settings(max_examples=20, deadline=None)
+def test_pointgoal_step_bytes_equal_the_wrapper_calls(rows, seed):
+    """Rows at the goal end there and leave the env; the rest run on."""
+    env = pointgoal(_perturbation(np.random.default_rng(seed)))
+    env.set_state(np.array(rows))
+    _assert_steps_match_reference(env, seed)

@@ -333,6 +333,28 @@ def test_critic_update_reports_nonfinite_target_row():
     assert "row" in str(exc.value)
 
 
+def test_actor_update_reports_nonfinite_loss_row():
+    # a critic value of inf at row 3 makes that row's -min Q + temp log pi
+    # non-finite; the update raises before it changes anything
+    agent = tiny_agent(seed=35)
+    S = np.random.default_rng(36).normal(size=(5, 3))
+
+    def q_and_grad(_S, A):
+        q = np.zeros(len(A))
+        q[3] = np.inf
+        return q, np.zeros_like(A)
+
+    before = nets.get_flat_params(agent.actor), agent.log_temperature
+    with pytest.raises(NumericsError, match="non-finite actor loss at batch row 3$"):
+        sac.actor_update(agent, S, np.random.default_rng(37), q_and_grad=q_and_grad)
+    np.testing.assert_array_equal(nets.get_flat_params(agent.actor), before[0])
+    assert agent.log_temperature == before[1]
+    # finite rows whose sum overflows name no row
+    huge = lambda _S, A: (np.full(len(A), 1e308), np.zeros_like(A))
+    with np.errstate(over="ignore"), pytest.raises(NumericsError, match="sum overflows"):
+        sac.actor_update(agent, S, np.random.default_rng(37), q_and_grad=huge)
+
+
 def test_weighted_batch_validation():
     # critic_update takes one finite, non-negative weight per row and changes
     # nothing when it rejects them
