@@ -13,7 +13,7 @@ import numpy as np
 
 from . import datasets, envs, harness, presets, sac
 from .config import load_json
-from .data import TIERS, save_dataset
+from .data import save_dataset
 from .errors import ConfigError, ContractError, NumericsError
 from .files import atomic_write
 
@@ -23,41 +23,32 @@ def _eprint(*a):
 
 
 def cmd_gen_dataset(args) -> int:
-    tiers = [t.strip() for t in args.tiers.split(",") if t.strip()]
-    if not tiers:
-        raise ConfigError("no tiers requested")
-    unknown = [t for t in tiers if t not in TIERS]
-    if unknown:
-        raise ConfigError(f"unknown tiers {unknown}, know {TIERS}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    """Train the env's reference at --seed, write its refs, then roll out
+    every tier of `presets.TIER_EPISODES[env]` at --seed + 1."""
     hp = datasets.REFERENCE_DEFAULTS[args.env]
     if args.reference_config is not None:
         hp = datasets.ReferenceHparams.from_json(load_json(args.reference_config))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
-    reference = None
-    if any(t != "random" for t in tiers):
-        _eprint(f"training reference agent on {args.env} "
-                f"({hp.total_steps} steps) ...")
-        reference = datasets.train_reference(
-            args.env, hp, args.seed,
-            progress=lambda step, ret: _eprint(f"  step {step}: eval {ret:.1f}"))
-        refs = {"env_id": args.env, **reference.refs()}
-        with atomic_write(out / f"{args.env}_refs.json") as f:
-            f.write(json.dumps(refs, indent=2, sort_keys=True) + "\n")
-        _eprint(f"refs: random {refs['random_ref']:.1f}, "
-                f"expert {refs['expert_ref']:.1f}")
+    _eprint(f"training reference agent on {args.env} "
+            f"({hp.total_steps} steps) ...")
+    reference = datasets.train_reference(
+        args.env, hp, args.seed,
+        progress=lambda step, ret: _eprint(f"  step {step}: eval {ret:.1f}"))
+    refs = {"env_id": args.env, **reference.refs()}
+    with atomic_write(out / f"{args.env}_refs.json") as f:
+        f.write(json.dumps(refs, indent=2, sort_keys=True) + "\n")
+    _eprint(f"refs: random {refs['random_ref']:.1f}, "
+            f"expert {refs['expert_ref']:.1f}")
 
-    for tier in tiers:
-        ds = datasets.generate_dataset(args.env, tier, args.episodes, args.seed,
+    for tier, episodes in presets.TIER_EPISODES[args.env].items():
+        ds = datasets.generate_dataset(args.env, tier, episodes, args.seed + 1,
                                        reference)
         path = out / f"{args.env}_{tier}.jsonl"
         save_dataset(ds, path)
         print(f"{path}: {len(ds)} transitions, "
               f"{len(ds.trajectory_boundaries)} trajectories")
-    if reference is None:
-        _eprint("only the random tier was requested: no reference run, "
-                "no refs file")
     return 0
 
 
@@ -131,13 +122,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "training, sweeps, studies, evaluation")
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen-dataset", help="generate offline dataset tiers")
+    g = sub.add_parser("gen-dataset", help="train a reference agent and write "
+                       "the offline tiers the studies read, plus its refs")
     g.add_argument("--env", required=True, choices=envs.ENV_IDS)
-    g.add_argument("--tiers", default="random,medium,medium_replay,expert",
-                   help="comma-separated tier names")
-    g.add_argument("--episodes", type=int, default=50,
-                   help="episodes per tier (cap, for medium_replay)")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=int, default=0,
+                   help="seed of the reference run; the tiers use seed + 1")
     g.add_argument("--out", required=True, help="output directory")
     g.add_argument("--reference-config", default=None,
                    help="JSON file of reference-run hyperparameters")
@@ -162,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "the desk presets")
     st.add_argument("name", choices=sorted(presets.STUDIES))
     st.add_argument("--data", default="data",
-                    help="directory of make_datasets.py output")
+                    help="directory of `oris gen-dataset` output")
     st.add_argument("--out", default=None, help="output directory "
                     "(default runs/NAME)")
     st.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3, 4])

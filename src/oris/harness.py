@@ -234,10 +234,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, progress=None):
     variants) load a GAN one of them fitted from the same offline states, GAN
     hparams and seed instead of fitting it again.
     """
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     offline = _load_offline(cfg)
     refs = cfg.resolve_refs()
+    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     chash = cfg.config_hash()
     real = envs.EnvSpec.real(cfg.env_id)
     sim = envs.EnvSpec.sim(cfg.env_id, cfg.perturbation)

@@ -51,6 +51,14 @@ class Study(NamedTuple):
 GRAVITY_X2 = DynamicsPerturbation(gravity_scale=2.0)
 PENDULUM_MAIN = ("oris", "naive_mix", "sim_only_sac")
 
+# Episodes per offline tier (D4RL's random/medium/medium_replay/expert) that
+# `oris gen-dataset` writes for each env: every tier some study reads. For
+# medium_replay the count caps the reference history, most recent kept.
+TIER_EPISODES = {
+    "pendulum": {"random": 25, "medium": 50, "medium_replay": 25, "expert": 25},
+    "pointgoal": {"random": 100, "medium": 100},
+}
+
 STUDIES = {
     "main_comparison": Study("pendulum", "medium_replay", GRAVITY_X2,
                              PENDULUM_MAIN, None),

@@ -1,13 +1,18 @@
 """End-to-end tests of the command-line interface (no subprocesses)."""
 
 import json
+from pathlib import Path
 import re
+import shlex
 
 import numpy as np
 import pytest
 
-from oris import cli, datasets, harness, sac
+from oris import cli, datasets, harness, presets, sac
 from oris.data import load_dataset, save_dataset
+from test_datasets import TINY
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -16,6 +21,14 @@ def data_dir(tmp_path_factory):
     ds = datasets.generate_dataset("pendulum", "random", episodes=2, seed=0)
     save_dataset(ds, d / "pendulum_random.jsonl")
     return d
+
+
+@pytest.fixture(scope="module")
+def tiny_reference(tmp_path_factory):
+    """A `--reference-config` file: a reference run of well under a second."""
+    path = tmp_path_factory.mktemp("reference") / "tiny.json"
+    path.write_text(json.dumps(TINY.to_json()))
+    return path
 
 
 def write_config(path, data_dir, **over):
@@ -35,23 +48,24 @@ def write_config(path, data_dir, **over):
     return path
 
 
-def test_gen_dataset_random_only(tmp_path, capsys):
-    rc = cli.main(["gen-dataset", "--env", "pendulum", "--tiers", "random",
-                   "--episodes", "2", "--seed", "3",
-                   "--out", str(tmp_path)])
+def test_gen_dataset_writes_the_env_tiers_and_refs(tmp_path, tiny_reference, capsys):
+    rc = cli.main(["gen-dataset", "--env", "pointgoal", "--seed", "3",
+                   "--out", str(tmp_path), "--reference-config", str(tiny_reference)])
     assert rc == 0
-    ds = load_dataset(tmp_path / "pendulum_random.jsonl")
-    assert ds.meta["tier"] == "random"
-    assert len(ds.trajectory_boundaries) == 2
-    assert "2 trajectories" in capsys.readouterr().out
-    assert not (tmp_path / "pendulum_refs.json").exists()
-
-
-def test_gen_dataset_unknown_tier(tmp_path, capsys):
-    rc = cli.main(["gen-dataset", "--env", "pendulum", "--tiers", "shiny",
-                   "--out", str(tmp_path)])
-    assert rc == 2
-    assert "shiny" in capsys.readouterr().err
+    tiers = presets.TIER_EPISODES["pointgoal"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["pointgoal_refs.json", *(f"pointgoal_{t}.jsonl" for t in tiers)])
+    printed = capsys.readouterr().out
+    for tier, episodes in tiers.items():
+        ds = load_dataset(tmp_path / f"pointgoal_{tier}.jsonl")
+        assert ds.meta["tier"] == tier and ds.meta["behavior_policy_seed"] == 4
+        assert len(ds.trajectory_boundaries) == episodes
+        assert f"pointgoal_{tier}.jsonl: {len(ds)} transitions, " \
+            f"{episodes} trajectories" in printed
+    text = (tmp_path / "pointgoal_refs.json").read_text()
+    refs = json.loads(text)
+    assert list(refs) == sorted(refs) and text.endswith("}\n")
+    assert refs["env_id"] == "pointgoal" and refs["seed"] == 3
 
 
 def test_train_minimal_config(tmp_path, data_dir, capsys):
@@ -107,10 +121,11 @@ def test_train_bad_refs_file_exits_2(tmp_path, data_dir, capsys, text, reason):
 def test_gen_dataset_reference_config_unknown_key_exits_2(tmp_path, capsys, doc, where):
     path = tmp_path / "ref.json"
     path.write_text(json.dumps(doc))
-    rc = cli.main(["gen-dataset", "--env", "pendulum", "--tiers", "random",
+    rc = cli.main(["gen-dataset", "--env", "pendulum",
                    "--out", str(tmp_path / "data"), "--reference-config", str(path)])
     assert rc == 2
     assert re.search(where, capsys.readouterr().err)
+    assert not (tmp_path / "data").exists()
 
 
 def test_train_seed_override(tmp_path, data_dir):
@@ -134,13 +149,16 @@ def test_evaluate_saved_agent(tmp_path, capsys):
     assert out["return_mean"] == pytest.approx(np.mean(out["returns"]))
 
 
-def test_gen_dataset_train_evaluate_chain(tmp_path, capsys):
-    """The CLI's own artifacts chain: a random tier, an oris run on it that
-    saves its agent, and an evaluation of that agent."""
+def test_gen_dataset_train_evaluate_chain(tmp_path, tiny_reference, capsys):
+    """The CLI's own artifacts chain: the tiers of a tiny reference run, an
+    oris run on the medium_replay tier that saves its agent, and an
+    evaluation of that agent. The config keeps inline refs: a reference this
+    small can evaluate below random."""
     data, run = tmp_path / "data", tmp_path / "run"
-    assert cli.main(["gen-dataset", "--env", "pendulum", "--tiers", "random",
-                     "--episodes", "2", "--seed", "1", "--out", str(data)]) == 0
+    assert cli.main(["gen-dataset", "--env", "pendulum", "--seed", "1",
+                     "--out", str(data), "--reference-config", str(tiny_reference)]) == 0
     cfg = write_config(tmp_path / "c.json", data, variant="oris", seeds=[0, 1],
+                       dataset=str(data / "pendulum_medium_replay.jsonl"),
                        gan={"z_dim": 2, "hidden": [8], "iterations": 10,
                             "batch_size": 16})
     assert cli.main(["train", "--config", str(cfg), "--out", str(run)]) == 0
@@ -207,3 +225,27 @@ def test_cli_requires_subcommand():
         cli.main(["sweep", "--config", "x", "--axis", "bogus"])
     with pytest.raises(SystemExit):
         cli.main(["study", "no_such_study"])
+
+
+def test_readme_commands_parse_and_name_existing_files():
+    """Every `oris ...` / `python -m oris.cli ...` line of the README's sh
+    blocks parses, and every *.py path those blocks name exists."""
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for line in block.splitlines():
+            words = shlex.split(line, comments=True)
+            while words and "=" in words[0]:  # VAR=value prefixes
+                words.pop(0)
+            for word in words:
+                assert not word.endswith(".py") or (README.parent / word).exists(), line
+            if words[:1] == ["oris"]:
+                commands.append(words[1:])
+            elif words[:3] == ["python", "-m", "oris.cli"]:
+                commands.append(words[3:])
+    assert any(argv[0] == "gen-dataset" for argv in commands)
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: oris {shlex.join(argv)}")

@@ -6,7 +6,8 @@ in float32, hashed as float64), so it changes with any change to
 the RNG draw order or to the order of float operations anywhere in data, gan,
 sac, nets or loop. One more digest covers a tiny online reference run
 (`datasets.train_reference`): its final agent and every episode it collected.
-One more covers the bytes `data.save_dataset` writes for a small generated tier.
+One more covers the bytes `data.save_dataset` writes for a small generated tier,
+and one per file the tier files `oris gen-dataset` writes at a tiny reference.
 Per-file digests cover the directory `sac.save_agent` writes for a tiny agent
 after two update pairs, one digest covers tests/data/agent_f8 loaded and
 updated twice, and one the key `gan.fit_key` gives a fixed fit.
@@ -19,13 +20,15 @@ say why. The compare itself is never loosened.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oris import data, datasets, envs, gan, loop, nets, sac
+from oris import cli, data, datasets, envs, gan, loop, nets, sac
 from oris.loop import OrisConfig
+from test_datasets import TINY
 
 RECORDED_ON = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0"}
 GOLDEN_SHA256 = "b44c0a9ff0176ec0753fdf8f59763b8217ee82acc088d1389eb959511596532c"
@@ -52,6 +55,25 @@ AGENT_FILE_SHA256 = {
 }
 AGENT_F8_UPDATED_SHA256 = "bc584e34c07bf7cc004da3a2cef8f892984c0f9d6fc5ed5c4848275f05ca6fc2"
 FIT_KEY = "ca762d80e926c5ce097c4178f14681092faa5086ac26f3f86599563a9ad1727f"
+# recorded with the dataset script that `oris gen-dataset` replaced, run at
+# test_datasets.TINY and seed 0; it wrote the same refs with unsorted keys
+GEN_DATASET_SHA256 = {
+    "pendulum_expert.jsonl": "b82169e76af8ac5591c2195d9f2206c73cb2eb2533f41432ab1904b5853031b6",
+    "pendulum_medium.jsonl": "3929551276dc2a501f393e92146b21818581fcbed2451235c42ba2f76bf69fb9",
+    "pendulum_medium_replay.jsonl":
+        "818b455cecceb981f43049613cef2e2df86b882e81e811985cc6618ef79c7202",
+    "pendulum_random.jsonl": "9082252094d3950889416e8c8cd1f5a768409c0a508408047d68886080b40a0f",
+    "pointgoal_medium.jsonl": "de02f5de7e1de69edec82b422a874001129975c261664ec62d3cba53242eb502",
+    "pointgoal_random.jsonl": "38c04d6ba4e0ef343446779069c3706c1497b3bc1bd446796032488c0f403b49",
+}
+GEN_DATASET_REFS = {
+    "pendulum": {"env_id": "pendulum", "random_ref": -1596.790258282737,
+                 "expert_ref": -1743.625564667831, "seed": 0,
+                 "medium_return": -1625.392139654523},
+    "pointgoal": {"env_id": "pointgoal", "random_ref": -9.99999999999998,
+                  "expert_ref": -9.99999999999998, "seed": 0,
+                  "medium_return": -9.99999999999998},
+}
 
 # a stack's rows hash back to back, so the twin critics and their targets
 # hash as they did as four single nets: critic1, critic2, target1, target2
@@ -168,3 +190,17 @@ def test_dataset_file_digest(tmp_path):
     data.save_dataset(datasets.generate_dataset("pendulum", "random", episodes=3, seed=0),
                       path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DATASET_FILE_SHA256
+
+
+@pytest.mark.parametrize("env_id", sorted(GEN_DATASET_REFS))
+def test_gen_dataset_file_digests(tmp_path, env_id):
+    _require_recorded_build()
+    reference_config = tmp_path / "tiny.json"
+    reference_config.write_text(json.dumps(TINY.to_json()))
+    out = tmp_path / "data"
+    assert cli.main(["gen-dataset", "--env", env_id, "--seed", "0", "--out", str(out),
+                     "--reference-config", str(reference_config)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.jsonl")}
+    assert got == {name: digest for name, digest in GEN_DATASET_SHA256.items()
+                   if name.startswith(f"{env_id}_")}
+    assert json.loads((out / f"{env_id}_refs.json").read_text()) == GEN_DATASET_REFS[env_id]

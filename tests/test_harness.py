@@ -238,6 +238,17 @@ def test_run_experiment_rejects_wrong_dataset(dataset_path, tmp_path):
         harness.run_experiment(cfg2, tmp_path)
 
 
+def test_run_experiment_checks_inputs_before_making_out_dir(dataset_path, tmp_path):
+    out = tmp_path / "runs" / "oris"
+    with pytest.raises(ConfigError, match="exist"):
+        harness.run_experiment(tiny_config(tmp_path / "missing.jsonl"), out)
+    no_refs = tiny_config(dataset_path, refs=None,
+                          refs_path=str(tmp_path / "missing_refs.json"))
+    with pytest.raises(ConfigError, match="no such file"):
+        harness.run_experiment(no_refs, out)
+    assert not (tmp_path / "runs").exists()
+
+
 def test_sweep_points(dataset_path):
     cfg = tiny_config(dataset_path)
     assert [l for l, _ in harness.sweep_points(cfg, "gravity")] == \

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from oris import cli, harness, presets
+from oris import cli, envs, harness, presets
+from oris.data import TIERS
 from oris.harness import ExperimentConfig, ScoreTable
 
 # (out dir, sweep axis, base config hash, {sweep point: config hash}) per
@@ -77,6 +78,18 @@ def recorded(monkeypatch) -> list:
 
 def test_study_table_names_every_study():
     assert set(presets.STUDIES) == set(STUDY_CELLS)
+
+
+@pytest.mark.parametrize("name", sorted(presets.STUDIES))
+def test_gen_dataset_writes_the_tier_each_study_reads(name):
+    study = presets.STUDIES[name]
+    assert study.tier in presets.TIER_EPISODES[study.env_id]
+
+
+def test_tier_table_covers_every_env_with_known_tiers():
+    assert set(presets.TIER_EPISODES) == set(envs.ENV_IDS)
+    for tiers in presets.TIER_EPISODES.values():
+        assert set(tiers) <= set(TIERS) and min(tiers.values()) >= 1
 
 
 @pytest.mark.parametrize("name", sorted(STUDY_CELLS))
