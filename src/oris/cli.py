@@ -147,8 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--verbose", action="store_true")
     s.set_defaults(func=cmd_train_or_sweep)
 
-    st = sub.add_parser("study", help="run one of the paper's studies with "
-                        "the desk presets")
+    st = sub.add_parser("study", help="run one of the paper's studies at "
+                        "the desk defaults")
     st.add_argument("name", choices=sorted(presets.STUDIES))
     st.add_argument("--data", default="data",
                     help="directory of `oris gen-dataset` output")

@@ -23,10 +23,10 @@ from .errors import ConfigError, ContractError
 class ReferenceHparams(Config):
     """Budget for the online reference run used by the non-random tiers."""
 
-    total_steps: int = 30_000
+    total_steps: int = 16_000
     warmup_steps: int = 1_000
     update_every: int = 1
-    eval_interval: int = 2_000
+    eval_interval: int = 1_000
     eval_episodes: int = 10
     batch_size: int = 256
     replay_capacity: int = 300_000
@@ -37,6 +37,9 @@ class ReferenceHparams(Config):
             raise ContractError("total_steps must cover at least one eval_interval")
         if self.warmup_steps < 0 or self.update_every < 1:
             raise ContractError("bad warmup/update_every")
+        for k in ("eval_episodes", "batch_size", "replay_capacity"):
+            if getattr(self, k) < 1:
+                raise ContractError(f"{k} must be >= 1")
 
 
 @dataclass
@@ -88,16 +91,14 @@ class ReferenceRun:
 
 
 # Budgets tuned so the reference reaches near-optimal behavior on a single
-# CPU core in minutes. Pointgoal's reward is sparse: random warmup has to be
-# long enough to put a few goal hits in the replay before updates start.
-REFERENCE_SAC = sac.SacHparams(hidden=(64, 64), critic_lr=1e-3, tau=0.01)
+# CPU core in minutes; pendulum's is the default. Pointgoal's reward is
+# sparse: random warmup has to be long enough to put a few goal hits in the
+# replay before updates start.
 REFERENCE_DEFAULTS = {
-    "pendulum": ReferenceHparams(
-        total_steps=16_000, warmup_steps=1_000, eval_interval=1_000,
-        sac=REFERENCE_SAC),
+    "pendulum": ReferenceHparams(),
     "pointgoal": ReferenceHparams(
         total_steps=190_000, warmup_steps=150_000, eval_interval=2_500,
-        replay_capacity=400_000, sac=REFERENCE_SAC),
+        replay_capacity=400_000),
 }
 
 

@@ -36,15 +36,20 @@ REPORT_FILE = "report.json"
 
 @dataclass(frozen=True)
 class GanHparams(Config):
+    """Desk-scale defaults: one CPU core, minutes per run. The README
+    tabulates the paper-scale values."""
+
     z_dim: int = 8
     hidden: tuple = (128, 128)
-    iterations: int = 20_000
+    iterations: int = 2000
     batch_size: int = 256
     learning_rate: float = 2e-4
     beta1: float = 0.5
     beta2: float = 0.999
     restart_noise_sigma: float = 0.05
-    w_min: float = 0.1
+    # 0.3, not 0.1: on densely covered state spaces the discriminator has
+    # little spatial contrast, and D near 1/2 puts most weights at w_min
+    w_min: float = 0.3
     w_max: float = 1.0
 
     def __post_init__(self):
@@ -54,6 +59,10 @@ class GanHparams(Config):
             raise ContractError(f"need 0 <= w_min <= w_max, got {self.w_min}, {self.w_max}")
         if self.restart_noise_sigma < 0.0:
             raise ContractError("restart_noise_sigma must be >= 0")
+        if self.learning_rate <= 0.0:
+            raise ContractError("learning_rate must be positive")
+        if any(h < 1 for h in self.hidden):
+            raise ContractError(f"hidden widths must be >= 1, got {self.hidden}")
 
 
 @dataclass

@@ -35,11 +35,15 @@ RESTART_MAX_RETRIES = 20
 
 @dataclass(frozen=True)
 class OrisConfig(Config):
+    """Desk-scale defaults: one CPU core, minutes per run. The README
+    tabulates the paper-scale values."""
+
     variant: str = "oris"
     rollout_horizon: int = 100
     rollout_count: int = 10
-    random_policy_prob: float = 0.2
-    epochs: int = 500
+    random_policy_prob: float = 0.0  # collect with plain pi rollouts
+    # mid-convergence, where restart quality and data reuse still matter
+    epochs: int = 20
     updates_per_epoch: int = 250
     replay_capacity: int = 200_000
     eval_episodes: int = 10

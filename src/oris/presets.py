@@ -1,10 +1,7 @@
-"""Tuned desk-scale presets: one CPU core, minutes per run, and the paper's
-studies built from them.
-
-The library defaults on SacHparams / GanHparams / OrisConfig are the
-conventional values; they need far more compute than a laptop budget.
-Every study builds its configs from these presets instead so results stay
-comparable across studies.
+"""The paper's studies: which env, offline tier, simulator gap and variants
+each runs, and the offline tiers `oris gen-dataset` writes for them. Every
+study runs at the desk-scale defaults of SacHparams, GanHparams and
+OrisConfig, so results stay comparable across studies.
 """
 from typing import NamedTuple
 
@@ -13,31 +10,9 @@ from .envs import UNPERTURBED, DynamicsPerturbation
 from .harness import ExperimentConfig
 from .loop import OrisConfig
 
-# Baselines collect with plain pi rollouts (random_policy_prob 0); the
-# budget sits mid-convergence, where restart quality and data reuse still
-# matter. Raising w_min to 0.3 compensates the discriminator's lack of
-# spatial contrast on densely covered state spaces.
-LOOP_DEFAULTS = dict(epochs=20, rollout_count=10, rollout_horizon=100,
-                     updates_per_epoch=250, random_policy_prob=0.0,
-                     eval_episodes=10)
-
-
-def desk_sac(**over) -> sac.SacHparams:
-    kw = dict(hidden=(64, 64), critic_lr=1e-3, tau=0.01)
-    kw.update(over)
-    return sac.SacHparams(**kw)
-
-
-def desk_gan(**over) -> gan.GanHparams:
-    kw = dict(iterations=2000, w_min=0.3)
-    kw.update(over)
-    return gan.GanHparams(**kw)
-
-
-def desk_loop(variant: str, **over) -> OrisConfig:
-    kw = dict(LOOP_DEFAULTS)
-    kw.update(over)
-    return OrisConfig(variant=variant, **kw)
+# Aliases for their one importer, perfbench/workloads.py; they go once it
+# imports the classes.
+desk_sac, desk_gan, desk_loop = sac.SacHparams, gan.GanHparams, OrisConfig
 
 
 class Study(NamedTuple):
@@ -74,7 +49,7 @@ STUDIES = {
 
 
 def study_cells(name: str, data: str, out: str, seeds) -> list[ExperimentConfig]:
-    """One desk-preset config per variant of study `name`, reading
+    """One config per variant of study `name`, at the desk defaults, reading
     `<data>/<env>_<tier>.jsonl` and `<data>/<env>_refs.json`. A study of
     several variants writes each to `<out>/<variant>`, one of a single
     variant to `<out>` itself."""
@@ -87,7 +62,4 @@ def study_cells(name: str, data: str, out: str, seeds) -> list[ExperimentConfig]
         perturbation=study.perturbation,
         refs_path=f"{data}/{study.env_id}_refs.json",
         out_dir=f"{out}/{variant}" if len(study.variants) > 1 else out,
-        oris=desk_loop(variant),
-        sac=desk_sac(),
-        gan=desk_gan(),
     ) for variant in study.variants]

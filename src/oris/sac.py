@@ -40,12 +40,15 @@ ERROR_LIMIT = {np.dtype(np.float32): 1e15, np.dtype(np.float64): 1e150}
 
 @dataclass(frozen=True)
 class SacHparams(Config):
-    hidden: tuple = (256, 256)
+    """Desk-scale defaults: one CPU core, minutes per run. The README
+    tabulates the paper-scale values."""
+
+    hidden: tuple = (64, 64)  # () gives a linear net
     actor_lr: float = 3e-4
-    critic_lr: float = 3e-4
+    critic_lr: float = 1e-3
     temperature_lr: float = 3e-4
     gamma: float = 0.99
-    tau: float = 0.005
+    tau: float = 0.01
     init_temperature: float = 0.2
     target_entropy: float | None = None  # None -> -action_dim
     batch_off: int = 128
@@ -58,6 +61,10 @@ class SacHparams(Config):
             raise ContractError("init_temperature must be positive")
         if self.batch_off < 1 or self.batch_sim < 1:
             raise ContractError("batch sizes must be positive")
+        if min(self.actor_lr, self.critic_lr, self.temperature_lr) <= 0.0:
+            raise ContractError("learning rates must be positive")
+        if any(h < 1 for h in self.hidden):
+            raise ContractError(f"hidden widths must be >= 1, got {self.hidden}")
 
 
 @dataclass

@@ -117,7 +117,8 @@ def test_train_bad_refs_file_exits_2(tmp_path, data_dir, capsys, text, reason):
 
 @pytest.mark.parametrize("doc, where", [
     ({"total_steps": 800, "warmup": 10}, r"ReferenceHparams: unknown keys \['warmup'\]"),
-    ({"sac": {"hiden": [8]}}, r"ReferenceHparams\.sac: unknown keys \['hiden'\]")])
+    ({"sac": {"hiden": [8]}}, r"ReferenceHparams\.sac: unknown keys \['hiden'\]"),
+    ({"sac": {"actor_lr": -0.001}}, r"ReferenceHparams\.sac: learning rates must be positive")])
 def test_gen_dataset_reference_config_unknown_key_exits_2(tmp_path, capsys, doc, where):
     path = tmp_path / "ref.json"
     path.write_text(json.dumps(doc))

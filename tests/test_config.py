@@ -65,3 +65,29 @@ def test_errors_name_the_section_path():
         tiny_config(perturbation={"gravity_scale": -1.0})
     with pytest.raises(ContractError, match=r"ReferenceHparams\.sac: bad gamma"):
         datasets.ReferenceHparams.from_json({"sac": {"gamma": 1.5}})
+
+
+@pytest.mark.parametrize("cls, doc, where", [
+    (datasets.ReferenceHparams, {"eval_episodes": 0},
+     r"ReferenceHparams: eval_episodes must be >= 1"),
+    (datasets.ReferenceHparams, {"batch_size": 0}, r"ReferenceHparams: batch_size must be >= 1"),
+    (datasets.ReferenceHparams, {"replay_capacity": 0},
+     r"ReferenceHparams: replay_capacity must be >= 1"),
+    (datasets.ReferenceHparams, {"sac": {"actor_lr": -0.001}},
+     r"ReferenceHparams\.sac: learning rates"),
+    (datasets.ReferenceHparams, {"sac": {"critic_lr": 0}}, r"ReferenceHparams\.sac: learning rates"),
+    (datasets.ReferenceHparams, {"sac": {"temperature_lr": 0}},
+     r"ReferenceHparams\.sac: learning rates"),
+    (datasets.ReferenceHparams, {"sac": {"hidden": [64, 0]}},
+     r"ReferenceHparams\.sac: hidden widths"),
+    (gan.GanHparams, {"learning_rate": 0}, r"GanHparams: learning_rate must be positive"),
+    (gan.GanHparams, {"hidden": [0]}, r"GanHparams: hidden widths"),
+])
+def test_hparams_refuse_values_that_cannot_train(cls, doc, where):
+    with pytest.raises(ContractError, match=where):
+        cls.from_json(doc)
+
+
+def test_empty_hidden_is_a_linear_net():
+    cfg = tiny_config(sac={"hidden": []}, gan={"hidden": []})
+    assert cfg.sac.hidden == cfg.gan.hidden == ()

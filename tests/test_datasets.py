@@ -1,5 +1,8 @@
 """Tests for the reference-run trainer and dataset tier generation."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,7 @@ from oris.errors import ConfigError, ContractError
 TINY = ReferenceHparams(
     total_steps=600, warmup_steps=200, eval_interval=200, eval_episodes=2,
     batch_size=64, replay_capacity=10_000,
-    sac=sac.SacHparams(hidden=(16, 16)))
+    sac=sac.SacHparams(hidden=(16, 16), critic_lr=3e-4, tau=0.005))
 
 
 @pytest.fixture(scope="module")
@@ -179,3 +182,12 @@ def test_reference_hparams_validation():
         ReferenceHparams(total_steps=100, eval_interval=200)
     with pytest.raises(ContractError):
         ReferenceHparams(warmup_steps=-1)
+
+
+def test_reference_budgets_are_pinned():
+    """The studies' data and the benchmark's references are built at these
+    budgets, which rest on the dataclass defaults: an edit to a default that
+    moves them has to show here."""
+    doc = {env: hp.to_json() for env, hp in datasets.REFERENCE_DEFAULTS.items()}
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest.startswith("6481ce9df5fc")

@@ -159,7 +159,8 @@ def _update_pairs(agent, seed, pairs=2, n=6):
 
 def test_agent_directory_file_digests(tmp_path):
     _require_recorded_build()
-    agent = sac.SacAgent.create(3, 1, 2.0, sac.SacHparams(hidden=(8, 8)), seed=60)
+    agent = sac.SacAgent.create(
+        3, 1, 2.0, sac.SacHparams(hidden=(8, 8), critic_lr=3e-4, tau=0.005), seed=60)
     _update_pairs(agent, 61)
     sac.save_agent(agent, tmp_path / "agent")
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -180,7 +181,7 @@ def test_agent_f8_loads_into_stacks_and_updates():
 def test_gan_fit_key_digest():
     _require_recorded_build()
     states = np.random.default_rng(0).normal(size=(120, 3))
-    hp = gan.GanHparams(z_dim=2, hidden=(8,), iterations=5, batch_size=16)
+    hp = gan.GanHparams(z_dim=2, hidden=(8,), iterations=5, batch_size=16, w_min=0.1)
     assert gan.fit_key(gan.fit_inputs(states, hp, np.random.default_rng(1))) == FIT_KEY
 
 
