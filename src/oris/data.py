@@ -267,18 +267,6 @@ def save_dataset(d: Dataset, path) -> None:
 _ROW_ERRORS = (json.JSONDecodeError, KeyError, TypeError, OverflowError, ContractError)
 
 
-def _load_row(line, flat, widths):
-    """Append one row's values to the columns; returns (widths, eot flag)."""
-    row = json.loads(line)
-    fields = (row["s"], row["a"], [row["r"]], row["s2"], [row["done"]])
-    w = [len(x) for x in fields]
-    if widths is not None and w != widths:
-        raise ContractError(f"field lengths {w}, first row {widths}")
-    for column, x in zip(flat, fields):
-        column.extend(x)
-    return w, row.get("eot", False)
-
-
 def _load_block(lines, flat, widths):
     """Append a block of rows to the columns with one json.loads; returns
     (widths, eot flags). Raises one of _ROW_ERRORS on any bad row, without
@@ -342,16 +330,16 @@ def load_dataset(path) -> Dataset:
             try:
                 widths, eot = _load_block(lines, flat, widths)
             except _ROW_ERRORS:
-                # load the block again row by row, to name the first bad line
+                # load the block again one line at a time, to name the first bad line
                 for column, m in zip(flat, marks):
                     del column[m:]
                 eot = []
                 for lineno, line in zip(block_linenos, lines):
                     try:
-                        widths, end = _load_row(line, flat, widths)
+                        widths, end = _load_block([line], flat, widths)
                     except _ROW_ERRORS as e:
                         raise ContractError(f"{path}:{lineno}: bad transition row: {e}") from e
-                    eot.append(end)
+                    eot += end
             bounds.extend(len(linenos) + i for i, end in enumerate(eot, start=1) if end)
             linenos.extend(block_linenos)
     if not linenos:

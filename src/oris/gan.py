@@ -61,6 +61,8 @@ class GanHparams(Config):
             raise ContractError("restart_noise_sigma must be >= 0")
         if self.learning_rate <= 0.0:
             raise ContractError("learning_rate must be positive")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ContractError(f"beta1 and beta2 must be in [0, 1), got {self.beta1}, {self.beta2}")
         if any(h < 1 for h in self.hidden):
             raise ContractError(f"hidden widths must be >= 1, got {self.hidden}")
 
@@ -157,7 +159,7 @@ def discriminator_step_grads(disc: nets.MlpNet, real: np.ndarray, fake: np.ndarr
     """Gradient of the discriminator's loss -(E[log D(real)] + E[log(1 - D(fake))])
     for equal-size batches, scored in one pass over the rows of both.
 
-    Returns (Gradients, D(real), D(fake), the objective E[log D(real)] +
+    Returns (the gradient vector, D(real), D(fake), the objective E[log D(real)] +
     E[log(1 - D(fake))]).
     """
     bs = real.shape[0]

@@ -19,8 +19,8 @@ Each net keeps all of its parameters in one flat vector, `params`, laid out
 layer by layer, weight matrix (row-major) then bias vector; checkpoints use
 the same layout. `weights[l]` and `biases[l]` are views into `params`, so a
 write through either name is seen by the other, and whole-net operations
-(Adam, soft updates, checkpoints) act on the one vector. Gradients use the
-same layout: `Gradients.flat` with `weights`/`biases` views into it. Copies
+(Adam, soft updates, checkpoints) act on the one vector. A net is built from
+such a vector, and its gradients are one vector in the same layout. Copies
 (`clone_net`, `copy.deepcopy`, pickling) get a fresh vector with fresh views.
 
 A stack of k nets of one architecture (`stack`) is one net whose `params` is
@@ -86,33 +86,23 @@ def _views(flat: np.ndarray, layer_sizes) -> tuple[list, list]:
     return weights, biases
 
 
-def _flatten(weights, biases, dtype) -> np.ndarray:
-    lead = np.shape(biases[0])[:-1]
-    return np.concatenate([np.reshape(a, lead + (-1,)) for wb in zip(weights, biases)
-                           for a in wb], axis=-1).astype(dtype, copy=False)
-
-
 @dataclass
 class MlpNet:
     """A fully connected net. weights[l] has shape (layer_sizes[l+1], layer_sizes[l]).
 
-    The constructor copies the given weights and biases into `params`,
-    rounded to `dtype`. Given weights of shape (k, out, in) and biases of
-    shape (k, out), it builds a stack of k nets, and init_seed is then a
-    tuple of the k members' seeds.
+    The constructor copies `params`, a vector in the flat layout of
+    `layer_sizes`, rounded to `dtype`. Given a (k, P) block, it builds a
+    stack of k nets, and init_seed is then a tuple of the k members' seeds.
     """
 
     layer_sizes: list[int]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    params: np.ndarray = field(repr=False)
     hidden_activation: str = "relu"
     output_activation: str = "identity"
     init_seed: int | tuple = 0
     dtype: np.dtype = np.float32
-    params: np.ndarray = field(init=False, repr=False)
     _acts: list = field(default_factory=list, repr=False)
     _out_pre: np.ndarray | None = field(default=None, repr=False)
-    _has_cache: bool = field(default=False, repr=False)
 
     def __post_init__(self):
         if len(self.layer_sizes) < 2 or any(int(s) < 1 for s in self.layer_sizes):
@@ -124,20 +114,16 @@ class MlpNet:
         self.dtype = np.dtype(self.dtype)
         if self.dtype not in DTYPES:
             raise ContractError(f"dtype must be float32 or float64, got {self.dtype}")
-        if len(self.weights) != self.num_layers or len(self.biases) != self.num_layers:
-            raise ContractError("weights/biases must have one entry per layer")
-        lead = np.shape(self.biases[0])[:-1]
-        if len(lead) > 1 or isinstance(self.init_seed, tuple) != bool(lead) or (
+        params = np.array(self.params, dtype=self.dtype, order="C")
+        size = _layout(tuple(self.layer_sizes))[-1][2]
+        lead = params.shape[:-1]
+        if params.ndim not in (1, 2) or params.shape[-1] != size or (
+                isinstance(self.init_seed, tuple) != bool(lead)) or (
                 lead and len(self.init_seed) != lead[0]):
-            raise ContractError(f"a stack of k nets takes k init seeds and weights "
-                                f"(k, out, in), got {self.init_seed} and biases {lead}")
-        for l in range(self.num_layers):
-            want = lead + (self.layer_sizes[l + 1], self.layer_sizes[l])
-            if self.weights[l].shape != want:
-                raise ContractError(f"weights[{l}] has shape {self.weights[l].shape}, want {want}")
-            if self.biases[l].shape != want[:-1]:
-                raise ContractError(f"biases[{l}] has shape {self.biases[l].shape}")
-        self._bind(_flatten(self.weights, self.biases, self.dtype))
+            raise ContractError(f"params for layer_sizes {self.layer_sizes} are ({size},), or "
+                                f"(k, {size}) with k init seeds; got {params.shape} "
+                                f"and init_seed {self.init_seed}")
+        self._bind(params)
 
     def _bind(self, params: np.ndarray) -> None:
         self.params = params
@@ -182,32 +168,12 @@ class MlpNet:
         if len(layer_sizes) < 2 or any(int(s) < 1 for s in layer_sizes):
             raise ContractError(f"layer_sizes must be >= 2 positive entries, got {layer_sizes}")
         rng = np.random.default_rng(seed)
-        weights, biases = [], []
+        parts = []
         for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
             limit = np.sqrt(6.0 / fan_in)
-            weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-            biases.append(np.zeros(fan_out))
-        return cls(list(layer_sizes), weights, biases, hidden_activation,
+            parts += [rng.uniform(-limit, limit, size=fan_out * fan_in), np.zeros(fan_out)]
+        return cls(list(layer_sizes), np.concatenate(parts), hidden_activation,
                    output_activation, init_seed=int(seed), dtype=dtype)
-
-
-@dataclass
-class Gradients:
-    """Parameter gradients in a net's flat layout.
-
-    Built from per-layer lists, the lists are copied into `flat` (in the
-    weights' dtype) and replaced by views into it.
-    """
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    flat: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.flat is None:
-            sizes = [self.weights[0].shape[-1]] + [w.shape[-2] for w in self.weights]
-            self.flat = _flatten(self.weights, self.biases, self.weights[0].dtype)
-            self.weights, self.biases = _views(self.flat, sizes)
 
 
 def _relu_zero(z: np.ndarray) -> np.ndarray:
@@ -269,20 +235,20 @@ def forward_batch(net: MlpNet, x: np.ndarray) -> np.ndarray:
         z += b_row
         h = _output_act(net.output_activation, z) if l == last else _hidden_act(net.hidden_activation, z)
         acts.append(h)
-    net._acts, net._out_pre, net._has_cache = acts, z, True
+    net._acts, net._out_pre = acts, z
     return h
 
 
 def output_preactivation(net: MlpNet) -> np.ndarray:
     """Pre-activation of the output layer from the most recent forward."""
-    if not net._has_cache:
+    if not net._acts:
         raise UsageError("no recorded forward pass")
     return net._out_pre
 
 
 def _output_delta(net: MlpNet, grad_out, wrt_preactivation: bool) -> np.ndarray:
     """d(loss)/d(output pre-activation) from the caller's upstream gradient."""
-    if not net._has_cache:
+    if not net._acts:
         raise UsageError("backward called before forward")
     grad_out = np.asarray(grad_out, dtype=net.dtype)
     out_shape = net._acts[-1].shape
@@ -311,14 +277,15 @@ def _delta_below(net: MlpNet, delta: np.ndarray, l: int) -> np.ndarray:
     return delta
 
 
-def backward_batch(net: MlpNet, grad_out: np.ndarray, wrt_preactivation: bool = False) -> Gradients:
+def backward_batch(net: MlpNet, grad_out: np.ndarray, wrt_preactivation: bool = False) -> np.ndarray:
     """Reverse-mode pass from d(loss)/d(output) through the recorded forward.
 
     With wrt_preactivation=True, grad_out is d(loss)/d(output pre-activation);
     this sidesteps the output nonlinearity (used for stable sigmoid/BCE math).
-    Returns the parameter gradients; it stops at layer 0, so the gradient at
-    the input is backward_input's. A stack's gradients are (k, P), one row per
-    member, also when its input was shared.
+    Returns the parameter gradients as one vector in the net's flat layout;
+    it stops at layer 0, so the gradient at the input is backward_input's. A
+    stack's gradients are (k, P), one row per member, also when its input
+    was shared.
     """
     delta = _output_delta(net, grad_out, wrt_preactivation)
     flat = np.empty(net.params.shape, dtype=net.dtype)
@@ -328,7 +295,7 @@ def backward_batch(net: MlpNet, grad_out: np.ndarray, wrt_preactivation: bool = 
         np.add.reduce(delta, axis=-2, out=g_b[l])
         if l > 0:
             delta = _delta_below(net, delta, l)
-    return Gradients(g_w, g_b, flat)
+    return flat
 
 
 def backward_input(net: MlpNet, grad_out: np.ndarray,
@@ -364,13 +331,14 @@ class AdamState:
         return st
 
 
-def adam_step(net: MlpNet, grads: Gradients, opt: AdamState) -> None:
-    """One Adam step, in place on net parameters and opt moments.
+def adam_step(net: MlpNet, g: np.ndarray, opt: AdamState) -> None:
+    """One Adam step, in place on net parameters and opt moments, from the
+    gradient vector g in the net's flat layout (backward_batch's).
 
     A non-finite gradient raises NumericsError before anything changes;
     parameters that come out non-finite raise after the step.
     """
-    p, g, m, v = net.params, grads.flat, opt.m, opt.v
+    p, m, v = net.params, opt.m, opt.v
     if g.shape != p.shape or m.shape != p.shape or g.dtype != p.dtype or m.dtype != p.dtype:
         raise ContractError("gradient structure does not match net")
     if not np.isfinite(g).all():
@@ -431,10 +399,6 @@ def soft_update(target: MlpNet, source: MlpNet, tau: float) -> None:
     target.params += tau * source.params
 
 
-def num_params(net: MlpNet) -> int:
-    return net.params.size
-
-
 def get_flat_params(net: MlpNet) -> np.ndarray:
     return net.params.copy()
 
@@ -442,12 +406,12 @@ def get_flat_params(net: MlpNet) -> np.ndarray:
 def set_flat_params(net: MlpNet, flat: np.ndarray) -> None:
     flat = np.asarray(flat, dtype=net.dtype)
     if flat.shape != net.params.shape:
-        raise ContractError(f"flat vector has shape {flat.shape}, want ({num_params(net)},)")
+        raise ContractError(f"flat vector has shape {flat.shape}, want {net.params.shape}")
     net.params[...] = flat
 
 
 def clone_net(net: MlpNet) -> MlpNet:
-    return MlpNet(list(net.layer_sizes), net.weights, net.biases, net.hidden_activation,
+    return MlpNet(list(net.layer_sizes), net.params, net.hidden_activation,
                   net.output_activation, net.init_seed, net.dtype)
 
 
@@ -459,9 +423,7 @@ def stack(members) -> MlpNet:
     if any(m.stack_size is not None or (m.layer_sizes, m.hidden_activation,
                                         m.output_activation, m.dtype) != arch for m in members):
         raise ContractError("a stack's members must be single nets of one architecture and dtype")
-    return MlpNet(list(first.layer_sizes),
-                  [np.stack(ws) for ws in zip(*(m.weights for m in members))],
-                  [np.stack(bs) for bs in zip(*(m.biases for m in members))],
+    return MlpNet(list(first.layer_sizes), np.stack([m.params for m in members]),
                   first.hidden_activation, first.output_activation,
                   tuple(m.init_seed for m in members), first.dtype)
 
@@ -470,9 +432,9 @@ def unstack(net: MlpNet) -> list[MlpNet]:
     """Copies of a stack's members, each a single net with its own init_seed."""
     if net.stack_size is None:
         raise ContractError("unstack takes a stack of nets")
-    return [MlpNet(list(net.layer_sizes), [w[j] for w in net.weights], [b[j] for b in net.biases],
-                   net.hidden_activation, net.output_activation, seed, net.dtype)
-            for j, seed in enumerate(net.init_seed)]
+    return [MlpNet(list(net.layer_sizes), row, net.hidden_activation,
+                   net.output_activation, seed, net.dtype)
+            for row, seed in zip(net.params, net.init_seed)]
 
 
 def _write_record(path, header: dict, *arrays) -> None:
@@ -521,7 +483,7 @@ def save_checkpoint(net: MlpNet, path) -> None:
         "hidden_activation": net.hidden_activation,
         "output_activation": net.output_activation,
         "init_seed": net.init_seed,
-        "param_count": num_params(net),
+        "param_count": net.params.size,
         "dtype": net.dtype.newbyteorder("<").str,
     }, net.params)
 
@@ -530,14 +492,13 @@ def load_checkpoint(path) -> MlpNet:
     """The net a checkpoint holds, in the dtype it records; a header without
     one (written before checkpoints recorded it) holds float64."""
     header, flat = _read_record(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
-    sizes = [int(s) for s in header["layer_sizes"]]
-    net = MlpNet.he_uniform(sizes, header["hidden_activation"],
-                            header["output_activation"], seed=header.get("init_seed", 0),
-                            dtype=header["dtype"])
-    if flat.size != header["param_count"] or flat.size != num_params(net):
+    if flat.size != header["param_count"]:
         raise ContractError(f"checkpoint parameter count mismatch in {path}")
-    set_flat_params(net, flat)
-    return net
+    try:
+        return MlpNet([int(s) for s in header["layer_sizes"]], flat, header["hidden_activation"],
+                      header["output_activation"], header.get("init_seed", 0), header["dtype"])
+    except ContractError as e:
+        raise ContractError(f"bad checkpoint {path}: {e}") from e
 
 
 def save_adam(opt: AdamState, path) -> None:

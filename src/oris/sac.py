@@ -193,7 +193,8 @@ def critic_loss_and_grads(agent: SacAgent, S: np.ndarray, A: np.ndarray,
     """Weighted squared Bellman error, normalized by the row count.
 
     loss_k = sum_i w_i e_k,i^2 / n, in the critics' dtype. Returns (mean loss
-    over the twin critics, their stacked Gradients, the (2, n) TD errors).
+    over the twin critics, their gradients as one row each, the (2, n) TD
+    errors).
     """
     dtype = agent.critics.dtype
     weights, targets = (np.asarray(c, dtype=dtype) for c in (weights, targets))
@@ -241,7 +242,7 @@ def actor_loss_and_grads(agent: SacAgent, S: np.ndarray, noise: np.ndarray,
     under the reparameterized draw a = scale * tanh(mu + sigma * noise).
 
     q_and_grad(S, A) -> (q, dq_dA) overrides the twin critics (testing seam).
-    Returns (loss, Gradients for the actor, ActorSample). A non-finite loss
+    Returns (loss, the actor's gradient vector, ActorSample). A non-finite loss
     raises NumericsError naming the first batch row whose term is non-finite.
     """
     S = np.asarray(S, dtype=agent.actor.dtype)

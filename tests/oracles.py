@@ -110,7 +110,7 @@ def gradcheck_once(net, rng, batch=4, eps=1e-6, kink_margin=1e-4, max_redraws=50
     analytic_x = nets.backward_input(net, upstream)
     if analytic_x.shape != x.shape:
         analytic_x = analytic_x.sum(axis=0)
-    analytic_p = analytic.flat.ravel().copy()
+    analytic_p = analytic.ravel().copy()
     if corrupt is not None:
         corrupt(analytic_p)
 

@@ -27,10 +27,12 @@ EXAMPLES = {
 }
 
 
+TINY = {"env_id": "pendulum", "dataset": "d.jsonl", "variant": "oris",
+        "seeds": [0], "refs_path": "refs.json"}
+
+
 def tiny_config(**over) -> harness.ExperimentConfig:
-    d = {"env_id": "pendulum", "dataset": "d.jsonl", "variant": "oris",
-         "seeds": [0], "refs_path": "refs.json", **over}
-    return harness.ExperimentConfig.from_json(d)
+    return harness.ExperimentConfig.from_json({**TINY, **over})
 
 
 def test_every_config_round_trips_through_json_and_rejects_unknown_keys():
@@ -82,6 +84,11 @@ def test_errors_name_the_section_path():
      r"ReferenceHparams\.sac: hidden widths"),
     (gan.GanHparams, {"learning_rate": 0}, r"GanHparams: learning_rate must be positive"),
     (gan.GanHparams, {"hidden": [0]}, r"GanHparams: hidden widths"),
+    # beta 1 leaves Adam's bias correction 0/0 at the first step; a negative
+    # beta1 trains without any error
+    *((harness.ExperimentConfig, {**TINY, "gan": betas},
+       r"config\.gan: beta1 and beta2 must be in \[0, 1\)")
+      for betas in ({"beta1": 1.0}, {"beta2": 1.0}, {"beta1": -0.5})),
 ])
 def test_hparams_refuse_values_that_cannot_train(cls, doc, where):
     with pytest.raises(ContractError, match=where):

@@ -45,7 +45,7 @@ def test_reference_run_structure(tiny_ref):
     assert all(len(c) == 200 for ep in tiny_ref.episodes for c in ep)
     assert all(ep[4][-1] == 1.0 and not ep[4][:-1].any() for ep in tiny_ref.episodes)
     assert tiny_ref.random_return < -800  # random pendulum is far from upright
-    n = nets.num_params(tiny_ref.agent.actor)
+    n = tiny_ref.agent.actor.params.size
     assert all(ck.actor_params.shape == (n,) for ck in tiny_ref.checkpoints)
 
 

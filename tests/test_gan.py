@@ -12,8 +12,7 @@ import oracles
 def rigged_pair(bias, state_dim=2, w_min=0.1, w_max=1.0):
     """GanPair of float64 nets whose discriminator outputs sigmoid(bias) for
     every state."""
-    disc = nets.MlpNet([state_dim, 1],
-                       [np.zeros((1, state_dim))], [np.array([float(bias)])],
+    disc = nets.MlpNet([state_dim, 1], np.append(np.zeros(state_dim), float(bias)),
                        output_activation="sigmoid", dtype=np.float64)
     gen = nets.MlpNet.he_uniform([3, 8, state_dim], output_activation="tanh", seed=0,
                                  dtype=np.float64)
@@ -80,7 +79,7 @@ def test_discriminator_step_gradients_match_finite_differences():
     p0 = nets.get_flat_params(disc)
     grads, d_real, d_fake, objective = gan.discriminator_step_grads(disc, real, fake)
     fd = oracles.fd_grad(d_loss, p0)
-    assert oracles.max_rel_err(grads.flat, fd) < 1e-6
+    assert oracles.max_rel_err(grads, fd) < 1e-6
     nets.set_flat_params(disc, p0)
     assert objective == pytest.approx(-d_loss(p0), abs=1e-12)
     np.testing.assert_allclose(d_real, nets.forward_batch(disc, real)[:, 0], rtol=1e-12)
@@ -109,7 +108,7 @@ def test_generator_step_gradients_match_finite_differences():
     l = nets.output_preactivation(disc)[:, 0]
     sig = 1.0 / (1.0 + np.exp(-l))
     d_in = nets.backward_input(disc, (-sig / 5)[:, None], wrt_preactivation=True)
-    analytic = nets.backward_batch(gen, d_in * out_scale).flat
+    analytic = nets.backward_batch(gen, d_in * out_scale)
     fd = oracles.fd_grad(g_loss, p0)
     assert oracles.max_rel_err(analytic, fd) < 1e-6
 

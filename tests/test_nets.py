@@ -104,7 +104,7 @@ def test_stack_kernels_match_their_members_bitwise(seed, k, dtype, hidden, outpu
             assert _bits(nets.forward_batch(m, x if shared else x[j])) == _bits(out[j])
             assert _bits(nets.output_preactivation(m)) == _bits(pre[j])
             g_m = nets.backward_batch(m, up[j], wrt_pre)
-            assert _bits(g_m.flat) == _bits(g.flat[j])
+            assert _bits(g_m) == _bits(g[j])
             assert _bits(nets.backward_input(m, up[j], wrt_pre)) == _bits(g_in[j])
             nets.adam_step(m, g_m, opts[j])
         nets.adam_step(stacked, g, opt)
@@ -126,7 +126,7 @@ def test_stack_contract():
     a = nets.MlpNet.he_uniform([3, 4, 1], seed=1)
     b = nets.MlpNet.he_uniform([3, 4, 1], seed=2)
     pair = nets.stack([a, b])
-    assert pair.params.shape == (2, nets.num_params(a))
+    assert pair.params.shape == (2, a.params.size)
     assert pair.weights[0].shape == (2, 4, 3) and pair.biases[0].shape == (2, 4)
     for bad in ([a, nets.MlpNet.he_uniform([3, 5, 1], seed=3)],
                 [a, nets.MlpNet.he_uniform([3, 4, 1], output_activation="tanh", seed=3)],
@@ -136,10 +136,11 @@ def test_stack_contract():
             nets.stack(bad)
     with pytest.raises(ContractError):
         nets.unstack(a)
-    with pytest.raises(ContractError):
-        nets.MlpNet([3, 1], [np.zeros((2, 1, 3))], [np.zeros((2, 1))], init_seed=0)
-    with pytest.raises(ContractError):
-        nets.MlpNet([3, 1], [np.zeros((2, 1, 3))], [np.zeros((2, 1))], init_seed=(0, 1, 2))
+    assert nets.MlpNet([3, 1], np.zeros((2, 4)), init_seed=(0, 1)).stack_size == 2
+    for block, seeds in ((np.zeros((2, 4)), 0), (np.zeros((2, 4)), (0,)),
+                         (np.zeros((2, 4)), (0, 1, 2)), (np.zeros(4), (0,))):
+        with pytest.raises(ContractError, match="init seeds"):
+            nets.MlpNet([3, 1], block, init_seed=seeds)
     for x in (np.zeros((3, 5, 3)), np.zeros((2, 5, 4)), np.zeros(3)):
         with pytest.raises(ContractError):
             nets.forward_batch(pair, x)
@@ -164,7 +165,7 @@ def test_backward_wrt_preactivation_matches_chain_rule():
     # same upstream folded through sigmoid' by hand
     nets.forward_batch(net, x)
     g_via_pre = nets.backward_batch(net, upstream * y * (1.0 - y), wrt_preactivation=True)
-    np.testing.assert_allclose(g_via_output.flat, g_via_pre.flat, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(g_via_output, g_via_pre, rtol=1e-12, atol=0)
     np.testing.assert_allclose(nets.backward_input(net, upstream),
                                nets.backward_input(net, upstream * y * (1.0 - y),
                                                    wrt_preactivation=True),
@@ -203,35 +204,20 @@ def test_adam_matches_reference_implementation():
     rng = np.random.default_rng(11)
     net = nets.MlpNet.he_uniform([3, 4, 2], seed=2, dtype=np.float64)
     opt = nets.AdamState.for_net(net, learning_rate=1e-2)
-    ref = oracles.ReferenceAdam(nets.num_params(net), lr=1e-2)
+    ref = oracles.ReferenceAdam(net.params.size, lr=1e-2)
     p_ref = nets.get_flat_params(net)
     for _ in range(7):
         gflat = rng.normal(size=p_ref.size)
-        g = nets.Gradients(
-            [np.zeros_like(w) for w in net.weights],
-            [np.zeros_like(b) for b in net.biases],
-        )
-        # route the same flat gradient into the structured form
-        i = 0
-        for l in range(net.num_layers):
-            n = net.weights[l].size
-            g.weights[l][...] = gflat[i:i + n].reshape(net.weights[l].shape)
-            i += n
-            n = net.biases[l].size
-            g.biases[l][...] = gflat[i:i + n]
-            i += n
-        nets.adam_step(net, g, opt)
+        nets.adam_step(net, gflat, opt)
         p_ref = ref.step(p_ref, gflat)
         np.testing.assert_allclose(nets.get_flat_params(net), p_ref, rtol=1e-13, atol=1e-15)
 
 
 def test_adam_first_step_constant_gradient():
     # with constant gradient g, step 1 moves each param by ~lr * sign(g)
-    net = nets.MlpNet(
-        [1, 1], [np.array([[2.0]])], [np.array([0.5])], "relu", "identity",
-        dtype=np.float64)
+    net = nets.MlpNet([1, 1], np.array([2.0, 0.5]), "relu", "identity", dtype=np.float64)
     opt = nets.AdamState.for_net(net, learning_rate=0.1)
-    g = nets.Gradients([np.array([[3.0]])], [np.array([-3.0])])
+    g = np.array([3.0, -3.0])  # W then b
     nets.adam_step(net, g, opt)
     expected_w = 2.0 - 0.1 * 3.0 / (3.0 + 1e-8)
     expected_b = 0.5 + 0.1 * 3.0 / (3.0 + 1e-8)
@@ -242,7 +228,7 @@ def test_adam_first_step_constant_gradient():
 def test_adam_rejects_nonfinite_gradient():
     net = nets.MlpNet.he_uniform([2, 2], seed=0, dtype=np.float64)
     opt = nets.AdamState.for_net(net, 1e-3)
-    g = nets.Gradients([np.full((2, 2), np.nan)], [np.zeros(2)])
+    g = np.concatenate([np.full(4, np.nan), np.zeros(2)])  # W then b
     with pytest.raises(NumericsError):
         nets.adam_step(net, g, opt)
 
@@ -265,7 +251,8 @@ def test_adam_step_rejects_one_nonfinite_gradient_element(layer, part, bad):
     net, opt = _stepped_net(rng)
     nets.forward_batch(net, rng.normal(size=(5, 3)))
     g = nets.backward_batch(net, rng.normal(size=(5, 2)))
-    getattr(g, part)[layer].flat[-1] = bad
+    views = dict(zip(("weights", "biases"), nets._views(g, net.layer_sizes)))
+    views[part][layer].flat[-1] = bad
     before = (net.params.copy(), opt.m.copy(), opt.v.copy(), opt.step_count)
     with pytest.raises(NumericsError, match="gradient"):
         nets.adam_step(net, g, opt)
@@ -280,8 +267,7 @@ def test_adam_step_raises_when_params_turn_nonfinite():
     net = nets.MlpNet.he_uniform([2, 3, 1], seed=0, dtype=np.float64)
     net.biases[-1][0] = 1.7e308
     opt = nets.AdamState.for_net(net, learning_rate=1e308)
-    g = nets.Gradients([-np.ones_like(w) for w in net.weights],
-                       [-np.ones_like(b) for b in net.biases])
+    g = -np.ones_like(net.params)
     with pytest.raises(NumericsError, match="parameters"), np.errstate(over="ignore"):
         nets.adam_step(net, g, opt)
 
@@ -295,7 +281,8 @@ def test_flat_adam_matches_per_tensor_reference_bitwise():
     for _ in range(6):
         nets.forward_batch(net, rng.normal(size=(8, 3)))
         g = nets.backward_batch(net, rng.normal(size=(8, 2)))
-        ref.step(ref_tensors, [a.copy() for a in g.weights + g.biases])
+        g_w, g_b = nets._views(g, net.layer_sizes)
+        ref.step(ref_tensors, [a.copy() for a in g_w + g_b])
         nets.adam_step(net, g, opt)
         for got, want in zip(net.weights + net.biases, ref_tensors):
             assert np.array_equal(got, want)
@@ -319,7 +306,7 @@ def test_backward_input_equals_backward_batch_input(hidden, output, wrt_pre):
     for i in range(9):
         nets.forward_batch(net, x[i:i + 1])
         g = nets.backward_batch(net, upstream[i:i + 1], wrt_pre)
-        implied = g.biases[0][None] @ net.weights[0]
+        implied = nets._views(g, net.layer_sizes)[1][0][None] @ net.weights[0]
         assert np.array_equal(nets.backward_input(net, upstream[i:i + 1], wrt_pre), implied)
 
     nets.forward_batch(net, x)
@@ -480,7 +467,7 @@ def test_he_uniform_bounds_and_determinism():
 
 def test_num_params_and_flat_roundtrip():
     net = nets.MlpNet.he_uniform([3, 16, 16, 2], seed=9)
-    assert nets.num_params(net) == (3 * 16 + 16) + (16 * 16 + 16) + (16 * 2 + 2)
+    assert net.params.size == (3 * 16 + 16) + (16 * 16 + 16) + (16 * 2 + 2)
     p = nets.get_flat_params(net)
     q = np.arange(p.size, dtype=np.float64)
     nets.set_flat_params(net, q)
@@ -515,6 +502,15 @@ def test_checkpoint_rejects_garbage(tmp_path):
     q.write_bytes(q.read_bytes()[:-16])
     with pytest.raises(ContractError):
         nets.load_checkpoint(q)
+    # param_count agrees with the data, but layer_sizes lay out another count
+    r = tmp_path / "resized.mlp"
+    nets.save_checkpoint(net, r)
+    header, blob = r.read_bytes().split(b"\n", 1)
+    header = json.loads(header)
+    header["layer_sizes"][1] += 1
+    r.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+    with pytest.raises(ContractError, match="resized.mlp"):
+        nets.load_checkpoint(r)
 
 
 def test_invalid_construction_rejected():
@@ -524,8 +520,9 @@ def test_invalid_construction_rejected():
         nets.MlpNet.he_uniform([3, 0, 1], seed=0)
     with pytest.raises(ContractError):
         nets.MlpNet.he_uniform([3, 4, 1], hidden_activation="gelu", seed=0)
-    with pytest.raises(ContractError):
-        nets.MlpNet([2, 2], [np.zeros((3, 2))], [np.zeros(3)], "relu", "identity")
+    for params in (np.zeros(5), np.zeros(7), np.zeros((1, 1, 6)), np.float64(0.0)):
+        with pytest.raises(ContractError, match="params for layer_sizes"):
+            nets.MlpNet([2, 2], params, "relu", "identity")
     with pytest.raises(ContractError):
         nets.MlpNet.he_uniform([3, 4, 1], seed=0, dtype=np.float16)
 
@@ -541,16 +538,14 @@ def test_float32_is_the_default_and_rounds_the_float64_draws():
     x = np.random.default_rng(0).normal(size=(4, 3))  # float64 in, float32 out
     assert nets.forward_batch(n32, x).dtype == np.float32
     g = nets.backward_batch(n32, np.ones((4, 2)))
-    assert g.flat.dtype == nets.backward_input(n32, np.ones((4, 2))).dtype == np.float32
+    assert g.dtype == nets.backward_input(n32, np.ones((4, 2))).dtype == np.float32
 
 
 def test_adam_step_rejects_gradients_of_another_dtype():
     net = nets.MlpNet.he_uniform([2, 3, 1], seed=0)
     opt = nets.AdamState.for_net(net, 1e-3)
-    g = nets.Gradients([np.ones((3, 2)), np.ones((1, 3))], [np.ones(3), np.ones(1)])
-    assert g.flat.dtype == np.float64
     with pytest.raises(ContractError):
-        nets.adam_step(net, g, opt)
+        nets.adam_step(net, np.ones(net.params.size), opt)  # float64 against float32
 
 
 @pytest.mark.parametrize("dtype, tag", [(np.float32, "<f4"), (np.float64, "<f8")])

@@ -143,7 +143,7 @@ def test_actor_gradients_match_finite_differences():
     assert loss_of(p0) == pytest.approx(loss0, abs=1e-12)
     fd = oracles.fd_grad(loss_of, p0)
     nets.set_flat_params(agent.actor, p0)
-    assert oracles.max_rel_err(grads.flat, fd) < 1e-4
+    assert oracles.max_rel_err(grads, fd) < 1e-4
 
 
 def test_actor_gradients_with_override_critic():
@@ -175,7 +175,7 @@ def test_actor_gradients_with_override_critic():
     assert loss_of(p0) == pytest.approx(loss0, abs=1e-12)
     fd = oracles.fd_grad(loss_of, p0)
     nets.set_flat_params(agent.actor, p0)
-    assert oracles.max_rel_err(grads.flat, fd) < 1e-4
+    assert oracles.max_rel_err(grads, fd) < 1e-4
 
 
 def test_actor_update_converges_to_bowl_optimum():
@@ -237,7 +237,7 @@ def test_critic_gradients_match_finite_differences():
     targets = rng.normal(size=9)
     loss0, grads, _ = sac.critic_loss_and_grads(agent, S, A, w, targets)
     x = np.concatenate([S, A], axis=1)
-    for critic, g in zip(nets.unstack(agent.critics), grads.flat):
+    for critic, g in zip(nets.unstack(agent.critics), grads):
         def loss_of(flat):
             nets.set_flat_params(critic, flat)
             q = nets.forward_batch(critic, x)[:, 0]
@@ -403,7 +403,7 @@ def test_bc_update_gradients_and_progress():
 
     fd = oracles.fd_grad(loss_of, p0)
     nets.set_flat_params(agent.actor, p0)
-    assert oracles.max_rel_err(grads.flat, fd) < 1e-5
+    assert oracles.max_rel_err(grads, fd) < 1e-5
 
     losses = [sac.bc_update(agent, S, A_target) for _ in range(400)]
     assert losses[-1] < 0.05 * losses[0]
@@ -644,7 +644,7 @@ def _record_dtypes(monkeypatch):
 
     def bwd(net, grad_out, wrt_preactivation=False):
         g = backward_batch(net, grad_out, wrt_preactivation)
-        seen.update((grad_out.dtype, g.flat.dtype))
+        seen.update((grad_out.dtype, g.dtype))
         return g
 
     def bwd_input(net, grad_out, wrt_preactivation=False):
@@ -654,7 +654,7 @@ def _record_dtypes(monkeypatch):
 
     def adam(net, grads, opt):
         adam_step(net, grads, opt)
-        seen.update(a.dtype for a in (net.params, grads.flat, opt.m, opt.v))
+        seen.update(a.dtype for a in (net.params, grads, opt.m, opt.v))
 
     def targets(*args):
         y = bellman_targets(*args)
