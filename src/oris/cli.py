@@ -24,7 +24,8 @@ def _eprint(*a):
 
 def cmd_gen_dataset(args) -> int:
     """Train the env's reference at --seed, write its refs, then roll out
-    every tier of `presets.TIER_EPISODES[env]` at --seed + 1."""
+    every tier of `presets.TIER_EPISODES[env]` at --seed + 1. Refs that
+    cannot score (expert not above random) are written with a warning."""
     hp = datasets.REFERENCE_DEFAULTS[args.env]
     if args.reference_config is not None:
         hp = datasets.ReferenceHparams.from_json(load_json(args.reference_config))
@@ -37,10 +38,16 @@ def cmd_gen_dataset(args) -> int:
         args.env, hp, args.seed,
         progress=lambda step, ret: _eprint(f"  step {step}: eval {ret:.1f}"))
     refs = {"env_id": args.env, **reference.refs()}
-    with atomic_write(out / f"{args.env}_refs.json") as f:
+    refs_path = out / f"{args.env}_refs.json"
+    with atomic_write(refs_path) as f:
         f.write(json.dumps(refs, indent=2, sort_keys=True) + "\n")
     _eprint(f"refs: random {refs['random_ref']:.1f}, "
             f"expert {refs['expert_ref']:.1f}")
+    try:
+        harness.normalized_score(0.0, refs["random_ref"], refs["expert_ref"])
+    except ConfigError as e:
+        _eprint(f"warning: {refs_path}: {e}; oris train and oris study "
+                "refuse this refs file")
 
     for tier, episodes in presets.TIER_EPISODES[args.env].items():
         ds = datasets.generate_dataset(args.env, tier, episodes, args.seed + 1,

@@ -174,15 +174,16 @@ def generate_dataset(env_id: str, tier: str, episodes: int, seed: int,
         raise ContractError(f"unknown tier {tier!r}, know {TIERS}")
     if episodes < 1:
         raise ContractError("episodes must be positive")
+    spec = envs.EnvSpec.real(env_id)
+    meta = {"env_id": env_id, "tier": tier,
+            "perturbation": spec.perturbation.to_json(),
+            "behavior_policy_seed": seed}
     if tier != "random":
         if reference is None:
             raise ConfigError(f"tier {tier!r} needs a reference run")
         if reference.env_id != env_id:
             raise ConfigError(f"reference is for {reference.env_id!r}, not {env_id!r}")
-    spec = envs.EnvSpec.real(env_id)
-    meta = {"env_id": env_id, "tier": tier,
-            "perturbation": spec.perturbation.to_json(),
-            "behavior_policy_seed": seed}
+        meta["reference_seed"] = reference.seed
     rng = np.random.default_rng(np.random.SeedSequence([seed, TIERS.index(tier)]))
 
     if tier == "medium_replay":
@@ -190,7 +191,6 @@ def generate_dataset(env_id: str, tier: str, episodes: int, seed: int,
         history = reference.episodes[:ck.episodes_collected]
         if not history:
             raise ConfigError("medium checkpoint precedes the first finished episode")
-        meta["reference_seed"] = reference.seed
         meta["medium_eval_return"] = ck.eval_return
         return Dataset.from_episodes(meta, history[-episodes:])
 
@@ -200,11 +200,9 @@ def generate_dataset(env_id: str, tier: str, episodes: int, seed: int,
     elif tier == "medium":
         ck = reference.medium_checkpoint()
         policy = reference.policy_at(ck)
-        meta["reference_seed"] = reference.seed
         meta["behavior_eval_return"] = ck.eval_return
     else:  # expert
         policy = reference.policy_at(reference.checkpoints[-1])
-        meta["reference_seed"] = reference.seed
         meta["behavior_eval_return"] = reference.expert_return
     eps = envs.rollout(env, policy, episodes, spec.max_episode_steps, rng)
     return Dataset.from_episodes(meta, eps)

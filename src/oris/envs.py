@@ -67,10 +67,6 @@ class EnvSpec:
     def real(cls, env_id: str) -> "EnvSpec":
         return cls(env_id, UNPERTURBED)
 
-    @classmethod
-    def sim(cls, env_id: str, perturbation: DynamicsPerturbation) -> "EnvSpec":
-        return cls(env_id, perturbation)
-
 
 def wrap_angle(x):
     """Wrap to (-pi, pi], elementwise; a float gives a 0-d array. The float

@@ -85,9 +85,8 @@ class StateNormalizer:
 
 @dataclass
 class GanPair:
-    generator: nets.MlpNet  # z_dim -> state_dim, tanh output, scaled by out_scale
+    generator: nets.MlpNet  # latent (in_dim) -> state_dim, tanh output, scaled by out_scale
     discriminator: nets.MlpNet  # state_dim -> 1, sigmoid output
-    z_dim: int
     normalizer: StateNormalizer
     out_scale: np.ndarray  # per-dim scale on the generator tanh, normalized units
     restart_noise_sigma: float
@@ -125,17 +124,15 @@ def _softplus(x):
 
 
 def generate_states(gan: GanPair, Z: np.ndarray) -> np.ndarray:
-    """Denormalized generator output for latent batch Z, without restart noise."""
-    Z = np.asarray(Z, dtype=np.float64)
-    if Z.ndim != 2 or Z.shape[1] != gan.z_dim:
-        raise ContractError(f"Z has shape {Z.shape}, want (n, {gan.z_dim})")
+    """Denormalized generator output for latent batch Z, (n, generator.in_dim),
+    without restart noise."""
     raw = nets.forward_batch(gan.generator, Z) * gan.out_scale
     return gan.normalizer.denormalize(raw)
 
 
 def sample_restart(gan: GanPair, rng: np.random.Generator) -> np.ndarray:
     """One start state: denormalized G(z) plus N(0, sigma^2 I) in state units."""
-    z = rng.standard_normal(gan.z_dim)
+    z = rng.standard_normal(gan.generator.in_dim)
     state = generate_states(gan, z[None, :])[0]
     if gan.restart_noise_sigma > 0.0:
         state = state + rng.normal(0.0, gan.restart_noise_sigma, size=state.shape)
@@ -244,7 +241,7 @@ def pretrain(states, hparams: GanHparams, rng: np.random.Generator):
         curves[2, i] = np.add.reduce(d_real) / bs
         curves[3, i] = np.add.reduce(d_fake) / bs
 
-    pair = GanPair(gen, disc, hparams.z_dim, norm, out_scale,
+    pair = GanPair(gen, disc, norm, out_scale,
                    hparams.restart_noise_sigma, hparams.w_min, hparams.w_max)
     report = GanTrainReport(*(c.copy() for c in curves))
     return pair, report
@@ -257,7 +254,7 @@ def save_gan(gan: GanPair, dirpath) -> None:
     meta = {
         "format": GAN_FORMAT,
         "version": GAN_VERSION,
-        "z_dim": gan.z_dim,
+        "z_dim": gan.generator.in_dim,
         "mean": list(gan.normalizer.mean),
         "std": list(gan.normalizer.std),
         "out_scale": list(gan.out_scale),
@@ -277,9 +274,12 @@ def load_gan(dirpath) -> GanPair:
         raise ContractError(f"not a {GAN_FORMAT} v{GAN_VERSION} directory: {dirpath}")
     gen = nets.load_checkpoint(os.path.join(dirpath, "generator.mlp"))
     disc = nets.load_checkpoint(os.path.join(dirpath, "discriminator.mlp"))
+    if meta["z_dim"] != gen.in_dim:
+        raise ContractError(f"{dirpath}: gan.json has z_dim {meta['z_dim']!r}, "
+                            f"but the generator takes {gen.in_dim} inputs")
     norm = StateNormalizer(np.array(meta["mean"], dtype=np.float64),
                            np.array(meta["std"], dtype=np.float64))
-    return GanPair(gen, disc, int(meta["z_dim"]), norm,
+    return GanPair(gen, disc, norm,
                    np.array(meta["out_scale"], dtype=np.float64),
                    float(meta["restart_noise_sigma"]),
                    float(meta["w_min"]), float(meta["w_max"]))

@@ -239,17 +239,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, progress=None):
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     chash = cfg.config_hash()
-    real = envs.EnvSpec.real(cfg.env_id)
-    sim = envs.EnvSpec.sim(cfg.env_id, cfg.perturbation)
 
     failures = []
     csv_paths = []
     for seed in cfg.seeds:
         try:
-            agent, reports = loop.train(real, sim, offline, cfg.oris, cfg.sac,
-                                    int(seed), gan_hp=cfg.gan,
-                                    progress=progress,
-                                    gan_store=out.parent / "gans")
+            agent, reports = loop.train(offline, cfg.perturbation, cfg.oris,
+                                        cfg.sac, int(seed), gan_hp=cfg.gan,
+                                        progress=progress,
+                                        gan_store=out.parent / "gans")
         except (NumericsError, ContractError) as e:
             failures.append({"variant": cfg.variant, "seed": int(seed),
                              "error": f"{type(e).__name__}: {e}"})

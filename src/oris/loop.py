@@ -1,12 +1,14 @@
 """Interleaved collect-and-train loop mixing offline data with simulator rollouts.
 
-Each epoch performs C rollouts of horizon H in the (possibly perturbed)
-simulator, then a block of actor-critic updates on mixed minibatches: offline
-rows at weight 1 next to simulator rows weighted by the frozen
-discriminator. The discriminator is frozen, so each rollout's rows are scored
-once, when they enter the replay buffer, and the updates read the stored
-weights. Where the rollouts restart from, and whether the weights are live,
-depends on the variant; see OrisConfig.
+A run reads offline data from the real env, whose meta names it, and a
+simulator gap, a DynamicsPerturbation of that env. Each epoch performs C
+rollouts of horizon H in the simulator, then a block of actor-critic updates
+on mixed minibatches: offline rows at weight 1 next to simulator rows
+weighted by the frozen discriminator, then an evaluation in the real,
+unperturbed env. The discriminator is frozen, so each rollout's rows are
+scored once, when they enter the replay buffer, and the updates read the
+stored weights. Where the rollouts restart from, and whether the weights are
+live, depends on the variant; see OrisConfig.
 """
 
 from __future__ import annotations
@@ -92,21 +94,10 @@ class EpochReport:
                 raise ContractError(f"non-finite {k} in epoch report")
 
 
-def hybrid_policy(policy, random_policy, p: float, rng):
-    """Draw one rollout's action source: random_policy with probability p,
-    else policy. Returns (the chosen policy, used_random)."""
-    if not 0.0 <= p <= 1.0:
-        raise ContractError("p must be in [0, 1]")
-    if rng.random() < p:
-        return random_policy, True
-    return policy, False
-
-
 @dataclass
 class CollectStats:
     transitions: int = 0
     random_rollouts: int = 0
-    rollouts: int = 0
     invalid_restarts: int = 0
 
 
@@ -127,13 +118,15 @@ def _draw_restart(env: envs.Env, g: gan_mod.GanPair, stats: CollectStats,
 def collect_epoch(env: envs.Env, agent: sac.SacAgent, cfg: OrisConfig,
                   buffer: ReplayBuffer, rng,
                   g: gan_mod.GanPair | None = None) -> CollectStats:
-    """C rollouts of horizon H in the simulator, appended to the buffer in
-    rollout order.
+    """C rollouts of horizon H in env, the simulator, appended to the buffer
+    in rollout order.
 
-    Each rollout first draws its action source (see hybrid_policy) and, in
-    the restart variants, its generator start. Then the C rollouts step in
-    lockstep (envs.rollout): per step, one actor forward over the pi rows and
-    one uniform draw over the random rows. Variants with discriminator
+    Each rollout first draws its action source, one rng.random() against
+    cfg.random_policy_prob: below it the rollout acts uniformly at random,
+    else it samples the stochastic actor pi. Then, in the restart variants,
+    it draws its generator start. Then the C rollouts step in lockstep
+    (envs.rollout): per step, one actor forward over the pi rows and one
+    uniform draw over the random rows. Variants with discriminator
     weights store each row with its weight w(s), scored one rollout per
     call: one call over all C * H rows would record the discriminator's
     activations for every row at once and raise the peak memory of a run by
@@ -146,11 +139,9 @@ def collect_epoch(env: envs.Env, agent: sac.SacAgent, cfg: OrisConfig,
     random_policy = envs.uniform_random_policy(env)
     policies, starts = [], []
     for _ in range(cfg.rollout_count):
-        policy, used_random = hybrid_policy(pi, random_policy,
-                                            cfg.random_policy_prob, rng)
-        policies.append(policy)
-        stats.rollouts += 1
-        stats.random_rollouts += int(used_random)
+        used_random = rng.random() < cfg.random_policy_prob
+        policies.append(random_policy if used_random else pi)
+        stats.random_rollouts += used_random
         if cfg.gan_restarts():
             starts.append(_draw_restart(env, g, stats, rng))
     episodes = envs.rollout(env, policies, np.array(starts) if starts else cfg.rollout_count,
@@ -184,25 +175,21 @@ def _update_block(agent, offline_rows, buffer, cfg, hp, rng):
             float(np.mean(sim_weights)))
 
 
-def train(real_spec: envs.EnvSpec, sim_spec: envs.EnvSpec, offline: Dataset,
+def train(offline: Dataset, perturbation: envs.DynamicsPerturbation,
           cfg: OrisConfig, hp: sac.SacHparams, seed: int,
           g: gan_mod.GanPair | None = None,
           gan_hp: gan_mod.GanHparams | None = None,
           progress=None, gan_store=None) -> tuple[sac.SacAgent, list[EpochReport]]:
     """Run one variant to completion; returns the agent and per-epoch reports.
 
-    A pretrained GanPair may be passed in; otherwise one is fit to the offline
+    The env is offline.meta["env_id"]: rollouts step it under `perturbation`,
+    and each epoch evaluates it unperturbed, EnvSpec.real(env_id). A
+    pretrained GanPair may be passed in; otherwise one is fit to the offline
     state marginal when the variant calls for it, or loaded from the
     gan_store directory (see gan.pretrain_or_load) when one is given. The GAN
-    draws from its own RNG stream, so loading it moves no other draw. The
-    real spec is touched only by evaluation.
+    draws from its own RNG stream, so loading it moves no other draw.
     """
-    env_id = offline.meta.get("env_id")
-    if real_spec.env_id != env_id or sim_spec.env_id != env_id:
-        raise ConfigError(
-            f"dataset is {env_id!r} but specs are "
-            f"{real_spec.env_id!r}/{sim_spec.env_id!r}")
-
+    env_id = offline.meta["env_id"]
     ss = np.random.SeedSequence(seed)
     rng_init, rng_gan, rng_collect, rng_update, rng_eval = \
         [np.random.default_rng(s) for s in ss.spawn(5)]
@@ -215,7 +202,8 @@ def train(real_spec: envs.EnvSpec, sim_spec: envs.EnvSpec, offline: Dataset,
         g = (gan_mod.pretrain(states, gan_hp, rng_gan)[0] if gan_store is None
              else gan_mod.pretrain_or_load(states, gan_hp, rng_gan, gan_store))
 
-    sim_env = envs.make_env(sim_spec)
+    sim_env = envs.make_env(envs.EnvSpec(env_id, perturbation))
+    real = envs.EnvSpec.real(env_id)
     # a run writes at most this many rows: a ring this size never wraps, so it
     # samples what a replay_capacity ring would, without allocating the rest
     max_rows = cfg.epochs * cfg.rollout_count * cfg.rollout_horizon
@@ -243,13 +231,11 @@ def train(real_spec: envs.EnvSpec, sim_spec: envs.EnvSpec, offline: Dataset,
                 agent, offline_rows, buffer, cfg, hp, rng_update)
 
         det = lambda o, _r: sac.act(agent, o, "deterministic")
-        ret, std, _ = envs.evaluate_policy(real_spec, det, cfg.eval_episodes,
-                                           rng_eval)
+        ret, std, _ = envs.evaluate_policy(real, det, cfg.eval_episodes, rng_eval)
         reports.append(EpochReport(
             epoch=epoch, env_steps=env_steps,
             transitions_collected=stats.transitions,
-            random_rollout_fraction=(stats.random_rollouts / stats.rollouts
-                                     if stats.rollouts else 0.0),
+            random_rollout_fraction=stats.random_rollouts / cfg.rollout_count,
             invalid_restart_count=stats.invalid_restarts,
             eval_return_mean=ret, eval_return_std=std,
             critic_loss=critic_loss, actor_loss=actor_loss,

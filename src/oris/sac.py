@@ -122,7 +122,6 @@ class ActorSample:
     action: np.ndarray
     u: np.ndarray
     log_prob: np.ndarray
-    mu: np.ndarray
     log_std: np.ndarray
     noise: np.ndarray
     clip_mask: np.ndarray  # 1 where the raw log-std head was inside the clip range
@@ -152,7 +151,7 @@ def sample_actions(agent: SacAgent, S: np.ndarray, rng=None, noise=None) -> Acto
         - math.log(agent.action_scale)
         - 2.0 * (math.log(2.0) - u - np.logaddexp(0.0, -2.0 * u)),
         axis=1)
-    return ActorSample(action, u, log_prob, mu, log_std, noise, clip_mask)
+    return ActorSample(action, u, log_prob, log_std, noise, clip_mask)
 
 
 def act(agent: SacAgent, S: np.ndarray, mode: str, rng=None) -> np.ndarray:

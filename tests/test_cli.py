@@ -68,6 +68,36 @@ def test_gen_dataset_writes_the_env_tiers_and_refs(tmp_path, tiny_reference, cap
     assert refs["env_id"] == "pointgoal" and refs["seed"] == 3
 
 
+def test_gen_dataset_warns_when_its_refs_cannot_score(tmp_path, tiny_reference, capsys):
+    """A reference this small ends below random: the refs file is written and
+    named in a warning with both values, and every tier is still written."""
+    rc = cli.main(["gen-dataset", "--env", "pendulum", "--seed", "0",
+                   "--out", str(tmp_path), "--reference-config", str(tiny_reference)])
+    assert rc == 0
+    for tier in presets.TIER_EPISODES["pendulum"]:
+        assert (tmp_path / f"pendulum_{tier}.jsonl").is_file()
+    path = tmp_path / "pendulum_refs.json"
+    refs = json.loads(path.read_text())
+    assert refs["expert_ref"] <= refs["random_ref"]
+    err = capsys.readouterr().err
+    assert (f"warning: {path}: expert_ref ({refs['expert_ref']}) must exceed "
+            f"random_ref ({refs['random_ref']}); oris train and oris study "
+            "refuse this refs file") in err
+
+
+def test_gen_dataset_usable_refs_print_no_warning(tmp_path, tiny_reference, capsys,
+                                                  monkeypatch):
+    refs = datasets.ReferenceRun.refs
+    monkeypatch.setattr(datasets.ReferenceRun, "refs", lambda self: {
+        **refs(self), "random_ref": -1500.0, "expert_ref": -100.0})
+    rc = cli.main(["gen-dataset", "--env", "pendulum", "--seed", "0",
+                   "--out", str(tmp_path), "--reference-config", str(tiny_reference)])
+    assert rc == 0
+    assert json.loads((tmp_path / "pendulum_refs.json").read_text())["expert_ref"] == -100.0
+    err = capsys.readouterr().err
+    assert "refs: random -1500.0, expert -100.0" in err and "warning" not in err
+
+
 def test_train_minimal_config(tmp_path, data_dir, capsys):
     cfg = write_config(tmp_path / "c.json", data_dir)
     rc = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])

@@ -17,7 +17,7 @@ def rigged_pair(bias, state_dim=2, w_min=0.1, w_max=1.0):
     gen = nets.MlpNet.he_uniform([3, 8, state_dim], output_activation="tanh", seed=0,
                                  dtype=np.float64)
     norm = gan.StateNormalizer(np.zeros(state_dim), np.ones(state_dim))
-    return gan.GanPair(gen, disc, 3, norm, np.ones(state_dim), 0.05, w_min, w_max)
+    return gan.GanPair(gen, disc, norm, np.ones(state_dim), 0.05, w_min, w_max)
 
 
 def mixture_states(n, rng):
@@ -150,7 +150,7 @@ def test_sample_restart_sigma_zero_is_deterministic():
     pair, _ = gan.pretrain(S, hp, np.random.default_rng(13))
     z_rng = np.random.default_rng(99)
     a = gan.sample_restart(pair, np.random.default_rng(99))
-    z = z_rng.standard_normal(pair.z_dim)
+    z = z_rng.standard_normal(pair.generator.in_dim)
     b = gan.generate_states(pair, z[None, :])[0]
     np.testing.assert_array_equal(a, b)
 
@@ -164,7 +164,7 @@ def test_sample_restart_noise_is_additive_in_state_units():
     diffs = []
     for seed in range(200):
         r1 = np.random.default_rng(seed)
-        z = r1.standard_normal(pair.z_dim)
+        z = r1.standard_normal(pair.generator.in_dim)
         base = gan.generate_states(pair, z[None, :])[0]
         noisy = gan.sample_restart(pair, np.random.default_rng(seed))
         diffs.append(noisy - base)
@@ -218,6 +218,20 @@ def test_save_load_roundtrip(tmp_path):
     Z = rng.normal(size=(8, 3))
     np.testing.assert_array_equal(gan.generate_states(loaded, Z),
                                   gan.generate_states(pair, Z))
+
+
+def test_load_gan_refuses_a_latent_width_its_generator_lacks(tmp_path):
+    S = mixture_states(100, np.random.default_rng(22))
+    hp = gan.GanHparams(z_dim=3, hidden=(8,), iterations=2, batch_size=16)
+    pair, _ = gan.pretrain(S, hp, np.random.default_rng(23))
+    gan.save_gan(pair, tmp_path / "g")
+    meta_path = tmp_path / "g" / "gan.json"
+    meta = json.loads(meta_path.read_text())
+    assert meta["z_dim"] == 3
+    meta_path.write_text(json.dumps({**meta, "z_dim": 4}))
+    with pytest.raises(ContractError, match=r"(?s)z_dim 4.*3 inputs") as e:
+        gan.load_gan(tmp_path / "g")
+    assert str(tmp_path / "g") in str(e.value)
 
 
 def test_pretrain_deterministic_given_rng():

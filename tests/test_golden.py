@@ -99,8 +99,6 @@ def _hash_agent(h, agent):
 
 def golden_digest(variant: str = "oris") -> str:
     offline = datasets.generate_dataset("pendulum", "random", episodes=3, seed=0)
-    real = envs.EnvSpec.real("pendulum")
-    sim = envs.EnvSpec.sim("pendulum", envs.DynamicsPerturbation(gravity_scale=2.0))
     cfg = OrisConfig(variant=variant, epochs=3, updates_per_epoch=20, rollout_count=3,
                      rollout_horizon=37, eval_episodes=2, random_policy_prob=0.2)
     hp = sac.SacHparams(hidden=(32, 32), critic_lr=1e-3, tau=0.01,
@@ -108,7 +106,8 @@ def golden_digest(variant: str = "oris") -> str:
     # w_min 0 keeps the discriminator weights off the clip, so they reach the digest
     gan_hp = gan.GanHparams(z_dim=4, hidden=(32, 32), iterations=100, batch_size=64,
                             w_min=0.0)
-    agent, reports = loop.train(real, sim, offline, cfg, hp, seed=11, gan_hp=gan_hp)
+    agent, reports = loop.train(offline, envs.DynamicsPerturbation(gravity_scale=2.0), cfg, hp,
+                                seed=11, gan_hp=gan_hp)
     h = hashlib.sha256()
     for r in reports:
         h.update(",".join(repr(float(getattr(r, k))) for k in r.__dataclass_fields__).encode())

@@ -204,10 +204,10 @@ def test_run_experiment_records_per_seed_failures(dataset_path, tmp_path,
                                                   monkeypatch):
     real_train = loop.train
 
-    def flaky(real, sim, offline, cfg, hp, seed, **kw):
+    def flaky(offline, perturbation, cfg, hp, seed, **kw):
         if seed == 1:
             raise NumericsError("synthetic failure")
-        return real_train(real, sim, offline, cfg, hp, seed, **kw)
+        return real_train(offline, perturbation, cfg, hp, seed, **kw)
 
     monkeypatch.setattr(harness.loop, "train", flaky)
     table, failures = harness.run_experiment(tiny_config(dataset_path), tmp_path)

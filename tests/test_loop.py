@@ -19,12 +19,12 @@ def pend_random():
     return datasets.generate_dataset("pendulum", "random", episodes=2, seed=0)
 
 
-def rigged_gan(target, sigma=0.0, z_dim=2):
+def rigged_gan(target, sigma=0.0):
     """GanPair of float64 nets whose generator always emits `target` (before
     restart noise)."""
     target = np.asarray(target, dtype=np.float64)
     d = len(target)
-    gen = nets.MlpNet.he_uniform([z_dim, 4, d], "relu", "tanh", seed=0, dtype=np.float64)
+    gen = nets.MlpNet.he_uniform([2, 4, d], "relu", "tanh", seed=0, dtype=np.float64)
     disc = nets.MlpNet.he_uniform([d, 4, 1], "relu", "sigmoid", seed=1, dtype=np.float64)
     for net in (gen, disc):
         for W in net.weights:
@@ -34,7 +34,7 @@ def rigged_gan(target, sigma=0.0, z_dim=2):
     scale = 2.0 * np.max(np.abs(target)) + 1.0
     gen.biases[-1][:] = np.arctanh(target / scale)
     norm = StateNormalizer(np.zeros(d), np.ones(d))
-    return GanPair(gen, disc, z_dim, norm, np.full(d, scale), sigma, 0.1, 1.0)
+    return GanPair(gen, disc, norm, np.full(d, scale), sigma, 0.1, 1.0)
 
 
 def make_agent(env_id="pendulum", seed=3):
@@ -61,26 +61,25 @@ def test_weight_mode_resolution():
                      "naive_mix": False, "sim_only_sac": False, "bc": False}
 
 
-def _pi_and_random():
-    agent = make_agent()
-    pi = lambda obs, rng: sac.act(agent, obs, "stochastic", rng)
-    return pi, envs.uniform_random_policy(envs.make_env(envs.EnvSpec.real("pendulum")))
+def _random_rollouts(p, count, seed):
+    """stats.random_rollouts of one collect_epoch of `count` one-step pendulum
+    rollouts at random_policy_prob p."""
+    cfg = OrisConfig(variant="naive_mix", rollout_count=count, rollout_horizon=1,
+                     epochs=1, random_policy_prob=p)
+    env = envs.make_env(envs.EnvSpec.real("pendulum"))
+    stats = loop.collect_epoch(env, make_agent(), cfg, ReplayBuffer(count, 3, 1),
+                               np.random.default_rng(seed))
+    return stats.random_rollouts
 
 
-def test_hybrid_policy_endpoints():
-    pi, rand = _pi_and_random()
-    rng = np.random.default_rng(0)
-    assert all(loop.hybrid_policy(pi, rand, 1.0, rng) == (rand, True) for _ in range(20))
-    assert all(loop.hybrid_policy(pi, rand, 0.0, rng) == (pi, False) for _ in range(20))
-    with pytest.raises(ContractError):
-        loop.hybrid_policy(pi, rand, -0.1, rng)
+def test_collect_epoch_random_rollouts_at_the_endpoints():
+    assert _random_rollouts(0.0, 20, 0) == 0
+    assert _random_rollouts(1.0, 20, 0) == 20
 
 
-def test_hybrid_policy_binomial():
-    pi, rand = _pi_and_random()
-    rng = np.random.default_rng(11)
+def test_collect_epoch_random_rollouts_binomial():
     n, p = 10_000, 0.3
-    frac = sum(loop.hybrid_policy(pi, rand, p, rng)[1] for _ in range(n)) / n
+    frac = _random_rollouts(p, n, 11) / n
     assert abs(frac - p) <= binomial_3sigma(p, n)
 
 
@@ -112,8 +111,7 @@ def test_collect_epoch_counts():
                      epochs=1)
     stats = loop.collect_epoch(env, agent, cfg, buf, np.random.default_rng(0))
     assert stats.transitions == 150 and len(buf) == 150
-    assert stats.invalid_restarts == 0
-    assert stats.rollouts == 3
+    assert stats.invalid_restarts == 0 and stats.random_rollouts == 0
 
 
 def test_collect_epoch_rho0_starts():
@@ -169,8 +167,7 @@ def test_collect_epoch_rejects_nonfinite_actions(monkeypatch):
     agent = make_agent()
     env = envs.make_env(envs.EnvSpec.real("pendulum"))
     buf = ReplayBuffer(100, 3, 1)
-    monkeypatch.setattr(loop, "hybrid_policy",
-                        lambda *_: (lambda obs, rng: np.full((len(obs), 1), np.nan), False))
+    monkeypatch.setattr(sac, "act", lambda _agent, S, *_: np.full((len(S), 1), np.nan))
     cfg = OrisConfig(variant="naive_mix", rollout_count=2, rollout_horizon=5, epochs=1)
     with pytest.raises(ContractError, match="non-finite"):
         loop.collect_epoch(env, agent, cfg, buf, np.random.default_rng(0))
@@ -187,7 +184,7 @@ def test_buffer_weights_are_each_rollouts_weights(pend_random):
     g, _ = gan.pretrain(pend_random.arrays()[0], gan_hp, np.random.default_rng(3))
     g.discriminator.biases[-1][:] -= 2.0  # most D below 1/2: weights off the clip
     agent = make_agent()
-    env = envs.make_env(envs.EnvSpec.sim("pendulum", envs.DynamicsPerturbation(2.0)))
+    env = envs.make_env(envs.EnvSpec("pendulum", envs.DynamicsPerturbation(2.0)))
     buf = ReplayBuffer(100, 3, 1)
     cfg = OrisConfig(variant="oris", rollout_count=4, rollout_horizon=23, epochs=1)
     loop.collect_epoch(env, agent, cfg, buf, np.random.default_rng(4), g)
@@ -230,18 +227,13 @@ def test_epoch_report_validation():
                     **{**kw, "critic_loss": float("nan")})
 
 
-def spec_pair(env_id="pendulum", gravity_scale=2.0):
-    real = envs.EnvSpec.real(env_id)
-    sim = envs.EnvSpec.sim(env_id, envs.DynamicsPerturbation(
-        gravity_scale=gravity_scale))
-    return real, sim
+GAP = envs.DynamicsPerturbation(gravity_scale=2.0)
 
 
 def test_train_minimal(pend_random):
-    real, sim = spec_pair()
     cfg = OrisConfig(variant="naive_mix", rollout_horizon=1, rollout_count=1,
                      epochs=1, updates_per_epoch=1, eval_episodes=1)
-    agent, reports = loop.train(real, sim, pend_random, cfg, HP, seed=0)
+    agent, reports = loop.train(pend_random, GAP, cfg, HP, seed=0)
     assert len(reports) == 1
     r = reports[0]
     assert r.env_steps == 1 and r.transitions_collected == 1
@@ -250,11 +242,10 @@ def test_train_minimal(pend_random):
 
 
 def test_train_determinism(pend_random):
-    real, sim = spec_pair()
     cfg = OrisConfig(variant="naive_mix", rollout_horizon=10, rollout_count=2,
                      epochs=2, updates_per_epoch=3, eval_episodes=1)
-    a1, r1 = loop.train(real, sim, pend_random, cfg, HP, seed=42)
-    a2, r2 = loop.train(real, sim, pend_random, cfg, HP, seed=42)
+    a1, r1 = loop.train(pend_random, GAP, cfg, HP, seed=42)
+    a2, r2 = loop.train(pend_random, GAP, cfg, HP, seed=42)
     assert r1 == r2
     np.testing.assert_array_equal(nets.get_flat_params(a1.actor),
                                   nets.get_flat_params(a2.actor))
@@ -262,18 +253,36 @@ def test_train_determinism(pend_random):
                                   nets.get_flat_params(a2.critics))
 
 
-def test_train_env_mismatch(pend_random):
-    real, sim = spec_pair("pointgoal")
-    with pytest.raises(ConfigError):
-        loop.train(real, sim, pend_random, OrisConfig(variant="naive_mix"),
-                   HP, seed=0)
+def test_train_collects_under_the_gap_and_evaluates_in_the_real_env(
+        monkeypatch, pend_random):
+    """Every collection steps the env under the run's gap, every epoch
+    evaluates the unperturbed env of the dataset."""
+    gap = envs.DynamicsPerturbation(gravity_scale=3.0)
+    evaluated, collected = [], []
+    real_evaluate, real_collect = envs.evaluate_policy, loop.collect_epoch
+
+    def evaluate_policy(spec, *args):
+        evaluated.append(spec)
+        return real_evaluate(spec, *args)
+
+    def collect_epoch(env, *args):
+        collected.append(env.spec)
+        return real_collect(env, *args)
+
+    monkeypatch.setattr(envs, "evaluate_policy", evaluate_policy)
+    monkeypatch.setattr(loop, "collect_epoch", collect_epoch)
+    cfg = OrisConfig(variant="naive_mix", rollout_horizon=3, rollout_count=1,
+                     epochs=3, updates_per_epoch=1, eval_episodes=1)
+    loop.train(pend_random, gap, cfg, HP, seed=0)
+    assert evaluated == [envs.EnvSpec.real("pendulum")] * 3
+    assert [spec.perturbation for spec in collected] == [gap] * 3
+    assert {spec.env_id for spec in collected} == {"pendulum"}
 
 
 def test_train_sim_only(pend_random):
-    real, sim = spec_pair()
     cfg = OrisConfig(variant="sim_only_sac", rollout_horizon=10, rollout_count=2,
                      epochs=2, updates_per_epoch=3, eval_episodes=1)
-    _, reports = loop.train(real, sim, pend_random, cfg, HP, seed=1)
+    _, reports = loop.train(pend_random, GAP, cfg, HP, seed=1)
     assert [r.mean_sim_weight for r in reports] == [1.0, 1.0]
     assert reports[-1].env_steps == 40
 
@@ -290,28 +299,25 @@ def test_train_packs_offline_rows_only_for_variants_that_draw_them(
             capacities.append(capacity)
 
     monkeypatch.setattr(loop, "ReplayBuffer", Recorded)
-    real, sim = spec_pair()
     cfg = OrisConfig(variant=variant, rollout_horizon=5, rollout_count=1, epochs=1,
                      updates_per_epoch=1, eval_episodes=1)
-    loop.train(real, sim, pend_random, cfg, HP, seed=0)
+    loop.train(pend_random, GAP, cfg, HP, seed=0)
     assert capacities == [5] + [len(pend_random)] * packs_offline
 
 
 def test_train_oris_uses_discriminator_weights(pend_random):
     """With a rigged discriminator at D = 0.2 every sim weight is 0.6."""
-    real, sim = spec_pair()
     g = rigged_gan([1.0, 0.0, 0.0])
     g.discriminator.biases[-1][:] = np.log(0.2 / 0.8)
     cfg = OrisConfig(variant="oris", rollout_horizon=5, rollout_count=2,
                      epochs=1, updates_per_epoch=2, eval_episodes=1)
-    _, reports = loop.train(real, sim, pend_random, cfg, HP, seed=2, g=g)
+    _, reports = loop.train(pend_random, GAP, cfg, HP, seed=2, g=g)
     assert reports[0].mean_sim_weight == pytest.approx(0.6, abs=1e-12)
 
 
 def test_train_bc_runs_without_simulator(pend_random):
-    real, sim = spec_pair()
     cfg = OrisConfig(variant="bc", epochs=2, updates_per_epoch=20,
                      eval_episodes=1)
-    _, reports = loop.train(real, sim, pend_random, cfg, HP, seed=0)
+    _, reports = loop.train(pend_random, GAP, cfg, HP, seed=0)
     assert [r.env_steps for r in reports] == [0, 0]
     assert reports[1].actor_loss < reports[0].actor_loss
