@@ -111,6 +111,10 @@ def cmd_study(args) -> int:
 
 def cmd_evaluate(args) -> int:
     agent = sac.load_agent(args.agent)
+    if (agent.obs_dim, agent.action_dim) != envs.env_dims(args.env):
+        raise ContractError(f"agent {args.agent} has (obs, action) dims "
+                            f"{agent.obs_dim, agent.action_dim}; {args.env} has "
+                            f"{envs.env_dims(args.env)}")
     spec = envs.EnvSpec.real(args.env)
     policy = lambda obs, _rng: sac.act(agent, obs, "deterministic")
     mean, std, returns = envs.evaluate_policy(

@@ -5,8 +5,10 @@ noise); the discriminator scores simulator states against the data marginal and
 induces the critic weight w(s) = clip(1 - 2 D(s), w_min, w_max). Both nets are
 frozen after pretraining.
 
-Training is the saturating objective: one discriminator ascent step on
-E[log D(s)] + E[log(1 - D(G(z)))] and one generator descent step on
+Both nets have affine outputs, which this module squashes: G(z) is out_scale *
+tanh(generator(z)) in normalized units, and the discriminator's output is the
+logit of D. Training is the saturating objective: one discriminator ascent
+step on E[log D(s)] + E[log(1 - D(G(z)))] and one generator descent step on
 E[log(1 - D(G(z)))] per iteration, both through logits for stability. Both
 nets compute in float32; states outside them (data, restarts) stay float64.
 """
@@ -25,12 +27,12 @@ import tempfile
 import numpy as np
 
 from . import nets
-from .config import Config
+from .config import Config, load_json
 from .errors import ContractError, NumericsError
 from .files import atomic_write
 
 GAN_FORMAT = "oris-gan"
-GAN_VERSION = 1
+GAN_VERSION = 2  # 1: the nets squashed their own outputs
 REPORT_FILE = "report.json"
 
 
@@ -85,8 +87,8 @@ class StateNormalizer:
 
 @dataclass
 class GanPair:
-    generator: nets.MlpNet  # latent (in_dim) -> state_dim, tanh output, scaled by out_scale
-    discriminator: nets.MlpNet  # state_dim -> 1, sigmoid output
+    generator: nets.MlpNet  # latent (in_dim) -> state_dim, squashed by tanh, then out_scale
+    discriminator: nets.MlpNet  # state_dim -> 1, the logit of D
     normalizer: StateNormalizer
     out_scale: np.ndarray  # per-dim scale on the generator tanh, normalized units
     restart_noise_sigma: float
@@ -123,10 +125,20 @@ def _softplus(x):
     return np.logaddexp(0.0, x)
 
 
+def _sigmoid(z):
+    """The logistic function, stable for large |z|."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def generate_states(gan: GanPair, Z: np.ndarray) -> np.ndarray:
     """Denormalized generator output for latent batch Z, (n, generator.in_dim),
     without restart noise."""
-    raw = nets.forward_batch(gan.generator, Z) * gan.out_scale
+    raw = np.tanh(nets.forward_batch(gan.generator, Z)) * gan.out_scale
     return gan.normalizer.denormalize(raw)
 
 
@@ -143,7 +155,7 @@ def discriminator_prob_batch(gan: GanPair, S: np.ndarray) -> np.ndarray:
     S = np.asarray(S, dtype=np.float64)
     if S.ndim != 2 or S.shape[1] != gan.state_dim:
         raise ContractError(f"states have shape {S.shape}, want (n, {gan.state_dim})")
-    return nets.forward_batch(gan.discriminator, gan.normalizer.normalize(S))[:, 0]
+    return _sigmoid(nets.forward_batch(gan.discriminator, gan.normalizer.normalize(S))[:, 0])
 
 
 def weight_of_batch(gan: GanPair, S: np.ndarray) -> np.ndarray:
@@ -160,14 +172,27 @@ def discriminator_step_grads(disc: nets.MlpNet, real: np.ndarray, fake: np.ndarr
     E[log(1 - D(fake))]).
     """
     bs = real.shape[0]
-    d = nets.forward_batch(disc, np.concatenate([real, fake]))[:, 0]
-    logits = nets.output_preactivation(disc)[:, 0]
+    logits = nets.forward_batch(disc, np.concatenate([real, fake]))[:, 0]
+    d = _sigmoid(logits)
     # d(loss)/d(logit) is (D - label) / bs, label 1 for real rows and 0 for fake
     upstream = np.concatenate([d[:bs] - 1.0, d[bs:]]) / bs
-    grads = nets.backward_batch(disc, upstream[:, None], wrt_preactivation=True)
+    grads = nets.backward_batch(disc, upstream[:, None])
     objective = float(np.add.reduce(-_softplus(-logits[:bs])) / bs
                       + np.add.reduce(-_softplus(logits[bs:])) / bs)
     return grads, d[:bs], d[bs:], objective
+
+
+def generator_step_grads(gen: nets.MlpNet, disc: nets.MlpNet, Z: np.ndarray, scale):
+    """Gradient of the generator's loss E[log(1 - D(G(z)))] over the latent
+    batch Z, where G(z) = scale * tanh(gen(z)), through the discriminator's
+    logits. Returns (the gradient vector, the loss)."""
+    bs = Z.shape[0]
+    y = np.tanh(nets.forward_batch(gen, Z))
+    logits = nets.forward_batch(disc, y * scale)[:, 0]
+    loss = float(np.add.reduce(-_softplus(logits)) / bs)
+    # d(loss)/d(logit) is -D / bs; tanh' is 1 - y^2
+    d_in = nets.backward_input(disc, (-_sigmoid(logits) / bs)[:, None])
+    return nets.backward_batch(gen, d_in * scale * (1.0 - y * y)), loss
 
 
 def pretrain(states, hparams: GanHparams, rng: np.random.Generator):
@@ -192,10 +217,8 @@ def pretrain(states, hparams: GanHparams, rng: np.random.Generator):
 
     g_seed = int(rng.integers(2 ** 31))
     d_seed = int(rng.integers(2 ** 31))
-    gen = nets.MlpNet.he_uniform([hparams.z_dim, *hparams.hidden, d],
-                                 output_activation="tanh", seed=g_seed)
-    disc = nets.MlpNet.he_uniform([d, *hparams.hidden, 1],
-                                  output_activation="sigmoid", seed=d_seed)
+    gen = nets.MlpNet.he_uniform([hparams.z_dim, *hparams.hidden, d], seed=g_seed)
+    disc = nets.MlpNet.he_uniform([d, *hparams.hidden, 1], seed=d_seed)
     opt_g = nets.AdamState.for_net(gen, hparams.learning_rate, hparams.beta1, hparams.beta2)
     opt_d = nets.AdamState.for_net(disc, hparams.learning_rate, hparams.beta1, hparams.beta2)
     # the training batches in the nets' dtype, cast once
@@ -206,16 +229,15 @@ def pretrain(states, hparams: GanHparams, rng: np.random.Generator):
     curves = np.zeros((4, hparams.iterations))
 
     def fail(i, what):
-        report = GanTrainReport(*(c[:i].copy() for c in curves))
         err = NumericsError(f"non-finite {what} at GAN iteration {i}")
-        err.report = report
+        err.report = GanTrainReport(*(c[:i].copy() for c in curves))
         return err
 
     for i in range(hparams.iterations):
         idx = rng.integers(0, n, size=bs)
         real = SN_net[idx]
         Zd = rng.standard_normal((bs, hparams.z_dim))
-        fake = nets.forward_batch(gen, Zd) * scale
+        fake = np.tanh(nets.forward_batch(gen, Zd)) * scale
 
         # discriminator step: ascend E[log D(real)] + E[log(1 - D(fake))]
         d_grads, d_real, d_fake, d_objective = discriminator_step_grads(disc, real, fake)
@@ -225,26 +247,17 @@ def pretrain(states, hparams: GanHparams, rng: np.random.Generator):
 
         # generator step: descend E[log(1 - D(G(z)))]
         Zg = rng.standard_normal((bs, hparams.z_dim))
-        fake_g = nets.forward_batch(gen, Zg) * scale
-        d_g = nets.forward_batch(disc, fake_g)[:, 0]
-        l_g = nets.output_preactivation(disc)[:, 0]
-        g_loss = float(np.add.reduce(-_softplus(l_g)) / bs)
+        g_grads, g_loss = generator_step_grads(gen, disc, Zg, scale)
         if not np.isfinite(g_loss):
             raise fail(i, "generator loss")
-        d_in = nets.backward_input(disc, (-d_g / bs)[:, None],
-                                   wrt_preactivation=True)
-        g_grads = nets.backward_batch(gen, d_in * scale)
         nets.adam_step(gen, g_grads, opt_g)
 
-        curves[0, i] = d_objective
-        curves[1, i] = g_loss
-        curves[2, i] = np.add.reduce(d_real) / bs
-        curves[3, i] = np.add.reduce(d_fake) / bs
+        curves[:, i] = (d_objective, g_loss, np.add.reduce(d_real) / bs,
+                        np.add.reduce(d_fake) / bs)
 
     pair = GanPair(gen, disc, norm, out_scale,
                    hparams.restart_noise_sigma, hparams.w_min, hparams.w_max)
-    report = GanTrainReport(*(c.copy() for c in curves))
-    return pair, report
+    return pair, GanTrainReport(*(c.copy() for c in curves))
 
 
 def save_gan(gan: GanPair, dirpath) -> None:
@@ -268,10 +281,14 @@ def save_gan(gan: GanPair, dirpath) -> None:
 
 
 def load_gan(dirpath) -> GanPair:
-    with open(os.path.join(dirpath, "gan.json"), "r", encoding="utf-8") as f:
-        meta = json.load(f)
+    path = os.path.join(dirpath, "gan.json")
+    meta = load_json(path) if os.path.isfile(path) else {}
     if meta.get("format") != GAN_FORMAT or meta.get("version") != GAN_VERSION:
         raise ContractError(f"not a {GAN_FORMAT} v{GAN_VERSION} directory: {dirpath}")
+    missing = {"z_dim", "mean", "std", "out_scale", "restart_noise_sigma", "w_min",
+               "w_max"} - meta.keys()
+    if missing:
+        raise ContractError(f"{path} lacks {sorted(missing)}")
     gen = nets.load_checkpoint(os.path.join(dirpath, "generator.mlp"))
     disc = nets.load_checkpoint(os.path.join(dirpath, "discriminator.mlp"))
     if meta["z_dim"] != gen.in_dim:
@@ -304,8 +321,10 @@ def numerics_sha256() -> str:
 
 def fit_inputs(states, hparams: GanHparams, rng: np.random.Generator) -> dict:
     """What decides the fit pretrain(states, hparams, rng) returns, as JSON:
-    the states (by digest), the hparams, the RNG state before the fit, and the
-    code that fits (by numerics_sha256, and the numpy version).
+    the states (by digest), the hparams, the RNG state before the fit, the
+    code that fits (by numerics_sha256, and the numpy version), and the entry's
+    format (GAN_VERSION), so that no entry is read by code that squashes the
+    nets' outputs elsewhere than the code that wrote it.
     """
     S = np.ascontiguousarray(states, dtype=np.float64)
     return {"states_sha256": hashlib.sha256(S.tobytes()).hexdigest(),
@@ -313,7 +332,8 @@ def fit_inputs(states, hparams: GanHparams, rng: np.random.Generator) -> dict:
             "hparams": hparams.to_json(),
             "rng_state": repr(rng.bit_generator.state),
             "numerics_sha256": numerics_sha256(),
-            "numpy": np.__version__}
+            "numpy": np.__version__,
+            "gan_version": GAN_VERSION}
 
 
 def fit_key(inputs: dict) -> str:

@@ -177,17 +177,15 @@ def _update_block(agent, offline_rows, buffer, cfg, hp, rng):
 
 def train(offline: Dataset, perturbation: envs.DynamicsPerturbation,
           cfg: OrisConfig, hp: sac.SacHparams, seed: int,
-          g: gan_mod.GanPair | None = None,
           gan_hp: gan_mod.GanHparams | None = None,
           progress=None, gan_store=None) -> tuple[sac.SacAgent, list[EpochReport]]:
     """Run one variant to completion; returns the agent and per-epoch reports.
 
     The env is offline.meta["env_id"]: rollouts step it under `perturbation`,
-    and each epoch evaluates it unperturbed, EnvSpec.real(env_id). A
-    pretrained GanPair may be passed in; otherwise one is fit to the offline
-    state marginal when the variant calls for it, or loaded from the
-    gan_store directory (see gan.pretrain_or_load) when one is given. The GAN
-    draws from its own RNG stream, so loading it moves no other draw.
+    and each epoch evaluates it unperturbed, EnvSpec.real(env_id). A variant
+    that needs a GAN fits one to the offline state marginal, or loads it from
+    the gan_store directory when one is given (gan.pretrain_or_load), from its
+    own RNG stream, so loading it moves no other draw.
     """
     env_id = offline.meta["env_id"]
     ss = np.random.SeedSequence(seed)
@@ -197,7 +195,8 @@ def train(offline: Dataset, perturbation: envs.DynamicsPerturbation,
     obs_dim, act_dim = envs.env_dims(env_id)
     agent = sac.SacAgent.create(obs_dim, act_dim, envs.ACTION_SCALES[env_id],
                                 hp, seed=int(rng_init.integers(2 ** 31)))
-    if g is None and cfg.needs_gan():
+    g = None
+    if cfg.needs_gan():
         states, gan_hp = offline.arrays()[0], gan_hp or gan_mod.GanHparams()
         g = (gan_mod.pretrain(states, gan_hp, rng_gan)[0] if gan_store is None
              else gan_mod.pretrain_or_load(states, gan_hp, rng_gan, gan_store))

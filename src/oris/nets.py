@@ -1,5 +1,8 @@
 """Dense-network engine: batched forward, reverse-mode gradients, Adam, soft updates.
 
+A net is relu hidden layers and an affine output layer; a caller that squashes
+the output (as the GAN does) folds the squash's derivative into grad_out.
+
 A net computes in its own dtype, float32 unless built with dtype=np.float64
 (the gradient oracles' reference precision): its parameters, gradients, Adam
 moments and the activations and deltas it records all have that dtype.
@@ -9,11 +12,9 @@ in float64 and rounded, so both precisions consume the same random draws.
 
 A net records its activations during forward and replays them in backward; a
 net is owned by one caller at a time (no sharing a net object across
-interleaved forward/backward pairs). Hidden activations are applied in place
-on each layer's fresh pre-activation, so only the output layer's
-pre-activation is kept (see output_preactivation); the relu mask in backward
-reads the recorded activation, which is positive exactly where its
-pre-activation is.
+interleaved forward/backward pairs). Relu is applied in place on each hidden
+layer's fresh pre-activation, so the relu mask in backward reads the recorded
+activation, which is positive exactly where its pre-activation is.
 
 Each net keeps all of its parameters in one flat vector, `params`, laid out
 layer by layer, weight matrix (row-major) then bias vector; checkpoints use
@@ -43,13 +44,11 @@ import numpy as np
 from .errors import ContractError, NumericsError, UsageError
 from .files import atomic_write
 
-HIDDEN_ACTIVATIONS = ("relu", "tanh")
-OUTPUT_ACTIVATIONS = ("identity", "tanh", "sigmoid")
-
 CHECKPOINT_FORMAT = "oris-mlp"
 CHECKPOINT_VERSION = 1
 ADAM_FORMAT = "oris-adam"
 ADAM_VERSION = 1
+_ACTIVATIONS = {"hidden_activation": "relu", "output_activation": "identity"}
 DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 # zero in each dtype, for relu and its mask: a Python 0.0 against a float32
 # array costs a scalar promotion per call, which acting on a few rows is
@@ -97,20 +96,13 @@ class MlpNet:
 
     layer_sizes: list[int]
     params: np.ndarray = field(repr=False)
-    hidden_activation: str = "relu"
-    output_activation: str = "identity"
     init_seed: int | tuple = 0
     dtype: np.dtype = np.float32
     _acts: list = field(default_factory=list, repr=False)
-    _out_pre: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if len(self.layer_sizes) < 2 or any(int(s) < 1 for s in self.layer_sizes):
             raise ContractError(f"layer_sizes must be >= 2 positive entries, got {self.layer_sizes}")
-        if self.hidden_activation not in HIDDEN_ACTIVATIONS:
-            raise ContractError(f"hidden_activation must be one of {HIDDEN_ACTIVATIONS}")
-        if self.output_activation not in OUTPUT_ACTIVATIONS:
-            raise ContractError(f"output_activation must be one of {OUTPUT_ACTIVATIONS}")
         self.dtype = np.dtype(self.dtype)
         if self.dtype not in DTYPES:
             raise ContractError(f"dtype must be float32 or float64, got {self.dtype}")
@@ -161,8 +153,7 @@ class MlpNet:
         return self.params.shape[0] if self.params.ndim == 2 else None
 
     @classmethod
-    def he_uniform(cls, layer_sizes, hidden_activation="relu",
-                   output_activation="identity", seed=0, dtype=np.float32) -> "MlpNet":
+    def he_uniform(cls, layer_sizes, seed=0, dtype=np.float32) -> "MlpNet":
         """He-uniform weights, zero biases, from a PRNG seeded with `seed`;
         drawn in float64, then rounded to `dtype`."""
         if len(layer_sizes) < 2 or any(int(s) < 1 for s in layer_sizes):
@@ -172,48 +163,21 @@ class MlpNet:
         for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
             limit = np.sqrt(6.0 / fan_in)
             parts += [rng.uniform(-limit, limit, size=fan_out * fan_in), np.zeros(fan_out)]
-        return cls(list(layer_sizes), np.concatenate(parts), hidden_activation,
-                   output_activation, init_seed=int(seed), dtype=dtype)
+        return cls(list(layer_sizes), np.concatenate(parts), int(seed), dtype)
 
 
-def _relu_zero(z: np.ndarray) -> np.ndarray:
-    """The zero relu compares z with: a scalar, or from _ZEROS_FROM entries on
-    a read-only zeros array of z's shape, a view of _ZEROS."""
-    if z.size < _ZEROS_FROM:
-        return _ZERO[z.dtype]
-    buf = _ZEROS[z.dtype]
-    if buf.size < z.size:
-        buf = np.zeros(z.size, z.dtype)
-        buf.flags.writeable = False
-        _ZEROS[z.dtype] = buf
-    return buf[:z.size].reshape(z.shape)
-
-
-def _hidden_act(name: str, z: np.ndarray) -> np.ndarray:
-    """The hidden activation, in place on z."""
-    if name == "relu":
-        return np.maximum(z, _relu_zero(z), out=z)
-    return np.tanh(z, out=z)
-
-
-def _output_act(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "identity":
-        return z
-    if name == "tanh":
-        return np.tanh(z)
-    # sigmoid, stable for large |z|
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def _output_act_grad(name: str, y: np.ndarray) -> np.ndarray:
-    if name == "tanh":
-        return 1.0 - y * y
-    return y * (1.0 - y)
+def _relu(z: np.ndarray) -> np.ndarray:
+    """max(z, 0), in place on z. The zero is a scalar or, from _ZEROS_FROM
+    entries on, a read-only zeros array of z's shape, a view of _ZEROS."""
+    zero = _ZERO[z.dtype]
+    if z.size >= _ZEROS_FROM:
+        buf = _ZEROS[z.dtype]
+        if buf.size < z.size:
+            buf = np.zeros(z.size, z.dtype)
+            buf.flags.writeable = False
+            _ZEROS[z.dtype] = buf
+        zero = buf[:z.size].reshape(z.shape)
+    return np.maximum(z, zero, out=z)
 
 
 def forward_batch(net: MlpNet, x: np.ndarray) -> np.ndarray:
@@ -231,32 +195,23 @@ def forward_batch(net: MlpNet, x: np.ndarray) -> np.ndarray:
     h = x
     last = net.num_layers - 1
     for l, (w_t, b_row) in enumerate(net._forward_operands):
-        z = h @ w_t
-        z += b_row
-        h = _output_act(net.output_activation, z) if l == last else _hidden_act(net.hidden_activation, z)
+        h = h @ w_t
+        h += b_row
+        if l < last:
+            _relu(h)
         acts.append(h)
-    net._acts, net._out_pre = acts, z
+    net._acts = acts
     return h
 
 
-def output_preactivation(net: MlpNet) -> np.ndarray:
-    """Pre-activation of the output layer from the most recent forward."""
-    if not net._acts:
-        raise UsageError("no recorded forward pass")
-    return net._out_pre
-
-
-def _output_delta(net: MlpNet, grad_out, wrt_preactivation: bool) -> np.ndarray:
-    """d(loss)/d(output pre-activation) from the caller's upstream gradient."""
+def _output_delta(net: MlpNet, grad_out) -> np.ndarray:
+    """The caller's upstream gradient d(loss)/d(output), checked and cast."""
     if not net._acts:
         raise UsageError("backward called before forward")
     grad_out = np.asarray(grad_out, dtype=net.dtype)
-    out_shape = net._acts[-1].shape
-    if grad_out.shape != out_shape:
-        raise ContractError(f"grad_out has shape {grad_out.shape}, want {out_shape}")
-    if wrt_preactivation or net.output_activation == "identity":
-        return grad_out
-    return grad_out * _output_act_grad(net.output_activation, net._acts[-1])
+    if grad_out.shape != net._acts[-1].shape:
+        raise ContractError(f"grad_out has shape {grad_out.shape}, want {net._acts[-1].shape}")
+    return grad_out
 
 
 def _delta_below(net: MlpNet, delta: np.ndarray, l: int) -> np.ndarray:
@@ -269,25 +224,19 @@ def _delta_below(net: MlpNet, delta: np.ndarray, l: int) -> np.ndarray:
     w = net.weights[l]
     delta = delta * w if w.shape[-2] == 1 else delta @ w
     if l > 0:
-        if net.hidden_activation == "relu":
-            delta *= net._acts[l] > _ZERO[delta.dtype]
-        else:
-            y = net._acts[l]
-            delta *= 1.0 - y * y
+        delta *= net._acts[l] > _ZERO[delta.dtype]
     return delta
 
 
-def backward_batch(net: MlpNet, grad_out: np.ndarray, wrt_preactivation: bool = False) -> np.ndarray:
+def backward_batch(net: MlpNet, grad_out: np.ndarray) -> np.ndarray:
     """Reverse-mode pass from d(loss)/d(output) through the recorded forward.
 
-    With wrt_preactivation=True, grad_out is d(loss)/d(output pre-activation);
-    this sidesteps the output nonlinearity (used for stable sigmoid/BCE math).
     Returns the parameter gradients as one vector in the net's flat layout;
     it stops at layer 0, so the gradient at the input is backward_input's. A
     stack's gradients are (k, P), one row per member, also when its input
     was shared.
     """
-    delta = _output_delta(net, grad_out, wrt_preactivation)
+    delta = _output_delta(net, grad_out)
     flat = np.empty(net.params.shape, dtype=net.dtype)
     g_w, g_b = _views(flat, net.layer_sizes)
     for l in range(net.num_layers - 1, -1, -1):
@@ -298,13 +247,11 @@ def backward_batch(net: MlpNet, grad_out: np.ndarray, wrt_preactivation: bool = 
     return flat
 
 
-def backward_input(net: MlpNet, grad_out: np.ndarray,
-                   wrt_preactivation: bool = False) -> np.ndarray:
+def backward_input(net: MlpNet, grad_out: np.ndarray) -> np.ndarray:
     """d(loss)/d(input batch) through the recorded forward, without the
-    parameter gradients; wrt_preactivation as in backward_batch. A stack
-    returns (k, n, in_dim), each member's own, also when its input was
-    shared."""
-    delta = _output_delta(net, grad_out, wrt_preactivation)
+    parameter gradients. A stack returns (k, n, in_dim), each member's own,
+    also when its input was shared."""
+    delta = _output_delta(net, grad_out)
     for l in range(net.num_layers - 1, -1, -1):
         delta = _delta_below(net, delta, l)
     return delta
@@ -411,20 +358,17 @@ def set_flat_params(net: MlpNet, flat: np.ndarray) -> None:
 
 
 def clone_net(net: MlpNet) -> MlpNet:
-    return MlpNet(list(net.layer_sizes), net.params, net.hidden_activation,
-                  net.output_activation, net.init_seed, net.dtype)
+    return MlpNet(list(net.layer_sizes), net.params, net.init_seed, net.dtype)
 
 
 def stack(members) -> MlpNet:
     """A stack of single nets of one architecture and dtype; row j of its
     params is a copy of members[j].params."""
     first = members[0]
-    arch = (first.layer_sizes, first.hidden_activation, first.output_activation, first.dtype)
-    if any(m.stack_size is not None or (m.layer_sizes, m.hidden_activation,
-                                        m.output_activation, m.dtype) != arch for m in members):
+    if any(m.stack_size is not None or (m.layer_sizes, m.dtype) != (first.layer_sizes, first.dtype)
+           for m in members):
         raise ContractError("a stack's members must be single nets of one architecture and dtype")
     return MlpNet(list(first.layer_sizes), np.stack([m.params for m in members]),
-                  first.hidden_activation, first.output_activation,
                   tuple(m.init_seed for m in members), first.dtype)
 
 
@@ -432,8 +376,7 @@ def unstack(net: MlpNet) -> list[MlpNet]:
     """Copies of a stack's members, each a single net with its own init_seed."""
     if net.stack_size is None:
         raise ContractError("unstack takes a stack of nets")
-    return [MlpNet(list(net.layer_sizes), row, net.hidden_activation,
-                   net.output_activation, seed, net.dtype)
+    return [MlpNet(list(net.layer_sizes), row, seed, net.dtype)
             for row, seed in zip(net.params, net.init_seed)]
 
 
@@ -447,13 +390,15 @@ def _write_record(path, header: dict, *arrays) -> None:
             f.write(a.astype(header["dtype"]).tobytes())
 
 
-def _read_record(path, fmt: str, version: int) -> tuple[dict, np.ndarray]:
-    """The header of a _write_record file, checked to be `fmt` at `version`,
-    and its data as one flat vector; a header without a dtype (a checkpoint
-    written before they recorded one) reads as "<f8"."""
-    with open(path, "rb") as f:
-        header_line = f.readline()
-        blob = f.read()
+def _read_record(path, fmt: str, version: int, keys: tuple) -> tuple[dict, np.ndarray]:
+    """The header of a _write_record file, checked to be `fmt` at `version`
+    and to hold `keys`, and its data as one flat vector; a header without a
+    dtype (a checkpoint written before they recorded one) reads as "<f8"."""
+    try:
+        with open(path, "rb") as f:
+            header_line, _, blob = f.read().partition(b"\n")
+    except OSError as e:
+        raise ContractError(f"cannot read {fmt} file {path}: {e.strerror}") from None
     try:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
@@ -461,7 +406,10 @@ def _read_record(path, fmt: str, version: int) -> tuple[dict, np.ndarray]:
     if header.get("format") != fmt:
         raise ContractError(f"not a {fmt} file: {path}")
     if header.get("version") != version:
-        raise ContractError(f"unsupported {fmt} version {header.get('version')}")
+        raise ContractError(f"unsupported {fmt} version {header.get('version')} in {path}")
+    missing = [k for k in keys if k not in header]
+    if missing:
+        raise ContractError(f"{fmt} header in {path} lacks {', '.join(missing)}")
     header.setdefault("dtype", "<f8")
     if header["dtype"] not in ("<f4", "<f8"):
         raise ContractError(f"unsupported {fmt} dtype {header['dtype']!r} in {path}")
@@ -480,8 +428,7 @@ def save_checkpoint(net: MlpNet, path) -> None:
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "layer_sizes": list(net.layer_sizes),
-        "hidden_activation": net.hidden_activation,
-        "output_activation": net.output_activation,
+        **_ACTIVATIONS,
         "init_seed": net.init_seed,
         "param_count": net.params.size,
         "dtype": net.dtype.newbyteorder("<").str,
@@ -491,12 +438,16 @@ def save_checkpoint(net: MlpNet, path) -> None:
 def load_checkpoint(path) -> MlpNet:
     """The net a checkpoint holds, in the dtype it records; a header without
     one (written before checkpoints recorded it) holds float64."""
-    header, flat = _read_record(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
+    header, flat = _read_record(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
+                                ("layer_sizes", "param_count"))
+    if any(header.get(k) != v for k, v in _ACTIVATIONS.items()):
+        raise ContractError(f"{path} holds {header.get('hidden_activation')} layers and "
+                            f"{header.get('output_activation')} output, not relu and identity")
     if flat.size != header["param_count"]:
         raise ContractError(f"checkpoint parameter count mismatch in {path}")
     try:
-        return MlpNet([int(s) for s in header["layer_sizes"]], flat, header["hidden_activation"],
-                      header["output_activation"], header.get("init_seed", 0), header["dtype"])
+        return MlpNet([int(s) for s in header["layer_sizes"]], flat,
+                      header.get("init_seed", 0), header["dtype"])
     except ContractError as e:
         raise ContractError(f"bad checkpoint {path}: {e}") from e
 
@@ -519,7 +470,8 @@ def save_adam(opt: AdamState, path) -> None:
 
 def load_adam(path, net: MlpNet) -> AdamState:
     """The AdamState save_adam wrote, checked to fit `net`."""
-    header, mv = _read_record(path, ADAM_FORMAT, ADAM_VERSION)
+    header, mv = _read_record(path, ADAM_FORMAT, ADAM_VERSION, ("learning_rate", "beta1", "beta2",
+                              "epsilon", "step_count", "param_count"))
     n = net.params.size
     if header["param_count"] != n or mv.size != 2 * n or np.dtype(header["dtype"]) != net.dtype:
         raise ContractError(f"optimizer state in {path} does not fit a {n}-parameter "

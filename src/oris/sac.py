@@ -24,7 +24,7 @@ import os
 import numpy as np
 
 from . import nets
-from .config import Config
+from .config import Config, load_json
 from .errors import ContractError, NumericsError
 from .files import atomic_write
 
@@ -371,10 +371,13 @@ def load_agent(dirpath) -> SacAgent:
     """The agent save_agent wrote. A directory written before agents kept
     their optimizers (no "opt_temperature" in agent.json) loads with fresh
     optimizer state."""
-    with open(os.path.join(dirpath, "agent.json"), "r", encoding="utf-8") as f:
-        meta = json.load(f)
+    path = os.path.join(dirpath, "agent.json")
+    meta = load_json(path) if os.path.isfile(path) else {}
     if meta.get("format") != AGENT_FORMAT or meta.get("version") != AGENT_VERSION:
         raise ContractError(f"not a {AGENT_FORMAT} v{AGENT_VERSION} directory: {dirpath}")
+    missing = {"log_temperature", "target_entropy", "action_scale", "hparams"} - meta.keys()
+    if missing:
+        raise ContractError(f"{path} lacks {sorted(missing)}")
     parts = {name: nets.load_checkpoint(os.path.join(dirpath, f"{name}.mlp"))
              for name in AGENT_NETS}
     hp = SacHparams.from_json(meta["hparams"])

@@ -49,27 +49,25 @@ def fd_noise(f_scale, eps):
 
 
 ROLE_ARCHS = {
-    # role -> (in_dim, out_dim, hidden_activation, output_activation)
-    "actor": (3, 2, "relu", "identity"),
-    "critic": (4, 1, "relu", "identity"),
-    "generator": (4, 3, "relu", "tanh"),
-    "discriminator": (3, 1, "relu", "sigmoid"),
+    # role -> (in_dim, out_dim)
+    "actor": (3, 2),
+    "critic": (4, 1),
+    "generator": (4, 3),
+    "discriminator": (3, 1),
 }
 
 
 def make_role_net(role, width=16, seed=0):
     """A float64 net: the precision the finite-difference oracles check at."""
-    in_dim, out_dim, hidden, output = ROLE_ARCHS[role]
-    return nets.MlpNet.he_uniform([in_dim, width, width, out_dim], hidden, output,
-                                  seed=seed, dtype=np.float64)
+    in_dim, out_dim = ROLE_ARCHS[role]
+    return nets.MlpNet.he_uniform([in_dim, width, width, out_dim], seed=seed,
+                                  dtype=np.float64)
 
 
 def far_from_relu_kinks(net, x, margin=1e-4):
     """True when no hidden pre-activation of the batch x sits within margin of
     0; the pre-activations are computed here, in float64, from the net's
     weights and biases."""
-    if net.hidden_activation != "relu":
-        return True
     h = np.asarray(x, dtype=np.float64)
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
         z = h @ w.astype(np.float64).swapaxes(-1, -2) + b[..., None, :]

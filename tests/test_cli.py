@@ -180,6 +180,52 @@ def test_evaluate_saved_agent(tmp_path, capsys):
     assert out["return_mean"] == pytest.approx(np.mean(out["returns"]))
 
 
+def _saved_agent(path, obs_dim=3, action_dim=1):
+    agent = sac.SacAgent.create(obs_dim, action_dim, 2.0, sac.SacHparams(hidden=(4,)), 0)
+    sac.save_agent(agent, path)
+    return path
+
+
+def _evaluate(agent_dir, env="pendulum"):
+    return cli.main(["evaluate", "--agent", str(agent_dir), "--env", env, "--episodes", "1"])
+
+
+def test_evaluate_missing_agent_directory_exits_2(tmp_path, capsys):
+    assert _evaluate(tmp_path / "no_agent") == 2
+    assert f"not a oris-sac v1 directory: {tmp_path / 'no_agent'}" in capsys.readouterr().err
+
+
+def _drop_header_key(path, key):
+    header, blob = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header)
+    del header[key]
+    path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+
+
+@pytest.mark.parametrize("name, key", [("actor.mlp", "param_count"),
+                                       ("opt_actor.adam", "step_count"),
+                                       ("agent.json", "action_scale")])
+def test_evaluate_agent_missing_a_key_exits_2_naming_the_file(tmp_path, capsys, name, key):
+    agent_dir = _saved_agent(tmp_path / "agent")
+    path = agent_dir / name
+    if name == "agent.json":
+        meta = json.loads(path.read_text())
+        del meta[key]
+        path.write_text(json.dumps(meta))
+    else:
+        _drop_header_key(path, key)
+    assert _evaluate(agent_dir) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and key in err
+
+
+def test_evaluate_agent_on_another_env_exits_2_naming_both(tmp_path, capsys):
+    agent_dir = _saved_agent(tmp_path / "agent")
+    assert _evaluate(agent_dir, "pointgoal") == 2
+    err = capsys.readouterr().err
+    assert f"agent {agent_dir} has (obs, action) dims (3, 1); pointgoal has (4, 2)" in err
+
+
 def test_gen_dataset_train_evaluate_chain(tmp_path, tiny_reference, capsys):
     """The CLI's own artifacts chain: the tiers of a tiny reference run, an
     oris run on the medium_replay tier that saves its agent, and an

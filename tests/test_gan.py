@@ -1,21 +1,21 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from oris import gan, nets
-from oris.errors import ContractError
+from oris.errors import ContractError, NumericsError
 
 import oracles
 
 
 def rigged_pair(bias, state_dim=2, w_min=0.1, w_max=1.0):
-    """GanPair of float64 nets whose discriminator outputs sigmoid(bias) for
-    every state."""
+    """GanPair of float64 nets whose discriminator outputs the logit `bias`,
+    so D = sigmoid(bias), for every state."""
     disc = nets.MlpNet([state_dim, 1], np.append(np.zeros(state_dim), float(bias)),
-                       output_activation="sigmoid", dtype=np.float64)
-    gen = nets.MlpNet.he_uniform([3, 8, state_dim], output_activation="tanh", seed=0,
-                                 dtype=np.float64)
+                       dtype=np.float64)
+    gen = nets.MlpNet.he_uniform([3, 8, state_dim], seed=0, dtype=np.float64)
     norm = gan.StateNormalizer(np.zeros(state_dim), np.ones(state_dim))
     return gan.GanPair(gen, disc, norm, np.ones(state_dim), 0.05, w_min, w_max)
 
@@ -62,17 +62,14 @@ def test_uninformative_discriminator_objective_value():
 def test_discriminator_step_gradients_match_finite_differences():
     # pretrain's one pass over real and fake rows, checked against FD of the objective
     rng = np.random.default_rng(2)
-    disc = nets.MlpNet.he_uniform([2, 8, 1], output_activation="sigmoid", seed=3,
-                                  dtype=np.float64)
+    disc = nets.MlpNet.he_uniform([2, 8, 1], seed=3, dtype=np.float64)
     real = rng.normal(size=(6, 2))
     fake = rng.normal(size=(6, 2))
 
     def d_loss(flat):
         nets.set_flat_params(disc, flat)
-        nets.forward_batch(disc, real)
-        l_r = nets.output_preactivation(disc)[:, 0]
-        nets.forward_batch(disc, fake)
-        l_f = nets.output_preactivation(disc)[:, 0]
+        l_r = nets.forward_batch(disc, real)[:, 0]
+        l_f = nets.forward_batch(disc, fake)[:, 0]
         # minimized loss = -objective
         return float(np.mean(np.logaddexp(0.0, -l_r)) + np.mean(np.logaddexp(0.0, l_f)))
 
@@ -82,35 +79,45 @@ def test_discriminator_step_gradients_match_finite_differences():
     assert oracles.max_rel_err(grads, fd) < 1e-6
     nets.set_flat_params(disc, p0)
     assert objective == pytest.approx(-d_loss(p0), abs=1e-12)
-    np.testing.assert_allclose(d_real, nets.forward_batch(disc, real)[:, 0], rtol=1e-12)
-    np.testing.assert_allclose(d_fake, nets.forward_batch(disc, fake)[:, 0], rtol=1e-12)
+    for d, rows in ((d_real, real), (d_fake, fake)):
+        logit = nets.forward_batch(disc, rows)[:, 0]
+        np.testing.assert_allclose(d, 1.0 / (1.0 + np.exp(-logit)), rtol=1e-12)
 
 
 def test_generator_step_gradients_match_finite_differences():
+    """pretrain's generator step, checked against FD of its loss
+    E[log(1 - D(G(z)))] with G(z) = out_scale * tanh(generator(z))."""
     rng = np.random.default_rng(4)
-    gen = nets.MlpNet.he_uniform([3, 8, 2], output_activation="tanh", seed=5,
-                                 dtype=np.float64)
-    disc = nets.MlpNet.he_uniform([2, 8, 1], output_activation="sigmoid", seed=6,
-                                  dtype=np.float64)
+    gen = nets.MlpNet.he_uniform([3, 8, 2], seed=5, dtype=np.float64)
+    disc = nets.MlpNet.he_uniform([2, 8, 1], seed=6, dtype=np.float64)
     out_scale = np.array([1.5, 0.8])
     Z = rng.normal(size=(5, 3))
 
     def g_loss(flat):
         nets.set_flat_params(gen, flat)
-        fake = nets.forward_batch(gen, Z) * out_scale
-        nets.forward_batch(disc, fake)
-        l = nets.output_preactivation(disc)[:, 0]
-        return float(np.mean(-np.logaddexp(0.0, l)))
+        fake = np.tanh(nets.forward_batch(gen, Z)) * out_scale
+        d = 1.0 / (1.0 + np.exp(-nets.forward_batch(disc, fake)[:, 0]))
+        return float(np.mean(np.log(1.0 - d)))
 
     p0 = nets.get_flat_params(gen)
-    fake = nets.forward_batch(gen, Z) * out_scale
-    nets.forward_batch(disc, fake)
-    l = nets.output_preactivation(disc)[:, 0]
-    sig = 1.0 / (1.0 + np.exp(-l))
-    d_in = nets.backward_input(disc, (-sig / 5)[:, None], wrt_preactivation=True)
-    analytic = nets.backward_batch(gen, d_in * out_scale)
+    disc_params = nets.get_flat_params(disc)
+    analytic, loss = gan.generator_step_grads(gen, disc, Z, out_scale)
+    np.testing.assert_array_equal(nets.get_flat_params(disc), disc_params)
     fd = oracles.fd_grad(g_loss, p0)
     assert oracles.max_rel_err(analytic, fd) < 1e-6
+    assert loss == pytest.approx(g_loss(p0), abs=1e-12)
+
+
+def test_pretrain_raises_on_a_non_finite_generator_loss(monkeypatch):
+    """pretrain checks the loss generator_step_grads returns before it steps."""
+    step = gan.generator_step_grads
+    monkeypatch.setattr(gan, "generator_step_grads",
+                        lambda *a: (step(*a)[0], float("nan")))
+    S = mixture_states(200, np.random.default_rng(30))
+    hp = gan.GanHparams(z_dim=2, hidden=(8,), iterations=5, batch_size=16)
+    with pytest.raises(NumericsError, match="non-finite generator loss at GAN iteration 0") as e:
+        gan.pretrain(S, hp, np.random.default_rng(31))
+    assert len(e.value.report.g_loss) == 0
 
 
 def test_pretrain_fits_mixture_means():
@@ -298,3 +305,54 @@ def test_pretrain_or_load_reuses_the_entry_bitwise(tmp_path):
     # another RNG state is another fit
     gan.pretrain_or_load(S, hp, np.random.default_rng(24), tmp_path)
     assert len(list(tmp_path.iterdir())) == 2
+
+
+def test_load_gan_refuses_a_version_1_directory(tmp_path):
+    """A version 1 directory's nets squashed their own outputs; its
+    discriminator's output would be read here as a logit."""
+    S = mixture_states(100, np.random.default_rng(32))
+    hp = gan.GanHparams(z_dim=2, hidden=(8,), iterations=2, batch_size=16)
+    pair, _ = gan.pretrain(S, hp, np.random.default_rng(33))
+    gan.save_gan(pair, tmp_path / "g")
+    meta_path = tmp_path / "g" / "gan.json"
+    meta = json.loads(meta_path.read_text())
+    assert meta["version"] == gan.GAN_VERSION == 2
+    meta_path.write_text(json.dumps({**meta, "version": 1}))
+    with pytest.raises(ContractError,
+                       match=re.escape(f"not a oris-gan v2 directory: {tmp_path / 'g'}")):
+        gan.load_gan(tmp_path / "g")
+
+
+@pytest.mark.parametrize("missing", ["gan.json", "out_scale", "w_max"])
+def test_load_gan_names_what_is_missing(tmp_path, missing):
+    S = mixture_states(100, np.random.default_rng(34))
+    hp = gan.GanHparams(z_dim=2, hidden=(8,), iterations=2, batch_size=16)
+    gan.save_gan(gan.pretrain(S, hp, np.random.default_rng(35))[0], tmp_path / "g")
+    meta_path = tmp_path / "g" / "gan.json"
+    if missing == "gan.json":
+        meta_path.unlink()
+        match = re.escape(f"directory: {tmp_path / 'g'}")
+    else:
+        meta = json.loads(meta_path.read_text())
+        del meta[missing]
+        meta_path.write_text(json.dumps(meta))
+        match = f"gan.json lacks \\['{missing}'\\]"
+    with pytest.raises(ContractError, match=match):
+        gan.load_gan(tmp_path / "g")
+
+
+def test_fit_key_changes_with_the_entry_format(monkeypatch):
+    """A store entry is keyed on GAN_VERSION too, so entries of another format
+    sit under keys that are not looked up."""
+    states = np.random.default_rng(36).normal(size=(120, 2))
+    hp = gan.GanHparams(z_dim=2, hidden=(8,), iterations=5, batch_size=16)
+
+    def key():
+        return gan.fit_key(gan.fit_inputs(states, hp, np.random.default_rng(37)))
+
+    before = key()
+    monkeypatch.setattr(gan, "GAN_VERSION", 1)
+    assert gan.fit_inputs(states, hp, np.random.default_rng(37))["gan_version"] == 1
+    assert key() != before
+    monkeypatch.undo()
+    assert key() == before

@@ -54,7 +54,8 @@ AGENT_FILE_SHA256 = {
     "target2.mlp": "49b1a68dbcec799e4a4f2cd1aa4e8d2bcd1e959cfb36e8672f61bb369a2d30e7",
 }
 AGENT_F8_UPDATED_SHA256 = "bc584e34c07bf7cc004da3a2cef8f892984c0f9d6fc5ed5c4848275f05ca6fc2"
-FIT_KEY = "ca762d80e926c5ce097c4178f14681092faa5086ac26f3f86599563a9ad1727f"
+# fit_inputs carries gan_version since GAN_VERSION 2, so the key moved with it
+FIT_KEY = "2940af315fccfb3480d3285f246c075178b2993afacbfdbab55c547354243933"
 # recorded with the dataset script that `oris gen-dataset` replaced, run at
 # test_datasets.TINY and seed 0; it wrote the same refs with unsorted keys
 GEN_DATASET_SHA256 = {

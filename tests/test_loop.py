@@ -24,8 +24,8 @@ def rigged_gan(target, sigma=0.0):
     restart noise)."""
     target = np.asarray(target, dtype=np.float64)
     d = len(target)
-    gen = nets.MlpNet.he_uniform([2, 4, d], "relu", "tanh", seed=0, dtype=np.float64)
-    disc = nets.MlpNet.he_uniform([d, 4, 1], "relu", "sigmoid", seed=1, dtype=np.float64)
+    gen = nets.MlpNet.he_uniform([2, 4, d], seed=0, dtype=np.float64)
+    disc = nets.MlpNet.he_uniform([d, 4, 1], seed=1, dtype=np.float64)
     for net in (gen, disc):
         for W in net.weights:
             W[:] = 0.0
@@ -305,13 +305,14 @@ def test_train_packs_offline_rows_only_for_variants_that_draw_them(
     assert capacities == [5] + [len(pend_random)] * packs_offline
 
 
-def test_train_oris_uses_discriminator_weights(pend_random):
+def test_train_oris_uses_discriminator_weights(monkeypatch, pend_random):
     """With a rigged discriminator at D = 0.2 every sim weight is 0.6."""
     g = rigged_gan([1.0, 0.0, 0.0])
     g.discriminator.biases[-1][:] = np.log(0.2 / 0.8)
+    monkeypatch.setattr(gan, "pretrain", lambda states, hp, rng: (g, None))
     cfg = OrisConfig(variant="oris", rollout_horizon=5, rollout_count=2,
                      epochs=1, updates_per_epoch=2, eval_episodes=1)
-    _, reports = loop.train(pend_random, GAP, cfg, HP, seed=2, g=g)
+    _, reports = loop.train(pend_random, GAP, cfg, HP, seed=2)
     assert reports[0].mean_sim_weight == pytest.approx(0.6, abs=1e-12)
 
 

@@ -72,18 +72,15 @@ def test_gradcheck_fails_a_corrupted_gradient(case, edit):
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), k=st.sampled_from([1, 2, 3]), dtype=FLOATS,
-       hidden=st.sampled_from(nets.HIDDEN_ACTIVATIONS),
-       output=st.sampled_from(nets.OUTPUT_ACTIVATIONS),
        sizes=st.sampled_from([(4, 16, 16, 1), (4, 16, 16, 3), (5, 1, 8, 2)]),
-       n=st.sampled_from([1, 256]), shared=st.booleans(), wrt_pre=st.booleans())
+       n=st.sampled_from([1, 256]), shared=st.booleans())
 @settings(max_examples=80, deadline=None)
-def test_stack_kernels_match_their_members_bitwise(seed, k, dtype, hidden, output, sizes,
-                                                   n, shared, wrt_pre):
+def test_stack_kernels_match_their_members_bitwise(seed, k, dtype, sizes, n, shared):
     """A stack of k nets gives, row for row, the bits of k separate nets:
     forward (from one shared batch or a batch per member), both backwards,
     two Adam steps and a soft update."""
     rng = np.random.default_rng(seed)
-    members = [nets.MlpNet.he_uniform(list(sizes), hidden, output, seed=int(s), dtype=dtype)
+    members = [nets.MlpNet.he_uniform(list(sizes), seed=int(s), dtype=dtype)
                for s in rng.integers(2 ** 31, size=k)]
     for m in members:
         for b in m.biases:
@@ -96,22 +93,20 @@ def test_stack_kernels_match_their_members_bitwise(seed, k, dtype, hidden, outpu
     opts = [nets.AdamState.for_net(m, 1e-2) for m in members]
     for _ in range(2):
         out = nets.forward_batch(stacked, x)
-        pre = nets.output_preactivation(stacked)
-        g = nets.backward_batch(stacked, up, wrt_pre)
-        g_in = nets.backward_input(stacked, up, wrt_pre)
+        g = nets.backward_batch(stacked, up)
+        g_in = nets.backward_input(stacked, up)
         assert out.shape == (k, n, sizes[-1]) and g_in.shape == (k, n, sizes[0])
         for j, m in enumerate(members):
             assert _bits(nets.forward_batch(m, x if shared else x[j])) == _bits(out[j])
-            assert _bits(nets.output_preactivation(m)) == _bits(pre[j])
-            g_m = nets.backward_batch(m, up[j], wrt_pre)
+            g_m = nets.backward_batch(m, up[j])
             assert _bits(g_m) == _bits(g[j])
-            assert _bits(nets.backward_input(m, up[j], wrt_pre)) == _bits(g_in[j])
+            assert _bits(nets.backward_input(m, up[j])) == _bits(g_in[j])
             nets.adam_step(m, g_m, opts[j])
         nets.adam_step(stacked, g, opt)
         for j, m in enumerate(members):
             assert _bits(m.params) == _bits(stacked.params[j])
             assert _bits(opts[j].m) == _bits(opt.m[j]) and _bits(opts[j].v) == _bits(opt.v[j])
-    targets = [nets.MlpNet.he_uniform(list(sizes), hidden, output, seed=j, dtype=dtype)
+    targets = [nets.MlpNet.he_uniform(list(sizes), seed=j, dtype=dtype)
                for j in range(k)]
     stacked_targets = nets.stack(targets)
     nets.soft_update(stacked_targets, stacked, 0.3)
@@ -129,7 +124,6 @@ def test_stack_contract():
     assert pair.params.shape == (2, a.params.size)
     assert pair.weights[0].shape == (2, 4, 3) and pair.biases[0].shape == (2, 4)
     for bad in ([a, nets.MlpNet.he_uniform([3, 5, 1], seed=3)],
-                [a, nets.MlpNet.he_uniform([3, 4, 1], output_activation="tanh", seed=3)],
                 [a, nets.MlpNet.he_uniform([3, 4, 1], seed=3, dtype=np.float64)],
                 [a, pair]):
         with pytest.raises(ContractError):
@@ -155,23 +149,6 @@ def test_stack_contract():
         nets.save_checkpoint(pair, "unused.mlp")
 
 
-def test_backward_wrt_preactivation_matches_chain_rule():
-    rng = np.random.default_rng(3)
-    net = oracles.make_role_net("discriminator", seed=5)
-    x = rng.normal(size=(6, net.in_dim))
-    y = nets.forward_batch(net, x)
-    upstream = rng.normal(size=y.shape)
-    g_via_output = nets.backward_batch(net, upstream)
-    # same upstream folded through sigmoid' by hand
-    nets.forward_batch(net, x)
-    g_via_pre = nets.backward_batch(net, upstream * y * (1.0 - y), wrt_preactivation=True)
-    np.testing.assert_allclose(g_via_output, g_via_pre, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(nets.backward_input(net, upstream),
-                               nets.backward_input(net, upstream * y * (1.0 - y),
-                                                   wrt_preactivation=True),
-                               rtol=1e-12, atol=0)
-
-
 def test_forward_vector_matches_batch_row():
     net = oracles.make_role_net("actor", seed=1)
     rng = np.random.default_rng(0)
@@ -195,8 +172,6 @@ def test_backward_before_forward_raises():
     with pytest.raises(UsageError):
         nets.backward_batch(net, np.zeros((1, 1)))
     with pytest.raises(UsageError):
-        nets.output_preactivation(net)
-    with pytest.raises(UsageError):
         nets.backward_input(net, np.zeros((1, 1)))
 
 
@@ -215,7 +190,7 @@ def test_adam_matches_reference_implementation():
 
 def test_adam_first_step_constant_gradient():
     # with constant gradient g, step 1 moves each param by ~lr * sign(g)
-    net = nets.MlpNet([1, 1], np.array([2.0, 0.5]), "relu", "identity", dtype=np.float64)
+    net = nets.MlpNet([1, 1], np.array([2.0, 0.5]), dtype=np.float64)
     opt = nets.AdamState.for_net(net, learning_rate=0.1)
     g = np.array([3.0, -3.0])  # W then b
     nets.adam_step(net, g, opt)
@@ -288,33 +263,28 @@ def test_flat_adam_matches_per_tensor_reference_bitwise():
             assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("wrt_pre", [False, True])
-@pytest.mark.parametrize("output", nets.OUTPUT_ACTIVATIONS)
-@pytest.mark.parametrize("hidden", nets.HIDDEN_ACTIVATIONS)
-def test_backward_input_equals_backward_batch_input(hidden, output, wrt_pre):
+def test_backward_input_equals_backward_batch_input():
     """backward_batch stops at layer 0, but for one row its layer-0 bias
     gradient is d(loss)/d(layer-0 pre-activation), so the input gradient it
     implies is that row times W0. backward_input gives those bits row by row,
     and matches central differences over the whole batch."""
     rng = np.random.default_rng(14)
-    net = nets.MlpNet.he_uniform([4, 16, 16, 3], hidden, output, seed=6,
-                                 dtype=np.float64)
+    net = nets.MlpNet.he_uniform([4, 16, 16, 3], seed=6, dtype=np.float64)
     x = rng.normal(size=(9, 4))
     while not oracles.far_from_relu_kinks(net, x):
         x = rng.normal(size=(9, 4))
     upstream = rng.normal(size=(9, 3))
     for i in range(9):
         nets.forward_batch(net, x[i:i + 1])
-        g = nets.backward_batch(net, upstream[i:i + 1], wrt_pre)
+        g = nets.backward_batch(net, upstream[i:i + 1])
         implied = nets._views(g, net.layer_sizes)[1][0][None] @ net.weights[0]
-        assert np.array_equal(nets.backward_input(net, upstream[i:i + 1], wrt_pre), implied)
+        assert np.array_equal(nets.backward_input(net, upstream[i:i + 1]), implied)
 
     nets.forward_batch(net, x)
-    alone = nets.backward_input(net, upstream, wrt_pre)
+    alone = nets.backward_input(net, upstream)
 
     def loss(xv):
-        y = nets.forward_batch(net, xv.reshape(x.shape))
-        return float(np.sum(upstream * (nets.output_preactivation(net) if wrt_pre else y)))
+        return float(np.sum(upstream * nets.forward_batch(net, xv.reshape(x.shape))))
 
     assert oracles.max_rel_err(alone.ravel(), oracles.fd_grad(loss, x.ravel())) < 1e-4
 
@@ -388,7 +358,7 @@ def test_relu_against_zeros_matches_the_scalar_zero_bitwise(z):
     buffer zero."""
     for x in (z, np.resize(z, (2, nets._ZEROS_FROM))):
         want = np.maximum(x, x.dtype.type(0.0))
-        got = nets._hidden_act("relu", x.copy())
+        got = nets._relu(x.copy())
         assert _bits(got) == _bits(want)
     buf = nets._ZEROS[z.dtype]
     assert buf.size >= 2 * nets._ZEROS_FROM and not buf.flags.writeable
@@ -483,7 +453,6 @@ def test_checkpoint_roundtrip_exact(tmp_path):
     loaded = nets.load_checkpoint(path)
     np.testing.assert_array_equal(nets.get_flat_params(loaded), nets.get_flat_params(net))
     assert loaded.layer_sizes == net.layer_sizes
-    assert loaded.output_activation == net.output_activation
     assert loaded.init_seed == net.init_seed
     # a second save of the loaded net is byte-identical
     path2 = tmp_path / "gen2.mlp"
@@ -518,11 +487,9 @@ def test_invalid_construction_rejected():
         nets.MlpNet.he_uniform([3], seed=0)
     with pytest.raises(ContractError):
         nets.MlpNet.he_uniform([3, 0, 1], seed=0)
-    with pytest.raises(ContractError):
-        nets.MlpNet.he_uniform([3, 4, 1], hidden_activation="gelu", seed=0)
     for params in (np.zeros(5), np.zeros(7), np.zeros((1, 1, 6)), np.float64(0.0)):
         with pytest.raises(ContractError, match="params for layer_sizes"):
-            nets.MlpNet([2, 2], params, "relu", "identity")
+            nets.MlpNet([2, 2], params)
     with pytest.raises(ContractError):
         nets.MlpNet.he_uniform([3, 4, 1], seed=0, dtype=np.float16)
 
@@ -550,7 +517,7 @@ def test_adam_step_rejects_gradients_of_another_dtype():
 
 @pytest.mark.parametrize("dtype, tag", [(np.float32, "<f4"), (np.float64, "<f8")])
 def test_checkpoint_records_its_dtype(tmp_path, dtype, tag):
-    net = nets.MlpNet.he_uniform([3, 8, 2], "tanh", "sigmoid", seed=12, dtype=dtype)
+    net = nets.MlpNet.he_uniform([3, 8, 2], seed=12, dtype=dtype)
     nets.soft_update(net, nets.MlpNet.he_uniform([3, 8, 2], seed=13, dtype=dtype), 0.3)
     nets.save_checkpoint(net, tmp_path / "n.mlp")
     header, blob = (tmp_path / "n.mlp").read_bytes().split(b"\n", 1)
@@ -575,3 +542,53 @@ def test_checkpoint_without_dtype_reads_as_float64(tmp_path):
     (tmp_path / "bad.mlp").write_bytes(json.dumps(old).encode() + b"\n" + blob)
     with pytest.raises(ContractError):
         nets.load_checkpoint(tmp_path / "bad.mlp")
+
+
+def _with_header(src, dest, edit):
+    """Copy the record file src to dest with edit(header dict) applied to its
+    header line."""
+    header, blob = src.read_bytes().split(b"\n", 1)
+    header = json.loads(header)
+    edit(header)
+    dest.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+    return dest
+
+
+@pytest.mark.parametrize("hidden, output", [("relu", "tanh"), ("relu", "sigmoid"),
+                                            ("tanh", "identity")])
+def test_checkpoint_refuses_activations_other_than_relu_and_identity(tmp_path, hidden,
+                                                                     output):
+    """Every net is relu layers and an affine output, and its checkpoint says
+    so. A header naming a squashed output, as the GAN's files did before it
+    squashed its nets' outputs itself, or tanh hidden layers, is refused by
+    name: those parameters compute another function here."""
+    net = nets.MlpNet.he_uniform([3, 4, 1], seed=0)
+    nets.save_checkpoint(net, tmp_path / "n.mlp")
+    header = json.loads((tmp_path / "n.mlp").read_bytes().split(b"\n", 1)[0])
+    assert (header["hidden_activation"], header["output_activation"]) == ("relu", "identity")
+    old = _with_header(tmp_path / "n.mlp", tmp_path / "old.mlp", lambda h: h.update(
+        hidden_activation=hidden, output_activation=output))
+    with pytest.raises(ContractError, match=f"old.mlp holds {hidden} layers and {output}"):
+        nets.load_checkpoint(old)
+
+
+@pytest.mark.parametrize("kind, key", [("mlp", "layer_sizes"), ("mlp", "param_count"),
+                                       ("mlp", "output_activation"), ("adam", "step_count"),
+                                       ("adam", "learning_rate"), ("adam", "param_count")])
+def test_loaders_name_the_file_a_header_key_is_missing_from(tmp_path, kind, key):
+    net = nets.MlpNet.he_uniform([3, 4, 1], seed=0)
+    nets.save_checkpoint(net, tmp_path / "n.mlp")
+    nets.save_adam(nets.AdamState.for_net(net, 1e-3), tmp_path / "n.adam")
+    bad = _with_header(tmp_path / f"n.{kind}", tmp_path / f"bad.{kind}", lambda h: h.pop(key))
+    with pytest.raises(ContractError, match=f"bad.{kind}"):
+        if kind == "mlp":
+            nets.load_checkpoint(bad)
+        else:
+            nets.load_adam(bad, net)
+
+
+def test_loaders_name_a_missing_file(tmp_path):
+    with pytest.raises(ContractError, match="cannot read oris-mlp file .*absent.mlp"):
+        nets.load_checkpoint(tmp_path / "absent.mlp")
+    with pytest.raises(ContractError, match="cannot read oris-adam file .*absent.adam"):
+        nets.load_adam(tmp_path / "absent.adam", nets.MlpNet.he_uniform([3, 4, 1], seed=0))

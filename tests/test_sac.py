@@ -630,25 +630,25 @@ def test_float32_critic_error_guard_raises_without_warnings():
 
 def _record_dtypes(monkeypatch):
     """Wrap the nets entry points to record the dtype of every output,
-    recorded activation, upstream gradient, gradient, Adam moment and
-    Bellman target that passes through them."""
+    recorded activation, upstream gradient, gradient, Adam moment, Bellman
+    target and discriminator probability that passes through them."""
     seen = set()
     forward_batch, backward_batch = nets.forward_batch, nets.backward_batch
     backward_input, adam_step = nets.backward_input, nets.adam_step
-    bellman_targets = sac.bellman_targets
+    bellman_targets, sigmoid = sac.bellman_targets, gan._sigmoid
 
     def fwd(net, x):
         out = forward_batch(net, x)
-        seen.update(a.dtype for a in (out, *net._acts, nets.output_preactivation(net)))
+        seen.update(a.dtype for a in (out, *net._acts))
         return out
 
-    def bwd(net, grad_out, wrt_preactivation=False):
-        g = backward_batch(net, grad_out, wrt_preactivation)
+    def bwd(net, grad_out):
+        g = backward_batch(net, grad_out)
         seen.update((grad_out.dtype, g.dtype))
         return g
 
-    def bwd_input(net, grad_out, wrt_preactivation=False):
-        d = backward_input(net, grad_out, wrt_preactivation)
+    def bwd_input(net, grad_out):
+        d = backward_input(net, grad_out)
         seen.update((grad_out.dtype, d.dtype))
         return d
 
@@ -661,9 +661,14 @@ def _record_dtypes(monkeypatch):
         seen.add(y.dtype)
         return y
 
+    def probs(z):
+        d = sigmoid(z)
+        seen.add(d.dtype)
+        return d
+
     for owner, name, fn in ((nets, "forward_batch", fwd), (nets, "backward_batch", bwd),
                             (nets, "backward_input", bwd_input), (nets, "adam_step", adam),
-                            (sac, "bellman_targets", targets)):
+                            (sac, "bellman_targets", targets), (gan, "_sigmoid", probs)):
         monkeypatch.setattr(owner, name, fn)
     return seen
 
