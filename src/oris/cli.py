@@ -44,10 +44,9 @@ def cmd_gen_dataset(args) -> int:
     _eprint(f"refs: random {refs['random_ref']:.1f}, "
             f"expert {refs['expert_ref']:.1f}")
     try:
-        harness.normalized_score(0.0, refs["random_ref"], refs["expert_ref"])
+        harness.Refs.from_json(refs, str(refs_path))
     except ConfigError as e:
-        _eprint(f"warning: {refs_path}: {e}; oris train and oris study "
-                "refuse this refs file")
+        _eprint(f"warning: {e}; oris train and oris study refuse this refs file")
 
     for tier, episodes in presets.TIER_EPISODES[args.env].items():
         ds = datasets.generate_dataset(args.env, tier, episodes, args.seed + 1,

@@ -2,10 +2,12 @@
 
 A Config subclass writes each field under its own name: tuples as lists and
 nested Configs as objects. from_json reads the same form back. A missing key
-takes the field's default, a list becomes a tuple, a JSON integer in a float
-field becomes a float, and a nested object becomes its Config. An unknown key,
-a value of the wrong type, or one the constructor refuses raises an error
-that names the section path, e.g. `config.perturbation`.
+takes the field's default, a list becomes a tuple (each entry decoded as X in
+a `tuple[X, ...]` field), a JSON integer in a float field becomes a float,
+and a nested object becomes its Config. An unknown key, a value of the wrong
+type, or one the constructor refuses raises an error that names the section
+path, e.g. `config.perturbation` or `actor.mlp.layer_sizes[1]`. The headers
+of the files the package writes are Configs too.
 """
 
 from __future__ import annotations
@@ -33,6 +35,11 @@ def _decode(tp, value, path: str):
         if value is None:
             return None
         (tp,) = (t for t in tp.__args__ if t is not type(None))
+    if isinstance(tp, types.GenericAlias):  # tuple[X, ...]
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected tuple, got {value!r}")
+        x = tp.__args__[0]
+        return tuple(_decode(x, v, f"{path}[{i}]") for i, v in enumerate(value))
     if issubclass(tp, Config):
         return tp.from_json(value, path)
     if tp is float and isinstance(value, int):
@@ -74,6 +81,17 @@ class Config:
             raise type(e)(f"{path}: {e}") from None
         except (TypeError, ValueError) as e:  # a missing key, or a checked value of a bad kind
             raise ConfigError(f"{path}: {e}") from None
+
+
+def read_header(cls, d, path, dirpath=None):
+    """Header `d` of file `path`, read as a `cls` once it states cls.format
+    and cls.version. Anything else (where the file is absent, pass {}) is
+    refused as not a file of that format, or, if the file heads `dirpath`,
+    not such a directory."""
+    if not isinstance(d, dict) or (d.get("format"), d.get("version")) != (cls.format, cls.version):
+        what = f"file: {path}" if dirpath is None else f"directory: {dirpath}"
+        raise ContractError(f"not a {cls.format} v{cls.version} {what}")
+    return cls.from_json(d, str(path))
 
 
 def load_json(path) -> dict:

@@ -314,7 +314,7 @@ def load_dataset(path) -> Dataset:
             header = json.loads(header_line)
         except json.JSONDecodeError as e:
             raise ContractError(f"bad dataset header in {path}: {e}") from e
-        if header.get("format") != DATASET_FORMAT:
+        if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
             raise ContractError(f"not a {DATASET_FORMAT} file: {path}")
         if header.get("version") != DATASET_VERSION:
             raise ContractError(f"unsupported dataset version {header.get('version')}")

@@ -76,8 +76,8 @@ class ReferenceRun:
 
     def policy_at(self, ck: Checkpoint, mode: str = "stochastic"):
         """Behavior policy replaying the actor stored in a checkpoint."""
-        actor = nets.clone_net(self.agent.actor)
-        nets.set_flat_params(actor, ck.actor_params)
+        a = self.agent.actor
+        actor = nets.MlpNet(list(a.layer_sizes), ck.actor_params, a.init_seed, a.dtype)
         shadow = dataclasses.replace(self.agent, actor=actor)
 
         def policy(obs, rng):
@@ -153,7 +153,7 @@ def train_reference(env_id: str, hp: ReferenceHparams, seed: int,
             det = lambda o, _r: sac.act(agent, o, "deterministic")
             ret, _, _ = envs.evaluate_policy(spec, det, hp.eval_episodes, rng_eval)
             checkpoints.append(Checkpoint(step, len(episodes), ret,
-                                          nets.get_flat_params(agent.actor)))
+                                          agent.actor.params.copy()))
             if progress is not None:
                 progress(step, ret)
     if current:

@@ -27,11 +27,10 @@ import tempfile
 import numpy as np
 
 from . import nets
-from .config import Config, load_json
+from .config import Config, load_json, read_header
 from .errors import ContractError, NumericsError
 from .files import atomic_write
 
-GAN_FORMAT = "oris-gan"
 GAN_VERSION = 2  # 1: the nets squashed their own outputs
 REPORT_FILE = "report.json"
 
@@ -260,46 +259,45 @@ def pretrain(states, hparams: GanHparams, rng: np.random.Generator):
     return pair, GanTrainReport(*(c.copy() for c in curves))
 
 
+@dataclass(frozen=True, kw_only=True)
+class GanMeta(Config):
+    """gan.json: what a GanPair holds besides its two nets."""
+
+    format: str = "oris-gan"
+    version: int = GAN_VERSION
+    z_dim: int
+    mean: tuple[float, ...]
+    std: tuple[float, ...]
+    out_scale: tuple[float, ...]
+    restart_noise_sigma: float
+    w_min: float
+    w_max: float
+
+
 def save_gan(gan: GanPair, dirpath) -> None:
     os.makedirs(dirpath, exist_ok=True)
     nets.save_checkpoint(gan.generator, os.path.join(dirpath, "generator.mlp"))
     nets.save_checkpoint(gan.discriminator, os.path.join(dirpath, "discriminator.mlp"))
-    meta = {
-        "format": GAN_FORMAT,
-        "version": GAN_VERSION,
-        "z_dim": gan.generator.in_dim,
-        "mean": list(gan.normalizer.mean),
-        "std": list(gan.normalizer.std),
-        "out_scale": list(gan.out_scale),
-        "restart_noise_sigma": gan.restart_noise_sigma,
-        "w_min": gan.w_min,
-        "w_max": gan.w_max,
-    }
+    meta = GanMeta(z_dim=gan.generator.in_dim, mean=tuple(gan.normalizer.mean),
+                   std=tuple(gan.normalizer.std), out_scale=tuple(gan.out_scale),
+                   restart_noise_sigma=gan.restart_noise_sigma,
+                   w_min=gan.w_min, w_max=gan.w_max)
     with atomic_write(os.path.join(dirpath, "gan.json")) as f:
-        json.dump(meta, f, indent=1)
+        json.dump(meta.to_json(), f, indent=1)
         f.write("\n")
 
 
 def load_gan(dirpath) -> GanPair:
     path = os.path.join(dirpath, "gan.json")
-    meta = load_json(path) if os.path.isfile(path) else {}
-    if meta.get("format") != GAN_FORMAT or meta.get("version") != GAN_VERSION:
-        raise ContractError(f"not a {GAN_FORMAT} v{GAN_VERSION} directory: {dirpath}")
-    missing = {"z_dim", "mean", "std", "out_scale", "restart_noise_sigma", "w_min",
-               "w_max"} - meta.keys()
-    if missing:
-        raise ContractError(f"{path} lacks {sorted(missing)}")
+    meta = read_header(GanMeta, load_json(path) if os.path.isfile(path) else {},
+                       path, dirpath)
     gen = nets.load_checkpoint(os.path.join(dirpath, "generator.mlp"))
     disc = nets.load_checkpoint(os.path.join(dirpath, "discriminator.mlp"))
-    if meta["z_dim"] != gen.in_dim:
-        raise ContractError(f"{dirpath}: gan.json has z_dim {meta['z_dim']!r}, "
+    if meta.z_dim != gen.in_dim:
+        raise ContractError(f"{dirpath}: gan.json has z_dim {meta.z_dim}, "
                             f"but the generator takes {gen.in_dim} inputs")
-    norm = StateNormalizer(np.array(meta["mean"], dtype=np.float64),
-                           np.array(meta["std"], dtype=np.float64))
-    return GanPair(gen, disc, norm,
-                   np.array(meta["out_scale"], dtype=np.float64),
-                   float(meta["restart_noise_sigma"]),
-                   float(meta["w_min"]), float(meta["w_max"]))
+    return GanPair(gen, disc, StateNormalizer(np.array(meta.mean), np.array(meta.std)),
+                   np.array(meta.out_scale), meta.restart_noise_sigma, meta.w_min, meta.w_max)
 
 
 @functools.cache

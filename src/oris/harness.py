@@ -40,6 +40,21 @@ def normalized_score(raw: float, random_ref: float, expert_ref: float) -> float:
     return 100.0 * (raw - random_ref) / (expert_ref - random_ref)
 
 
+@dataclass(frozen=True, kw_only=True)
+class Refs(Config):
+    """The refs file `oris gen-dataset` writes, or a config's inline refs
+    (which take the config's env_id): the returns a score is anchored at."""
+
+    env_id: str
+    random_ref: float
+    expert_ref: float
+    seed: int | None = None
+    medium_return: float | None = None
+
+    def __post_init__(self):
+        normalized_score(0.0, self.random_ref, self.expert_ref)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig(Config):
     env_id: str
@@ -70,24 +85,23 @@ class ExperimentConfig(Config):
         if (self.refs is None) == (self.refs_path is None):
             raise ConfigError("provide exactly one of refs / refs_path")
         if self.refs is not None:
-            self._check_refs(self.refs)
+            self.resolve_refs()
         if self.variant != self.oris.variant:
             object.__setattr__(self, "oris",
                                dataclasses.replace(self.oris, variant=self.variant))
 
-    @staticmethod
-    def _check_refs(refs: dict):
-        missing = {"random_ref", "expert_ref"} - set(refs)
-        if missing:
-            raise ConfigError(f"refs missing {sorted(missing)}")
-        normalized_score(0.0, refs["random_ref"], refs["expert_ref"])
-
     def resolve_refs(self) -> tuple[float, float]:
-        refs = self.refs
-        if refs is None:
-            refs = load_json(self.refs_path)
-            self._check_refs(refs)
-        return float(refs["random_ref"]), float(refs["expert_ref"])
+        """(random_ref, expert_ref) from the inline refs or the refs file,
+        which must be for this config's env."""
+        if self.refs is not None:
+            path, d = "refs", {"env_id": self.env_id, **self.refs}
+        else:
+            path, d = self.refs_path, load_json(self.refs_path)
+        refs = Refs.from_json(d, path)
+        if refs.env_id != self.env_id:
+            raise ConfigError(f"{path}: refs for {refs.env_id!r}, but the config "
+                              f"is for {self.env_id!r}")
+        return refs.random_ref, refs.expert_ref
 
     @classmethod
     def from_json(cls, d: dict, path: str = "config") -> "ExperimentConfig":

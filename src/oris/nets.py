@@ -41,14 +41,10 @@ import json
 
 import numpy as np
 
+from .config import Config, read_header
 from .errors import ContractError, NumericsError, UsageError
 from .files import atomic_write
 
-CHECKPOINT_FORMAT = "oris-mlp"
-CHECKPOINT_VERSION = 1
-ADAM_FORMAT = "oris-adam"
-ADAM_VERSION = 1
-_ACTIVATIONS = {"hidden_activation": "relu", "output_activation": "identity"}
 DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 # zero in each dtype, for relu and its mask: a Python 0.0 against a float32
 # array costs a scalar promotion per call, which acting on a few rows is
@@ -314,7 +310,7 @@ def adam_step(net: MlpNet, g: np.ndarray, opt: AdamState) -> None:
 
 
 @dataclass
-class ScalarAdam:
+class ScalarAdam(Config):
     """Adam for a single scalar parameter (used for the entropy temperature)."""
 
     learning_rate: float
@@ -346,17 +342,6 @@ def soft_update(target: MlpNet, source: MlpNet, tau: float) -> None:
     target.params += tau * source.params
 
 
-def get_flat_params(net: MlpNet) -> np.ndarray:
-    return net.params.copy()
-
-
-def set_flat_params(net: MlpNet, flat: np.ndarray) -> None:
-    flat = np.asarray(flat, dtype=net.dtype)
-    if flat.shape != net.params.shape:
-        raise ContractError(f"flat vector has shape {flat.shape}, want {net.params.shape}")
-    net.params[...] = flat
-
-
 def clone_net(net: MlpNet) -> MlpNet:
     return MlpNet(list(net.layer_sizes), net.params, net.init_seed, net.dtype)
 
@@ -380,20 +365,55 @@ def unstack(net: MlpNet) -> list[MlpNet]:
             for row, seed in zip(net.params, net.init_seed)]
 
 
-def _write_record(path, header: dict, *arrays) -> None:
+@dataclass(frozen=True, kw_only=True)
+class MlpHeader(Config):
+    """The header line of a checkpoint (save_checkpoint). One written before
+    checkpoints recorded a dtype holds float64."""
+
+    format: str = "oris-mlp"
+    version: int = 1
+    layer_sizes: tuple[int, ...]
+    hidden_activation: str  # "relu": every net's, which the header states
+    output_activation: str  # "identity"
+    init_seed: int = 0
+    param_count: int
+    dtype: str = "<f8"
+
+    def __post_init__(self):
+        if (self.hidden_activation, self.output_activation) != ("relu", "identity"):
+            raise ContractError(f"holds {self.hidden_activation} layers and "
+                                f"{self.output_activation} output, not relu and identity")
+
+
+@dataclass(frozen=True, kw_only=True)
+class AdamHeader(Config):
+    """The header line of an optimizer state (save_adam)."""
+
+    format: str = "oris-adam"
+    version: int = 1
+    learning_rate: float
+    beta1: float
+    beta2: float
+    epsilon: float
+    step_count: int
+    param_count: int
+    dtype: str = "<f8"
+
+
+def _write_record(path, header: MlpHeader | AdamHeader, *arrays) -> None:
     """One JSON header line, then the arrays back to back as flat
     little-endian vectors in the dtype the header records."""
     with atomic_write(path, binary=True) as f:
-        f.write(json.dumps(header).encode("utf-8"))
+        f.write(json.dumps(header.to_json()).encode("utf-8"))
         f.write(b"\n")
         for a in arrays:
-            f.write(a.astype(header["dtype"]).tobytes())
+            f.write(a.astype(header.dtype).tobytes())
 
 
-def _read_record(path, fmt: str, version: int, keys: tuple) -> tuple[dict, np.ndarray]:
-    """The header of a _write_record file, checked to be `fmt` at `version`
-    and to hold `keys`, and its data as one flat vector; a header without a
-    dtype (a checkpoint written before they recorded one) reads as "<f8"."""
+def _read_record(path, cls):
+    """The header of a _write_record file, read as a `cls` (MlpHeader or
+    AdamHeader, see read_header), and its data as one flat vector."""
+    fmt = cls.format
     try:
         with open(path, "rb") as f:
             header_line, _, blob = f.read().partition(b"\n")
@@ -403,19 +423,12 @@ def _read_record(path, fmt: str, version: int, keys: tuple) -> tuple[dict, np.nd
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ContractError(f"bad {fmt} header in {path}: {e}") from e
-    if header.get("format") != fmt:
-        raise ContractError(f"not a {fmt} file: {path}")
-    if header.get("version") != version:
-        raise ContractError(f"unsupported {fmt} version {header.get('version')} in {path}")
-    missing = [k for k in keys if k not in header]
-    if missing:
-        raise ContractError(f"{fmt} header in {path} lacks {', '.join(missing)}")
-    header.setdefault("dtype", "<f8")
-    if header["dtype"] not in ("<f4", "<f8"):
-        raise ContractError(f"unsupported {fmt} dtype {header['dtype']!r} in {path}")
-    if len(blob) % np.dtype(header["dtype"]).itemsize:
+    header = read_header(cls, header, path)
+    if header.dtype not in ("<f4", "<f8"):
+        raise ContractError(f"unsupported {fmt} dtype {header.dtype!r} in {path}")
+    if len(blob) % np.dtype(header.dtype).itemsize:
         raise ContractError(f"truncated {fmt} data in {path}")
-    return header, np.frombuffer(blob, dtype=header["dtype"])
+    return header, np.frombuffer(blob, dtype=header.dtype)
 
 
 def save_checkpoint(net: MlpNet, path) -> None:
@@ -424,30 +437,19 @@ def save_checkpoint(net: MlpNet, path) -> None:
     saved member by member (unstack)."""
     if net.stack_size is not None:
         raise ContractError("save_checkpoint takes a single net; save a stack's members")
-    _write_record(path, {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "layer_sizes": list(net.layer_sizes),
-        **_ACTIVATIONS,
-        "init_seed": net.init_seed,
-        "param_count": net.params.size,
-        "dtype": net.dtype.newbyteorder("<").str,
-    }, net.params)
+    _write_record(path, MlpHeader(
+        layer_sizes=tuple(net.layer_sizes), hidden_activation="relu",
+        output_activation="identity", init_seed=net.init_seed, param_count=net.params.size,
+        dtype=net.dtype.newbyteorder("<").str), net.params)
 
 
 def load_checkpoint(path) -> MlpNet:
-    """The net a checkpoint holds, in the dtype it records; a header without
-    one (written before checkpoints recorded it) holds float64."""
-    header, flat = _read_record(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
-                                ("layer_sizes", "param_count"))
-    if any(header.get(k) != v for k, v in _ACTIVATIONS.items()):
-        raise ContractError(f"{path} holds {header.get('hidden_activation')} layers and "
-                            f"{header.get('output_activation')} output, not relu and identity")
-    if flat.size != header["param_count"]:
+    """The net a checkpoint holds, in the dtype it records."""
+    header, flat = _read_record(path, MlpHeader)
+    if flat.size != header.param_count:
         raise ContractError(f"checkpoint parameter count mismatch in {path}")
     try:
-        return MlpNet([int(s) for s in header["layer_sizes"]], flat,
-                      header.get("init_seed", 0), header["dtype"])
+        return MlpNet(list(header.layer_sizes), flat, header.init_seed, header.dtype)
     except ContractError as e:
         raise ContractError(f"bad checkpoint {path}: {e}") from e
 
@@ -455,29 +457,20 @@ def load_checkpoint(path) -> MlpNet:
 def save_adam(opt: AdamState, path) -> None:
     """The optimizer's settings and step count in the header line, then its
     moments m and v in their dtype."""
-    _write_record(path, {
-        "format": ADAM_FORMAT,
-        "version": ADAM_VERSION,
-        "learning_rate": opt.learning_rate,
-        "beta1": opt.beta1,
-        "beta2": opt.beta2,
-        "epsilon": opt.epsilon,
-        "step_count": opt.step_count,
-        "param_count": opt.m.size,
-        "dtype": opt.m.dtype.newbyteorder("<").str,
-    }, opt.m, opt.v)
+    _write_record(path, AdamHeader(
+        learning_rate=opt.learning_rate, beta1=opt.beta1, beta2=opt.beta2,
+        epsilon=opt.epsilon, step_count=opt.step_count, param_count=opt.m.size,
+        dtype=opt.m.dtype.newbyteorder("<").str), opt.m, opt.v)
 
 
 def load_adam(path, net: MlpNet) -> AdamState:
     """The AdamState save_adam wrote, checked to fit `net`."""
-    header, mv = _read_record(path, ADAM_FORMAT, ADAM_VERSION, ("learning_rate", "beta1", "beta2",
-                              "epsilon", "step_count", "param_count"))
+    header, mv = _read_record(path, AdamHeader)
     n = net.params.size
-    if header["param_count"] != n or mv.size != 2 * n or np.dtype(header["dtype"]) != net.dtype:
+    if header.param_count != n or mv.size != 2 * n or np.dtype(header.dtype) != net.dtype:
         raise ContractError(f"optimizer state in {path} does not fit a {n}-parameter "
                             f"{net.dtype} net")
-    opt = AdamState(float(header["learning_rate"]), float(header["beta1"]),
-                    float(header["beta2"]), float(header["epsilon"]),
-                    int(header["step_count"]))
+    opt = AdamState(header.learning_rate, header.beta1, header.beta2, header.epsilon,
+                    header.step_count)
     opt.m, opt.v = mv[:n].astype(net.dtype), mv[n:].astype(net.dtype)
     return opt

@@ -24,12 +24,9 @@ import os
 import numpy as np
 
 from . import nets
-from .config import Config, load_json
+from .config import Config, load_json, read_header
 from .errors import ContractError, NumericsError
 from .files import atomic_write
-
-AGENT_FORMAT = "oris-sac"
-AGENT_VERSION = 1
 
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
@@ -340,6 +337,22 @@ def _stack_adam(opts: list) -> nets.AdamState:
                                v=np.stack([o.v for o in opts]))
 
 
+@dataclass(frozen=True, kw_only=True)
+class AgentMeta(Config):
+    """agent.json: the agent's scalars and hparams, and its temperature
+    optimizer, which a directory written before agents kept their optimizers
+    lacks."""
+
+    format: str = "oris-sac"
+    version: int = 1
+    log_temperature: float
+    target_entropy: float
+    action_scale: float
+    update_count: int = 0
+    hparams: SacHparams
+    opt_temperature: nets.ScalarAdam | None = None
+
+
 def save_agent(agent: SacAgent, dirpath) -> None:
     """The five nets, the three Adam states and agent.json (which holds the
     temperature optimizer), so a reloaded agent updates as the saved one would.
@@ -352,18 +365,12 @@ def save_agent(agent: SacAgent, dirpath) -> None:
         nets.save_checkpoint(net, os.path.join(dirpath, f"{name}.mlp"))
     for name, opt in opts.items():
         nets.save_adam(opt, os.path.join(dirpath, f"opt_{name}.adam"))
-    meta = {
-        "format": AGENT_FORMAT,
-        "version": AGENT_VERSION,
-        "log_temperature": agent.log_temperature,
-        "target_entropy": agent.target_entropy,
-        "action_scale": agent.action_scale,
-        "update_count": agent.update_count,
-        "hparams": agent.hparams.to_json(),
-        "opt_temperature": dataclasses.asdict(agent.opt_temperature),
-    }
+    meta = AgentMeta(log_temperature=agent.log_temperature,
+                     target_entropy=agent.target_entropy, action_scale=agent.action_scale,
+                     update_count=agent.update_count, hparams=agent.hparams,
+                     opt_temperature=agent.opt_temperature)
     with atomic_write(os.path.join(dirpath, "agent.json")) as f:
-        json.dump(meta, f, indent=1)
+        json.dump(meta.to_json(), f, indent=1)
         f.write("\n")
 
 
@@ -372,22 +379,18 @@ def load_agent(dirpath) -> SacAgent:
     their optimizers (no "opt_temperature" in agent.json) loads with fresh
     optimizer state."""
     path = os.path.join(dirpath, "agent.json")
-    meta = load_json(path) if os.path.isfile(path) else {}
-    if meta.get("format") != AGENT_FORMAT or meta.get("version") != AGENT_VERSION:
-        raise ContractError(f"not a {AGENT_FORMAT} v{AGENT_VERSION} directory: {dirpath}")
-    missing = {"log_temperature", "target_entropy", "action_scale", "hparams"} - meta.keys()
-    if missing:
-        raise ContractError(f"{path} lacks {sorted(missing)}")
+    meta = read_header(AgentMeta, load_json(path) if os.path.isfile(path) else {},
+                       path, dirpath)
     parts = {name: nets.load_checkpoint(os.path.join(dirpath, f"{name}.mlp"))
              for name in AGENT_NETS}
-    hp = SacHparams.from_json(meta["hparams"])
+    hp = meta.hparams
     critics = nets.stack([parts["critic1"], parts["critic2"]])
-    if "opt_temperature" in meta:
+    if meta.opt_temperature is not None:
         saved = {name: nets.load_adam(os.path.join(dirpath, f"opt_{name}.adam"), parts[name])
                  for name in TRAINED_NETS}
         opts = dict(opt_actor=saved["actor"],
                     opt_critics=_stack_adam([saved["critic1"], saved["critic2"]]),
-                    opt_temperature=nets.ScalarAdam(**meta["opt_temperature"]))
+                    opt_temperature=meta.opt_temperature)
     else:
         opts = dict(
             opt_actor=nets.AdamState.for_net(parts["actor"], hp.actor_lr),
@@ -395,7 +398,5 @@ def load_agent(dirpath) -> SacAgent:
             opt_temperature=nets.ScalarAdam(hp.temperature_lr))
     return SacAgent(
         parts["actor"], critics, nets.stack([parts["target1"], parts["target2"]]),
-        log_temperature=float(meta["log_temperature"]),
-        target_entropy=float(meta["target_entropy"]),
-        action_scale=float(meta["action_scale"]), hparams=hp,
-        update_count=int(meta.get("update_count", 0)), **opts)
+        log_temperature=meta.log_temperature, target_entropy=meta.target_entropy,
+        action_scale=meta.action_scale, hparams=hp, update_count=meta.update_count, **opts)

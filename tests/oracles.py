@@ -2,8 +2,9 @@
 
 These deliberately avoid the package's own gradient/statistics code paths:
 finite differences, naive two-pass summation, quadrature, and a from-scratch
-Adam reference, and a dataset writer that encodes one row at a time. Kept
-as plain functions so tests stay readable.
+Adam reference, and a dataset writer that encodes one row at a time, plus
+the flat parameter helpers the finite-difference oracles perturb a net with.
+Kept as plain functions so tests stay readable.
 """
 
 import json
@@ -11,6 +12,20 @@ import json
 import numpy as np
 
 from oris import data, nets
+from oris.errors import ContractError
+
+
+def get_flat_params(net) -> np.ndarray:
+    """A copy of the net's flat parameter vector."""
+    return net.params.copy()
+
+
+def set_flat_params(net, flat) -> None:
+    """Write `flat`, in the net's flat layout, into its parameters in place."""
+    flat = np.asarray(flat, dtype=net.dtype)
+    if flat.shape != net.params.shape:
+        raise ContractError(f"flat vector has shape {flat.shape}, want {net.params.shape}")
+    net.params[...] = flat
 
 
 def fd_grad(f, x0, eps=1e-6):
@@ -112,15 +127,15 @@ def gradcheck_once(net, rng, batch=4, eps=1e-6, kink_margin=1e-4, max_redraws=50
     if corrupt is not None:
         corrupt(analytic_p)
 
-    p0 = nets.get_flat_params(net)
+    p0 = get_flat_params(net)
 
     def loss_of_params(p):
-        nets.set_flat_params(net, p.reshape(p0.shape))
+        set_flat_params(net, p.reshape(p0.shape))
         y = nets.forward_batch(net, x)
         return float(np.sum(upstream * y))
 
     fd_p = fd_grad(loss_of_params, p0.ravel(), eps=eps)
-    nets.set_flat_params(net, p0)
+    set_flat_params(net, p0)
 
     x0 = x.ravel().copy()
 

@@ -130,9 +130,21 @@ def test_train_missing_config_file(tmp_path, capsys):
     assert "no such file" in capsys.readouterr().err
 
 
+REFS = {"env_id": "pendulum", "random_ref": -1500.0, "expert_ref": -100.0}
+
+
 @pytest.mark.parametrize("text, reason", [
     (None, "no such file"), ("{not json", "not valid JSON"),
-    ("[-1500.0, -100.0]", "not a JSON object")])
+    ("[-1500.0, -100.0]", "not a JSON object"),
+    pytest.param(json.dumps({"env_id": "pendulum", "random_ref": -1500.0}), "'expert_ref'",
+                 id="missing"),
+    pytest.param(json.dumps({**REFS, "bogus": 1}), "unknown keys ['bogus']", id="unknown"),
+    pytest.param(json.dumps({**REFS, "random_ref": "x"}), "random_ref: expected float",
+                 id="mistyped"),
+    pytest.param(json.dumps({**REFS, "expert_ref": -1600.0}), "expert_ref (-1600.0) must "
+                 "exceed random_ref (-1500.0)", id="cannot_score"),
+    pytest.param(json.dumps({**REFS, "env_id": "pointgoal"}),
+                 "refs for 'pointgoal', but the config is for 'pendulum'", id="other_env")])
 def test_train_bad_refs_file_exits_2(tmp_path, data_dir, capsys, text, reason):
     refs = tmp_path / "refs.json"
     if text is not None:
@@ -195,28 +207,56 @@ def test_evaluate_missing_agent_directory_exits_2(tmp_path, capsys):
     assert f"not a oris-sac v1 directory: {tmp_path / 'no_agent'}" in capsys.readouterr().err
 
 
-def _drop_header_key(path, key):
-    header, blob = path.read_bytes().split(b"\n", 1)
+DROP = object()  # a value that stands for the key's removal
+
+
+def _edit_header(path, key, value):
+    """Remove (value DROP) or set one key of a saved file's JSON header: all
+    of a .json file, the first line of a record file. A key of None replaces
+    the whole header with value."""
+    raw = path.read_bytes()
+    header, sep, blob = (raw, b"", b"") if path.suffix == ".json" else raw.partition(b"\n")
     header = json.loads(header)
-    del header[key]
-    path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+    if key is None:
+        header = value
+    elif value is DROP:
+        del header[key]
+    else:
+        header[key] = value
+    path.write_bytes(json.dumps(header).encode() + sep + blob)
 
 
-@pytest.mark.parametrize("name, key", [("actor.mlp", "param_count"),
-                                       ("opt_actor.adam", "step_count"),
-                                       ("agent.json", "action_scale")])
-def test_evaluate_agent_missing_a_key_exits_2_naming_the_file(tmp_path, capsys, name, key):
+AGENT_FILES = ("agent.json", "actor.mlp", "opt_actor.adam")
+
+
+@pytest.mark.parametrize("name, key, value", [
+    # a missing key
+    pytest.param("actor.mlp", "param_count", DROP, id="actor.mlp-param_count"),
+    pytest.param("opt_actor.adam", "step_count", DROP, id="opt_actor.adam-step_count"),
+    pytest.param("agent.json", "action_scale", DROP, id="agent.json-action_scale"),
+    # an unknown key
+    *(pytest.param(name, "bogus", 1, id=f"{name}-unknown") for name in AGENT_FILES),
+    # a value of the wrong type
+    pytest.param("agent.json", "action_scale", "x", id="agent.json-mistyped"),
+    pytest.param("agent.json", "opt_temperature", {"learning_rate": "x"},
+                 id="agent.json-mistyped_section"),
+    pytest.param("actor.mlp", "layer_sizes", "abc", id="actor.mlp-mistyped"),
+    pytest.param("actor.mlp", "layer_sizes", [3, "a", 2], id="actor.mlp-mistyped_entry"),
+    pytest.param("opt_actor.adam", "learning_rate", "x", id="opt_actor.adam-mistyped"),
+    # a header that is not an object
+    *(pytest.param(name, None, [1, 2], id=f"{name}-not_an_object") for name in AGENT_FILES),
+])
+def test_evaluate_agent_missing_a_key_exits_2_naming_the_file(tmp_path, capsys, name, key,
+                                                              value):
+    """A saved agent file whose header lacks a key, has one it does not know,
+    holds a value of the wrong type or is not an object at all: `oris
+    evaluate` exits 2 and names the file and the key."""
     agent_dir = _saved_agent(tmp_path / "agent")
     path = agent_dir / name
-    if name == "agent.json":
-        meta = json.loads(path.read_text())
-        del meta[key]
-        path.write_text(json.dumps(meta))
-    else:
-        _drop_header_key(path, key)
+    _edit_header(path, key, value)
     assert _evaluate(agent_dir) == 2
     err = capsys.readouterr().err
-    assert str(path) in err and key in err
+    assert str(path) in err and (key or "") in err
 
 
 def test_evaluate_agent_on_another_env_exits_2_naming_both(tmp_path, capsys):

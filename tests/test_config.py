@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from oris import datasets, envs, gan, harness, loop, sac
+from oris import datasets, envs, gan, harness, loop, nets, sac
 from oris.config import Config
 from oris.errors import ConfigError, ContractError
 
@@ -24,6 +24,20 @@ EXAMPLES = {
         env_id="pointgoal", dataset="d.jsonl", variant="no_restart", seeds=(0, 3),
         perturbation=PERTURBATION, refs={"random_ref": -1.0, "expert_ref": 1.0},
         oris=ORIS, sac=SAC),
+    # the headers of the files oris writes
+    nets.MlpHeader: nets.MlpHeader(layer_sizes=(3, 8, 2), hidden_activation="relu",
+                                   output_activation="identity", init_seed=5,
+                                   param_count=50, dtype="<f4"),
+    nets.AdamHeader: nets.AdamHeader(learning_rate=1e-3, beta1=0.9, beta2=0.999,
+                                     epsilon=1e-8, step_count=4, param_count=50),
+    nets.ScalarAdam: nets.ScalarAdam(3e-4, step_count=2, m=0.5, v=0.25),
+    sac.AgentMeta: sac.AgentMeta(log_temperature=-1.5, target_entropy=-1.0,
+                                 action_scale=2.0, update_count=7, hparams=SAC,
+                                 opt_temperature=nets.ScalarAdam(3e-4, step_count=7)),
+    gan.GanMeta: gan.GanMeta(z_dim=2, mean=(0.5, -1.0), std=(1.0, 2.0), out_scale=(1.5, 1.25),
+                             restart_noise_sigma=0.05, w_min=0.3, w_max=1.0),
+    harness.Refs: harness.Refs(env_id="pointgoal", random_ref=-3.0, expert_ref=40.0, seed=2,
+                               medium_return=20.0),
 }
 
 
@@ -67,6 +81,12 @@ def test_errors_name_the_section_path():
         tiny_config(perturbation={"gravity_scale": -1.0})
     with pytest.raises(ContractError, match=r"ReferenceHparams\.sac: bad gamma"):
         datasets.ReferenceHparams.from_json({"sac": {"gamma": 1.5}})
+    # each entry of a tuple[X, ...] field is decoded as X, and named by index
+    header = EXAMPLES[nets.MlpHeader].to_json()
+    with pytest.raises(ConfigError, match=r"actor\.mlp\.layer_sizes\[1\]: expected int"):
+        nets.MlpHeader.from_json({**header, "layer_sizes": [3, "8", 2]}, "actor.mlp")
+    mean = gan.GanMeta.from_json({**EXAMPLES[gan.GanMeta].to_json(), "mean": [1, 2]}).mean
+    assert mean == (1.0, 2.0) and all(type(m) is float for m in mean)
 
 
 @pytest.mark.parametrize("cls, doc, where", [

@@ -93,6 +93,14 @@ def test_save_load_roundtrip_exact_and_byte_stable(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("header", ["[1, 2]", "3", "null"])
+def test_load_refuses_a_header_that_is_not_an_object(tmp_path, header):
+    p = tmp_path / "x.jsonl"
+    p.write_text(header + "\n")
+    with pytest.raises(ContractError, match=f"not a {data.DATASET_FORMAT} file: {p}"):
+        data.load_dataset(p)
+
+
 def test_load_rejects_malformed(tmp_path):
     p = tmp_path / "x.jsonl"
     p.write_text("not json\n")

@@ -30,7 +30,7 @@ def _fake_episode(rng, length, obs_dim=3, act_dim=1):
 
 def _synthetic_run(evals, episodes_at, agent, episodes, random_return=-100.0):
     cks = [Checkpoint(200 * (i + 1), episodes_at[i], evals[i],
-                      nets.get_flat_params(agent.actor))
+                      agent.actor.params.copy())
            for i in range(len(evals))]
     return ReferenceRun("pendulum", 7, TINY, cks, episodes, random_return, agent)
 
@@ -99,17 +99,17 @@ def test_medium_checkpoint_unreachable():
 
 
 def test_policy_at_uses_stored_params_without_mutating_agent(tiny_ref):
-    before = nets.get_flat_params(tiny_ref.agent.actor).copy()
+    before = tiny_ref.agent.actor.params.copy()
     ck = tiny_ref.checkpoints[0]
     policy = tiny_ref.policy_at(ck, mode="deterministic")
     obs = np.array([[1.0, 0.0, 0.0]])
     a = policy(obs, None)
 
     shadow = nets.clone_net(tiny_ref.agent.actor)
-    nets.set_flat_params(shadow, ck.actor_params)
+    shadow.params[...] = ck.actor_params
     mu = nets.forward_batch(shadow, obs)[:, :1]
     np.testing.assert_allclose(a, 2.0 * np.tanh(mu), rtol=1e-12)
-    np.testing.assert_array_equal(nets.get_flat_params(tiny_ref.agent.actor), before)
+    np.testing.assert_array_equal(tiny_ref.agent.actor.params, before)
 
 
 def test_generate_random_dataset():

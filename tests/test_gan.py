@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oris import gan, nets
-from oris.errors import ContractError, NumericsError
+from oris.errors import ConfigError, ContractError, NumericsError
 
 import oracles
 
@@ -67,17 +67,17 @@ def test_discriminator_step_gradients_match_finite_differences():
     fake = rng.normal(size=(6, 2))
 
     def d_loss(flat):
-        nets.set_flat_params(disc, flat)
+        oracles.set_flat_params(disc, flat)
         l_r = nets.forward_batch(disc, real)[:, 0]
         l_f = nets.forward_batch(disc, fake)[:, 0]
         # minimized loss = -objective
         return float(np.mean(np.logaddexp(0.0, -l_r)) + np.mean(np.logaddexp(0.0, l_f)))
 
-    p0 = nets.get_flat_params(disc)
+    p0 = oracles.get_flat_params(disc)
     grads, d_real, d_fake, objective = gan.discriminator_step_grads(disc, real, fake)
     fd = oracles.fd_grad(d_loss, p0)
     assert oracles.max_rel_err(grads, fd) < 1e-6
-    nets.set_flat_params(disc, p0)
+    oracles.set_flat_params(disc, p0)
     assert objective == pytest.approx(-d_loss(p0), abs=1e-12)
     for d, rows in ((d_real, real), (d_fake, fake)):
         logit = nets.forward_batch(disc, rows)[:, 0]
@@ -94,15 +94,15 @@ def test_generator_step_gradients_match_finite_differences():
     Z = rng.normal(size=(5, 3))
 
     def g_loss(flat):
-        nets.set_flat_params(gen, flat)
+        oracles.set_flat_params(gen, flat)
         fake = np.tanh(nets.forward_batch(gen, Z)) * out_scale
         d = 1.0 / (1.0 + np.exp(-nets.forward_batch(disc, fake)[:, 0]))
         return float(np.mean(np.log(1.0 - d)))
 
-    p0 = nets.get_flat_params(gen)
-    disc_params = nets.get_flat_params(disc)
+    p0 = oracles.get_flat_params(gen)
+    disc_params = oracles.get_flat_params(disc)
     analytic, loss = gan.generator_step_grads(gen, disc, Z, out_scale)
-    np.testing.assert_array_equal(nets.get_flat_params(disc), disc_params)
+    np.testing.assert_array_equal(oracles.get_flat_params(disc), disc_params)
     fd = oracles.fd_grad(g_loss, p0)
     assert oracles.max_rel_err(analytic, fd) < 1e-6
     assert loss == pytest.approx(g_loss(p0), abs=1e-12)
@@ -211,10 +211,10 @@ def test_save_load_roundtrip(tmp_path):
     pair, _ = gan.pretrain(S, hp, np.random.default_rng(19))
     gan.save_gan(pair, tmp_path / "g")
     loaded = gan.load_gan(tmp_path / "g")
-    np.testing.assert_array_equal(nets.get_flat_params(loaded.generator),
-                                  nets.get_flat_params(pair.generator))
-    np.testing.assert_array_equal(nets.get_flat_params(loaded.discriminator),
-                                  nets.get_flat_params(pair.discriminator))
+    np.testing.assert_array_equal(oracles.get_flat_params(loaded.generator),
+                                  oracles.get_flat_params(pair.generator))
+    np.testing.assert_array_equal(oracles.get_flat_params(loaded.discriminator),
+                                  oracles.get_flat_params(pair.discriminator))
     np.testing.assert_array_equal(loaded.normalizer.mean, pair.normalizer.mean)
     np.testing.assert_array_equal(loaded.out_scale, pair.out_scale)
     assert loaded.w_min == pair.w_min and loaded.w_max == pair.w_max
@@ -247,8 +247,8 @@ def test_pretrain_deterministic_given_rng():
     hp = gan.GanHparams(z_dim=2, hidden=(8,), iterations=15, batch_size=32)
     p1, r1 = gan.pretrain(S, hp, np.random.default_rng(21))
     p2, r2 = gan.pretrain(S, hp, np.random.default_rng(21))
-    np.testing.assert_array_equal(nets.get_flat_params(p1.generator),
-                                  nets.get_flat_params(p2.generator))
+    np.testing.assert_array_equal(oracles.get_flat_params(p1.generator),
+                                  oracles.get_flat_params(p2.generator))
     np.testing.assert_array_equal(r1.d_objective, r2.d_objective)
 
 
@@ -293,8 +293,8 @@ def test_pretrain_or_load_reuses_the_entry_bitwise(tmp_path):
     loaded = gan.pretrain_or_load(S, hp, rng_hit, tmp_path)
     assert rng_hit.bit_generator.state == np.random.default_rng(23).bit_generator.state
     for net in ("generator", "discriminator"):
-        np.testing.assert_array_equal(nets.get_flat_params(getattr(loaded, net)),
-                                      nets.get_flat_params(getattr(fitted, net)))
+        np.testing.assert_array_equal(oracles.get_flat_params(getattr(loaded, net)),
+                                      oracles.get_flat_params(getattr(fitted, net)))
     np.testing.assert_array_equal(loaded.normalizer.std, fitted.normalizer.std)
     np.testing.assert_array_equal(loaded.out_scale, fitted.out_scale)
     probe = rng.normal(size=(32, 2))
@@ -323,21 +323,36 @@ def test_load_gan_refuses_a_version_1_directory(tmp_path):
         gan.load_gan(tmp_path / "g")
 
 
-@pytest.mark.parametrize("missing", ["gan.json", "out_scale", "w_max"])
-def test_load_gan_names_what_is_missing(tmp_path, missing):
+@pytest.mark.parametrize("fault, says", [
+    pytest.param("gan.json", None, id="gan.json"),
+    pytest.param("out_scale", r": .*missing .*'out_scale'", id="out_scale"),
+    pytest.param("w_max", r": .*missing .*'w_max'", id="w_max"),
+    pytest.param({"bogus": 1}, r": unknown keys \['bogus'\]", id="unknown"),
+    pytest.param({"w_min": "x"}, r"\.w_min: expected float", id="mistyped"),
+    pytest.param({"mean": [0.0, "a"]}, r"\.mean\[1\]: expected float", id="mistyped_entry"),
+    pytest.param([1, 2], ": not a JSON object", id="not_an_object")])
+def test_load_gan_names_what_is_missing(tmp_path, fault, says):
+    """A store entry without its gan.json is not a GAN directory. A gan.json
+    that lacks a key, has one it does not know, holds a value of the wrong
+    type or is not an object is refused by file and key."""
     S = mixture_states(100, np.random.default_rng(34))
     hp = gan.GanHparams(z_dim=2, hidden=(8,), iterations=2, batch_size=16)
     gan.save_gan(gan.pretrain(S, hp, np.random.default_rng(35))[0], tmp_path / "g")
     meta_path = tmp_path / "g" / "gan.json"
-    if missing == "gan.json":
+    if fault == "gan.json":
         meta_path.unlink()
-        match = re.escape(f"directory: {tmp_path / 'g'}")
+        with pytest.raises(ContractError, match=re.escape(f"directory: {tmp_path / 'g'}")):
+            gan.load_gan(tmp_path / "g")
+        return
+    meta = json.loads(meta_path.read_text())
+    if isinstance(fault, str):
+        del meta[fault]
+    elif isinstance(fault, dict):
+        meta.update(fault)
     else:
-        meta = json.loads(meta_path.read_text())
-        del meta[missing]
-        meta_path.write_text(json.dumps(meta))
-        match = f"gan.json lacks \\['{missing}'\\]"
-    with pytest.raises(ContractError, match=match):
+        meta = fault
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(ConfigError, match=re.escape(str(meta_path)) + says):
         gan.load_gan(tmp_path / "g")
 
 

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oris import cli, data, datasets, envs, gan, loop, nets, sac
+from oris import cli, data, datasets, envs, gan, loop, sac
 from oris.loop import OrisConfig
 from test_datasets import TINY
 
@@ -94,7 +94,7 @@ def _require_recorded_build():
 
 def _hash_agent(h, agent):
     for name in AGENT_NETS:
-        h.update(nets.get_flat_params(getattr(agent, name)).astype("<f8").tobytes())
+        h.update(getattr(agent, name).params.astype("<f8").tobytes())
     h.update(repr(float(agent.log_temperature)).encode())
 
 

@@ -247,10 +247,8 @@ def test_train_determinism(pend_random):
     a1, r1 = loop.train(pend_random, GAP, cfg, HP, seed=42)
     a2, r2 = loop.train(pend_random, GAP, cfg, HP, seed=42)
     assert r1 == r2
-    np.testing.assert_array_equal(nets.get_flat_params(a1.actor),
-                                  nets.get_flat_params(a2.actor))
-    np.testing.assert_array_equal(nets.get_flat_params(a1.critics),
-                                  nets.get_flat_params(a2.critics))
+    np.testing.assert_array_equal(a1.actor.params, a2.actor.params)
+    np.testing.assert_array_equal(a1.critics.params, a2.critics.params)
 
 
 def test_train_collects_under_the_gap_and_evaluates_in_the_real_env(

@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oris import nets
-from oris.errors import ContractError, NumericsError, UsageError
+from oris.errors import ConfigError, ContractError, NumericsError, UsageError
 
 import oracles
 
@@ -180,12 +181,12 @@ def test_adam_matches_reference_implementation():
     net = nets.MlpNet.he_uniform([3, 4, 2], seed=2, dtype=np.float64)
     opt = nets.AdamState.for_net(net, learning_rate=1e-2)
     ref = oracles.ReferenceAdam(net.params.size, lr=1e-2)
-    p_ref = nets.get_flat_params(net)
+    p_ref = oracles.get_flat_params(net)
     for _ in range(7):
         gflat = rng.normal(size=p_ref.size)
         nets.adam_step(net, gflat, opt)
         p_ref = ref.step(p_ref, gflat)
-        np.testing.assert_allclose(nets.get_flat_params(net), p_ref, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(oracles.get_flat_params(net), p_ref, rtol=1e-13, atol=1e-15)
 
 
 def test_adam_first_step_constant_gradient():
@@ -381,9 +382,9 @@ def test_param_views_stay_aliased_through_copies(tmp_path):
         np.testing.assert_array_equal(c.params, net.params)
         c.weights[1][0, 0] = 7.0  # W1 starts after W0 (15) and b0 (5)
         assert c.params[20] == 7.0 and net.params[20] != 7.0
-    nets.set_flat_params(net, np.arange(32.0))
+    oracles.set_flat_params(net, np.arange(32.0))
     assert _aliased(net) and net.biases[-1].tolist() == [30.0, 31.0]
-    flat = nets.get_flat_params(net)
+    flat = oracles.get_flat_params(net)
     assert not np.shares_memory(flat, net.params)
     pair = nets.stack([net, nets.clone_net(net)])
     for c in (pair, nets.clone_net(pair), copy.deepcopy(pair)):
@@ -397,11 +398,11 @@ def test_param_views_stay_aliased_through_copies(tmp_path):
 def test_soft_update_interpolates(tau):
     target = nets.MlpNet.he_uniform([3, 4, 1], seed=1)
     source = nets.MlpNet.he_uniform([3, 4, 1], seed=2)
-    lo = np.minimum(nets.get_flat_params(target), nets.get_flat_params(source))
-    hi = np.maximum(nets.get_flat_params(target), nets.get_flat_params(source))
-    expect = (1 - tau) * nets.get_flat_params(target) + tau * nets.get_flat_params(source)
+    lo = np.minimum(oracles.get_flat_params(target), oracles.get_flat_params(source))
+    hi = np.maximum(oracles.get_flat_params(target), oracles.get_flat_params(source))
+    expect = (1 - tau) * oracles.get_flat_params(target) + tau * oracles.get_flat_params(source)
     nets.soft_update(target, source, tau)
-    got = nets.get_flat_params(target)
+    got = oracles.get_flat_params(target)
     np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-15)
     assert np.all(got >= lo - 1e-12) and np.all(got <= hi + 1e-12)
 
@@ -409,11 +410,11 @@ def test_soft_update_interpolates(tau):
 def test_soft_update_endpoints_and_mismatch():
     a = nets.MlpNet.he_uniform([2, 3, 1], seed=3)
     b = nets.MlpNet.he_uniform([2, 3, 1], seed=4)
-    a0 = nets.get_flat_params(a).copy()
+    a0 = oracles.get_flat_params(a).copy()
     nets.soft_update(a, b, 0.0)
-    np.testing.assert_array_equal(nets.get_flat_params(a), a0)
+    np.testing.assert_array_equal(oracles.get_flat_params(a), a0)
     nets.soft_update(a, b, 1.0)
-    np.testing.assert_array_equal(nets.get_flat_params(a), nets.get_flat_params(b))
+    np.testing.assert_array_equal(oracles.get_flat_params(a), oracles.get_flat_params(b))
     c = nets.MlpNet.he_uniform([2, 4, 1], seed=5)
     with pytest.raises(ContractError):
         nets.soft_update(a, c, 0.5)
@@ -425,8 +426,8 @@ def test_he_uniform_bounds_and_determinism():
     n1 = nets.MlpNet.he_uniform([5, 7, 2], seed=42)
     n2 = nets.MlpNet.he_uniform([5, 7, 2], seed=42)
     n3 = nets.MlpNet.he_uniform([5, 7, 2], seed=43)
-    np.testing.assert_array_equal(nets.get_flat_params(n1), nets.get_flat_params(n2))
-    assert not np.array_equal(nets.get_flat_params(n1), nets.get_flat_params(n3))
+    np.testing.assert_array_equal(oracles.get_flat_params(n1), oracles.get_flat_params(n2))
+    assert not np.array_equal(oracles.get_flat_params(n1), oracles.get_flat_params(n3))
     assert n1.init_seed == 42
     for l, w in enumerate(n1.weights):
         fan_in = n1.layer_sizes[l]
@@ -438,12 +439,12 @@ def test_he_uniform_bounds_and_determinism():
 def test_num_params_and_flat_roundtrip():
     net = nets.MlpNet.he_uniform([3, 16, 16, 2], seed=9)
     assert net.params.size == (3 * 16 + 16) + (16 * 16 + 16) + (16 * 2 + 2)
-    p = nets.get_flat_params(net)
+    p = oracles.get_flat_params(net)
     q = np.arange(p.size, dtype=np.float64)
-    nets.set_flat_params(net, q)
-    np.testing.assert_array_equal(nets.get_flat_params(net), q)
+    oracles.set_flat_params(net, q)
+    np.testing.assert_array_equal(oracles.get_flat_params(net), q)
     with pytest.raises(ContractError):
-        nets.set_flat_params(net, q[:-1])
+        oracles.set_flat_params(net, q[:-1])
 
 
 def test_checkpoint_roundtrip_exact(tmp_path):
@@ -451,7 +452,7 @@ def test_checkpoint_roundtrip_exact(tmp_path):
     path = tmp_path / "gen.mlp"
     nets.save_checkpoint(net, path)
     loaded = nets.load_checkpoint(path)
-    np.testing.assert_array_equal(nets.get_flat_params(loaded), nets.get_flat_params(net))
+    np.testing.assert_array_equal(oracles.get_flat_params(loaded), oracles.get_flat_params(net))
     assert loaded.layer_sizes == net.layer_sizes
     assert loaded.init_seed == net.init_seed
     # a second save of the loaded net is byte-identical
@@ -568,7 +569,7 @@ def test_checkpoint_refuses_activations_other_than_relu_and_identity(tmp_path, h
     assert (header["hidden_activation"], header["output_activation"]) == ("relu", "identity")
     old = _with_header(tmp_path / "n.mlp", tmp_path / "old.mlp", lambda h: h.update(
         hidden_activation=hidden, output_activation=output))
-    with pytest.raises(ContractError, match=f"old.mlp holds {hidden} layers and {output}"):
+    with pytest.raises(ContractError, match=f"old.mlp: holds {hidden} layers and {output}"):
         nets.load_checkpoint(old)
 
 
@@ -580,7 +581,22 @@ def test_loaders_name_the_file_a_header_key_is_missing_from(tmp_path, kind, key)
     nets.save_checkpoint(net, tmp_path / "n.mlp")
     nets.save_adam(nets.AdamState.for_net(net, 1e-3), tmp_path / "n.adam")
     bad = _with_header(tmp_path / f"n.{kind}", tmp_path / f"bad.{kind}", lambda h: h.pop(key))
-    with pytest.raises(ContractError, match=f"bad.{kind}"):
+    with pytest.raises(ConfigError, match=rf"bad\.{kind}: .*missing .*'{key}'"):
+        if kind == "mlp":
+            nets.load_checkpoint(bad)
+        else:
+            nets.load_adam(bad, net)
+
+
+@pytest.mark.parametrize("kind", ["mlp", "adam"])
+@pytest.mark.parametrize("key, value", [("version", 2), ("format", "oris-other")])
+def test_loaders_refuse_a_header_of_another_format_or_version(tmp_path, kind, key, value):
+    net = nets.MlpNet.he_uniform([3, 4, 1], seed=0)
+    nets.save_checkpoint(net, tmp_path / "n.mlp")
+    nets.save_adam(nets.AdamState.for_net(net, 1e-3), tmp_path / "n.adam")
+    bad = _with_header(tmp_path / f"n.{kind}", tmp_path / f"bad.{kind}",
+                       lambda h: h.update({key: value}))
+    with pytest.raises(ContractError, match=re.escape(f"not a oris-{kind} v1 file: {bad}")):
         if kind == "mlp":
             nets.load_checkpoint(bad)
         else:

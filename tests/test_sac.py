@@ -126,10 +126,10 @@ def test_actor_gradients_match_finite_differences():
     assert np.all(sample.clip_mask == 1.0)
 
     loss0, grads, _ = sac.actor_loss_and_grads(agent, S, noise)
-    p0 = nets.get_flat_params(agent.actor)
+    p0 = oracles.get_flat_params(agent.actor)
 
     def loss_of(flat):
-        nets.set_flat_params(agent.actor, flat)
+        oracles.set_flat_params(agent.actor, flat)
         out = nets.forward_batch(agent.actor, S)
         mu = out[:, :1]
         log_std = np.clip(out[:, 1:], sac.LOG_STD_MIN, sac.LOG_STD_MAX)
@@ -142,7 +142,7 @@ def test_actor_gradients_match_finite_differences():
 
     assert loss_of(p0) == pytest.approx(loss0, abs=1e-12)
     fd = oracles.fd_grad(loss_of, p0)
-    nets.set_flat_params(agent.actor, p0)
+    oracles.set_flat_params(agent.actor, p0)
     assert oracles.max_rel_err(grads, fd) < 1e-4
 
 
@@ -159,10 +159,10 @@ def test_actor_gradients_with_override_critic():
         return -np.sum((A - a_star) ** 2, axis=1), -2.0 * (A - a_star)
 
     loss0, grads, _ = sac.actor_loss_and_grads(agent, S, noise, q_and_grad=bowl)
-    p0 = nets.get_flat_params(agent.actor)
+    p0 = oracles.get_flat_params(agent.actor)
 
     def loss_of(flat):
-        nets.set_flat_params(agent.actor, flat)
+        oracles.set_flat_params(agent.actor, flat)
         out = nets.forward_batch(agent.actor, S)
         mu, ks = out[:, :2], out[:, 2:]
         log_std = np.clip(ks, sac.LOG_STD_MIN, sac.LOG_STD_MAX)
@@ -174,7 +174,7 @@ def test_actor_gradients_with_override_critic():
 
     assert loss_of(p0) == pytest.approx(loss0, abs=1e-12)
     fd = oracles.fd_grad(loss_of, p0)
-    nets.set_flat_params(agent.actor, p0)
+    oracles.set_flat_params(agent.actor, p0)
     assert oracles.max_rel_err(grads, fd) < 1e-4
 
 
@@ -239,12 +239,12 @@ def test_critic_gradients_match_finite_differences():
     x = np.concatenate([S, A], axis=1)
     for critic, g in zip(nets.unstack(agent.critics), grads):
         def loss_of(flat):
-            nets.set_flat_params(critic, flat)
+            oracles.set_flat_params(critic, flat)
             q = nets.forward_batch(critic, x)[:, 0]
             e = q - targets
             return float(np.sum(w * e * e) / len(w))
 
-        fd = oracles.fd_grad(loss_of, nets.get_flat_params(critic))
+        fd = oracles.fd_grad(loss_of, oracles.get_flat_params(critic))
         assert oracles.max_rel_err(g, fd) < 1e-6
 
 
@@ -344,10 +344,10 @@ def test_actor_update_reports_nonfinite_loss_row():
         q[3] = np.inf
         return q, np.zeros_like(A)
 
-    before = nets.get_flat_params(agent.actor), agent.log_temperature
+    before = oracles.get_flat_params(agent.actor), agent.log_temperature
     with pytest.raises(NumericsError, match="non-finite actor loss at batch row 3$"):
         sac.actor_update(agent, S, np.random.default_rng(37), q_and_grad=q_and_grad)
-    np.testing.assert_array_equal(nets.get_flat_params(agent.actor), before[0])
+    np.testing.assert_array_equal(oracles.get_flat_params(agent.actor), before[0])
     assert agent.log_temperature == before[1]
     # finite rows whose sum overflows name no row
     huge = lambda _S, A: (np.full(len(A), 1e308), np.zeros_like(A))
@@ -361,7 +361,7 @@ def test_weighted_batch_validation():
     agent = tiny_agent(seed=33)
     rng = np.random.default_rng(34)
     batch, _ = random_batch(rng, 0, 3, obs_dim=3)
-    before = {name: nets.get_flat_params(getattr(agent, name))
+    before = {name: oracles.get_flat_params(getattr(agent, name))
               for name in ("critics", "targets")}
     state = rng.bit_generator.state
     empty = tuple(c[:0] for c in batch)
@@ -376,7 +376,7 @@ def test_weighted_batch_validation():
     assert rng.bit_generator.state == state
     assert agent.update_count == 0
     for name, p in before.items():
-        np.testing.assert_array_equal(nets.get_flat_params(getattr(agent, name)), p)
+        np.testing.assert_array_equal(oracles.get_flat_params(getattr(agent, name)), p)
     sac.critic_update(agent, batch, np.array([1.0, 0.7, 0.0]), rng)
     assert agent.update_count == 1
 
@@ -388,7 +388,7 @@ def test_bc_update_gradients_and_progress():
     A_target = np.clip(0.9 * np.tanh(S[:, :1]), -1.9, 1.9)
 
     # finite-difference check of one step's gradient
-    p0 = nets.get_flat_params(agent.actor)
+    p0 = oracles.get_flat_params(agent.actor)
     out = nets.forward_batch(agent.actor, S)
     mu = out[:, :1]
     e = agent.action_scale * np.tanh(mu) - A_target
@@ -396,13 +396,13 @@ def test_bc_update_gradients_and_progress():
     grads = nets.backward_batch(agent.actor, np.concatenate([g_mu, np.zeros_like(g_mu)], axis=1))
 
     def loss_of(flat):
-        nets.set_flat_params(agent.actor, flat)
+        oracles.set_flat_params(agent.actor, flat)
         out = nets.forward_batch(agent.actor, S)
         a = agent.action_scale * np.tanh(out[:, :1])
         return float(np.sum((a - A_target) ** 2) / 12)
 
     fd = oracles.fd_grad(loss_of, p0)
-    nets.set_flat_params(agent.actor, p0)
+    oracles.set_flat_params(agent.actor, p0)
     assert oracles.max_rel_err(grads, fd) < 1e-5
 
     losses = [sac.bc_update(agent, S, A_target) for _ in range(400)]
@@ -418,8 +418,8 @@ def test_agent_save_load_roundtrip(tmp_path):
     sac.save_agent(agent, tmp_path / "agent")
     loaded = sac.load_agent(tmp_path / "agent")
     for name in ("actor", "critics", "targets"):
-        np.testing.assert_array_equal(nets.get_flat_params(getattr(agent, name)),
-                                      nets.get_flat_params(getattr(loaded, name)))
+        np.testing.assert_array_equal(oracles.get_flat_params(getattr(agent, name)),
+                                      oracles.get_flat_params(getattr(loaded, name)))
     assert loaded.critics.init_seed == agent.critics.init_seed
     assert loaded.targets.init_seed == agent.targets.init_seed
     assert loaded.log_temperature == agent.log_temperature
@@ -516,8 +516,8 @@ def test_min_max_clip_matches_np_clip_bitwise(seed, dtype):
 def test_agent_create_defaults_and_validation():
     agent = tiny_agent(seed=38, obs_dim=4, action_dim=2)
     assert agent.target_entropy == -2.0
-    np.testing.assert_array_equal(nets.get_flat_params(agent.critics),
-                                  nets.get_flat_params(agent.targets))
+    np.testing.assert_array_equal(oracles.get_flat_params(agent.critics),
+                                  oracles.get_flat_params(agent.targets))
     assert agent.critics.stack_size == 2
     assert agent.actor.out_dim == 4
     assert agent.critics.in_dim == 6
@@ -537,8 +537,8 @@ def test_updates_are_deterministic_given_seed():
             batch, w = random_batch(rng, 4, 4, weights=np.full(4, 0.6))
             sac.critic_update(agent, batch, w, rng)
             sac.actor_update(agent, batch[0], rng)
-        return np.concatenate([nets.get_flat_params(agent.actor),
-                               nets.get_flat_params(agent.critics)[0],
+        return np.concatenate([oracles.get_flat_params(agent.actor),
+                               oracles.get_flat_params(agent.critics)[0],
                                [agent.log_temperature]])
 
     np.testing.assert_array_equal(run(), run())
@@ -551,11 +551,11 @@ def test_deepcopied_agent_keeps_flat_param_views():
         a, c = getattr(agent, name), getattr(clone, name)
         assert all(np.shares_memory(c.params, x) for x in c.weights + c.biases)
         assert not np.shares_memory(a.params, c.params)
-    before = nets.get_flat_params(agent.actor)
+    before = oracles.get_flat_params(agent.actor)
     sac.actor_update(clone, np.random.default_rng(31).normal(size=(8, 3)),
                      np.random.default_rng(32))
-    assert not np.array_equal(nets.get_flat_params(clone.actor), before)
-    np.testing.assert_array_equal(nets.get_flat_params(agent.actor), before)
+    assert not np.array_equal(oracles.get_flat_params(clone.actor), before)
+    np.testing.assert_array_equal(oracles.get_flat_params(agent.actor), before)
 
 
 def test_float32_agent_save_load_roundtrip_is_bitwise(tmp_path):
