@@ -66,7 +66,10 @@ def columns_from_rows(rows) -> tuple:
 class Dataset:
     """Immutable-by-convention transition columns plus trajectory structure.
 
-    columns is (S, A, R, S2, D) as as_columns returns it.
+    meta is the dataset file's header line without its format and version;
+    a generated tier's holds env_id, tier, perturbation and seed, the
+    behaviour policy's seed. columns is (S, A, R, S2, D) as as_columns
+    returns it.
     trajectory_boundaries[i] is one past the last row of trajectory i; the
     final entry equals len(dataset).
     """
@@ -118,7 +121,7 @@ class Dataset:
                    np.cumsum(lengths).tolist())
 
     def arrays(self) -> tuple:
-        """The (S, A, R, S2, D) columns."""
+        """.columns, under the name perfbench/workloads.py calls."""
         return self.columns
 
     def sample_arrays(self, n: int, rng) -> tuple:
@@ -210,23 +213,6 @@ def subsample_trajectories(d: Dataset, fraction: float, seed: int) -> Dataset:
     return Dataset.from_episodes(meta, [episodes[i] for i in chosen])
 
 
-def _meta_to_disk(meta: dict) -> dict:
-    out = {
-        "format": DATASET_FORMAT,
-        "version": DATASET_VERSION,
-        "env_id": meta["env_id"],
-        "tier": meta["tier"],
-        "perturbation": meta.get("perturbation",
-                                 {"gravity_scale": 1.0, "friction_scale": 1.0,
-                                  "action_noise_std": 0.0}),
-        "seed": meta.get("behavior_policy_seed"),
-    }
-    for k, v in meta.items():
-        if k not in ("env_id", "tier", "perturbation", "behavior_policy_seed"):
-            out[k] = v
-    return out
-
-
 def _rows_text(column) -> list[str]:
     """Each row of a column as the JSON text that json.dumps gives it: one
     dumps of the whole column (the C encoder's float repr), split into rows.
@@ -247,7 +233,8 @@ def save_dataset(d: Dataset, path) -> None:
     reuse = np.zeros(n, dtype=bool)
     reuse[:-1] = (S2[:-1].view(np.int64) == S[1:].view(np.int64)).all(axis=1)
     with atomic_write(path) as f:
-        f.write(json.dumps(_meta_to_disk(d.meta)) + "\n")
+        f.write(json.dumps({"format": DATASET_FORMAT, "version": DATASET_VERSION,
+                            **d.meta}) + "\n")
         for i in range(0, n, BLOCK_ROWS):
             j = min(i + BLOCK_ROWS, n)
             # one row past the block, when there is one, gives its last s2;
@@ -318,8 +305,7 @@ def load_dataset(path) -> Dataset:
             raise ContractError(f"not a {DATASET_FORMAT} file: {path}")
         if header.get("version") != DATASET_VERSION:
             raise ContractError(f"unsupported dataset version {header.get('version')}")
-        meta = {k: v for k, v in header.items() if k not in ("format", "version", "seed")}
-        meta["behavior_policy_seed"] = header.get("seed")
+        meta = {k: v for k, v in header.items() if k not in ("format", "version")}
         # Columns are gathered as raw doubles: the Python objects of a block's
         # rows are dropped with the block, and keeping a whole file's would
         # fragment the heap for the whole run.

@@ -177,7 +177,7 @@ def generate_dataset(env_id: str, tier: str, episodes: int, seed: int,
     spec = envs.EnvSpec.real(env_id)
     meta = {"env_id": env_id, "tier": tier,
             "perturbation": spec.perturbation.to_json(),
-            "behavior_policy_seed": seed}
+            "seed": seed}
     if tier != "random":
         if reference is None:
             raise ConfigError(f"tier {tier!r} needs a reference run")

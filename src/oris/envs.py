@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import Config
 from .data import as_columns
-from .errors import ContractError, InvalidStateError, UsageError
+from .errors import ContractError, InvalidStateError, NumericsError, UsageError
 
 ENV_IDS = ("pendulum", "pointgoal")
 
@@ -145,7 +145,7 @@ class Env:
         if not ok.all():
             i = int(np.flatnonzero(~ok.all(axis=1))[0])
             if not np.isfinite(A[i]).all():
-                raise ContractError(f"non-finite action {A[i]} in row {i}")
+                raise NumericsError(f"non-finite action {A[i]} in row {i}")
             raise ContractError(f"action {A[i]} in row {i} outside [-{s}, {s}]")
         A = np.minimum(np.maximum(A, -s), s)
         noise = self.spec.perturbation.action_noise_std
@@ -350,8 +350,9 @@ def rollout(env: Env, policy, starts, horizon: int, rng) -> list[tuple]:
     may raise InvalidStateError), or a count n of episodes reset from the
     env's initial distribution. policy is one policy for all episodes or a
     list with one per episode; a policy maps (obs, rng) for its running rows
-    to their actions. An episode stops at done. A non-finite step raises
-    ContractError once the rollout ends.
+    to their actions. An episode stops at done. A non-finite action raises
+    NumericsError at its step, a non-finite state or reward ContractError
+    once the rollout ends.
     """
     if horizon < 1:
         raise ContractError(f"horizon must be positive, got {horizon}")

@@ -296,6 +296,12 @@ def load_gan(dirpath) -> GanPair:
     if meta.z_dim != gen.in_dim:
         raise ContractError(f"{dirpath}: gan.json has z_dim {meta.z_dim}, "
                             f"but the generator takes {gen.in_dim} inputs")
+    for what, width in (("gan.json mean", len(meta.mean)), ("gan.json std", len(meta.std)),
+                        ("gan.json out_scale", len(meta.out_scale)),
+                        ("the discriminator's input", disc.in_dim)):
+        if width != gen.out_dim:
+            raise ContractError(f"{dirpath}: {what} has width {width}, but the "
+                                f"generator gives {gen.out_dim} state dims")
     return GanPair(gen, disc, StateNormalizer(np.array(meta.mean), np.array(meta.std)),
                    np.array(meta.out_scale), meta.restart_noise_sigma, meta.w_min, meta.w_max)
 

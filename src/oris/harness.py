@@ -20,7 +20,7 @@ import numpy as np
 from . import envs, gan as gan_mod, loop, sac
 from .config import Config, load_json
 from .data import load_dataset, subsample_trajectories
-from .errors import ConfigError, ContractError, NumericsError
+from .errors import ConfigError, NumericsError
 from .files import atomic_write
 from .loop import EpochReport, OrisConfig
 
@@ -42,8 +42,8 @@ def normalized_score(raw: float, random_ref: float, expert_ref: float) -> float:
 
 @dataclass(frozen=True, kw_only=True)
 class Refs(Config):
-    """The refs file `oris gen-dataset` writes, or a config's inline refs
-    (which take the config's env_id): the returns a score is anchored at."""
+    """The refs file `oris gen-dataset` writes: the returns a score is
+    anchored at."""
 
     env_id: str
     random_ref: float
@@ -61,11 +61,10 @@ class ExperimentConfig(Config):
     dataset: str
     variant: str
     seeds: tuple
+    refs_path: str
     perturbation: envs.DynamicsPerturbation = envs.UNPERTURBED
     dataset_fraction: float = 1.0
     subsample_seed: int = 0
-    refs: dict | None = None
-    refs_path: str | None = None
     out_dir: str = "runs"
     oris: OrisConfig = field(default_factory=OrisConfig)
     sac: sac.SacHparams = field(default_factory=sac.SacHparams)
@@ -82,25 +81,17 @@ class ExperimentConfig(Config):
         if not 0.0 < self.dataset_fraction <= 1.0:
             raise ConfigError(
                 f"dataset_fraction must be in (0, 1], got {self.dataset_fraction}")
-        if (self.refs is None) == (self.refs_path is None):
-            raise ConfigError("provide exactly one of refs / refs_path")
-        if self.refs is not None:
-            self.resolve_refs()
         if self.variant != self.oris.variant:
             object.__setattr__(self, "oris",
                                dataclasses.replace(self.oris, variant=self.variant))
 
     def resolve_refs(self) -> tuple[float, float]:
-        """(random_ref, expert_ref) from the inline refs or the refs file,
-        which must be for this config's env."""
-        if self.refs is not None:
-            path, d = "refs", {"env_id": self.env_id, **self.refs}
-        else:
-            path, d = self.refs_path, load_json(self.refs_path)
-        refs = Refs.from_json(d, path)
+        """(random_ref, expert_ref) from the refs file, which must be for
+        this config's env."""
+        refs = Refs.from_json(load_json(self.refs_path), self.refs_path)
         if refs.env_id != self.env_id:
-            raise ConfigError(f"{path}: refs for {refs.env_id!r}, but the config "
-                              f"is for {self.env_id!r}")
+            raise ConfigError(f"{self.refs_path}: refs for {refs.env_id!r}, but the "
+                              f"config is for {self.env_id!r}")
         return refs.random_ref, refs.expert_ref
 
     @classmethod
@@ -240,13 +231,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, progress=None):
     """Train every seed, write one CSV and one agent directory each (see
     sac.save_agent) plus a score table.
 
-    Returns (ScoreTable, failures); a seed that diverges (NumericsError, or
-    ContractError from a non-finite action or report) is recorded in
-    `failures` and the table aggregates the rest. Any other exception is a
-    fault in the program and propagates. GANs are shared through the
-    store `<parent of out_dir>/gans/`: sibling cells of a study (sweep points,
-    variants) load a GAN one of them fitted from the same offline states, GAN
-    hparams and seed instead of fitting it again.
+    Returns (ScoreTable, failures); a seed that diverges (NumericsError) is
+    recorded in `failures` and the table aggregates the rest. Any other
+    exception, such as a ContractError from a damaged input file, stops the
+    run. GANs are shared through the store `<parent of out_dir>/gans/`:
+    sibling cells of a study (sweep points, variants) load a GAN one of them
+    fitted from the same offline states, GAN hparams and seed instead of
+    fitting it again.
     """
     offline = _load_offline(cfg)
     refs = cfg.resolve_refs()
@@ -262,7 +253,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, progress=None):
                                         cfg.sac, int(seed), gan_hp=cfg.gan,
                                         progress=progress,
                                         gan_store=out.parent / "gans")
-        except (NumericsError, ContractError) as e:
+        except NumericsError as e:
             failures.append({"variant": cfg.variant, "seed": int(seed),
                              "error": f"{type(e).__name__}: {e}"})
             continue

@@ -20,7 +20,7 @@ import numpy as np
 from . import envs, gan as gan_mod, sac
 from .config import Config
 from .data import Dataset, ReplayBuffer
-from .errors import ConfigError, ContractError, InvalidStateError
+from .errors import ConfigError, ContractError, InvalidStateError, NumericsError
 
 VARIANTS = ("oris", "no_restart", "uniform_weight", "naive_mix",
             "sim_only_sac", "bc")
@@ -91,7 +91,7 @@ class EpochReport:
             raise ContractError("random_rollout_fraction outside [0, 1]")
         for k in self.__dataclass_fields__:
             if not np.isfinite(getattr(self, k)):
-                raise ContractError(f"non-finite {k} in epoch report")
+                raise NumericsError(f"non-finite {k} in epoch report")
 
 
 @dataclass
@@ -197,7 +197,7 @@ def train(offline: Dataset, perturbation: envs.DynamicsPerturbation,
                                 hp, seed=int(rng_init.integers(2 ** 31)))
     g = None
     if cfg.needs_gan():
-        states, gan_hp = offline.arrays()[0], gan_hp or gan_mod.GanHparams()
+        states, gan_hp = offline.columns[0], gan_hp or gan_mod.GanHparams()
         g = (gan_mod.pretrain(states, gan_hp, rng_gan)[0] if gan_store is None
              else gan_mod.pretrain_or_load(states, gan_hp, rng_gan, gan_store))
 

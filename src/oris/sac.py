@@ -384,7 +384,11 @@ def load_agent(dirpath) -> SacAgent:
     parts = {name: nets.load_checkpoint(os.path.join(dirpath, f"{name}.mlp"))
              for name in AGENT_NETS}
     hp = meta.hparams
-    critics = nets.stack([parts["critic1"], parts["critic2"]])
+    try:
+        critics = nets.stack([parts["critic1"], parts["critic2"]])
+        targets = nets.stack([parts["target1"], parts["target2"]])
+    except ContractError as e:
+        raise ContractError(f"bad agent directory {dirpath}: {e}") from e
     if meta.opt_temperature is not None:
         saved = {name: nets.load_adam(os.path.join(dirpath, f"opt_{name}.adam"), parts[name])
                  for name in TRAINED_NETS}
@@ -397,6 +401,6 @@ def load_agent(dirpath) -> SacAgent:
             opt_critics=nets.AdamState.for_net(critics, hp.critic_lr),
             opt_temperature=nets.ScalarAdam(hp.temperature_lr))
     return SacAgent(
-        parts["actor"], critics, nets.stack([parts["target1"], parts["target2"]]),
+        parts["actor"], critics, targets,
         log_temperature=meta.log_temperature, target_entropy=meta.target_entropy,
         action_scale=meta.action_scale, hparams=hp, update_count=meta.update_count, **opts)

@@ -265,7 +265,8 @@ def dataset_text_per_row(d):
     """A dataset file's text with one json.dumps per transition row: the
     reference for the bytes data.save_dataset writes."""
     eot = set(b - 1 for b in d.trajectory_boundaries)
-    lines = [json.dumps(data._meta_to_disk(d.meta))]
+    lines = [json.dumps({"format": data.DATASET_FORMAT, "version": data.DATASET_VERSION,
+                         **d.meta})]
     rows = zip(*(c.tolist() for c in d.columns))
     for i, (s, a, r, s2, done) in enumerate(rows):
         lines.append(json.dumps({"s": s, "a": a, "r": r, "s2": s2, "done": bool(done),

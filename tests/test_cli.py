@@ -13,13 +13,17 @@ from oris.data import load_dataset, save_dataset
 from test_datasets import TINY
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+REFS = {"env_id": "pendulum", "random_ref": -1500.0, "expert_ref": -100.0}
+DROP = object()  # a value that stands for the key's removal
 
 
 @pytest.fixture(scope="module")
 def data_dir(tmp_path_factory):
+    """A dataset and a refs file, as `oris gen-dataset` names them."""
     d = tmp_path_factory.mktemp("cli_data")
     ds = datasets.generate_dataset("pendulum", "random", episodes=2, seed=0)
     save_dataset(ds, d / "pendulum_random.jsonl")
+    (d / "pendulum_refs.json").write_text(json.dumps(REFS))
     return d
 
 
@@ -38,13 +42,13 @@ def write_config(path, data_dir, **over):
         "variant": "naive_mix",
         "seeds": [0],
         "perturbation": {"gravity_scale": 2.0},
-        "refs": {"random_ref": -1500.0, "expert_ref": -100.0},
+        "refs_path": str(data_dir / "pendulum_refs.json"),
         "oris": {"rollout_horizon": 2, "rollout_count": 1, "epochs": 1,
                  "updates_per_epoch": 1, "eval_episodes": 1},
         "sac": {"hidden": [16, 16], "batch_off": 8, "batch_sim": 8},
     }
     d.update(over)
-    path.write_text(json.dumps(d))
+    path.write_text(json.dumps({k: v for k, v in d.items() if v is not DROP}))
     return path
 
 
@@ -58,7 +62,7 @@ def test_gen_dataset_writes_the_env_tiers_and_refs(tmp_path, tiny_reference, cap
     printed = capsys.readouterr().out
     for tier, episodes in tiers.items():
         ds = load_dataset(tmp_path / f"pointgoal_{tier}.jsonl")
-        assert ds.meta["tier"] == tier and ds.meta["behavior_policy_seed"] == 4
+        assert ds.meta["tier"] == tier and ds.meta["seed"] == 4
         assert len(ds.trajectory_boundaries) == episodes
         assert f"pointgoal_{tier}.jsonl: {len(ds)} transitions, " \
             f"{episodes} trajectories" in printed
@@ -130,7 +134,14 @@ def test_train_missing_config_file(tmp_path, capsys):
     assert "no such file" in capsys.readouterr().err
 
 
-REFS = {"env_id": "pendulum", "random_ref": -1500.0, "expert_ref": -100.0}
+@pytest.mark.parametrize("over, reason", [
+    ({"refs": {"random_ref": -1500.0, "expert_ref": -100.0}}, "unknown keys ['refs']"),
+    ({"refs_path": DROP}, "'refs_path'")])
+def test_train_refs_come_only_from_a_refs_file(tmp_path, data_dir, capsys, over, reason):
+    cfg = write_config(tmp_path / "c.json", data_dir, **over)
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert reason in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("text, reason", [
@@ -149,8 +160,7 @@ def test_train_bad_refs_file_exits_2(tmp_path, data_dir, capsys, text, reason):
     refs = tmp_path / "refs.json"
     if text is not None:
         refs.write_text(text)
-    cfg = write_config(tmp_path / "c.json", data_dir, refs=None,
-                       refs_path=str(refs))
+    cfg = write_config(tmp_path / "c.json", data_dir, refs_path=str(refs))
     rc = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
     assert rc == 2
     err = capsys.readouterr().err
@@ -192,8 +202,8 @@ def test_evaluate_saved_agent(tmp_path, capsys):
     assert out["return_mean"] == pytest.approx(np.mean(out["returns"]))
 
 
-def _saved_agent(path, obs_dim=3, action_dim=1):
-    agent = sac.SacAgent.create(obs_dim, action_dim, 2.0, sac.SacHparams(hidden=(4,)), 0)
+def _saved_agent(path, obs_dim=3, action_dim=1, hidden=(4,)):
+    agent = sac.SacAgent.create(obs_dim, action_dim, 2.0, sac.SacHparams(hidden=hidden), 0)
     sac.save_agent(agent, path)
     return path
 
@@ -205,9 +215,6 @@ def _evaluate(agent_dir, env="pendulum"):
 def test_evaluate_missing_agent_directory_exits_2(tmp_path, capsys):
     assert _evaluate(tmp_path / "no_agent") == 2
     assert f"not a oris-sac v1 directory: {tmp_path / 'no_agent'}" in capsys.readouterr().err
-
-
-DROP = object()  # a value that stands for the key's removal
 
 
 def _edit_header(path, key, value):
@@ -266,15 +273,34 @@ def test_evaluate_agent_on_another_env_exits_2_naming_both(tmp_path, capsys):
     assert f"agent {agent_dir} has (obs, action) dims (3, 1); pointgoal has (4, 2)" in err
 
 
-def test_gen_dataset_train_evaluate_chain(tmp_path, tiny_reference, capsys):
+def test_evaluate_agent_with_unstackable_critics_exits_2_naming_it(tmp_path, capsys):
+    agent_dir = _saved_agent(tmp_path / "agent")
+    wider = _saved_agent(tmp_path / "wider", hidden=(8,))
+    (agent_dir / "critic2.mlp").write_bytes((wider / "critic2.mlp").read_bytes())
+    assert _evaluate(agent_dir) == 2
+    err = capsys.readouterr().err
+    assert f"bad agent directory {agent_dir}: a stack's members" in err
+
+
+def test_evaluate_agent_that_acts_nan_exits_3(tmp_path, capsys):
+    agent_dir = _saved_agent(tmp_path / "agent")
+    agent = sac.load_agent(agent_dir)
+    agent.actor.params[:] = np.nan
+    sac.save_agent(agent, agent_dir)
+    assert _evaluate(agent_dir) == 3
+    assert "numerics failure: non-finite action" in capsys.readouterr().err
+
+
+def test_gen_dataset_train_evaluate_chain(tmp_path, data_dir, tiny_reference, capsys):
     """The CLI's own artifacts chain: the tiers of a tiny reference run, an
     oris run on the medium_replay tier that saves its agent, and an
-    evaluation of that agent. The config keeps inline refs: a reference this
-    small can evaluate below random."""
+    evaluation of that agent. The config reads data_dir's refs file: a
+    reference this small can evaluate below random, so its own refs cannot
+    score."""
     data, run = tmp_path / "data", tmp_path / "run"
     assert cli.main(["gen-dataset", "--env", "pendulum", "--seed", "1",
                      "--out", str(data), "--reference-config", str(tiny_reference)]) == 0
-    cfg = write_config(tmp_path / "c.json", data, variant="oris", seeds=[0, 1],
+    cfg = write_config(tmp_path / "c.json", data_dir, variant="oris", seeds=[0, 1],
                        dataset=str(data / "pendulum_medium_replay.jsonl"),
                        gan={"z_dim": 2, "hidden": [8], "iterations": 10,
                             "batch_size": 16})

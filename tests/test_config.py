@@ -22,7 +22,7 @@ EXAMPLES = {
         total_steps=5000, eval_interval=1000, sac=SAC),
     harness.ExperimentConfig: harness.ExperimentConfig(
         env_id="pointgoal", dataset="d.jsonl", variant="no_restart", seeds=(0, 3),
-        perturbation=PERTURBATION, refs={"random_ref": -1.0, "expert_ref": 1.0},
+        perturbation=PERTURBATION, refs_path="data/pointgoal_refs.json",
         oris=ORIS, sac=SAC),
     # the headers of the files oris writes
     nets.MlpHeader: nets.MlpHeader(layer_sizes=(3, 8, 2), hidden_activation="relu",

@@ -27,7 +27,7 @@ def make_dataset(rng, episode_lengths, tier="random"):
     meta = {"env_id": "pendulum", "tier": tier,
             "perturbation": {"gravity_scale": 1.0, "friction_scale": 1.0,
                              "action_noise_std": 0.0},
-            "behavior_policy_seed": 7}
+            "seed": 7}
     return data.Dataset.from_episodes(meta, eps)
 
 
@@ -56,7 +56,7 @@ def test_dataset_structure():
     assert d.trajectory_boundaries == [4, 6, 11]
     lengths = [len(tr[2]) for tr in d.trajectories()]
     assert lengths == [4, 2, 5]
-    R = d.arrays()[2]
+    R = d.columns[2]
     assert d.episode_returns() == [sum(R[:4].tolist()), sum(R[4:6].tolist()),
                                    sum(R[6:].tolist())]
     assert all(tr[4][-1] == 1.0 for tr in d.trajectories())
@@ -83,10 +83,8 @@ def test_save_load_roundtrip_exact_and_byte_stable(tmp_path):
     loaded = data.load_dataset(p1)
     assert len(loaded) == len(d)
     assert loaded.trajectory_boundaries == d.trajectory_boundaries
-    assert loaded.meta["env_id"] == "pendulum"
-    assert loaded.meta["tier"] == "random"
-    assert loaded.meta["behavior_policy_seed"] == 7
-    for a, b in zip(loaded.arrays(), d.arrays()):
+    assert loaded.meta == d.meta
+    for a, b in zip(loaded.columns, d.columns):
         np.testing.assert_array_equal(a, b)
         assert a.dtype == np.float64
     data.save_dataset(loaded, p2)
@@ -291,7 +289,7 @@ def test_subsample_whole_trajectories():
 
     full = data.subsample_trajectories(d, 1.0, seed=3)
     assert len(full) == len(d)
-    for a, b in zip(full.arrays(), d.arrays()):
+    for a, b in zip(full.columns, d.columns):
         np.testing.assert_array_equal(a, b)
     assert full.trajectory_boundaries == d.trajectory_boundaries
 
@@ -310,15 +308,15 @@ def test_subsample_deterministic_per_seed():
     a = data.subsample_trajectories(d, 0.25, seed=5)
     b = data.subsample_trajectories(d, 0.25, seed=5)
     c = data.subsample_trajectories(d, 0.25, seed=6)
-    assert a.arrays()[2].tolist() == b.arrays()[2].tolist()
-    assert a.arrays()[2].tolist() != c.arrays()[2].tolist()
+    assert a.columns[2].tolist() == b.columns[2].tolist()
+    assert a.columns[2].tolist() != c.columns[2].tolist()
 
 
 def test_state_marginal_matches_two_pass_oracle():
     """The GAN fits the dataset's S column; its normalizer matches the oracle."""
     rng = np.random.default_rng(5)
     d = make_dataset(rng, [10, 10])
-    states = d.arrays()[0]
+    states = d.columns[0]
     assert states.shape == (20, 3)
     norm = gan.StateNormalizer.fit(states)
     rows = list(states)
@@ -330,7 +328,7 @@ def test_state_marginal_matches_two_pass_oracle():
 def test_sample_arrays_uniform_with_replacement():
     rng = np.random.default_rng(0)
     d = make_dataset(rng, [10])
-    rewards = d.arrays()[2].tolist()
+    rewards = d.columns[2].tolist()
     S, A, R, S2, D = d.sample_arrays(20_000, np.random.default_rng(123))
     counts = {r: 0 for r in rewards}
     for r in R.tolist():
@@ -342,7 +340,7 @@ def test_sample_arrays_uniform_with_replacement():
     # each draw is one whole row
     row_of = {r: k for k, r in enumerate(rewards)}
     rows = [row_of[r] for r in R.tolist()]
-    for got, col in zip((S, A, S2, D), (d.arrays()[k] for k in (0, 1, 3, 4))):
+    for got, col in zip((S, A, S2, D), (d.columns[k] for k in (0, 1, 3, 4))):
         np.testing.assert_array_equal(got, col[rows])
 
 

@@ -116,14 +116,14 @@ def test_generate_random_dataset():
     ds = datasets.generate_dataset("pendulum", "random", episodes=3, seed=9)
     assert ds.meta["env_id"] == "pendulum"
     assert ds.meta["tier"] == "random"
-    assert ds.meta["behavior_policy_seed"] == 9
+    assert ds.meta["seed"] == 9
     assert len(ds.trajectory_boundaries) == 3
     assert len(ds) == 600
-    s, a, *_ = ds.arrays()
+    s, a, *_ = ds.columns
     assert np.all(np.abs(a) <= 2.0)
     # same seed regenerates identical data; tier index salts the stream
     again = datasets.generate_dataset("pendulum", "random", episodes=3, seed=9)
-    np.testing.assert_array_equal(s, again.arrays()[0])
+    np.testing.assert_array_equal(s, again.columns[0])
 
 
 def test_generate_dataset_validation(tiny_ref):
@@ -173,7 +173,7 @@ def test_medium_replay_is_history_prefix():
     assert len(capped.trajectory_boundaries) == 3
     # most recent episodes kept: 2, 3, 4 of the prefix
     np.testing.assert_array_equal(
-        capped.arrays()[2], np.concatenate([ep[2] for ep in eps[1:4]]))
+        capped.columns[2], np.concatenate([ep[2] for ep in eps[1:4]]))
     assert capped.meta["medium_eval_return"] == -40.0
 
 

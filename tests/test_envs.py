@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oris import envs
-from oris.errors import ContractError, InvalidStateError, UsageError
+from oris.errors import ContractError, InvalidStateError, NumericsError, UsageError
 
 
 def pendulum(perturbation=envs.UNPERTURBED):
@@ -75,7 +75,7 @@ def test_pendulum_speed_clip_and_action_bounds():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_evaluate_policy_rejects_nonfinite_actions(bad):
-    with pytest.raises(ContractError, match="non-finite action"):
+    with pytest.raises(NumericsError, match="non-finite action"):
         envs.evaluate_policy(envs.EnvSpec.real("pendulum"),
                              lambda obs, rng: np.full((len(obs), 1), bad), 1,
                              np.random.default_rng(0))
@@ -374,8 +374,10 @@ def test_bad_action_names_its_row(bad):
     env.reset(np.random.default_rng(0), 4)
     A = np.zeros((4, 1))
     A[2, 0] = bad
-    what = "outside" if np.isfinite(bad) else "non-finite action"
-    with pytest.raises(ContractError, match=f"{what}.*row 2|row 2.*{what}"):
+    # a finite action out of range is a caller's fault, a non-finite one divergence
+    what, error = ("outside", ContractError) if np.isfinite(bad) \
+        else ("non-finite action", NumericsError)
+    with pytest.raises(error, match=f"{what}.*row 2|row 2.*{what}"):
         env.step(A, np.random.default_rng(0))
 
 

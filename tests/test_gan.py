@@ -241,6 +241,30 @@ def test_load_gan_refuses_a_latent_width_its_generator_lacks(tmp_path):
     assert str(tmp_path / "g") in str(e.value)
 
 
+@pytest.mark.parametrize("edit, says", [
+    pytest.param({"mean": [0.0, 0.0, 0.0]}, "gan.json mean has width 3", id="mean"),
+    pytest.param({"std": [1.0]}, "gan.json std has width 1", id="std"),
+    pytest.param({"out_scale": [1.0, 1.0, 1.0]}, "gan.json out_scale has width 3",
+                 id="out_scale"),
+    pytest.param(None, "the discriminator's input has width 3", id="discriminator")])
+def test_load_gan_refuses_a_state_width_its_generator_lacks(tmp_path, edit, says):
+    """Each per-dim vector of gan.json and the discriminator's input have
+    the generator's output width; otherwise the first weight_of_batch would
+    fail without naming the directory."""
+    S = mixture_states(100, np.random.default_rng(22))
+    hp = gan.GanHparams(z_dim=3, hidden=(8,), iterations=2, batch_size=16)
+    gan.save_gan(gan.pretrain(S, hp, np.random.default_rng(23))[0], tmp_path / "g")
+    if edit is None:
+        nets.save_checkpoint(nets.MlpNet.he_uniform([3, 8, 1]),
+                             tmp_path / "g" / "discriminator.mlp")
+    else:
+        meta_path = tmp_path / "g" / "gan.json"
+        meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()), **edit}))
+    with pytest.raises(ContractError, match=re.escape(
+            f"{tmp_path / 'g'}: {says}, but the generator gives 2 state dims")):
+        gan.load_gan(tmp_path / "g")
+
+
 def test_pretrain_deterministic_given_rng():
     rng = np.random.default_rng(20)
     S = mixture_states(200, rng)

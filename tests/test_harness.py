@@ -1,6 +1,7 @@
 """Tests for experiment configs, metrics files, score tables, and sweeps."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -19,9 +20,12 @@ TINY_GAN = {"z_dim": 4, "hidden": [16, 16], "iterations": 20, "batch_size": 32,
 
 @pytest.fixture(scope="module")
 def dataset_path(tmp_path_factory):
+    """A dataset with its refs file beside it, as `oris gen-dataset` writes them."""
     ds = datasets.generate_dataset("pendulum", "random", episodes=2, seed=0)
     path = tmp_path_factory.mktemp("data") / "pendulum_random.jsonl"
     save_dataset(ds, path)
+    path.with_name("pendulum_refs.json").write_text(
+        json.dumps({"env_id": "pendulum", **REFS}))
     return path
 
 
@@ -32,7 +36,7 @@ def tiny_config(dataset_path, **over):
         "variant": "naive_mix",
         "seeds": [0, 1],
         "perturbation": {"gravity_scale": 2.0},
-        "refs": REFS,
+        "refs_path": str(dataset_path.with_name("pendulum_refs.json")),
         "oris": {"rollout_horizon": 5, "rollout_count": 1, "epochs": 2,
                  "updates_per_epoch": 2, "eval_episodes": 1},
         "sac": {"hidden": [16, 16], "batch_off": 8, "batch_sim": 8},
@@ -99,14 +103,8 @@ def test_config_validation(dataset_path):
         tiny_config(dataset_path, seeds=[1, 1])
     with pytest.raises(ConfigError):
         tiny_config(dataset_path, dataset_fraction=0.0)
-    with pytest.raises(ConfigError):
-        tiny_config(dataset_path, refs=None)  # neither refs nor refs_path
-    with pytest.raises(ConfigError):
-        tiny_config(dataset_path, refs_path="x.json")  # both
     with pytest.raises(ConfigError, match="contradicts"):
         tiny_config(dataset_path, oris={"variant": "oris"})
-    with pytest.raises(ConfigError):
-        tiny_config(dataset_path, refs={"random_ref": -10.0})  # missing expert
 
 
 def test_config_roundtrip_and_hash(dataset_path):
@@ -242,8 +240,7 @@ def test_run_experiment_checks_inputs_before_making_out_dir(dataset_path, tmp_pa
     out = tmp_path / "runs" / "oris"
     with pytest.raises(ConfigError, match="exist"):
         harness.run_experiment(tiny_config(tmp_path / "missing.jsonl"), out)
-    no_refs = tiny_config(dataset_path, refs=None,
-                          refs_path=str(tmp_path / "missing_refs.json"))
+    no_refs = tiny_config(dataset_path, refs_path=str(tmp_path / "missing_refs.json"))
     with pytest.raises(ConfigError, match="no such file"):
         harness.run_experiment(no_refs, out)
     assert not (tmp_path / "runs").exists()
@@ -296,6 +293,7 @@ def test_sweep_fraction_axis_end_to_end(dataset_path, tmp_path):
 def counted_fits(monkeypatch) -> list:
     fits = []
     real_pretrain = gan.pretrain
+    gan.numerics_sha256()  # its own tiny fit, once per process, is not counted
 
     def pretrain(states, hparams, rng):
         fits.append(hparams)
@@ -371,3 +369,15 @@ def test_gan_store_ignores_leftover_tmp(dataset_path, tmp_path, monkeypatch):
     assert (tmp_path / "b" / "gans" / entry.name / "report.json").exists()
     assert (tmp_path / "a" / "oris" / "oris_seed0.csv").read_bytes() \
         == (tmp_path / "b" / "oris" / "oris_seed0.csv").read_bytes()
+
+
+def test_damaged_gan_store_entry_stops_the_run(dataset_path, tmp_path):
+    """A store entry's data is an input, not a divergence: a truncated net
+    stops the run, naming its file, and no seed is filed as failed."""
+    run_cell(gan_config(dataset_path), tmp_path / "a")
+    (entry,) = (tmp_path / "gans").iterdir()
+    mlp = entry / "generator.mlp"
+    mlp.write_bytes(mlp.read_bytes()[:-1])
+    with pytest.raises(ContractError, match=f"truncated .* in {re.escape(str(mlp))}"):
+        harness.run_experiment(gan_config(dataset_path, "no_restart"), tmp_path / "b")
+    assert not (tmp_path / "b" / "failures.json").exists()

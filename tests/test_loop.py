@@ -7,7 +7,7 @@ from oracles import binomial_3sigma, stored_columns
 
 from oris import datasets, envs, gan, loop, nets, sac
 from oris.data import ReplayBuffer
-from oris.errors import ConfigError, ContractError
+from oris.errors import ConfigError, ContractError, NumericsError
 from oris.gan import GanPair, StateNormalizer
 from oris.loop import EpochReport, OrisConfig
 
@@ -169,7 +169,7 @@ def test_collect_epoch_rejects_nonfinite_actions(monkeypatch):
     buf = ReplayBuffer(100, 3, 1)
     monkeypatch.setattr(sac, "act", lambda _agent, S, *_: np.full((len(S), 1), np.nan))
     cfg = OrisConfig(variant="naive_mix", rollout_count=2, rollout_horizon=5, epochs=1)
-    with pytest.raises(ContractError, match="non-finite"):
+    with pytest.raises(NumericsError, match="non-finite"):
         loop.collect_epoch(env, agent, cfg, buf, np.random.default_rng(0))
     assert len(buf) == 0
 
@@ -181,7 +181,7 @@ def test_buffer_weights_are_each_rollouts_weights(pend_random):
     a call on the row alone."""
     gan_hp = gan.GanHparams(z_dim=4, hidden=(32, 32), iterations=60, batch_size=64,
                             w_min=0.0)
-    g, _ = gan.pretrain(pend_random.arrays()[0], gan_hp, np.random.default_rng(3))
+    g, _ = gan.pretrain(pend_random.columns[0], gan_hp, np.random.default_rng(3))
     g.discriminator.biases[-1][:] -= 2.0  # most D below 1/2: weights off the clip
     agent = make_agent()
     env = envs.make_env(envs.EnvSpec("pendulum", envs.DynamicsPerturbation(2.0)))
@@ -222,7 +222,7 @@ def test_epoch_report_validation():
     EpochReport(random_rollout_fraction=0.5, **kw)
     with pytest.raises(ContractError):
         EpochReport(random_rollout_fraction=1.5, **kw)
-    with pytest.raises(ContractError):
+    with pytest.raises(NumericsError, match="non-finite critic_loss"):
         EpochReport(random_rollout_fraction=0.5,
                     **{**kw, "critic_loss": float("nan")})
 

@@ -12,45 +12,45 @@ from oris.data import TIERS
 from oris.harness import ExperimentConfig, ScoreTable
 
 # (out dir, sweep axis, base config hash, {sweep point: config hash}) per
-# cell at default arguments, as the per-study run scripts built them before
-# `oris study` replaced them.
+# cell at default arguments. A change that moves them on purpose says so and
+# records them here once; two cells that share a hash train the same run.
 STUDY_CELLS = {
     "main_comparison": [
-        ("runs/main_comparison/oris", None, "92c197eb1859", None),
-        ("runs/main_comparison/naive_mix", None, "33f455472e2d", None),
-        ("runs/main_comparison/sim_only_sac", None, "f9e54d7a9c26", None),
+        ("runs/main_comparison/oris", None, "c27f32c5a406", None),
+        ("runs/main_comparison/naive_mix", None, "3c6f6f422e41", None),
+        ("runs/main_comparison/sim_only_sac", None, "817c674089c3", None),
     ],
     "gap_grid": [
-        ("runs/gap_grid/oris", "gap_type", "f5587c5628de",
-         {"gap_gravity": "92c197eb1859", "gap_friction": "067e355e5aee",
-          "gap_action_noise": "9a621d0dfcab"}),
-        ("runs/gap_grid/naive_mix", "gap_type", "bb5462ef3309",
-         {"gap_gravity": "33f455472e2d", "gap_friction": "3a97f7f9c349",
-          "gap_action_noise": "ffd926445fc9"}),
-        ("runs/gap_grid/sim_only_sac", "gap_type", "b3aed562bf45",
-         {"gap_gravity": "f9e54d7a9c26", "gap_friction": "bc4ef51e832e",
-          "gap_action_noise": "98fff710fec2"}),
+        ("runs/gap_grid/oris", "gap_type", "a3e27b62ef19",
+         {"gap_gravity": "c27f32c5a406", "gap_friction": "bb9cb5ffa65a",
+          "gap_action_noise": "0915d07e0fea"}),
+        ("runs/gap_grid/naive_mix", "gap_type", "0058c24b1c06",
+         {"gap_gravity": "3c6f6f422e41", "gap_friction": "a925bd1b0e91",
+          "gap_action_noise": "5567993c8836"}),
+        ("runs/gap_grid/sim_only_sac", "gap_type", "090feb8e73de",
+         {"gap_gravity": "817c674089c3", "gap_friction": "ce3cba0fe298",
+          "gap_action_noise": "c0864af00a51"}),
     ],
     "gc_sweep": [
-        ("runs/gc_sweep/oris", "gravity", "f5587c5628de",
-         {"gravity_2": "92c197eb1859", "gravity_3": "db83fa230cf3",
-          "gravity_4": "7bc79c6d2bfd", "gravity_5": "373a8d5b266c"}),
-        ("runs/gc_sweep/sim_only_sac", "gravity", "b3aed562bf45",
-         {"gravity_2": "f9e54d7a9c26", "gravity_3": "09ea0c637d90",
-          "gravity_4": "ce8dabd11f87", "gravity_5": "53a3c168a288"}),
+        ("runs/gc_sweep/oris", "gravity", "a3e27b62ef19",
+         {"gravity_2": "c27f32c5a406", "gravity_3": "6be809292261",
+          "gravity_4": "88bf7cca6e07", "gravity_5": "5c30bb6bab59"}),
+        ("runs/gc_sweep/sim_only_sac", "gravity", "090feb8e73de",
+         {"gravity_2": "817c674089c3", "gravity_3": "1fab98f19416",
+          "gravity_4": "198fe48d88f0", "gravity_5": "b46c2ab2b611"}),
     ],
     "small_data": [
-        ("runs/small_data/oris", "fraction", "92c197eb1859",
-         {"fraction_1": "92c197eb1859", "fraction_0.25": "85508806d4f3",
-          "fraction_0.05": "4fa5fa55ac72"}),
-        ("runs/small_data/bc", "fraction", "153054fce569",
-         {"fraction_1": "153054fce569", "fraction_0.25": "f3a9efa5b069",
-          "fraction_0.05": "cef91c7bd4c5"}),
+        ("runs/small_data/oris", "fraction", "c27f32c5a406",
+         {"fraction_1": "c27f32c5a406", "fraction_0.25": "44c29da9f65a",
+          "fraction_0.05": "2ff0076518ee"}),
+        ("runs/small_data/bc", "fraction", "6f7286671544",
+         {"fraction_1": "6f7286671544", "fraction_0.25": "a7c03848d65b",
+          "fraction_0.05": "5bc0aed8b8a2"}),
     ],
     "ablations": [
-        ("runs/ablations", "ablation", "3bb5a54ce768",
-         {"oris": "3bb5a54ce768", "no_restart": "06f27cb8f681",
-          "uniform_weight": "ff678967fd09", "naive_mix": "e6673710629f"}),
+        ("runs/ablations", "ablation", "18ecb865b339",
+         {"oris": "18ecb865b339", "no_restart": "c86549e3501a",
+          "uniform_weight": "9a77f8964a45", "naive_mix": "ce38d267e700"}),
     ],
 }
 
@@ -107,4 +107,4 @@ def test_readme_config_is_the_main_comparison_oris_cell():
     block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
     cfg = ExperimentConfig.from_json(json.loads(block))
     cell = presets.study_cells("main_comparison", "data", "runs/main", range(5))[0]
-    assert cfg.config_hash() == cell.config_hash() == "92c197eb1859"
+    assert cfg.config_hash() == cell.config_hash() == "c27f32c5a406"
