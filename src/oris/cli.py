@@ -125,6 +125,13 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A --seed value: np.random.SeedSequence takes only a non-negative int."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="oris",
@@ -135,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen-dataset", help="train a reference agent and write "
                        "the offline tiers the studies read, plus its refs")
     g.add_argument("--env", required=True, choices=envs.ENV_IDS)
-    g.add_argument("--seed", type=int, default=0,
+    g.add_argument("--seed", type=_seed, default=0,
                    help="seed of the reference run; the tiers use seed + 1")
     g.add_argument("--out", required=True, help="output directory")
     g.add_argument("--reference-config", default=None,
@@ -144,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="run one experiment config over its seeds")
     t.add_argument("--config", required=True)
-    t.add_argument("--seed", type=int, default=None, help="override config seeds")
+    t.add_argument("--seed", type=_seed, default=None, help="override config seeds")
     t.add_argument("--out", default=None, help="override output directory")
     t.add_argument("--verbose", action="store_true")
     t.set_defaults(func=cmd_train_or_sweep, axis=None)
@@ -152,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sweep", help="expand one axis of an experiment config")
     s.add_argument("--config", required=True)
     s.add_argument("--axis", required=True, choices=harness.SWEEP_AXES)
-    s.add_argument("--seed", type=int, default=None, help="override config seeds")
+    s.add_argument("--seed", type=_seed, default=None, help="override config seeds")
     s.add_argument("--out", default=None, help="override output directory")
     s.add_argument("--verbose", action="store_true")
     s.set_defaults(func=cmd_train_or_sweep)
@@ -164,14 +171,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="directory of `oris gen-dataset` output")
     st.add_argument("--out", default=None, help="output directory "
                     "(default runs/NAME)")
-    st.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3, 4])
+    st.add_argument("--seeds", type=_seed, nargs="+", default=[0, 1, 2, 3, 4])
     st.set_defaults(func=cmd_study)
 
     e = sub.add_parser("evaluate", help="evaluate a saved agent on the real env")
     e.add_argument("--agent", required=True, help="agent checkpoint directory")
     e.add_argument("--env", required=True, choices=envs.ENV_IDS)
     e.add_argument("--episodes", type=int, default=10)
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--seed", type=_seed, default=0)
     e.set_defaults(func=cmd_evaluate)
     return p
 

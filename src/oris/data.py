@@ -55,13 +55,6 @@ def as_columns(S, A, R, S2, D) -> tuple:
     return cols
 
 
-def columns_from_rows(rows) -> tuple:
-    """Checked columns from a non-empty sequence of (s, a, r, s2, done) rows."""
-    if not rows:
-        raise ContractError("no rows")
-    return as_columns(*zip(*rows))
-
-
 @dataclass(eq=False)
 class Dataset:
     """Immutable-by-convention transition columns plus trajectory structure.
@@ -152,17 +145,6 @@ class ReplayBuffer:
         o, r = self.obs_dim, self.obs_dim + self.action_dim
         return (rows[:, :o], rows[:, o:r], rows[:, r], rows[:, r + 1:r + 1 + o],
                 rows[:, -2]), rows[:, -1]
-
-    def add(self, s, a, r, s2, done) -> None:
-        """Append one row at weight 1: the per-step path of online training."""
-        row = np.concatenate((s, a, (r,), s2, (bool(done), 1.0)), dtype=np.float64)
-        if not (len(s) == len(s2) == self.obs_dim and len(row) == self.width
-                and np.isfinite(row).all()):
-            raise ContractError(f"transition row {(s, a, r, s2)} is non-finite or not "
-                                f"of this buffer's obs and action dims")
-        self._rows[self._cursor] = row
-        self._cursor = (self._cursor + 1) % self.capacity
-        self._n = min(self._n + 1, self.capacity)
 
     def extend(self, columns, weights=None) -> None:
         """Append the rows of columns (S, A, R, S2, D) in order; weights[k], if
@@ -338,4 +320,7 @@ def load_dataset(path) -> Dataset:
                             f"bad transition row: non-finite value")
     if not bounds or bounds[-1] != n:
         raise ContractError(f"{path}: final trajectory is unterminated (missing eot)")
-    return Dataset(meta, (S, A, R[:, 0], S2, D[:, 0]), bounds)
+    try:
+        return Dataset(meta, (S, A, R[:, 0], S2, D[:, 0]), bounds)
+    except ContractError as e:  # e.g. a header without env_id or tier, or S and S2 of two widths
+        raise ContractError(f"{path}: {e}") from None

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import envs, nets, sac
 from .config import Config
-from .data import Dataset, ReplayBuffer, TIERS, columns_from_rows
+from .data import Dataset, TIERS, as_columns
 from .errors import ConfigError, ContractError
 
 
@@ -29,7 +29,6 @@ class ReferenceHparams(Config):
     eval_interval: int = 1_000
     eval_episodes: int = 10
     batch_size: int = 256
-    replay_capacity: int = 300_000
     sac: sac.SacHparams = field(default_factory=sac.SacHparams)
 
     def __post_init__(self):
@@ -37,7 +36,7 @@ class ReferenceHparams(Config):
             raise ContractError("total_steps must cover at least one eval_interval")
         if self.warmup_steps < 0 or self.update_every < 1:
             raise ContractError("bad warmup/update_every")
-        for k in ("eval_episodes", "batch_size", "replay_capacity"):
+        for k in ("eval_episodes", "batch_size"):
             if getattr(self, k) < 1:
                 raise ContractError(f"{k} must be >= 1")
 
@@ -56,7 +55,7 @@ class ReferenceRun:
     seed: int
     hparams: ReferenceHparams
     checkpoints: list[Checkpoint]
-    episodes: list[tuple]  # full collection history, in order, as columns
+    episodes: list[tuple]  # full collection history, in order, as column views
     random_return: float
     agent: sac.SacAgent  # final agent
 
@@ -97,14 +96,14 @@ class ReferenceRun:
 REFERENCE_DEFAULTS = {
     "pendulum": ReferenceHparams(),
     "pointgoal": ReferenceHparams(
-        total_steps=190_000, warmup_steps=150_000, eval_interval=2_500,
-        replay_capacity=400_000),
+        total_steps=190_000, warmup_steps=150_000, eval_interval=2_500),
 }
 
 
 def train_reference(env_id: str, hp: ReferenceHparams, seed: int,
                     progress=None) -> ReferenceRun:
-    """Online SAC on the real environment, recording evals and the replay history."""
+    """Online SAC on the real environment, recording evals and the replay
+    history: one column block, step t in row t - 1, that updates draw from."""
     spec = envs.EnvSpec.real(env_id)
     env = envs.make_env(spec)
     obs_dim, act_dim = envs.env_dims(env_id)
@@ -113,7 +112,9 @@ def train_reference(env_id: str, hp: ReferenceHparams, seed: int,
         [np.random.default_rng(s) for s in ss.spawn(4)]
     agent = sac.SacAgent.create(obs_dim, act_dim, env.action_scale, hp.sac,
                                 seed=int(rng_init.integers(2 ** 31)))
-    buffer = ReplayBuffer(hp.replay_capacity, obs_dim, act_dim)
+    T = hp.total_steps
+    S, A, R, S2, D = history = (np.zeros((T, obs_dim)), np.zeros((T, act_dim)),
+                                np.zeros(T), np.zeros((T, obs_dim)), np.zeros(T))
     random_policy = envs.uniform_random_policy(env)
 
     # One episode per call, so each episode's reset and then its actions come
@@ -125,28 +126,28 @@ def train_reference(env_id: str, hp: ReferenceHparams, seed: int,
         for _ in range(hp.eval_episodes)]))
 
     episodes: list[tuple] = []
-    current: list[tuple] = []  # (s, a, r, s2, done) rows of the open episode
+    start = 0  # first row of the open episode
     checkpoints: list[Checkpoint] = []
     # one row, because the agent updates after every step
     obs = env.reset(rng_collect, 1)
-    for step in range(1, hp.total_steps + 1):
+    for step in range(1, T + 1):
         if step <= hp.warmup_steps:
             a = random_policy(obs, rng_collect)
         else:
             a = sac.act(agent, obs, "stochastic", rng_collect)
         obs2, r, done = env.step(a, rng_collect)
-        row = (obs[0], a[0], r[0], obs2[0], done[0])
-        buffer.add(*row)
-        current.append(row)
+        i = step - 1
+        S[i], A[i], R[i], S2[i], D[i] = obs[0], a[0], r[0], obs2[0], done[0]
         if done[0]:
-            episodes.append(columns_from_rows(current))
-            current = []
+            episodes.append(as_columns(*(c[start:step] for c in history)))
+            start = step
             obs = env.reset(rng_collect, 1)
         else:
             obs = obs2
         if step > hp.warmup_steps and step % hp.update_every == 0 \
-                and len(buffer) >= hp.batch_size:
-            batch = buffer.sample_arrays(hp.batch_size, rng_update)
+                and step >= hp.batch_size:
+            idx = rng_update.integers(0, step, size=hp.batch_size)
+            batch = tuple(c.take(idx, axis=0) for c in history)
             sac.critic_update(agent, batch, np.ones(hp.batch_size), rng_update)
             sac.actor_update(agent, batch[0], rng_update)
         if step % hp.eval_interval == 0:
@@ -156,8 +157,8 @@ def train_reference(env_id: str, hp: ReferenceHparams, seed: int,
                                           agent.actor.params.copy()))
             if progress is not None:
                 progress(step, ret)
-    if current:
-        episodes.append(columns_from_rows(current))
+    if start < T:
+        episodes.append(as_columns(*(c[start:] for c in history)))
     return ReferenceRun(env_id, seed, hp, checkpoints, episodes, random_return, agent)
 
 

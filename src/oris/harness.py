@@ -60,7 +60,7 @@ class ExperimentConfig(Config):
     env_id: str
     dataset: str
     variant: str
-    seeds: tuple
+    seeds: tuple[int, ...]
     refs_path: str
     perturbation: envs.DynamicsPerturbation = envs.UNPERTURBED
     dataset_fraction: float = 1.0
@@ -73,10 +73,11 @@ class ExperimentConfig(Config):
     def __post_init__(self):
         if self.env_id not in envs.ENV_IDS:
             raise ConfigError(f"unknown env_id {self.env_id!r}")
-        if not self.seeds or any(int(s) != s for s in self.seeds):
-            raise ConfigError("seeds must be a non-empty list of integers")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError("seeds must be distinct")
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds) or any(
+                isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s < 0
+                for s in self.seeds):
+            raise ConfigError(f"seeds must be a non-empty list of distinct non-negative "
+                              f"integers, got {list(self.seeds)}")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if not 0.0 < self.dataset_fraction <= 1.0:
             raise ConfigError(

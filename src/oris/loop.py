@@ -219,8 +219,8 @@ def train(offline: Dataset, perturbation: envs.DynamicsPerturbation,
         if bc:
             stats = CollectStats()
             n = hp.batch_off + hp.batch_sim
-            losses = [sac.bc_update(agent, *offline_rows.sample_arrays(n, rng_update)[:2])
-                      for _ in range(cfg.updates_per_epoch)]
+            draw = lambda: offline_rows.columns_of(offline_rows.sample_rows(n, rng_update))[0]
+            losses = [sac.bc_update(agent, *draw()[:2]) for _ in range(cfg.updates_per_epoch)]
             critic_loss, actor_loss = 0.0, float(np.mean(losses))
             mean_w = 1.0
         else:

@@ -412,7 +412,7 @@ def _write_record(path, header: MlpHeader | AdamHeader, *arrays) -> None:
 
 def _read_record(path, cls):
     """The header of a _write_record file, read as a `cls` (MlpHeader or
-    AdamHeader, see read_header), and its data as one flat vector."""
+    AdamHeader, see read_header), and its data as one flat vector, all finite."""
     fmt = cls.format
     try:
         with open(path, "rb") as f:
@@ -428,7 +428,10 @@ def _read_record(path, cls):
         raise ContractError(f"unsupported {fmt} dtype {header.dtype!r} in {path}")
     if len(blob) % np.dtype(header.dtype).itemsize:
         raise ContractError(f"truncated {fmt} data in {path}")
-    return header, np.frombuffer(blob, dtype=header.dtype)
+    data = np.frombuffer(blob, dtype=header.dtype)
+    if not np.isfinite(data).all():
+        raise ContractError(f"non-finite value in {fmt} data in {path}")
+    return header, data
 
 
 def save_checkpoint(net: MlpNet, path) -> None:

@@ -169,9 +169,6 @@ class ColumnReplayBuffer:
         self.cursor = (self.cursor + 1) % self.capacity
         self.n = min(self.n + 1, self.capacity)
 
-    def add(self, s, a, r, s2, done):
-        self._put((s, a, r, s2, float(bool(done)), 1.0))
-
     def extend(self, columns, weights=None):
         S, A, R, S2, D = columns
         for k in range(len(R)):

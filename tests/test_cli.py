@@ -170,7 +170,9 @@ def test_train_bad_refs_file_exits_2(tmp_path, data_dir, capsys, text, reason):
 @pytest.mark.parametrize("doc, where", [
     ({"total_steps": 800, "warmup": 10}, r"ReferenceHparams: unknown keys \['warmup'\]"),
     ({"sac": {"hiden": [8]}}, r"ReferenceHparams\.sac: unknown keys \['hiden'\]"),
-    ({"sac": {"actor_lr": -0.001}}, r"ReferenceHparams\.sac: learning rates must be positive")])
+    ({"sac": {"actor_lr": -0.001}}, r"ReferenceHparams\.sac: learning rates must be positive"),
+    # the replay is the run's whole history, so it has no size to set
+    ({"replay_capacity": 300_000}, r"ReferenceHparams: unknown keys \['replay_capacity'\]")])
 def test_gen_dataset_reference_config_unknown_key_exits_2(tmp_path, capsys, doc, where):
     path = tmp_path / "ref.json"
     path.write_text(json.dumps(doc))
@@ -188,6 +190,44 @@ def test_train_seed_override(tmp_path, data_dir):
     assert rc == 0
     assert sorted(p.name for p in (tmp_path / "run").glob("*.csv")) \
         == ["naive_mix_seed5.csv"]
+
+
+def test_train_refuses_a_negative_seed_before_it_writes(tmp_path, data_dir, capsys):
+    cfg = write_config(tmp_path / "c.json", data_dir, seeds=[-3])
+    rc = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "config: seeds must be a non-empty list of distinct non-negative integers, got [-3]" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-dataset", "--env", "pendulum", "--out", "{tmp}/data", "--seed", "-1"],
+    ["train", "--config", "{tmp}/c.json", "--seed", "-1"],
+    ["sweep", "--config", "{tmp}/c.json", "--axis", "gravity", "--seed", "-1"],
+    ["study", "main_comparison", "--out", "{tmp}/runs", "--seeds", "0", "-1"],
+    ["evaluate", "--agent", "{tmp}/agent", "--env", "pendulum", "--seed", "-1"]],
+    ids=lambda argv: argv[0])
+def test_a_negative_seed_flag_exits_2(tmp_path, capsys, argv):
+    """np.random.SeedSequence refuses a negative seed, so argparse does."""
+    with pytest.raises(SystemExit) as e:
+        cli.main([a.format(tmp=tmp_path) for a in argv])
+    assert e.value.code == 2
+    assert "expected a non-negative integer, got '-1'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("key", ["env_id", "tier"])
+def test_train_on_a_dataset_header_without_a_key_exits_2_naming_the_file(
+        tmp_path, data_dir, capsys, key):
+    header, rows = (data_dir / "pendulum_random.jsonl").read_text().split("\n", 1)
+    header = json.loads(header)
+    del header[key]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(header) + "\n" + rows)
+    cfg = write_config(tmp_path / "c.json", data_dir, dataset=str(bad))
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert f"config error: {bad}: dataset meta missing '{key}'" in capsys.readouterr().err
 
 
 def test_evaluate_saved_agent(tmp_path, capsys):
@@ -282,13 +322,16 @@ def test_evaluate_agent_with_unstackable_critics_exits_2_naming_it(tmp_path, cap
     assert f"bad agent directory {agent_dir}: a stack's members" in err
 
 
-def test_evaluate_agent_that_acts_nan_exits_3(tmp_path, capsys):
+def test_evaluate_agent_with_nan_parameters_exits_2_naming_the_file(tmp_path, capsys):
+    """A NaN in a saved net is refused when the net loads, by its file, not
+    when the first action it computes is NaN."""
     agent_dir = _saved_agent(tmp_path / "agent")
     agent = sac.load_agent(agent_dir)
     agent.actor.params[:] = np.nan
     sac.save_agent(agent, agent_dir)
-    assert _evaluate(agent_dir) == 3
-    assert "numerics failure: non-finite action" in capsys.readouterr().err
+    assert _evaluate(agent_dir) == 2
+    assert (f"config error: non-finite value in oris-mlp data in {agent_dir / 'actor.mlp'}"
+            in capsys.readouterr().err)
 
 
 def test_gen_dataset_train_evaluate_chain(tmp_path, data_dir, tiny_reference, capsys):

@@ -72,7 +72,7 @@ def test_errors_name_the_section_path():
         tiny_config(oris={"epochs": "5"})
     with pytest.raises(ConfigError, match=r"config\.gan: expected an object"):
         tiny_config(gan=[1, 2])
-    with pytest.raises(ConfigError, match=r"config: invalid literal"):
+    with pytest.raises(ConfigError, match=r"config\.seeds\[0\]: expected int, got 'a'"):
         tiny_config(seeds=["a"])
     with pytest.raises(ConfigError, match=r"config: .*missing.*'seeds'"):
         harness.ExperimentConfig.from_json({"env_id": "pendulum", "dataset": "d",
@@ -93,8 +93,7 @@ def test_errors_name_the_section_path():
     (datasets.ReferenceHparams, {"eval_episodes": 0},
      r"ReferenceHparams: eval_episodes must be >= 1"),
     (datasets.ReferenceHparams, {"batch_size": 0}, r"ReferenceHparams: batch_size must be >= 1"),
-    (datasets.ReferenceHparams, {"replay_capacity": 0},
-     r"ReferenceHparams: replay_capacity must be >= 1"),
+    (datasets.ReferenceHparams, {"warmup_steps": -1}, r"ReferenceHparams: bad warmup"),
     (datasets.ReferenceHparams, {"sac": {"actor_lr": -0.001}},
      r"ReferenceHparams\.sac: learning rates"),
     (datasets.ReferenceHparams, {"sac": {"critic_lr": 0}}, r"ReferenceHparams\.sac: learning rates"),
@@ -113,6 +112,18 @@ def test_errors_name_the_section_path():
 def test_hparams_refuse_values_that_cannot_train(cls, doc, where):
     with pytest.raises(ContractError, match=where):
         cls.from_json(doc)
+
+
+@pytest.mark.parametrize("seeds, where", [
+    ([True, 2], r"config: seeds must be a non-empty list of distinct non-negative "
+                r"integers, got \[True, 2\]"),
+    ([-3], r"config: seeds must be .*, got \[-3\]"),
+    ([0, 2.0], r"config\.seeds\[1\]: expected int, got 2\.0")])
+def test_seeds_are_non_negative_integers(seeds, where):
+    """A seed seeds np.random.SeedSequence: a bool or a float is not read as
+    an int, and a negative seed is refused before a run starts."""
+    with pytest.raises(ConfigError, match=where):
+        tiny_config(seeds=seeds)
 
 
 def test_empty_hidden_is_a_linear_net():

@@ -19,7 +19,7 @@ def make_episode(rng, length, obs_dim=3, act_dim=1):
         rows.append((s, rng.uniform(-1, 1, size=act_dim), float(rng.normal()), s2,
                      i == length - 1))
         s = s2
-    return data.columns_from_rows(rows)
+    return data.as_columns(*zip(*rows))
 
 
 def make_dataset(rng, episode_lengths, tier="random"):
@@ -344,13 +344,18 @@ def test_sample_arrays_uniform_with_replacement():
         np.testing.assert_array_equal(got, col[rows])
 
 
+def _one_row(s, r, s2=(0.0, 0.0)):
+    """Columns of one transition of a buffer with obs_dim 2 and action_dim 1."""
+    return ([s], [[0.0]], [r], [s2], [0.0])
+
+
 def test_replay_buffer_fifo_and_sampling():
     buf = data.ReplayBuffer(3, obs_dim=2, action_dim=1)
     assert len(buf) == 0
     with pytest.raises(ContractError):
         buf.sample_arrays(4, np.random.default_rng(0))
     for i in range(5):
-        buf.add([float(i), 0.0], [0.0], float(i), [0.0, 0.0], False)
+        buf.extend(_one_row([float(i), 0.0], float(i)))
     assert len(buf) == 3
     # row k of the stream sits in slot k % capacity
     assert oracles.stored_columns(buf)[2].tolist() == [3.0, 4.0, 2.0]
@@ -389,45 +394,27 @@ def test_replay_buffer_extend_keeps_fifo_order_across_the_wrap(capacity, chunks,
 
 def test_replay_buffer_rejects_nonfinite_rows():
     buf = data.ReplayBuffer(4, obs_dim=2, action_dim=1)
-    buf.add([0.0, 0.0], [0.0], 1.0, [0.0, 0.0], False)
+    buf.extend(_one_row([0.0, 0.0], 1.0))
     before = [c.copy() for c in oracles.stored_columns(buf)]
     for bad in (np.nan, np.inf):
-        with pytest.raises(ContractError):
-            buf.add([bad, 0.0], [0.0], 1.0, [0.0, 0.0], False)
-        with pytest.raises(ContractError):
-            buf.add([0.0, 0.0], [0.0], bad, [0.0, 0.0], False)
-        cols = [np.zeros((3, 2)), np.zeros((3, 1)), np.zeros(3), np.zeros((3, 2)),
-                np.zeros(3)]
-        cols[3][2, 1] = bad  # last row of S2
-        with pytest.raises(ContractError):
-            buf.extend(cols)
+        for k in range(5):
+            cols = [np.zeros((3, 2)), np.zeros((3, 1)), np.zeros(3), np.zeros((3, 2)),
+                    np.zeros(3)]
+            cols[k].flat[-1] = bad  # last row
+            with pytest.raises(ContractError, match=f"column {data.COLUMN_NAMES[k]}$"):
+                buf.extend(cols)
     with pytest.raises(ContractError):
         buf.extend([np.zeros((3, 3)), np.zeros((3, 1)), np.zeros(3), np.zeros((3, 3)),
                     np.zeros(3)])  # rows shaped for another env
+    with pytest.raises(ContractError):
+        buf.extend([np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(3), np.zeros((3, 2)),
+                    np.zeros(3)])  # actions of another env
     with pytest.raises(ContractError):
         buf.extend([np.zeros((3, 2)), np.zeros((3, 1)), np.zeros(3), np.zeros((3, 2)),
                     np.zeros(3)], np.ones(2))
     assert len(buf) == 1
     for a, b in zip(oracles.stored_columns(buf), before):
         np.testing.assert_array_equal(a, b)
-
-
-@pytest.mark.parametrize("s, a, s2", [
-    ([0.0], [0.0], [0.0, 0.0]),            # a short s would broadcast over its columns
-    ([0.0, 0.0], [0.0, 0.0], [0.0, 0.0]),
-    ([0.0, 0.0], [0.0], [0.0]),
-    ([0.0], [0.0], [0.0, 0.0, 0.0]),       # as wide a row as a right one, misaligned
-    ([0.0, 0.0, 0.0], [], [0.0, 0.0]),
-])
-def test_replay_buffer_add_rejects_rows_of_the_wrong_length(s, a, s2):
-    buf = data.ReplayBuffer(4, obs_dim=2, action_dim=1)
-    buf.add([1.0, 2.0], [3.0], 4.0, [5.0, 6.0], False)
-    before = [c.copy() for c in oracles.stored_columns(buf)]
-    with pytest.raises(ContractError):
-        buf.add(s, a, 1.0, s2, False)
-    assert len(buf) == 1
-    for got, want in zip(oracles.stored_columns(buf), before):
-        np.testing.assert_array_equal(got, want)
 
 
 def _bits(a):
@@ -443,26 +430,22 @@ def _bits(a):
 @settings(max_examples=80, deadline=None)
 def test_packed_buffer_samples_what_the_column_oracle_samples(obs_dim, action_dim, capacity,
                                                                ops, n, seed):
-    """After each op, one row by add (k = 0) or k rows by extend, weighted or
-    not (k may pass the capacity), both samplers give the bits of a ring of
-    parallel columns written row by row, and take one integers(0, len, n)."""
+    """After each op, k rows by extend, weighted or not (k may be 0 or pass
+    the capacity), both samplers give the bits of a ring of parallel columns
+    written row by row, and take one integers(0, len, n)."""
     rng = np.random.default_rng(seed)
     buf = data.ReplayBuffer(capacity, obs_dim, action_dim)
     ref = oracles.ColumnReplayBuffer(capacity, obs_dim, action_dim)
     for k, weighted in ops:
-        if k == 0:
-            row = (rng.normal(size=obs_dim), rng.normal(size=action_dim), float(rng.normal()),
-                   rng.normal(size=obs_dim), bool(rng.integers(2)))
-            buf.add(*row)
-            ref.add(*row)
-        else:
-            cols = (rng.normal(size=(k, obs_dim)), rng.normal(size=(k, action_dim)),
-                    rng.normal(size=k), rng.normal(size=(k, obs_dim)),
-                    rng.integers(0, 2, size=k).astype(np.float64))
-            w = rng.uniform(0.0, 2.0, size=k) if weighted else None
-            buf.extend(cols, w)
-            ref.extend(cols, w)
+        cols = (rng.normal(size=(k, obs_dim)), rng.normal(size=(k, action_dim)),
+                rng.normal(size=k), rng.normal(size=(k, obs_dim)),
+                rng.integers(0, 2, size=k).astype(np.float64))
+        w = rng.uniform(0.0, 2.0, size=k) if weighted else None
+        buf.extend(cols, w)
+        ref.extend(cols, w)
         assert len(buf) == ref.n
+        if ref.n == 0:
+            continue
         want_rng = np.random.default_rng(seed + 1)
         want_cols, want_w = ref.sample_weighted(n, want_rng)
         for name in ("sample_rows", "sample_arrays"):

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from oris import datasets, envs, nets, sac
-from oris.data import columns_from_rows
+from oris.data import as_columns
 from oris.datasets import Checkpoint, ReferenceHparams, ReferenceRun
 from oris.errors import ConfigError, ContractError
 
 TINY = ReferenceHparams(
     total_steps=600, warmup_steps=200, eval_interval=200, eval_episodes=2,
-    batch_size=64, replay_capacity=10_000,
+    batch_size=64,
     sac=sac.SacHparams(hidden=(16, 16), critic_lr=3e-4, tau=0.005))
 
 
@@ -23,9 +23,9 @@ def tiny_ref():
 
 
 def _fake_episode(rng, length, obs_dim=3, act_dim=1):
-    return columns_from_rows([(rng.normal(size=obs_dim), rng.uniform(-1, 1, act_dim),
-                               float(rng.normal()), rng.normal(size=obs_dim),
-                               i == length - 1) for i in range(length)])
+    return as_columns(*zip(*[(rng.normal(size=obs_dim), rng.uniform(-1, 1, act_dim),
+                              float(rng.normal()), rng.normal(size=obs_dim),
+                              i == length - 1) for i in range(length)]))
 
 
 def _synthetic_run(evals, episodes_at, agent, episodes, random_return=-100.0):
@@ -190,4 +190,4 @@ def test_reference_budgets_are_pinned():
     moves them has to show here."""
     doc = {env: hp.to_json() for env, hp in datasets.REFERENCE_DEFAULTS.items()}
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
-    assert digest.startswith("6481ce9df5fc")
+    assert digest.startswith("b86a6819b6eb")

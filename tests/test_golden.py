@@ -119,7 +119,7 @@ def golden_digest(variant: str = "oris") -> str:
 def reference_digest() -> str:
     hp = datasets.ReferenceHparams(
         total_steps=600, warmup_steps=200, eval_interval=300, eval_episodes=2,
-        batch_size=32, replay_capacity=1_000,
+        batch_size=32,
         sac=sac.SacHparams(hidden=(32, 32), critic_lr=1e-3, tau=0.01))
     run = datasets.train_reference("pendulum", hp, seed=5)
     h = hashlib.sha256()

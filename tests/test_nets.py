@@ -608,3 +608,23 @@ def test_loaders_name_a_missing_file(tmp_path):
         nets.load_checkpoint(tmp_path / "absent.mlp")
     with pytest.raises(ContractError, match="cannot read oris-adam file .*absent.adam"):
         nets.load_adam(tmp_path / "absent.adam", nets.MlpNet.he_uniform([3, 4, 1], seed=0))
+
+
+@pytest.mark.parametrize("kind", ["mlp", "adam"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_loaders_refuse_non_finite_data_naming_the_file(tmp_path, kind, bad):
+    net = nets.MlpNet.he_uniform([3, 4, 1], seed=0)
+    path = tmp_path / f"n.{kind}"
+    if kind == "mlp":
+        damaged = nets.clone_net(net)
+        damaged.params[-1] = bad
+        nets.save_checkpoint(damaged, path)
+        load = lambda: nets.load_checkpoint(path)
+    else:
+        opt = nets.AdamState.for_net(net, 1e-3)
+        opt.v[-1] = bad
+        nets.save_adam(opt, path)
+        load = lambda: nets.load_adam(path, net)
+    with pytest.raises(ContractError,
+                       match=re.escape(f"non-finite value in oris-{kind} data in {path}")):
+        load()
