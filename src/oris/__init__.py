@@ -9,5 +9,6 @@ Modules: nets (dense nets + autodiff), envs (pendulum / pointgoal), data
 (transition columns, buffers, datasets), datasets (reference runs and
 tiers), gan, sac, loop (the training loop and its variants), config (the
 JSON codec of the config dataclasses), harness (experiments, scoring,
-sweeps), cli.
+sweeps), presets (the paper's studies and the tiers each env gets), files
+(atomic output files), errors (the shared error types), cli.
 """

@@ -110,10 +110,11 @@ def cmd_study(args) -> int:
 
 def cmd_evaluate(args) -> int:
     agent = sac.load_agent(args.agent)
-    if (agent.obs_dim, agent.action_dim) != envs.env_dims(args.env):
+    env = envs.ENVS[args.env]
+    if (agent.obs_dim, agent.action_dim) != (env.obs_dim, env.action_dim):
         raise ContractError(f"agent {args.agent} has (obs, action) dims "
                             f"{agent.obs_dim, agent.action_dim}; {args.env} has "
-                            f"{envs.env_dims(args.env)}")
+                            f"{env.obs_dim, env.action_dim}")
     spec = envs.EnvSpec.real(args.env)
     policy = lambda obs, _rng: sac.act(agent, obs, "deterministic")
     mean, std, returns = envs.evaluate_policy(

@@ -3,11 +3,12 @@
 A Config subclass writes each field under its own name: tuples as lists and
 nested Configs as objects. from_json reads the same form back. A missing key
 takes the field's default, a list becomes a tuple (each entry decoded as X in
-a `tuple[X, ...]` field), a JSON integer in a float field becomes a float,
-and a nested object becomes its Config. An unknown key, a value of the wrong
-type, or one the constructor refuses raises an error that names the section
-path, e.g. `config.perturbation` or `actor.mlp.layer_sizes[1]`. The headers
-of the files the package writes are Configs too.
+a `tuple[X, ...]` field), a JSON integer in a float field becomes a float (a
+JSON boolean is neither an int nor a float), and a nested object becomes its
+Config. An unknown key, a value of the wrong type, or one the constructor
+refuses raises an error that names the section path, e.g.
+`config.perturbation` or `actor.mlp.layer_sizes[1]`. The headers of the
+files the package writes are Configs too.
 """
 
 from __future__ import annotations
@@ -42,10 +43,10 @@ def _decode(tp, value, path: str):
         return tuple(_decode(x, v, f"{path}[{i}]") for i, v in enumerate(value))
     if issubclass(tp, Config):
         return tp.from_json(value, path)
+    if isinstance(value, bool) and tp in (int, float):  # bool subclasses int
+        raise ConfigError(f"{path}: expected {tp.__name__}, got {value!r}")
     if tp is float and isinstance(value, int):
         value = float(value)
-    elif tp is tuple and isinstance(value, list):
-        value = tuple(value)
     if not isinstance(value, tp):
         raise ConfigError(f"{path}: expected {tp.__name__}, got {value!r}")
     return value

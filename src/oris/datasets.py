@@ -106,7 +106,7 @@ def train_reference(env_id: str, hp: ReferenceHparams, seed: int,
     history: one column block, step t in row t - 1, that updates draw from."""
     spec = envs.EnvSpec.real(env_id)
     env = envs.make_env(spec)
-    obs_dim, act_dim = envs.env_dims(env_id)
+    obs_dim, act_dim = env.obs_dim, env.action_dim
     ss = np.random.SeedSequence(seed)
     rng_collect, rng_update, rng_eval, rng_init = \
         [np.random.default_rng(s) for s in ss.spawn(4)]
@@ -205,5 +205,5 @@ def generate_dataset(env_id: str, tier: str, episodes: int, seed: int,
     else:  # expert
         policy = reference.policy_at(reference.checkpoints[-1])
         meta["behavior_eval_return"] = reference.expert_return
-    eps = envs.rollout(env, policy, episodes, spec.max_episode_steps, rng)
+    eps = envs.rollout(env, policy, episodes, env.max_episode_steps, rng)
     return Dataset.from_episodes(meta, eps)

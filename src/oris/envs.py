@@ -25,12 +25,6 @@ from .config import Config
 from .data import as_columns
 from .errors import ContractError, InvalidStateError, NumericsError, UsageError
 
-ENV_IDS = ("pendulum", "pointgoal")
-
-# full-scale action magnitude per env, used when noise is quoted relative to it
-ACTION_SCALES = {"pendulum": 2.0, "pointgoal": 1.0}
-EPISODE_LIMITS = {"pendulum": 200, "pointgoal": 100}
-
 
 @dataclass(frozen=True)
 class DynamicsPerturbation(Config):
@@ -59,10 +53,6 @@ class EnvSpec:
         if self.env_id not in ENV_IDS:
             raise ContractError(f"unknown env_id {self.env_id!r}, know {ENV_IDS}")
 
-    @property
-    def max_episode_steps(self) -> int:
-        return EPISODE_LIMITS[self.env_id]
-
     @classmethod
     def real(cls, env_id: str) -> "EnvSpec":
         return cls(env_id, UNPERTURBED)
@@ -88,19 +78,21 @@ class Env:
     observations, (n,) rewards and (n,) done flags. A row that reports done
     leaves the env, so the next step takes one action row per row still
     running. All rows are loaded together, so they share one step count.
+
+    Each env class states its facts: obs_dim, action_dim, action_scale (the
+    bound of every action entry, and the full scale that noise is quoted
+    relative to) and max_episode_steps, after which every row is done.
     """
 
     obs_dim: int
     action_dim: int
+    action_scale: float
+    max_episode_steps: int
 
     def __init__(self, spec: EnvSpec):
         self.spec = spec
         self._rows: tuple = ()  # per-row state arrays, subclass-defined
         self._steps = 0
-
-    @property
-    def action_scale(self) -> float:
-        return ACTION_SCALES[self.spec.env_id]
 
     @property
     def num_rows(self) -> int:
@@ -172,6 +164,8 @@ class PendulumEnv(Env):
 
     obs_dim = 3
     action_dim = 1
+    action_scale = 2.0
+    max_episode_steps = 200
     DT = 0.05
     MAX_SPEED = 8.0
 
@@ -210,7 +204,7 @@ class PendulumEnv(Env):
             -self.MAX_SPEED), self.MAX_SPEED)
         new_th = wrap_angle(th + new_thdot * self.DT)
         reward = -(wrap_angle(th) ** 2 + 0.1 * new_thdot ** 2 + 0.001 * u ** 2)
-        last = self._steps + 1 >= self.spec.max_episode_steps
+        last = self._steps + 1 >= self.max_episode_steps
         done = np.ones(len(u), bool) if last else np.zeros(len(u), bool)
         return self._advance((new_th, new_thdot), done), reward, done
 
@@ -226,6 +220,8 @@ class PointGoalEnv(Env):
 
     obs_dim = 4
     action_dim = 2
+    action_scale = 1.0
+    max_episode_steps = 100
     DT = 0.1
     GOAL = np.array([0.7, 0.7])
     NEAR_RADIUS = 0.25
@@ -253,20 +249,16 @@ class PointGoalEnv(Env):
         dist = np.sqrt(np.add.reduce(off * off, axis=1))  # what np.linalg.norm runs
         at_goal = dist < self.GOAL_RADIUS
         reward = -0.1 + 0.1 * (dist < self.NEAR_RADIUS) + 20.0 * at_goal
-        done = at_goal | (self._steps + 1 >= self.spec.max_episode_steps)
+        done = at_goal | (self._steps + 1 >= self.max_episode_steps)
         return self._advance((new_pos, new_vel), done), reward, done
 
 
-_ENV_CLASSES = {"pendulum": PendulumEnv, "pointgoal": PointGoalEnv}
+ENVS = {"pendulum": PendulumEnv, "pointgoal": PointGoalEnv}
+ENV_IDS = tuple(ENVS)
 
 
 def make_env(spec: EnvSpec) -> Env:
-    return _ENV_CLASSES[spec.env_id](spec)
-
-
-def env_dims(env_id: str) -> tuple[int, int]:
-    cls = _ENV_CLASSES[env_id]
-    return cls.obs_dim, cls.action_dim
+    return ENVS[spec.env_id](spec)
 
 
 def uniform_random_policy(env: Env):
@@ -311,7 +303,7 @@ def evaluate_policy(spec: EnvSpec, policy, episodes: int, rng) -> tuple[float, f
     obs = env.reset(rng, episodes)
     returns = np.zeros(episodes)
     for rows, _, _, r, _, _ in _lockstep(env, obs, lambda o, _rows: policy(o, rng),
-                                          spec.max_episode_steps, rng):
+                                          env.max_episode_steps, rng):
         returns[rows] += r
     mean = float(np.mean(returns))
     std = float(np.std(returns))

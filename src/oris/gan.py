@@ -41,7 +41,7 @@ class GanHparams(Config):
     tabulates the paper-scale values."""
 
     z_dim: int = 8
-    hidden: tuple = (128, 128)
+    hidden: tuple[int, ...] = (128, 128)
     iterations: int = 2000
     batch_size: int = 256
     learning_rate: float = 2e-4
@@ -198,8 +198,7 @@ def pretrain(states, hparams: GanHparams, rng: np.random.Generator):
     """Fit the GAN to a state marginal, an (n, d) array of states.
     Returns (GanPair, GanTrainReport).
 
-    Raises NumericsError (with .report carrying the partial curves) if a loss
-    goes non-finite.
+    Raises NumericsError, naming the iteration, if a loss goes non-finite.
     """
     S = np.asarray(states, dtype=np.float64)
     if S.ndim != 2:
@@ -226,12 +225,6 @@ def pretrain(states, hparams: GanHparams, rng: np.random.Generator):
     n = S.shape[0]
     bs = hparams.batch_size
     curves = np.zeros((4, hparams.iterations))
-
-    def fail(i, what):
-        err = NumericsError(f"non-finite {what} at GAN iteration {i}")
-        err.report = GanTrainReport(*(c[:i].copy() for c in curves))
-        return err
-
     for i in range(hparams.iterations):
         idx = rng.integers(0, n, size=bs)
         real = SN_net[idx]
@@ -241,14 +234,14 @@ def pretrain(states, hparams: GanHparams, rng: np.random.Generator):
         # discriminator step: ascend E[log D(real)] + E[log(1 - D(fake))]
         d_grads, d_real, d_fake, d_objective = discriminator_step_grads(disc, real, fake)
         if not np.isfinite(d_objective):
-            raise fail(i, "discriminator objective")
+            raise NumericsError(f"non-finite discriminator objective at GAN iteration {i}")
         nets.adam_step(disc, d_grads, opt_d)
 
         # generator step: descend E[log(1 - D(G(z)))]
         Zg = rng.standard_normal((bs, hparams.z_dim))
         g_grads, g_loss = generator_step_grads(gen, disc, Zg, scale)
         if not np.isfinite(g_loss):
-            raise fail(i, "generator loss")
+            raise NumericsError(f"non-finite generator loss at GAN iteration {i}")
         nets.adam_step(gen, g_grads, opt_g)
 
         curves[:, i] = (d_objective, g_loss, np.add.reduce(d_real) / bs,

@@ -276,7 +276,7 @@ def sweep_points(cfg: ExperimentConfig, axis: str) -> list[tuple[str, dict]]:
         return [(f"gravity_{g:g}", {"perturbation": {"gravity_scale": float(g)}})
                 for g in (2, 3, 4, 5)]
     if axis == "gap_type":
-        noise = 1.0 * envs.ACTION_SCALES[cfg.env_id]
+        noise = 1.0 * envs.ENVS[cfg.env_id].action_scale
         return [("gap_gravity", {"perturbation": {"gravity_scale": 2.0}}),
                 ("gap_friction", {"perturbation": {"friction_scale": 0.3}}),
                 ("gap_action_noise", {"perturbation": {"action_noise_std": noise}})]

@@ -130,10 +130,9 @@ def collect_epoch(env: envs.Env, agent: sac.SacAgent, cfg: OrisConfig,
     weights store each row with its weight w(s), scored one rollout per
     call: one call over all C * H rows would record the discriminator's
     activations for every row at once and raise the peak memory of a run by
-    several MB. The others keep the buffer's default weight 1.
+    several MB. The others keep the buffer's default weight 1. g is the
+    run's GAN, which every variant that needs one (cfg.needs_gan()) passes.
     """
-    if cfg.needs_gan() and g is None:
-        raise ConfigError(f"variant {cfg.variant!r} needs a pretrained gan")
     stats = CollectStats()
     pi = lambda obs, rng_: sac.act(agent, obs, "stochastic", rng_)
     random_policy = envs.uniform_random_policy(env)
@@ -176,32 +175,30 @@ def _update_block(agent, offline_rows, buffer, cfg, hp, rng):
 
 
 def train(offline: Dataset, perturbation: envs.DynamicsPerturbation,
-          cfg: OrisConfig, hp: sac.SacHparams, seed: int,
-          gan_hp: gan_mod.GanHparams | None = None,
-          progress=None, gan_store=None) -> tuple[sac.SacAgent, list[EpochReport]]:
+          cfg: OrisConfig, hp: sac.SacHparams, seed: int, *,
+          gan_hp: gan_mod.GanHparams, gan_store,
+          progress=None) -> tuple[sac.SacAgent, list[EpochReport]]:
     """Run one variant to completion; returns the agent and per-epoch reports.
 
     The env is offline.meta["env_id"]: rollouts step it under `perturbation`,
     and each epoch evaluates it unperturbed, EnvSpec.real(env_id). A variant
-    that needs a GAN fits one to the offline state marginal, or loads it from
-    the gan_store directory when one is given (gan.pretrain_or_load), from its
-    own RNG stream, so loading it moves no other draw.
+    that needs a GAN gets the one gan_hp fits to the offline state marginal
+    through the gan_store directory (gan.pretrain_or_load), from its own RNG
+    stream, so loading it moves no other draw.
     """
     env_id = offline.meta["env_id"]
     ss = np.random.SeedSequence(seed)
     rng_init, rng_gan, rng_collect, rng_update, rng_eval = \
         [np.random.default_rng(s) for s in ss.spawn(5)]
 
-    obs_dim, act_dim = envs.env_dims(env_id)
-    agent = sac.SacAgent.create(obs_dim, act_dim, envs.ACTION_SCALES[env_id],
+    sim_env = envs.make_env(envs.EnvSpec(env_id, perturbation))
+    obs_dim, act_dim = sim_env.obs_dim, sim_env.action_dim
+    agent = sac.SacAgent.create(obs_dim, act_dim, sim_env.action_scale,
                                 hp, seed=int(rng_init.integers(2 ** 31)))
     g = None
     if cfg.needs_gan():
-        states, gan_hp = offline.columns[0], gan_hp or gan_mod.GanHparams()
-        g = (gan_mod.pretrain(states, gan_hp, rng_gan)[0] if gan_store is None
-             else gan_mod.pretrain_or_load(states, gan_hp, rng_gan, gan_store))
+        g = gan_mod.pretrain_or_load(offline.columns[0], gan_hp, rng_gan, gan_store)
 
-    sim_env = envs.make_env(envs.EnvSpec(env_id, perturbation))
     real = envs.EnvSpec.real(env_id)
     # a run writes at most this many rows: a ring this size never wraps, so it
     # samples what a replay_capacity ring would, without allocating the rest

@@ -402,12 +402,17 @@ class AdamHeader(Config):
 
 def _write_record(path, header: MlpHeader | AdamHeader, *arrays) -> None:
     """One JSON header line, then the arrays back to back as flat
-    little-endian vectors in the dtype the header records."""
+    little-endian vectors in the dtype the header records. Data that
+    _read_record would refuse, a non-finite value, raises NumericsError
+    before the file is opened."""
+    data = [a.astype(header.dtype) for a in arrays]
+    if not all(np.isfinite(a).all() for a in data):
+        raise NumericsError(f"non-finite value in {header.format} data for {path}")
     with atomic_write(path, binary=True) as f:
         f.write(json.dumps(header.to_json()).encode("utf-8"))
         f.write(b"\n")
-        for a in arrays:
-            f.write(a.astype(header.dtype).tobytes())
+        for a in data:
+            f.write(a.tobytes())
 
 
 def _read_record(path, cls):

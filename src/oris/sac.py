@@ -40,7 +40,7 @@ class SacHparams(Config):
     """Desk-scale defaults: one CPU core, minutes per run. The README
     tabulates the paper-scale values."""
 
-    hidden: tuple = (64, 64)  # () gives a linear net
+    hidden: tuple[int, ...] = (64, 64)  # () gives a linear net
     actor_lr: float = 3e-4
     critic_lr: float = 1e-3
     temperature_lr: float = 3e-4

@@ -179,6 +179,16 @@ class ColumnReplayBuffer:
         return tuple(c[idx] for c in self.cols[:5]), self.cols[5][idx]
 
 
+def damage_record(path, value) -> None:
+    """Overwrite the last data value of a nets record file (a .mlp or .adam
+    file) with `value`, in the dtype its header records: the damaged file
+    the savers refuse to write."""
+    raw = path.read_bytes()
+    header, _, blob = raw.partition(b"\n")
+    dtype = np.dtype(json.loads(header)["dtype"])
+    path.write_bytes(raw[:-dtype.itemsize] + np.array([value], dtype).tobytes())
+
+
 def stored_columns(buf):
     """(S, A, R, S2, D, W) of every slot of a data.ReplayBuffer, as views."""
     columns, w = buf.columns_of(buf._rows)

@@ -11,6 +11,7 @@ import pytest
 from oris import cli, datasets, harness, presets, sac
 from oris.data import load_dataset, save_dataset
 from test_datasets import TINY
+import oracles
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 REFS = {"env_id": "pendulum", "random_ref": -1500.0, "expert_ref": -100.0}
@@ -119,6 +120,24 @@ def test_train_schema_violation_names_field(tmp_path, data_dir, capsys):
     rc = cli.main(["train", "--config", str(cfg)])
     assert rc == 2
     assert "gravity_scale" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("over, where", [
+    ({"oris": {"epochs": True}}, "config.oris.epochs: expected int, got True"),
+    ({"sac": {"tau": True}}, "config.sac.tau: expected float, got True"),
+    ({"perturbation": {"gravity_scale": True}},
+     "config.perturbation.gravity_scale: expected float, got True"),
+    ({"sac": {"hidden": [1.5]}}, "config.sac.hidden[0]: expected int, got 1.5"),
+    ({"gan": {"hidden": [True, 4]}}, "config.gan.hidden[0]: expected int, got True"),
+])
+def test_train_refuses_a_boolean_number_or_a_fractional_width(tmp_path, data_dir, capsys,
+                                                              over, where):
+    """A JSON boolean is not a number and a layer width is an integer: the
+    config is refused, naming the value's path, before anything trains."""
+    cfg = write_config(tmp_path / "c.json", data_dir, **over)
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert f"config error: {where}\n" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_unknown_key_exits_2(tmp_path, data_dir, capsys):
@@ -326,9 +345,7 @@ def test_evaluate_agent_with_nan_parameters_exits_2_naming_the_file(tmp_path, ca
     """A NaN in a saved net is refused when the net loads, by its file, not
     when the first action it computes is NaN."""
     agent_dir = _saved_agent(tmp_path / "agent")
-    agent = sac.load_agent(agent_dir)
-    agent.actor.params[:] = np.nan
-    sac.save_agent(agent, agent_dir)
+    oracles.damage_record(agent_dir / "actor.mlp", np.nan)
     assert _evaluate(agent_dir) == 2
     assert (f"config error: non-finite value in oris-mlp data in {agent_dir / 'actor.mlp'}"
             in capsys.readouterr().err)

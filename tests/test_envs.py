@@ -292,8 +292,27 @@ def test_spec_validation_and_step_limits():
     with pytest.raises(ContractError):
         envs.DynamicsPerturbation(gravity_scale=0.0)
     spec = envs.EnvSpec("pointgoal", envs.DynamicsPerturbation(2.0, 0.3, 0.1))
-    assert spec.max_episode_steps == 100
-    assert envs.EnvSpec("pendulum").max_episode_steps == 200
+    assert envs.ENVS[spec.env_id].max_episode_steps == 100
+    assert envs.ENVS["pendulum"].max_episode_steps == 200
+
+
+# each env's (obs_dim, action_dim, action_scale, max_episode_steps)
+ENV_FACTS = {"pendulum": (3, 1, 2.0, 200), "pointgoal": (4, 2, 1.0, 100)}
+
+
+def test_each_env_class_states_its_facts():
+    """The env classes are the one source of each env's dims, action scale
+    and step limit; a rollout with a longer horizon stops at the limit."""
+    assert envs.ENV_IDS == tuple(envs.ENVS) == tuple(ENV_FACTS)
+    for env_id, cls in envs.ENVS.items():
+        names = ("obs_dim", "action_dim", "action_scale", "max_episode_steps")
+        assert tuple(vars(cls)[k] for k in names) == ENV_FACTS[env_id]
+        env = envs.make_env(envs.EnvSpec.real(env_id))
+        # zero actions never reach the pointgoal goal, so only the limit ends it
+        still = lambda obs, _rng: np.zeros((len(obs), cls.action_dim))
+        [(S, _, _, _, D)] = envs.rollout(env, still, 1, cls.max_episode_steps + 7,
+                                         np.random.default_rng(0))
+        assert len(S) == cls.max_episode_steps and D[-1] == 1.0 and not D[:-1].any()
 
 
 def test_transition_type_from_rollout():
@@ -329,7 +348,7 @@ def test_lockstep_step_matches_one_row_envs(seed, n, env_id):
     scale = many.action_scale
     r_many, r_single = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     live = list(range(n))
-    for _ in range(spec.max_episode_steps):
+    for _ in range(many.max_episode_steps):
         A = rng.uniform(-scale, scale, size=(len(live), many.action_dim))
         obs, r, done = many.step(A, r_many)
         for k, i in enumerate(live):
@@ -414,7 +433,7 @@ def _reference_step(env, A, rng):
     A = np.clip(np.asarray(A, dtype=np.float64), -s, s)
     if p.action_noise_std > 0.0:
         A = np.clip(A + rng.normal(0.0, p.action_noise_std, size=A.shape), -s, s)
-    last = env._steps + 1 >= env.spec.max_episode_steps
+    last = env._steps + 1 >= env.max_episode_steps
     if env.spec.env_id == "pendulum":
         th, thdot = env._rows
         u = A[:, 0]

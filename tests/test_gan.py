@@ -115,9 +115,8 @@ def test_pretrain_raises_on_a_non_finite_generator_loss(monkeypatch):
                         lambda *a: (step(*a)[0], float("nan")))
     S = mixture_states(200, np.random.default_rng(30))
     hp = gan.GanHparams(z_dim=2, hidden=(8,), iterations=5, batch_size=16)
-    with pytest.raises(NumericsError, match="non-finite generator loss at GAN iteration 0") as e:
+    with pytest.raises(NumericsError, match="non-finite generator loss at GAN iteration 0"):
         gan.pretrain(S, hp, np.random.default_rng(31))
-    assert len(e.value.report.g_loss) == 0
 
 
 def test_pretrain_fits_mixture_means():

@@ -22,6 +22,7 @@ say why. The compare itself is never loosened.
 import hashlib
 import json
 from pathlib import Path
+import tempfile
 
 import numpy as np
 import pytest
@@ -107,8 +108,9 @@ def golden_digest(variant: str = "oris") -> str:
     # w_min 0 keeps the discriminator weights off the clip, so they reach the digest
     gan_hp = gan.GanHparams(z_dim=4, hidden=(32, 32), iterations=100, batch_size=64,
                             w_min=0.0)
-    agent, reports = loop.train(offline, envs.DynamicsPerturbation(gravity_scale=2.0), cfg, hp,
-                                seed=11, gan_hp=gan_hp)
+    with tempfile.TemporaryDirectory() as store:
+        agent, reports = loop.train(offline, envs.DynamicsPerturbation(gravity_scale=2.0), cfg,
+                                    hp, seed=11, gan_hp=gan_hp, gan_store=store)
     h = hashlib.sha256()
     for r in reports:
         h.update(",".join(repr(float(getattr(r, k))) for k in r.__dataclass_fields__).encode())

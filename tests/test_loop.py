@@ -38,9 +38,8 @@ def rigged_gan(target, sigma=0.0):
 
 
 def make_agent(env_id="pendulum", seed=3):
-    obs_dim, act_dim = envs.env_dims(env_id)
-    return sac.SacAgent.create(obs_dim, act_dim, envs.ACTION_SCALES[env_id],
-                               HP, seed)
+    env = envs.ENVS[env_id]
+    return sac.SacAgent.create(env.obs_dim, env.action_dim, env.action_scale, HP, seed)
 
 
 def test_config_validation():
@@ -152,17 +151,6 @@ def test_collect_epoch_invalid_restart_fallback():
     assert len(buf) == 10  # fell back to rho_0 and completed the rollouts
 
 
-def test_collect_epoch_requires_gan():
-    agent = make_agent()
-    env = envs.make_env(envs.EnvSpec.real("pendulum"))
-    for variant in ("uniform_weight", "no_restart", "oris"):
-        buf = ReplayBuffer(10, 3, 1)
-        with pytest.raises(ConfigError):
-            loop.collect_epoch(env, agent, OrisConfig(variant=variant, epochs=1), buf,
-                               np.random.default_rng(0))
-        assert len(buf) == 0
-
-
 def test_collect_epoch_rejects_nonfinite_actions(monkeypatch):
     agent = make_agent()
     env = envs.make_env(envs.EnvSpec.real("pendulum"))
@@ -228,12 +216,14 @@ def test_epoch_report_validation():
 
 
 GAP = envs.DynamicsPerturbation(gravity_scale=2.0)
+GAN_HP = gan.GanHparams()
 
 
-def test_train_minimal(pend_random):
+def test_train_minimal(tmp_path, pend_random):
     cfg = OrisConfig(variant="naive_mix", rollout_horizon=1, rollout_count=1,
                      epochs=1, updates_per_epoch=1, eval_episodes=1)
-    agent, reports = loop.train(pend_random, GAP, cfg, HP, seed=0)
+    agent, reports = loop.train(pend_random, GAP, cfg, HP, seed=0,
+                                gan_hp=GAN_HP, gan_store=tmp_path)
     assert len(reports) == 1
     r = reports[0]
     assert r.env_steps == 1 and r.transitions_collected == 1
@@ -241,18 +231,18 @@ def test_train_minimal(pend_random):
     assert np.isfinite(r.eval_return_mean)
 
 
-def test_train_determinism(pend_random):
+def test_train_determinism(tmp_path, pend_random):
     cfg = OrisConfig(variant="naive_mix", rollout_horizon=10, rollout_count=2,
                      epochs=2, updates_per_epoch=3, eval_episodes=1)
-    a1, r1 = loop.train(pend_random, GAP, cfg, HP, seed=42)
-    a2, r2 = loop.train(pend_random, GAP, cfg, HP, seed=42)
+    a1, r1 = loop.train(pend_random, GAP, cfg, HP, seed=42, gan_hp=GAN_HP, gan_store=tmp_path)
+    a2, r2 = loop.train(pend_random, GAP, cfg, HP, seed=42, gan_hp=GAN_HP, gan_store=tmp_path)
     assert r1 == r2
     np.testing.assert_array_equal(a1.actor.params, a2.actor.params)
     np.testing.assert_array_equal(a1.critics.params, a2.critics.params)
 
 
 def test_train_collects_under_the_gap_and_evaluates_in_the_real_env(
-        monkeypatch, pend_random):
+        tmp_path, monkeypatch, pend_random):
     """Every collection steps the env under the run's gap, every epoch
     evaluates the unperturbed env of the dataset."""
     gap = envs.DynamicsPerturbation(gravity_scale=3.0)
@@ -271,16 +261,16 @@ def test_train_collects_under_the_gap_and_evaluates_in_the_real_env(
     monkeypatch.setattr(loop, "collect_epoch", collect_epoch)
     cfg = OrisConfig(variant="naive_mix", rollout_horizon=3, rollout_count=1,
                      epochs=3, updates_per_epoch=1, eval_episodes=1)
-    loop.train(pend_random, gap, cfg, HP, seed=0)
+    loop.train(pend_random, gap, cfg, HP, seed=0, gan_hp=GAN_HP, gan_store=tmp_path)
     assert evaluated == [envs.EnvSpec.real("pendulum")] * 3
     assert [spec.perturbation for spec in collected] == [gap] * 3
     assert {spec.env_id for spec in collected} == {"pendulum"}
 
 
-def test_train_sim_only(pend_random):
+def test_train_sim_only(tmp_path, pend_random):
     cfg = OrisConfig(variant="sim_only_sac", rollout_horizon=10, rollout_count=2,
                      epochs=2, updates_per_epoch=3, eval_episodes=1)
-    _, reports = loop.train(pend_random, GAP, cfg, HP, seed=1)
+    _, reports = loop.train(pend_random, GAP, cfg, HP, seed=1, gan_hp=GAN_HP, gan_store=tmp_path)
     assert [r.mean_sim_weight for r in reports] == [1.0, 1.0]
     assert reports[-1].env_steps == 40
 
@@ -288,7 +278,7 @@ def test_train_sim_only(pend_random):
 @pytest.mark.parametrize("variant, packs_offline", [("sim_only_sac", False),
                                                     ("naive_mix", True), ("bc", True)])
 def test_train_packs_offline_rows_only_for_variants_that_draw_them(
-        monkeypatch, pend_random, variant, packs_offline):
+        tmp_path, monkeypatch, pend_random, variant, packs_offline):
     capacities = []
 
     class Recorded(ReplayBuffer):
@@ -299,24 +289,24 @@ def test_train_packs_offline_rows_only_for_variants_that_draw_them(
     monkeypatch.setattr(loop, "ReplayBuffer", Recorded)
     cfg = OrisConfig(variant=variant, rollout_horizon=5, rollout_count=1, epochs=1,
                      updates_per_epoch=1, eval_episodes=1)
-    loop.train(pend_random, GAP, cfg, HP, seed=0)
+    loop.train(pend_random, GAP, cfg, HP, seed=0, gan_hp=GAN_HP, gan_store=tmp_path)
     assert capacities == [5] + [len(pend_random)] * packs_offline
 
 
-def test_train_oris_uses_discriminator_weights(monkeypatch, pend_random):
+def test_train_oris_uses_discriminator_weights(tmp_path, monkeypatch, pend_random):
     """With a rigged discriminator at D = 0.2 every sim weight is 0.6."""
     g = rigged_gan([1.0, 0.0, 0.0])
     g.discriminator.biases[-1][:] = np.log(0.2 / 0.8)
-    monkeypatch.setattr(gan, "pretrain", lambda states, hp, rng: (g, None))
+    monkeypatch.setattr(gan, "pretrain_or_load", lambda states, hp, rng, store: g)
     cfg = OrisConfig(variant="oris", rollout_horizon=5, rollout_count=2,
                      epochs=1, updates_per_epoch=2, eval_episodes=1)
-    _, reports = loop.train(pend_random, GAP, cfg, HP, seed=2)
+    _, reports = loop.train(pend_random, GAP, cfg, HP, seed=2, gan_hp=GAN_HP, gan_store=tmp_path)
     assert reports[0].mean_sim_weight == pytest.approx(0.6, abs=1e-12)
 
 
-def test_train_bc_runs_without_simulator(pend_random):
+def test_train_bc_runs_without_simulator(tmp_path, pend_random):
     cfg = OrisConfig(variant="bc", epochs=2, updates_per_epoch=20,
                      eval_episodes=1)
-    _, reports = loop.train(pend_random, GAP, cfg, HP, seed=0)
+    _, reports = loop.train(pend_random, GAP, cfg, HP, seed=0, gan_hp=GAN_HP, gan_store=tmp_path)
     assert [r.env_steps for r in reports] == [0, 0]
     assert reports[1].actor_loss < reports[0].actor_loss

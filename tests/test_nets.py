@@ -616,15 +616,32 @@ def test_loaders_refuse_non_finite_data_naming_the_file(tmp_path, kind, bad):
     net = nets.MlpNet.he_uniform([3, 4, 1], seed=0)
     path = tmp_path / f"n.{kind}"
     if kind == "mlp":
-        damaged = nets.clone_net(net)
-        damaged.params[-1] = bad
-        nets.save_checkpoint(damaged, path)
+        nets.save_checkpoint(net, path)
         load = lambda: nets.load_checkpoint(path)
     else:
-        opt = nets.AdamState.for_net(net, 1e-3)
-        opt.v[-1] = bad
-        nets.save_adam(opt, path)
+        nets.save_adam(nets.AdamState.for_net(net, 1e-3), path)
         load = lambda: nets.load_adam(path, net)
+    oracles.damage_record(path, bad)
     with pytest.raises(ContractError,
                        match=re.escape(f"non-finite value in oris-{kind} data in {path}")):
         load()
+
+
+@pytest.mark.parametrize("kind", ["mlp", "adam"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_savers_refuse_non_finite_data_naming_the_file(tmp_path, kind, bad):
+    """A saver writes no file the loader would refuse: it raises first, and
+    leaves neither the file nor a temporary one."""
+    net = nets.MlpNet.he_uniform([3, 4, 1], seed=0)
+    path = tmp_path / f"n.{kind}"
+    if kind == "mlp":
+        net.params[-1] = bad
+        save = lambda: nets.save_checkpoint(net, path)
+    else:
+        opt = nets.AdamState.for_net(net, 1e-3)
+        opt.v[-1] = bad
+        save = lambda: nets.save_adam(opt, path)
+    with pytest.raises(NumericsError,
+                       match=re.escape(f"non-finite value in oris-{kind} data for {path}")):
+        save()
+    assert list(tmp_path.iterdir()) == []
