@@ -6,7 +6,7 @@ the rollout restart distribution and a per-state weight that discounts
 simulated transitions where the dataset already has coverage.
 
 Modules: nets (dense nets + autodiff), envs (pendulum / pointgoal), data
-(transition columns, buffers, datasets), datasets (reference runs and
+(packed transition rows: buffers, datasets), datasets (reference runs and
 tiers), gan, sac, loop (the training loop and its variants), config (the
 JSON codec of the config dataclasses), harness (experiments, scoring,
 sweeps), presets (the paper's studies and the tiers each env gets), files

@@ -1,6 +1,8 @@
-"""Offline datasets, replay buffers and the JSONL dataset format, all on transition columns.
+"""Offline datasets, replay buffers and the JSONL dataset format, all on packed transition rows.
 
-A set of transitions is always the column tuple (S, A, R, S2, D). A dataset
+In memory a set of transitions is one float64 block of rows laid out
+S | A | R | S2 | D | W, W being the row's critic weight, and its columns
+(S, A, R, S2, D) are views of that block (columns_of). A dataset
 file is one JSON header line followed by one JSON row per transition. It is
 written and read BLOCK_ROWS rows at a time, so memory beyond the columns stays
 bounded by one block. Each state's text is formatted once: where a row's s2
@@ -55,26 +57,87 @@ def as_columns(S, A, R, S2, D) -> tuple:
     return cols
 
 
+def row_width(obs_dim: int, action_dim: int) -> int:
+    """Width of a packed transition row S | A | R | S2 | D | W."""
+    return 2 * obs_dim + action_dim + 3
+
+
+def columns_of(rows: np.ndarray, obs_dim: int) -> tuple:
+    """((S, A, R, S2, D), W) of a block of packed rows, as views."""
+    o, r = obs_dim, rows.shape[1] - obs_dim - 3
+    return (rows[:, :o], rows[:, o:r], rows[:, r], rows[:, r + 1:r + 1 + o],
+            rows[:, -2]), rows[:, -1]
+
+
+class ReplayBuffer:
+    """Fixed-capacity FIFO ring of transitions, as rows of one float64 block
+    laid out S | A | R | S2 | D | W: a transition, then its critic weight, 1
+    unless the caller gives one when appending. A draw gathers whole rows."""
+
+    def __init__(self, capacity: int, obs_dim: int, action_dim: int):
+        if capacity < 1:
+            raise ContractError("capacity must be positive")
+        self.capacity = capacity
+        self.obs_dim, self.action_dim = obs_dim, action_dim
+        self.width = row_width(obs_dim, action_dim)
+        self.block = np.zeros((capacity, self.width))
+        self._n = self._cursor = 0
+
+    def __len__(self) -> int:
+        return self._n
+
+    def extend(self, columns, weights=None) -> None:
+        """Append the rows of columns (S, A, R, S2, D) in order; weights[k], if
+        given, is row k's weight. Nothing is written if any row is rejected."""
+        cols = as_columns(*columns)
+        n = len(cols[2])
+        if cols[0].shape[1] != self.obs_dim or cols[1].shape[1] != self.action_dim:
+            raise ContractError(f"rows of S {cols[0].shape} and A {cols[1].shape} do not "
+                                f"fit this buffer's obs and action dims")
+        w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
+        if w.shape != (n,):
+            raise ContractError(f"{len(w)} weights for {n} transitions")
+        # rows that a later row of the same call would overwrite are skipped
+        skip = max(0, n - self.capacity)
+        slots = (self._cursor + np.arange(skip, n)) % self.capacity
+        self.block[slots] = np.column_stack([c[skip:] for c in (*cols, w)])
+        self._cursor = (self._cursor + n) % self.capacity
+        self._n = min(self._n + n, self.capacity)
+
+    def sample_rows(self, n: int, rng, out=None) -> np.ndarray:
+        """n rows drawn uniformly with replacement, as one (n, width) block,
+        written into out when it is given. Consumes one integers(0, len, n)."""
+        if self._n == 0:
+            raise ContractError("sampling from an empty buffer")
+        idx = rng.integers(0, self._n, size=n)
+        # "clip" never clips here; unlike "raise" it makes no copy of out
+        return self.block.take(idx, axis=0, out=out, mode="clip")
+
+    def sample_arrays(self, n: int, rng) -> tuple:
+        return columns_of(self.sample_rows(n, rng), self.obs_dim)[0]
+
+
 @dataclass(eq=False)
 class Dataset:
-    """Immutable-by-convention transition columns plus trajectory structure.
+    """Immutable-by-convention transitions plus trajectory structure.
 
     meta is the dataset file's header line without its format and version;
     a generated tier's holds env_id, tier, perturbation and seed, the
-    behaviour policy's seed. columns is (S, A, R, S2, D) as as_columns
-    returns it.
+    behaviour policy's seed. rows is a full ReplayBuffer of the transitions
+    in order, at weight 1: the one block that columns (S, A, R, S2, D) views
+    and that loop.train draws offline rows from.
     trajectory_boundaries[i] is one past the last row of trajectory i; the
     final entry equals len(dataset).
     """
 
     meta: dict
-    columns: tuple
+    rows: ReplayBuffer
     trajectory_boundaries: list[int]
 
     def __post_init__(self):
-        self.columns = as_columns(*self.columns)
-        if len(self) == 0:
-            raise ContractError("dataset has no transitions")
+        if len(self.rows) < self.rows.capacity:
+            raise ContractError("a dataset's rows must fill their buffer")
+        self.columns = columns_of(self.rows.block, self.rows.obs_dim)[0]
         b = self.trajectory_boundaries
         if not b or b[-1] != len(self):
             raise ContractError("trajectory_boundaries must end at len(dataset)")
@@ -85,7 +148,7 @@ class Dataset:
                 raise ContractError(f"dataset meta missing {key!r}")
 
     def __len__(self) -> int:
-        return self.columns[2].shape[0]
+        return len(self.rows)
 
     @property
     def num_trajectories(self) -> int:
@@ -108,73 +171,17 @@ class Dataset:
         if not episodes:
             raise ContractError("dataset has no transitions")
         lengths = [len(ep[2]) for ep in episodes]
-        if 0 in lengths:
-            raise ContractError("empty episode")
-        return cls(meta, tuple(np.concatenate(c) for c in zip(*episodes)),
-                   np.cumsum(lengths).tolist())
+        rows = ReplayBuffer(sum(lengths), *(np.shape(c)[-1] for c in episodes[0][:2]))
+        rows.extend(tuple(np.concatenate(c) for c in zip(*episodes)))
+        # an empty episode leaves the boundaries not strictly increasing
+        return cls(meta, rows, np.cumsum(lengths).tolist())
 
     def arrays(self) -> tuple:
         """.columns, under the name perfbench/workloads.py calls."""
         return self.columns
 
     def sample_arrays(self, n: int, rng) -> tuple:
-        idx = rng.integers(0, len(self), size=n)
-        return tuple(c[idx] for c in self.columns)
-
-
-class ReplayBuffer:
-    """Fixed-capacity FIFO ring of transitions, as rows of one float64 block
-    laid out S | A | R | S2 | D | W: a transition, then its critic weight, 1
-    unless the caller gives one when appending. A draw gathers whole rows."""
-
-    def __init__(self, capacity: int, obs_dim: int, action_dim: int):
-        if capacity < 1:
-            raise ContractError("capacity must be positive")
-        self.capacity = capacity
-        self.obs_dim, self.action_dim = obs_dim, action_dim
-        self.width = 2 * obs_dim + action_dim + 3
-        self._rows = np.zeros((capacity, self.width))
-        self._n = 0
-        self._cursor = 0
-
-    def __len__(self) -> int:
-        return self._n
-
-    def columns_of(self, rows: np.ndarray) -> tuple:
-        """((S, A, R, S2, D), W) of a block of this buffer's rows, as views."""
-        o, r = self.obs_dim, self.obs_dim + self.action_dim
-        return (rows[:, :o], rows[:, o:r], rows[:, r], rows[:, r + 1:r + 1 + o],
-                rows[:, -2]), rows[:, -1]
-
-    def extend(self, columns, weights=None) -> None:
-        """Append the rows of columns (S, A, R, S2, D) in order; weights[k], if
-        given, is row k's weight. Nothing is written if any row is rejected."""
-        cols = as_columns(*columns)
-        n = len(cols[2])
-        if cols[0].shape[1] != self.obs_dim or cols[1].shape[1] != self.action_dim:
-            raise ContractError(f"rows of S {cols[0].shape} and A {cols[1].shape} do not "
-                                f"fit this buffer's obs and action dims")
-        w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
-        if w.shape != (n,):
-            raise ContractError(f"{len(w)} weights for {n} transitions")
-        # rows that a later row of the same call would overwrite are skipped
-        skip = max(0, n - self.capacity)
-        slots = (self._cursor + np.arange(skip, n)) % self.capacity
-        self._rows[slots] = np.column_stack([c[skip:] for c in (*cols, w)])
-        self._cursor = (self._cursor + n) % self.capacity
-        self._n = min(self._n + n, self.capacity)
-
-    def sample_rows(self, n: int, rng, out=None) -> np.ndarray:
-        """n rows drawn uniformly with replacement, as one (n, width) block,
-        written into out when it is given. Consumes one integers(0, len, n)."""
-        if self._n == 0:
-            raise ContractError("sampling from an empty buffer")
-        idx = rng.integers(0, self._n, size=n)
-        # "clip" never clips here; unlike "raise" it makes no copy of out
-        return self._rows.take(idx, axis=0, out=out, mode="clip")
-
-    def sample_arrays(self, n: int, rng) -> tuple:
-        return self.columns_of(self.sample_rows(n, rng))[0]
+        return columns_of(self.rows.sample_rows(n, rng), self.rows.obs_dim)[0]
 
 
 def subsample_trajectories(d: Dataset, fraction: float, seed: int) -> Dataset:
@@ -189,9 +196,7 @@ def subsample_trajectories(d: Dataset, fraction: float, seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
     chosen = np.sort(rng.choice(d.num_trajectories, size=k, replace=False))
     episodes = list(d.trajectories())
-    meta = dict(d.meta)
-    meta["subsample_fraction"] = fraction
-    meta["subsample_seed"] = seed
+    meta = {**d.meta, "subsample_fraction": fraction, "subsample_seed": seed}
     return Dataset.from_episodes(meta, [episodes[i] for i in chosen])
 
 
@@ -313,14 +318,14 @@ def load_dataset(path) -> Dataset:
     if not linenos:
         raise ContractError(f"{path}: dataset has no transitions")
     n = len(linenos)
-    S, A, R, S2, D = (np.array(c).reshape(n, -1) for c in flat)
-    finite = np.isfinite(np.concatenate([S, A, R, S2, D], axis=1)).all(axis=1)
-    if not finite.all():
-        raise ContractError(f"{path}:{linenos[int(np.argmin(finite))]}: "
-                            f"bad transition row: non-finite value")
     if not bounds or bounds[-1] != n:
         raise ContractError(f"{path}: final trajectory is unterminated (missing eot)")
+    S, A, R, S2, D = cols = [np.frombuffer(c).reshape(n, -1) for c in flat]
+    rows = ReplayBuffer(n, widths[0], widths[1])
     try:
-        return Dataset(meta, (S, A, R[:, 0], S2, D[:, 0]), bounds)
-    except ContractError as e:  # e.g. a header without env_id or tier, or S and S2 of two widths
-        raise ContractError(f"{path}: {e}") from None
+        rows.extend((S, A, R[:, 0], S2, D[:, 0]))
+        return Dataset(meta, rows, bounds)
+    except ContractError as e:  # a non-finite value (the one scan) is named by its line
+        bad = np.flatnonzero(~np.isfinite(np.column_stack(cols)).all(axis=1))
+        where = f":{linenos[bad[0]]}: bad transition row" if len(bad) else ""
+        raise ContractError(f"{path}{where}: {e}") from None

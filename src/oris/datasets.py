@@ -15,7 +15,7 @@ import numpy as np
 
 from . import envs, nets, sac
 from .config import Config
-from .data import Dataset, TIERS, as_columns
+from .data import Dataset, TIERS, as_columns, columns_of, row_width
 from .errors import ConfigError, ContractError
 
 
@@ -55,7 +55,7 @@ class ReferenceRun:
     seed: int
     hparams: ReferenceHparams
     checkpoints: list[Checkpoint]
-    episodes: list[tuple]  # full collection history, in order, as column views
+    episodes: list[tuple]  # full collection history, in order, as column views of one block
     random_return: float
     agent: sac.SacAgent  # final agent
 
@@ -103,7 +103,8 @@ REFERENCE_DEFAULTS = {
 def train_reference(env_id: str, hp: ReferenceHparams, seed: int,
                     progress=None) -> ReferenceRun:
     """Online SAC on the real environment, recording evals and the replay
-    history: one column block, step t in row t - 1, that updates draw from."""
+    history: one packed row block (data.columns_of), step t in row t - 1 at
+    weight 1, that updates draw whole rows from."""
     spec = envs.EnvSpec.real(env_id)
     env = envs.make_env(spec)
     obs_dim, act_dim = env.obs_dim, env.action_dim
@@ -113,8 +114,8 @@ def train_reference(env_id: str, hp: ReferenceHparams, seed: int,
     agent = sac.SacAgent.create(obs_dim, act_dim, env.action_scale, hp.sac,
                                 seed=int(rng_init.integers(2 ** 31)))
     T = hp.total_steps
-    S, A, R, S2, D = history = (np.zeros((T, obs_dim)), np.zeros((T, act_dim)),
-                                np.zeros(T), np.zeros((T, obs_dim)), np.zeros(T))
+    history = np.ones((T, row_width(obs_dim, act_dim)))  # W, the last column, stays 1
+    (S, A, R, S2, D), _ = columns_of(history, obs_dim)
     random_policy = envs.uniform_random_policy(env)
 
     # One episode per call, so each episode's reset and then its actions come
@@ -139,7 +140,7 @@ def train_reference(env_id: str, hp: ReferenceHparams, seed: int,
         i = step - 1
         S[i], A[i], R[i], S2[i], D[i] = obs[0], a[0], r[0], obs2[0], done[0]
         if done[0]:
-            episodes.append(as_columns(*(c[start:step] for c in history)))
+            episodes.append(as_columns(*columns_of(history[start:step], obs_dim)[0]))
             start = step
             obs = env.reset(rng_collect, 1)
         else:
@@ -147,8 +148,8 @@ def train_reference(env_id: str, hp: ReferenceHparams, seed: int,
         if step > hp.warmup_steps and step % hp.update_every == 0 \
                 and step >= hp.batch_size:
             idx = rng_update.integers(0, step, size=hp.batch_size)
-            batch = tuple(c.take(idx, axis=0) for c in history)
-            sac.critic_update(agent, batch, np.ones(hp.batch_size), rng_update)
+            batch, weights = columns_of(history.take(idx, axis=0), obs_dim)
+            sac.critic_update(agent, batch, weights, rng_update)
             sac.actor_update(agent, batch[0], rng_update)
         if step % hp.eval_interval == 0:
             det = lambda o, _r: sac.act(agent, o, "deterministic")
@@ -158,7 +159,7 @@ def train_reference(env_id: str, hp: ReferenceHparams, seed: int,
             if progress is not None:
                 progress(step, ret)
     if start < T:
-        episodes.append(as_columns(*(c[start:] for c in history)))
+        episodes.append(as_columns(*columns_of(history[start:], obs_dim)[0]))
     return ReferenceRun(env_id, seed, hp, checkpoints, episodes, random_return, agent)
 
 

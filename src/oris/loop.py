@@ -19,7 +19,7 @@ import numpy as np
 
 from . import envs, gan as gan_mod, sac
 from .config import Config
-from .data import Dataset, ReplayBuffer
+from .data import Dataset, ReplayBuffer, columns_of
 from .errors import ConfigError, ContractError, InvalidStateError, NumericsError
 
 VARIANTS = ("oris", "no_restart", "uniform_weight", "naive_mix",
@@ -145,11 +145,9 @@ def collect_epoch(env: envs.Env, agent: sac.SacAgent, cfg: OrisConfig,
             starts.append(_draw_restart(env, g, stats, rng))
     episodes = envs.rollout(env, policies, np.array(starts) if starts else cfg.rollout_count,
                             cfg.rollout_horizon, rng)
-    columns = tuple(np.concatenate(c) for c in zip(*episodes))
-    weights = (np.concatenate([gan_mod.weight_of_batch(g, ep[0]) for ep in episodes])
-               if cfg.gan_weights() else None)
-    buffer.extend(columns, weights)
-    stats.transitions = len(columns[2])
+    for ep in episodes:
+        buffer.extend(ep, gan_mod.weight_of_batch(g, ep[0]) if cfg.gan_weights() else None)
+        stats.transitions += len(ep[2])
     return stats
 
 
@@ -166,7 +164,7 @@ def _update_block(agent, offline_rows, buffer, cfg, hp, rng):
         if offline_rows is not None:
             offline_rows.sample_rows(n_off, rng, out=rows[:n_off])
         buffer.sample_rows(n - n_off, rng, out=rows[n_off:])
-        batch, weights = buffer.columns_of(rows)
+        batch, weights = columns_of(rows, buffer.obs_dim)
         sim_weights.append(float(np.add.reduce(weights[n_off:]) / (n - n_off)))
         critic_losses.append(sac.critic_update(agent, batch, weights, rng))
         actor_losses.append(sac.actor_update(agent, batch[0], rng))
@@ -204,11 +202,6 @@ def train(offline: Dataset, perturbation: envs.DynamicsPerturbation,
     # samples what a replay_capacity ring would, without allocating the rest
     max_rows = cfg.epochs * cfg.rollout_count * cfg.rollout_horizon
     buffer = ReplayBuffer(min(cfg.replay_capacity, max_rows), obs_dim, act_dim)
-    # the offline rows packed once, at weight 1, for the variants that draw them
-    offline_rows = None
-    if cfg.variant != "sim_only_sac":
-        offline_rows = ReplayBuffer(len(offline), obs_dim, act_dim)
-        offline_rows.extend(offline.columns)
     bc = cfg.variant == "bc"
     env_steps = 0
     reports: list[EpochReport] = []
@@ -216,15 +209,16 @@ def train(offline: Dataset, perturbation: envs.DynamicsPerturbation,
         if bc:
             stats = CollectStats()
             n = hp.batch_off + hp.batch_sim
-            draw = lambda: offline_rows.columns_of(offline_rows.sample_rows(n, rng_update))[0]
-            losses = [sac.bc_update(agent, *draw()[:2]) for _ in range(cfg.updates_per_epoch)]
+            losses = [sac.bc_update(agent, *offline.sample_arrays(n, rng_update)[:2])
+                      for _ in range(cfg.updates_per_epoch)]
             critic_loss, actor_loss = 0.0, float(np.mean(losses))
             mean_w = 1.0
         else:
             stats = collect_epoch(sim_env, agent, cfg, buffer, rng_collect, g)
             env_steps += stats.transitions
             critic_loss, actor_loss, mean_w = _update_block(
-                agent, offline_rows, buffer, cfg, hp, rng_update)
+                agent, None if cfg.variant == "sim_only_sac" else offline.rows, buffer, cfg, hp,
+                rng_update)
 
         det = lambda o, _r: sac.act(agent, o, "deterministic")
         ret, std, _ = envs.evaluate_policy(real, det, cfg.eval_episodes, rng_eval)

@@ -191,7 +191,7 @@ def damage_record(path, value) -> None:
 
 def stored_columns(buf):
     """(S, A, R, S2, D, W) of every slot of a data.ReplayBuffer, as views."""
-    columns, w = buf.columns_of(buf._rows)
+    columns, w = data.columns_of(buf.block, buf.obs_dim)
     return (*columns, w)
 
 

@@ -452,3 +452,17 @@ def test_readme_commands_parse_and_name_existing_files():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: oris {shlex.join(argv)}")
+
+
+def test_readme_layout_and_package_docstring_name_every_module():
+    """Every module of the oris package but __init__ has a row in the
+    README's Layout table and is named in the package docstring's list."""
+    import oris
+    modules = sorted(p.stem for p in Path(oris.__file__).parent.glob("*.py")
+                     if p.stem != "__init__")
+    layout = README.read_text().split("## Layout\n", 1)[1].split("\n## ", 1)[0]
+    rows = set(re.findall(r"^\| `oris\.(\w+)` \|", layout, re.M))
+    listed = re.sub(r"\([^)]*\)", "", oris.__doc__.split("Modules:", 1)[1])
+    named = {name.strip(" .\n") for name in listed.split(",")}
+    assert [m for m in modules if m not in rows] == []
+    assert [m for m in modules if m not in named] == []

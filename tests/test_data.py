@@ -22,6 +22,13 @@ def make_episode(rng, length, obs_dim=3, act_dim=1):
     return data.as_columns(*zip(*rows))
 
 
+def packed(columns):
+    """A full buffer of exactly the transitions of columns (S, A, R, S2, D)."""
+    buf = data.ReplayBuffer(len(columns[2]), np.shape(columns[0])[-1], np.shape(columns[1])[-1])
+    buf.extend(columns)
+    return buf
+
+
 def make_dataset(rng, episode_lengths, tier="random"):
     eps = [make_episode(rng, n) for n in episode_lengths]
     meta = {"env_id": "pendulum", "tier": tier,
@@ -38,14 +45,19 @@ def test_transition_validation():
             cols = [c.copy() for c in d.columns]
             cols[k].flat[-1] = bad
             with pytest.raises(ContractError, match=f"column {data.COLUMN_NAMES[k]}$"):
-                data.Dataset(d.meta, cols, d.trajectory_boundaries)
+                packed(cols)
     S, A, R, S2, D = d.columns
     with pytest.raises(ContractError):
-        data.Dataset(d.meta, (S, A, R, S2[:, :2], D), d.trajectory_boundaries)
+        packed((S, A, R, S2[:, :2], D))
     with pytest.raises(ContractError):
-        data.Dataset(d.meta, (S, A, R[:-1], S2, D), d.trajectory_boundaries)
+        packed((S, A, R[:-1], S2, D))
     with pytest.raises(ContractError):
-        data.Dataset(d.meta, (S, A[:, 0], R, S2, D), d.trajectory_boundaries)
+        packed((S, A[:, 0], R, S2, D))
+    # a dataset's rows are a full buffer
+    part = data.ReplayBuffer(len(d) + 1, 3, 1)
+    part.extend(d.columns)
+    with pytest.raises(ContractError, match="fill"):
+        data.Dataset(d.meta, part, [len(d)])
 
 
 def test_dataset_structure():
@@ -61,11 +73,25 @@ def test_dataset_structure():
                                    sum(R[6:].tolist())]
     assert all(tr[4][-1] == 1.0 for tr in d.trajectories())
     with pytest.raises(ContractError):
-        data.Dataset(d.meta, d.columns, [4, 4, 11])
+        data.Dataset(d.meta, d.rows, [4, 4, 11])
     with pytest.raises(ContractError):
-        data.Dataset(d.meta, d.columns, [4, 6])
+        data.Dataset(d.meta, d.rows, [4, 6])
     with pytest.raises(ContractError):
-        data.Dataset({"env_id": "pendulum"}, d.columns, [11])
+        data.Dataset({"env_id": "pendulum"}, d.rows, [11])
+
+
+def test_dataset_columns_are_views_of_one_block(tmp_path):
+    """A generated, a loaded and a subsampled dataset each hold one packed
+    block, at weight 1, and their five columns are views of it."""
+    from oris.datasets import generate_dataset
+    generated = generate_dataset("pendulum", "random", 3, 0)
+    data.save_dataset(generated, tmp_path / "d.jsonl")
+    loaded = data.load_dataset(tmp_path / "d.jsonl")
+    for d in (generated, loaded, data.subsample_trajectories(generated, 0.5, 0)):
+        block = d.rows.block
+        assert block.shape == (len(d), data.row_width(3, 1))
+        assert all(c.base is block for c in d.columns)
+        assert np.all(data.columns_of(block, 3)[1] == 1.0)
 
 
 def test_datasets_compare_by_identity():
@@ -173,7 +199,8 @@ def test_block_writer_writes_per_row_bytes(tmp_path_factory, seed, obs_dim, act_
     D = rng.choice([0.0, 1.0, -0.0, 0.5], size=n)
     # trajectory ends on both sides of the block edge when n allows
     bounds = sorted({c for c in cuts if c < n} | {n})
-    d = data.Dataset({"env_id": "pendulum", "tier": "random"}, (S, A, R, S2, D), bounds)
+    d = data.Dataset({"env_id": "pendulum", "tier": "random"},
+                     packed((S, A, R, S2, D)), bounds)
     p = tmp_path_factory.getbasetemp() / "block_writer.jsonl"
     data.save_dataset(d, p)
     want = oracles.dataset_text_per_row(d).encode("utf-8")
@@ -199,7 +226,8 @@ def _rollout_dataset(episode_lengths, rng, obs_dim, breaks) -> data.Dataset:
     R = rng.normal(size=n)
     D = np.zeros(n)
     D[np.array(bounds) - 1] = 1.0
-    return data.Dataset({"env_id": "pendulum", "tier": "medium"}, (S, A, R, S2, D), bounds)
+    return data.Dataset({"env_id": "pendulum", "tier": "medium"},
+                        packed((S, A, R, S2, D)), bounds)
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), obs_dim=st.integers(1, 4),
@@ -261,7 +289,8 @@ def test_save_and_load_peak_memory_is_bounded_by_blocks(tmp_path):
     rng = np.random.default_rng(0)
     cols = (rng.normal(size=(n, 3)), rng.normal(size=(n, 1)), rng.normal(size=n),
             rng.normal(size=(n, 3)), np.zeros(n))
-    d = data.Dataset({"env_id": "pendulum", "tier": "random"}, cols, [n // 2, n])
+    d = data.Dataset({"env_id": "pendulum", "tier": "random"}, packed(cols),
+                     [n // 2, n])
     column_bytes = sum(c.nbytes for c in cols)
     p = tmp_path / "d.jsonl"
     tracemalloc.start()
@@ -451,7 +480,8 @@ def test_packed_buffer_samples_what_the_column_oracle_samples(obs_dim, action_di
         for name in ("sample_rows", "sample_arrays"):
             got_rng = np.random.default_rng(seed + 1)
             got = getattr(buf, name)(n, got_rng)
-            got_cols, got_w = buf.columns_of(got) if name == "sample_rows" else (got, want_w)
+            got_cols, got_w = (data.columns_of(got, obs_dim) if name == "sample_rows"
+                               else (got, want_w))
             assert [_bits(c) for c in got_cols] == [_bits(c) for c in want_cols]
             assert _bits(got_w) == _bits(want_w)
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -463,20 +493,21 @@ def test_packed_buffer_samples_what_the_column_oracle_samples(obs_dim, action_di
 @settings(max_examples=40, deadline=None)
 def test_packed_offline_rows_sample_what_the_dataset_samples(obs_dim, action_dim, lengths,
                                                              n, seed):
-    """A buffer of exactly a dataset's rows draws the dataset's columns bit
-    for bit, at weight 1, from the same single draw."""
+    """A dataset's own rows, which loop.train draws offline rows from, and
+    sample_arrays both give bit for bit what one integers(0, len, n) draw
+    gathers from each of the episodes' columns, and the rows weigh 1."""
     rng = np.random.default_rng(seed)
-    d = data.Dataset.from_episodes(
-        {"env_id": "pendulum", "tier": "random"},
-        [make_episode(rng, k, obs_dim, action_dim) for k in lengths])
-    buf = data.ReplayBuffer(len(d), obs_dim, action_dim)
-    buf.extend(d.columns)
-    want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    want = d.sample_arrays(n, want_rng)
-    got, w = buf.columns_of(buf.sample_rows(n, got_rng))
-    assert [_bits(c) for c in got] == [_bits(c) for c in want]
+    episodes = [make_episode(rng, k, obs_dim, action_dim) for k in lengths]
+    d = data.Dataset.from_episodes({"env_id": "pendulum", "tier": "random"}, episodes)
+    want_rng = np.random.default_rng(seed)
+    idx = want_rng.integers(0, len(d), size=n)
+    want = [np.concatenate(c)[idx] for c in zip(*episodes)]
+    rows_rng, arrays_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, w = data.columns_of(d.rows.sample_rows(n, rows_rng), obs_dim)
     assert _bits(w) == _bits(np.ones(n))
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    for got_cols, got_rng in ((got, rows_rng), (d.sample_arrays(n, arrays_rng), arrays_rng)):
+        assert [_bits(c) for c in got_cols] == [_bits(c) for c in want]
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 @given(lengths=st.lists(st.integers(1, 6), min_size=1, max_size=6),

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from oris import datasets, envs, nets, sac
+from oris import data, datasets, envs, nets, sac
 from oris.data import as_columns
 from oris.datasets import Checkpoint, ReferenceHparams, ReferenceRun
 from oris.errors import ConfigError, ContractError
@@ -191,3 +191,15 @@ def test_reference_budgets_are_pinned():
     doc = {env: hp.to_json() for env, hp in datasets.REFERENCE_DEFAULTS.items()}
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
     assert digest.startswith("b86a6819b6eb")
+
+
+def test_reference_episodes_are_views_of_one_history_block(tiny_ref):
+    """The reference run's history is one packed block at weight 1, one row
+    per step, and each episode's columns are views of it, in order."""
+    history = tiny_ref.episodes[0][0].base
+    assert history.shape == (TINY.total_steps, data.row_width(3, 1))
+    assert all(c.base is history for ep in tiny_ref.episodes for c in ep)
+    columns, weights = data.columns_of(history, 3)
+    for got, want in zip(zip(*tiny_ref.episodes), columns):
+        np.testing.assert_array_equal(np.concatenate(got), want)
+    assert np.all(weights == 1.0)

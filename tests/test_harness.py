@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oris import datasets, gan, harness, loop
-from oris.data import save_dataset
+from oris.data import Dataset, save_dataset
 from oris.errors import ConfigError, ContractError, NumericsError
 from oris.harness import ExperimentConfig, normalized_score
 from oris.loop import EpochReport
@@ -243,6 +243,19 @@ def test_run_experiment_checks_inputs_before_making_out_dir(dataset_path, tmp_pa
     no_refs = tiny_config(dataset_path, refs_path=str(tmp_path / "missing_refs.json"))
     with pytest.raises(ConfigError, match="no such file"):
         harness.run_experiment(no_refs, out)
+    # a pointgoal dataset, and one labelled pendulum whose rows are pointgoal's
+    pointgoal = datasets.generate_dataset("pointgoal", "random", episodes=1, seed=0)
+    other_env, wrong_widths = tmp_path / "pointgoal.jsonl", tmp_path / "wide.jsonl"
+    save_dataset(pointgoal, other_env)
+    save_dataset(Dataset({**pointgoal.meta, "env_id": "pendulum"}, pointgoal.rows,
+                         pointgoal.trajectory_boundaries), wrong_widths)
+    for path, message in (
+            (other_env, "dataset is for 'pointgoal', config says 'pendulum'"),
+            (wrong_widths, "dataset has 4-d states and 2-d actions, but 'pendulum' has "
+                           "3-d states and 1-d actions")):
+        cfg = tiny_config(dataset_path, dataset=str(path), variant="oris")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
+            harness.run_experiment(cfg, out)
     assert not (tmp_path / "runs").exists()
 
 

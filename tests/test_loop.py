@@ -6,7 +6,7 @@ import pytest
 from oracles import binomial_3sigma, stored_columns
 
 from oris import datasets, envs, gan, loop, nets, sac
-from oris.data import ReplayBuffer
+from oris.data import ReplayBuffer, columns_of
 from oris.errors import ConfigError, ContractError, NumericsError
 from oris.gan import GanPair, StateNormalizer
 from oris.loop import EpochReport, OrisConfig
@@ -199,7 +199,7 @@ def test_buffer_weights_are_each_rollouts_weights(pend_random):
     loop.collect_epoch(env, agent, OrisConfig(variant="naive_mix", rollout_count=2,
                                               rollout_horizon=23, epochs=1),
                        plain, np.random.default_rng(4), g)
-    assert np.all(plain.columns_of(plain.sample_rows(64, np.random.default_rng(5)))[1] == 1.0)
+    assert np.all(columns_of(plain.sample_rows(64, np.random.default_rng(5)), 3)[1] == 1.0)
 
 
 def test_epoch_report_validation():
@@ -275,22 +275,32 @@ def test_train_sim_only(tmp_path, pend_random):
     assert reports[-1].env_steps == 40
 
 
-@pytest.mark.parametrize("variant, packs_offline", [("sim_only_sac", False),
-                                                    ("naive_mix", True), ("bc", True)])
-def test_train_packs_offline_rows_only_for_variants_that_draw_them(
-        tmp_path, monkeypatch, pend_random, variant, packs_offline):
-    capacities = []
+@pytest.mark.parametrize("variant", loop.VARIANTS)
+def test_train_draws_offline_rows_from_the_dataset_block(tmp_path, monkeypatch, pend_random,
+                                                         variant):
+    """Every variant builds one ReplayBuffer, the simulator replay, and each
+    variant that draws offline rows draws them from the dataset's own rows."""
+    capacities, offline_draws = [], []
 
     class Recorded(ReplayBuffer):
         def __init__(self, capacity, obs_dim, action_dim):
             super().__init__(capacity, obs_dim, action_dim)
             capacities.append(capacity)
 
+    sample_rows = pend_random.rows.sample_rows
+
+    def recorded_sample_rows(n, rng, out=None):
+        offline_draws.append(n)
+        return sample_rows(n, rng, out)
+
     monkeypatch.setattr(loop, "ReplayBuffer", Recorded)
+    monkeypatch.setattr(pend_random.rows, "sample_rows", recorded_sample_rows)
     cfg = OrisConfig(variant=variant, rollout_horizon=5, rollout_count=1, epochs=1,
-                     updates_per_epoch=1, eval_episodes=1)
+                     updates_per_epoch=2, eval_episodes=1)
     loop.train(pend_random, GAP, cfg, HP, seed=0, gan_hp=GAN_HP, gan_store=tmp_path)
-    assert capacities == [5] + [len(pend_random)] * packs_offline
+    assert capacities == [5]
+    per_update = {"sim_only_sac": [], "bc": [HP.batch_off + HP.batch_sim]}
+    assert offline_draws == 2 * per_update.get(variant, [HP.batch_off])
 
 
 def test_train_oris_uses_discriminator_weights(tmp_path, monkeypatch, pend_random):
