@@ -10,5 +10,6 @@ Modules: nets (dense nets + autodiff), envs (pendulum / pointgoal), data
 tiers), gan, sac, loop (the training loop and its variants), config (the
 JSON codec of the config dataclasses), harness (experiments, scoring,
 sweeps), presets (the paper's studies and the tiers each env gets), files
-(atomic output files), errors (the shared error types), cli.
+(atomic output files and the binary record format), errors (the shared
+error types), cli.
 """

@@ -51,7 +51,7 @@ def cmd_gen_dataset(args) -> int:
     for tier, episodes in presets.TIER_EPISODES[args.env].items():
         ds = datasets.generate_dataset(args.env, tier, episodes, args.seed + 1,
                                        reference)
-        path = out / f"{args.env}_{tier}.jsonl"
+        path = out / f"{args.env}_{tier}.rows"
         save_dataset(ds, path)
         print(f"{path}: {len(ds)} transitions, "
               f"{len(ds.trajectory_boundaries)} trajectories")

@@ -3,12 +3,13 @@
 A Config subclass writes each field under its own name: tuples as lists and
 nested Configs as objects. from_json reads the same form back. A missing key
 takes the field's default, a list becomes a tuple (each entry decoded as X in
-a `tuple[X, ...]` field), a JSON integer in a float field becomes a float (a
-JSON boolean is neither an int nor a float), and a nested object becomes its
-Config. An unknown key, a value of the wrong type, or one the constructor
-refuses raises an error that names the section path, e.g.
-`config.perturbation` or `actor.mlp.layer_sizes[1]`. The headers of the
-files the package writes are Configs too.
+a `tuple[X, ...]` field), each value of a `dict[str, X]` field is decoded as
+X, a JSON integer in a float field becomes a float (a JSON boolean is neither
+an int nor a float), and a nested object becomes its Config. An unknown key,
+a value of the wrong type, or one the constructor refuses raises an error
+that names the section path, e.g. `config.perturbation` or
+`actor.mlp.layer_sizes[1]`. The headers of the files the package writes are
+Configs too.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ def _decode(tp, value, path: str):
         if value is None:
             return None
         (tp,) = (t for t in tp.__args__ if t is not type(None))
+    if isinstance(tp, types.GenericAlias) and tp.__origin__ is dict:  # dict[str, X]
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path}: expected an object, got {value!r}")
+        x = tp.__args__[1]
+        return {k: _decode(x, v, f"{path}.{k}") for k, v in value.items()}
     if isinstance(tp, types.GenericAlias):  # tuple[X, ...]
         if not isinstance(value, list):
             raise ConfigError(f"{path}: expected tuple, got {value!r}")

@@ -1,14 +1,15 @@
-"""Offline datasets, replay buffers and the JSONL dataset format, all on packed transition rows.
+"""Offline datasets, replay buffers and the dataset file format, all on packed transition rows.
 
 In memory a set of transitions is one float64 block of rows laid out
 S | A | R | S2 | D | W, W being the row's critic weight, and its columns
-(S, A, R, S2, D) are views of that block (columns_of). A dataset
-file is one JSON header line followed by one JSON row per transition. It is
-written and read BLOCK_ROWS rows at a time, so memory beyond the columns stays
-bounded by one block. Each state's text is formatted once: where a row's s2
-has the bits of the next row's s, as inside an episode, it reuses that text.
-Floats round-trip exactly through repr, so save/load/save is byte-stable, and
-a bad row is named by its file line.
+(S, A, R, S2, D) are views of that block (columns_of). A dataset file, version
+2, is a binary record (files.write_record): a DatasetHeader line that holds
+the widths of S and A, the trajectory boundaries and the dataset's meta, then
+the rows S | A | R | S2 | D as one little-endian float64 block, so a save
+writes the bits it holds and a load reads them back into one ReplayBuffer.
+load_dataset also reads version 1, one JSON header line and one JSON row per
+transition, which no code writes any more; it reads such a file BLOCK_ROWS
+rows at a time and names a bad row by its file line.
 """
 
 from __future__ import annotations
@@ -18,21 +19,21 @@ from dataclasses import dataclass
 from itertools import chain
 import json
 import math
+from typing import ClassVar
 
 import numpy as np
 
+from .config import Config
 from .errors import ContractError
-from .files import atomic_write
+from .files import read_record, write_record
 
 DATASET_FORMAT = "oris-dataset"
-DATASET_VERSION = 1
 TIERS = ("random", "medium", "medium_replay", "expert")
 
 COLUMN_NAMES = ("S", "A", "R", "S2", "D")
-# Rows per step when a dataset file is written or read. A loaded block's parsed
-# rows (about 1 KB each) stay resident as heap after the load, so a block is
-# kept small enough to fit the heap a run already holds; 1024 rows saved about
-# 5% more time but left 1 MB more resident.
+# Rows per step when a version-1 dataset file is read. A block's parsed rows
+# (about 1 KB each) stay resident as heap after the load, so a block is kept
+# small enough to fit the heap a run already holds.
 BLOCK_ROWS = 256
 
 
@@ -94,13 +95,19 @@ class ReplayBuffer:
         if cols[0].shape[1] != self.obs_dim or cols[1].shape[1] != self.action_dim:
             raise ContractError(f"rows of S {cols[0].shape} and A {cols[1].shape} do not "
                                 f"fit this buffer's obs and action dims")
-        w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
-        if w.shape != (n,):
+        w = None if weights is None else np.asarray(weights, dtype=np.float64)
+        if w is not None and w.shape != (n,):
             raise ContractError(f"{len(w)} weights for {n} transitions")
-        # rows that a later row of the same call would overwrite are skipped
+        # rows that a later row of the same call would overwrite are skipped;
+        # the rest fill at most two runs of slots, up to the wrap and after it
         skip = max(0, n - self.capacity)
-        slots = (self._cursor + np.arange(skip, n)) % self.capacity
-        self.block[slots] = np.column_stack([c[skip:] for c in (*cols, w)])
+        start = (self._cursor + skip) % self.capacity
+        head = min(n - skip, self.capacity - start)
+        for lo, k, m in ((start, skip, head), (0, skip + head, n - skip - head)):
+            slots, slot_w = columns_of(self.block[lo:lo + m], self.obs_dim)
+            for dst, c in zip(slots, cols):
+                dst[...] = c[k:k + m]
+            slot_w[...] = 1.0 if w is None else w[k:k + m]
         self._cursor = (self._cursor + n) % self.capacity
         self._n = min(self._n + n, self.capacity)
 
@@ -200,51 +207,108 @@ def subsample_trajectories(d: Dataset, fraction: float, seed: int) -> Dataset:
     return Dataset.from_episodes(meta, [episodes[i] for i in chosen])
 
 
-def _rows_text(column) -> list[str]:
-    """Each row of a column as the JSON text that json.dumps gives it: one
-    dumps of the whole column (the C encoder's float repr), split into rows.
-    A 2-d column gives each row's items without the brackets."""
-    text = json.dumps(column.tolist())
-    if column.ndim == 2:
-        return text[2:-2].split("], [")
-    return text[1:-1].split(", ")
+@dataclass(frozen=True, kw_only=True)
+class DatasetMeta(Config):
+    """The keys a dataset's meta may hold, as its file header writes them: a
+    key the meta lacks is written null. generate_dataset sets env_id, tier,
+    perturbation (an envs.DynamicsPerturbation's JSON), seed and, by tier,
+    reference_seed and an eval return; subsample_trajectories adds its
+    fraction and seed."""
+
+    env_id: str | None = None
+    tier: str | None = None
+    perturbation: dict[str, float] | None = None
+    seed: int | None = None
+    reference_seed: int | None = None
+    medium_eval_return: float | None = None
+    behavior_eval_return: float | None = None
+    subsample_fraction: float | None = None
+    subsample_seed: int | None = None
+
+
+@dataclass(frozen=True, kw_only=True)
+class DatasetHeader(Config):
+    """The header line of a dataset file (save_dataset): the widths of S
+    (and S2) and of A, one past the last row of each trajectory, and the
+    dataset's meta."""
+
+    format: str = DATASET_FORMAT
+    version: int = 2
+    obs_dim: int
+    action_dim: int
+    trajectory_boundaries: tuple[int, ...]
+    meta: DatasetMeta
+    dtype: ClassVar[str] = "<f8"
+
+    def __post_init__(self):
+        if min(self.obs_dim, self.action_dim) < 1:
+            raise ContractError("obs_dim and action_dim must be positive")
+
+    @property
+    def shape(self) -> tuple:
+        """One row S | A | R | S2 | D per transition."""
+        n = self.trajectory_boundaries[-1] if self.trajectory_boundaries else 0
+        return n, row_width(self.obs_dim, self.action_dim) - 1
 
 
 def save_dataset(d: Dataset, path) -> None:
-    n = len(d)
-    eot = np.zeros(n, dtype=bool)
-    eot[np.asarray(d.trajectory_boundaries) - 1] = True
-    S, A, R, S2, D = d.columns
-    # Inside an episode a row's s2 is the next row's s, so its text is that
-    # row's. Bits are compared, not values: -0.0 == 0.0 but prints otherwise.
-    reuse = np.zeros(n, dtype=bool)
-    reuse[:-1] = (S2[:-1].view(np.int64) == S[1:].view(np.int64)).all(axis=1)
-    with atomic_write(path) as f:
-        f.write(json.dumps({"format": DATASET_FORMAT, "version": DATASET_VERSION,
-                            **d.meta}) + "\n")
-        for i in range(0, n, BLOCK_ROWS):
-            j = min(i + BLOCK_ROWS, n)
-            # one row past the block, when there is one, gives its last s2;
-            # the file's last s2 is never reused, so its "" is replaced
-            s_text = _rows_text(S[i:j + 1])
-            s2_text = s_text[1:] if j < n else s_text[1:] + [""]
-            formatted = np.flatnonzero(~reuse[i:j])
-            for k, text in zip(formatted.tolist(), _rows_text(S2[i + formatted])):
-                s2_text[k] = text
-            cols = (A[i:j], R[i:j], D[i:j] != 0, eot[i:j])
-            f.write("".join(
-                f'{{"s": [{s}], "a": [{a}], "r": {r}, "s2": [{s2}], "done": {done}, '
-                f'"eot": {end}}}\n'
-                for s, s2, a, r, done, end in zip(s_text, s2_text, *map(_rows_text, cols))))
+    """A version-2 dataset file: a DatasetHeader line, then the rows
+    S | A | R | S2 | D of d.rows, as the bits they hold."""
+    rows = d.rows
+    write_record(path, DatasetHeader(
+        obs_dim=rows.obs_dim, action_dim=rows.action_dim,
+        trajectory_boundaries=tuple(d.trajectory_boundaries),
+        meta=DatasetMeta.from_json(d.meta, "meta")),
+        rows.block[:, :-1])
+
+
+def _dataset(path, meta, columns, bounds, linenos=None) -> Dataset:
+    """The loaded dataset of columns (S, A, R, S2, D). A ContractError names
+    path and, for a version-1 file, whose row k is on file line linenos[k],
+    the line of the first row that holds a non-finite value."""
+    rows = ReplayBuffer(len(columns[2]), columns[0].shape[1], columns[1].shape[1])
+    try:
+        rows.extend(columns)
+        return Dataset(meta, rows, bounds)
+    except ContractError as e:  # a non-finite value (the one scan) is named by its line
+        where = ""
+        if linenos is not None:
+            finite = [np.isfinite(c).reshape(len(c), -1).all(axis=1) for c in columns]
+            bad = np.flatnonzero(~np.logical_and.reduce(finite))
+            where = f":{linenos[bad[0]]}: bad transition row" if len(bad) else ""
+        raise ContractError(f"{path}{where}: {e}") from None
+
+
+def load_dataset(path) -> Dataset:
+    """The dataset a file holds, read by the version its header states: 2, as
+    save_dataset writes, or 1."""
+    with open(path, "rb") as f:
+        header_line = f.readline()
+    try:
+        header = json.loads(header_line)
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ContractError(f"bad dataset header in {path}: {e}") from e
+    if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
+        raise ContractError(f"not a {DATASET_FORMAT} file: {path}")
+    if header.get("version") == 1:
+        return _load_jsonl(path, header)
+    header, block = read_record(path, DatasetHeader)
+    if not len(block):
+        raise ContractError(f"{path}: dataset has no transitions")
+    o, a = header.obs_dim, header.action_dim
+    S, A, R, S2, D = np.split(block, np.cumsum([o, a, 1, o]), axis=1)
+    meta = {k: v for k, v in header.meta.to_json().items() if v is not None}
+    return _dataset(path, meta, (S, A, R[:, 0], S2, D[:, 0]),
+                    list(header.trajectory_boundaries))
 
 
 _ROW_ERRORS = (json.JSONDecodeError, KeyError, TypeError, OverflowError, ContractError)
 
 
 def _load_block(lines, flat, widths):
-    """Append a block of rows to the columns with one json.loads; returns
-    (widths, eot flags). Raises one of _ROW_ERRORS on any bad row, without
-    naming it."""
+    """Append a block of version-1 rows to the columns with one json.loads;
+    returns (widths, eot flags). Raises one of _ROW_ERRORS on any bad row,
+    without naming it."""
     # a row split over two lines and two rows joined on a third would parse
     # to as many rows as lines
     if not all(line[0] == "{" and line.rstrip()[-1] == "}" for line in lines):
@@ -281,23 +345,16 @@ def _blocks(f):
         yield linenos, lines
 
 
-def load_dataset(path) -> Dataset:
+def _load_jsonl(path, header: dict) -> Dataset:
+    """The dataset of a version-1 file, whose header line is `header`."""
+    meta = {k: v for k, v in header.items() if k not in ("format", "version")}
+    # Columns are gathered as raw doubles: the Python objects of a block's
+    # rows are dropped with the block, and keeping a whole file's would
+    # fragment the heap for the whole run.
+    flat = [array("d") for _ in COLUMN_NAMES]
+    widths, linenos, bounds = None, array("l"), []
     with open(path, "r", encoding="utf-8") as f:
-        header_line = f.readline()
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as e:
-            raise ContractError(f"bad dataset header in {path}: {e}") from e
-        if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
-            raise ContractError(f"not a {DATASET_FORMAT} file: {path}")
-        if header.get("version") != DATASET_VERSION:
-            raise ContractError(f"unsupported dataset version {header.get('version')}")
-        meta = {k: v for k, v in header.items() if k not in ("format", "version")}
-        # Columns are gathered as raw doubles: the Python objects of a block's
-        # rows are dropped with the block, and keeping a whole file's would
-        # fragment the heap for the whole run.
-        flat = [array("d") for _ in COLUMN_NAMES]
-        widths, linenos, bounds = None, array("l"), []
+        f.readline()
         for block_linenos, lines in _blocks(f):
             marks = [len(c) for c in flat]
             try:
@@ -320,12 +377,5 @@ def load_dataset(path) -> Dataset:
     n = len(linenos)
     if not bounds or bounds[-1] != n:
         raise ContractError(f"{path}: final trajectory is unterminated (missing eot)")
-    S, A, R, S2, D = cols = [np.frombuffer(c).reshape(n, -1) for c in flat]
-    rows = ReplayBuffer(n, widths[0], widths[1])
-    try:
-        rows.extend((S, A, R[:, 0], S2, D[:, 0]))
-        return Dataset(meta, rows, bounds)
-    except ContractError as e:  # a non-finite value (the one scan) is named by its line
-        bad = np.flatnonzero(~np.isfinite(np.column_stack(cols)).all(axis=1))
-        where = f":{linenos[bad[0]]}: bad transition row" if len(bad) else ""
-        raise ContractError(f"{path}{where}: {e}") from None
+    S, A, R, S2, D = [np.frombuffer(c).reshape(n, -1) for c in flat]
+    return _dataset(path, meta, (S, A, R[:, 0], S2, D[:, 0]), bounds, linenos)

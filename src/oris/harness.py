@@ -218,11 +218,10 @@ def _load_offline(cfg: ExperimentConfig):
     if ds.meta.get("env_id") != cfg.env_id:
         raise ConfigError(f"{p}: dataset is for {ds.meta.get('env_id')!r}, "
                           f"config says {cfg.env_id!r}")
-    env = envs.ENVS[cfg.env_id]
-    if (ds.rows.obs_dim, ds.rows.action_dim) != (env.obs_dim, env.action_dim):
-        raise ConfigError(f"{p}: dataset has {ds.rows.obs_dim}-d states and "
-                          f"{ds.rows.action_dim}-d actions, but {cfg.env_id!r} has "
-                          f"{env.obs_dim}-d states and {env.action_dim}-d actions")
+    try:
+        loop.check_offline(ds)  # as train does, but before anything is written
+    except ConfigError as e:
+        raise ConfigError(f"{p}: {e}") from None
     if cfg.dataset_fraction < 1.0:
         ds = subsample_trajectories(ds, cfg.dataset_fraction, cfg.subsample_seed)
     return ds

@@ -172,6 +172,18 @@ def _update_block(agent, offline_rows, buffer, cfg, hp, rng):
             float(np.mean(sim_weights)))
 
 
+def check_offline(offline: Dataset) -> None:
+    """Refuse, as a ConfigError, a dataset whose rows do not have the state
+    and action widths of its env, offline.meta["env_id"], a known env."""
+    env_id = offline.meta["env_id"]
+    env = envs.ENVS[env_id]
+    rows = offline.rows
+    if (rows.obs_dim, rows.action_dim) != (env.obs_dim, env.action_dim):
+        raise ConfigError(f"dataset has {rows.obs_dim}-d states and {rows.action_dim}-d "
+                          f"actions, but {env_id!r} has {env.obs_dim}-d states and "
+                          f"{env.action_dim}-d actions")
+
+
 def train(offline: Dataset, perturbation: envs.DynamicsPerturbation,
           cfg: OrisConfig, hp: sac.SacHparams, seed: int, *,
           gan_hp: gan_mod.GanHparams, gan_store,
@@ -179,7 +191,8 @@ def train(offline: Dataset, perturbation: envs.DynamicsPerturbation,
     """Run one variant to completion; returns the agent and per-epoch reports.
 
     The env is offline.meta["env_id"]: rollouts step it under `perturbation`,
-    and each epoch evaluates it unperturbed, EnvSpec.real(env_id). A variant
+    and each epoch evaluates it unperturbed, EnvSpec.real(env_id). A dataset
+    whose rows do not fit that env is refused first (check_offline). A variant
     that needs a GAN gets the one gan_hp fits to the offline state marginal
     through the gan_store directory (gan.pretrain_or_load), from its own RNG
     stream, so loading it moves no other draw.
@@ -190,6 +203,7 @@ def train(offline: Dataset, perturbation: envs.DynamicsPerturbation,
         [np.random.default_rng(s) for s in ss.spawn(5)]
 
     sim_env = envs.make_env(envs.EnvSpec(env_id, perturbation))
+    check_offline(offline)
     obs_dim, act_dim = sim_env.obs_dim, sim_env.action_dim
     agent = sac.SacAgent.create(obs_dim, act_dim, sim_env.action_scale,
                                 hp, seed=int(rng_init.integers(2 ** 31)))

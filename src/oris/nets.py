@@ -37,13 +37,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import functools
-import json
 
 import numpy as np
 
-from .config import Config, read_header
+from .config import Config
 from .errors import ContractError, NumericsError, UsageError
-from .files import atomic_write
+from .files import read_record, write_record
 
 DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 # zero in each dtype, for relu and its mask: a Python 0.0 against a float32
@@ -379,6 +378,10 @@ class MlpHeader(Config):
     param_count: int
     dtype: str = "<f8"
 
+    @property
+    def shape(self) -> tuple:
+        return (self.param_count,)
+
     def __post_init__(self):
         if (self.hidden_activation, self.output_activation) != ("relu", "identity"):
             raise ContractError(f"holds {self.hidden_activation} layers and "
@@ -399,44 +402,10 @@ class AdamHeader(Config):
     param_count: int
     dtype: str = "<f8"
 
-
-def _write_record(path, header: MlpHeader | AdamHeader, *arrays) -> None:
-    """One JSON header line, then the arrays back to back as flat
-    little-endian vectors in the dtype the header records. Data that
-    _read_record would refuse, a non-finite value, raises NumericsError
-    before the file is opened."""
-    data = [a.astype(header.dtype) for a in arrays]
-    if not all(np.isfinite(a).all() for a in data):
-        raise NumericsError(f"non-finite value in {header.format} data for {path}")
-    with atomic_write(path, binary=True) as f:
-        f.write(json.dumps(header.to_json()).encode("utf-8"))
-        f.write(b"\n")
-        for a in data:
-            f.write(a.tobytes())
-
-
-def _read_record(path, cls):
-    """The header of a _write_record file, read as a `cls` (MlpHeader or
-    AdamHeader, see read_header), and its data as one flat vector, all finite."""
-    fmt = cls.format
-    try:
-        with open(path, "rb") as f:
-            header_line, _, blob = f.read().partition(b"\n")
-    except OSError as e:
-        raise ContractError(f"cannot read {fmt} file {path}: {e.strerror}") from None
-    try:
-        header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ContractError(f"bad {fmt} header in {path}: {e}") from e
-    header = read_header(cls, header, path)
-    if header.dtype not in ("<f4", "<f8"):
-        raise ContractError(f"unsupported {fmt} dtype {header.dtype!r} in {path}")
-    if len(blob) % np.dtype(header.dtype).itemsize:
-        raise ContractError(f"truncated {fmt} data in {path}")
-    data = np.frombuffer(blob, dtype=header.dtype)
-    if not np.isfinite(data).all():
-        raise ContractError(f"non-finite value in {fmt} data in {path}")
-    return header, data
+    @property
+    def shape(self) -> tuple:
+        """m, then v."""
+        return (2, self.param_count)
 
 
 def save_checkpoint(net: MlpNet, path) -> None:
@@ -445,7 +414,7 @@ def save_checkpoint(net: MlpNet, path) -> None:
     saved member by member (unstack)."""
     if net.stack_size is not None:
         raise ContractError("save_checkpoint takes a single net; save a stack's members")
-    _write_record(path, MlpHeader(
+    write_record(path, MlpHeader(
         layer_sizes=tuple(net.layer_sizes), hidden_activation="relu",
         output_activation="identity", init_seed=net.init_seed, param_count=net.params.size,
         dtype=net.dtype.newbyteorder("<").str), net.params)
@@ -453,9 +422,7 @@ def save_checkpoint(net: MlpNet, path) -> None:
 
 def load_checkpoint(path) -> MlpNet:
     """The net a checkpoint holds, in the dtype it records."""
-    header, flat = _read_record(path, MlpHeader)
-    if flat.size != header.param_count:
-        raise ContractError(f"checkpoint parameter count mismatch in {path}")
+    header, flat = read_record(path, MlpHeader)
     try:
         return MlpNet(list(header.layer_sizes), flat, header.init_seed, header.dtype)
     except ContractError as e:
@@ -465,7 +432,7 @@ def load_checkpoint(path) -> MlpNet:
 def save_adam(opt: AdamState, path) -> None:
     """The optimizer's settings and step count in the header line, then its
     moments m and v in their dtype."""
-    _write_record(path, AdamHeader(
+    write_record(path, AdamHeader(
         learning_rate=opt.learning_rate, beta1=opt.beta1, beta2=opt.beta2,
         epsilon=opt.epsilon, step_count=opt.step_count, param_count=opt.m.size,
         dtype=opt.m.dtype.newbyteorder("<").str), opt.m, opt.v)
@@ -473,12 +440,12 @@ def save_adam(opt: AdamState, path) -> None:
 
 def load_adam(path, net: MlpNet) -> AdamState:
     """The AdamState save_adam wrote, checked to fit `net`."""
-    header, mv = _read_record(path, AdamHeader)
+    header, (m, v) = read_record(path, AdamHeader)
     n = net.params.size
-    if header.param_count != n or mv.size != 2 * n or np.dtype(header.dtype) != net.dtype:
+    if header.param_count != n or np.dtype(header.dtype) != net.dtype:
         raise ContractError(f"optimizer state in {path} does not fit a {n}-parameter "
                             f"{net.dtype} net")
     opt = AdamState(header.learning_rate, header.beta1, header.beta2, header.epsilon,
                     header.step_count)
-    opt.m, opt.v = mv[:n].astype(net.dtype), mv[n:].astype(net.dtype)
+    opt.m, opt.v = m.astype(net.dtype), v.astype(net.dtype)
     return opt

@@ -50,13 +50,13 @@ STUDIES = {
 
 def study_cells(name: str, data: str, out: str, seeds) -> list[ExperimentConfig]:
     """One config per variant of study `name`, at the desk defaults, reading
-    `<data>/<env>_<tier>.jsonl` and `<data>/<env>_refs.json`. A study of
+    `<data>/<env>_<tier>.rows` and `<data>/<env>_refs.json`. A study of
     several variants writes each to `<out>/<variant>`, one of a single
     variant to `<out>` itself."""
     study = STUDIES[name]
     return [ExperimentConfig(
         env_id=study.env_id,
-        dataset=f"{data}/{study.env_id}_{study.tier}.jsonl",
+        dataset=f"{data}/{study.env_id}_{study.tier}.rows",
         variant=variant,
         seeds=tuple(seeds),
         perturbation=study.perturbation,

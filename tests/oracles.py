@@ -269,10 +269,11 @@ def binomial_3sigma(p, n):
 
 
 def dataset_text_per_row(d):
-    """A dataset file's text with one json.dumps per transition row: the
-    reference for the bytes data.save_dataset writes."""
+    """A version-1 dataset file's text, one json.dumps per transition row, as
+    data.save_dataset wrote it before version 2: the reference that
+    data.load_dataset still reads."""
     eot = set(b - 1 for b in d.trajectory_boundaries)
-    lines = [json.dumps({"format": data.DATASET_FORMAT, "version": data.DATASET_VERSION,
+    lines = [json.dumps({"format": data.DATASET_FORMAT, "version": 1,
                          **d.meta})]
     rows = zip(*(c.tolist() for c in d.columns))
     for i, (s, a, r, s2, done) in enumerate(rows):

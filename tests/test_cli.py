@@ -23,7 +23,7 @@ def data_dir(tmp_path_factory):
     """A dataset and a refs file, as `oris gen-dataset` names them."""
     d = tmp_path_factory.mktemp("cli_data")
     ds = datasets.generate_dataset("pendulum", "random", episodes=2, seed=0)
-    save_dataset(ds, d / "pendulum_random.jsonl")
+    save_dataset(ds, d / "pendulum_random.rows")
     (d / "pendulum_refs.json").write_text(json.dumps(REFS))
     return d
 
@@ -39,7 +39,7 @@ def tiny_reference(tmp_path_factory):
 def write_config(path, data_dir, **over):
     d = {
         "env_id": "pendulum",
-        "dataset": str(data_dir / "pendulum_random.jsonl"),
+        "dataset": str(data_dir / "pendulum_random.rows"),
         "variant": "naive_mix",
         "seeds": [0],
         "perturbation": {"gravity_scale": 2.0},
@@ -59,13 +59,13 @@ def test_gen_dataset_writes_the_env_tiers_and_refs(tmp_path, tiny_reference, cap
     assert rc == 0
     tiers = presets.TIER_EPISODES["pointgoal"]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        ["pointgoal_refs.json", *(f"pointgoal_{t}.jsonl" for t in tiers)])
+        ["pointgoal_refs.json", *(f"pointgoal_{t}.rows" for t in tiers)])
     printed = capsys.readouterr().out
     for tier, episodes in tiers.items():
-        ds = load_dataset(tmp_path / f"pointgoal_{tier}.jsonl")
+        ds = load_dataset(tmp_path / f"pointgoal_{tier}.rows")
         assert ds.meta["tier"] == tier and ds.meta["seed"] == 4
         assert len(ds.trajectory_boundaries) == episodes
-        assert f"pointgoal_{tier}.jsonl: {len(ds)} transitions, " \
+        assert f"pointgoal_{tier}.rows: {len(ds)} transitions, " \
             f"{episodes} trajectories" in printed
     text = (tmp_path / "pointgoal_refs.json").read_text()
     refs = json.loads(text)
@@ -80,7 +80,7 @@ def test_gen_dataset_warns_when_its_refs_cannot_score(tmp_path, tiny_reference, 
                    "--out", str(tmp_path), "--reference-config", str(tiny_reference)])
     assert rc == 0
     for tier in presets.TIER_EPISODES["pendulum"]:
-        assert (tmp_path / f"pendulum_{tier}.jsonl").is_file()
+        assert (tmp_path / f"pendulum_{tier}.rows").is_file()
     path = tmp_path / "pendulum_refs.json"
     refs = json.loads(path.read_text())
     assert refs["expert_ref"] <= refs["random_ref"]
@@ -239,11 +239,11 @@ def test_a_negative_seed_flag_exits_2(tmp_path, capsys, argv):
 @pytest.mark.parametrize("key", ["env_id", "tier"])
 def test_train_on_a_dataset_header_without_a_key_exits_2_naming_the_file(
         tmp_path, data_dir, capsys, key):
-    header, rows = (data_dir / "pendulum_random.jsonl").read_text().split("\n", 1)
+    header, rows = (data_dir / "pendulum_random.rows").read_bytes().split(b"\n", 1)
     header = json.loads(header)
-    del header[key]
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text(json.dumps(header) + "\n" + rows)
+    del header["meta"][key]
+    bad = tmp_path / "bad.rows"
+    bad.write_bytes(json.dumps(header).encode() + b"\n" + rows)
     cfg = write_config(tmp_path / "c.json", data_dir, dataset=str(bad))
     assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
     assert f"config error: {bad}: dataset meta missing '{key}'" in capsys.readouterr().err
@@ -361,7 +361,7 @@ def test_gen_dataset_train_evaluate_chain(tmp_path, data_dir, tiny_reference, ca
     assert cli.main(["gen-dataset", "--env", "pendulum", "--seed", "1",
                      "--out", str(data), "--reference-config", str(tiny_reference)]) == 0
     cfg = write_config(tmp_path / "c.json", data_dir, variant="oris", seeds=[0, 1],
-                       dataset=str(data / "pendulum_medium_replay.jsonl"),
+                       dataset=str(data / "pendulum_medium_replay.rows"),
                        gan={"z_dim": 2, "hidden": [8], "iterations": 10,
                             "batch_size": 16})
     assert cli.main(["train", "--config", str(cfg), "--out", str(run)]) == 0
@@ -412,7 +412,7 @@ def test_study_flags_summary_and_failures(tmp_path, monkeypatch, capsys):
     assert [c.out_dir for c in cells] == [f"{out}/{v}" for v in variants]
     for c in cells:
         assert c.seeds == (7, 8)
-        assert c.dataset == "mydata/pendulum_medium_replay.jsonl"
+        assert c.dataset == "mydata/pendulum_medium_replay.rows"
         assert c.refs_path == "mydata/pendulum_refs.json"
     printed, err = capsys.readouterr()
     summary = json.loads(printed)

@@ -8,13 +8,17 @@ import types
 import pytest
 
 import oris
-from oris import datasets, envs, gan, harness, loop, nets, sac
+from oris import data, datasets, envs, gan, harness, loop, nets, sac
 from oris.config import Config, _field_types
 from oris.errors import ConfigError, ContractError
 
 PERTURBATION = envs.DynamicsPerturbation(gravity_scale=2.0, action_noise_std=0.5)
 ORIS = loop.OrisConfig(variant="no_restart", epochs=7, rollout_horizon=42)
 SAC = sac.SacHparams(hidden=(32, 32), critic_lr=1e-3, target_entropy=-1.0)
+
+DATASET_META = data.DatasetMeta(env_id="pointgoal", tier="medium",
+                                perturbation=PERTURBATION.to_json(), seed=4, reference_seed=3,
+                                behavior_eval_return=-9.5)
 
 # one instance of each Config, with nested sections and non-default values
 EXAMPLES = {
@@ -42,6 +46,9 @@ EXAMPLES = {
                              restart_noise_sigma=0.05, w_min=0.3, w_max=1.0),
     harness.Refs: harness.Refs(env_id="pointgoal", random_ref=-3.0, expert_ref=40.0, seed=2,
                                medium_return=20.0),
+    data.DatasetMeta: DATASET_META,
+    data.DatasetHeader: data.DatasetHeader(obs_dim=4, action_dim=2,
+                                           trajectory_boundaries=(3, 7), meta=DATASET_META),
 }
 
 
@@ -76,11 +83,14 @@ def _config_classes():
 
 def _decoded_entry_by_entry(tp) -> bool:
     """Whether the codec checks every value of a field of type tp: a scalar,
-    a Config, `X | None`, or `tuple[X, ...]` of such a type, never a bare
-    tuple, list or dict, whose entries it would take unchecked."""
+    a Config, `X | None`, or `tuple[X, ...]` or `dict[str, X]` of such a
+    type, never a bare tuple, list or dict, whose entries it would take
+    unchecked."""
     if isinstance(tp, types.UnionType):
         rest = [t for t in tp.__args__ if t is not type(None)]
         return len(rest) == 1 and _decoded_entry_by_entry(rest[0])
+    if isinstance(tp, types.GenericAlias) and tp.__origin__ is dict:
+        return tp.__args__[0] is str and _decoded_entry_by_entry(tp.__args__[1])
     if isinstance(tp, types.GenericAlias):
         return (tp.__origin__ is tuple and len(tp.__args__) == 2
                 and tp.__args__[1] is Ellipsis and _decoded_entry_by_entry(tp.__args__[0]))
@@ -124,6 +134,13 @@ def test_errors_name_the_section_path():
         nets.MlpHeader.from_json({**header, "layer_sizes": [3, "8", 2]}, "actor.mlp")
     mean = gan.GanMeta.from_json({**EXAMPLES[gan.GanMeta].to_json(), "mean": [1, 2]}).mean
     assert mean == (1.0, 2.0) and all(type(m) is float for m in mean)
+    # and each value of a dict[str, X] field as X, named by its key
+    with pytest.raises(ConfigError, match=r"meta\.perturbation\.gravity_scale: expected float"):
+        data.DatasetMeta.from_json({"perturbation": {"gravity_scale": "2"}}, "meta")
+    with pytest.raises(ConfigError, match=r"meta\.perturbation: expected an object"):
+        data.DatasetMeta.from_json({"perturbation": [2.0]}, "meta")
+    assert data.DatasetMeta.from_json({"perturbation": {"gravity_scale": 2}}).perturbation \
+        == {"gravity_scale": 2.0}
 
 
 @pytest.mark.parametrize("cls, doc, where", [

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -85,8 +86,8 @@ def test_dataset_columns_are_views_of_one_block(tmp_path):
     block, at weight 1, and their five columns are views of it."""
     from oris.datasets import generate_dataset
     generated = generate_dataset("pendulum", "random", 3, 0)
-    data.save_dataset(generated, tmp_path / "d.jsonl")
-    loaded = data.load_dataset(tmp_path / "d.jsonl")
+    data.save_dataset(generated, tmp_path / "d.rows")
+    loaded = data.load_dataset(tmp_path / "d.rows")
     for d in (generated, loaded, data.subsample_trajectories(generated, 0.5, 0)):
         block = d.rows.block
         assert block.shape == (len(d), data.row_width(3, 1))
@@ -104,7 +105,7 @@ def test_datasets_compare_by_identity():
 def test_save_load_roundtrip_exact_and_byte_stable(tmp_path):
     rng = np.random.default_rng(1)
     d = make_dataset(rng, [3, 7, 1])
-    p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    p1, p2 = tmp_path / "a.rows", tmp_path / "b.rows"
     data.save_dataset(d, p1)
     loaded = data.load_dataset(p1)
     assert len(loaded) == len(d)
@@ -178,6 +179,43 @@ def test_load_rejects_malformed(tmp_path):
         data.load_dataset(p)
 
 
+def test_load_refuses_a_damaged_v2_file_naming_it(tmp_path):
+    """A truncated file, a block of another length than its header states, an
+    unknown version, a width below 1 and a non-finite value, named by its
+    row, are each refused with the file's name."""
+    good = tmp_path / "good.rows"
+    data.save_dataset(make_dataset(np.random.default_rng(3), [2, 3]), good)
+    header_line, block = good.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    row_bytes = 8 * data.row_width(3, 1) - 8
+    assert len(block) == 5 * row_bytes
+    nan_in_row_3 = bytearray(block)
+    nan_in_row_3[3 * row_bytes + 16:3 * row_bytes + 24] = np.array([np.nan]).tobytes()
+    one_row_fewer = json.dumps({**header, "trajectory_boundaries": [2, 4]}).encode()
+    cases = {
+        "cut_in_header": (header_line[:-5], r"bad dataset header in {p}"),
+        "cut_in_block": (header_line + b"\n" + block[:-3],
+                         rf"truncated oris-dataset data in {{p}}: {len(block) - 3} bytes where "
+                         rf"its header states {len(block)}"),
+        "cut_at_a_row": (header_line + b"\n" + block[:-row_bytes],
+                         r"truncated oris-dataset data in {p}"),
+        "one_row_more": (one_row_fewer + b"\n" + block,
+                         rf"overlong oris-dataset data in {{p}}: {len(block)} bytes where its "
+                         rf"header states {len(block) - row_bytes}"),
+        "version_3": (json.dumps({**header, "version": 3}).encode() + b"\n" + block,
+                      r"not a oris-dataset v2 file: {p}$"),
+        "no_state": (json.dumps({**header, "obs_dim": -1, "action_dim": 3}).encode() + b"\n"
+                     + block, r"{p}: obs_dim and action_dim must be positive$"),
+        "nan": (header_line + b"\n" + bytes(nan_in_row_3),
+                r"non-finite value in oris-dataset data in {p}, row 3$"),
+    }
+    for name, (content, message) in cases.items():
+        p = tmp_path / f"{name}.rows"
+        p.write_bytes(content)
+        with pytest.raises(ContractError, match=message.format(p=re.escape(str(p)))):
+            data.load_dataset(p)
+
+
 SPECIAL_FLOATS = (-0.0, 5e-324, 1e-07, 1e16, 3.0, 1.7976931348623157e308,
                   -1.7976931348623157e308)
 
@@ -188,103 +226,41 @@ SPECIAL_FLOATS = (-0.0, 5e-324, 1e-07, 1e16, 3.0, 1.7976931348623157e308,
        floats=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8),
        cuts=st.sets(st.sampled_from([1, 2, data.BLOCK_ROWS - 1, data.BLOCK_ROWS])))
 @settings(max_examples=25, deadline=None)
-def test_block_writer_writes_per_row_bytes(tmp_path_factory, seed, obs_dim, act_dim, n,
-                                           floats, cuts):
-    """save_dataset writes what one json.dumps per row writes, and a save of the
-    loaded file writes it again."""
+def test_v1_text_loads_equal_to_its_v2_save(tmp_path_factory, seed, obs_dim, act_dim, n,
+                                            floats, cuts):
+    """A version-1 file, one json.dumps per row, loads the bits its rows
+    print, with done as 0.0 or 1.0, and so does the version-2 save of what it
+    loaded. A version-2 file keeps every bit, -0.0 and a done of 0.5
+    included, and a save of its load writes the same bytes."""
     rng = np.random.default_rng(seed)
     pool = np.array(SPECIAL_FLOATS + tuple(floats))
     S, A, S2 = (rng.choice(pool, size=(n, k)) for k in (obs_dim, act_dim, obs_dim))
     R = rng.choice(pool, size=n)
     D = rng.choice([0.0, 1.0, -0.0, 0.5], size=n)
-    # trajectory ends on both sides of the block edge when n allows
+    # trajectory ends on both sides of a version-1 read block's edge when n allows
     bounds = sorted({c for c in cuts if c < n} | {n})
-    d = data.Dataset({"env_id": "pendulum", "tier": "random"},
-                     packed((S, A, R, S2, D)), bounds)
-    p = tmp_path_factory.getbasetemp() / "block_writer.jsonl"
-    data.save_dataset(d, p)
-    want = oracles.dataset_text_per_row(d).encode("utf-8")
-    assert p.read_bytes() == want
-    data.save_dataset(data.load_dataset(p), p)
-    assert p.read_bytes() == want
-
-
-def _rollout_dataset(episode_lengths, rng, obs_dim, breaks) -> data.Dataset:
-    """Episodes whose rows chain as a rollout's do, s2[t] = s[t+1]. A new
-    episode starts from a new state, and after each row t in breaks s2[t]
-    holds -0.0 where s[t+1] holds 0.0."""
-    n = sum(episode_lengths)
-    states = rng.choice(np.array(SPECIAL_FLOATS + (0.25,)), size=(n + 1, obs_dim))
-    S, S2 = states[:-1].copy(), states[1:].copy()
-    bounds = np.cumsum(episode_lengths).tolist()
-    for start in bounds[:-1]:
-        S[start] = rng.normal(size=obs_dim)
-    for t in breaks:
-        if t + 1 < n:
-            S[t + 1, 0], S2[t, 0] = 0.0, -0.0
-    A = rng.uniform(-1, 1, size=(n, 1))
-    R = rng.normal(size=n)
-    D = np.zeros(n)
-    D[np.array(bounds) - 1] = 1.0
-    return data.Dataset({"env_id": "pendulum", "tier": "medium"},
-                        packed((S, A, R, S2, D)), bounds)
-
-
-@given(seed=st.integers(0, 2 ** 32 - 1), obs_dim=st.integers(1, 4),
-       lengths=st.lists(st.sampled_from([1, 2, 3, 100, data.BLOCK_ROWS - 1,
-                                         data.BLOCK_ROWS, data.BLOCK_ROWS + 1]),
-                        min_size=1, max_size=4),
-       breaks=st.sets(st.sampled_from([0, data.BLOCK_ROWS - 2, data.BLOCK_ROWS - 1,
-                                       data.BLOCK_ROWS])),
-       fraction=st.sampled_from([1.0, 0.5]))
-@example(seed=0, obs_dim=3, lengths=[1], breaks=set(), fraction=1.0)
-@example(seed=0, obs_dim=3, lengths=[data.BLOCK_ROWS + 1, 3], breaks={data.BLOCK_ROWS - 1},
-         fraction=1.0)
-@settings(max_examples=25, deadline=None)
-def test_writer_reuses_state_text_of_rollout_rows(tmp_path_factory, seed, obs_dim, lengths,
-                                                  breaks, fraction):
-    """Where s2[t] is s[t+1] the writer takes s2's text from the next row's s:
-    at episode ends, at the block edge (rows 255/256), across a -0.0/0.0 pair,
-    in a 1-row dataset and in a subsample, the bytes are still one json.dumps
-    per row, and a save of the loaded file writes them again."""
-    rng = np.random.default_rng(seed)
-    d = data.subsample_trajectories(_rollout_dataset(lengths, rng, obs_dim, breaks),
-                                    fraction, seed)
-    p = tmp_path_factory.getbasetemp() / "rollout_writer.jsonl"
-    data.save_dataset(d, p)
-    want = oracles.dataset_text_per_row(d).encode("utf-8")
-    assert p.read_bytes() == want
-    data.save_dataset(data.load_dataset(p), p)
-    assert p.read_bytes() == want
-
-
-def test_writer_formats_only_the_s2_rows_that_differ_from_the_next_s(tmp_path, monkeypatch):
-    """A generated tier's s2 rows are formatted only where the next row's s
-    has other bits: once per episode, at its end."""
-    from oris.datasets import generate_dataset
-    d = generate_dataset("pendulum", "random", episodes=3, seed=0)
-    S, _, _, S2, _ = d.columns
-    differ = int((S2[:-1].view(np.int64) != S[1:].view(np.int64)).any(axis=1).sum()) + 1
-    assert differ == d.num_trajectories
-    s2_rows = []
-    rows_text = data._rows_text
-
-    def counting(column):
-        # state rows that are not a slice of S are s2 rows
-        if column.ndim == 2 and column.shape[1] == S.shape[1] \
-                and not np.shares_memory(column, S):
-            s2_rows.append(len(column))
-        return rows_text(column)
-
-    monkeypatch.setattr(data, "_rows_text", counting)
-    data.save_dataset(d, tmp_path / "d.jsonl")
-    assert sum(s2_rows) == differ
+    meta = {"env_id": "pendulum", "tier": "random"}
+    d = data.Dataset(meta, packed((S, A, R, S2, D)), bounds)
+    v1_bits = packed((S, A, R, S2, (D != 0).astype(np.float64))).block.tobytes()
+    base = tmp_path_factory.getbasetemp()
+    v1, v2, again = base / "d.jsonl", base / "d.rows", base / "again.rows"
+    v1.write_text(oracles.dataset_text_per_row(d))
+    data.save_dataset(data.load_dataset(v1), v2)
+    data.save_dataset(d, again)
+    for path, bits in ((v1, v1_bits), (v2, v1_bits), (again, d.rows.block.tobytes())):
+        loaded = data.load_dataset(path)
+        assert loaded.rows.block.tobytes() == bits
+        assert (loaded.trajectory_boundaries, loaded.meta) == (bounds, meta)
+    want = again.read_bytes()
+    data.save_dataset(data.load_dataset(again), again)
+    assert again.read_bytes() == want
 
 
 def test_save_and_load_peak_memory_is_bounded_by_blocks(tmp_path):
-    """A three-block file saves and loads within a fixed multiple of its
-    columns' bytes. Encoding whole columns at once, or parsing the whole
-    file's rows at once, goes past it."""
+    """A file of three version-1 read blocks saves and loads within a fixed
+    multiple of its columns' bytes, and so does its version-1 text, read a
+    block of rows at a time. Parsing the whole text's rows at once goes past
+    it."""
     n = 3 * data.BLOCK_ROWS
     rng = np.random.default_rng(0)
     cols = (rng.normal(size=(n, 3)), rng.normal(size=(n, 1)), rng.normal(size=n),
@@ -292,18 +268,21 @@ def test_save_and_load_peak_memory_is_bounded_by_blocks(tmp_path):
     d = data.Dataset({"env_id": "pendulum", "tier": "random"}, packed(cols),
                      [n // 2, n])
     column_bytes = sum(c.nbytes for c in cols)
-    p = tmp_path / "d.jsonl"
+    p, v1 = tmp_path / "d.rows", tmp_path / "d.jsonl"
+    v1.write_text(oracles.dataset_text_per_row(d))
     tracemalloc.start()
     try:
         data.save_dataset(d, p)
         save_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        data.load_dataset(p)
-        load_peak = tracemalloc.get_traced_memory()[1]
+        load_peaks = []
+        for path in (p, v1):
+            tracemalloc.reset_peak()
+            data.load_dataset(path)
+            load_peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
     assert save_peak < 5 * column_bytes
-    assert load_peak < 10 * column_bytes
+    assert max(load_peaks) < 10 * column_bytes
 
 
 def test_subsample_whole_trajectories():
@@ -419,6 +398,27 @@ def test_replay_buffer_extend_keeps_fifo_order_across_the_wrap(capacity, chunks,
         np.testing.assert_array_equal(W, slots_w)
         np.testing.assert_array_equal(S, np.stack([slots_r, -slots_r], axis=1))
         np.testing.assert_array_equal(A[:, 0], slots_r)
+
+
+def test_replay_buffer_extend_writes_in_place():
+    """extend copies each column into its slots of the block, before the wrap
+    and after it, with no row block of its own: its peak is a small part of
+    the block's bytes."""
+    n = 10_000
+    rng = np.random.default_rng(0)
+    cols = (rng.normal(size=(n, 3)), rng.normal(size=(n, 1)), rng.normal(size=n),
+            rng.normal(size=(n, 3)), np.zeros(n))
+    w = rng.uniform(size=n)
+    buf = data.ReplayBuffer(n, 3, 1)
+    buf.extend(tuple(c[:n // 3] for c in cols))  # so that the next extend wraps
+    tracemalloc.start()
+    try:
+        buf.extend(cols, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < buf.block.nbytes / 8
+    assert oracles.stored_columns(buf)[-1][n // 3] == w[0]
 
 
 def test_replay_buffer_rejects_nonfinite_rows():

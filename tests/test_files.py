@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from oris import data, datasets, gan
+from oris import data, datasets, files, gan
 from oris.files import atomic_write
 
 
@@ -38,42 +38,40 @@ def test_atomic_write_that_raises_leaves_old_file_and_no_temp(tmp_path):
 
 
 def test_save_dataset_cut_part_way_keeps_old_file(tmp_path, monkeypatch):
-    p = tmp_path / "d.jsonl"
+    p = tmp_path / "d.rows"
     old = datasets.generate_dataset("pendulum", "random", episodes=1, seed=0)
     data.save_dataset(old, p)
     before = p.read_bytes()
     new = datasets.generate_dataset("pendulum", "random", episodes=6, seed=1)
-    assert len(new) > data.BLOCK_ROWS
 
-    class FullAfterOneBlock:
-        """Takes the header line and one block of rows, then is full."""
+    class FullAfterTheHeader:
+        """Takes the header line, then is full part way into the rows."""
 
         def __init__(self, f):
             self.f = f
-            self.room = 1 + data.BLOCK_ROWS  # lines
+            self.writes = 0
 
-        def write(self, text):
-            lines = text.count("\n")
-            if lines > self.room:
-                self.f.write(text[:len(text) // 2])
+        def write(self, b):
+            self.writes += 1
+            if self.writes > 2:  # the header's JSON, its newline, then the rows
+                self.f.write(b[:len(b) // 2])
                 raise OSError("disk full")
-            self.room -= lines
-            return self.f.write(text)
+            return self.f.write(b)
 
-    files = []
+    opened = []
 
     @contextlib.contextmanager
-    def cut_write(path):
-        with atomic_write(path) as f:
-            files.append(FullAfterOneBlock(f))
-            yield files[-1]
+    def cut_write(path, binary=False):
+        with atomic_write(path, binary) as f:
+            opened.append(FullAfterTheHeader(f))
+            yield opened[-1]
 
-    monkeypatch.setattr(data, "atomic_write", cut_write)
+    monkeypatch.setattr(files, "atomic_write", cut_write)
     with pytest.raises(OSError):
         data.save_dataset(new, p)
-    assert files[0].room == 0  # the cut came mid-file, after the first block
+    assert opened[0].writes == 3  # the cut came mid-file, in the rows
     assert p.read_bytes() == before
-    assert [q.name for q in tmp_path.iterdir()] == ["d.jsonl"]
+    assert [q.name for q in tmp_path.iterdir()] == ["d.rows"]
 
 
 def test_gan_files_cut_part_way_keep_old_files(tmp_path, monkeypatch):

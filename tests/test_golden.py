@@ -7,7 +7,9 @@ the RNG draw order or to the order of float operations anywhere in data, gan,
 sac, nets or loop. One more digest covers a tiny online reference run
 (`datasets.train_reference`): its final agent and every episode it collected.
 One more covers the bytes `data.save_dataset` writes for a small generated tier,
-and one per file the tier files `oris gen-dataset` writes at a tiny reference.
+and one per file the tier files `oris gen-dataset` writes at a tiny reference,
+plus one per tier of what that file loads to: its rows, trajectory boundaries
+and meta, which no change of the file format may move.
 Per-file digests cover the directory `sac.save_agent` writes for a tiny agent
 after two update pairs, one digest covers tests/data/agent_f8 loaded and
 updated twice, and one the key `gan.fit_key` gives a fixed fit.
@@ -41,7 +43,7 @@ VARIANT_SHA256 = {
     "bc": "ba42bde62ee4d956a40ee034075bebf330364161acace73f65cbb46820c9c1f6",
 }
 REFERENCE_SHA256 = "ac23e283f799bb489cc6dab160d0783791133351c78a41782095e17410a27e7b"
-DATASET_FILE_SHA256 = "a4633e6ce5091ed6b60f32649b91dc63f44689ef725b4b74c1469f8a65d1ac8c"
+DATASET_FILE_SHA256 = "e5a981a5e279e45c050318fdbde61a9b96fec7a2b5a7dc396dca514ebcfe9c4e"
 # recorded when the twin critics were four single nets, which wrote the same files
 AGENT_FILE_SHA256 = {
     "actor.mlp": "f2f4e665cd29231040356e3e3c2f825020b06664f99c9ec7da5d821748966bc9",
@@ -57,17 +59,30 @@ AGENT_FILE_SHA256 = {
 AGENT_F8_UPDATED_SHA256 = "bc584e34c07bf7cc004da3a2cef8f892984c0f9d6fc5ed5c4848275f05ca6fc2"
 # fit_inputs carries gan_version since GAN_VERSION 2, so the key moved with it
 FIT_KEY = "2940af315fccfb3480d3285f246c075178b2993afacbfdbab55c547354243933"
+# the bytes of the version-2 files `oris gen-dataset` writes at test_datasets.TINY
+# and seed 0; GEN_DATASET_CONTENT_SHA256 pins what each one loads to
+GEN_DATASET_SHA256 = {
+    "pendulum_expert.rows": "bdb0f8ced23259ea2aa16517e76704d285fc0f51ef6b33208943ad59972cb8fd",
+    "pendulum_medium.rows": "2f073a8b598f143947b471a3b778a14277fa5a58b50931a27fac0f7302bf866f",
+    "pendulum_medium_replay.rows":
+        "22e940ed023acf72a778b5b06429202cdc89ac885022c96590b45c3c72737cdb",
+    "pendulum_random.rows": "49ad40e88ee504133fd23c3d27bdb82cf3066a7f441d5af7820eae20e1dd9f3f",
+    "pointgoal_medium.rows": "b269d77dfa2f7df9b5a78cd917f1bf383e3b4093c26da6602fecf3acd504a86a",
+    "pointgoal_random.rows": "2cf82045c662f73ccf360f373fd328c12f62a04ff7ea9ae0f485c2b7c5e6f349",
+}
+# per tier, sha256 of the loaded rows.block bytes, then the JSON of
+# trajectory_boundaries and of meta (sorted keys), as _content_digest takes it;
+# recorded from the version-1 JSONL files gen-dataset wrote before version 2
+GEN_DATASET_CONTENT_SHA256 = {
+    "pendulum_expert": "d4d4495c3a73eabdd0bda431e1aec3d3e6145fecb5c4e221d961b88c59eeddb2",
+    "pendulum_medium": "87c8287ea6f449e4fe9671f03ea023145f5cf33a5e6372a8300bbd73d269b53a",
+    "pendulum_medium_replay": "65d37ee8dd39db98d68d2ff7898b4697fd44e736d872c1d6b06d0105d6f0232c",
+    "pendulum_random": "265c248ebe3518d18b7c3ae5c5d81370a6b9e2853cf5794aaedb606f2808d6ed",
+    "pointgoal_medium": "e018bf479eaaccb18793e0c8dc1642f40d8f4035d915c6972ffcf8bf824b8192",
+    "pointgoal_random": "7ddaae2bbf23ec08bfd375f86628bdaef5667a3df03d789ea38459559183c246",
+}
 # recorded with the dataset script that `oris gen-dataset` replaced, run at
 # test_datasets.TINY and seed 0; it wrote the same refs with unsorted keys
-GEN_DATASET_SHA256 = {
-    "pendulum_expert.jsonl": "b82169e76af8ac5591c2195d9f2206c73cb2eb2533f41432ab1904b5853031b6",
-    "pendulum_medium.jsonl": "3929551276dc2a501f393e92146b21818581fcbed2451235c42ba2f76bf69fb9",
-    "pendulum_medium_replay.jsonl":
-        "818b455cecceb981f43049613cef2e2df86b882e81e811985cc6618ef79c7202",
-    "pendulum_random.jsonl": "9082252094d3950889416e8c8cd1f5a768409c0a508408047d68886080b40a0f",
-    "pointgoal_medium.jsonl": "de02f5de7e1de69edec82b422a874001129975c261664ec62d3cba53242eb502",
-    "pointgoal_random.jsonl": "38c04d6ba4e0ef343446779069c3706c1497b3bc1bd446796032488c0f403b49",
-}
 GEN_DATASET_REFS = {
     "pendulum": {"env_id": "pendulum", "random_ref": -1596.790258282737,
                  "expert_ref": -1743.625564667831, "seed": 0,
@@ -91,6 +106,13 @@ def _require_recorded_build():
     build = _build()
     if build != RECORDED_ON:
         pytest.skip(f"digests recorded on {RECORDED_ON}, this is {build}")
+
+
+def _content_digest(ds) -> str:
+    h = hashlib.sha256(ds.rows.block.tobytes())
+    h.update(json.dumps(ds.trajectory_boundaries).encode())
+    h.update(json.dumps(ds.meta, sort_keys=True).encode())
+    return h.hexdigest()
 
 
 def _hash_agent(h, agent):
@@ -189,7 +211,7 @@ def test_gan_fit_key_digest():
 
 def test_dataset_file_digest(tmp_path):
     _require_recorded_build()
-    path = tmp_path / "random.jsonl"
+    path = tmp_path / "random.rows"
     data.save_dataset(datasets.generate_dataset("pendulum", "random", episodes=3, seed=0),
                       path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DATASET_FILE_SHA256
@@ -203,7 +225,11 @@ def test_gen_dataset_file_digests(tmp_path, env_id):
     out = tmp_path / "data"
     assert cli.main(["gen-dataset", "--env", env_id, "--seed", "0", "--out", str(out),
                      "--reference-config", str(reference_config)]) == 0
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.jsonl")}
+    tiers = sorted(out.glob("*.rows"))
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tiers}
     assert got == {name: digest for name, digest in GEN_DATASET_SHA256.items()
                    if name.startswith(f"{env_id}_")}
+    content = {p.stem: _content_digest(data.load_dataset(p)) for p in tiers}
+    assert content == {name: digest for name, digest in GEN_DATASET_CONTENT_SHA256.items()
+                       if name.startswith(f"{env_id}_")}
     assert json.loads((out / f"{env_id}_refs.json").read_text()) == GEN_DATASET_REFS[env_id]

@@ -22,7 +22,7 @@ TINY_GAN = {"z_dim": 4, "hidden": [16, 16], "iterations": 20, "batch_size": 32,
 def dataset_path(tmp_path_factory):
     """A dataset with its refs file beside it, as `oris gen-dataset` writes them."""
     ds = datasets.generate_dataset("pendulum", "random", episodes=2, seed=0)
-    path = tmp_path_factory.mktemp("data") / "pendulum_random.jsonl"
+    path = tmp_path_factory.mktemp("data") / "pendulum_random.rows"
     save_dataset(ds, path)
     path.with_name("pendulum_refs.json").write_text(
         json.dumps({"env_id": "pendulum", **REFS}))
@@ -245,7 +245,7 @@ def test_run_experiment_checks_inputs_before_making_out_dir(dataset_path, tmp_pa
         harness.run_experiment(no_refs, out)
     # a pointgoal dataset, and one labelled pendulum whose rows are pointgoal's
     pointgoal = datasets.generate_dataset("pointgoal", "random", episodes=1, seed=0)
-    other_env, wrong_widths = tmp_path / "pointgoal.jsonl", tmp_path / "wide.jsonl"
+    other_env, wrong_widths = tmp_path / "pointgoal.rows", tmp_path / "wide.rows"
     save_dataset(pointgoal, other_env)
     save_dataset(Dataset({**pointgoal.meta, "env_id": "pendulum"}, pointgoal.rows,
                          pointgoal.trajectory_boundaries), wrong_widths)

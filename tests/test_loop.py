@@ -1,12 +1,14 @@
 """Tests for the collect-and-train loop and its variant dispatch."""
 
+import re
+
 import numpy as np
 import pytest
 
 from oracles import binomial_3sigma, stored_columns
 
 from oris import datasets, envs, gan, loop, nets, sac
-from oris.data import ReplayBuffer, columns_of
+from oris.data import Dataset, ReplayBuffer, columns_of
 from oris.errors import ConfigError, ContractError, NumericsError
 from oris.gan import GanPair, StateNormalizer
 from oris.loop import EpochReport, OrisConfig
@@ -273,6 +275,23 @@ def test_train_sim_only(tmp_path, pend_random):
     _, reports = loop.train(pend_random, GAP, cfg, HP, seed=1, gan_hp=GAN_HP, gan_store=tmp_path)
     assert [r.mean_sim_weight for r in reports] == [1.0, 1.0]
     assert reports[-1].env_steps == 40
+
+
+@pytest.mark.parametrize("variant", loop.VARIANTS)
+def test_train_refuses_a_dataset_whose_rows_do_not_fit_its_env(tmp_path, variant):
+    """A dataset labelled pendulum whose rows are pointgoal's is refused
+    before any GAN fit or draw, with the message the harness prefixes with
+    the dataset's path."""
+    pointgoal = datasets.generate_dataset("pointgoal", "random", episodes=1, seed=0)
+    wide = Dataset({**pointgoal.meta, "env_id": "pendulum"}, pointgoal.rows,
+                   pointgoal.trajectory_boundaries)
+    cfg = OrisConfig(variant=variant, rollout_horizon=1, rollout_count=1, epochs=1,
+                     updates_per_epoch=1, eval_episodes=1)
+    with pytest.raises(ConfigError, match="^" + re.escape(
+            "dataset has 4-d states and 2-d actions, but 'pendulum' has 3-d states "
+            "and 1-d actions") + "$"):
+        loop.train(wide, GAP, cfg, HP, seed=0, gan_hp=GAN_HP, gan_store=tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("variant", loop.VARIANTS)

@@ -16,41 +16,41 @@ from oris.harness import ExperimentConfig, ScoreTable
 # records them here once; two cells that share a hash train the same run.
 STUDY_CELLS = {
     "main_comparison": [
-        ("runs/main_comparison/oris", None, "c27f32c5a406", None),
-        ("runs/main_comparison/naive_mix", None, "3c6f6f422e41", None),
-        ("runs/main_comparison/sim_only_sac", None, "817c674089c3", None),
+        ("runs/main_comparison/oris", None, "da37c73222f1", None),
+        ("runs/main_comparison/naive_mix", None, "a06e42d90ce6", None),
+        ("runs/main_comparison/sim_only_sac", None, "6c6b4a0e9498", None),
     ],
     "gap_grid": [
-        ("runs/gap_grid/oris", "gap_type", "a3e27b62ef19",
-         {"gap_gravity": "c27f32c5a406", "gap_friction": "bb9cb5ffa65a",
-          "gap_action_noise": "0915d07e0fea"}),
-        ("runs/gap_grid/naive_mix", "gap_type", "0058c24b1c06",
-         {"gap_gravity": "3c6f6f422e41", "gap_friction": "a925bd1b0e91",
-          "gap_action_noise": "5567993c8836"}),
-        ("runs/gap_grid/sim_only_sac", "gap_type", "090feb8e73de",
-         {"gap_gravity": "817c674089c3", "gap_friction": "ce3cba0fe298",
-          "gap_action_noise": "c0864af00a51"}),
+        ("runs/gap_grid/oris", "gap_type", "ca7cf277c860",
+         {"gap_gravity": "da37c73222f1", "gap_friction": "df0bd94abe1b",
+          "gap_action_noise": "06118f5042b9"}),
+        ("runs/gap_grid/naive_mix", "gap_type", "6908d509854a",
+         {"gap_gravity": "a06e42d90ce6", "gap_friction": "2a67fa181b25",
+          "gap_action_noise": "438508ff9d3f"}),
+        ("runs/gap_grid/sim_only_sac", "gap_type", "c841bf63daa3",
+         {"gap_gravity": "6c6b4a0e9498", "gap_friction": "871aeed02123",
+          "gap_action_noise": "bb92e9ee4dbe"}),
     ],
     "gc_sweep": [
-        ("runs/gc_sweep/oris", "gravity", "a3e27b62ef19",
-         {"gravity_2": "c27f32c5a406", "gravity_3": "6be809292261",
-          "gravity_4": "88bf7cca6e07", "gravity_5": "5c30bb6bab59"}),
-        ("runs/gc_sweep/sim_only_sac", "gravity", "090feb8e73de",
-         {"gravity_2": "817c674089c3", "gravity_3": "1fab98f19416",
-          "gravity_4": "198fe48d88f0", "gravity_5": "b46c2ab2b611"}),
+        ("runs/gc_sweep/oris", "gravity", "ca7cf277c860",
+         {"gravity_2": "da37c73222f1", "gravity_3": "151241c28958",
+          "gravity_4": "2965eeae209f", "gravity_5": "0c1dd446f9c6"}),
+        ("runs/gc_sweep/sim_only_sac", "gravity", "c841bf63daa3",
+         {"gravity_2": "6c6b4a0e9498", "gravity_3": "f15108748c7c",
+          "gravity_4": "45aa557457ef", "gravity_5": "662af9ef2247"}),
     ],
     "small_data": [
-        ("runs/small_data/oris", "fraction", "c27f32c5a406",
-         {"fraction_1": "c27f32c5a406", "fraction_0.25": "44c29da9f65a",
-          "fraction_0.05": "2ff0076518ee"}),
-        ("runs/small_data/bc", "fraction", "6f7286671544",
-         {"fraction_1": "6f7286671544", "fraction_0.25": "a7c03848d65b",
-          "fraction_0.05": "5bc0aed8b8a2"}),
+        ("runs/small_data/oris", "fraction", "da37c73222f1",
+         {"fraction_1": "da37c73222f1", "fraction_0.25": "864515fa716d",
+          "fraction_0.05": "92924c35135e"}),
+        ("runs/small_data/bc", "fraction", "7d9076c629ea",
+         {"fraction_1": "7d9076c629ea", "fraction_0.25": "86e9b26bd1e5",
+          "fraction_0.05": "e992a4e673d3"}),
     ],
     "ablations": [
-        ("runs/ablations", "ablation", "18ecb865b339",
-         {"oris": "18ecb865b339", "no_restart": "c86549e3501a",
-          "uniform_weight": "9a77f8964a45", "naive_mix": "ce38d267e700"}),
+        ("runs/ablations", "ablation", "cc61a8ad03b8",
+         {"oris": "cc61a8ad03b8", "no_restart": "ad04c428f1ef",
+          "uniform_weight": "f4477ccaefda", "naive_mix": "4c11d5b505c9"}),
     ],
 }
 
@@ -107,4 +107,4 @@ def test_readme_config_is_the_main_comparison_oris_cell():
     block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
     cfg = ExperimentConfig.from_json(json.loads(block))
     cell = presets.study_cells("main_comparison", "data", "runs/main", range(5))[0]
-    assert cfg.config_hash() == cell.config_hash() == "c27f32c5a406"
+    assert cfg.config_hash() == cell.config_hash() == "da37c73222f1"
