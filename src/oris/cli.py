@@ -1,6 +1,8 @@
 """Command-line entry points: dataset generation, training, sweeps, the
 paper's studies and evaluation. One JSON config document drives train/sweep;
-a study builds its configs from the table in `oris.presets`."""
+a study builds its configs from the table in `oris.presets`. All three run
+each config through `harness.run_cell`, print its summary as JSON on stdout
+and one line per failed seed on stderr, and exit 1 if a seed failed."""
 
 from __future__ import annotations
 
@@ -58,13 +60,6 @@ def cmd_gen_dataset(args) -> int:
     return 0
 
 
-def _load_config(args) -> harness.ExperimentConfig:
-    cfg = harness.ExperimentConfig.from_json(load_json(args.config))
-    if args.seed is not None:
-        cfg = cfg.with_overrides(seeds=[args.seed])
-    return cfg
-
-
 def _progress(args):
     if not args.verbose:
         return None
@@ -72,30 +67,22 @@ def _progress(args):
                              f"critic {r.critic_loss:.3f}")
 
 
-def _run_cell(cfg, axis, out_dir=None, progress=None) -> tuple[dict, list]:
-    """Run one config, or sweep it over `axis` if that is given.
-
-    -> (its summary as `train` or `sweep` prints it, failure lines)."""
-    if axis is None:
-        table, failures = harness.run_experiment(cfg, out_dir, progress=progress)
-        return table.summary(), [f"seed {f['seed']} failed: {f['error']}"
-                                 for f in failures]
-    result = harness.sweep(cfg, axis, out_dir, progress=progress)
-    return ({p["label"]: p["summary"] for p in result["points"]},
-            [f"{f['point']} seed {f['seed']} failed: {f['error']}"
-             for f in result["failures"]])
-
-
 def _report(summary: dict, failures: list) -> int:
+    """Print the summary, and one stderr line per failed seed, led by the
+    study variant and the sweep point it ran under, where it has them."""
     print(json.dumps(summary, indent=2, sort_keys=True))
-    for line in failures:
-        _eprint(line)
+    for f in failures:
+        where = "".join(f"{f[k]} " for k in ("study_variant", "point") if k in f)
+        _eprint(f"{where}seed {f['seed']} failed: {f['error']}")
     return 1 if failures else 0
 
 
 def cmd_train_or_sweep(args) -> int:
-    return _report(*_run_cell(_load_config(args), args.axis, args.out,
-                              _progress(args)))
+    cfg = harness.ExperimentConfig.from_json(load_json(args.config))
+    if args.seed is not None:
+        cfg = cfg.with_overrides(seeds=[args.seed])
+    out = args.out if args.out is not None else cfg.out_dir
+    return _report(*harness.run_cell(cfg, args.axis, out, _progress(args)))
 
 
 def cmd_study(args) -> int:
@@ -103,8 +90,8 @@ def cmd_study(args) -> int:
     out = args.out if args.out is not None else f"runs/{args.name}"
     summary, failures = {}, []
     for cfg in presets.study_cells(args.name, args.data, out, args.seeds):
-        summary[cfg.variant], failed = _run_cell(cfg, axis)
-        failures += [f"{cfg.variant} {line}" for line in failed]
+        summary[cfg.variant], failed = harness.run_cell(cfg, axis, cfg.out_dir)
+        failures += [{"study_variant": cfg.variant, **f} for f in failed]
     return _report(summary, failures)
 
 

@@ -1,4 +1,5 @@
-"""Experiment configs, metrics CSVs, normalized scores, and sweep grids.
+"""Experiment configs, metrics CSVs, normalized scores, and run_cell, the
+one runner from a config, or a sweep of it, to its results.
 
 One ExperimentConfig describes one (env, sim perturbation, dataset, variant)
 cell run over a list of seeds. Every output file embeds a hash of the config
@@ -232,7 +233,7 @@ def _write_json(path: Path, obj) -> None:
         f.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir=None, progress=None):
+def run_experiment(cfg: ExperimentConfig, out_dir, progress=None):
     """Train every seed, write one CSV and one agent directory each (see
     sac.save_agent) plus a score table.
 
@@ -246,7 +247,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, progress=None):
     """
     offline = _load_offline(cfg)
     refs = cfg.resolve_refs()
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     chash = cfg.config_hash()
 
@@ -293,12 +294,20 @@ def sweep_points(cfg: ExperimentConfig, axis: str) -> list[tuple[str, dict]]:
     raise ConfigError(f"unknown sweep axis {axis!r}, know {SWEEP_AXES}")
 
 
-def sweep(cfg: ExperimentConfig, axis: str, out_dir=None, progress=None) -> dict:
-    """Run every point on the axis; aggregate summaries and a failure manifest."""
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    points = []
-    failures = []
+def run_cell(cfg: ExperimentConfig, axis: str | None, out_dir,
+             progress=None) -> tuple[dict, list[dict]]:
+    """Run `cfg` in `out_dir`, or, given an axis, each of its sweep points
+    in `<out_dir>/<label>` and then `sweep_table.json`.
+
+    Returns (summary, failures): the score table's summary, or one per point
+    label; and the failure records of run_experiment, each tagged with its
+    sweep point's label as "point".
+    """
+    out = Path(out_dir)
+    if axis is None:
+        table, failures = run_experiment(cfg, out, progress=progress)
+        return table.summary(), failures
+    points, failures = [], []
     for label, overrides in sweep_points(cfg, axis):
         point_cfg = cfg.with_overrides(**overrides)
         table, point_failures = run_experiment(point_cfg, out / label,
@@ -306,9 +315,8 @@ def sweep(cfg: ExperimentConfig, axis: str, out_dir=None, progress=None) -> dict
         points.append({"label": label, "overrides": overrides,
                        "config_hash": point_cfg.config_hash(),
                        "summary": table.summary()})
-        for f in point_failures:
-            failures.append({"point": label, **f})
-    result = {"axis": axis, "base_config_hash": cfg.config_hash(),
-              "points": points, "failures": failures}
-    _write_json(out / "sweep_table.json", result)
-    return result
+        failures += [{"point": label, **f} for f in point_failures]
+    _write_json(out / "sweep_table.json",
+                {"axis": axis, "base_config_hash": cfg.config_hash(),
+                 "points": points, "failures": failures})
+    return {p["label"]: p["summary"] for p in points}, failures

@@ -10,6 +10,7 @@ import pytest
 
 from oris import cli, datasets, harness, presets, sac
 from oris.data import load_dataset, save_dataset
+from oris.errors import NumericsError
 from test_datasets import TINY
 import oracles
 
@@ -390,11 +391,57 @@ def test_sweep_cli(tmp_path, data_dir, capsys):
     assert set(printed) == {"fraction_1", "fraction_0.25", "fraction_0.05"}
 
 
-def test_study_flags_summary_and_failures(tmp_path, monkeypatch, capsys):
-    cells = []
 
-    def run_experiment(cfg, out_dir=None, progress=None):
+@pytest.mark.parametrize("argv", [
+    ["train", "--config", "{tmp}/c.json", "--out", "{tmp}/out"],
+    ["sweep", "--config", "{tmp}/c.json", "--axis", "fraction", "--out", "{tmp}/out"],
+    ["study", "main_comparison", "--data", "{tmp}/missing", "--out", "{tmp}/out"],
+    ["study", "gap_grid", "--data", "{tmp}/missing", "--out", "{tmp}/out"]],
+    ids=lambda argv: argv[1] if argv[0] == "study" else argv[0])
+def test_a_missing_dataset_exits_2_before_it_makes_a_directory(tmp_path, data_dir,
+                                                               capsys, argv):
+    missing = tmp_path / "missing" / "pendulum_medium_replay.rows"
+    write_config(tmp_path / "c.json", data_dir, dataset=str(missing))
+    assert cli.main([a.format(tmp=tmp_path) for a in argv]) == 2
+    assert f"config error: dataset {str(missing)!r} does not exist\n" \
+        == capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["train", "--config", "{tmp}/c.json"], ["seed 0 failed"]),
+    (["sweep", "--config", "{tmp}/c.json", "--axis", "fraction"],
+     ["fraction_1 seed 0 failed", "fraction_0.25 seed 0 failed",
+      "fraction_0.05 seed 0 failed"]),
+    (["study", "small_data", "--data", "{tmp}", "--seeds", "0", "3"],
+     [f"{variant} {point} seed {seed} failed" for variant in ("oris", "bc")
+      for point in ("fraction_1", "fraction_0.25", "fraction_0.05")
+      for seed in (0, 3)])],
+    ids=["train", "sweep", "study"])
+def test_each_failed_seed_is_one_stderr_line(tmp_path, data_dir, monkeypatch, capsys,
+                                             argv, lines):
+    """train, sweep and study print one line per failed seed, led by the
+    study variant and the sweep point it ran under, and exit 1."""
+    def train(*args, **kw):
+        raise NumericsError("synthetic")
+
+    monkeypatch.setattr(harness.loop, "train", train)
+    save_dataset(load_dataset(data_dir / "pendulum_random.rows"),
+                 tmp_path / "pendulum_medium_replay.rows")
+    (tmp_path / "pendulum_refs.json").write_text(json.dumps(REFS))
+    write_config(tmp_path / "c.json", data_dir)
+    argv = [a.format(tmp=tmp_path) for a in argv] + ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "".join(f"{line}: NumericsError: synthetic\n" for line in lines)
+
+
+def test_study_flags_summary_and_failures(tmp_path, monkeypatch, capsys):
+    cells, dirs = [], []
+
+    def run_experiment(cfg, out_dir, progress=None):
         cells.append(cfg)
+        dirs.append(str(out_dir))
         rows = [{"variant": cfg.variant, "seed": s, "final_score": 50.0,
                  "final_return": -500.0, "returns": [-500.0]} for s in cfg.seeds]
         failures = [{"variant": cfg.variant, "seed": 8,
@@ -409,7 +456,7 @@ def test_study_flags_summary_and_failures(tmp_path, monkeypatch, capsys):
     assert rc == 1
     variants = ["oris", "naive_mix", "sim_only_sac"]
     assert [c.variant for c in cells] == variants
-    assert [c.out_dir for c in cells] == [f"{out}/{v}" for v in variants]
+    assert dirs == [f"{out}/{v}" for v in variants]
     for c in cells:
         assert c.seeds == (7, 8)
         assert c.dataset == "mydata/pendulum_medium_replay.rows"

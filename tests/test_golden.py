@@ -10,6 +10,9 @@ One more covers the bytes `data.save_dataset` writes for a small generated tier,
 and one per file the tier files `oris gen-dataset` writes at a tiny reference,
 plus one per tier of what that file loads to: its rows, trajectory boundaries
 and meta, which no change of the file format may move.
+One digest per file of a tiny `oris sweep --axis fraction` run (its sweep
+table, and each point's score table and CSV) and one of the summary it prints
+cover the path from a config to its results.
 Per-file digests cover the directory `sac.save_agent` writes for a tiny agent
 after two update pairs, one digest covers tests/data/agent_f8 loaded and
 updated twice, and one the key `gan.fit_key` gives a fixed fit.
@@ -31,6 +34,7 @@ import pytest
 
 from oris import cli, data, datasets, envs, gan, loop, sac
 from oris.loop import OrisConfig
+from test_cli import REFS, write_config
 from test_datasets import TINY
 
 RECORDED_ON = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0"}
@@ -90,6 +94,22 @@ GEN_DATASET_REFS = {
     "pointgoal": {"env_id": "pointgoal", "random_ref": -9.99999999999998,
                   "expert_ref": -9.99999999999998, "seed": 0,
                   "medium_return": -9.99999999999998},
+}
+# test_cli.test_sweep_cli's config at seed 0, its inputs at relative paths so
+# that the config hashes in the files stay put; "stdout" is the printed summary
+SWEEP_SHA256 = {
+    "sweep_table.json": "e86350fbd9a8ca3e7fe597b0dfb37b64c4965b7949a6b7ddc296bf3908863982",
+    "fraction_0.05/score_table.json":
+        "01300852980221ebcf042a7434a620da84e2a2cda1c24994a456e00f90a49b8f",
+    "fraction_0.25/score_table.json":
+        "07df43d47da3eba2079236b9813187a1ec68874200d83d1d24949a78024af266",
+    "fraction_1/score_table.json": "59cad02e064c30802f4c9da0fcc230db16e9e65547d6c7b6b4427aaf370d46f6",
+    "fraction_0.05/naive_mix_seed0.csv":
+        "a64f56d8f6ac62c0c834232c5b3217403b511375ef16e022c3552a840e5a6934",
+    "fraction_0.25/naive_mix_seed0.csv":
+        "ccb48481b2e15a5bd7995ea5b7d1951763962b9b3de2a351dda604a5111c58f8",
+    "fraction_1/naive_mix_seed0.csv": "2b22b75aa59acee5062a94e141f754a842b70d1f8cd5fc777cb515b675d575cc",
+    "stdout": "3819af30217ab7d29185349a566fb9074435f9f91110957d6831123ceb7d4c66",
 }
 
 # a stack's rows hash back to back, so the twin critics and their targets
@@ -233,3 +253,22 @@ def test_gen_dataset_file_digests(tmp_path, env_id):
     assert content == {name: digest for name, digest in GEN_DATASET_CONTENT_SHA256.items()
                        if name.startswith(f"{env_id}_")}
     assert json.loads((out / f"{env_id}_refs.json").read_text()) == GEN_DATASET_REFS[env_id]
+
+
+def test_sweep_cli_digests(tmp_path, monkeypatch, capsys):
+    _require_recorded_build()
+    monkeypatch.chdir(tmp_path)
+    data_dir, out = Path("data"), Path("sw")
+    data_dir.mkdir()
+    data.save_dataset(datasets.generate_dataset("pendulum", "random", episodes=2, seed=0),
+                      data_dir / "pendulum_random.rows")
+    (data_dir / "pendulum_refs.json").write_text(json.dumps(REFS))
+    write_config(Path("c.json"), data_dir)
+    assert cli.main(["sweep", "--config", "c.json", "--axis", "fraction",
+                     "--out", str(out)]) == 0
+    files = [out / "sweep_table.json", *sorted(out.glob("*/score_table.json")),
+             *sorted(out.glob("*/*.csv"))]
+    got = {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in files}
+    got["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == SWEEP_SHA256

@@ -1,4 +1,4 @@
-"""Tests for experiment configs, metrics files, score tables, and sweeps."""
+"""Tests for experiment configs, metrics files, score tables, and the runner."""
 
 import json
 import re
@@ -155,7 +155,7 @@ def test_config_hash_leaves_out_out_dir(dataset_path, tmp_path):
     assert a.with_overrides(dataset=str(tmp_path / "x.jsonl")).config_hash() \
         != a.config_hash()
     for cfg in (a, b):
-        _, failures = harness.run_experiment(cfg)
+        _, failures = harness.run_experiment(cfg, cfg.out_dir)
         assert failures == []
     csvs = [*(tmp_path / "a").glob("*.csv"), *(tmp_path / "elsewhere" / "b").glob("*.csv")]
     assert len(csvs) == 4
@@ -291,16 +291,15 @@ def test_sweep_fraction_axis_end_to_end(dataset_path, tmp_path):
                       oris={"rollout_horizon": 2, "rollout_count": 1,
                             "epochs": 1, "updates_per_epoch": 1,
                             "eval_episodes": 1})
-    result = harness.sweep(cfg, "fraction", tmp_path)
-    assert result["failures"] == []
-    assert [p["label"] for p in result["points"]] == \
-        ["fraction_1", "fraction_0.25", "fraction_0.05"]
-    for p in result["points"]:
-        assert (tmp_path / p["label"] / "naive_mix_seed0.csv").exists()
-        assert p["summary"]["naive_mix"]["n"] == 1
+    summary, failures = harness.run_cell(cfg, "fraction", tmp_path)
+    assert failures == []
+    assert list(summary) == ["fraction_1", "fraction_0.25", "fraction_0.05"]
+    for label, point in summary.items():
+        assert (tmp_path / label / "naive_mix_seed0.csv").exists()
+        assert point["naive_mix"]["n"] == 1
     on_disk = json.loads((tmp_path / "sweep_table.json").read_text())
     assert on_disk["axis"] == "fraction"
-    assert on_disk["points"] == result["points"]
+    assert {p["label"]: p["summary"] for p in on_disk["points"]} == summary
 
 
 def counted_fits(monkeypatch) -> list:
@@ -320,7 +319,7 @@ def gan_config(dataset_path, variant="oris", **over):
     return tiny_config(dataset_path, variant=variant, seeds=[0], gan=TINY_GAN, **over)
 
 
-def run_cell(cfg, out):
+def run_cleanly(cfg, out):
     _, failures = harness.run_experiment(cfg, out)
     assert failures == []
 
@@ -329,14 +328,14 @@ def test_sibling_cells_fit_one_gan(dataset_path, tmp_path, monkeypatch):
     fits = counted_fits(monkeypatch)
     variants = ("oris", "no_restart", "uniform_weight")
     for v in variants:
-        run_cell(gan_config(dataset_path, v), tmp_path / "study" / v)
+        run_cleanly(gan_config(dataset_path, v), tmp_path / "study" / v)
     assert len(fits) == 1
     (entry,) = (tmp_path / "study" / "gans").iterdir()
     assert sorted(p.name for p in entry.iterdir()) == [
         "discriminator.mlp", "gan.json", "generator.mlp", "report.json"]
 
     for v in variants:  # each cell alone fits its own GAN
-        run_cell(gan_config(dataset_path, v), tmp_path / f"alone_{v}" / v)
+        run_cleanly(gan_config(dataset_path, v), tmp_path / f"alone_{v}" / v)
     assert len(fits) == 4
     for v in variants:
         shared = (tmp_path / "study" / v / f"{v}_seed0.csv").read_bytes()
@@ -354,16 +353,16 @@ def test_gan_store_keys_on_fit_inputs(dataset_path, tmp_path, monkeypatch):
              base.with_overrides(seeds=[1]),
              base.with_overrides(dataset_fraction=0.5)]
     for i, cfg in enumerate(cells):
-        run_cell(cfg, tmp_path / f"cell{i}")
+        run_cleanly(cfg, tmp_path / f"cell{i}")
     assert len(fits) == 4
     assert len(list((tmp_path / "gans").iterdir())) == 4
-    run_cell(base.with_overrides(variant="no_restart"), tmp_path / "again")
+    run_cleanly(base.with_overrides(variant="no_restart"), tmp_path / "again")
     assert len(fits) == 4
 
 
 def test_gan_free_variant_writes_no_entry(dataset_path, tmp_path, monkeypatch):
     fits = counted_fits(monkeypatch)
-    run_cell(gan_config(dataset_path, "naive_mix"), tmp_path / "naive_mix")
+    run_cleanly(gan_config(dataset_path, "naive_mix"), tmp_path / "naive_mix")
     assert fits == []
     assert not (tmp_path / "gans").exists()
 
@@ -371,13 +370,13 @@ def test_gan_free_variant_writes_no_entry(dataset_path, tmp_path, monkeypatch):
 def test_gan_store_ignores_leftover_tmp(dataset_path, tmp_path, monkeypatch):
     fits = counted_fits(monkeypatch)
     cfg = gan_config(dataset_path)
-    run_cell(cfg, tmp_path / "a" / "oris")
+    run_cleanly(cfg, tmp_path / "a" / "oris")
     (entry,) = (tmp_path / "a" / "gans").iterdir()
     # a cut fit's leftover: the entry half written under its temporary name
     left = tmp_path / "b" / "gans" / f"{entry.name}.cut.tmp"
     left.mkdir(parents=True)
     (left / "gan.json").write_text("{}")
-    run_cell(cfg, tmp_path / "b" / "oris")
+    run_cleanly(cfg, tmp_path / "b" / "oris")
     assert len(fits) == 2
     assert (tmp_path / "b" / "gans" / entry.name / "report.json").exists()
     assert (tmp_path / "a" / "oris" / "oris_seed0.csv").read_bytes() \
@@ -387,7 +386,7 @@ def test_gan_store_ignores_leftover_tmp(dataset_path, tmp_path, monkeypatch):
 def test_damaged_gan_store_entry_stops_the_run(dataset_path, tmp_path):
     """A store entry's data is an input, not a divergence: a truncated net
     stops the run, naming its file, and no seed is filed as failed."""
-    run_cell(gan_config(dataset_path), tmp_path / "a")
+    run_cleanly(gan_config(dataset_path), tmp_path / "a")
     (entry,) = (tmp_path / "gans").iterdir()
     mlp = entry / "generator.mlp"
     mlp.write_bytes(mlp.read_bytes()[:-1])
