@@ -181,6 +181,9 @@ def main(argv=None) -> int:
     except NumericsError as e:
         _eprint(f"numerics failure: {e}")
         return 3
+    except OSError as e:  # a path the OS refuses, e.g. a directory where a file goes
+        _eprint(f"error: {e}")
+        return 2
 
 
 if __name__ == "__main__":

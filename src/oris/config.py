@@ -107,8 +107,8 @@ def load_json(path) -> dict:
     if not p.exists():
         raise ConfigError(f"{path}: no such file")
     try:
-        d = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
+        d = json.loads(p.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ConfigError(f"{path}: not valid JSON ({e})") from None
     if not isinstance(d, dict):
         raise ConfigError(f"{path}: not a JSON object")

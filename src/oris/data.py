@@ -7,17 +7,13 @@ S | A | R | S2 | D | W, W being the row's critic weight, and its columns
 the widths of S and A, the trajectory boundaries and the dataset's meta, then
 the rows S | A | R | S2 | D as one little-endian float64 block, so a save
 writes the bits it holds and a load reads them back into one ReplayBuffer.
-load_dataset also reads version 1, one JSON header line and one JSON row per
-transition, which no code writes any more; it reads such a file BLOCK_ROWS
-rows at a time and names a bad row by its file line.
+It is the one dataset file format: load_dataset refuses any other file,
+version 1 (one JSON row per transition) included.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
-from itertools import chain
-import json
 import math
 from typing import ClassVar
 
@@ -31,10 +27,6 @@ DATASET_FORMAT = "oris-dataset"
 TIERS = ("random", "medium", "medium_replay", "expert")
 
 COLUMN_NAMES = ("S", "A", "R", "S2", "D")
-# Rows per step when a version-1 dataset file is read. A block's parsed rows
-# (about 1 KB each) stay resident as heap after the load, so a block is kept
-# small enough to fit the heap a run already holds.
-BLOCK_ROWS = 256
 
 
 def as_columns(S, A, R, S2, D) -> tuple:
@@ -262,120 +254,18 @@ def save_dataset(d: Dataset, path) -> None:
         rows.block[:, :-1])
 
 
-def _dataset(path, meta, columns, bounds, linenos=None) -> Dataset:
-    """The loaded dataset of columns (S, A, R, S2, D). A ContractError names
-    path and, for a version-1 file, whose row k is on file line linenos[k],
-    the line of the first row that holds a non-finite value."""
-    rows = ReplayBuffer(len(columns[2]), columns[0].shape[1], columns[1].shape[1])
-    try:
-        rows.extend(columns)
-        return Dataset(meta, rows, bounds)
-    except ContractError as e:  # a non-finite value (the one scan) is named by its line
-        where = ""
-        if linenos is not None:
-            finite = [np.isfinite(c).reshape(len(c), -1).all(axis=1) for c in columns]
-            bad = np.flatnonzero(~np.logical_and.reduce(finite))
-            where = f":{linenos[bad[0]]}: bad transition row" if len(bad) else ""
-        raise ContractError(f"{path}{where}: {e}") from None
-
-
 def load_dataset(path) -> Dataset:
-    """The dataset a file holds, read by the version its header states: 2, as
-    save_dataset writes, or 1."""
-    with open(path, "rb") as f:
-        header_line = f.readline()
-    try:
-        header = json.loads(header_line)
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ContractError(f"bad dataset header in {path}: {e}") from e
-    if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
-        raise ContractError(f"not a {DATASET_FORMAT} file: {path}")
-    if header.get("version") == 1:
-        return _load_jsonl(path, header)
+    """The dataset of a file that save_dataset wrote; any other file is
+    refused as a ContractError naming path."""
     header, block = read_record(path, DatasetHeader)
     if not len(block):
         raise ContractError(f"{path}: dataset has no transitions")
     o, a = header.obs_dim, header.action_dim
     S, A, R, S2, D = np.split(block, np.cumsum([o, a, 1, o]), axis=1)
+    rows = ReplayBuffer(len(block), o, a)
+    rows.extend((S, A, R[:, 0], S2, D[:, 0]))
     meta = {k: v for k, v in header.meta.to_json().items() if v is not None}
-    return _dataset(path, meta, (S, A, R[:, 0], S2, D[:, 0]),
-                    list(header.trajectory_boundaries))
-
-
-_ROW_ERRORS = (json.JSONDecodeError, KeyError, TypeError, OverflowError, ContractError)
-
-
-def _load_block(lines, flat, widths):
-    """Append a block of version-1 rows to the columns with one json.loads;
-    returns (widths, eot flags). Raises one of _ROW_ERRORS on any bad row,
-    without naming it."""
-    # a row split over two lines and two rows joined on a third would parse
-    # to as many rows as lines
-    if not all(line[0] == "{" and line.rstrip()[-1] == "}" for line in lines):
-        raise ContractError("a line that is not one JSON object")
-    rows = json.loads("[" + ",".join(lines) + "]")
-    if len(rows) != len(lines):
-        raise ContractError(f"{len(rows)} rows on {len(lines)} lines")
-    S, A, S2 = ([row[k] for row in rows] for k in ("s", "a", "s2"))
-    R = [row["r"] for row in rows]
-    D = [row["done"] for row in rows]
-    if widths is None:
-        widths = [len(S[0]), len(A[0]), 1, len(S2[0]), 1]
-    for col, w in zip((S, A, S2), (widths[0], widths[1], widths[3])):
-        if set(map(len, col)) != {w}:
-            raise ContractError("field lengths differ from the first row's")
-    for column, x in zip(flat, (chain.from_iterable(S), chain.from_iterable(A), R,
-                                chain.from_iterable(S2), D)):
-        column.extend(x)
-    return widths, [row.get("eot", False) for row in rows]
-
-
-def _blocks(f):
-    """(file line numbers, lines) of up to BLOCK_ROWS non-blank lines at a
-    time, from a file read past its header line."""
-    linenos, lines = [], []
-    for lineno, line in enumerate(f, start=2):
-        if line.strip():
-            linenos.append(lineno)
-            lines.append(line)
-            if len(lines) == BLOCK_ROWS:
-                yield linenos, lines
-                linenos, lines = [], []
-    if lines:
-        yield linenos, lines
-
-
-def _load_jsonl(path, header: dict) -> Dataset:
-    """The dataset of a version-1 file, whose header line is `header`."""
-    meta = {k: v for k, v in header.items() if k not in ("format", "version")}
-    # Columns are gathered as raw doubles: the Python objects of a block's
-    # rows are dropped with the block, and keeping a whole file's would
-    # fragment the heap for the whole run.
-    flat = [array("d") for _ in COLUMN_NAMES]
-    widths, linenos, bounds = None, array("l"), []
-    with open(path, "r", encoding="utf-8") as f:
-        f.readline()
-        for block_linenos, lines in _blocks(f):
-            marks = [len(c) for c in flat]
-            try:
-                widths, eot = _load_block(lines, flat, widths)
-            except _ROW_ERRORS:
-                # load the block again one line at a time, to name the first bad line
-                for column, m in zip(flat, marks):
-                    del column[m:]
-                eot = []
-                for lineno, line in zip(block_linenos, lines):
-                    try:
-                        widths, end = _load_block([line], flat, widths)
-                    except _ROW_ERRORS as e:
-                        raise ContractError(f"{path}:{lineno}: bad transition row: {e}") from e
-                    eot += end
-            bounds.extend(len(linenos) + i for i, end in enumerate(eot, start=1) if end)
-            linenos.extend(block_linenos)
-    if not linenos:
-        raise ContractError(f"{path}: dataset has no transitions")
-    n = len(linenos)
-    if not bounds or bounds[-1] != n:
-        raise ContractError(f"{path}: final trajectory is unterminated (missing eot)")
-    S, A, R, S2, D = [np.frombuffer(c).reshape(n, -1) for c in flat]
-    return _dataset(path, meta, (S, A, R[:, 0], S2, D[:, 0]), bounds, linenos)
+    try:
+        return Dataset(meta, rows, list(header.trajectory_boundaries))
+    except ContractError as e:
+        raise ContractError(f"{path}: {e}") from None

@@ -266,17 +266,3 @@ def gauss_legendre_integral(f, lo, hi, n=200):
 
 def binomial_3sigma(p, n):
     return 3.0 * np.sqrt(p * (1.0 - p) / n)
-
-
-def dataset_text_per_row(d):
-    """A version-1 dataset file's text, one json.dumps per transition row, as
-    data.save_dataset wrote it before version 2: the reference that
-    data.load_dataset still reads."""
-    eot = set(b - 1 for b in d.trajectory_boundaries)
-    lines = [json.dumps({"format": data.DATASET_FORMAT, "version": 1,
-                         **d.meta})]
-    rows = zip(*(c.tolist() for c in d.columns))
-    for i, (s, a, r, s2, done) in enumerate(rows):
-        lines.append(json.dumps({"s": s, "a": a, "r": r, "s2": s2, "done": bool(done),
-                                 "eot": i in eot}))
-    return "".join(line + "\n" for line in lines)

@@ -175,10 +175,13 @@ def test_train_refs_come_only_from_a_refs_file(tmp_path, data_dir, capsys, over,
     pytest.param(json.dumps({**REFS, "expert_ref": -1600.0}), "expert_ref (-1600.0) must "
                  "exceed random_ref (-1500.0)", id="cannot_score"),
     pytest.param(json.dumps({**REFS, "env_id": "pointgoal"}),
-                 "refs for 'pointgoal', but the config is for 'pendulum'", id="other_env")])
+                 "refs for 'pointgoal', but the config is for 'pendulum'", id="other_env"),
+    pytest.param(b"\xff\xfe", "not valid JSON", id="not_utf8")])
 def test_train_bad_refs_file_exits_2(tmp_path, data_dir, capsys, text, reason):
     refs = tmp_path / "refs.json"
-    if text is not None:
+    if isinstance(text, bytes):
+        refs.write_bytes(text)
+    elif text is not None:
         refs.write_text(text)
     cfg = write_config(tmp_path / "c.json", data_dir, refs_path=str(refs))
     rc = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
@@ -392,20 +395,56 @@ def test_sweep_cli(tmp_path, data_dir, capsys):
 
 
 
-@pytest.mark.parametrize("argv", [
-    ["train", "--config", "{tmp}/c.json", "--out", "{tmp}/out"],
-    ["sweep", "--config", "{tmp}/c.json", "--axis", "fraction", "--out", "{tmp}/out"],
-    ["study", "main_comparison", "--data", "{tmp}/missing", "--out", "{tmp}/out"],
-    ["study", "gap_grid", "--data", "{tmp}/missing", "--out", "{tmp}/out"]],
-    ids=lambda argv: argv[1] if argv[0] == "study" else argv[0])
+MISSING_DATASET_ARGV = {
+    "train": ["train", "--config", "{tmp}/c.json", "--out", "{tmp}/out"],
+    "sweep": ["sweep", "--config", "{tmp}/c.json", "--axis", "fraction", "--out", "{tmp}/out"],
+    "main_comparison": ["study", "main_comparison", "--data", "{data}", "--out", "{tmp}/out"],
+    "gap_grid": ["study", "gap_grid", "--data", "{data}", "--out", "{tmp}/out"]}
+
+
+@pytest.mark.parametrize("argv, a_directory", [
+    pytest.param(argv, a_directory, id=name + ("-a_directory" if a_directory else ""))
+    for a_directory in (False, True) for name, argv in MISSING_DATASET_ARGV.items()])
 def test_a_missing_dataset_exits_2_before_it_makes_a_directory(tmp_path, data_dir,
-                                                               capsys, argv):
-    missing = tmp_path / "missing" / "pendulum_medium_replay.rows"
-    write_config(tmp_path / "c.json", data_dir, dataset=str(missing))
+                                                               capsys, argv, a_directory):
+    """A dataset path that names nothing, or a directory, exits 2 with one
+    line naming it, and nothing is made."""
+    data = tmp_path / ("a_directory" if a_directory else "missing")
+    dataset = data / "pendulum_medium_replay.rows"
+    if a_directory:
+        dataset.mkdir(parents=True)
+    write_config(tmp_path / "c.json", data_dir, dataset=str(dataset))
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main([a.format(tmp=tmp_path, data=data) for a in argv]) == 2
+    says = (f"cannot read oris-dataset file {dataset}: Is a directory" if a_directory
+            else f"dataset {str(dataset)!r} does not exist")
+    assert f"config error: {says}\n" == capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["train", "--config", "{tmp}/a_dir", "--out", "{tmp}/out"], "{tmp}/a_dir"),
+    (["train", "--config", "{tmp}/refs_dir.json", "--out", "{tmp}/out"], "{tmp}/a_dir"),
+    (["train", "--config", "{tmp}/c.json", "--out", "{tmp}/a_file"], "{tmp}/a_file"),
+    (["sweep", "--config", "{tmp}/c.json", "--axis", "fraction", "--out", "{tmp}/a_file"],
+     "{tmp}/a_file/fraction_1"),
+    (["gen-dataset", "--env", "pendulum", "--out", "{tmp}/a_file"], "{tmp}/a_file")],
+    ids=["config_is_a_directory", "refs_is_a_directory", "train_out_is_a_file",
+         "sweep_out_is_a_file", "gen_dataset_out_is_a_file"])
+def test_a_path_the_os_refuses_exits_2_naming_it(tmp_path, data_dir, capsys, argv, path):
+    """A directory where a file is read, or a file where --out goes, exits 2
+    with one stderr line that names the path as the OS does, and nothing is
+    made."""
+    (tmp_path / "a_dir").mkdir()
+    (tmp_path / "a_file").write_text("")
+    write_config(tmp_path / "c.json", data_dir)
+    write_config(tmp_path / "refs_dir.json", data_dir, refs_path=str(tmp_path / "a_dir"))
+    before = sorted(tmp_path.rglob("*"))
     assert cli.main([a.format(tmp=tmp_path) for a in argv]) == 2
-    assert f"config error: dataset {str(missing)!r} does not exist\n" \
-        == capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.count("\n") == 1
+    assert err.endswith(f": {path.format(tmp=tmp_path)!r}\n")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("argv, lines", [
