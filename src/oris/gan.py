@@ -33,6 +33,7 @@ from .files import atomic_write
 
 GAN_VERSION = 2  # 1: the nets squashed their own outputs
 REPORT_FILE = "report.json"
+MIN_FIT_STATES = 100
 
 
 @dataclass(frozen=True)
@@ -203,8 +204,8 @@ def pretrain(states, hparams: GanHparams, rng: np.random.Generator):
     S = np.asarray(states, dtype=np.float64)
     if S.ndim != 2:
         raise ContractError(f"states have shape {S.shape}, want (n, d)")
-    if S.shape[0] < 100:
-        raise ContractError(f"need at least 100 states to fit, got {S.shape[0]}")
+    if S.shape[0] < MIN_FIT_STATES:
+        raise ContractError(f"need at least {MIN_FIT_STATES} states to fit, got {S.shape[0]}")
     if not np.all(np.isfinite(S)):
         raise ContractError("non-finite states passed to pretrain")
     d = S.shape[1]

@@ -225,6 +225,9 @@ def _load_offline(cfg: ExperimentConfig):
         raise ConfigError(f"{p}: {e}") from None
     if cfg.dataset_fraction < 1.0:
         ds = subsample_trajectories(ds, cfg.dataset_fraction, cfg.subsample_seed)
+    if cfg.oris.needs_gan() and len(ds) < gan_mod.MIN_FIT_STATES:
+        raise ConfigError(f"{p}: {len(ds)} rows at dataset_fraction {cfg.dataset_fraction:g}, "
+                          f"but the {cfg.variant} GAN fit needs at least {gan_mod.MIN_FIT_STATES}")
     return ds
 
 

@@ -366,17 +366,16 @@ def unstack(net: MlpNet) -> list[MlpNet]:
 
 @dataclass(frozen=True, kw_only=True)
 class MlpHeader(Config):
-    """The header line of a checkpoint (save_checkpoint). One written before
-    checkpoints recorded a dtype holds float64."""
+    """The header line of a checkpoint (save_checkpoint)."""
 
     format: str = "oris-mlp"
     version: int = 1
     layer_sizes: tuple[int, ...]
     hidden_activation: str  # "relu": every net's, which the header states
     output_activation: str  # "identity"
-    init_seed: int = 0
+    init_seed: int
     param_count: int
-    dtype: str = "<f8"
+    dtype: str
 
     @property
     def shape(self) -> tuple:
@@ -400,7 +399,7 @@ class AdamHeader(Config):
     epsilon: float
     step_count: int
     param_count: int
-    dtype: str = "<f8"
+    dtype: str
 
     @property
     def shape(self) -> tuple:

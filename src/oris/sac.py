@@ -340,17 +340,16 @@ def _stack_adam(opts: list) -> nets.AdamState:
 @dataclass(frozen=True, kw_only=True)
 class AgentMeta(Config):
     """agent.json: the agent's scalars and hparams, and its temperature
-    optimizer, which a directory written before agents kept their optimizers
-    lacks."""
+    optimizer."""
 
     format: str = "oris-sac"
     version: int = 1
     log_temperature: float
     target_entropy: float
     action_scale: float
-    update_count: int = 0
+    update_count: int
     hparams: SacHparams
-    opt_temperature: nets.ScalarAdam | None = None
+    opt_temperature: nets.ScalarAdam
 
 
 def save_agent(agent: SacAgent, dirpath) -> None:
@@ -375,32 +374,23 @@ def save_agent(agent: SacAgent, dirpath) -> None:
 
 
 def load_agent(dirpath) -> SacAgent:
-    """The agent save_agent wrote. A directory written before agents kept
-    their optimizers (no "opt_temperature" in agent.json) loads with fresh
-    optimizer state."""
+    """The agent save_agent wrote. A file of it that is missing, or whose
+    header lacks a key, is refused, naming the file."""
     path = os.path.join(dirpath, "agent.json")
     meta = read_header(AgentMeta, load_json(path) if os.path.isfile(path) else {},
                        path, dirpath)
     parts = {name: nets.load_checkpoint(os.path.join(dirpath, f"{name}.mlp"))
              for name in AGENT_NETS}
-    hp = meta.hparams
     try:
         critics = nets.stack([parts["critic1"], parts["critic2"]])
         targets = nets.stack([parts["target1"], parts["target2"]])
     except ContractError as e:
         raise ContractError(f"bad agent directory {dirpath}: {e}") from e
-    if meta.opt_temperature is not None:
-        saved = {name: nets.load_adam(os.path.join(dirpath, f"opt_{name}.adam"), parts[name])
-                 for name in TRAINED_NETS}
-        opts = dict(opt_actor=saved["actor"],
-                    opt_critics=_stack_adam([saved["critic1"], saved["critic2"]]),
-                    opt_temperature=meta.opt_temperature)
-    else:
-        opts = dict(
-            opt_actor=nets.AdamState.for_net(parts["actor"], hp.actor_lr),
-            opt_critics=nets.AdamState.for_net(critics, hp.critic_lr),
-            opt_temperature=nets.ScalarAdam(hp.temperature_lr))
+    opts = {name: nets.load_adam(os.path.join(dirpath, f"opt_{name}.adam"), parts[name])
+            for name in TRAINED_NETS}
     return SacAgent(
         parts["actor"], critics, targets,
         log_temperature=meta.log_temperature, target_entropy=meta.target_entropy,
-        action_scale=meta.action_scale, hparams=hp, update_count=meta.update_count, **opts)
+        action_scale=meta.action_scale, hparams=meta.hparams,
+        opt_actor=opts["actor"], opt_critics=_stack_adam([opts["critic1"], opts["critic2"]]),
+        opt_temperature=meta.opt_temperature, update_count=meta.update_count)

@@ -8,8 +8,8 @@ import shlex
 import numpy as np
 import pytest
 
-from oris import cli, datasets, harness, presets, sac
-from oris.data import load_dataset, save_dataset
+from oris import cli, datasets, gan, harness, presets, sac
+from oris.data import Dataset, load_dataset, save_dataset
 from oris.errors import NumericsError
 from test_datasets import TINY
 import oracles
@@ -304,6 +304,12 @@ AGENT_FILES = ("agent.json", "actor.mlp", "opt_actor.adam")
     pytest.param("actor.mlp", "param_count", DROP, id="actor.mlp-param_count"),
     pytest.param("opt_actor.adam", "step_count", DROP, id="opt_actor.adam-step_count"),
     pytest.param("agent.json", "action_scale", DROP, id="agent.json-action_scale"),
+    # keys every writer writes, which an older form of the file lacked
+    pytest.param("actor.mlp", "dtype", DROP, id="actor.mlp-dtype"),
+    pytest.param("actor.mlp", "init_seed", DROP, id="actor.mlp-init_seed"),
+    pytest.param("opt_actor.adam", "dtype", DROP, id="opt_actor.adam-dtype"),
+    pytest.param("agent.json", "opt_temperature", DROP, id="agent.json-opt_temperature"),
+    pytest.param("agent.json", "update_count", DROP, id="agent.json-update_count"),
     # an unknown key
     *(pytest.param(name, "bogus", 1, id=f"{name}-unknown") for name in AGENT_FILES),
     # a value of the wrong type
@@ -419,6 +425,32 @@ def test_a_missing_dataset_exits_2_before_it_makes_a_directory(tmp_path, data_di
     says = (f"cannot read oris-dataset file {dataset}: Is a directory" if a_directory
             else f"dataset {str(dataset)!r} does not exist")
     assert f"config error: {says}\n" == capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("argv, lengths, fraction", [
+    (MISSING_DATASET_ARGV["train"], [50], 1.0),
+    (MISSING_DATASET_ARGV["train"], [40] * 4, 0.25),  # the fraction keeps one trajectory
+    (MISSING_DATASET_ARGV["sweep"], [50], 1.0)],
+    ids=["train", "train-after_fraction", "sweep"])
+def test_a_dataset_too_small_for_the_gan_fit_exits_2_before_it_makes_a_directory(
+        tmp_path, data_dir, capsys, argv, lengths, fraction):
+    """A variant that fits a GAN, on fewer rows than the fit takes once
+    dataset_fraction has cut the dataset, exits 2 with one line naming the
+    dataset, and nothing is made."""
+    full = load_dataset(data_dir / "pendulum_random.rows")
+    bounds = np.cumsum([0, *lengths])
+    dataset = tmp_path / "small.rows"
+    save_dataset(Dataset.from_episodes(full.meta, [tuple(c[a:b] for c in full.columns)
+                                                   for a, b in zip(bounds, bounds[1:])]),
+                 dataset)
+    write_config(tmp_path / "c.json", data_dir, dataset=str(dataset), variant="oris",
+                 dataset_fraction=fraction)
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main([a.format(tmp=tmp_path) for a in argv]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {dataset}: {lengths[0]} rows at dataset_fraction {fraction:g}, but "
+        f"the oris GAN fit needs at least {gan.MIN_FIT_STATES}\n")
     assert sorted(tmp_path.rglob("*")) == before
 
 

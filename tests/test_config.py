@@ -37,7 +37,8 @@ EXAMPLES = {
                                    output_activation="identity", init_seed=5,
                                    param_count=50, dtype="<f4"),
     nets.AdamHeader: nets.AdamHeader(learning_rate=1e-3, beta1=0.9, beta2=0.999,
-                                     epsilon=1e-8, step_count=4, param_count=50),
+                                     epsilon=1e-8, step_count=4, param_count=50,
+                                     dtype="<f8"),
     nets.ScalarAdam: nets.ScalarAdam(3e-4, step_count=2, m=0.5, v=0.25),
     sac.AgentMeta: sac.AgentMeta(log_temperature=-1.5, target_entropy=-1.0,
                                  action_scale=2.0, update_count=7, hparams=SAC,

@@ -14,8 +14,11 @@ One digest per file of a tiny `oris sweep --axis fraction` run (its sweep
 table, and each point's score table and CSV) and one of the summary it prints
 cover the path from a config to its results.
 Per-file digests cover the directory `sac.save_agent` writes for a tiny agent
-after two update pairs, one digest covers tests/data/agent_f8 loaded and
-updated twice, and one the key `gan.fit_key` gives a fixed fit.
+after two update pairs, one digest covers tests/data/agent_f8 (a float64
+agent directory whose Adam states are at step 0) loaded and updated twice, and
+one the key `gan.fit_key` gives a fixed fit. The agent_f8 digest predates the
+fixture's Adam files and dtype headers: it was rewritten once, as
+save_agent(load_agent(it)), with the same parameters and optimizer states.
 A change that alters them on purpose says so and records the new digests here
 once.
 

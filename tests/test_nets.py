@@ -530,15 +530,17 @@ def test_checkpoint_records_its_dtype(tmp_path, dtype, tag):
     assert np.array_equal(nets.forward_batch(loaded, x), nets.forward_batch(net, x))
 
 
-def test_checkpoint_without_dtype_reads_as_float64(tmp_path):
+def test_checkpoint_without_dtype_is_refused_naming_it(tmp_path):
+    """A float64 checkpoint whose header lacks its dtype is refused, naming
+    the file and the key."""
     net = nets.MlpNet.he_uniform([2, 4, 1], seed=14, dtype=np.float64)
     nets.save_checkpoint(net, tmp_path / "n.mlp")
     header, blob = (tmp_path / "n.mlp").read_bytes().split(b"\n", 1)
     old = json.loads(header)
     del old["dtype"]
     (tmp_path / "old.mlp").write_bytes(json.dumps(old).encode() + b"\n" + blob)
-    loaded = nets.load_checkpoint(tmp_path / "old.mlp")
-    assert loaded.dtype == np.float64 and np.array_equal(loaded.params, net.params)
+    with pytest.raises(ConfigError, match=re.escape(str(tmp_path / "old.mlp")) + ".*'dtype'"):
+        nets.load_checkpoint(tmp_path / "old.mlp")
     old["dtype"] = "<f2"
     (tmp_path / "bad.mlp").write_bytes(json.dumps(old).encode() + b"\n" + blob)
     with pytest.raises(ContractError):

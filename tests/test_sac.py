@@ -465,17 +465,6 @@ def test_saved_agent_keeps_its_optimizers(tmp_path, dtype):
     _update_pair(loaded, 9)
     assert _agent_bits(loaded) == _agent_bits(agent)
 
-    # without its optimizers the same directory loads fresh ones, and the
-    # next update pair comes out otherwise
-    meta = json.loads((tmp_path / "a" / "agent.json").read_text())
-    del meta["opt_temperature"]
-    (tmp_path / "a" / "agent.json").write_text(json.dumps(meta))
-    fresh = sac.load_agent(tmp_path / "a")
-    assert fresh.opt_actor.step_count == 0 and not fresh.opt_actor.m.any()
-    assert fresh.opt_temperature == nets.ScalarAdam(fresh.hparams.temperature_lr)
-    _update_pair(fresh, 9)
-    assert _agent_bits(fresh) != _agent_bits(agent)
-
 
 def test_optimizer_state_must_fit_its_net(tmp_path):
     agent = tiny_agent(seed=51)
@@ -586,23 +575,22 @@ def test_float32_agent_save_load_roundtrip_is_bitwise(tmp_path):
                 == (tmp_path / "b" / f"{name}.mlp").read_bytes())
 
 
-def test_float64_agent_written_before_dtype_headers_loads_unchanged(tmp_path):
-    """tests/data/agent_f8 was written by save_agent before checkpoints
-    recorded a dtype, and before agents kept their optimizers, with the
-    actions that agent took next to it."""
+def test_float64_agent_fixture_loads_unchanged(tmp_path):
+    """tests/data/agent_f8 is a float64 agent directory whose Adam states are
+    at step 0, with the actions that agent took next to it."""
     src = DATA / "agent_f8"
     want = json.loads((DATA / "agent_f8_actions.json").read_text())
     agent = sac.load_agent(src)
-    for name in ("actor", "critics"):  # fresh optimizers
+    for name in ("actor", "critics"):  # optimizers that have taken no step
         opt = getattr(agent, f"opt_{name}")
         assert opt.step_count == 0 and opt.m.shape == getattr(agent, name).params.shape
-        assert not opt.m.any() and not opt.v.any()
+        assert opt.m.dtype == np.float64 and not opt.m.any() and not opt.v.any()
     assert agent.opt_temperature == nets.ScalarAdam(agent.hparams.temperature_lr)
     loaded = dict(zip(sac.AGENT_NETS, [agent.actor, *nets.unstack(agent.critics),
                                        *nets.unstack(agent.targets)]))
     for name, net in loaded.items():
         header, blob = (src / f"{name}.mlp").read_bytes().split(b"\n", 1)
-        assert "dtype" not in json.loads(header)
+        assert json.loads(header)["dtype"] == "<f8"
         assert net.init_seed == json.loads(header)["init_seed"]
         assert net.dtype == np.float64
         assert net.params.tobytes() == np.frombuffer(blob, dtype="<f8").tobytes()
@@ -610,11 +598,12 @@ def test_float64_agent_written_before_dtype_headers_loads_unchanged(tmp_path):
         assert sac.act(agent, np.array([s]), "deterministic")[0].tolist() == det
         assert sac.act(agent, np.array([s]), "stochastic",
                        np.random.default_rng(7))[0].tolist() == sto
-    # saved again, it records <f8 and keeps the parameter bytes
+    # saved again, it writes the fixture's bytes, file for file
     sac.save_agent(agent, tmp_path / "again")
-    header, blob = (tmp_path / "again" / "actor.mlp").read_bytes().split(b"\n", 1)
-    assert json.loads(header)["dtype"] == "<f8"
-    assert blob == (src / "actor.mlp").read_bytes().split(b"\n", 1)[1]
+    assert sorted(p.name for p in (tmp_path / "again").iterdir()) == sorted(
+        p.name for p in src.iterdir())
+    for p in src.iterdir():
+        assert (tmp_path / "again" / p.name).read_bytes() == p.read_bytes()
 
 
 def test_float32_critic_error_guard_raises_without_warnings():
