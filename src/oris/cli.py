@@ -17,7 +17,7 @@ from . import datasets, envs, harness, presets, sac
 from .config import load_json
 from .data import save_dataset
 from .errors import ConfigError, ContractError, NumericsError
-from .files import atomic_write
+from .files import write_json
 
 
 def _eprint(*a):
@@ -39,21 +39,19 @@ def cmd_gen_dataset(args) -> int:
     reference = datasets.train_reference(
         args.env, hp, args.seed,
         progress=lambda step, ret: _eprint(f"  step {step}: eval {ret:.1f}"))
-    refs = {"env_id": args.env, **reference.refs()}
-    refs_path = out / f"{args.env}_refs.json"
-    with atomic_write(refs_path) as f:
-        f.write(json.dumps(refs, indent=2, sort_keys=True) + "\n")
-    _eprint(f"refs: random {refs['random_ref']:.1f}, "
-            f"expert {refs['expert_ref']:.1f}")
+    refs = harness.Refs(env_id=args.env, **reference.refs())
+    refs_path = presets.data_file(out, args.env, "refs")
+    write_json(refs_path, refs.to_json())
+    _eprint(f"refs: random {refs.random_ref:.1f}, expert {refs.expert_ref:.1f}")
     try:
-        harness.Refs.from_json(refs, str(refs_path))
+        harness.normalized_score(0.0, refs.random_ref, refs.expert_ref)
     except ConfigError as e:
-        _eprint(f"warning: {e}; oris train and oris study refuse this refs file")
+        _eprint(f"warning: {refs_path}: {e}; oris train and oris study refuse this refs file")
 
     for tier, episodes in presets.TIER_EPISODES[args.env].items():
         ds = datasets.generate_dataset(args.env, tier, episodes, args.seed + 1,
                                        reference)
-        path = out / f"{args.env}_{tier}.rows"
+        path = presets.data_file(out, args.env, tier)
         save_dataset(ds, path)
         print(f"{path}: {len(ds)} transitions, "
               f"{len(ds.trajectory_boundaries)} trajectories")

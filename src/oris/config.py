@@ -6,10 +6,10 @@ takes the field's default, a list becomes a tuple (each entry decoded as X in
 a `tuple[X, ...]` field), each value of a `dict[str, X]` field is decoded as
 X, a JSON integer in a float field becomes a float (a JSON boolean is neither
 an int nor a float), and a nested object becomes its Config. An unknown key,
-a value of the wrong type, or one the constructor refuses raises an error
-that names the section path, e.g. `config.perturbation` or
-`actor.mlp.layer_sizes[1]`. The headers of the files the package writes are
-Configs too.
+a value of the wrong type or a non-finite float (json.loads reads NaN and
+Infinity), or one the constructor refuses, raises an error that names the
+section path, e.g. `config.perturbation` or `actor.mlp.layer_sizes[1]`. The
+headers of the files the package writes are Configs too.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 from pathlib import Path
 import types
 import typing
@@ -55,6 +56,8 @@ def _decode(tp, value, path: str):
         value = float(value)
     if not isinstance(value, tp):
         raise ConfigError(f"{path}: expected {tp.__name__}, got {value!r}")
+    if tp is float and not math.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite float, got {value!r}")
     return value
 
 

@@ -13,7 +13,7 @@ version 1 (one JSON row per transition) included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import math
 from typing import ClassVar
 
@@ -116,22 +116,43 @@ class ReplayBuffer:
         return columns_of(self.sample_rows(n, rng), self.obs_dim)[0]
 
 
+@dataclass(frozen=True, kw_only=True)
+class DatasetMeta(Config):
+    """A dataset's meta, as its file header writes it: env_id and tier, one
+    of TIERS; what generate_dataset sets (perturbation, as JSON, seed and,
+    by tier, reference_seed and an eval return); and the fraction and seed
+    that subsample_trajectories adds."""
+
+    env_id: str
+    tier: str
+    perturbation: dict[str, float] | None = None
+    seed: int | None = None
+    reference_seed: int | None = None
+    medium_eval_return: float | None = None
+    behavior_eval_return: float | None = None
+    subsample_fraction: float | None = None
+    subsample_seed: int | None = None
+
+    def __post_init__(self):
+        if self.tier not in TIERS:
+            raise ContractError(f"unknown tier {self.tier!r}, know {TIERS}")
+
+
 @dataclass(eq=False)
 class Dataset:
     """Immutable-by-convention transitions plus trajectory structure.
 
-    meta is the dataset file's header line without its format and version;
-    a generated tier's holds env_id, tier, perturbation and seed, the
-    behaviour policy's seed. rows is a full ReplayBuffer of the transitions
-    in order, at weight 1: the one block that columns (S, A, R, S2, D) views
-    and that loop.train draws offline rows from.
+    meta is the DatasetMeta its file header holds; a generated tier's seed
+    is the behaviour policy's seed. rows is a full ReplayBuffer of the
+    transitions in order, at weight 1: the one block that columns (S, A, R,
+    S2, D) views and that loop.train draws offline rows from.
     trajectory_boundaries[i] is one past the last row of trajectory i; the
     final entry equals len(dataset).
     """
 
-    meta: dict
+    meta: DatasetMeta
     rows: ReplayBuffer
-    trajectory_boundaries: list[int]
+    trajectory_boundaries: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.rows) < self.rows.capacity:
@@ -142,9 +163,6 @@ class Dataset:
             raise ContractError("trajectory_boundaries must end at len(dataset)")
         if any(y <= x for x, y in zip(b, b[1:])) or b[0] <= 0:
             raise ContractError("trajectory_boundaries must be strictly increasing")
-        for key in ("env_id", "tier"):
-            if key not in self.meta:
-                raise ContractError(f"dataset meta missing {key!r}")
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -165,7 +183,7 @@ class Dataset:
         return [sum(R.tolist()) for _, _, R, _, _ in self.trajectories()]
 
     @classmethod
-    def from_episodes(cls, meta: dict, episodes: list[tuple]) -> "Dataset":
+    def from_episodes(cls, meta: DatasetMeta, episodes: list[tuple]) -> "Dataset":
         """One dataset from episodes given as column tuples, in order."""
         if not episodes:
             raise ContractError("dataset has no transitions")
@@ -173,7 +191,7 @@ class Dataset:
         rows = ReplayBuffer(sum(lengths), *(np.shape(c)[-1] for c in episodes[0][:2]))
         rows.extend(tuple(np.concatenate(c) for c in zip(*episodes)))
         # an empty episode leaves the boundaries not strictly increasing
-        return cls(meta, rows, np.cumsum(lengths).tolist())
+        return cls(meta, rows, tuple(np.cumsum(lengths).tolist()))
 
     def arrays(self) -> tuple:
         """.columns, under the name perfbench/workloads.py calls."""
@@ -195,27 +213,8 @@ def subsample_trajectories(d: Dataset, fraction: float, seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
     chosen = np.sort(rng.choice(d.num_trajectories, size=k, replace=False))
     episodes = list(d.trajectories())
-    meta = {**d.meta, "subsample_fraction": fraction, "subsample_seed": seed}
+    meta = replace(d.meta, subsample_fraction=fraction, subsample_seed=seed)
     return Dataset.from_episodes(meta, [episodes[i] for i in chosen])
-
-
-@dataclass(frozen=True, kw_only=True)
-class DatasetMeta(Config):
-    """The keys a dataset's meta may hold, as its file header writes them: a
-    key the meta lacks is written null. generate_dataset sets env_id, tier,
-    perturbation (an envs.DynamicsPerturbation's JSON), seed and, by tier,
-    reference_seed and an eval return; subsample_trajectories adds its
-    fraction and seed."""
-
-    env_id: str | None = None
-    tier: str | None = None
-    perturbation: dict[str, float] | None = None
-    seed: int | None = None
-    reference_seed: int | None = None
-    medium_eval_return: float | None = None
-    behavior_eval_return: float | None = None
-    subsample_fraction: float | None = None
-    subsample_seed: int | None = None
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -249,8 +248,7 @@ def save_dataset(d: Dataset, path) -> None:
     rows = d.rows
     write_record(path, DatasetHeader(
         obs_dim=rows.obs_dim, action_dim=rows.action_dim,
-        trajectory_boundaries=tuple(d.trajectory_boundaries),
-        meta=DatasetMeta.from_json(d.meta, "meta")),
+        trajectory_boundaries=d.trajectory_boundaries, meta=d.meta),
         rows.block[:, :-1])
 
 
@@ -264,8 +262,7 @@ def load_dataset(path) -> Dataset:
     S, A, R, S2, D = np.split(block, np.cumsum([o, a, 1, o]), axis=1)
     rows = ReplayBuffer(len(block), o, a)
     rows.extend((S, A, R[:, 0], S2, D[:, 0]))
-    meta = {k: v for k, v in header.meta.to_json().items() if v is not None}
     try:
-        return Dataset(meta, rows, list(header.trajectory_boundaries))
+        return Dataset(header.meta, rows, header.trajectory_boundaries)
     except ContractError as e:
         raise ContractError(f"{path}: {e}") from None

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import envs, nets, sac
 from .config import Config
-from .data import Dataset, TIERS, as_columns, columns_of, row_width
+from .data import Dataset, DatasetMeta, TIERS, as_columns, columns_of, row_width
 from .errors import ConfigError, ContractError
 
 
@@ -177,15 +177,11 @@ def generate_dataset(env_id: str, tier: str, episodes: int, seed: int,
     if episodes < 1:
         raise ContractError("episodes must be positive")
     spec = envs.EnvSpec.real(env_id)
-    meta = {"env_id": env_id, "tier": tier,
-            "perturbation": spec.perturbation.to_json(),
-            "seed": seed}
     if tier != "random":
         if reference is None:
             raise ConfigError(f"tier {tier!r} needs a reference run")
         if reference.env_id != env_id:
             raise ConfigError(f"reference is for {reference.env_id!r}, not {env_id!r}")
-        meta["reference_seed"] = reference.seed
     rng = np.random.default_rng(np.random.SeedSequence([seed, TIERS.index(tier)]))
 
     if tier == "medium_replay":
@@ -193,18 +189,18 @@ def generate_dataset(env_id: str, tier: str, episodes: int, seed: int,
         history = reference.episodes[:ck.episodes_collected]
         if not history:
             raise ConfigError("medium checkpoint precedes the first finished episode")
-        meta["medium_eval_return"] = ck.eval_return
-        return Dataset.from_episodes(meta, history[-episodes:])
-
-    env = envs.make_env(spec)
-    if tier == "random":
-        policy = envs.uniform_random_policy(env)
-    elif tier == "medium":
-        ck = reference.medium_checkpoint()
-        policy = reference.policy_at(ck)
-        meta["behavior_eval_return"] = ck.eval_return
-    else:  # expert
-        policy = reference.policy_at(reference.checkpoints[-1])
-        meta["behavior_eval_return"] = reference.expert_return
-    eps = envs.rollout(env, policy, episodes, env.max_episode_steps, rng)
+        eps, eval_return = history[-episodes:], {"medium_eval_return": ck.eval_return}
+    else:
+        env = envs.make_env(spec)
+        if tier == "random":
+            policy, eval_return = envs.uniform_random_policy(env), {}
+        else:
+            ck = reference.medium_checkpoint() if tier == "medium" \
+                else reference.checkpoints[-1]
+            policy = reference.policy_at(ck)
+            eval_return = {"behavior_eval_return": ck.eval_return}
+        eps = envs.rollout(env, policy, episodes, env.max_episode_steps, rng)
+    meta = DatasetMeta(env_id=env_id, tier=tier, perturbation=spec.perturbation.to_json(),
+                       seed=seed, reference_seed=None if tier == "random" else reference.seed,
+                       **eval_return)
     return Dataset.from_episodes(meta, eps)

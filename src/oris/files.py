@@ -1,4 +1,4 @@
-"""The files the package writes: atomic output, and the binary record format.
+"""The files the package writes: atomic output, JSON, and the binary record format.
 
 A reader of an atomic_write file sees its old content or its new content,
 never part of the new one. A record (write_record) is one JSON header line,
@@ -38,6 +38,12 @@ def atomic_write(path, binary: bool = False):
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def write_json(path, obj) -> None:
+    """obj as indented JSON with sorted keys and a final newline, by atomic_write."""
+    with atomic_write(path) as f:
+        f.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def write_record(path, header, *arrays) -> None:

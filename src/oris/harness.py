@@ -22,7 +22,7 @@ from . import envs, gan as gan_mod, loop, sac
 from .config import Config, load_json
 from .data import load_dataset, subsample_trajectories
 from .errors import ConfigError, NumericsError
-from .files import atomic_write
+from .files import atomic_write, write_json
 from .loop import EpochReport, OrisConfig
 
 CSV_COLUMNS = ("epoch", "env_steps", "eval_return_mean", "eval_return_std",
@@ -44,16 +44,13 @@ def normalized_score(raw: float, random_ref: float, expert_ref: float) -> float:
 @dataclass(frozen=True, kw_only=True)
 class Refs(Config):
     """The refs file `oris gen-dataset` writes: the returns a score is
-    anchored at."""
+    anchored at, which resolve_refs refuses unless expert_ref > random_ref."""
 
     env_id: str
     random_ref: float
     expert_ref: float
     seed: int | None = None
     medium_return: float | None = None
-
-    def __post_init__(self):
-        normalized_score(0.0, self.random_ref, self.expert_ref)
 
 
 @dataclass(frozen=True)
@@ -89,11 +86,15 @@ class ExperimentConfig(Config):
 
     def resolve_refs(self) -> tuple[float, float]:
         """(random_ref, expert_ref) from the refs file, which must be for
-        this config's env."""
+        this config's env and able to score."""
         refs = Refs.from_json(load_json(self.refs_path), self.refs_path)
         if refs.env_id != self.env_id:
             raise ConfigError(f"{self.refs_path}: refs for {refs.env_id!r}, but the "
                               f"config is for {self.env_id!r}")
+        try:
+            normalized_score(0.0, refs.random_ref, refs.expert_ref)
+        except ConfigError as e:
+            raise ConfigError(f"{self.refs_path}: {e}") from None
         return refs.random_ref, refs.expert_ref
 
     @classmethod
@@ -172,20 +173,17 @@ class ScoreTable:
     rows: list[dict]  # variant, seed, final_return, final_score, returns
 
     def summary(self) -> dict:
-        by_variant = {}
-        for row in self.rows:
-            by_variant.setdefault(row["variant"], []).append(row)
-        out = {}
-        for variant in sorted(by_variant):
-            scores = np.array([r["final_score"] for r in by_variant[variant]])
-            rets = np.array([r["final_return"] for r in by_variant[variant]])
-            out[variant] = {
-                "n": int(len(scores)),
-                "score_mean": float(scores.mean()),
-                "score_std": float(scores.std()),
-                "return_mean": float(rets.mean()),
-                "return_std": float(rets.std())}
-        return out
+        """{variant: stats}, or {} for no rows: one hash, so one variant."""
+        if not self.rows:
+            return {}
+        scores = np.array([r["final_score"] for r in self.rows])
+        rets = np.array([r["final_return"] for r in self.rows])
+        return {self.rows[0]["variant"]: {
+            "n": int(len(scores)),
+            "score_mean": float(scores.mean()),
+            "score_std": float(scores.std()),
+            "return_mean": float(rets.mean()),
+            "return_std": float(rets.std())}}
 
     def to_json(self) -> dict:
         return {"config_hash": self.config_hash, "rows": self.rows,
@@ -216,8 +214,8 @@ def _load_offline(cfg: ExperimentConfig):
     if not p.exists():
         raise ConfigError(f"dataset {cfg.dataset!r} does not exist")
     ds = load_dataset(p)
-    if ds.meta.get("env_id") != cfg.env_id:
-        raise ConfigError(f"{p}: dataset is for {ds.meta.get('env_id')!r}, "
+    if ds.meta.env_id != cfg.env_id:
+        raise ConfigError(f"{p}: dataset is for {ds.meta.env_id!r}, "
                           f"config says {cfg.env_id!r}")
     try:
         loop.check_offline(ds)  # as train does, but before anything is written
@@ -229,11 +227,6 @@ def _load_offline(cfg: ExperimentConfig):
         raise ConfigError(f"{p}: {len(ds)} rows at dataset_fraction {cfg.dataset_fraction:g}, "
                           f"but the {cfg.variant} GAN fit needs at least {gan_mod.MIN_FIT_STATES}")
     return ds
-
-
-def _write_json(path: Path, obj) -> None:
-    with atomic_write(path) as f:
-        f.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir, progress=None):
@@ -272,9 +265,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir, progress=None):
         csv_paths.append(path)
 
     table = score_table_from_csvs(csv_paths) if csv_paths else ScoreTable(chash, [])
-    _write_json(out / "score_table.json", table.to_json())
+    write_json(out / "score_table.json", table.to_json())
     if failures:
-        _write_json(out / "failures.json", failures)
+        write_json(out / "failures.json", failures)
     return table, failures
 
 
@@ -319,7 +312,7 @@ def run_cell(cfg: ExperimentConfig, axis: str | None, out_dir,
                        "config_hash": point_cfg.config_hash(),
                        "summary": table.summary()})
         failures += [{"point": label, **f} for f in point_failures]
-    _write_json(out / "sweep_table.json",
-                {"axis": axis, "base_config_hash": cfg.config_hash(),
-                 "points": points, "failures": failures})
+    write_json(out / "sweep_table.json",
+               {"axis": axis, "base_config_hash": cfg.config_hash(),
+                "points": points, "failures": failures})
     return {p["label"]: p["summary"] for p in points}, failures

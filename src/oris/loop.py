@@ -174,8 +174,8 @@ def _update_block(agent, offline_rows, buffer, cfg, hp, rng):
 
 def check_offline(offline: Dataset) -> None:
     """Refuse, as a ConfigError, a dataset whose rows do not have the state
-    and action widths of its env, offline.meta["env_id"], a known env."""
-    env_id = offline.meta["env_id"]
+    and action widths of its env, offline.meta.env_id, a known env."""
+    env_id = offline.meta.env_id
     env = envs.ENVS[env_id]
     rows = offline.rows
     if (rows.obs_dim, rows.action_dim) != (env.obs_dim, env.action_dim):
@@ -190,14 +190,14 @@ def train(offline: Dataset, perturbation: envs.DynamicsPerturbation,
           progress=None) -> tuple[sac.SacAgent, list[EpochReport]]:
     """Run one variant to completion; returns the agent and per-epoch reports.
 
-    The env is offline.meta["env_id"]: rollouts step it under `perturbation`,
+    The env is offline.meta.env_id: rollouts step it under `perturbation`,
     and each epoch evaluates it unperturbed, EnvSpec.real(env_id). A dataset
     whose rows do not fit that env is refused first (check_offline). A variant
     that needs a GAN gets the one gan_hp fits to the offline state marginal
     through the gan_store directory (gan.pretrain_or_load), from its own RNG
     stream, so loading it moves no other draw.
     """
-    env_id = offline.meta["env_id"]
+    env_id = offline.meta.env_id
     ss = np.random.SeedSequence(seed)
     rng_init, rng_gan, rng_collect, rng_update, rng_eval = \
         [np.random.default_rng(s) for s in ss.spawn(5)]

@@ -48,18 +48,24 @@ STUDIES = {
 }
 
 
+def data_file(data, env_id: str, name: str) -> str:
+    """The file `oris gen-dataset` writes in directory `data` for env_id:
+    `<data>/<env>_<tier>.rows` for a tier, `<data>/<env>_refs.json` for "refs"."""
+    return f"{data}/{env_id}_{name}" + (".json" if name == "refs" else ".rows")
+
+
 def study_cells(name: str, data: str, out: str, seeds) -> list[ExperimentConfig]:
     """One config per variant of study `name`, at the desk defaults, reading
-    `<data>/<env>_<tier>.rows` and `<data>/<env>_refs.json`. A study of
-    several variants writes each to `<out>/<variant>`, one of a single
-    variant to `<out>` itself."""
+    the tier and refs files of `data` (data_file). A study of several
+    variants writes each to `<out>/<variant>`, one of a single variant to
+    `<out>` itself."""
     study = STUDIES[name]
     return [ExperimentConfig(
         env_id=study.env_id,
-        dataset=f"{data}/{study.env_id}_{study.tier}.rows",
+        dataset=data_file(data, study.env_id, study.tier),
         variant=variant,
         seeds=tuple(seeds),
         perturbation=study.perturbation,
-        refs_path=f"{data}/{study.env_id}_refs.json",
+        refs_path=data_file(data, study.env_id, "refs"),
         out_dir=f"{out}/{variant}" if len(study.variants) > 1 else out,
     ) for variant in study.variants]

@@ -124,8 +124,8 @@ class ActorSample:
     clip_mask: np.ndarray  # 1 where the raw log-std head was inside the clip range
 
 
-def sample_actions(agent: SacAgent, S: np.ndarray, rng=None, noise=None) -> ActorSample:
-    """Draw actions for a state batch. Consumes one standard_normal((n, A)) from rng.
+def sample_actions(agent: SacAgent, S: np.ndarray, noise: np.ndarray) -> ActorSample:
+    """Actions for a state batch under the (n, A) standard normal noise given.
 
     Everything in the sample is in the actor's dtype, the noise included."""
     out = nets.forward_batch(agent.actor, S)
@@ -134,8 +134,6 @@ def sample_actions(agent: SacAgent, S: np.ndarray, rng=None, noise=None) -> Acto
     log_std = np.minimum(np.maximum(kappa, LOG_STD_MIN), LOG_STD_MAX)
     clip_mask = ((kappa > LOG_STD_MIN) & (kappa < LOG_STD_MAX)).astype(out.dtype)
     std = np.exp(log_std)
-    if noise is None:
-        noise = rng.standard_normal((out.shape[0], A))
     noise = np.asarray(noise, dtype=out.dtype)
     u = mu + std * noise
     tanh_u = np.tanh(u)
@@ -156,7 +154,7 @@ def act(agent: SacAgent, S: np.ndarray, mode: str, rng=None) -> np.ndarray:
     the actor's dtype. mode is "stochastic" or "deterministic".
 
     One forward_batch, and in stochastic mode one standard_normal((n, A)):
-    the same draw and the same bits as sample_actions' action, without its
+    the bits of sample_actions' action under that noise, without its
     log-density.
     """
     if mode not in ("deterministic", "stochastic"):
@@ -174,9 +172,9 @@ def act(agent: SacAgent, S: np.ndarray, mode: str, rng=None) -> np.ndarray:
 
 def bellman_targets(agent: SacAgent, S2, R, DONE, rng) -> np.ndarray:
     """Soft targets y = r + (1 - done) gamma (min_k Q_target_k(s', a') - temp log pi(a'|s')),
-    in the nets' dtype."""
+    in the nets' dtype; a' takes one standard_normal((n, A)) from rng."""
     S2 = np.asarray(S2, dtype=agent.actor.dtype)
-    sample = sample_actions(agent, S2, rng)
+    sample = sample_actions(agent, S2, rng.standard_normal((len(S2), agent.action_dim)))
     x2 = np.concatenate([S2, sample.action], axis=1)
     q = nets.forward_batch(agent.targets, x2)[..., 0]
     soft_q = np.minimum(q[0], q[1]) - agent.temperature * sample.log_prob
@@ -242,7 +240,7 @@ def actor_loss_and_grads(agent: SacAgent, S: np.ndarray, noise: np.ndarray,
     raises NumericsError naming the first batch row whose term is non-finite.
     """
     S = np.asarray(S, dtype=agent.actor.dtype)
-    sample = sample_actions(agent, S, noise=noise)
+    sample = sample_actions(agent, S, noise)
     n = S.shape[0]
     lam = agent.temperature
     if q_and_grad is None:

@@ -64,7 +64,7 @@ def test_gen_dataset_writes_the_env_tiers_and_refs(tmp_path, tiny_reference, cap
     printed = capsys.readouterr().out
     for tier, episodes in tiers.items():
         ds = load_dataset(tmp_path / f"pointgoal_{tier}.rows")
-        assert ds.meta["tier"] == tier and ds.meta["seed"] == 4
+        assert ds.meta.tier == tier and ds.meta.seed == 4
         assert len(ds.trajectory_boundaries) == episodes
         assert f"pointgoal_{tier}.rows: {len(ds)} transitions, " \
             f"{episodes} trajectories" in printed
@@ -130,11 +130,18 @@ def test_train_schema_violation_names_field(tmp_path, data_dir, capsys):
      "config.perturbation.gravity_scale: expected float, got True"),
     ({"sac": {"hidden": [1.5]}}, "config.sac.hidden[0]: expected int, got 1.5"),
     ({"gan": {"hidden": [True, 4]}}, "config.gan.hidden[0]: expected int, got True"),
+    # json.loads reads NaN and Infinity
+    ({"sac": {"actor_lr": float("inf")}}, "config.sac.actor_lr: expected a finite float, got inf"),
+    ({"gan": {"restart_noise_sigma": float("inf")}},
+     "config.gan.restart_noise_sigma: expected a finite float, got inf"),
+    ({"perturbation": {"gravity_scale": float("nan")}},
+     "config.perturbation.gravity_scale: expected a finite float, got nan"),
 ])
 def test_train_refuses_a_boolean_number_or_a_fractional_width(tmp_path, data_dir, capsys,
                                                               over, where):
-    """A JSON boolean is not a number and a layer width is an integer: the
-    config is refused, naming the value's path, before anything trains."""
+    """A JSON boolean is not a number, NaN and Infinity are not finite, and a
+    layer width is an integer: the config is refused, naming the value's
+    path, before anything trains."""
     cfg = write_config(tmp_path / "c.json", data_dir, **over)
     assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
     assert f"config error: {where}\n" in capsys.readouterr().err
@@ -174,6 +181,9 @@ def test_train_refs_come_only_from_a_refs_file(tmp_path, data_dir, capsys, over,
                  id="mistyped"),
     pytest.param(json.dumps({**REFS, "expert_ref": -1600.0}), "expert_ref (-1600.0) must "
                  "exceed random_ref (-1500.0)", id="cannot_score"),
+    # json.loads reads -Infinity, and every score against it would be NaN
+    pytest.param(json.dumps({**REFS, "random_ref": -float("inf")}),
+                 "random_ref: expected a finite float, got -inf", id="infinite"),
     pytest.param(json.dumps({**REFS, "env_id": "pointgoal"}),
                  "refs for 'pointgoal', but the config is for 'pendulum'", id="other_env"),
     pytest.param(b"\xff\xfe", "not valid JSON", id="not_utf8")])
@@ -240,17 +250,30 @@ def test_a_negative_seed_flag_exits_2(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("key", ["env_id", "tier"])
+@pytest.mark.parametrize("key, value, message", [
+    pytest.param("env_id", DROP, "missing 1 required keyword-only argument: 'env_id'",
+                 id="env_id"),
+    pytest.param("tier", DROP, "missing 1 required keyword-only argument: 'tier'",
+                 id="tier"),
+    pytest.param("env_id", None, "env_id: expected str, got None", id="env_id_null"),
+    pytest.param("tier", None, "tier: expected str, got None", id="tier_null"),
+    pytest.param("tier", "replay", "unknown tier 'replay', know ('random', 'medium', "
+                 "'medium_replay', 'expert')", id="tier_unknown")])
 def test_train_on_a_dataset_header_without_a_key_exits_2_naming_the_file(
-        tmp_path, data_dir, capsys, key):
+        tmp_path, data_dir, capsys, key, value, message):
+    """A dataset's meta names its env_id and its tier, one of data.TIERS."""
     header, rows = (data_dir / "pendulum_random.rows").read_bytes().split(b"\n", 1)
     header = json.loads(header)
-    del header["meta"][key]
+    if value is DROP:
+        del header["meta"][key]
+    else:
+        header["meta"][key] = value
     bad = tmp_path / "bad.rows"
     bad.write_bytes(json.dumps(header).encode() + b"\n" + rows)
     cfg = write_config(tmp_path / "c.json", data_dir, dataset=str(bad))
     assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
-    assert f"config error: {bad}: dataset meta missing '{key}'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {bad}.meta") and message in err
 
 
 def test_evaluate_saved_agent(tmp_path, capsys):
@@ -573,14 +596,16 @@ def test_readme_commands_parse_and_name_existing_files():
 
 
 def test_readme_layout_and_package_docstring_name_every_module():
-    """Every module of the oris package but __init__ has a row in the
-    README's Layout table and is named in the package docstring's list."""
+    """The README's Layout table has one row for each module of the oris
+    package but __init__, and no other, and the package docstring's list
+    names exactly those modules: a module added, renamed or deleted fails
+    here until both follow."""
     import oris
     modules = sorted(p.stem for p in Path(oris.__file__).parent.glob("*.py")
                      if p.stem != "__init__")
     layout = README.read_text().split("## Layout\n", 1)[1].split("\n## ", 1)[0]
-    rows = set(re.findall(r"^\| `oris\.(\w+)` \|", layout, re.M))
+    rows = re.findall(r"^\| `oris\.(\w+)` \|", layout, re.M)
     listed = re.sub(r"\([^)]*\)", "", oris.__doc__.split("Modules:", 1)[1])
-    named = {name.strip(" .\n") for name in listed.split(",")}
-    assert [m for m in modules if m not in rows] == []
-    assert [m for m in modules if m not in named] == []
+    named = [name.strip(" .\n") for name in listed.split(",")]
+    assert sorted(rows) == modules
+    assert sorted(named) == modules

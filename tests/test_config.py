@@ -140,8 +140,27 @@ def test_errors_name_the_section_path():
         data.DatasetMeta.from_json({"perturbation": {"gravity_scale": "2"}}, "meta")
     with pytest.raises(ConfigError, match=r"meta\.perturbation: expected an object"):
         data.DatasetMeta.from_json({"perturbation": [2.0]}, "meta")
-    assert data.DatasetMeta.from_json({"perturbation": {"gravity_scale": 2}}).perturbation \
+    assert data.DatasetMeta.from_json({"env_id": "pendulum", "tier": "random",
+                                       "perturbation": {"gravity_scale": 2}}).perturbation \
         == {"gravity_scale": 2.0}
+
+
+@pytest.mark.parametrize("cls, text, where", [
+    (sac.SacHparams, '{"actor_lr": Infinity}',
+     r"SacHparams\.actor_lr: expected a finite float, got inf$"),
+    (gan.GanHparams, '{"restart_noise_sigma": Infinity}',
+     r"GanHparams\.restart_noise_sigma: expected a finite float, got inf$"),
+    (harness.Refs, '{"env_id": "pendulum", "random_ref": -Infinity, "expert_ref": 1}',
+     r"Refs\.random_ref: expected a finite float, got -inf$"),
+    (gan.GanMeta, json.dumps({**EXAMPLES[gan.GanMeta].to_json(), "mean": [0.0, float("nan")]}),
+     r"GanMeta\.mean\[1\]: expected a finite float, got nan$"),
+    (data.DatasetMeta, '{"env_id": "pendulum", "tier": "random", '
+                       '"perturbation": {"gravity_scale": NaN}}',
+     r"DatasetMeta\.perturbation\.gravity_scale: expected a finite float, got nan$")])
+def test_a_non_finite_float_is_refused_by_its_key_path(cls, text, where):
+    """json.loads reads NaN, Infinity and -Infinity; no float field takes them."""
+    with pytest.raises(ConfigError, match=where):
+        cls.from_json(json.loads(text))
 
 
 @pytest.mark.parametrize("cls, doc, where", [

@@ -32,10 +32,10 @@ def packed(columns):
 
 def make_dataset(rng, episode_lengths, tier="random"):
     eps = [make_episode(rng, n) for n in episode_lengths]
-    meta = {"env_id": "pendulum", "tier": tier,
-            "perturbation": {"gravity_scale": 1.0, "friction_scale": 1.0,
-                             "action_noise_std": 0.0},
-            "seed": 7}
+    meta = data.DatasetMeta(env_id="pendulum", tier=tier,
+                            perturbation={"gravity_scale": 1.0, "friction_scale": 1.0,
+                                          "action_noise_std": 0.0},
+                            seed=7)
     return data.Dataset.from_episodes(meta, eps)
 
 
@@ -66,7 +66,7 @@ def test_dataset_structure():
     d = make_dataset(rng, [4, 2, 5])
     assert len(d) == 11
     assert d.num_trajectories == 3
-    assert d.trajectory_boundaries == [4, 6, 11]
+    assert d.trajectory_boundaries == (4, 6, 11)
     lengths = [len(tr[2]) for tr in d.trajectories()]
     assert lengths == [4, 2, 5]
     R = d.columns[2]
@@ -77,8 +77,10 @@ def test_dataset_structure():
         data.Dataset(d.meta, d.rows, [4, 4, 11])
     with pytest.raises(ContractError):
         data.Dataset(d.meta, d.rows, [4, 6])
-    with pytest.raises(ContractError):
-        data.Dataset({"env_id": "pendulum"}, d.rows, [11])
+    with pytest.raises(TypeError, match="'tier'"):
+        data.DatasetMeta(env_id="pendulum")
+    with pytest.raises(ContractError, match="unknown tier 'replay'"):
+        data.DatasetMeta(env_id="pendulum", tier="replay")
 
 
 def test_dataset_columns_are_views_of_one_block(tmp_path):
@@ -214,8 +216,8 @@ def test_a_save_loads_the_bits_it_wrote(tmp_path_factory, seed, obs_dim, act_dim
     R = rng.choice(pool, size=n)
     D = rng.choice([0.0, 1.0, -0.0, 0.5], size=n)
     # trajectory ends on both sides of row 256 when n allows
-    bounds = sorted({c for c in cuts if c < n} | {n})
-    meta = {"env_id": "pendulum", "tier": "random"}
+    bounds = tuple(sorted({c for c in cuts if c < n} | {n}))
+    meta = data.DatasetMeta(env_id="pendulum", tier="random")
     d = data.Dataset(meta, packed((S, A, R, S2, D)), bounds)
     p = tmp_path_factory.getbasetemp() / "d.rows"
     data.save_dataset(d, p)
@@ -234,8 +236,8 @@ def test_save_and_load_peak_memory_is_bounded_by_blocks(tmp_path):
     rng = np.random.default_rng(0)
     cols = (rng.normal(size=(n, 3)), rng.normal(size=(n, 1)), rng.normal(size=n),
             rng.normal(size=(n, 3)), np.zeros(n))
-    d = data.Dataset({"env_id": "pendulum", "tier": "random"}, packed(cols),
-                     [n // 2, n])
+    d = data.Dataset(data.DatasetMeta(env_id="pendulum", tier="random"), packed(cols),
+                     (n // 2, n))
     column_bytes = sum(c.nbytes for c in cols)
     p = tmp_path / "d.rows"
     tracemalloc.start()
@@ -259,7 +261,7 @@ def test_subsample_whole_trajectories():
     original = {tuple(tr[0].ravel().tolist()) for tr in d.trajectories()}
     for tr in sub.trajectories():
         assert tuple(tr[0].ravel().tolist()) in original  # whole trajectory, order intact
-    assert sub.meta["subsample_fraction"] == 0.25
+    assert (sub.meta.subsample_fraction, sub.meta.subsample_seed) == (0.25, 11)
 
     full = data.subsample_trajectories(d, 1.0, seed=3)
     assert len(full) == len(d)
@@ -464,7 +466,8 @@ def test_packed_offline_rows_sample_what_the_dataset_samples(obs_dim, action_dim
     gathers from each of the episodes' columns, and the rows weigh 1."""
     rng = np.random.default_rng(seed)
     episodes = [make_episode(rng, k, obs_dim, action_dim) for k in lengths]
-    d = data.Dataset.from_episodes({"env_id": "pendulum", "tier": "random"}, episodes)
+    d = data.Dataset.from_episodes(data.DatasetMeta(env_id="pendulum", tier="random"),
+                                   episodes)
     want_rng = np.random.default_rng(seed)
     idx = want_rng.integers(0, len(d), size=n)
     want = [np.concatenate(c)[idx] for c in zip(*episodes)]

@@ -114,9 +114,9 @@ def test_policy_at_uses_stored_params_without_mutating_agent(tiny_ref):
 
 def test_generate_random_dataset():
     ds = datasets.generate_dataset("pendulum", "random", episodes=3, seed=9)
-    assert ds.meta["env_id"] == "pendulum"
-    assert ds.meta["tier"] == "random"
-    assert ds.meta["seed"] == 9
+    assert ds.meta.env_id == "pendulum"
+    assert ds.meta.tier == "random"
+    assert ds.meta.seed == 9
     assert len(ds.trajectory_boundaries) == 3
     assert len(ds) == 600
     s, a, *_ = ds.columns
@@ -140,8 +140,8 @@ def test_generate_dataset_validation(tiny_ref):
 def test_generate_expert_and_medium(tiny_ref):
     ds = datasets.generate_dataset("pendulum", "expert", episodes=2, seed=3,
                                    reference=tiny_ref)
-    assert ds.meta["behavior_eval_return"] == tiny_ref.expert_return
-    assert ds.meta["reference_seed"] == tiny_ref.seed
+    assert ds.meta.behavior_eval_return == tiny_ref.expert_return
+    assert ds.meta.reference_seed == tiny_ref.seed
     assert len(ds.trajectory_boundaries) == 2
 
     # tiny run never crosses halfway with certainty; synthesize one that does
@@ -150,7 +150,7 @@ def test_generate_expert_and_medium(tiny_ref):
     run = _synthetic_run([-90.0, -10.0], [2, 4], agent, eps)
     med = datasets.generate_dataset("pendulum", "medium", episodes=2, seed=3,
                                     reference=run)
-    assert med.meta["behavior_eval_return"] == -10.0
+    assert med.meta.behavior_eval_return == -10.0
     assert len(med.trajectory_boundaries) == 2
 
 
@@ -174,7 +174,7 @@ def test_medium_replay_is_history_prefix():
     # most recent episodes kept: 2, 3, 4 of the prefix
     np.testing.assert_array_equal(
         capped.columns[2], np.concatenate([ep[2] for ep in eps[1:4]]))
-    assert capped.meta["medium_eval_return"] == -40.0
+    assert capped.meta.medium_eval_return == -40.0
 
 
 def test_reference_hparams_validation():

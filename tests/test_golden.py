@@ -78,7 +78,8 @@ GEN_DATASET_SHA256 = {
     "pointgoal_random.rows": "2cf82045c662f73ccf360f373fd328c12f62a04ff7ea9ae0f485c2b7c5e6f349",
 }
 # per tier, sha256 of the loaded rows.block bytes, then the JSON of
-# trajectory_boundaries and of meta (sorted keys), as _content_digest takes it;
+# trajectory_boundaries and of meta's non-null fields (sorted keys), as
+# _content_digest takes it;
 # recorded from the version-1 JSONL files gen-dataset wrote before version 2
 GEN_DATASET_CONTENT_SHA256 = {
     "pendulum_expert": "d4d4495c3a73eabdd0bda431e1aec3d3e6145fecb5c4e221d961b88c59eeddb2",
@@ -134,7 +135,8 @@ def _require_recorded_build():
 def _content_digest(ds) -> str:
     h = hashlib.sha256(ds.rows.block.tobytes())
     h.update(json.dumps(ds.trajectory_boundaries).encode())
-    h.update(json.dumps(ds.meta, sort_keys=True).encode())
+    meta = {k: v for k, v in ds.meta.to_json().items() if v is not None}
+    h.update(json.dumps(meta, sort_keys=True).encode())
     return h.hexdigest()
 
 

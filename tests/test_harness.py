@@ -1,5 +1,6 @@
 """Tests for experiment configs, metrics files, score tables, and the runner."""
 
+import dataclasses
 import json
 import re
 
@@ -247,7 +248,7 @@ def test_run_experiment_checks_inputs_before_making_out_dir(dataset_path, tmp_pa
     pointgoal = datasets.generate_dataset("pointgoal", "random", episodes=1, seed=0)
     other_env, wrong_widths = tmp_path / "pointgoal.rows", tmp_path / "wide.rows"
     save_dataset(pointgoal, other_env)
-    save_dataset(Dataset({**pointgoal.meta, "env_id": "pendulum"}, pointgoal.rows,
+    save_dataset(Dataset(dataclasses.replace(pointgoal.meta, env_id="pendulum"), pointgoal.rows,
                          pointgoal.trajectory_boundaries), wrong_widths)
     for path, message in (
             (other_env, "dataset is for 'pointgoal', config says 'pendulum'"),

@@ -1,5 +1,6 @@
 """Tests for the collect-and-train loop and its variant dispatch."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -283,7 +284,7 @@ def test_train_refuses_a_dataset_whose_rows_do_not_fit_its_env(tmp_path, variant
     before any GAN fit or draw, with the message the harness prefixes with
     the dataset's path."""
     pointgoal = datasets.generate_dataset("pointgoal", "random", episodes=1, seed=0)
-    wide = Dataset({**pointgoal.meta, "env_id": "pendulum"}, pointgoal.rows,
+    wide = Dataset(dataclasses.replace(pointgoal.meta, env_id="pendulum"), pointgoal.rows,
                    pointgoal.trajectory_boundaries)
     cfg = OrisConfig(variant=variant, rollout_horizon=1, rollout_count=1, epochs=1,
                      updates_per_epoch=1, eval_episodes=1)

@@ -202,7 +202,8 @@ def test_temperature_first_step_direction():
         agent = tiny_agent(seed=seed)
         S = np.random.default_rng(seed + 100).normal(size=(32, 3))
         # mirror the update's noise draw to know the entropy it will see
-        probe = sac.sample_actions(agent, S, np.random.default_rng(seed + 200))
+        noise = np.random.default_rng(seed + 200).standard_normal((32, agent.action_dim))
+        probe = sac.sample_actions(agent, S, noise)
         gap = float(np.mean(probe.log_prob)) + agent.target_entropy
         t0 = agent.temperature
         sac.actor_update(agent, S, np.random.default_rng(seed + 200), q_and_grad=flat_q)
@@ -225,7 +226,7 @@ def test_bellman_targets_hand_cases():
     # mirror the draw to recover log pi(a'|s')
     probe = np.random.default_rng(19)
     y = sac.bellman_targets(agent, S2, R, np.array([0.0]), np.random.default_rng(19))
-    sample = sac.sample_actions(agent, S2, probe)
+    sample = sac.sample_actions(agent, S2, probe.standard_normal((len(S2), agent.action_dim)))
     expect = 2.0 + agent.hparams.gamma * (-0.5 - agent.temperature * sample.log_prob[0])
     assert y[0] == pytest.approx(expect, abs=1e-12)
 
@@ -285,7 +286,7 @@ def test_unit_weight_update_equals_pooled_unweighted_update():
     S, A, R, S2, D = batch
     critics, targets = nets.unstack(clone.critics), nets.unstack(clone.targets)
     ref_rng = np.random.default_rng(28)
-    sample = sac.sample_actions(clone, S2, ref_rng)
+    sample = sac.sample_actions(clone, S2, ref_rng.standard_normal((len(S2), clone.action_dim)))
     x2 = np.concatenate([S2, sample.action], axis=1)
     qt = np.minimum(nets.forward_batch(targets[0], x2)[:, 0],
                     nets.forward_batch(targets[1], x2)[:, 0])
@@ -702,7 +703,7 @@ def test_act_is_sample_actions_action_bitwise(dtype):
         S = np.random.default_rng(51).normal(size=(n, 3))
         r1, r2 = np.random.default_rng(52), np.random.default_rng(52)
         a = sac.act(agent, S, "stochastic", r1)
-        b = sac.sample_actions(agent, S, r2).action
+        b = sac.sample_actions(agent, S, r2.standard_normal((n, 2))).action
         assert a.shape == (n, 2) and a.dtype == dtype and np.array_equal(a, b)
         assert r1.bit_generator.state == r2.bit_generator.state
         det = sac.act(agent, S, "deterministic")
