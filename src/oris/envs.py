@@ -13,6 +13,14 @@ np.minimum(np.maximum(x, lo), hi); np.stack of three columns 5.9 us against
 1.9 us for column copies into np.empty; np.linalg.norm(d, axis=1) 5.3 us
 against 3.7 us for the np.sqrt(np.add.reduce(d * d, axis=1)) it runs; np.full
 1.6 us against 0.4 us for np.zeros.
+
+Work whose result is its input is skipped where one cheap test shows it.
+The action bound is one np.abs and one np.maximum.reduce, 1.8 us against
+4.1 us for abs, <=, all, maximum and minimum; the clip runs only when an
+entry lies above the scale, and the caller's array passes through uncopied
+otherwise. The reward's pre-step angle is the stored one when every |theta|
+is below WRAP_SAFE, where wrap_angle is the identity bit for bit: that test
+costs 1.9 us against 4.3 us for wrap_angle's calls.
 """
 
 from __future__ import annotations
@@ -56,6 +64,12 @@ class EnvSpec:
     @classmethod
     def real(cls, env_id: str) -> "EnvSpec":
         return cls(env_id, UNPERTURBED)
+
+
+# Below this bound wrap_angle is the identity, bit for bit: x + pi lies in
+# (2.6e-6, 2 pi), so the floor is 0.0 and x - 0.0 is x, -0.0 included. At pi
+# itself it is not: nextafter(pi, 0) wraps to pi.
+WRAP_SAFE = 3.14159
 
 
 def wrap_angle(x):
@@ -133,13 +147,14 @@ class Env:
             raise ContractError(f"actions have shape {A.shape}, "
                                 f"want ({self.num_rows}, {self.action_dim})")
         s = self.action_scale
-        ok = np.abs(A) <= s + 1e-9  # NaN fails the comparison too
-        if not ok.all():
-            i = int(np.flatnonzero(~ok.all(axis=1))[0])
+        top = np.maximum.reduce(np.abs(A), axis=None)
+        if not top <= s + 1e-9:  # NaN fails the comparison too
+            i = int(np.flatnonzero(~(np.abs(A) <= s + 1e-9).all(axis=1))[0])
             if not np.isfinite(A[i]).all():
                 raise NumericsError(f"non-finite action {A[i]} in row {i}")
             raise ContractError(f"action {A[i]} in row {i} outside [-{s}, {s}]")
-        A = np.minimum(np.maximum(A, -s), s)
+        if top > s:  # else the clip is the identity, bit for bit
+            A = np.minimum(np.maximum(A, -s), s)
         noise = self.spec.perturbation.action_noise_std
         if noise > 0.0:
             A = np.minimum(np.maximum(A + rng.normal(0.0, noise, size=A.shape), -s), s)
@@ -188,8 +203,8 @@ class PendulumEnv(Env):
     def _obs(self, rows) -> np.ndarray:
         th, thdot = rows
         obs = np.empty((len(th), 3))
-        obs[:, 0] = np.cos(th)
-        obs[:, 1] = np.sin(th)
+        np.cos(th, out=obs[:, 0])
+        np.sin(th, out=obs[:, 1])
         obs[:, 2] = thdot
         return obs
 
@@ -203,7 +218,9 @@ class PendulumEnv(Env):
             thdot + (1.5 * g * np.sin(th) + 3.0 * u - c * thdot) * self.DT,
             -self.MAX_SPEED), self.MAX_SPEED)
         new_th = wrap_angle(th + new_thdot * self.DT)
-        reward = -(wrap_angle(th) ** 2 + 0.1 * new_thdot ** 2 + 0.001 * u ** 2)
+        if not np.maximum.reduce(np.abs(th)) < WRAP_SAFE:
+            th = wrap_angle(th)
+        reward = -(th ** 2 + 0.1 * new_thdot ** 2 + 0.001 * u ** 2)
         last = self._steps + 1 >= self.max_episode_steps
         done = np.ones(len(u), bool) if last else np.zeros(len(u), bool)
         return self._advance((new_th, new_thdot), done), reward, done
@@ -283,7 +300,7 @@ def _lockstep(env: Env, obs: np.ndarray, act, horizon: int, rng):
         a = act(obs, rows)
         obs2, r, done = env.step(a, rng)
         yield rows, obs, a, r, obs2, done
-        if done.any():
+        if env.num_rows < len(rows):  # some row is done
             rows, obs2 = rows[~done], obs2[~done]
             if not rows.size:
                 return
@@ -304,7 +321,10 @@ def evaluate_policy(spec: EnvSpec, policy, episodes: int, rng) -> tuple[float, f
     returns = np.zeros(episodes)
     for rows, _, _, r, _, _ in _lockstep(env, obs, lambda o, _rows: policy(o, rng),
                                           env.max_episode_steps, rng):
-        returns[rows] += r
+        if len(rows) == episodes:
+            returns += r
+        else:
+            returns[rows] += r
     mean = float(np.mean(returns))
     std = float(np.std(returns))
     return mean, std, returns.tolist()

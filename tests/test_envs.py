@@ -35,6 +35,27 @@ def test_wrap_angle_range_and_boundaries():
         assert np.sin(w) == pytest.approx(np.sin(x), abs=1e-9)
 
 
+_WRAP_EDGE = np.nextafter(envs.WRAP_SAFE, 0.0)
+
+
+@given(x=st.floats(-envs.WRAP_SAFE, envs.WRAP_SAFE, exclude_min=True, exclude_max=True))
+@example(x=0.0)
+@example(x=-0.0)
+@example(x=_WRAP_EDGE)
+@example(x=-_WRAP_EDGE)
+def test_wrap_angle_is_the_identity_below_wrap_safe(x):
+    """The bound under which a step takes its stored angle as wrapped."""
+    x = np.float64(x)
+    assert envs.wrap_angle(x).tobytes() == x.tobytes()
+
+
+def test_wrap_angle_moves_angles_just_below_pi():
+    """Why WRAP_SAFE is not pi: just below pi, (x + pi) / (2 pi) rounds up
+    to 1; at -pi the result lands on -pi and is moved to pi."""
+    assert envs.wrap_angle(np.nextafter(np.pi, 0.0)) == np.pi
+    assert envs.wrap_angle(-np.pi) == np.pi
+
+
 def test_pendulum_step_matches_hand_computation():
     env = pendulum()
     rng = np.random.default_rng(0)
@@ -456,10 +477,12 @@ def _reference_step(env, A, rng):
 
 def _edge_actions(rng, n, dim, s):
     """Uniform actions with about a third of the entries at +-s, +-(s + 1e-9)
-    (the widest the range check accepts), 0.0 or -0.0."""
+    (the widest the range check accepts), just above s, 0.0 or -0.0."""
     A = rng.uniform(-s, s, size=(n, dim))
     edge = rng.random((n, dim)) < 0.3
-    A[edge] = rng.choice([s, -s, s + 1e-9, -s - 1e-9, 0.0, -0.0], size=int(edge.sum()))
+    A[edge] = rng.choice([s, -s, s + 1e-9, -s - 1e-9, 0.0, -0.0, np.nextafter(s, np.inf),
+                          -np.nextafter(s, np.inf), s + 5e-10, -s - 5e-10],
+                         size=int(edge.sum()))
     return A
 
 
@@ -501,3 +524,44 @@ def test_pointgoal_step_bytes_equal_the_wrapper_calls(rows, seed):
     env = pointgoal(_perturbation(np.random.default_rng(seed)))
     env.set_state(np.array(rows))
     _assert_steps_match_reference(env, seed)
+
+
+_EDGE_ANGLES = [envs.WRAP_SAFE, -envs.WRAP_SAFE, _WRAP_EDGE, -_WRAP_EDGE, np.pi, -np.pi,
+                np.nextafter(np.pi, 0.0), -np.nextafter(np.pi, 0.0)]
+
+
+@pytest.mark.parametrize("th", [[a] for a in _EDGE_ANGLES] + [_EDGE_ANGLES],
+                         ids=[f"{a!r}" for a in _EDGE_ANGLES] + ["all"])
+def test_pendulum_steps_from_angles_at_the_wrap_bound(th):
+    """Stored angles on both sides of WRAP_SAFE and at +-pi, loaded as they
+    are: a step re-wraps the reward's angle only where it must."""
+    env = pendulum()
+    env._load(np.array(th), np.linspace(-8.0, 8.0, len(th)))
+    _assert_steps_match_reference(env, 11)
+
+
+@pytest.mark.parametrize("env_id", envs.ENV_IDS)
+@pytest.mark.parametrize("noise", [0.0, 0.5])
+def test_a_step_leaves_the_callers_actions_unchanged(env_id, noise):
+    """In range or just beyond it, the caller's array keeps its bytes."""
+    env = envs.make_env(envs.EnvSpec(env_id, envs.DynamicsPerturbation(action_noise_std=noise)))
+    s, rng = env.action_scale, np.random.default_rng(0)
+    env.reset(rng, 3)
+    for A in (np.full((3, env.action_dim), -s), np.full((3, env.action_dim), s + 1e-9)):
+        before = A.tobytes()
+        env.step(A, rng)
+        assert A.tobytes() == before
+
+
+def test_evaluate_policy_returns_are_each_episodes_sum_when_episodes_end_apart():
+    """Once a pointgoal episode ends, only the rows still running add rewards."""
+    spec = envs.EnvSpec.real("pointgoal")
+    goal = envs.PointGoalEnv.GOAL
+
+    def controller(obs, _rng):
+        return np.clip(4.0 * (goal - obs[:, :2]) - 2.0 * obs[:, 2:], -1.0, 1.0)
+
+    _, _, returns = envs.evaluate_policy(spec, controller, 5, np.random.default_rng(2))
+    episodes = envs.rollout(envs.make_env(spec), controller, 5, 100, np.random.default_rng(2))
+    assert len({len(R) for _, _, R, _, _ in episodes}) > 1
+    assert returns == [sum(R.tolist()) for _, _, R, _, _ in episodes]
