@@ -11,11 +11,15 @@ logit of D. Training is the saturating objective: one discriminator ascent
 step on E[log D(s)] + E[log(1 - D(G(z)))] and one generator descent step on
 E[log(1 - D(G(z)))] per iteration, both through logits for stability. Both
 nets compute in float32; states outside them (data, restarts) stay float64.
+
+A fitted GAN (GanPair) is its two nets and one GanMeta record: the numbers
+pretrain fixes besides the nets. pretrain builds the record, and save_gan and
+load_gan write and read it as gan.json, unconverted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import functools
 import hashlib
 import json
@@ -57,10 +61,7 @@ class GanHparams(Config):
     def __post_init__(self):
         if self.z_dim < 1 or self.iterations < 1 or self.batch_size < 2:
             raise ContractError(f"bad GAN hparams {self}")
-        if not 0.0 <= self.w_min <= self.w_max:
-            raise ContractError(f"need 0 <= w_min <= w_max, got {self.w_min}, {self.w_max}")
-        if self.restart_noise_sigma < 0.0:
-            raise ContractError("restart_noise_sigma must be >= 0")
+        _check_served_values(self)
         if self.learning_rate <= 0.0:
             raise ContractError("learning_rate must be positive")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
@@ -69,35 +70,48 @@ class GanHparams(Config):
             raise ContractError(f"hidden widths must be >= 1, got {self.hidden}")
 
 
-@dataclass
-class StateNormalizer:
-    mean: np.ndarray
-    std: np.ndarray  # floored at 1e-6 per dimension
-
-    @classmethod
-    def fit(cls, S: np.ndarray) -> "StateNormalizer":
-        return cls(S.mean(axis=0), np.maximum(S.std(axis=0), 1e-6))
-
-    def normalize(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.mean) / self.std
-
-    def denormalize(self, x: np.ndarray) -> np.ndarray:
-        return x * self.std + self.mean
+def _check_served_values(c) -> None:
+    """The restart noise and weight clip that GanHparams sets and GanMeta copies."""
+    if not 0.0 <= c.w_min <= c.w_max:
+        raise ContractError(f"need 0 <= w_min <= w_max, got {c.w_min}, {c.w_max}")
+    if c.restart_noise_sigma < 0.0:
+        raise ContractError("restart_noise_sigma must be >= 0")
 
 
-@dataclass
-class GanPair:
-    generator: nets.MlpNet  # latent (in_dim) -> state_dim, squashed by tanh, then out_scale
-    discriminator: nets.MlpNet  # state_dim -> 1, the logit of D
-    normalizer: StateNormalizer
-    out_scale: np.ndarray  # per-dim scale on the generator tanh, normalized units
+@dataclass(frozen=True, kw_only=True)
+class GanMeta(Config):
+    """gan.json, and what a fitted GAN holds besides its two nets: the state
+    mean and std (floored at 1e-6), the per-dim scale on the generator's tanh
+    in normalized units, and GanHparams' restart noise and weight clip."""
+
+    format: str = "oris-gan"
+    version: int = GAN_VERSION
+    z_dim: int
+    mean: tuple[float, ...]
+    std: tuple[float, ...]
+    out_scale: tuple[float, ...]
     restart_noise_sigma: float
     w_min: float
     w_max: float
 
-    @property
-    def state_dim(self) -> int:
-        return self.generator.out_dim
+    def __post_init__(self):
+        if self.z_dim < 1:
+            raise ContractError(f"z_dim must be >= 1, got {self.z_dim}")
+        if not len(self.mean) == len(self.std) == len(self.out_scale):
+            raise ContractError(f"mean, std and out_scale have widths {len(self.mean)}, "
+                                f"{len(self.std)} and {len(self.out_scale)}")
+        if not all(s > 0.0 for s in self.std):
+            raise ContractError(f"std entries must be > 0, got {list(self.std)}")
+        _check_served_values(self)
+
+
+@dataclass
+class GanPair:
+    """A fitted GAN, the same whether pretrain fitted it or load_gan read it."""
+
+    generator: nets.MlpNet  # latent (z_dim) -> state_dim, squashed by tanh, then out_scale
+    discriminator: nets.MlpNet  # state_dim -> 1, the logit of D
+    meta: GanMeta
 
 
 @dataclass
@@ -138,30 +152,31 @@ def _sigmoid(z):
 def generate_states(gan: GanPair, Z: np.ndarray) -> np.ndarray:
     """Denormalized generator output for latent batch Z, (n, generator.in_dim),
     without restart noise."""
-    raw = np.tanh(nets.forward_batch(gan.generator, Z)) * gan.out_scale
-    return gan.normalizer.denormalize(raw)
+    raw = np.tanh(nets.forward_batch(gan.generator, Z)) * gan.meta.out_scale
+    return raw * gan.meta.std + gan.meta.mean
 
 
 def sample_restart(gan: GanPair, rng: np.random.Generator) -> np.ndarray:
     """One start state: denormalized G(z) plus N(0, sigma^2 I) in state units."""
     z = rng.standard_normal(gan.generator.in_dim)
     state = generate_states(gan, z[None, :])[0]
-    if gan.restart_noise_sigma > 0.0:
-        state = state + rng.normal(0.0, gan.restart_noise_sigma, size=state.shape)
+    if gan.meta.restart_noise_sigma > 0.0:
+        state = state + rng.normal(0.0, gan.meta.restart_noise_sigma, size=state.shape)
     return state
 
 
 def discriminator_prob_batch(gan: GanPair, S: np.ndarray) -> np.ndarray:
     S = np.asarray(S, dtype=np.float64)
-    if S.ndim != 2 or S.shape[1] != gan.state_dim:
-        raise ContractError(f"states have shape {S.shape}, want (n, {gan.state_dim})")
-    return _sigmoid(nets.forward_batch(gan.discriminator, gan.normalizer.normalize(S))[:, 0])
+    if S.ndim != 2 or S.shape[1] != gan.generator.out_dim:
+        raise ContractError(f"states have shape {S.shape}, want (n, {gan.generator.out_dim})")
+    SN = (S - gan.meta.mean) / gan.meta.std
+    return _sigmoid(nets.forward_batch(gan.discriminator, SN)[:, 0])
 
 
 def weight_of_batch(gan: GanPair, S: np.ndarray) -> np.ndarray:
     """Critic weight w(s) = clip(1 - 2 D(s), w_min, w_max) for a state batch."""
     d = discriminator_prob_batch(gan, S)
-    return np.clip(1.0 - 2.0 * d, gan.w_min, gan.w_max)
+    return np.clip(1.0 - 2.0 * d, gan.meta.w_min, gan.meta.w_max)
 
 
 def discriminator_step_grads(disc: nets.MlpNet, real: np.ndarray, fake: np.ndarray):
@@ -210,8 +225,8 @@ def pretrain(states, hparams: GanHparams, rng: np.random.Generator):
         raise ContractError("non-finite states passed to pretrain")
     d = S.shape[1]
 
-    norm = StateNormalizer.fit(S)
-    SN = norm.normalize(S)
+    mean, std = S.mean(axis=0), np.maximum(S.std(axis=0), 1e-6)
+    SN = (S - mean) / std
     out_scale = 1.25 * np.max(np.abs(SN), axis=0)
 
     g_seed = int(rng.integers(2 ** 31))
@@ -248,36 +263,18 @@ def pretrain(states, hparams: GanHparams, rng: np.random.Generator):
         curves[:, i] = (d_objective, g_loss, np.add.reduce(d_real) / bs,
                         np.add.reduce(d_fake) / bs)
 
-    pair = GanPair(gen, disc, norm, out_scale,
-                   hparams.restart_noise_sigma, hparams.w_min, hparams.w_max)
-    return pair, GanTrainReport(*(c.copy() for c in curves))
-
-
-@dataclass(frozen=True, kw_only=True)
-class GanMeta(Config):
-    """gan.json: what a GanPair holds besides its two nets."""
-
-    format: str = "oris-gan"
-    version: int = GAN_VERSION
-    z_dim: int
-    mean: tuple[float, ...]
-    std: tuple[float, ...]
-    out_scale: tuple[float, ...]
-    restart_noise_sigma: float
-    w_min: float
-    w_max: float
+    meta = GanMeta(z_dim=hparams.z_dim, mean=tuple(mean.tolist()), std=tuple(std.tolist()),
+                   out_scale=tuple(out_scale.tolist()), w_min=hparams.w_min,
+                   w_max=hparams.w_max, restart_noise_sigma=hparams.restart_noise_sigma)
+    return GanPair(gen, disc, meta), GanTrainReport(*(c.copy() for c in curves))
 
 
 def save_gan(gan: GanPair, dirpath) -> None:
     os.makedirs(dirpath, exist_ok=True)
     nets.save_checkpoint(gan.generator, os.path.join(dirpath, "generator.mlp"))
     nets.save_checkpoint(gan.discriminator, os.path.join(dirpath, "discriminator.mlp"))
-    meta = GanMeta(z_dim=gan.generator.in_dim, mean=tuple(gan.normalizer.mean),
-                   std=tuple(gan.normalizer.std), out_scale=tuple(gan.out_scale),
-                   restart_noise_sigma=gan.restart_noise_sigma,
-                   w_min=gan.w_min, w_max=gan.w_max)
     with atomic_write(os.path.join(dirpath, "gan.json")) as f:
-        json.dump(meta.to_json(), f, indent=1)
+        json.dump(gan.meta.to_json(), f, indent=1)
         f.write("\n")
 
 
@@ -290,14 +287,11 @@ def load_gan(dirpath) -> GanPair:
     if meta.z_dim != gen.in_dim:
         raise ContractError(f"{dirpath}: gan.json has z_dim {meta.z_dim}, "
                             f"but the generator takes {gen.in_dim} inputs")
-    for what, width in (("gan.json mean", len(meta.mean)), ("gan.json std", len(meta.std)),
-                        ("gan.json out_scale", len(meta.out_scale)),
-                        ("the discriminator's input", disc.in_dim)):
+    for what, width in (("gan.json", len(meta.mean)), ("the discriminator's input", disc.in_dim)):
         if width != gen.out_dim:
             raise ContractError(f"{dirpath}: {what} has width {width}, but the "
                                 f"generator gives {gen.out_dim} state dims")
-    return GanPair(gen, disc, StateNormalizer(np.array(meta.mean), np.array(meta.std)),
-                   np.array(meta.out_scale), meta.restart_noise_sigma, meta.w_min, meta.w_max)
+    return GanPair(gen, disc, meta)
 
 
 @functools.cache

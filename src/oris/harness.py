@@ -80,6 +80,8 @@ class ExperimentConfig(Config):
         if not 0.0 < self.dataset_fraction <= 1.0:
             raise ConfigError(
                 f"dataset_fraction must be in (0, 1], got {self.dataset_fraction}")
+        if self.subsample_seed < 0:
+            raise ConfigError(f"subsample_seed must be >= 0, got {self.subsample_seed}")
         if self.variant != self.oris.variant:
             object.__setattr__(self, "oris",
                                dataclasses.replace(self.oris, variant=self.variant))

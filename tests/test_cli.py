@@ -136,12 +136,14 @@ def test_train_schema_violation_names_field(tmp_path, data_dir, capsys):
      "config.gan.restart_noise_sigma: expected a finite float, got inf"),
     ({"perturbation": {"gravity_scale": float("nan")}},
      "config.perturbation.gravity_scale: expected a finite float, got nan"),
+    ({"dataset_fraction": 0.5, "subsample_seed": -1},
+     "config: subsample_seed must be >= 0, got -1"),
 ])
 def test_train_refuses_a_boolean_number_or_a_fractional_width(tmp_path, data_dir, capsys,
                                                               over, where):
-    """A JSON boolean is not a number, NaN and Infinity are not finite, and a
-    layer width is an integer: the config is refused, naming the value's
-    path, before anything trains."""
+    """A JSON boolean is not a number, NaN and Infinity are not finite, a
+    layer width is an integer, and a seed is not negative: the config is
+    refused, naming the value's path, before anything trains."""
     cfg = write_config(tmp_path / "c.json", data_dir, **over)
     assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
     assert f"config error: {where}\n" in capsys.readouterr().err

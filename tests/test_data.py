@@ -289,16 +289,19 @@ def test_subsample_deterministic_per_seed():
 
 
 def test_state_marginal_matches_two_pass_oracle():
-    """The GAN fits the dataset's S column; its normalizer matches the oracle."""
+    """The GAN fits the dataset's S column; the mean and std it records
+    match the oracle."""
     rng = np.random.default_rng(5)
-    d = make_dataset(rng, [10, 10])
+    n = gan.MIN_FIT_STATES // 2
+    d = make_dataset(rng, [n, n])
     states = d.columns[0]
-    assert states.shape == (20, 3)
-    norm = gan.StateNormalizer.fit(states)
+    assert states.shape == (2 * n, 3)
+    hp = gan.GanHparams(z_dim=1, hidden=(2,), iterations=1, batch_size=2)
+    meta = gan.pretrain(states, hp, np.random.default_rng(6))[0].meta
     rows = list(states)
-    np.testing.assert_allclose(norm.mean, oracles.two_pass_mean(rows), rtol=1e-12)
-    np.testing.assert_allclose(norm.std, oracles.two_pass_std(rows), rtol=1e-12)
-    np.testing.assert_array_equal(states[10], list(d.trajectories())[1][0][0])
+    np.testing.assert_allclose(meta.mean, oracles.two_pass_mean(rows), rtol=1e-12)
+    np.testing.assert_allclose(meta.std, oracles.two_pass_std(rows), rtol=1e-12)
+    np.testing.assert_array_equal(states[n], list(d.trajectories())[1][0][0])
 
 
 def test_sample_arrays_uniform_with_replacement():

@@ -16,8 +16,10 @@ def rigged_pair(bias, state_dim=2, w_min=0.1, w_max=1.0):
     disc = nets.MlpNet([state_dim, 1], np.append(np.zeros(state_dim), float(bias)),
                        dtype=np.float64)
     gen = nets.MlpNet.he_uniform([3, 8, state_dim], seed=0, dtype=np.float64)
-    norm = gan.StateNormalizer(np.zeros(state_dim), np.ones(state_dim))
-    return gan.GanPair(gen, disc, norm, np.ones(state_dim), 0.05, w_min, w_max)
+    ones = (1.0,) * state_dim
+    meta = gan.GanMeta(z_dim=3, mean=(0.0,) * state_dim, std=ones, out_scale=ones,
+                       restart_noise_sigma=0.05, w_min=w_min, w_max=w_max)
+    return gan.GanPair(gen, disc, meta)
 
 
 def mixture_states(n, rng):
@@ -141,11 +143,10 @@ def test_generated_states_respect_out_scale():
     hp = gan.GanHparams(z_dim=3, hidden=(16,), iterations=50, batch_size=64)
     pair, _ = gan.pretrain(S, hp, np.random.default_rng(11))
     samples = gan.generate_states(pair, rng.standard_normal((1000, 3)))
-    normed = pair.normalizer.normalize(samples)
-    assert np.all(np.abs(normed) <= pair.out_scale + 1e-9)
+    m = pair.meta
+    assert np.all(np.abs((samples - m.mean) / m.std) <= np.array(m.out_scale) + 1e-9)
     # out_scale covers the data with the documented margin
-    np.testing.assert_allclose(pair.out_scale,
-                               1.25 * np.max(np.abs(pair.normalizer.normalize(S)), axis=0))
+    np.testing.assert_allclose(m.out_scale, 1.25 * np.max(np.abs((S - m.mean) / m.std), axis=0))
 
 
 def test_sample_restart_sigma_zero_is_deterministic():
@@ -199,7 +200,7 @@ def test_pretrain_accepts_list_of_vectors():
     states = [rng.normal(size=2) for _ in range(150)]
     hp = gan.GanHparams(z_dim=2, hidden=(8,), iterations=10, batch_size=32)
     pair, report = gan.pretrain(states, hp, np.random.default_rng(17))
-    assert pair.state_dim == 2
+    assert pair.generator.out_dim == 2
     assert len(report.g_loss) == 10
 
 
@@ -214,10 +215,7 @@ def test_save_load_roundtrip(tmp_path):
                                   oracles.get_flat_params(pair.generator))
     np.testing.assert_array_equal(oracles.get_flat_params(loaded.discriminator),
                                   oracles.get_flat_params(pair.discriminator))
-    np.testing.assert_array_equal(loaded.normalizer.mean, pair.normalizer.mean)
-    np.testing.assert_array_equal(loaded.out_scale, pair.out_scale)
-    assert loaded.w_min == pair.w_min and loaded.w_max == pair.w_max
-    assert loaded.restart_noise_sigma == pair.restart_noise_sigma
+    assert loaded.meta == pair.meta
     probe = rng.normal(size=(32, 2))
     np.testing.assert_array_equal(gan.weight_of_batch(loaded, probe),
                                   gan.weight_of_batch(pair, probe))
@@ -241,15 +239,20 @@ def test_load_gan_refuses_a_latent_width_its_generator_lacks(tmp_path):
 
 
 @pytest.mark.parametrize("edit, says", [
-    pytest.param({"mean": [0.0, 0.0, 0.0]}, "gan.json mean has width 3", id="mean"),
-    pytest.param({"std": [1.0]}, "gan.json std has width 1", id="std"),
-    pytest.param({"out_scale": [1.0, 1.0, 1.0]}, "gan.json out_scale has width 3",
-                 id="out_scale"),
-    pytest.param(None, "the discriminator's input has width 3", id="discriminator")])
+    pytest.param({"mean": [0.0, 0.0, 0.0]},
+                 "/gan.json: mean, std and out_scale have widths 3, 2 and 2", id="mean"),
+    pytest.param({"std": [1.0]}, "/gan.json: mean, std and out_scale have widths 2, 1 and 2",
+                 id="std"),
+    pytest.param({"out_scale": [1.0, 1.0, 1.0]},
+                 "/gan.json: mean, std and out_scale have widths 2, 2 and 3", id="out_scale"),
+    pytest.param({"mean": [0.0] * 3, "std": [1.0] * 3, "out_scale": [1.0] * 3},
+                 ": gan.json has width 3, but the generator gives 2 state dims", id="all"),
+    pytest.param(None, ": the discriminator's input has width 3, but the generator gives "
+                 "2 state dims", id="discriminator")])
 def test_load_gan_refuses_a_state_width_its_generator_lacks(tmp_path, edit, says):
-    """Each per-dim vector of gan.json and the discriminator's input have
-    the generator's output width; otherwise the first weight_of_batch would
-    fail without naming the directory."""
+    """gan.json's per-dim vectors share one width, and it and the
+    discriminator's input have the generator's output width; otherwise the
+    first weight_of_batch would fail without naming the file."""
     S = mixture_states(100, np.random.default_rng(22))
     hp = gan.GanHparams(z_dim=3, hidden=(8,), iterations=2, batch_size=16)
     gan.save_gan(gan.pretrain(S, hp, np.random.default_rng(23))[0], tmp_path / "g")
@@ -259,8 +262,7 @@ def test_load_gan_refuses_a_state_width_its_generator_lacks(tmp_path, edit, says
     else:
         meta_path = tmp_path / "g" / "gan.json"
         meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()), **edit}))
-    with pytest.raises(ContractError, match=re.escape(
-            f"{tmp_path / 'g'}: {says}, but the generator gives 2 state dims")):
+    with pytest.raises(ContractError, match=re.escape(f"{tmp_path / 'g'}{says}")):
         gan.load_gan(tmp_path / "g")
 
 
@@ -318,8 +320,7 @@ def test_pretrain_or_load_reuses_the_entry_bitwise(tmp_path):
     for net in ("generator", "discriminator"):
         np.testing.assert_array_equal(oracles.get_flat_params(getattr(loaded, net)),
                                       oracles.get_flat_params(getattr(fitted, net)))
-    np.testing.assert_array_equal(loaded.normalizer.std, fitted.normalizer.std)
-    np.testing.assert_array_equal(loaded.out_scale, fitted.out_scale)
+    assert loaded.meta == fitted.meta
     probe = rng.normal(size=(32, 2))
     np.testing.assert_array_equal(gan.weight_of_batch(loaded, probe),
                                   gan.weight_of_batch(fitted, probe))
@@ -376,6 +377,29 @@ def test_load_gan_names_what_is_missing(tmp_path, fault, says):
         meta = fault
     meta_path.write_text(json.dumps(meta))
     with pytest.raises(ConfigError, match=re.escape(str(meta_path)) + says):
+        gan.load_gan(tmp_path / "g")
+
+
+@pytest.mark.parametrize("edit, says", [
+    pytest.param({"w_min": 0.9, "w_max": 0.3}, "need 0 <= w_min <= w_max, got 0.9, 0.3",
+                 id="w_min_above_w_max"),
+    pytest.param({"w_min": -0.1}, "need 0 <= w_min <= w_max, got -0.1, 1.0", id="negative_w_min"),
+    pytest.param({"restart_noise_sigma": -0.5}, "restart_noise_sigma must be >= 0",
+                 id="negative_sigma"),
+    pytest.param({"std": [0.0, -1.0]}, "std entries must be > 0, got [0.0, -1.0]",
+                 id="std_not_positive"),
+    pytest.param({"z_dim": 0}, "z_dim must be >= 1, got 0", id="z_dim")])
+def test_load_gan_refuses_a_value_pretrain_never_writes(tmp_path, edit, says):
+    """gan.json is refused, by file, for a value that pretrain never writes:
+    a weight clip or restart noise that GanHparams refuses, a std that is
+    not positive, or no latent dims. weight_of_batch would give NaN for the
+    first two."""
+    S = mixture_states(100, np.random.default_rng(38))
+    hp = gan.GanHparams(z_dim=2, hidden=(8,), iterations=2, batch_size=16)
+    gan.save_gan(gan.pretrain(S, hp, np.random.default_rng(39))[0], tmp_path / "g")
+    meta_path = tmp_path / "g" / "gan.json"
+    meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()), **edit}))
+    with pytest.raises(ContractError, match=re.escape(f"{meta_path}: {says}")):
         gan.load_gan(tmp_path / "g")
 
 

@@ -15,8 +15,9 @@ table, and each point's score table and CSV) and one of the summary it prints
 cover the path from a config to its results.
 Per-file digests cover the directory `sac.save_agent` writes for a tiny agent
 after two update pairs, one digest covers tests/data/agent_f8 (a float64
-agent directory whose Adam states are at step 0) loaded and updated twice, and
-one the key `gan.fit_key` gives a fixed fit. The agent_f8 digest predates the
+agent directory whose Adam states are at step 0) loaded and updated twice,
+one the key `gan.fit_key` gives a fixed fit, and one per file of the GAN store
+entry that fit writes. The agent_f8 digest predates the
 fixture's Adam files and dtype headers: it was rewritten once, as
 save_agent(load_agent(it)), with the same parameters and optimizer states.
 A change that alters them on purpose says so and records the new digests here
@@ -66,6 +67,13 @@ AGENT_FILE_SHA256 = {
 AGENT_F8_UPDATED_SHA256 = "bc584e34c07bf7cc004da3a2cef8f892984c0f9d6fc5ed5c4848275f05ca6fc2"
 # fit_inputs carries gan_version since GAN_VERSION 2, so the key moved with it
 FIT_KEY = "2940af315fccfb3480d3285f246c075178b2993afacbfdbab55c547354243933"
+# the files `gan.save_fit` writes for that fit, under <store>/FIT_KEY/
+GAN_ENTRY_SHA256 = {
+    "discriminator.mlp": "cf11834ecf6368b14a0b521ed4bd4c32b382d42e685a68a600560954397d0caa",
+    "gan.json": "1e51cf4fdc590322bef9fd947c88e38439c2edfc3a257107c3d5513fb8f58a97",
+    "generator.mlp": "e21a2ce2c0cecb99ba9316e4b1e6ebb173cb4f554749a6538f78868203a2cb3a",
+    "report.json": "556b125778262660e015980e473e32c31773f3db3e5a6365348f863b98565679",
+}
 # the bytes of the version-2 files `oris gen-dataset` writes at test_datasets.TINY
 # and seed 0; GEN_DATASET_CONTENT_SHA256 pins what each one loads to
 GEN_DATASET_SHA256 = {
@@ -227,11 +235,24 @@ def test_agent_f8_loads_into_stacks_and_updates():
     assert h.hexdigest() == AGENT_F8_UPDATED_SHA256
 
 
-def test_gan_fit_key_digest():
-    _require_recorded_build()
+def _fixed_fit():
+    """The states, hparams and RNG of the fit behind FIT_KEY."""
     states = np.random.default_rng(0).normal(size=(120, 3))
     hp = gan.GanHparams(z_dim=2, hidden=(8,), iterations=5, batch_size=16, w_min=0.1)
-    assert gan.fit_key(gan.fit_inputs(states, hp, np.random.default_rng(1))) == FIT_KEY
+    return states, hp, np.random.default_rng(1)
+
+
+def test_gan_fit_key_digest():
+    _require_recorded_build()
+    assert gan.fit_key(gan.fit_inputs(*_fixed_fit())) == FIT_KEY
+
+
+def test_gan_store_entry_file_digests(tmp_path):
+    _require_recorded_build()
+    gan.pretrain_or_load(*_fixed_fit(), tmp_path)
+    entry = tmp_path / FIT_KEY
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in entry.iterdir()}
+    assert got == GAN_ENTRY_SHA256
 
 
 def test_dataset_file_digest(tmp_path):

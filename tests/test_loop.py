@@ -11,7 +11,7 @@ from oracles import binomial_3sigma, stored_columns
 from oris import datasets, envs, gan, loop, nets, sac
 from oris.data import Dataset, ReplayBuffer, columns_of
 from oris.errors import ConfigError, ContractError, NumericsError
-from oris.gan import GanPair, StateNormalizer
+from oris.gan import GanMeta, GanPair
 from oris.loop import EpochReport, OrisConfig
 
 HP = sac.SacHparams(hidden=(16, 16), batch_off=16, batch_sim=16)
@@ -36,8 +36,9 @@ def rigged_gan(target, sigma=0.0):
             b[:] = 0.0
     scale = 2.0 * np.max(np.abs(target)) + 1.0
     gen.biases[-1][:] = np.arctanh(target / scale)
-    norm = StateNormalizer(np.zeros(d), np.ones(d))
-    return GanPair(gen, disc, norm, np.full(d, scale), sigma, 0.1, 1.0)
+    meta = GanMeta(z_dim=2, mean=(0.0,) * d, std=(1.0,) * d, out_scale=(scale,) * d,
+                   restart_noise_sigma=sigma, w_min=0.1, w_max=1.0)
+    return GanPair(gen, disc, meta)
 
 
 def make_agent(env_id="pendulum", seed=3):
