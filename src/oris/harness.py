@@ -102,9 +102,11 @@ class ExperimentConfig(Config):
     @classmethod
     def from_json(cls, d: dict, path: str = "config") -> "ExperimentConfig":
         """Config.from_json; the oris section may repeat the top-level
-        variant, which __post_init__ carries into it, but not contradict it."""
+        variant, which __post_init__ carries into it, but not contradict it.
+        A missing top-level variant is the codec's to report."""
         oris, variant = d.get("oris"), d.get("variant")
-        if isinstance(oris, dict) and oris.get("variant", variant) != variant:
+        if variant is not None and isinstance(oris, dict) and \
+                oris.get("variant", variant) != variant:
             raise ConfigError(f"{path}: variant in the oris section contradicts "
                               "the top-level variant")
         return super().from_json(d, path)
@@ -225,7 +227,7 @@ def _load_offline(cfg: ExperimentConfig):
         raise ConfigError(f"{p}: {e}") from None
     if cfg.dataset_fraction < 1.0:
         ds = subsample_trajectories(ds, cfg.dataset_fraction, cfg.subsample_seed)
-    if cfg.oris.needs_gan() and len(ds) < gan_mod.MIN_FIT_STATES:
+    if loop.VARIANTS[cfg.variant].needs_gan and len(ds) < gan_mod.MIN_FIT_STATES:
         raise ConfigError(f"{p}: {len(ds)} rows at dataset_fraction {cfg.dataset_fraction:g}, "
                           f"but the {cfg.variant} GAN fit needs at least {gan_mod.MIN_FIT_STATES}")
     return ds
@@ -287,8 +289,8 @@ def sweep_points(cfg: ExperimentConfig, axis: str) -> list[tuple[str, dict]]:
         return [(f"fraction_{f:g}", {"dataset_fraction": f})
                 for f in (1.0, 0.25, 0.05)]
     if axis == "ablation":
-        return [(v, {"variant": v})
-                for v in ("oris", "no_restart", "uniform_weight", "naive_mix")]
+        return [(v, {"variant": v}) for v, row in loop.VARIANTS.items()
+                if row.learner == "sac" and row.offline]
     raise ConfigError(f"unknown sweep axis {axis!r}, know {SWEEP_AXES}")
 
 

@@ -7,13 +7,15 @@ on mixed minibatches: offline rows at weight 1 next to simulator rows
 weighted by the frozen discriminator, then an evaluation in the real,
 unperturbed env. The discriminator is frozen, so each rollout's rows are
 scored once, when they enter the replay buffer, and the updates read the
-stored weights. Where the rollouts restart from, and whether the weights are
-live, depends on the variant; see OrisConfig.
+stored weights. What each variant restarts from, how it weights the
+simulator rows, whether it draws offline rows and which learner it updates
+is its row of VARIANTS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,14 +24,29 @@ from .config import Config
 from .data import Dataset, ReplayBuffer, columns_of
 from .errors import ConfigError, ContractError, InvalidStateError, NumericsError
 
-VARIANTS = ("oris", "no_restart", "uniform_weight", "naive_mix",
-            "sim_only_sac", "bc")
 
-# which variants restart rollouts from the generator instead of rho_0
-GAN_RESTART_VARIANTS = ("oris", "uniform_weight")
+class Variant(NamedTuple):
+    """A variant's mechanisms, the columns of the README's variant table."""
 
-# which variants weight simulator rows by the discriminator; the rest keep weight 1
-GAN_WEIGHT_VARIANTS = ("oris", "no_restart")
+    restart: str | None  # "rho0" (the env's own starts) or "gan" (the generator)
+    weight: str | None  # simulator rows at "one", or "disc": weight_of_batch
+    offline: bool  # whether the updates draw offline rows
+    learner: str  # "sac", or "bc", which collects nothing
+
+    @property
+    def needs_gan(self) -> bool:
+        return self.restart == "gan" or self.weight == "disc"
+
+
+# in the README's order; bc collects nothing, so it has no restart or weight
+VARIANTS = {
+    "oris": Variant("gan", "disc", True, "sac"),
+    "no_restart": Variant("rho0", "disc", True, "sac"),
+    "uniform_weight": Variant("gan", "one", True, "sac"),
+    "naive_mix": Variant("rho0", "one", True, "sac"),
+    "sim_only_sac": Variant("rho0", "one", False, "sac"),
+    "bc": Variant(None, None, True, "bc"),
+}
 
 # rejected generator states in a row before a rollout falls back to rho_0
 RESTART_MAX_RETRIES = 20
@@ -52,7 +69,7 @@ class OrisConfig(Config):
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}, know {VARIANTS}")
+            raise ConfigError(f"unknown variant {self.variant!r}, know {tuple(VARIANTS)}")
         for k in ("rollout_horizon", "rollout_count", "epochs",
                   "updates_per_epoch", "eval_episodes"):
             if getattr(self, k) < 1:
@@ -61,15 +78,6 @@ class OrisConfig(Config):
             raise ConfigError("random_policy_prob must be in [0, 1]")
         if self.replay_capacity < 1:
             raise ConfigError("replay_capacity must be >= 1")
-
-    def gan_restarts(self) -> bool:
-        return self.variant in GAN_RESTART_VARIANTS
-
-    def gan_weights(self) -> bool:
-        return self.variant in GAN_WEIGHT_VARIANTS
-
-    def needs_gan(self) -> bool:
-        return self.gan_restarts() or self.gan_weights()
 
 
 @dataclass
@@ -123,16 +131,18 @@ def collect_epoch(env: envs.Env, agent: sac.SacAgent, cfg: OrisConfig,
 
     Each rollout first draws its action source, one rng.random() against
     cfg.random_policy_prob: below it the rollout acts uniformly at random,
-    else it samples the stochastic actor pi. Then, in the restart variants,
-    it draws its generator start. Then the C rollouts step in lockstep
+    else it samples the stochastic actor pi. Then, if the variant's row of
+    VARIANTS restarts from "gan", it draws its generator start; from "rho0",
+    envs.rollout draws the starts. Then the C rollouts step in lockstep
     (envs.rollout): per step, one actor forward over the pi rows and one
-    uniform draw over the random rows. Variants with discriminator
-    weights store each row with its weight w(s), scored one rollout per
-    call: one call over all C * H rows would record the discriminator's
-    activations for every row at once and raise the peak memory of a run by
-    several MB. The others keep the buffer's default weight 1. g is the
-    run's GAN, which every variant that needs one (cfg.needs_gan()) passes.
+    uniform draw over the random rows. A "disc" weight stores each row with
+    its weight w(s), scored one rollout per call: one call over all C * H
+    rows would record the discriminator's activations for every row at once
+    and raise the peak memory of a run by several MB. A weight of "one"
+    keeps the buffer's default weight 1. g is the run's GAN, which every
+    variant that needs one (Variant.needs_gan) passes.
     """
+    variant = VARIANTS[cfg.variant]
     stats = CollectStats()
     pi = lambda obs, rng_: sac.act(agent, obs, "stochastic", rng_)
     random_policy = envs.uniform_random_policy(env)
@@ -141,12 +151,12 @@ def collect_epoch(env: envs.Env, agent: sac.SacAgent, cfg: OrisConfig,
         used_random = rng.random() < cfg.random_policy_prob
         policies.append(random_policy if used_random else pi)
         stats.random_rollouts += used_random
-        if cfg.gan_restarts():
+        if variant.restart == "gan":
             starts.append(_draw_restart(env, g, stats, rng))
     episodes = envs.rollout(env, policies, np.array(starts) if starts else cfg.rollout_count,
                             cfg.rollout_horizon, rng)
     for ep in episodes:
-        buffer.extend(ep, gan_mod.weight_of_batch(g, ep[0]) if cfg.gan_weights() else None)
+        buffer.extend(ep, gan_mod.weight_of_batch(g, ep[0]) if variant.weight == "disc" else None)
         stats.transitions += len(ep[2])
     return stats
 
@@ -154,8 +164,8 @@ def collect_epoch(env: envs.Env, agent: sac.SacAgent, cfg: OrisConfig,
 def _update_block(agent, offline_rows, buffer, cfg, hp, rng):
     """One epoch's worth of critic/actor updates on mixed minibatches, each one
     block of rows: batch_off offline rows at weight 1, then batch_sim buffer
-    rows at the weights collect_epoch stored (all from the buffer when there
-    are no offline rows, as in sim_only_sac). One gather per source."""
+    rows at the weights collect_epoch stored (all from the buffer when
+    offline_rows is None). One gather per source."""
     n = hp.batch_off + hp.batch_sim
     n_off = 0 if offline_rows is None else hp.batch_off
     critic_losses, actor_losses, sim_weights = [], [], []
@@ -190,14 +200,18 @@ def train(offline: Dataset, perturbation: envs.DynamicsPerturbation,
           progress=None) -> tuple[sac.SacAgent, list[EpochReport]]:
     """Run one variant to completion; returns the agent and per-epoch reports.
 
-    The env is offline.meta.env_id: rollouts step it under `perturbation`,
-    and each epoch evaluates it unperturbed, EnvSpec.real(env_id). A dataset
-    whose rows do not fit that env is refused first (check_offline). A variant
+    The variant's row of VARIANTS picks each epoch's work: a "sac" learner
+    collects, then updates on buffer rows and, if the row draws them,
+    offline rows; a "bc" learner clones offline actions. The env is
+    offline.meta.env_id: rollouts step it under `perturbation`, and each
+    epoch evaluates it unperturbed, EnvSpec.real(env_id). A dataset whose
+    rows do not fit that env is refused first (check_offline). A variant
     that needs a GAN gets the one gan_hp fits to the offline state marginal
     through the gan_store directory (gan.pretrain_or_load), from its own RNG
     stream, so loading it moves no other draw.
     """
     env_id = offline.meta.env_id
+    variant = VARIANTS[cfg.variant]
     ss = np.random.SeedSequence(seed)
     rng_init, rng_gan, rng_collect, rng_update, rng_eval = \
         [np.random.default_rng(s) for s in ss.spawn(5)]
@@ -208,7 +222,7 @@ def train(offline: Dataset, perturbation: envs.DynamicsPerturbation,
     agent = sac.SacAgent.create(obs_dim, act_dim, sim_env.action_scale,
                                 hp, seed=int(rng_init.integers(2 ** 31)))
     g = None
-    if cfg.needs_gan():
+    if variant.needs_gan:
         g = gan_mod.pretrain_or_load(offline.columns[0], gan_hp, rng_gan, gan_store)
 
     real = envs.EnvSpec.real(env_id)
@@ -216,14 +230,14 @@ def train(offline: Dataset, perturbation: envs.DynamicsPerturbation,
     # samples what a replay_capacity ring would, without allocating the rest
     max_rows = cfg.epochs * cfg.rollout_count * cfg.rollout_horizon
     buffer = ReplayBuffer(min(cfg.replay_capacity, max_rows), obs_dim, act_dim)
-    bc = cfg.variant == "bc"
     env_steps = 0
     reports: list[EpochReport] = []
     for epoch in range(1, cfg.epochs + 1):
-        if bc:
+        if variant.learner == "bc":
             stats = CollectStats()
             n = hp.batch_off + hp.batch_sim
-            losses = [sac.bc_update(agent, *offline.sample_arrays(n, rng_update)[:2])
+            losses = [sac.bc_update(agent, *columns_of(offline.rows.sample_rows(n, rng_update),
+                                                       obs_dim)[0][:2])
                       for _ in range(cfg.updates_per_epoch)]
             critic_loss, actor_loss = 0.0, float(np.mean(losses))
             mean_w = 1.0
@@ -231,7 +245,7 @@ def train(offline: Dataset, perturbation: envs.DynamicsPerturbation,
             stats = collect_epoch(sim_env, agent, cfg, buffer, rng_collect, g)
             env_steps += stats.transitions
             critic_loss, actor_loss, mean_w = _update_block(
-                agent, None if cfg.variant == "sim_only_sac" else offline.rows, buffer, cfg, hp,
+                agent, offline.rows if variant.offline else None, buffer, cfg, hp,
                 rng_update)
 
         det = lambda o, _r: sac.act(agent, o, "deterministic")

@@ -8,7 +8,7 @@ import shlex
 import numpy as np
 import pytest
 
-from oris import cli, datasets, gan, harness, presets, sac
+from oris import cli, datasets, gan, harness, loop, presets, sac
 from oris.data import Dataset, load_dataset, save_dataset
 from oris.errors import NumericsError
 from test_datasets import TINY
@@ -595,6 +595,20 @@ def test_readme_commands_parse_and_name_existing_files():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: oris {shlex.join(argv)}")
+
+
+def test_readme_variant_table_is_loop_variants():
+    """The README's variant table lists loop.VARIANTS in order, each row's
+    cells naming its restart, weight, offline rows and learner; bc collects
+    nothing, so its restart and weight cells are —."""
+    cells = {"GAN": "gan", "env ρ₀": "rho0", "`clip(1-2D, w_min, w_max)`": "disc",
+             "1": "one", "—": None, "yes": True, "no": False, "SAC": "sac",
+             "BC (actor only)": "bc"}
+    table = README.read_text().split(
+        "| variant | restarts | sim weight | offline data | learner |\n", 1)[1].split("\n\n")[0]
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \| (.*) \| (.*) \| (.*) \|$", table, re.M)
+    assert [(name, *(cells[c] for c in row)) for name, *row in rows] == \
+        [(name, *row) for name, row in loop.VARIANTS.items()]
 
 
 def test_readme_layout_and_package_docstring_name_every_module():

@@ -106,6 +106,11 @@ def test_config_validation(dataset_path):
         tiny_config(dataset_path, dataset_fraction=0.0)
     with pytest.raises(ConfigError, match="contradicts"):
         tiny_config(dataset_path, oris={"variant": "oris"})
+    # with no top-level variant there is nothing to contradict: the key is missing
+    no_variant = tiny_config(dataset_path).to_json()
+    del no_variant["variant"]
+    with pytest.raises(ConfigError, match="missing .*'variant'"):
+        ExperimentConfig.from_json(no_variant)
 
 
 def test_config_roundtrip_and_hash(dataset_path):

@@ -55,15 +55,6 @@ def test_config_validation():
         OrisConfig(rollout_count=0)
 
 
-def test_weight_mode_resolution():
-    weighted = {v: OrisConfig(variant=v).gan_weights() for v in loop.VARIANTS}
-    assert weighted == {"oris": True, "no_restart": True, "uniform_weight": False,
-                        "naive_mix": False, "sim_only_sac": False, "bc": False}
-    needs = {v: OrisConfig(variant=v).needs_gan() for v in loop.VARIANTS}
-    assert needs == {"oris": True, "no_restart": True, "uniform_weight": True,
-                     "naive_mix": False, "sim_only_sac": False, "bc": False}
-
-
 def _random_rollouts(p, count, seed):
     """stats.random_rollouts of one collect_epoch of `count` one-step pendulum
     rollouts at random_policy_prob p."""
@@ -131,7 +122,7 @@ def test_collect_epoch_rho0_starts():
     assert np.all(starts[:, :2] >= -1.0) and np.all(starts[:, :2] <= -0.6)
 
 
-def test_collect_epoch_gan_restarts():
+def test_collect_epoch_restarts_from_the_generator():
     agent = make_agent("pointgoal")
     env = envs.make_env(envs.EnvSpec.real("pointgoal"))
     buf = ReplayBuffer(10_000, 4, 2)
@@ -322,6 +313,53 @@ def test_train_draws_offline_rows_from_the_dataset_block(tmp_path, monkeypatch, 
     assert capacities == [5]
     per_update = {"sim_only_sac": [], "bc": [HP.batch_off + HP.batch_sim]}
     assert offline_draws == 2 * per_update.get(variant, [HP.batch_off])
+
+
+@pytest.mark.parametrize("variant", loop.VARIANTS)
+def test_each_variant_runs_the_mechanisms_of_its_row(tmp_path, monkeypatch, pend_random,
+                                                     variant):
+    """A tiny run does what the variant's row of loop.VARIANTS says: it fits
+    a GAN if the row needs one, restarts from the generator if its restart
+    is "gan", stores simulator weights other than 1 if its weight is "disc",
+    draws offline rows if it is offline, and collects nothing if its learner
+    is "bc"."""
+    row = loop.VARIANTS[variant]
+    g = rigged_gan([1.0, 0.0, 0.0])
+    g.discriminator.biases[-1][:] = np.log(0.2 / 0.8)  # D = 0.2: every weight 0.6
+    fits, restarts, offline_draws, buffers = [], [], [], []
+    real_sample_restart, sample_rows = gan.sample_restart, pend_random.rows.sample_rows
+
+    def pretrain_or_load(*args):
+        fits.append(args)
+        return g
+
+    def sample_restart(*args):
+        restarts.append(args)
+        return real_sample_restart(*args)
+
+    def recorded_sample_rows(n, rng, out=None):
+        offline_draws.append(n)
+        return sample_rows(n, rng, out)
+
+    class Recorded(ReplayBuffer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            buffers.append(self)
+
+    monkeypatch.setattr(gan, "pretrain_or_load", pretrain_or_load)
+    monkeypatch.setattr(gan, "sample_restart", sample_restart)
+    monkeypatch.setattr(pend_random.rows, "sample_rows", recorded_sample_rows)
+    monkeypatch.setattr(loop, "ReplayBuffer", Recorded)
+    cfg = OrisConfig(variant=variant, rollout_horizon=5, rollout_count=2, epochs=1,
+                     updates_per_epoch=2, eval_episodes=1)
+    loop.train(pend_random, GAP, cfg, HP, seed=0, gan_hp=GAN_HP, gan_store=tmp_path)
+    (buf,) = buffers
+    sim_weights = stored_columns(buf)[-1][:len(buf)]
+    assert len(fits) == row.needs_gan
+    assert bool(restarts) == (row.restart == "gan")
+    assert bool(np.any(sim_weights != 1.0)) == (row.weight == "disc")
+    assert bool(offline_draws) == row.offline
+    assert (len(buf) == 0) == (row.learner == "bc")
 
 
 def test_train_oris_uses_discriminator_weights(tmp_path, monkeypatch, pend_random):
